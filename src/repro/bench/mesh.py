@@ -23,8 +23,9 @@ surviving PoPs keep gossiping.
 
 ``radical-repro mesh`` drives this and writes ``results/mesh.json``;
 ``--smoke`` runs a CI-sized slice (forum only, one interval) gated on
-structural checks — gossip flowed, every rate is a rate — not on point
-statistics.
+structural checks — gossip flowed, every rate is a rate, and at least
+:data:`MIN_APPLIED_PER_SHIPPED` of the shipped updates were news to their
+receiver — not on point statistics.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .report import save_results
 
 __all__ = [
     "MESH_GOSSIP_INTERVALS",
+    "MIN_APPLIED_PER_SHIPPED",
     "mesh_partition_plan",
     "sweep_mesh",
     "mesh_gate_failures",
@@ -46,6 +48,13 @@ __all__ = [
 
 #: Gossip intervals swept (virtual ms): the cache-staleness knob.
 MESH_GOSSIP_INTERVALS: Tuple[float, ...] = (25.0, 100.0, 400.0)
+
+#: Waste ratchet: the share of shipped updates a fault-free mesh must
+#: actually apply.  Ship-once gossip sits near 0.28 on five PoPs (each
+#: update crosses every link at most once; relays to a peer that already
+#: got it from the origin are the remainder); re-shipping every unacked
+#: update every round sat at 0.07.
+MIN_APPLIED_PER_SHIPPED = 0.2
 
 
 def mesh_partition_plan(
@@ -167,8 +176,9 @@ def sweep_mesh(
 
 def mesh_gate_failures(payload: Dict[str, Any]) -> List[str]:
     """Structural gate for CI: the sweep must show gossip actually ran on
-    every mesh-on point and every reported rate must be a rate.  Point
-    statistics (which interval aborts least) are results, not gates."""
+    every mesh-on point without re-shipping what was already delivered,
+    and every reported rate must be a rate.  Point statistics (which
+    interval aborts least) are results, not gates."""
     failures = []
     for row in payload["rows"]:
         where = f"{row['app']}/{row['mesh']}/{row['chaos']}"
@@ -184,6 +194,15 @@ def mesh_gate_failures(payload: Dict[str, Any]) -> List[str]:
                 failures.append(f"{where}: mesh on but no digests sent")
             if not row["updates_applied"]:
                 failures.append(f"{where}: mesh on but no updates applied")
+            elif (
+                row["chaos"] == "none"
+                and row["updates_applied"] < MIN_APPLIED_PER_SHIPPED * row["updates_shipped"]
+            ):
+                failures.append(
+                    f"{where}: only {row['updates_applied']} of {row['updates_shipped']} "
+                    f"shipped updates applied (< {MIN_APPLIED_PER_SHIPPED:.0%}): "
+                    f"gossip is re-shipping"
+                )
         if not row["cache_hits"]:
             failures.append(f"{where}: no cache hits recorded (hit-age metric dead)")
     return failures

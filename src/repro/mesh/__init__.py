@@ -13,7 +13,6 @@ from .mesh import (
     CacheMesh,
     CutReply,
     CutRequest,
-    GossipAck,
     GossipDigest,
     MeshPop,
     MeshSpec,
@@ -25,7 +24,6 @@ __all__ = [
     "CacheMesh",
     "CutReply",
     "CutRequest",
-    "GossipAck",
     "GossipDigest",
     "MeshPop",
     "MeshSpec",

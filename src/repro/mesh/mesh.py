@@ -11,12 +11,27 @@ idea on top of Radical's near-user caches:
   on crash-restart so a reborn PoP never reuses ids) — plus the origin
   version vector the PoP had applied at write time (the update's causal
   dependencies).
-* PoPs gossip on a fixed virtual-time interval: each round, every serving
-  PoP sends each peer a :class:`GossipDigest` carrying its version vector
-  and the updates the peer has not acknowledged.  The digest is an RPC;
-  the reply is the receiver's post-application vector, which doubles as a
-  cumulative ack.  Empty digests still flow — they are the heartbeat that
-  lets a restarted (vector-zeroed) peer be detected and re-bootstrapped.
+* PoPs gossip on a fixed virtual-time interval with one-way, ship-once
+  anti-entropy.  A :class:`GossipDigest` is a fire-and-forget message
+  carrying the sender's epoch, its version vector and the updates it has
+  not yet shipped to that peer; the receiver applies it synchronously at
+  delivery and sends nothing back.
+* The cumulative ack is piggybacked: the vector every digest carries *is*
+  the acknowledgement of everything the sender has applied.  Receivers
+  merge it element-wise-max within an epoch (a late, older digest never
+  lowers it) and reset it only when the sender's epoch advances.
+* Each PoP keeps a per-peer *in-flight mark* — the highest sequence per
+  origin already shipped to that peer — so an update crosses a link once.
+  The mark is rewound to the peer's acked vector in exactly two cases: the
+  peer's epoch advanced (it crash-restarted with a zeroed vector and is
+  re-bootstrapped from scratch), or the peer's vector failed to cover the
+  mark for ``gossip_timeout_ms`` past the peer's next round, the earliest
+  digest that could have acked it (loss or partition — the retransmit).
+* A round sends a peer nothing when there is nothing unshipped for it, the
+  PoP's own vector is unchanged since its last digest to that peer, and
+  that digest left less than ``gossip_timeout_ms`` ago; otherwise an
+  update-less digest flows as the heartbeat that acks what was received
+  and lets a restarted peer be detected.
 * A receiver applies updates per-origin in sequence order and only once
   every dependency is satisfied; out-of-order arrivals are buffered.  The
   application order at every PoP therefore always forms a causal cut —
@@ -42,6 +57,7 @@ is virtual-time-identical to the seed single-cache path.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -57,7 +73,6 @@ __all__ = [
     "MeshSpec",
     "MeshUpdate",
     "GossipDigest",
-    "GossipAck",
     "CutRequest",
     "CutReply",
     "MeshPop",
@@ -71,8 +86,10 @@ class MeshSpec:
 
     #: Gossip round period per PoP, virtual ms.
     gossip_interval_ms: float = 100.0
-    #: RPC timeout for one digest exchange (must exceed the worst inter-PoP
-    #: round trip; DE<->JP is ~230 ms in the paper's latency table).
+    #: Retransmit / idle-heartbeat horizon: an idle link still carries one
+    #: digest per horizon, and shipped updates are shipped again once the
+    #: peer's vector has been silent about them this long (must exceed the
+    #: worst inter-PoP round trip; DE<->JP is ~230 ms in the paper's table).
     gossip_timeout_ms: float = 400.0
     #: RPC timeout for a session cut fetch during re-attach.
     cut_timeout_ms: float = 400.0
@@ -84,13 +101,21 @@ class MeshSpec:
     gossip_repairs: bool = True
     enabled: bool = True
 
+    @property
+    def retransmit_after_ms(self) -> float:
+        """How long shipped updates may stay unacked.  The ack rides the
+        peer's next digest, which leaves up to one gossip interval after
+        the updates land — only the round trip around that is the wait
+        ``gossip_timeout_ms`` bounds."""
+        return self.gossip_timeout_ms + self.gossip_interval_ms
+
     def validate(self) -> None:
         if self.gossip_interval_ms <= 0:
             raise FaultConfigError(
                 f"mesh gossip_interval_ms must be > 0 (got {self.gossip_interval_ms})"
             )
         if self.gossip_timeout_ms <= 0 or self.cut_timeout_ms <= 0:
-            raise FaultConfigError("mesh rpc timeouts must be > 0")
+            raise FaultConfigError("mesh timeouts must be > 0")
         if self.max_updates_per_digest < 1:
             raise FaultConfigError(
                 f"mesh max_updates_per_digest must be >= 1 (got {self.max_updates_per_digest})"
@@ -125,29 +150,50 @@ class MeshUpdate:
 
 
 class GossipDigest:
-    """One gossip round's payload: sender vector + unacked updates."""
+    """One one-way gossip message: the sender's incarnation and applied
+    vector (the cumulative ack of everything it has received) plus the
+    updates it has not yet shipped to this peer."""
 
-    __slots__ = ("sender", "vv", "updates")
+    __slots__ = ("sender", "vv", "updates", "epoch")
 
     def __init__(
         self,
         sender: str,
         vv: Tuple[Tuple[str, int], ...],
-        updates: Tuple[MeshUpdate, ...],
+        updates: Tuple[MeshUpdate, ...] = (),
+        epoch: int = 0,
     ):
         self.sender = sender
         self.vv = vv
         self.updates = updates
+        self.epoch = epoch
 
 
-class GossipAck:
-    """Digest reply: the receiver's post-application vector (cumulative ack)."""
+class _PeerLink:
+    """What a PoP remembers about its directed gossip link to one peer."""
 
-    __slots__ = ("sender", "vv")
+    __slots__ = ("epoch", "mark", "sent_version", "sent_at", "awaited", "deadline")
 
-    def __init__(self, sender: str, vv: Tuple[Tuple[str, int], ...]):
-        self.sender = sender
-        self.vv = vv
+    def __init__(self) -> None:
+        #: The peer incarnation last heard from (-1: never).
+        self.epoch = -1
+        #: In-flight mark: origin -> highest seq already shipped to the peer.
+        self.mark: Dict[str, int] = {}
+        #: The PoP's vector version at its last digest to the peer; -1
+        #: forces a digest next round (truncated digest, rewound mark).
+        self.sent_version = -1
+        self.sent_at = 0.0
+        #: The mark the peer's vector must cover by ``deadline``, or the
+        #: in-flight mark is rewound (None: nothing shipped is unacked).
+        self.awaited: Optional[Dict[str, int]] = None
+        self.deadline = 0.0
+
+    def rewind(self) -> None:
+        """Forget what is in flight: the next digest (owed at once) ships
+        from the peer's acked vector again."""
+        self.mark.clear()
+        self.awaited = None
+        self.sent_version = -1
 
 
 class CutRequest:
@@ -192,11 +238,18 @@ class MeshPop(NearUserCache):
         self.vv: Dict[str, int] = {}
         #: Applied updates held for relay: origin -> seq -> update.
         self.updates: Dict[str, Dict[int, MeshUpdate]] = {}
-        #: Updates whose dependencies are not yet satisfied.
-        self.buffered: List[MeshUpdate] = []
-        #: Last known vector of each peer (from digests and acks); drives
-        #: which updates the next digest ships.
+        #: Updates whose dependencies are not yet satisfied, by (origin, seq).
+        self.buffered: Dict[Tuple[str, int], MeshUpdate] = {}
+        #: Acked vector of each peer (merged from the digests it sends); with
+        #: the link's in-flight mark it decides what the next digest ships.
         self.peer_vv: Dict[str, Dict[str, int]] = {}
+        self._links: Dict[str, _PeerLink] = {}
+        #: Bumped on every ``vv`` change: what a link compares to know its
+        #: peer has seen this PoP's current vector.
+        self._vv_version = 0
+        #: ``vv`` as a sorted tuple (None: stale), over cached sorted keys.
+        self._origin_order: List[str] = []
+        self._vv_tuple: Optional[Tuple[Tuple[str, int], ...]] = ()
         #: Application log for causal-cut checking, one per incarnation.
         self.applied_log: List[CutEvent] = []
         self._archived_logs: List[Tuple[str, List[CutEvent]]] = []
@@ -209,7 +262,14 @@ class MeshPop(NearUserCache):
 
     @property
     def endpoint_name(self) -> str:
+        """The RPC endpoint (session cut fetches); also the source of every
+        digest this PoP sends."""
         return f"mesh-{self.region}"
+
+    @property
+    def gossip_endpoint_name(self) -> str:
+        """The one-way endpoint digests are delivered to."""
+        return f"gossip-{self.region}"
 
     def application_logs(self) -> List[Tuple[str, List[CutEvent]]]:
         """Every incarnation's application log, oldest first, for the
@@ -236,36 +296,77 @@ class MeshPop(NearUserCache):
         return self.mesh.started and self.serving
 
     def _log_own_update(self, table: str, key: str, value: Any, version: int) -> None:
-        deps = tuple(sorted(self.vv.items()))
+        deps = self._sorted_vv()
         self._own_seq += 1
         seq = self._own_seq
-        update = MeshUpdate(
-            self.origin, seq, table, key, fast_deepcopy(value), version, deps
-        )
-        self.updates.setdefault(self.origin, {})[seq] = update
-        self.vv[self.origin] = seq
-        self.applied_log.append(CutEvent(self.origin, seq, deps))
+        origin = self.origin
+        update = MeshUpdate(origin, seq, table, key, fast_deepcopy(value), version, deps)
+        self.updates.setdefault(origin, {})[seq] = update
+        self._advance(origin, seq)
+        self.applied_log.append(CutEvent(origin, seq, deps))
+
+    def _advance(self, origin: str, seq: int) -> None:
+        if origin not in self.vv:
+            insort(self._origin_order, origin)
+        self.vv[origin] = seq
+        self._vv_version += 1
+        self._vv_tuple = None
+
+    def _sorted_vv(self) -> Tuple[Tuple[str, int], ...]:
+        if self._vv_tuple is None:
+            vv = self.vv
+            self._vv_tuple = tuple([(origin, vv[origin]) for origin in self._origin_order])
+        return self._vv_tuple
 
     # -- gossip: receive side ----------------------------------------------
 
-    def receive_digest(self, digest: GossipDigest) -> GossipAck:
-        self.peer_vv[digest.sender] = dict(digest.vv)
+    def receive_digest(self, digest: GossipDigest) -> GossipDigest:
+        """Merge the sender's vector (its cumulative ack), apply what can be
+        applied, buffer the rest.  Returns this PoP's own update-less digest
+        — the ack the next round piggybacks; the mesh itself sends no reply."""
+        sender = digest.sender
+        link = self._link(sender)
+        if digest.epoch > link.epoch:
+            if link.epoch >= 0:
+                # A reborn peer starts from a zeroed vector: forget what
+                # the old incarnation acked and was sent.
+                link.rewind()
+            link.epoch = digest.epoch
+            self.peer_vv[sender] = dict(digest.vv)
+        elif digest.epoch == link.epoch:
+            known = self.peer_vv.setdefault(sender, {})
+            for origin, seq in digest.vv:
+                if seq > known.get(origin, 0):
+                    known[origin] = seq
+        # else: a straggler from a dead incarnation acks nothing.
         for update in digest.updates:
             self._ingest(update)
-        self._drain_buffered()
-        return GossipAck(self.region, tuple(sorted(self.vv.items())))
+        if self.buffered:
+            self._drain_buffered()
+        return GossipDigest(self.region, self._sorted_vv(), (), self.epoch)
+
+    def _link(self, peer_region: str) -> _PeerLink:
+        link = self._links.get(peer_region)
+        if link is None:
+            link = self._links[peer_region] = _PeerLink()
+        return link
 
     def _ingest(self, update: MeshUpdate) -> None:
         if update.seq <= self.vv.get(update.origin, 0):
             return  # duplicate
         if self._can_apply(update):
             self._apply(update)
-        else:
-            for held in self.buffered:
-                if held.origin == update.origin and held.seq == update.seq:
-                    return
-            self.buffered.append(update)
-            self.mesh.metrics.incr("mesh.updates_buffered")
+            return
+        key = (update.origin, update.seq)
+        if key in self.buffered:
+            return
+        self.buffered[key] = update
+        mesh = self.mesh
+        mesh.metrics.incr("mesh.updates_buffered")
+        depth = len(self.buffered)
+        if depth > mesh.buffered_max:
+            mesh.metrics.incr("mesh.buffered_max", depth - mesh.buffered_max)
+            mesh.buffered_max = depth
 
     def _can_apply(self, update: MeshUpdate) -> bool:
         if update.seq != self.vv.get(update.origin, 0) + 1:
@@ -278,7 +379,9 @@ class MeshPop(NearUserCache):
         return True
 
     def _apply(self, update: MeshUpdate) -> None:
-        self.vv[update.origin] = update.seq
+        self._advance(update.origin, update.seq)
+        if self.buffered:  # a buffered copy of this update is now superseded
+            self.buffered.pop((update.origin, update.seq), None)
         self.updates.setdefault(update.origin, {})[update.seq] = update
         self.applied_log.append(CutEvent(update.origin, update.seq, update.deps))
         if update.version > self.version(update.table, update.key):
@@ -290,39 +393,71 @@ class MeshPop(NearUserCache):
         self.mesh.metrics.incr("mesh.updates_applied")
 
     def _drain_buffered(self) -> None:
+        """Application is gapless per origin, so only each origin's next
+        sequence number can ever become applicable."""
+        buffered, vv = self.buffered, self.vv
         progress = True
-        while progress and self.buffered:
+        while progress and buffered:
             progress = False
-            still: List[MeshUpdate] = []
-            for update in self.buffered:
-                if update.seq <= self.vv.get(update.origin, 0):
-                    progress = True  # became a duplicate; drop
-                elif self._can_apply(update):
+            for origin in dict.fromkeys([origin for origin, _seq in buffered]):
+                update = buffered.get((origin, vv.get(origin, 0) + 1))
+                while update is not None and self._can_apply(update):
                     self._apply(update)
                     progress = True
-                else:
-                    still.append(update)
-            self.buffered = still
+                    update = buffered.get((origin, update.seq + 1))
 
     # -- gossip: send side --------------------------------------------------
 
+    def digest_due(self, peer_region: str) -> bool:
+        """Does this round owe the peer a digest?  Also where an ack
+        overdue by ``retransmit_after_ms`` rewinds the in-flight mark."""
+        link = self._links.get(peer_region)
+        if link is None:
+            return True
+        now = self._now()
+        spec = self.mesh.spec
+        awaited = link.awaited
+        if awaited is not None:
+            acked = self.peer_vv.get(peer_region, {})
+            if all([acked.get(origin, 0) >= seq for origin, seq in awaited.items()]):
+                # Covered: keep watching whatever was shipped since.
+                mark = link.mark = {
+                    origin: seq for origin, seq in link.mark.items()
+                    if seq > acked.get(origin, 0)
+                }
+                link.awaited = dict(mark) if mark else None
+                link.deadline = now + spec.retransmit_after_ms
+            elif now >= link.deadline:
+                link.rewind()
+                self.mesh.metrics.incr("mesh.gossip_timeout")
+        return link.sent_version != self._vv_version or now - link.sent_at >= spec.gossip_timeout_ms
+
     def build_digest(self, peer_region: str, max_updates: int) -> GossipDigest:
-        """Updates the peer has not acked, per-origin in sequence order."""
+        """Updates not yet shipped to the peer, per-origin in sequence
+        order; advances the peer's in-flight mark over what it returns."""
         acked = self.peer_vv.get(peer_region, {})
+        link = self._link(peer_region)
+        mark = link.mark
         out: List[MeshUpdate] = []
-        for origin in sorted(self.updates):
+        for origin, applied in self._sorted_vv():
+            seq = max(acked.get(origin, 0), mark.get(origin, 0))
+            if seq >= applied:
+                continue
             held = self.updates[origin]
-            applied = self.vv.get(origin, 0)
-            for seq in range(acked.get(origin, 0) + 1, applied + 1):
-                update = held.get(seq)
-                if update is None:  # pragma: no cover - holdings are contiguous
-                    break
-                out.append(update)
-                if len(out) >= max_updates:
-                    break
+            room = max_updates - len(out)
+            last = min(applied, seq + room)
+            out.extend([held[n] for n in range(seq + 1, last + 1)])
+            mark[origin] = last
             if len(out) >= max_updates:
                 break
-        return GossipDigest(self.region, tuple(sorted(self.vv.items())), tuple(out))
+        now = self._now()
+        # A full digest may have left updates behind: owe the peer another.
+        link.sent_version = -1 if len(out) >= max_updates else self._vv_version
+        link.sent_at = now
+        if out and link.awaited is None:
+            link.awaited = dict(mark)
+            link.deadline = now + self.mesh.spec.retransmit_after_ms
+        return GossipDigest(self.region, self._sorted_vv(), tuple(out), self.epoch)
 
     # -- session cuts --------------------------------------------------------
 
@@ -400,9 +535,13 @@ class MeshPop(NearUserCache):
         self.serving = False
         self.wipe()
         self.vv.clear()
+        self._origin_order.clear()
+        self._vv_version += 1
+        self._vv_tuple = ()
         self.updates.clear()
-        self.buffered = []
+        self.buffered.clear()
         self.peer_vv.clear()
+        self._links.clear()
         self.mesh.on_pop_crash(self)
 
     def restart(self) -> None:
@@ -427,6 +566,10 @@ class CacheMesh:
         self.metrics = metrics
         self.pops: Dict[str, MeshPop] = {}
         self.started = False
+        self._peers: Dict[str, List[str]] = {}
+        #: High-water mark of any PoP's dependency buffer (also exported as
+        #: the ``mesh.buffered_max`` counter).
+        self.buffered_max = 0
 
     # -- construction (Deployment.build calls these) -------------------------
 
@@ -461,66 +604,57 @@ class CacheMesh:
         if self.started or not self.spec.enabled or len(self.pops) < 2:
             return
         self.started = True
+        self._peers = {region: self.peers_of(region) for region in self.pops}
         for region, pop in sorted(self.pops.items()):
-            self._register_endpoint(pop)
+            self._register_endpoints(pop)
         for region, pop in sorted(self.pops.items()):
             self.sim.schedule(self.spec.gossip_interval_ms, self._gossip_round, pop)
 
-    def _register_endpoint(self, pop: MeshPop) -> None:
-        def handle(payload, src, _pop=pop):
-            return self._handle(_pop, payload, src)
+    def _register_endpoints(self, pop: MeshPop) -> None:
+        def serve_cut(payload, src, _pop=pop):
+            return self._serve_cut(_pop, payload)
 
-        self.net.serve(pop.endpoint_name, pop.region, handle)
+        def on_digest(digest, src, _pop=pop):
+            _pop.receive_digest(digest)
+
+        self.net.serve(pop.endpoint_name, pop.region, serve_cut)
+        self.net.register_handler(pop.gossip_endpoint_name, pop.region, on_digest)
 
     # -- protocol -------------------------------------------------------------
 
-    def _handle(self, pop: MeshPop, payload, src) -> Generator:
-        if isinstance(payload, GossipDigest):
-            result = pop.receive_digest(payload)
-        elif isinstance(payload, CutRequest):
-            result = pop.serve_cut(payload)
-        else:
+    def _serve_cut(self, pop: MeshPop, payload) -> Generator:
+        if not isinstance(payload, CutRequest):
             raise ProtocolError(
                 f"unexpected mesh payload at {pop.endpoint_name}: {type(payload).__name__}"
             )
-        return result
+        return pop.serve_cut(payload)
         yield  # unreachable: makes this a generator (the RPC handler contract)
 
     def _gossip_round(self, pop: MeshPop) -> None:
         if not self.started:
             return
         if pop.serving:
-            for peer in self.peers_of(pop.region):
-                self.sim.spawn(
-                    self._send_digest(pop, peer),
-                    name=f"gossip({pop.region}->{peer})",
-                )
+            for peer in self._peers[pop.region]:
+                if pop.digest_due(peer):
+                    self._send_digest(pop, peer)
         self.sim.schedule(self.spec.gossip_interval_ms, self._gossip_round, pop)
 
-    def _send_digest(self, pop: MeshPop, peer: str) -> Generator:
+    def _send_digest(self, pop: MeshPop, peer: str) -> None:
+        """Fire and forget: no reply hop, no timer — the peer's own digests
+        carry the ack back."""
         digest = pop.build_digest(peer, self.spec.max_updates_per_digest)
         self.metrics.incr("mesh.gossip_sent")
         if digest.updates:
             self.metrics.incr("mesh.updates_shipped", len(digest.updates))
-        try:
-            ack = yield from self.net.call(
-                pop.endpoint_name,
-                f"mesh-{peer}",
-                digest,
-                timeout=self.spec.gossip_timeout_ms,
-            )
-        except RpcTimeout:
-            self.metrics.incr("mesh.gossip_timeout")
-            return
-        if pop.serving and isinstance(ack, GossipAck):
-            pop.peer_vv[ack.sender] = dict(ack.vv)
+        self.net.send(pop.endpoint_name, self.pops[peer].gossip_endpoint_name, digest)
 
     # -- crash lifecycle -------------------------------------------------------
 
     def on_pop_crash(self, pop: MeshPop) -> None:
         if self.started:
             self.net.unregister(pop.endpoint_name)
+            self.net.unregister(pop.gossip_endpoint_name)
 
     def on_pop_restart(self, pop: MeshPop) -> None:
         if self.started:
-            self._register_endpoint(pop)
+            self._register_endpoints(pop)

@@ -6,8 +6,12 @@ migrating session never loses its guarantees) and unit-level (causal
 buffering of out-of-order digests, the 1-PoP mesh being virtual-time
 identical to the seed path), plus the satellite pieces that ride along:
 the ``cache.hit_age_ms`` metric, fault-plan overlap validation, and the
-mesh chaos plans.
+mesh chaos plans.  ``TestShipOnceGossip`` pins the one-way protocol's
+cost and recovery properties: ship-once, idle suppression, retransmit
+after loss, relay around a cut link, and reordering-proof acks.
 """
+
+import math
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro.consistency import find_causal_cut_violations
 from repro.errors import FaultConfigError
 from repro.faults import (
     CrashWindow,
+    DropWindow,
     FaultPlan,
     MigrationWindow,
     PartitionWindow,
@@ -33,11 +38,23 @@ KEY = ("counters", "c:x")
 
 
 def build_mesh_deployment(regions=(Region.JP, Region.CA), gossip_ms=50.0,
-                          seed=1, **mesh_kwargs):
+                          seed=1, fault_plan=None, **mesh_kwargs):
     return build_counter_deployment(
-        seed=seed, regions=regions,
+        seed=seed, regions=regions, fault_plan=fault_plan,
         mesh=MeshSpec(gossip_interval_ms=gossip_ms, **mesh_kwargs),
     )
+
+
+def bare_mesh():
+    """A started JP+CA mesh with no deployment around it: digests are fed
+    to the JP PoP by hand."""
+    sim = Simulator()
+    net = Network(sim, paper_latency_table(), RandomStreams(1))
+    mesh = CacheMesh(sim, net, MeshSpec(), [Region.JP, Region.CA], Metrics())
+    jp = mesh.make_pop(Region.JP)
+    mesh.make_pop(Region.CA)
+    mesh.start()
+    return mesh, jp
 
 
 def invoke(dep, region, fn, args, session=None):
@@ -76,12 +93,7 @@ class TestGossip:
         assert mesh_dep.store.get(*KEY).version == seed_dep.store.get(*KEY).version
 
     def test_out_of_order_digest_is_buffered_until_causal(self):
-        sim = Simulator()
-        net = Network(sim, paper_latency_table(), RandomStreams(1))
-        mesh = CacheMesh(sim, net, MeshSpec(), [Region.JP, Region.CA], Metrics())
-        jp = mesh.make_pop(Region.JP)
-        mesh.make_pop(Region.CA)
-        mesh.start()
+        _mesh, jp = bare_mesh()
 
         u1 = MeshUpdate("ca#0", 1, "counters", "c:x", 1, 2, deps=())
         u2 = MeshUpdate("ca#0", 2, "counters", "c:x", 2, 3, deps=(("ca#0", 1),))
@@ -91,17 +103,12 @@ class TestGossip:
         assert jp.version(*KEY) < 2               # cache untouched
         jp.receive_digest(GossipDigest(Region.CA, (("ca#0", 2),), (u1,)))
         assert jp.vv["ca#0"] == 2                 # buffer drained in order
-        assert jp.buffered == []
+        assert not jp.buffered
         assert jp.version(*KEY) == 3
         assert find_causal_cut_violations(jp.applied_log) == []
 
     def test_cross_origin_dependency_holds_update_back(self):
-        sim = Simulator()
-        net = Network(sim, paper_latency_table(), RandomStreams(1))
-        mesh = CacheMesh(sim, net, MeshSpec(), [Region.JP, Region.CA], Metrics())
-        jp = mesh.make_pop(Region.JP)
-        mesh.make_pop(Region.CA)
-        mesh.start()
+        _mesh, jp = bare_mesh()
 
         # ie's update depends on ca#0:1, which jp has not applied.
         u = MeshUpdate("ie#0", 1, "counters", "c:x", 9, 5, deps=(("ca#0", 1),))
@@ -115,6 +122,119 @@ class TestGossip:
         )
         assert jp.vv.get("ie#0", 0) == 1          # dependency satisfied -> applied
         assert find_causal_cut_violations(jp.applied_log) == []
+
+
+class TestShipOnceGossip:
+    def test_fault_free_run_ships_every_update_once(self):
+        dep = build_mesh_deployment()
+        for region in (Region.JP, Region.CA, Region.JP):
+            invoke(dep, region, "t.bump", ["x"])
+        dep.sim.run(until=dep.sim.now + 2_000.0)
+        shipped = dep.metrics.counter("mesh.updates_shipped")
+        assert shipped > 0
+        assert shipped == dep.metrics.counter("mesh.updates_applied")
+        assert dep.metrics.counter("mesh.gossip_timeout") == 0
+
+    def test_idle_mesh_only_heartbeats(self):
+        dep = build_mesh_deployment(regions=Region.NEAR_USER, gossip_ms=25.0)
+        sent = {}
+
+        def count(_now, src, dst, payload):
+            if isinstance(payload, GossipDigest):
+                sent[(src, dst)] = sent.get((src, dst), 0) + 1
+
+        dep.net.tracer = count
+        dep.sim.run(until=dep.sim.now + 2_000.0)
+        assert len(sent) == 20                    # every directed link is alive
+        bound = math.ceil(2_000.0 / dep.mesh.spec.gossip_timeout_ms) + 1
+        assert max(sent.values()) <= bound
+
+    def test_lost_update_is_retransmitted_after_the_horizon(self):
+        heal = 1_100.0
+        plan = FaultPlan("jp-ca-blackhole", (DropWindow(Region.JP, Region.CA, 100.0, heal),))
+        dep = build_mesh_deployment(fault_plan=plan)
+        spec = dep.mesh.spec
+        assert heal - 100.0 > spec.gossip_timeout_ms
+        jp, ca = dep.mesh.pop(Region.JP), dep.mesh.pop(Region.CA)
+        dep.sim.run(until=150.0)
+        invoke(dep, Region.JP, "t.bump", ["x"])   # written inside the window
+        assert dep.sim.now < heal
+        dep.sim.run(until=heal)
+        assert ca.version(*KEY) < jp.version(*KEY)
+        while ca.version(*KEY) < jp.version(*KEY) and dep.sim.now < heal + 5_000.0:
+            dep.sim.run(until=dep.sim.now + 5.0)
+        one_way = dep.net.latency.one_way(Region.JP, Region.CA)
+        assert ca.version(*KEY) == jp.version(*KEY)
+        assert dep.sim.now <= heal + spec.gossip_timeout_ms + spec.gossip_interval_ms + one_way + 5.0
+        assert dep.metrics.counter("mesh.gossip_timeout") > 0
+
+    def test_update_relays_around_a_partitioned_link(self):
+        dep = build_mesh_deployment(regions=(Region.JP, Region.CA, Region.IE))
+        dep.net.partition(Region.JP, Region.CA)
+        invoke(dep, Region.JP, "t.bump", ["x"])
+        dep.sim.run(until=dep.sim.now + 1_000.0)
+        jp, ca = dep.mesh.pop(Region.JP), dep.mesh.pop(Region.CA)
+        assert ca.version(*KEY) == jp.version(*KEY)
+        assert ca.vv.get("jp#0", 0) == jp.vv["jp#0"]   # relayed by IE, origin kept
+
+    def test_reordered_digest_neither_lowers_the_ack_nor_resends(self):
+        _mesh, jp = bare_mesh()
+        for version in range(1, 6):
+            jp.apply_local_write("counters", "c:x", version, version)
+        assert len(jp.build_digest(Region.CA, 64).updates) == 5
+
+        jp.receive_digest(GossipDigest(Region.CA, (("jp#0", 5),)))
+        jp.receive_digest(GossipDigest(Region.CA, (("jp#0", 3),)))  # late, older
+        assert jp.peer_vv[Region.CA] == {"jp#0": 5}
+        assert not jp.digest_due(Region.CA)
+        assert jp.build_digest(Region.CA, 64).updates == ()
+
+        # Only a new incarnation resets the ack — and with it the mark.
+        jp.receive_digest(GossipDigest(Region.CA, (), epoch=1))
+        assert jp.peer_vv[Region.CA] == {}
+        assert jp.digest_due(Region.CA)
+        assert len(jp.build_digest(Region.CA, 64).updates) == 5
+        jp.receive_digest(GossipDigest(Region.CA, (("jp#0", 5),)))  # dead incarnation
+        assert jp.peer_vv[Region.CA] == {}
+
+    def test_dependency_buffer_is_keyed_and_its_high_water_mark_exported(self):
+        mesh, jp = bare_mesh()
+        metrics = mesh.metrics
+        chain = [
+            MeshUpdate("ca#0", seq, "counters", "c:x", seq, seq + 1,
+                       deps=(("ca#0", seq - 1),) if seq > 1 else ())
+            for seq in range(1, 5)
+        ]
+        for _ in range(2):  # the second copy of each is recognised, not re-buffered
+            jp.receive_digest(GossipDigest(Region.CA, (("ca#0", 4),), tuple(chain[1:])))
+        assert sorted(jp.buffered) == [("ca#0", 2), ("ca#0", 3), ("ca#0", 4)]
+        assert metrics.counter("mesh.updates_buffered") == 3
+        jp.receive_digest(GossipDigest(Region.CA, (("ca#0", 4),), (chain[0],)))
+        assert not jp.buffered and jp.vv["ca#0"] == 4
+        assert metrics.counter("mesh.buffered_max") == mesh.buffered_max == 3
+        assert find_causal_cut_violations(jp.applied_log) == []
+
+
+class TestMeshSweepGate:
+    ROW = {
+        "app": "forum", "mesh": "on-25ms", "chaos": "none",
+        "abort_rate": 0.03, "backup_rate": 0.03, "cache_hits": 10,
+        "gossip_sent": 100, "updates_shipped": 1_000, "updates_applied": 280,
+    }
+
+    def test_waste_ratchet_rejects_per_round_reshipping(self):
+        from repro.bench.mesh import mesh_gate_failures
+
+        assert mesh_gate_failures({"rows": [self.ROW]}) == []
+        wasteful = dict(self.ROW, updates_applied=70)   # the RPC-gossip ratio
+        failures = mesh_gate_failures({"rows": [wasteful]})
+        assert len(failures) == 1 and "re-shipping" in failures[0]
+
+    def test_waste_ratchet_spares_chaos_rows(self):
+        from repro.bench.mesh import mesh_gate_failures
+
+        lossy = dict(self.ROW, chaos="pop-partition", updates_applied=70)
+        assert mesh_gate_failures({"rows": [lossy]}) == []
 
 
 class TestCrashRestart:
