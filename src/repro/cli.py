@@ -737,7 +737,8 @@ def _kernelbench_main(argv: List[str]) -> int:
     """``radical-repro kernelbench`` — measure simulator kernel throughput
     (events/sec, wall-clock per simulated second, peak RSS) and write
     ``BENCH_kernel.json``.  ``--smoke`` runs CI-sized workloads and gates
-    on the repo-stored floor (fails on a >20% regression)."""
+    fig4 on the repo-stored requests/sec floor (fails on a >20%
+    regression) and on the exact events-per-request ceiling."""
     parser = argparse.ArgumentParser(
         prog="radical-repro kernelbench",
         description="Benchmark the simulation kernel "
@@ -777,17 +778,18 @@ def _kernelbench_main(argv: List[str]) -> int:
         ["workload", "events", "events/sec", "wall s / sim s", "wall (s)",
          "vs baseline"],
         rows,
-        title=f"Kernel benchmark ({report['meta']['queue']} queue, "
-              f"{report['meta']['workers']} worker(s), "
+        title=f"Kernel benchmark ({report['meta']['workers']} worker(s), "
               f"python {report['meta']['python']})",
     )
     print(f"report written to {args.out}")
     check = report.get("floor_check")
     if check is not None and not check["ok"]:
         print(
-            f"FAIL fig4 events/sec {check['measured_events_per_sec']:.0f} "
-            f"below floor threshold {check['threshold']:.0f} "
-            f"(floor {check['floor_events_per_sec']:.0f} - 20%)",
+            f"FAIL fig4 requests/sec {check['measured_requests_per_sec']:.0f} "
+            f"(threshold {check['threshold']:.0f} = floor "
+            f"{check['floor_requests_per_sec']:.0f} - 20%), events/request "
+            f"{check['measured_events_per_request']:.2f} "
+            f"(ceiling {check['events_per_request_ceiling']})",
             file=sys.stderr,
         )
         return 1

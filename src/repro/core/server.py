@@ -290,6 +290,11 @@ class LVIServer:
                 return stop.value
             try:
                 to_send = yield step
+            except GeneratorExit:
+                # Closed or collected while suspended, not resumed: nothing
+                # to fence and nothing to count.
+                inner.close()
+                raise
             except BaseException as exc:  # forward interrupts/failures inward
                 to_send, to_throw = None, exc
 
@@ -362,11 +367,8 @@ class LVIServer:
         lock_reads = () if self.config.exclusive_locks else req.read_keys
         lock_writes = all_keys if self.config.exclusive_locks else req.write_keys
         lock_started = self.sim.now
-        yield self.sim.spawn(
-            self.locks.acquire_all(
-                req.execution_id, (*lock_reads, _DIRECT_BARRIER), lock_writes
-            ),
-            name=f"locks({req.execution_id})",
+        yield from self.locks.acquire_all(
+            req.execution_id, (*lock_reads, _DIRECT_BARRIER), lock_writes
         )
         if obs.enabled:
             obs.span_at(

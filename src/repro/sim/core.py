@@ -20,24 +20,36 @@ The programming model is intentionally close to SimPy's:
 Processes are spawned with :meth:`Simulator.spawn` and the world is advanced
 with :meth:`Simulator.run`.
 
-Scheduler internals (see docs/PERFORMANCE.md): the default event queue is a
-calendar/bucket queue with a dedicated FIFO lane for zero-delay wakeups —
-the majority of all schedules are process resumes at the current instant,
-and a deque append/popleft is far cheaper than a heap push/pop.  Ordering
-is still exactly global (when, seq): zero-delay entries carry ``when ==
-now`` and monotonically increasing sequence numbers, the timed queue's
-minimum is always ``>= now``, and the dispatch loop interleaves the two
-lanes by comparing (when, seq) across them.  The pre-refactor binary heap
-survives behind ``Simulator(queue="heap")`` (or ``RADICAL_SIM_QUEUE=heap``)
-for this PR so the differential equivalence suite can pin both paths to the
-same event order; it will be removed once the calendar queue has soaked.
+The wake-up contract (see docs/PERFORMANCE.md): ``events_dispatched``
+counts executed queue entries, and a queue entry is what a wake-up costs.
+
+* Costs one dispatch: a timer entry (a :class:`Timeout` or a
+  :meth:`Simulator.schedule` callback, cancelled-in-the-current-bucket
+  tombstones included), a :meth:`Simulator.spawn`, and one resume per
+  process waiting on a *triggered* :class:`Event` (the trigger may come
+  from anywhere, so its waiters run from the queue, not from the
+  triggerer's stack).
+* Costs nothing extra: a timeout's waiters (its queue entry resumes them
+  itself, in waiting order — processing an event runs its callbacks, as in
+  SimPy), the forwarding of a child's completion to an
+  :class:`AnyOf`/:class:`AllOf` (the composite completes in the dispatch
+  that completed its deciding child), and a timer cancelled before its
+  calendar bucket was promoted (purged, never dispatched).
+
+The queue is a calendar/bucket queue with a FIFO lane for zero-delay
+entries — most schedules are process resumes at the current instant, and a
+deque append/popleft is far cheaper than a heap push/pop.  Ordering is
+exactly global (when, seq): zero-delay entries carry ``when == now`` and
+increasing sequence numbers, the timed queue's minimum is always ``>= now``,
+and the dispatch loop interleaves the two lanes by comparing (when, seq)
+across them.  ``tests/test_scheduler_equivalence.py`` holds that order
+against a reference binary heap.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -59,11 +71,6 @@ __all__ = [
 #: keeps each bucket small enough that the heap inside the current bucket
 #: stays shallow while future buckets absorb inserts at list-append cost.
 _BUCKET_MS = 32.0
-
-#: Default queue implementation; overridable per-process via the
-#: ``RADICAL_SIM_QUEUE`` environment variable ("calendar" or "heap").
-DEFAULT_QUEUE = "calendar"
-
 
 class SimulationError(RuntimeError):
     """Raised when the simulation itself is misused or a process crashes.
@@ -104,7 +111,9 @@ class Event:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._done = False
-        self._waiters: list[Process] = []
+        # Processes, plus the ``_child_done`` callbacks of composites
+        # (AnyOf/AllOf) watching this event.
+        self._waiters: list = []
 
     @property
     def triggered(self) -> bool:
@@ -150,16 +159,23 @@ class Event:
         return self
 
     def _wake(self) -> None:
+        # A process resumes from the queue (one dispatch each); a composite
+        # hears of its child's completion here and now.
         waiters, self._waiters = self._waiters, []
         sim = self.sim
-        for proc in waiters:
-            sim._schedule_resume(proc, self)
+        for waiter in waiters:
+            if type(waiter) is Process:
+                sim._schedule_resume(waiter, self)
+            else:
+                waiter(self)
 
-    def _add_waiter(self, proc: "Process") -> None:
-        if self._done:
-            self.sim._schedule_resume(proc, self)
+    def _add_waiter(self, waiter: Any) -> None:
+        if not self._done:
+            self._waiters.append(waiter)
+        elif type(waiter) is Process:
+            self.sim._schedule_resume(waiter, self)
         else:
-            self._waiters.append(proc)
+            waiter(self)
 
     def _discard_waiter(self, proc: "Process") -> None:
         try:
@@ -187,6 +203,17 @@ class Timeout(Event):
         self.delay = delay
         sim._schedule(delay, self.trigger, value)
 
+    def _wake(self) -> None:
+        # Runs inside the timeout's own queue entry, which therefore *is*
+        # the wake-up: waiters resume here, in waiting order, instead of
+        # each paying a second zero-delay dispatch.
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            if type(waiter) is Process:
+                waiter._resume(self)
+            else:
+                waiter(self)
+
 
 class AnyOf(Event):
     """Triggers when the *first* of the given events completes.
@@ -204,11 +231,7 @@ class AnyOf(Event):
         if not self.events:
             raise ValueError("AnyOf requires at least one event")
         for ev in self.events:
-            self._attach(ev)
-
-    def _attach(self, ev: Event) -> None:
-        watcher = _Watcher(self.sim, ev, self._child_done)
-        watcher.start()
+            ev._add_waiter(self._child_done)
 
     def _child_done(self, ev: Event) -> None:
         if self._done:
@@ -236,8 +259,7 @@ class AllOf(Event):
             self.sim._schedule(0, self._maybe_trigger_empty)
             return
         for ev in self.events:
-            watcher = _Watcher(self.sim, ev, self._child_done)
-            watcher.start()
+            ev._add_waiter(self._child_done)
 
     def _maybe_trigger_empty(self) -> None:
         if not self._done:
@@ -252,27 +274,6 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0:
             self.trigger({e: e._value for e in self.events})
-
-
-class _Watcher:
-    """Internal: invokes a callback when an event completes.
-
-    Implemented as a pseudo-process so it can sit in an event's waiter list
-    alongside real processes.
-    """
-
-    __slots__ = ("sim", "event", "callback")
-
-    def __init__(self, sim: "Simulator", event: Event, callback: Callable[[Event], None]):
-        self.sim = sim
-        self.event = event
-        self.callback = callback
-
-    def start(self) -> None:
-        self.event._add_waiter(self)  # type: ignore[arg-type]
-
-    def _resume(self, event: Event) -> None:
-        self.callback(event)
 
 
 class Process:
@@ -453,33 +454,16 @@ class Simulator:
     Time is a float in **milliseconds**, matching the units the paper
     reports.  All state in the simulated world must be mutated from within
     scheduled callbacks or processes so that ordering stays deterministic.
-
-    ``queue`` selects the scheduler implementation: ``"calendar"`` (the
-    default; bucketed timer wheel plus a zero-delay FIFO lane) or
-    ``"heap"`` (the pre-refactor single binary heap, kept for one PR so
-    the differential tests can compare both).  The ``RADICAL_SIM_QUEUE``
-    environment variable overrides the default when no explicit argument
-    is given.  Both produce bit-identical event orderings; cancellation is
-    lazy in both — a cancelled timer's entry stays queued as a tombstone
-    and fires as a no-op, which keeps removal O(1).
     """
 
-    def __init__(self, queue: Optional[str] = None):
-        if queue is None:
-            queue = os.environ.get("RADICAL_SIM_QUEUE", DEFAULT_QUEUE)
-        if queue not in ("calendar", "heap"):
-            raise ValueError(f"unknown queue kind {queue!r} (calendar|heap)")
-        self.queue_kind = queue
-        self._use_heap = queue == "heap"
+    def __init__(self):
         self.now: float = 0.0
         #: Dispatched-callback counter: the numerator of the kernelbench
         #: events/sec metric.  Incremented once per executed entry.
         self.events_dispatched: int = 0
-        # Legacy single-heap queue (queue="heap").
-        self._heap: list[tuple[float, int, Any, Callable, tuple]] = []
-        # Calendar queue (queue="calendar"): zero-delay entries go to the
-        # FIFO `_imm` (their `when` is always the current clock, so FIFO
-        # append order IS (when, seq) order); timed entries land in
+        # Calendar queue: zero-delay entries go to the FIFO `_imm` (their
+        # `when` is always the current clock, so FIFO append order IS
+        # (when, seq) order); timed entries land in
         # `_buckets[when // _BUCKET_MS]`, plain unsorted lists, tracked by
         # the small `_bucket_heap` of bucket indices.  A bucket is
         # heapified only when it becomes the current bucket `_cur`; late
@@ -531,12 +515,13 @@ class Simulator:
         """Run a plain callback ``delay`` ms from now; returns a cancellable
         handle.  Used for lightweight timers (e.g. write-intent expiry).
 
-        Cancellation is lazy: the queue entry is never removed, it simply
-        fires as a no-op tombstone (see :class:`TimerHandle`)."""
+        Cancellation is lazy and O(1) (see :class:`TimerHandle`): the entry
+        is dropped unseen when its calendar bucket is promoted, or fires as
+        a no-op if that bucket is already the current one."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         handle = TimerHandle(fn, args)
-        self._schedule(delay, handle._fire)
+        self._schedule(delay, handle)
         return handle
 
     # -- execution ---------------------------------------------------------
@@ -553,17 +538,17 @@ class Simulator:
         self._running = True
         dispatched = 0
         try:
-            if self._use_heap:
-                return self._run_heap(until, until_event)
-            # Calendar-queue dispatch loop.  Locals hoisted: every name
-            # touched per iteration is either a local or a single
-            # attribute load on `self`.
+            # Locals hoisted: every name touched per iteration is either a
+            # local or a single attribute load on `self`.
             imm = self._imm
             heappop = heapq.heappop
             while True:
+                # Checked before looking for a next entry: when the entry
+                # that triggered the event was the last one, the clock
+                # stays at that instant instead of jumping to `until`.
+                if until_event is not None and until_event._done:
+                    break
                 if imm:
-                    if until_event is not None and until_event.triggered:
-                        break
                     # All `_imm` entries fire at the current instant; the
                     # timed queue may hold an entry for the same instant
                     # scheduled *earlier* (a timer armed in the past whose
@@ -572,32 +557,33 @@ class Simulator:
                     entry = imm[0]
                     if until is not None and entry[0] > until:
                         # Only reachable when run() is called with `until`
-                        # already in the past (imm entries fire at `now`);
-                        # mirror the heap path: leave the entry queued.
+                        # already in the past (imm entries fire at `now`):
+                        # leave the entry queued.
                         self.now = until
                         break
                     top = self._cur
-                    if not top and self._bucket_heap:
-                        self._promote_bucket()
-                        top = self._cur
-                    if top:
-                        t0 = top[0]
-                        if t0[0] == entry[0] and t0[1] < entry[1]:
-                            entry = heappop(top)
-                        else:
-                            imm.popleft()
+                    if not top:
+                        # Only a bucket the clock has reached can hold such
+                        # an entry; later ones stay unpromoted, so timers
+                        # cancelled in them can still be purged.
+                        pending = self._bucket_heap
+                        if pending and pending[0] * _BUCKET_MS <= entry[0]:
+                            self._promote_bucket()
+                            top = self._cur
+                    if top and top[0][0] == entry[0] and top[0][1] < entry[1]:
+                        entry = heappop(top)
                     else:
                         imm.popleft()
                 else:
                     cur = self._cur
-                    if not cur:
-                        if not self._bucket_heap:
-                            if until is not None and until > self.now:
-                                self.now = until
-                            break
+                    while not cur and self._bucket_heap:
+                        # A bucket holding only cancelled timers purges to
+                        # empty: keep promoting.
                         self._promote_bucket()
                         cur = self._cur
-                    if until_event is not None and until_event.triggered:
+                    if not cur:
+                        if until is not None and until > self.now:
+                            self.now = until
                         break
                     entry = cur[0]
                     if until is not None and entry[0] > until:
@@ -622,39 +608,6 @@ class Simulator:
             self._running = False
         return self.now
 
-    def _run_heap(self, until: Optional[float], until_event: Optional[Event]) -> float:
-        """The pre-refactor dispatch loop over the single binary heap —
-        verbatim semantics, used only with ``queue="heap"``."""
-        dispatched = 0
-        try:
-            while self._heap:
-                if until_event is not None and until_event.triggered:
-                    break
-                when, _seq, ctx, fn, args = self._heap[0]
-                if until is not None and when > until:
-                    self.now = until
-                    break
-                heapq.heappop(self._heap)
-                self.now = when
-                self.trace_context = ctx
-                try:
-                    fn(*args)
-                finally:
-                    self.trace_context = None
-                dispatched += 1
-                if self._crashed is not None:
-                    proc, exc = self._crashed
-                    self._crashed = None
-                    raise SimulationError(
-                        f"process {proc.name!r} died at t={self.now:.3f}: {exc!r}"
-                    ) from exc
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
-        finally:
-            self.events_dispatched += dispatched
-        return self.now
-
     def run_process(self, gen: Generator, name: str = "", until: Optional[float] = None) -> Any:
         """Spawn a process, run the simulation until it finishes (or the
         deadline passes), and return its result.
@@ -672,12 +625,17 @@ class Simulator:
     # -- kernel internals ---------------------------------------------------
 
     def _promote_bucket(self) -> None:
-        """Make the earliest pending bucket the current one.  Entries are
-        full (when, seq, ...) tuples, so heapifying the bucket's list
-        restores exact global order within it; seq uniqueness guarantees
-        comparisons never reach the unorderable ctx/fn payload."""
+        """Make the earliest pending bucket the current one, minus the
+        timers cancelled while it waited (they are never dispatched; the
+        result may be empty).  Entries are full (when, seq, ...) tuples, so
+        heapifying the bucket's list restores exact global order within
+        it; seq uniqueness guarantees comparisons never reach the
+        unorderable ctx/fn payload."""
         idx = heapq.heappop(self._bucket_heap)
-        cur = self._buckets.pop(idx)
+        cur = [
+            entry for entry in self._buckets.pop(idx)
+            if not (type(entry[3]) is TimerHandle and entry[3].cancelled)
+        ]
         heapq.heapify(cur)
         self._cur = cur
         self._cur_idx = idx
@@ -687,11 +645,6 @@ class Simulator:
         # timers (e.g. intent expiry) fire attributed to the invocation
         # that armed them.  The seq tiebreaker keeps queue ordering — and
         # therefore determinism — independent of the ctx payload.
-        if self._use_heap:
-            heapq.heappush(
-                self._heap, (self.now + delay, next(self._seq), self.trace_context, fn, args)
-            )
-            return
         if delay == 0.0:
             self._imm.append((self.now, next(self._seq), self.trace_context, fn, args))
             return
@@ -708,16 +661,12 @@ class Simulator:
             else:
                 bucket.append(entry)
 
-    def _schedule_resume(self, waiter: Any, event: Event) -> None:
-        # ``waiter`` is a Process or a _Watcher; both expose _resume().
-        # This is the hottest schedule in the kernel (every event wakeup),
-        # hence the inlined zero-delay fast path.
-        if self._use_heap:
-            self._schedule(0, waiter._resume, event)
-        else:
-            self._imm.append(
-                (self.now, next(self._seq), self.trace_context, waiter._resume, (event,))
-            )
+    def _schedule_resume(self, proc: Process, event: Event) -> None:
+        # The hottest schedule in the kernel (every wake-up of a process
+        # waiting on a triggered event), hence the inlined zero-delay path.
+        self._imm.append(
+            (self.now, next(self._seq), self.trace_context, proc._resume, (event,))
+        )
 
     def _crash(self, proc: Process, exc: BaseException) -> None:
         if self._crashed is None:
@@ -725,12 +674,14 @@ class Simulator:
 
 
 class TimerHandle:
-    """Cancellable handle returned by :meth:`Simulator.schedule`.
+    """Cancellable handle returned by :meth:`Simulator.schedule`; also the
+    callable the queue entry runs.
 
-    Cancellation is *lazy*: :meth:`cancel` only flips a flag — the queued
-    entry is left in place as a tombstone and :meth:`_fire` turns into a
-    no-op when it eventually pops.  O(1) cancel, no queue surgery, and the
-    dispatch order of live entries is unaffected.
+    Cancellation is *lazy*: :meth:`cancel` only flips a flag.  An entry
+    still in a future calendar bucket is dropped when that bucket is
+    promoted and is never dispatched; one already in the current bucket
+    pops as a no-op.  O(1) cancel, no queue surgery, and the dispatch order
+    of live entries is unaffected.
     """
 
     __slots__ = ("_fn", "_args", "cancelled", "fired")
@@ -745,7 +696,7 @@ class TimerHandle:
         """Prevent the callback from running if it has not fired yet."""
         self.cancelled = True
 
-    def _fire(self) -> None:
+    def __call__(self) -> None:
         if self.cancelled:
             return
         self.fired = True

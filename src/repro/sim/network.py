@@ -485,26 +485,9 @@ class Network:
                 "rpc", kind="net", src=src, dst=dst,
                 request=type(payload).__name__,
             )
-        status = "ok"
-        try:
-            reply = self.sim.event(name=f"rpc({src}->{dst})")
-            self._send_request(src, dst, payload, reply)
-            if timeout is None:
-                response = yield reply
-                return response
-            to = self.sim.timeout(timeout)
-            first = yield self.sim.any_of([reply, to])
-            if reply in first:
-                return first[reply]
-            status = "timeout"
-            raise RpcTimeout(f"rpc {src}->{dst} timed out after {timeout} ms")
-        except BaseException:
-            if status == "ok":
-                status = "error"
-            raise
-        finally:
-            if span is not None:
-                span.finish(self.sim.now, status=status)
+        reply = self.sim.event(name=f"rpc({src}->{dst})")
+        self._send_request(src, dst, payload, reply)
+        return (yield from _await_reply(self.sim, reply, timeout, src, dst, span))
 
     def serve(self, name: str, region: str, fn: Callable[[Any, str], Generator]) -> Endpoint:
         """Register an RPC server endpoint.
@@ -603,6 +586,39 @@ class Network:
         self.sim.schedule(delay, complete)
 
 
+def _await_reply(
+    sim: Simulator, reply: Event, timeout: Optional[float], src: str, dst: str, span
+) -> Generator:
+    """The caller's half of an RPC, shared by :meth:`Network.call` and
+    :meth:`RequestBatcher.call`: wait on ``reply`` itself, with the deadline
+    as one timer that fails ``reply`` with :class:`RpcTimeout` — cancelled
+    (and so never dispatched) once the wait ends any other way.  A response
+    landing after the deadline finds ``reply`` completed and is dropped by
+    ``_send_reply``.  Finishes the ``rpc`` span (ok / timeout / error)."""
+    status = "ok"
+    timer = None
+    if timeout is not None:
+
+        def expire() -> None:
+            nonlocal status
+            if not reply.triggered:
+                status = "timeout"
+                reply.fail(RpcTimeout(f"rpc {src}->{dst} timed out after {timeout} ms"))
+
+        timer = sim.schedule(timeout, expire)
+    try:
+        return (yield reply)
+    except BaseException:
+        if status == "ok":
+            status = "error"
+        raise
+    finally:
+        if timer is not None:
+            timer.cancel()
+        if span is not None:
+            span.finish(sim.now, status=status)
+
+
 class _ReplyRef:
     """Correlates an RPC response with its waiting caller."""
 
@@ -674,26 +690,9 @@ class RequestBatcher:
                 "rpc", kind="net", src=self.src, dst=dst,
                 request=type(payload).__name__, batched=True,
             )
-        status = "ok"
-        try:
-            reply = sim.event(name=f"rpc({self.src}->{dst})")
-            self._enqueue(dst, (payload, _ReplyRef(src=self.src, reply=reply)))
-            if timeout is None:
-                response = yield reply
-                return response
-            to = sim.timeout(timeout)
-            first = yield sim.any_of([reply, to])
-            if reply in first:
-                return first[reply]
-            status = "timeout"
-            raise RpcTimeout(f"rpc {self.src}->{dst} timed out after {timeout} ms")
-        except BaseException:
-            if status == "ok":
-                status = "error"
-            raise
-        finally:
-            if span is not None:
-                span.finish(sim.now, status=status)
+        reply = sim.event(name=f"rpc({self.src}->{dst})")
+        self._enqueue(dst, (payload, _ReplyRef(src=self.src, reply=reply)))
+        return (yield from _await_reply(sim, reply, timeout, self.src, dst, span))
 
     def _enqueue(self, dst: str, envelope: Tuple[Any, _ReplyRef]) -> None:
         queue = self._queues.get(dst)

@@ -1,34 +1,79 @@
 """Differential tests: the calendar-queue scheduler must be observationally
-identical to the legacy binary-heap scheduler.
+identical to a plain binary heap ordered by global (when, seq).
 
-The fast-kernel refactor swapped the simulator's event queue (see
-``docs/PERFORMANCE.md``).  The legacy implementation stays available for
-one PR behind ``Simulator(queue="heap")`` / ``RADICAL_SIM_QUEUE=heap``
-precisely so these tests can prove equivalence on real workloads: same
-event order, same timestamps, same end-to-end results — not just "both
-pass their suites".
+The production kernel has one queue (``docs/PERFORMANCE.md``): a calendar
+of time buckets plus a FIFO lane for zero-delay entries, which drops
+cancelled timers unseen when it promotes their bucket.  The reference below
+is the obvious implementation — one heap, every entry popped, a cancelled
+timer popping as a no-op — patched over ``Simulator`` for the duration of
+a test.  Both must execute the same *live* callbacks in the same order at
+the same instants and produce the same end-to-end results; they may differ
+in ``events_dispatched``, because a purged tombstone is by design not an
+event.
 """
+
+import contextlib
+import heapq
 
 import pytest
 
-from repro.sim.core import Simulator
+from repro.sim.core import SimulationError, Simulator
 
 from conftest import build_counter_deployment
 
 
-def _run_with_queue(monkeypatch, kind, fn):
-    """Run ``fn()`` with every Simulator built inside using queue ``kind``."""
+def _ref_schedule(sim, delay, fn, *args):
+    heap = sim.__dict__.setdefault("_ref_heap", [])
+    heapq.heappush(heap, (sim.now + delay, next(sim._seq), sim.trace_context, fn, args))
+
+
+def _ref_schedule_resume(sim, proc, event):
+    _ref_schedule(sim, 0, proc._resume, event)
+
+
+def _ref_run(sim, until=None, until_event=None):
+    heap = sim.__dict__.setdefault("_ref_heap", [])
+    while not (until_event is not None and until_event.triggered):
+        if not heap or (until is not None and heap[0][0] > until):
+            if until is not None and until > sim.now:
+                sim.now = until
+            break
+        sim.now, _seq, sim.trace_context, fn, args = heapq.heappop(heap)
+        try:
+            fn(*args)
+        finally:
+            sim.trace_context = None
+        sim.events_dispatched += 1
+        if sim._crashed is not None:
+            proc, exc = sim._crashed
+            raise SimulationError(f"process {proc.name!r} died: {exc!r}") from exc
+    return sim.now
+
+
+@contextlib.contextmanager
+def reference_heap(monkeypatch):
+    """Every Simulator, however it is constructed, runs on the reference
+    heap inside this block."""
     with monkeypatch.context() as m:
-        m.setenv("RADICAL_SIM_QUEUE", kind)
-        return fn()
+        m.setattr(Simulator, "_schedule", _ref_schedule)
+        m.setattr(Simulator, "_schedule_resume", _ref_schedule_resume)
+        m.setattr(Simulator, "run", _ref_run)
+        yield
+
+
+def _both(monkeypatch, fn):
+    """``fn()`` on the reference heap, then on the calendar queue."""
+    with reference_heap(monkeypatch):
+        heap = fn()
+    return heap, fn()
 
 
 class TestKernelEventOrder:
     """Direct kernel-level equivalence on adversarial schedules."""
 
     @staticmethod
-    def _trace(queue: str):
-        sim = Simulator(queue=queue)
+    def _trace():
+        sim = Simulator()
         order = []
 
         def cb(label):
@@ -55,34 +100,43 @@ class TestKernelEventOrder:
         sim.run()
         return order
 
-    def test_event_order_identical(self):
-        heap = self._trace("heap")
-        calendar = self._trace("calendar")
+    def test_event_order_identical(self, monkeypatch):
+        heap, calendar = _both(monkeypatch, self._trace)
         assert heap == calendar
         assert len(heap) > 100  # the scenario actually exercised ties
 
     @staticmethod
-    def _trace_cancel(queue: str):
-        sim = Simulator(queue=queue)
+    def _trace_cancel():
+        sim = Simulator()
         fired = []
-        handles = [
-            sim.schedule(float(i % 5) * 10.0, fired.append, i) for i in range(40)
-        ]
-        # Cancel a deterministic subset before and during the run; the
-        # calendar queue uses lazy-cancel tombstones, the heap eager
-        # filtering — observable behavior must match.
+
+        def fire(i):
+            fired.append((sim.now, i))
+
+        # 25 ms steps: delays 0..100 ms span four 32 ms buckets, so some
+        # cancelled timers are purged at promotion (calendar) and some pop
+        # as no-ops from the current bucket; the heap pops every one.
+        handles = [sim.schedule(float(i % 5) * 25.0, fire, i) for i in range(40)]
         for i in range(0, 40, 3):
             handles[i].cancel()
-        sim.schedule(15.0, handles[1].cancel)  # in-flight cancellation
+        sim.schedule(15.0, handles[1].cancel)  # in-flight, current bucket
+        sim.schedule(15.0, handles[2].cancel)  # in-flight, a later bucket
         sim.run()
-        return sim.now, fired
+        # The last entry (i=34, 100 ms) is live, so both clocks end on it.
+        return sim.now, fired, sim.events_dispatched
 
-    def test_cancel_semantics_identical(self):
-        assert self._trace_cancel("heap") == self._trace_cancel("calendar")
+    def test_cancel_semantics_identical(self, monkeypatch):
+        heap, calendar = _both(monkeypatch, self._trace_cancel)
+        assert heap[:2] == calendar[:2]
+        assert len(heap[1]) == 40 - 14 - 2
+        # The heap dispatched all 42 entries; the calendar never saw the
+        # timers cancelled before their bucket was promoted.
+        assert heap[2] == 42
+        assert calendar[2] < heap[2]
 
     @staticmethod
-    def _trace_until(queue: str):
-        sim = Simulator(queue=queue)
+    def _trace_until():
+        sim = Simulator()
         fired = []
         for i in range(20):
             sim.schedule(float(i) * 7.0, fired.append, i)
@@ -91,14 +145,13 @@ class TestKernelEventOrder:
         sim.run()  # resume past the horizon: nothing may have been lost
         return mid, sim.now, fired
 
-    def test_run_until_identical(self):
-        assert self._trace_until("heap") == self._trace_until("calendar")
+    def test_run_until_identical(self, monkeypatch):
+        heap, calendar = _both(monkeypatch, self._trace_until)
+        assert heap == calendar
 
-    def test_queue_kind_validation(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="fibonacci")
-        assert Simulator(queue="heap").queue_kind == "heap"
-        assert Simulator().queue_kind in ("heap", "calendar")
+    def test_there_is_one_queue(self):
+        with pytest.raises(TypeError):
+            Simulator(queue="heap")
 
 
 class TestFig4Equivalence:
@@ -114,15 +167,13 @@ class TestFig4Equivalence:
         return {
             "samples": res.metrics.samples("e2e"),
             "virtual": res.virtual_time_ms,
-            "events": res.events_dispatched,
             "counters": res.metrics.counters(),
         }
 
     def test_fig4_identical_under_both_queues(self, monkeypatch):
-        heap = _run_with_queue(monkeypatch, "heap", self._fig4)
-        calendar = _run_with_queue(monkeypatch, "calendar", self._fig4)
+        heap, calendar = _both(monkeypatch, self._fig4)
         assert heap == calendar
-        assert heap["events"] > 0
+        assert len(heap["samples"]) > 0
 
 
 class TestChaosEquivalence:
@@ -137,9 +188,8 @@ class TestChaosEquivalence:
         def case():
             return run_chaos_case(plan, seed=7, requests_per_client=10).to_dict()
 
-        assert _run_with_queue(monkeypatch, "heap", case) == _run_with_queue(
-            monkeypatch, "calendar", case
-        )
+        heap, calendar = _both(monkeypatch, case)
+        assert heap == calendar
 
 
 class TestShardedEquivalence:
@@ -161,11 +211,10 @@ class TestShardedEquivalence:
             for s_idx, store in enumerate(dep.stores)
             for key, item in store.scan("counters")
         }
-        return results, counters, dep.sim.now, dep.sim.events_dispatched
+        return results, counters, dep.sim.now
 
     def test_sharded_identical_under_both_queues(self, monkeypatch):
-        heap = _run_with_queue(monkeypatch, "heap", self._sharded)
-        calendar = _run_with_queue(monkeypatch, "calendar", self._sharded)
+        heap, calendar = _both(monkeypatch, self._sharded)
         assert heap == calendar
 
 
