@@ -48,7 +48,7 @@ class SanitizerReport:
         """Locks the LVI server took for nothing (over-approximation cost).
 
         A key both predicted-read and predicted-written holds one lock, so
-        the count is over the union, mirroring ``LVIRequest.lock_count``.
+        the count is over the union — the lock set the server takes.
         """
         used = (set(self.predicted.reads) - set(self.wasted_reads)) | (
             set(self.predicted.writes) - set(self.wasted_writes)

@@ -11,11 +11,11 @@ the PRAM bound in action.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from ..core import RadicalConfig
+from ..core.registry import jittered_ms
 from ..sim import Metrics, Network, RandomStreams, Simulator
 from ..storage import ReplicatedStore
 from .primary import BaselineOutcome
@@ -61,9 +61,9 @@ class GeoReplicatedApp:
         :class:`BaselineOutcome` whose latency includes real quorum ops."""
         invoked_at = self.sim.now
         yield self.sim.timeout(self.config.invoke_ms)
-        sigma = self.config.service_jitter_sigma
-        factor = math.exp(self._jitter.gauss(0.0, sigma)) if sigma > 0 else 1.0
-        yield self.sim.timeout(workload.compute_ms * factor)
+        yield self.sim.timeout(
+            jittered_ms(workload.compute_ms, self._jitter, self.config.service_jitter_sigma)
+        )
         result = None
         for _i in range(workload.reads):
             result = yield from self.client.read("app", key)

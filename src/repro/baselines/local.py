@@ -8,7 +8,6 @@ metric is how close it gets to this bound while staying linearizable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional
 
@@ -49,9 +48,9 @@ class LocalIdeal:
         invoked_at = self.sim.now
         record = self.registry.get(function_id)
         yield self.sim.timeout(self.config.invoke_ms + self.config.wasm_load_ms)
-        sigma = self.config.service_jitter_sigma
-        factor = math.exp(self._jitter.gauss(0.0, sigma)) if sigma > 0 else 1.0
-        yield self.sim.timeout(record.service_time_ms * factor)
+        yield self.sim.timeout(
+            record.service_ms(self._jitter, self.config.service_jitter_sigma)
+        )
         env = PrimaryEnv(self.store)
         trace = VM(env, gas_limit=self.config.gas_limit).execute(record.f, list(args))
         self.metrics.incr("local.requests")

@@ -10,7 +10,6 @@ Figures 4-6.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -73,9 +72,9 @@ class PrimaryBaseline:
         _kind, function_id, args = payload
         record = self.registry.get(function_id)
         yield self.sim.timeout(self.config.invoke_ms + self.config.wasm_load_ms)
-        sigma = self.config.service_jitter_sigma
-        factor = math.exp(self._jitter.gauss(0.0, sigma)) if sigma > 0 else 1.0
-        yield self.sim.timeout(record.service_time_ms * factor)
+        yield self.sim.timeout(
+            record.service_ms(self._jitter, self.config.service_jitter_sigma)
+        )
         env = PrimaryEnv(self.store)
         trace = VM(env, gas_limit=self.config.gas_limit).execute(record.f, list(args))
         self.metrics.incr("baseline.requests")

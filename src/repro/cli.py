@@ -206,12 +206,22 @@ def _explore_main(argv: List[str]) -> int:
 
 def _run_legacy(name: str, overrides: Dict[str, object]) -> None:
     """One legacy command = one scenario run through the single driver
-    code path (same presentation, same artifact bytes as ``run``)."""
+    code path (same presentation, same artifact bytes as ``run``).
+
+    The artifact is written only at the config's own parameters: a run
+    resized with ``--requests`` / ``--seed`` prints its table but must not
+    replace the checked-in ``results/*.json`` (tier-1's ``fig1 --requests
+    300`` did exactly that to ``fig1_motivation.json`` on every test run).
+    """
     from .scenarios import discover_scenarios, load_scenario_file, run_scenario
 
     spec = load_scenario_file(discover_scenarios()[name])
-    run_scenario(spec, overrides=overrides)
-    print(f"results written to results/{spec.artifact}.json")
+    canonical = spec.resolved_params(overrides=overrides) == spec.resolved_params()
+    run_scenario(spec, overrides=overrides, save=canonical)
+    if canonical:
+        print(f"results written to results/{spec.artifact}.json")
+    else:
+        print(f"non-default parameters: results/{spec.artifact}.json left untouched")
 
 
 def _cmd_fig1(args: argparse.Namespace) -> None:

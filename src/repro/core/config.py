@@ -6,8 +6,9 @@ paper's measured constants:
 * ``invoke_ms`` — invoking a Lambda in the same datacenter is ~12 ms;
 * the latency table's intra-region RTT (7 ms) is Table 2's VA row: the
   round trip from a function to the storage service in the same region;
-* ``replicated_per_lock_ms``/``replicated_idem_ms`` — §5.6 measures 2.3 ms
-  per serial lock through etcd and 3 ms for the idempotency-key write.
+* ``replicated_idem_ms`` — §5.6 measures 3 ms for the idempotency-key
+  write; its 2.3 ms per serial lock through etcd is not a constant here but
+  what a commit through the deployment's real ``RaftCluster`` costs.
 
 Function *service times* (Table 1's execution-time column) live on each
 :class:`~repro.core.registry.FunctionSpec`, not here.
@@ -51,9 +52,8 @@ class RadicalConfig:
     # Service-time variability (the p99 whiskers in Figs 4-6).
     service_jitter_sigma: float = 0.08   # lognormal sigma on exec time
 
-    # §5.6 replicated server costs.
+    # §5.6 replicated server costs (each lock is a real Raft commit).
     replicated: bool = False
-    replicated_per_lock_ms: float = 2.3  # serial Raft commit per lock
     replicated_idem_ms: float = 3.0      # idempotency-key write
     # §5.6's suggested future optimization: commit all of a request's lock
     # records in one consensus round instead of serially.
@@ -101,17 +101,6 @@ class RadicalConfig:
     single_request: bool = True          # False = validate then commit (2 RTT)
     exclusive_locks: bool = False        # True = no shared read locks (ablation)
 
-    # Analysis-pipeline runtime consumers (repro.analysis).  The rw-set
-    # sanitizer checks every speculative execution's actual access trace
-    # against the f^rw prediction (``analysis.unsound`` stays a hard
-    # ProtocolError either way; the flag gates the obs events and the
-    # over-approximation / wasted-locks accounting).  The affinity fast
-    # path lets the runtime route statically single-shard functions by
-    # hashing one key instead of enumerating the whole rw-set — the shard
-    # choice is provably identical, so timelines are unchanged.
-    sanitize_rwset: bool = True
-    affinity_fast_path: bool = True
-
     # In-network conflict detection (Harmonia-style, via the ShardRouter's
     # dirty set of in-flight write constraints).  Off by default so every
     # frozen experiment timeline is byte-identical.  With detection on,
@@ -122,10 +111,3 @@ class RadicalConfig:
     # the primary; replicas only ever serve lock-skipped reads).
     conflict_detection: bool = False
     read_replicas: int = 1
-
-    def server_processing_budget(self, lock_count: int) -> float:
-        """Extra latency the replicated server adds to one LVI request:
-        3 + 2.3 * L ms (§5.6)."""
-        if not self.replicated:
-            return 0.0
-        return self.replicated_idem_ms + self.replicated_per_lock_ms * lock_count

@@ -88,10 +88,6 @@ class LVIRequest:
         self.skip_locks = skip_locks
         self.read_facts = read_facts
 
-    @property
-    def lock_count(self) -> int:
-        return len(set(self.read_keys) | set(self.write_keys))
-
 
 class FreshItem:
     """An authoritative (value, version) shipped back on validation failure
@@ -214,10 +210,6 @@ class ShardPrepare:
         self.shard = shard
         self.coordinator = coordinator
         self.nshards = nshards
-
-    @property
-    def lock_count(self) -> int:
-        return len(set(self.read_keys) | set(self.write_keys))
 
 
 class ShardDecision:

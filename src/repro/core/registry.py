@@ -14,6 +14,7 @@ the authors' Rust/WASM wall-clock times are not reproducible from Python.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -21,7 +22,15 @@ from ..analysis import AnalyzedFunction, try_analyze
 from ..errors import FunctionNotRegistered
 from ..wasm import WasmFunction
 
-__all__ = ["FunctionSpec", "RegisteredFunction", "FunctionRegistry"]
+__all__ = ["FunctionSpec", "RegisteredFunction", "FunctionRegistry", "jittered_ms"]
+
+
+def jittered_ms(base_ms: float, rng, sigma: float) -> float:
+    """``base_ms`` under lognormal service-time jitter (the p99 whiskers in
+    Figs 4-6).  The draw comes from the *caller's* stream, so every
+    location keeps its own sequence; ``sigma <= 0`` draws nothing."""
+    factor = math.exp(rng.gauss(0.0, sigma)) if sigma > 0 else 1.0
+    return base_ms * factor
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,10 @@ class RegisteredFunction:
     @property
     def service_time_ms(self) -> float:
         return self.spec.service_time_ms
+
+    def service_ms(self, rng, sigma: float) -> float:
+        """One execution's (jittered) service time; see :func:`jittered_ms`."""
+        return jittered_ms(self.spec.service_time_ms, rng, sigma)
 
 
 class FunctionRegistry:

@@ -1,16 +1,25 @@
 """The near-user runtime: speculation overlapped with the LVI request.
 
-This is the component deployed at every near-user location (§3.1).  For
-each client request it:
+This is the component deployed at every near-user location (§3.1).  A
+client request is one :class:`_Attempt` record flowing through one
+pipeline, each stage a plain call or a ``yield from`` sub-generator:
 
-1. charges the invocation overheads (Lambda start + WASM load, §5.5),
-2. runs ``f^rw`` against the cache snapshot to get the read/write set,
-3. sends the single LVI request *and* speculatively executes ``f`` against
-   the same snapshot, overlapping the two (the paper's core latency trick),
-4. on validation success, applies the speculative writes to the local
-   cache, responds to the client, and ships the write followup afterwards,
-5. on validation failure (or cache miss), returns the backup execution's
-   result from the response and repairs the cache with the fresh items.
+1. **admit** (:meth:`NearUserRuntime.invoke`) — PoP down, breaker open,
+   in-flight limiter: fail fast, or wait for a slot;
+2. **admitted** (``_admitted``) — the invocation overheads (Lambda start +
+   WASM load, §5.5); the near-storage-only route (``_direct``) where
+   speculation cannot run; the cross-shard restart loop;
+3. **speculate** (``_speculate``) — *predict*: ``f^rw`` on the cache
+   snapshot gives the read/write set, ``f`` runs on the same snapshot;
+   *route*: shards, dirty-set enrollment; after dispatch, settle or leak
+   that entry by the attempt's ``fate`` (no other stage does);
+4. **dispatch** (``_dispatch_single`` / ``_dispatch_cross_shard``) — the
+   single LVI request (or a prepare per shard, then the decision)
+   *overlapped* with ``f``'s service time: the paper's core latency trick;
+5. **settle** — success: ``_commit`` applies the speculative writes to the
+   local cache and answers, the write followup going out afterwards;
+   failure or cache miss: ``_near_storage_outcome`` answers with the
+   backup execution's result and repairs the cache with the fresh items.
 
 Simulation note: the VM executes ``f`` *logically* at snapshot time and the
 service time is charged to the virtual clock afterwards.  Because reads
@@ -30,7 +39,7 @@ from ..analysis import KeyFact, check_coverage, derive_rwset
 from ..errors import GasExhausted, OverloadedError, ProtocolError, UnavailableError, VMTrap
 from ..faults.retry import AdaptiveLimiter, CircuitBreaker, RetryPolicy
 from ..sim import Metrics, Network, RandomStreams, RequestBatcher, RpcTimeout, Simulator
-from ..storage import NearUserCache
+from ..storage import Item, NearUserCache
 from ..wasm import VM
 from .config import RadicalConfig
 from .messages import (
@@ -53,7 +62,6 @@ __all__ = [
     "PATH_BACKUP",
     "PATH_MISS",
     "PATH_DIRECT",
-    "PATH_UNAVAILABLE",
 ]
 
 
@@ -92,7 +100,35 @@ PATH_SPECULATIVE = "speculative"  # validation succeeded; edge result used
 PATH_BACKUP = "backup"            # validation failed; near-storage result
 PATH_MISS = "miss"                # cache miss; speculation skipped (§3.2)
 PATH_DIRECT = "direct"            # unanalyzable function (§3.3)
-PATH_UNAVAILABLE = "unavailable"  # retries exhausted; clean failure
+
+# ``_Attempt.fate``: what dispatch learned about the writes it enrolled in
+# the router's dirty set (None until it has learned anything).
+_FATE_KNOWN = "known"        # applied, or never will be: settle the entry
+_FATE_FOLLOWUP = "followup"  # the followup sender will learn it (ack / loss)
+_FATE_UNKNOWN = "unknown"    # unknowable (lost ack, exhausted RPC): leak it
+
+
+@dataclass(slots=True)
+class _Attempt:
+    """One attempt at one invocation: what ``invoke`` admitted, then what
+    each pipeline stage learned about it.  A cross-shard restart gets a
+    fresh one (new attempt id, nothing learned yet)."""
+
+    record: RegisteredFunction
+    args: List[Any]
+    execution_id: str
+    invoked_at: float
+    deadline_at: float
+    session: Any = None
+    # Learned by the speculative stage's prediction.
+    rwset: Any = None        # f^rw's predicted read/write set
+    versions: Any = None     # cached version per predicted read (-1 = miss)
+    spec_env: Any = None     # the speculative execution's buffered writes
+    spec_trace: Any = None   # ... and its result and access trace
+    exec_ms: float = 0.0     # f's (jittered) service time
+    frw_ms: float = 0.0      # f^rw's share of it
+    # Learned by dispatch; read by the speculative stage's settle point.
+    fate: Optional[str] = None
 
 
 @dataclass
@@ -225,8 +261,8 @@ class NearUserRuntime:
         return session
 
     def invoke(self, function_id: str, args: List[Any], session=None) -> Generator:
-        """Handle one client request; generator returning an
-        :class:`InvocationOutcome`.
+        """Handle one client request — the pipeline's *admit* stage;
+        generator returning an :class:`InvocationOutcome`.
 
         ``session`` (a :class:`repro.mesh.Session`, optional) makes the
         attempt session-aware: cached versions below the session's floor
@@ -242,7 +278,6 @@ class NearUserRuntime:
         record = self.registry.get(function_id)
         execution_id = f"{self.name}:{next(self._exec_counter)}"
         cfg = self.config
-        obs = self.sim.obs
         deadline_at = (
             invoked_at + cfg.invocation_deadline_ms
             if cfg.invocation_deadline_ms > 0
@@ -264,83 +299,58 @@ class NearUserRuntime:
                 f"{self.region}: near-storage path unavailable (circuit open)"
             )
 
-        if self._limiter is not None:
+        limiter = self._limiter
+        if limiter is not None:
             # Backpressure gate: wait (FIFO) for an in-flight slot under
             # the AIMD window.  A wait that outlives the deadline is the
             # same clean failure as an exhausted retry budget.
-            admitted = yield from self._limiter.acquire(deadline_at)
+            admitted = yield from limiter.acquire(deadline_at)
             if not admitted:
                 self.metrics.incr("limiter.shed")
-                if obs.enabled:
-                    obs.event("limiter.shed", region=self.region,
-                              window=self._limiter.window)
+                if self.sim.obs.enabled:
+                    self.sim.obs.event("limiter.shed", region=self.region,
+                                       window=limiter.window)
                 raise UnavailableError(
                     f"{self.region}: in-flight limit held past the "
-                    f"invocation deadline (window {self._limiter.window})"
+                    f"invocation deadline (window {limiter.window})"
                 )
-            try:
-                outcome = yield from self._invoke_body(
-                    record, args, execution_id, invoked_at, deadline_at, session
-                )
-            finally:
-                self._limiter.release()
-            self._limiter.on_success()
-            if session is not None:
-                session.observe(outcome.read_versions, outcome.write_versions)
-            return outcome
-
-        outcome = yield from self._invoke_body(
-            record, args, execution_id, invoked_at, deadline_at, session
-        )
+        try:
+            outcome = yield from self._admitted(
+                _Attempt(record, args, execution_id, invoked_at, deadline_at, session)
+            )
+        finally:
+            if limiter is not None:
+                limiter.release()
+        if limiter is not None:
+            limiter.on_success()
         if session is not None:
             session.observe(outcome.read_versions, outcome.write_versions)
         return outcome
 
-    def _invoke_body(
-        self,
-        record: RegisteredFunction,
-        args: List[Any],
-        execution_id: str,
-        invoked_at: float,
-        deadline_at: float,
-        session=None,
-    ) -> Generator:
-        """The ladder-admitted invocation: overheads, analyzability
-        routing, then the speculative attempt/restart loop."""
+    # -- the pipeline, stage by stage -------------------------------------------
+
+    def _admitted(self, attempt: _Attempt) -> Generator:
+        """The ladder-admitted invocation: overheads, the near-storage-only
+        routes, then the speculative attempt/restart loop."""
         cfg = self.config
         obs = self.sim.obs
-        function_id = record.function_id
+        execution_id = attempt.execution_id
         probe = self._breaker.probing
 
         # (§5.5 components 1-2) Lambda instantiation + WASM load.
         yield self.sim.timeout(cfg.invoke_ms + cfg.wasm_load_ms)
         if obs.enabled:
-            obs.phase("phase.overhead", start_ms=invoked_at, region=self.region)
+            obs.phase("phase.overhead", start_ms=attempt.invoked_at, region=self.region)
 
-        if not record.analyzable:
+        if not attempt.record.analyzable:
             # Unanalyzable functions always execute near storage (§3.3).
-            # Direct execution runs the *whole* function on one server, so
-            # it only exists on single-shard deployments; the Deployment
-            # builder rejects unanalyzable apps on sharded topologies, and
-            # this guard catches anything that slips through.
-            if self.router.nshards > 1:
-                raise ProtocolError(
-                    f"{function_id}: unanalyzable functions cannot run on a "
-                    f"sharded deployment (direct execution is single-shard only)"
-                )
-            outcome = yield from self._direct(
-                record, args, execution_id, invoked_at, deadline_at
-            )
-            return outcome
+            return (yield from self._direct(attempt, "an unanalyzable function"))
         if probe and self.router.nshards == 1:
             # A half-open breaker routes its single probe near storage too
             # (middle rung: no speculation while the path's health is
             # unknown).  Sharded deployments have no direct path, so their
             # probe is an ordinary speculative attempt.
-            outcome = yield from self._direct(
-                record, args, execution_id, invoked_at, deadline_at
-            )
-            return outcome
+            return (yield from self._direct(attempt, "a half-open breaker probe"))
 
         # Cross-shard attempts can abort (stale slice, busy shard, lost
         # prepare); each restart runs under a fresh attempt id so server
@@ -350,16 +360,13 @@ class NearUserRuntime:
         # the seed's behaviour is untouched.
         restart = 0
         while True:
-            attempt_id = execution_id if restart == 0 else f"{execution_id}~r{restart}"
             try:
-                outcome = yield from self._invoke_analyzed(
-                    record, args, attempt_id, invoked_at, deadline_at, session
-                )
+                return (yield from self._speculate(attempt))
             except _CrossShardStale as stale:
                 restart += 1
                 self.metrics.incr("xshard.restart")
                 self._install_fresh(stale.fresh)
-                remaining = deadline_at - self.sim.now
+                remaining = attempt.deadline_at - self.sim.now
                 if restart > cfg.cross_shard_max_restarts or remaining <= 0:
                     self.metrics.incr("xshard.exhausted")
                     raise UnavailableError(
@@ -370,23 +377,19 @@ class NearUserRuntime:
                               remaining)
                 if backoff > 0:
                     yield self.sim.timeout(backoff)
-                continue
-            return outcome
+            attempt = _Attempt(
+                attempt.record, attempt.args, f"{execution_id}~r{restart}",
+                attempt.invoked_at, attempt.deadline_at, attempt.session,
+            )
 
-    def _invoke_analyzed(
-        self,
-        record: RegisteredFunction,
-        args: List[Any],
-        execution_id: str,
-        invoked_at: float,
-        deadline_at: float,
-        session=None,
-    ) -> Generator:
-        """One attempt at the analyzable path: f^rw, speculation, then the
-        single-shard LVI request or the cross-shard prepare/commit flow."""
+    def _speculate(self, attempt: _Attempt) -> Generator:
+        """One attempt at the analyzable path: predict (f^rw, then f, on
+        one snapshot), route by shard, dispatch — and settle the attempt's
+        dirty-set entry, whichever way dispatch ends."""
         cfg = self.config
         obs = self.sim.obs
-        function_id = record.function_id
+        record, args, session = attempt.record, attempt.args, attempt.session
+        execution_id = attempt.execution_id
 
         # (1) Run f^rw on the cache snapshot to predict the access set.
         snapshot = SnapshotReader(self.cache)
@@ -398,44 +401,34 @@ class NearUserRuntime:
             # f^rw failed at runtime (analysis edge case): fall back to
             # near-storage execution, as §3.3 prescribes.
             self.metrics.incr("frw.runtime_failure")
-            if self.router.nshards > 1:
-                raise ProtocolError(
-                    f"{function_id}: f^rw failed at runtime and sharded "
-                    f"deployments have no direct-execution fallback"
-                ) from None
-            outcome = yield from self._direct(
-                record, args, execution_id, invoked_at, deadline_at
-            )
-            return outcome
+            return (yield from self._direct(attempt, "a runtime f^rw failure"))
+        attempt.rwset = rwset
 
         # (2a) Speculative execution against the same snapshot.  Executed
         # logically now; its service time is charged to the clock below.
-        spec_env = SpeculativeEnv(snapshot)
+        attempt.spec_env = SpeculativeEnv(snapshot)
         external = (
             self.external_hub.caller_for(execution_id)
             if self.external_hub is not None
             else None
         )
-        spec_trace = VM(
-            spec_env, gas_limit=cfg.gas_limit, external=external
+        attempt.spec_trace = VM(
+            attempt.spec_env, gas_limit=cfg.gas_limit, external=external
         ).execute(record.f, list(args))
-        self._check_prediction(record, rwset, spec_trace)
+        self._check_prediction(attempt)
 
-        exec_ms = self._exec_time(record)
-        frw_ms = self._frw_time(record, frw_gas, spec_trace.gas_used, exec_ms)
+        attempt.exec_ms = record.service_ms(self._jitter, cfg.service_jitter_sigma)
+        attempt.frw_ms = self._frw_time(frw_gas, attempt.spec_trace.gas_used, attempt.exec_ms)
         frw_started = self.sim.now
-        yield self.sim.timeout(frw_ms)
+        yield self.sim.timeout(attempt.frw_ms)
         if obs.enabled:
             obs.phase(
                 "phase.frw", start_ms=frw_started,
                 reads=len(rwset.reads), writes=len(rwset.writes),
             )
 
-        # (2b) Gather cached versions for the LVI request, then route by
-        # shard: the one-shard case is the seed's single-RPC fast path,
-        # byte for byte; touching several shards enters the scatter-gather
-        # prepare/commit flow.
-        versions = {k: snapshot.version_of(*k) for k in rwset.reads}
+        # (2b) Gather cached versions for the LVI request.
+        versions = attempt.versions = {k: snapshot.version_of(*k) for k in rwset.reads}
         if session is not None:
             # Session-guarantee enforcement (repro.mesh): a cached version
             # below the session's floor is *known* stale — validation would
@@ -449,20 +442,11 @@ class NearUserRuntime:
                     stale += 1
             if stale:
                 self.metrics.incr("mesh.session_stale", stale)
-        all_keys = list(rwset.reads) + list(rwset.writes)
-        if (
-            cfg.affinity_fast_path
-            and all_keys
-            and record.analyzed.single_shard_affine
-        ):
-            # Statically proven single-key (repro.analysis.ir.summary):
-            # every access renders the same key string, so hashing the
-            # first one routes the whole invocation.  Provably the same
-            # shard set as the enumeration below — just cheaper.
-            shards = [self.router.shard_of(*all_keys[0])]
-            self.metrics.incr("affinity.fast_path")
-        else:
-            shards = sorted({self.router.shard_of(t, k) for (t, k) in all_keys})
+
+        # (2c) Route by shard: the one-shard case is the seed's single-RPC
+        # fast path, byte for byte; touching several shards enters the
+        # scatter-gather prepare/commit flow.
+        shards = self._shards_touched(attempt)
         # In-network conflict detection: a writer enrolls its instantiated
         # write constraints in the router's dirty set *before* the request
         # is sent, so a reader's probe can never miss an in-flight write.
@@ -470,216 +454,110 @@ class NearUserRuntime:
         # enrolled writer skips lock acquisition and may be served by any
         # read replica of its shard.
         detector = getattr(self.router, "detector", None)
-        writer = detector is not None and bool(rwset.writes)
-        if writer:
-            detector.enroll(
-                shards if shards else [0], execution_id,
-                self._writer_facts(record, args, rwset),
-            )
         skip_facts = None
-        if detector is not None and not writer and len(shards) <= 1:
-            skip_facts = self._skip_facts(record, args, rwset, versions)
-            if skip_facts is not None and detector.probe(
-                shards[0] if shards else 0, skip_facts
-            ):
+        if detector is not None and rwset.writes:
+            detector.enroll(shards, execution_id, self._writer_facts(attempt))
+        elif detector is not None and len(shards) == 1:
+            skip_facts = self._skip_facts(attempt)
+            if skip_facts is not None and detector.probe(shards[0], skip_facts):
                 # Runtime-side probe hit: an in-flight writer may touch
                 # our keys, so take the ordinary locked path.
                 skip_facts = None
         try:
             if len(shards) > 1:
-                outcome = yield from self._invoke_cross_shard(
-                    record, args, execution_id, invoked_at, deadline_at,
-                    rwset, versions, spec_env, spec_trace, exec_ms, frw_ms, shards,
-                )
-                return outcome
-            shard0 = shards[0] if shards else 0
-            primary = self.router.endpoint(shard0)
-            dst = self.router.read_endpoint(shard0) if skip_facts is not None else primary
-            outcome = yield from self._invoke_single(
-                record, args, execution_id, invoked_at, deadline_at,
-                rwset, versions, spec_env, spec_trace, exec_ms, frw_ms, dst,
-                skip_facts=skip_facts, primary_dst=primary,
-            )
-            return outcome
+                return (yield from self._dispatch_cross_shard(attempt, shards))
+            return (yield from self._dispatch_single(attempt, shards[0], skip_facts))
         except _CrossShardStale:
             # The attempt aborted globally (presumed abort: without a
             # commit record its staged writes can never apply) — its
             # enrollment settles; the restart enrolls afresh.
-            if writer:
-                detector.settle(execution_id)
+            attempt.fate = _FATE_KNOWN
             raise
         except UnavailableError:
             # Outcome unknown (the server may yet validate and apply via
             # its intent timer): keep the entry forever rather than risk
             # an unsound probe miss.
-            if writer:
-                detector.leak(execution_id)
+            attempt.fate = _FATE_UNKNOWN
             raise
+        finally:
+            # The settle point (a no-op for a reader, which never enrolled).
+            # _FATE_FOLLOWUP, or any other failure, leaves the entry alone.
+            if detector is not None and attempt.fate == _FATE_KNOWN:
+                detector.settle(execution_id)
+            elif detector is not None and attempt.fate == _FATE_UNKNOWN:
+                detector.leak(execution_id)
 
-    def _invoke_single(
-        self,
-        record: RegisteredFunction,
-        args: List[Any],
-        execution_id: str,
-        invoked_at: float,
-        deadline_at: float,
-        rwset,
-        versions: Dict[Key, int],
-        spec_env: SpeculativeEnv,
-        spec_trace,
-        exec_ms: float,
-        frw_ms: float,
-        dst: str,
-        skip_facts=None,
-        primary_dst: Optional[str] = None,
-    ) -> Generator:
+    def _dispatch_single(self, attempt: _Attempt, shard: int, skip_facts) -> Generator:
         """The seed's one-RPC fast path against a single LVI server."""
         cfg = self.config
         obs = self.sim.obs
-        function_id = record.function_id
-        detector = getattr(self.router, "detector", None)
-        request = LVIRequest(
-            execution_id=execution_id,
-            function_id=function_id,
-            args=tuple(args),
-            read_keys=tuple(rwset.reads),
-            write_keys=tuple(rwset.writes),
-            versions=versions,
-            origin_region=self.region,
-            skip_locks=skip_facts is not None,
-            read_facts=tuple(skip_facts) if skip_facts is not None else (),
-        )
+        execution_id = attempt.execution_id
+        primary = self.router.endpoint(shard)
+        dst = self.router.read_endpoint(shard) if skip_facts is not None else primary
+        request = self._lvi_request(attempt, skip_facts)
 
-        has_miss = any(v == -1 for v in versions.values())
-        if has_miss:
+        if any(v == -1 for v in attempt.versions.values()):
             # Validation is guaranteed to fail: skip speculation (§3.2).
             self.metrics.incr("path.miss")
-            rtt_started = self.sim.now
-            response = yield from self._call_with_retry(request, deadline_at, "lvi", dst=dst, batch=True)
-            if obs.enabled:
-                obs.phase("phase.lvi_rtt", start_ms=rtt_started, miss=True)
-            if detector is not None:
-                # The backup execution applied any writes before replying:
-                # fate known, the enrollment settles (no-op for readers).
-                detector.settle(execution_id)
-            outcome = self._finish_backup(response, invoked_at, frw_ms, record, PATH_MISS)
-            return outcome
+            response = yield from self._lvi_round_trip(attempt, request, dst, miss=True)
+            return self._near_storage_outcome(attempt, response, PATH_MISS)
 
         if cfg.speculate:
             # Overlap the LVI round trip with the function's execution.
-            overlap_started = self.sim.now
             lvi_proc = self.sim.spawn(
-                self._call_with_retry(request, deadline_at, "lvi", dst=dst, batch=True),
+                self._call_with_retry(request, attempt.deadline_at, "lvi", dst=dst, batch=True),
                 name=f"lvi({execution_id})",
             )
-            exec_done = self.sim.timeout(exec_ms)
-            yield self.sim.all_of([exec_done, lvi_proc.done_event])
+            yield from self._overlap_exec(attempt, [lvi_proc], "phase.spec_overlap")
             response: LVIResponse = lvi_proc.result
-            if obs.enabled:
-                # The phase's length is max(exec, LVI RTT) — the paper's
-                # core overlap (§3.2).  The enclosed spec.exec interval and
-                # the child rpc span let the analyzer name the winner.
-                obs.span_at(
-                    "spec.exec", overlap_started, overlap_started + exec_ms,
-                    kind="exec", function=function_id,
-                )
-                obs.phase("phase.spec_overlap", start_ms=overlap_started, exec_ms=exec_ms)
         else:
             # Ablation: serialize the LVI request before execution.
-            rtt_started = self.sim.now
-            response = yield from self._call_with_retry(request, deadline_at, "lvi", dst=dst, batch=True)
-            if obs.enabled:
-                obs.phase("phase.lvi_rtt", start_ms=rtt_started)
-            exec_started = self.sim.now
-            yield self.sim.timeout(exec_ms)
-            if obs.enabled:
-                obs.phase("phase.exec", start_ms=exec_started, function=function_id)
+            response = yield from self._lvi_round_trip(attempt, request, dst)
+            yield from self._charge_exec(attempt)
 
         if skip_facts is not None and response.bounced:
             # A replica declined the lock-skipped request (arrival-time
             # probe hit) without touching any state: retry the full locked
             # path at the shard primary under the same execution id.
             self.metrics.incr("router.skip_bounced")
-            request = LVIRequest(
-                execution_id=execution_id,
-                function_id=function_id,
-                args=tuple(args),
-                read_keys=tuple(rwset.reads),
-                write_keys=tuple(rwset.writes),
-                versions=versions,
-                origin_region=self.region,
+            response = yield from self._lvi_round_trip(
+                attempt, self._lvi_request(attempt), primary, bounced=True
             )
-            rtt_started = self.sim.now
-            response = yield from self._call_with_retry(
-                request, deadline_at, "lvi",
-                dst=primary_dst if primary_dst is not None else dst, batch=True,
-            )
-            if obs.enabled:
-                obs.phase("phase.lvi_rtt", start_ms=rtt_started, bounced=True)
 
         if not response.ok:
             self.metrics.incr("path.backup")
-            if detector is not None:
-                # Backup execution applied the writes before replying.
-                detector.settle(execution_id)
-            outcome = self._finish_backup(response, invoked_at, frw_ms, record, PATH_BACKUP)
-            return outcome
+            return self._near_storage_outcome(attempt, response, PATH_BACKUP)
 
-        # Validation succeeded: the speculative result is linearizable.
-        self.metrics.incr("path.speculative")
-        writes = spec_env.buffered_writes()
-        for table, key, value in writes:
-            self.cache.apply_local_write(
-                table, key, value, response.new_versions[(table, key)]
-            )
-        if request.write_keys:
-            # The server created an intent whenever the *predicted* write
-            # set was non-empty; the followup must settle it even if the
-            # execution took a branch that wrote nothing (otherwise the
-            # intent timer would pointlessly re-execute the function).
-            if cfg.single_request:
-                # (8a) Followup goes out *after* responding to the client.
-                self.sim.spawn(self._send_followup(execution_id, writes, dst),
-                               name=f"followup({execution_id})")
-            else:
-                # Ablation: a second synchronous round trip (validate-then-
-                # commit), paying the latency Radical's design avoids.
-                followup_started = self.sim.now
-                yield from self._send_followup(execution_id, writes, dst)
-                if obs.enabled:
-                    obs.phase("phase.followup", start_ms=followup_started)
-        elif detector is not None:
-            # Read-only validation success: nothing was ever in flight for
-            # this execution (settle is a no-op unless it enrolled).
-            detector.settle(execution_id)
-
-        return InvocationOutcome(
-            result=spec_trace.result,
-            path=PATH_SPECULATIVE,
-            invoked_at=invoked_at,
-            responded_at=self.sim.now,
-            read_versions=dict(response.validated_versions),
-            write_versions=dict(response.new_versions),
-            frw_ms=frw_ms,
-            exec_ms=exec_ms,
-            function_id=record.function_id,
+        writes = attempt.spec_env.buffered_writes()
+        outcome = self._commit(
+            attempt, writes, response.validated_versions, response.new_versions
         )
+        if not attempt.rwset.writes:
+            # Read-only validation success: nothing was ever in flight.
+            attempt.fate = _FATE_KNOWN
+            return outcome
+        # The server created an intent whenever the *predicted* write set
+        # was non-empty; the followup must settle it even if the execution
+        # took a branch that wrote nothing (otherwise the intent timer
+        # would pointlessly re-execute the function).  A writer skips no
+        # locks, so its request went to the primary.
+        attempt.fate = _FATE_FOLLOWUP
+        if cfg.single_request:
+            # (8a) Followup goes out *after* responding to the client.
+            self.sim.spawn(self._send_followup(execution_id, writes, primary),
+                           name=f"followup({execution_id})")
+        else:
+            # Ablation: a second synchronous round trip (validate-then-
+            # commit), paying the latency Radical's design avoids — the
+            # client is answered only once it returns.
+            followup_started = self.sim.now
+            yield from self._send_followup(execution_id, writes, primary)
+            if obs.enabled:
+                obs.phase("phase.followup", start_ms=followup_started)
+            outcome.responded_at = self.sim.now
+        return outcome
 
-    def _invoke_cross_shard(
-        self,
-        record: RegisteredFunction,
-        args: List[Any],
-        execution_id: str,
-        invoked_at: float,
-        deadline_at: float,
-        rwset,
-        versions: Dict[Key, int],
-        spec_env: SpeculativeEnv,
-        spec_trace,
-        exec_ms: float,
-        frw_ms: float,
-        shards: List[int],
-    ) -> Generator:
+    def _dispatch_cross_shard(self, attempt: _Attempt, shards: List[int]) -> Generator:
         """Scatter-gather prepare across every touched shard, then a
         presumed-abort commit.
 
@@ -693,10 +571,10 @@ class NearUserRuntime:
         decision forces an abort tombstone.  Exactly one global outcome can
         win, so no partial application is ever visible.
         """
-        cfg = self.config
         obs = self.sim.obs
-        function_id = record.function_id
-        writes = spec_env.buffered_writes()
+        execution_id = attempt.execution_id
+        rwset, versions = attempt.rwset, attempt.versions
+        writes = attempt.spec_env.buffered_writes()
         if any(v == -1 for v in versions.values()):
             # A cache miss guarantees validation failure on that shard; let
             # the prepare bounce with repairs and restart (the single-shard
@@ -704,27 +582,20 @@ class NearUserRuntime:
             # which does not exist across shards).
             self.metrics.incr("xshard.miss")
 
-        read_groups: Dict[int, List[Key]] = {}
-        for t, k in rwset.reads:
-            read_groups.setdefault(self.router.shard_of(t, k), []).append((t, k))
-        write_groups: Dict[int, List[Key]] = {}
-        for t, k in rwset.writes:
-            write_groups.setdefault(self.router.shard_of(t, k), []).append((t, k))
-        write_slices: Dict[int, list] = {}
-        for t, k, v in writes:
-            write_slices.setdefault(self.router.shard_of(t, k), []).append((t, k, v))
+        read_groups = self._by_shard(rwset.reads)
+        write_groups = self._by_shard(rwset.writes)
+        write_slices = self._by_shard(writes)
         coord = shards[0]
         coord_ep = self.router.endpoint(coord)
 
         # (3') Scatter one prepare per shard, overlapped with the
         # function's (speculative) execution — the paper's overlap trick
         # carries over; the round trip is simply the slowest shard's.
-        overlap_started = self.sim.now
         procs = []
         for shard in shards:
             req = ShardPrepare(
                 execution_id=execution_id,
-                function_id=function_id,
+                function_id=attempt.record.function_id,
                 read_keys=tuple(read_groups.get(shard, ())),
                 write_keys=tuple(write_groups.get(shard, ())),
                 versions={k: versions[k] for k in read_groups.get(shard, ())},
@@ -735,169 +606,276 @@ class NearUserRuntime:
                 nshards=len(shards),
             )
             procs.append(self.sim.spawn(
-                self._catching_call(req, deadline_at, f"prepare.s{shard}",
+                self._catching_call(req, attempt.deadline_at, f"prepare.s{shard}",
                                     self.router.endpoint(shard), batch=True),
                 name=f"prepare({execution_id}:{shard})",
             ))
-        if cfg.speculate:
-            exec_done = self.sim.timeout(exec_ms)
-            yield self.sim.all_of([exec_done] + [p.done_event for p in procs])
-            if obs.enabled:
-                obs.span_at(
-                    "spec.exec", overlap_started, overlap_started + exec_ms,
-                    kind="exec", function=function_id,
-                )
-                obs.phase("phase.xshard_prepare", start_ms=overlap_started,
-                          shards=len(shards), exec_ms=exec_ms)
-        else:
-            yield self.sim.all_of([p.done_event for p in procs])
-            if obs.enabled:
-                obs.phase("phase.xshard_prepare", start_ms=overlap_started,
-                          shards=len(shards))
-            exec_started = self.sim.now
-            yield self.sim.timeout(exec_ms)
-            if obs.enabled:
-                obs.phase("phase.exec", start_ms=exec_started, function=function_id)
+        yield from self._overlap_exec(
+            attempt, procs, "phase.xshard_prepare", shards=len(shards)
+        )
 
         # (4') Tally the votes.  Any shard that failed to vote yes —
-        # unreachable, busy, or stale — aborts the whole attempt; the abort
-        # fan-out is spawned (not awaited) so the restart isn't serialized
-        # behind it, and presumed abort makes it safe either way: without a
-        # commit record this attempt can never apply anywhere.
-        results = [p.result for p in procs]
-        fresh: Dict[Key, Any] = {}
-        unavailable = 0
-        stale = 0
-        for (kind, value) in results:
-            if kind == "err":
-                unavailable += 1
-            elif not value.ok:
-                stale += 1
-                fresh.update(value.fresh)
-        if unavailable or stale:
-            self.sim.spawn(
-                self._scatter_abort(execution_id, shards, coord_ep),
-                name=f"xabort({execution_id})",
+        # unreachable (None), busy, or stale — aborts the whole attempt.
+        votes = [p.result for p in procs]
+        committed = False
+        if all(vote is not None and vote.ok for vote in votes):
+            # (5') Unanimous yes: durably record COMMIT at the coordinator
+            # *before* telling anyone else.  An UnavailableError here means
+            # the outcome is unknown (the record may or may not have landed)
+            # and propagates to the client as a clean failure; the shards'
+            # leases settle the attempt either way.
+            commit_started = self.sim.now
+            decision = ShardDecision(execution_id=execution_id, commit=True,
+                                     record_decision=True)
+            status = yield from self._call_with_retry(
+                decision, attempt.deadline_at, "xcommit", dst=coord_ep
             )
+            committed = status in ("applied", "released")
+            if not committed:
+                # A lease-driven abort tombstone beat our commit record:
+                # the attempt aborted globally and cleanly.  Restart.
+                self.metrics.incr("xshard.commit_beaten")
+        else:
             self.metrics.incr("xshard.prepare_abort")
-            raise _CrossShardStale(fresh)
-
-        # (5') Unanimous yes: durably record COMMIT at the coordinator
-        # *before* telling anyone else.  An UnavailableError here means the
-        # outcome is unknown (the record may or may not have landed) and
-        # propagates to the client as a clean failure; the shards' leases
-        # settle the attempt either way.
-        commit_started = self.sim.now
-        decision = ShardDecision(execution_id=execution_id, commit=True,
-                                 record_decision=True)
-        status = yield from self._call_with_retry(
-            decision, deadline_at, "xcommit", dst=coord_ep
-        )
-        if status not in ("applied", "released"):
-            # A lease-driven abort tombstone beat our commit record: the
-            # attempt aborted globally and cleanly.  Restart.
-            self.metrics.incr("xshard.commit_beaten")
+        if not committed:
+            # The abort fan-out is spawned (not awaited) so the restart
+            # isn't serialized behind it, and presumed abort makes it safe
+            # either way: without a commit record this attempt can never
+            # apply anywhere.  The no-votes' cache repairs ride along.
             self.sim.spawn(
-                self._scatter_abort(execution_id, shards, coord_ep),
+                self._scatter_decision(attempt, shards, commit=False, coord_ep=coord_ep),
                 name=f"xabort({execution_id})",
             )
-            raise _CrossShardStale({})
+            fresh: Dict[Key, Any] = {}
+            for vote in votes:
+                if vote is not None:
+                    fresh.update(vote.fresh)
+            raise _CrossShardStale(fresh)
 
         # (6') Commit is durable: fan the decision out to the remaining
         # shards.  A lost ack is not a failure — the participant's durable
         # intent plus its lease query guarantees it applies — so the client
-        # is answered on the recorded decision, not the fan-out.
+        # is answered on the recorded decision, not the fan-out.  But such
+        # a participant applies at an unknowable time, so the attempt's
+        # dirty-set entry must outlive it.
         others = [s for s in shards if s != coord]
-        detector = getattr(self.router, "detector", None)
         lost = 0
         if others:
-            statuses = yield from self._gather_decisions(
-                execution_id, others, deadline_at
-            )
-            lost = sum(1 for s in statuses if s is None)
+            acks = yield from self._scatter_decision(attempt, others, commit=True, coord_ep=coord_ep)
+            lost = sum(1 for ack in acks if ack is None)
             if lost:
                 self.metrics.incr("xshard.decision_lost", lost)
-        if detector is not None:
-            if lost:
-                # A participant whose decision ack was lost applies via its
-                # lease at an unknowable time: the entry must outlive it.
-                detector.leak(execution_id)
-            else:
-                detector.settle(execution_id)
+        attempt.fate = _FATE_UNKNOWN if lost else _FATE_KNOWN
         if obs.enabled:
             obs.phase("phase.xshard_commit", start_ms=commit_started,
                       shards=len(shards))
 
-        self.metrics.incr("path.speculative")
         self.metrics.incr("xshard.commit")
         new_versions: Dict[Key, int] = {}
         validated: Dict[Key, int] = {}
-        for _, resp in results:
-            new_versions.update(resp.new_versions)
-            validated.update(resp.validated_versions)
-        for table, key, value in writes:
-            self.cache.apply_local_write(table, key, value,
-                                         new_versions[(table, key)])
-        return InvocationOutcome(
-            result=spec_trace.result,
-            path=PATH_SPECULATIVE,
-            invoked_at=invoked_at,
-            responded_at=self.sim.now,
-            read_versions=validated,
-            write_versions=new_versions,
-            frw_ms=frw_ms,
-            exec_ms=exec_ms,
+        for vote in votes:
+            new_versions.update(vote.new_versions)
+            validated.update(vote.validated_versions)
+        return self._commit(attempt, writes, validated, new_versions)
+
+    def _direct(self, attempt: _Attempt, what: str) -> Generator:
+        """The near-storage-only route (§3.3): the *whole* function runs
+        on one server, so it only exists on single-shard deployments.  The
+        Deployment builder rejects unanalyzable apps on sharded topologies;
+        this one guard catches whatever slips through (``what`` asked)."""
+        function_id = attempt.record.function_id
+        execution_id = attempt.execution_id
+        if self.router.nshards > 1:
+            raise ProtocolError(
+                f"{function_id}: {what} needs direct execution, which a "
+                f"sharded deployment does not have (it is single-shard only)"
+            ) from None
+        request = DirectExecRequest(
+            execution_id=execution_id,
             function_id=function_id,
+            args=tuple(attempt.args),
+            origin_region=self.region,
+        )
+        self.metrics.incr("path.direct")
+        obs = self.sim.obs
+        # A direct execution's access set is unknown until it runs: enroll
+        # the universal fact so every probe conservatively hits while it
+        # is in flight.
+        detector = getattr(self.router, "detector", None)
+        if detector is not None:
+            detector.enroll([0], execution_id, (KeyFact(None, "any"),))
+        rtt_started = self.sim.now
+        try:
+            response = yield from self._call_with_retry(request, attempt.deadline_at, "direct")
+        except UnavailableError:
+            if detector is not None:
+                detector.leak(execution_id)
+            raise
+        if detector is not None:
+            detector.settle(execution_id)
+        if obs.enabled:
+            obs.phase("phase.direct_rtt", start_ms=rtt_started, function=function_id)
+        return self._near_storage_outcome(attempt, response, PATH_DIRECT)
+
+    def _commit(self, attempt: _Attempt, writes, validated, new_versions) -> InvocationOutcome:
+        """Validation succeeded (on one shard, or on all of them): the
+        speculative result is linearizable.  Apply its writes to the local
+        cache at the versions the server(s) promised, and answer with it."""
+        self.metrics.incr("path.speculative")
+        for table, key, value in writes:
+            self.cache.apply_local_write(table, key, value, new_versions[(table, key)])
+        return InvocationOutcome(
+            result=attempt.spec_trace.result,
+            path=PATH_SPECULATIVE,
+            invoked_at=attempt.invoked_at,
+            responded_at=self.sim.now,
+            read_versions=dict(validated),
+            write_versions=dict(new_versions),
+            frw_ms=attempt.frw_ms,
+            exec_ms=attempt.exec_ms,
+            function_id=attempt.record.function_id,
         )
 
+    def _near_storage_outcome(self, attempt: _Attempt, response, path: str) -> InvocationOutcome:
+        """(8b)-(9b): answer with a near-storage execution's result (the
+        backup copy, or a direct execution) and install the cache repairs
+        it shipped.  It applied its writes before replying: fate known."""
+        attempt.fate = _FATE_KNOWN
+        self._install_fresh(response.fresh)
+        return InvocationOutcome(
+            result=response.result,
+            path=path,
+            invoked_at=attempt.invoked_at,
+            responded_at=self.sim.now,
+            read_versions=dict(response.backup_read_versions),
+            write_versions=dict(response.backup_write_versions),
+            frw_ms=attempt.frw_ms,
+            function_id=attempt.record.function_id,
+        )
+
+    # -- helpers -----------------------------------------------------------------
+
+    def _lvi_request(self, attempt: _Attempt, skip_facts=None) -> LVIRequest:
+        """The one coordination request (lock-free under ``skip_facts``)."""
+        return LVIRequest(
+            execution_id=attempt.execution_id,
+            function_id=attempt.record.function_id,
+            args=tuple(attempt.args),
+            read_keys=tuple(attempt.rwset.reads),
+            write_keys=tuple(attempt.rwset.writes),
+            versions=attempt.versions,
+            origin_region=self.region,
+            skip_locks=skip_facts is not None,
+            read_facts=tuple(skip_facts) if skip_facts is not None else (),
+        )
+
+    def _lvi_round_trip(self, attempt: _Attempt, request, dst: str, **phase_tags) -> Generator:
+        """An LVI request nothing overlaps (a cache miss, the ablation, the
+        retry after a replica's bounce): a critical-path phase of its own."""
+        rtt_started = self.sim.now
+        response = yield from self._call_with_retry(
+            request, attempt.deadline_at, "lvi", dst=dst, batch=True
+        )
+        if self.sim.obs.enabled:
+            self.sim.obs.phase("phase.lvi_rtt", start_ms=rtt_started, **phase_tags)
+        return response
+
+    def _overlap_exec(self, attempt: _Attempt, procs, phase: str, **phase_tags) -> Generator:
+        """Wait for the validation RPCs ``procs`` overlapped with f's
+        service time: the phase's length is max(exec, slowest round trip),
+        the paper's core overlap (§3.2).  The enclosed spec.exec interval
+        and the child rpc spans let the analyzer name the winner.  (Under
+        the ``speculate=False`` ablation: one after the other.)"""
+        obs = self.sim.obs
+        started = self.sim.now
+        exec_ms = attempt.exec_ms
+        replies = [p.done_event for p in procs]
+        if not self.config.speculate:
+            yield self.sim.all_of(replies)
+            if obs.enabled:
+                obs.phase(phase, start_ms=started, **phase_tags)
+            yield from self._charge_exec(attempt)
+            return
+        exec_done = self.sim.timeout(exec_ms)
+        yield self.sim.all_of([exec_done] + replies)
+        if obs.enabled:
+            obs.span_at(
+                "spec.exec", started, started + exec_ms,
+                kind="exec", function=attempt.record.function_id,
+            )
+            obs.phase(phase, start_ms=started, exec_ms=exec_ms, **phase_tags)
+
+    def _charge_exec(self, attempt: _Attempt) -> Generator:
+        """Ablation (``speculate=False``): f runs only *after* validation."""
+        exec_started = self.sim.now
+        yield self.sim.timeout(attempt.exec_ms)
+        if self.sim.obs.enabled:
+            self.sim.obs.phase("phase.exec", start_ms=exec_started,
+                               function=attempt.record.function_id)
+
+    def _by_shard(self, items) -> Dict[int, list]:
+        """Group keys — or ``(table, key, value)`` writes — by owning shard."""
+        groups: Dict[int, list] = {}
+        for item in items:
+            groups.setdefault(self.router.shard_of(item[0], item[1]), []).append(item)
+        return groups
+
+    def _shards_touched(self, attempt: _Attempt) -> List[int]:
+        """The shards the predicted access set maps to, ascending (shard 0
+        for a function that touches no storage at all)."""
+        rwset = attempt.rwset
+        all_keys = list(rwset.reads) + list(rwset.writes)
+        if all_keys and attempt.record.analyzed.single_shard_affine:
+            # Statically proven single-key (repro.analysis.ir.summary):
+            # every access renders the same key string, so hashing the
+            # first one routes the whole invocation.  Provably the same
+            # shard set as the enumeration below — just cheaper.
+            self.metrics.incr("affinity.fast_path")
+            return [self.router.shard_of(*all_keys[0])]
+        return sorted({self.router.shard_of(t, k) for (t, k) in all_keys}) or [0]
+
     def _catching_call(self, request, deadline_at, label, dst, batch=False) -> Generator:
-        """Retry-wrapped RPC that never raises: returns ``("ok", response)``
-        or ``("err", exc)`` so a scatter-gather can tally partial failures
-        without the kernel seeing an unwatched failed process."""
+        """Retry-wrapped RPC that never raises: returns the response, or
+        ``None`` once its budget is exhausted, so a scatter-gather can tally
+        partial failures without the kernel seeing an unwatched failed
+        process."""
         try:
-            resp = yield from self._call_with_retry(
+            return (yield from self._call_with_retry(
                 request, deadline_at, label, dst=dst, batch=batch
-            )
-        except UnavailableError as exc:
-            return ("err", exc)
-        return ("ok", resp)
+            ))
+        except UnavailableError:
+            return None
 
-    def _gather_decisions(self, execution_id, shards, deadline_at) -> Generator:
-        procs = [
-            self.sim.spawn(
-                self._catching_call(
-                    ShardDecision(execution_id=execution_id, commit=True),
-                    deadline_at, f"decision.s{shard}", self.router.endpoint(shard),
-                ),
-                name=f"decide({execution_id}:{shard})",
-            )
-            for shard in shards
-        ]
-        yield self.sim.all_of([p.done_event for p in procs])
-        return [p.result[1] if p.result[0] == "ok" else None for p in procs]
-
-    def _scatter_abort(self, execution_id, shards, coord_ep) -> Generator:
-        """Best-effort abort fan-out (presumed abort makes it optional: it
-        only accelerates lock release ahead of the shards' leases).  The
-        coordinator's copy records the abort tombstone so late lease
-        queries settle instantly."""
-        budget = self.sim.now + self.config.rpc_timeout_ms * self._policy.max_attempts
+    def _scatter_decision(self, attempt: _Attempt, shards, commit: bool, coord_ep: str) -> Generator:
+        """Fan a :class:`ShardDecision` out to ``shards`` in parallel and
+        wait for every ack; returns a status per shard, ``None`` if lost.
+        A *commit* runs under the invocation's deadline.  An *abort* is
+        best-effort (presumed abort makes it optional: it only accelerates
+        lock release ahead of the shards' leases) and runs detached, on a
+        budget of its own; the coordinator's copy records the abort
+        tombstone so late lease queries settle instantly."""
+        label = "decision" if commit else "abort"
+        deadline_at = (
+            attempt.deadline_at if commit
+            else self.sim.now + self.config.rpc_timeout_ms * self._policy.max_attempts
+        )
         procs = [
             self.sim.spawn(
                 self._catching_call(
                     ShardDecision(
-                        execution_id=execution_id, commit=False,
-                        record_decision=(self.router.endpoint(s) == coord_ep),
+                        execution_id=attempt.execution_id, commit=commit,
+                        record_decision=(
+                            not commit and self.router.endpoint(shard) == coord_ep
+                        ),
                     ),
-                    budget, f"abort.s{s}", self.router.endpoint(s),
+                    deadline_at, f"{label}.s{shard}", self.router.endpoint(shard),
                 ),
-                name=f"abort({execution_id}:{s})",
+                name=f"{label}({attempt.execution_id}:{shard})",
             )
-            for s in shards
+            for shard in shards
         ]
         yield self.sim.all_of([p.done_event for p in procs])
-
-    # -- helpers -----------------------------------------------------------------
+        return [p.result for p in procs]
 
     def _call_with_retry(
         self, request, deadline_at: float, label: str,
@@ -938,43 +916,19 @@ class NearUserRuntime:
                 response = yield from caller(
                     dst, request, timeout=min(cfg.rpc_timeout_ms, remaining)
                 )
-            except RpcTimeout:
+            except (RpcTimeout, OverloadedError) as exc:
+                # A timeout says nothing about what the server did.  An
+                # OverloadedError says it shed the request at admission: a
+                # definite, retryable failure that did no work server-side.
+                # It still counts against the breaker (sustained shedding
+                # should degrade to the direct probe, not hammer the
+                # queue); on top of that it shrinks the AIMD window, and
+                # its backoff honors the server's retry-after hint.
+                shed = isinstance(exc, OverloadedError)
                 self._breaker.record_failure()
-                self.metrics.incr("rpc.timeout")
-                if attempt >= policy.max_attempts:
-                    self.metrics.incr("rpc.exhausted")
-                    if obs.enabled:
-                        obs.event(
-                            "rpc.exhausted", label=label,
-                            execution_id=request.execution_id, attempts=attempt,
-                        )
-                    raise UnavailableError(
-                        f"{label} {request.execution_id}: all {attempt} attempts "
-                        f"timed out"
-                    ) from None
-                self.metrics.incr("rpc.retry")
-                if obs.enabled:
-                    obs.event(
-                        "rpc.retry", label=label,
-                        execution_id=request.execution_id, attempt=attempt,
-                    )
-                backoff = min(
-                    policy.backoff_ms(attempt, self._retry_rng),
-                    max(0.0, deadline_at - self.sim.now),
-                )
-                if backoff > 0:
-                    yield self.sim.timeout(backoff)
-            except OverloadedError as exc:
-                # The server shed the request at admission: a definite,
-                # retryable failure that did no work server-side.  It still
-                # counts against the breaker (sustained shedding should
-                # degrade to the direct probe, not hammer the queue) and
-                # shrinks the AIMD window; the backoff honors the server's
-                # deterministic retry-after hint.
-                self._breaker.record_failure()
-                if self._limiter is not None:
+                if shed and self._limiter is not None:
                     self._limiter.on_overload()
-                self.metrics.incr("rpc.overloaded")
+                self.metrics.incr("rpc.overloaded" if shed else "rpc.timeout")
                 if attempt >= policy.max_attempts:
                     self.metrics.incr("rpc.exhausted")
                     if obs.enabled:
@@ -982,33 +936,31 @@ class NearUserRuntime:
                             "rpc.exhausted", label=label,
                             execution_id=request.execution_id, attempts=attempt,
                         )
-                    raise UnavailableError(
-                        f"{label} {request.execution_id}: shed by overloaded "
-                        f"server on all {attempt} attempt(s)"
-                    ) from None
+                    how = (
+                        f"shed by overloaded server on all {attempt} attempt(s)"
+                        if shed else f"all {attempt} attempts timed out"
+                    )
+                    raise UnavailableError(f"{label} {request.execution_id}: {how}") from None
                 self.metrics.incr("rpc.retry")
                 if obs.enabled:
                     obs.event(
-                        "rpc.retry", label=label, overloaded=True,
+                        "rpc.retry", label=label, **({"overloaded": True} if shed else {}),
                         execution_id=request.execution_id, attempt=attempt,
                     )
-                backoff = min(
-                    max(policy.backoff_ms(attempt, self._retry_rng),
-                        exc.retry_after_ms),
-                    max(0.0, deadline_at - self.sim.now),
-                )
+                backoff = policy.backoff_ms(attempt, self._retry_rng)
+                if shed:
+                    backoff = max(backoff, exc.retry_after_ms)
+                backoff = min(backoff, max(0.0, deadline_at - self.sim.now))
                 if backoff > 0:
                     yield self.sim.timeout(backoff)
             else:
                 self._breaker.record_success()
                 return response
 
-    def _send_followup(self, execution_id: str, writes, dst: Optional[str] = None) -> Generator:
+    def _send_followup(self, execution_id: str, writes, dst: str) -> Generator:
         followup = WriteFollowup(execution_id=execution_id, writes=tuple(writes))
         policy = self._policy
         detector = getattr(self.router, "detector", None)
-        if dst is None:
-            dst = self.server_name
         attempt = 0
         while True:
             attempt += 1
@@ -1036,82 +988,16 @@ class NearUserRuntime:
                 self.metrics.incr("followup.retry")
                 yield self.sim.timeout(policy.backoff_ms(attempt, self._retry_rng))
 
-    def _direct(
-        self,
-        record: RegisteredFunction,
-        args: List[Any],
-        execution_id: str,
-        invoked_at: float,
-        deadline_at: float = math.inf,
-    ) -> Generator:
-        request = DirectExecRequest(
-            execution_id=execution_id,
-            function_id=record.function_id,
-            args=tuple(args),
-            origin_region=self.region,
-        )
-        self.metrics.incr("path.direct")
-        obs = self.sim.obs
-        # A direct execution's access set is unknown until it runs: enroll
-        # the universal fact so every probe conservatively hits while it
-        # is in flight.
-        detector = getattr(self.router, "detector", None)
-        if detector is not None:
-            detector.enroll([0], execution_id, (KeyFact(None, "any"),))
-        rtt_started = self.sim.now
-        try:
-            response = yield from self._call_with_retry(request, deadline_at, "direct")
-        except UnavailableError:
-            if detector is not None:
-                detector.leak(execution_id)
-            raise
-        if detector is not None:
-            detector.settle(execution_id)
-        if obs.enabled:
-            obs.phase("phase.direct_rtt", start_ms=rtt_started, function=record.function_id)
-        return InvocationOutcome(
-            result=response.result,
-            path=PATH_DIRECT,
-            invoked_at=invoked_at,
-            responded_at=self.sim.now,
-            read_versions=dict(response.backup_read_versions),
-            write_versions=dict(response.backup_write_versions),
-            function_id=record.function_id,
-        )
-
-    def _finish_backup(
-        self,
-        response: LVIResponse,
-        invoked_at: float,
-        frw_ms: float,
-        record: RegisteredFunction,
-        path: str,
-    ) -> InvocationOutcome:
-        """(8b)-(9b): install cache repairs, return the backup result."""
-        self._install_fresh(response.fresh)
-        return InvocationOutcome(
-            result=response.result,
-            path=path,
-            invoked_at=invoked_at,
-            responded_at=self.sim.now,
-            read_versions=dict(response.backup_read_versions),
-            write_versions=dict(response.backup_write_versions),
-            frw_ms=frw_ms,
-            function_id=record.function_id,
-        )
-
     def _install_fresh(self, fresh: Dict[Key, Any]) -> None:
         """Install the authoritative items a server shipped back into the
         local cache (validation-failure repairs, §3.2)."""
-        from ..storage import Item
-
         for (table, key), item in fresh.items():
             if item.absent:
                 self.cache.install(table, key, None)
             else:
                 self.cache.install(table, key, Item(item.value, item.version))
 
-    def _writer_facts(self, record, args, rwset) -> Tuple[KeyFact, ...]:
+    def _writer_facts(self, attempt: _Attempt) -> Tuple[KeyFact, ...]:
         """Instantiated write constraints to enroll in the dirty set.
 
         Prefers the static predicate's write facts (argument-sensitive,
@@ -1120,15 +1006,15 @@ class NearUserRuntime:
         back to exact facts over the concrete predicted write set, which
         f^rw's own sanitized soundness makes a correct bound.
         """
-        summary = getattr(record.analyzed, "summary", None) if record.analyzed else None
-        predicate = getattr(summary, "predicate", None)
+        summary = attempt.record.analyzed.summary
+        predicate = summary.predicate if summary is not None else None
         if predicate is not None:
-            facts = predicate.instantiate(list(args))
-            if facts.writes and facts.covers_writes(rwset.writes):
+            facts = predicate.instantiate(list(attempt.args))
+            if facts.writes and facts.covers_writes(attempt.rwset.writes):
                 return facts.writes
-        return tuple(KeyFact(t, "exact", k) for (t, k) in rwset.writes)
+        return tuple(KeyFact(t, "exact", k) for (t, k) in attempt.rwset.writes)
 
-    def _skip_facts(self, record, args, rwset, versions) -> Optional[Tuple[KeyFact, ...]]:
+    def _skip_facts(self, attempt: _Attempt) -> Optional[Tuple[KeyFact, ...]]:
         """Instantiated read constraints iff this request may skip locks.
 
         Eligible only when the function is statically read-only with a
@@ -1138,41 +1024,33 @@ class NearUserRuntime:
         soundness chain downstream — an access outside these facts during
         re-execution — is a hard protocol failure, not a fallback.
         """
-        if rwset.writes or any(v == -1 for v in versions.values()):
+        rwset = attempt.rwset
+        if rwset.writes or any(v == -1 for v in attempt.versions.values()):
             return None
-        summary = getattr(record.analyzed, "summary", None) if record.analyzed else None
-        if summary is None or not getattr(summary, "lock_skippable", False):
+        summary = attempt.record.analyzed.summary
+        if summary is None or not summary.lock_skippable:
             return None
-        facts = summary.predicate.instantiate(list(args))
+        facts = summary.predicate.instantiate(list(attempt.args))
         if not facts.precise or not facts.covers_reads(rwset.reads):
             return None
         return facts.reads
 
-    def _check_prediction(self, record, rwset, trace) -> None:
+    def _check_prediction(self, attempt: _Attempt) -> None:
         """The analyzer's contract: predicted sets cover the actual ones.
         A miss here is an analyzer bug — consistency would be at risk — so
-        it fails loudly.  With ``sanitize_rwset`` on, the full sanitizer
-        report also flows through the obs spine: ``analysis.unsound`` on
+        it fails loudly, before any LVI request is sent.  The sanitizer's
+        full report flows through the obs spine: ``analysis.unsound`` on
         the hard failure, ``analysis.overapprox`` (plus a wasted-locks
         metric) when the prediction locked keys the execution never used."""
-        if not self.config.sanitize_rwset:
-            actual_reads = set(trace.read_keys())
-            actual_writes = set(trace.write_keys())
-            if not actual_reads <= set(rwset.reads) or not actual_writes <= set(rwset.writes):
-                raise ProtocolError(
-                    f"{record.function_id}: f^rw under-predicted the access set "
-                    f"(reads {actual_reads - set(rwset.reads)}, "
-                    f"writes {actual_writes - set(rwset.writes)})"
-                )
-            return
-        report = check_coverage(record.function_id, rwset, trace)
+        function_id = attempt.record.function_id
+        report = check_coverage(function_id, attempt.rwset, attempt.spec_trace)
         obs = self.sim.obs
         if not report.sound:
             self.metrics.incr("analysis.unsound")
             if obs.enabled:
                 obs.event(
                     "analysis.unsound",
-                    function=record.function_id,
+                    function=function_id,
                     reads=[list(k) for k in report.unsound_reads],
                     writes=[list(k) for k in report.unsound_writes],
                 )
@@ -1183,18 +1061,11 @@ class NearUserRuntime:
             if obs.enabled:
                 obs.event(
                     "analysis.overapprox",
-                    function=record.function_id,
+                    function=function_id,
                     wasted_locks=report.wasted_locks,
                 )
 
-    def _exec_time(self, record: RegisteredFunction) -> float:
-        sigma = self.config.service_jitter_sigma
-        factor = math.exp(self._jitter.gauss(0.0, sigma)) if sigma > 0 else 1.0
-        return record.service_time_ms * factor
-
-    def _frw_time(
-        self, record: RegisteredFunction, frw_gas: int, f_gas: int, exec_ms: float
-    ) -> float:
+    def _frw_time(self, frw_gas: int, f_gas: int, exec_ms: float) -> float:
         """f^rw latency model: the slice's share of the function's gas,
         scaled by the (jittered) service time.  Login's f^rw is ~8 gas vs
         ~20k for f, so this is microseconds; a dependent-read heavy

@@ -22,16 +22,16 @@ across server failovers.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..analysis.sanitizer import constraint_checker
 from ..errors import ConditionFailed, OverloadedError, ProtocolError
 from ..raft import RaftCluster
-from ..sim import Batched, Metrics, Network, RandomStreams, Region, RpcTimeout, Simulator
+from ..sim import NO_REPLY, Batched, Metrics, Network, RandomStreams, Region, RpcTimeout, Simulator
 from ..storage import (
     KIND_APPLY,
     IdempotencyTable,
+    IntentStatus,
     IntentTable,
     KVStore,
     LockManager,
@@ -74,6 +74,9 @@ DECISION_TABLE = "_radical_decisions"
 #: always the *first* lock acquired and the sorted-order deadlock-freedom
 #: argument still holds.
 _DIRECT_BARRIER: Tuple[str, str] = ("", "#direct-barrier")
+
+#: :meth:`LVIServer._dedup`'s verdict for a request never seen before.
+_FRESH = object()
 
 
 class LVIServer:
@@ -156,36 +159,37 @@ class LVIServer:
 
     # -- dispatch -----------------------------------------------------------
 
+    #: message type -> (handler, admission-gated).  Handlers are held by
+    #: *name* and resolved at dispatch, never as function objects: a test
+    #: that plants a bug with ``monkeypatch.setattr(LVIServer,
+    #: "_handle_followup", ...)`` must change what runs.
+    _HANDLERS = {
+        LVIRequest: ("_handle_lvi", True),
+        WriteFollowup: ("_handle_followup", False),
+        DirectExecRequest: ("_handle_direct", True),
+        ShardPrepare: ("_handle_prepare", True),
+        ShardDecision: ("_handle_decision", False),
+        ShardDecisionQuery: ("_handle_query", False),
+    }
+
     def _handle(self, payload: Any, src: str) -> Generator:
         batch_index = 0
         if isinstance(payload, Batched):
             batch_index = payload.index
             payload = payload.payload
-        admitted = False
-        if isinstance(payload, (LVIRequest, DirectExecRequest, ShardPrepare)):
-            # Admission control gates only *request* traffic.  Followups,
-            # decisions, and lease queries always get through: shedding
-            # them would strand held locks and pending intents, hurting
-            # liveness instead of protecting it.  A raise here happens
-            # before any handler state is touched — no dedup entry, no
-            # locks, no intent — so the caller's retry is re-admitted
-            # cleanly, and the network layer turns the exception into a
-            # failed reply at the client's ``net.call``.
-            admitted = self._admit(type(payload).__name__)
-        if isinstance(payload, LVIRequest):
-            inner = self._handle_lvi(payload)
-        elif isinstance(payload, WriteFollowup):
-            inner = self._handle_followup(payload)
-        elif isinstance(payload, DirectExecRequest):
-            inner = self._handle_direct(payload)
-        elif isinstance(payload, ShardPrepare):
-            inner = self._handle_prepare(payload)
-        elif isinstance(payload, ShardDecision):
-            inner = self._handle_decision(payload)
-        elif isinstance(payload, ShardDecisionQuery):
-            inner = self._handle_query(payload)
-        else:
-            raise ProtocolError(f"unknown message {type(payload).__name__}")
+        kind = type(payload)
+        if kind not in self._HANDLERS:
+            raise ProtocolError(f"unknown message {kind.__name__}")
+        handler, gated = self._HANDLERS[kind]
+        # Admission control gates only *request* traffic.  Followups,
+        # decisions, and lease queries always get through: shedding them
+        # would strand held locks and pending intents, hurting liveness
+        # instead of protecting it.  A raise here happens before any handler
+        # state is touched — no dedup entry, no locks, no intent — so the
+        # caller's retry is re-admitted cleanly, and the network layer turns
+        # the exception into a failed reply at the client's ``net.call``.
+        admitted = gated and self._admit(kind.__name__)
+        inner = getattr(self, handler)(payload)
         return self._guarded(self._charge_proc(inner, batch_index, admitted))
 
     def _effective_proc_ms(self) -> float:
@@ -223,7 +227,7 @@ class LVIServer:
             obs = self.sim.obs
             if obs.enabled:
                 obs.event(
-                    "server.shed", server=self.name, kind=kind,
+                    "server.shed", server=self.name, request=kind,
                     depth=self._admission_queue, backlog_ms=backlog_ms,
                 )
             raise OverloadedError(self.name, backlog_ms + proc)
@@ -270,8 +274,6 @@ class LVIServer:
         step runs — in-flight executions die with the process, exactly as
         a real crash would kill them.  (The completed steps stand: a crash
         lands on some yield boundary.)"""
-        from ..sim.network import NO_REPLY
-
         incarnation = self._incarnation
         to_send: Any = None
         to_throw: Optional[BaseException] = None
@@ -298,177 +300,248 @@ class LVIServer:
             except BaseException as exc:  # forward interrupts/failures inward
                 to_send, to_throw = None, exc
 
-    # -- the LVI request path -------------------------------------------------
+    # -- stages shared by the request-bearing handlers --------------------------
 
-    def _handle_lvi(self, req: LVIRequest) -> Generator:
-        from ..sim.network import NO_REPLY
+    def _dedup(self, eid: str, durable: bool):
+        """The dedup prologue of every request-bearing handler: the reply a
+        redelivered request gets (a cached response, or ``NO_REPLY`` for
+        silence), or ``_FRESH`` for a request never seen before.
 
-        if req.execution_id in self._reply_cache:
+        ``durable`` also consults what survives a crash — the intent table
+        and the idempotency claims — for requests that leave such records.
+        A ``_FRESH`` id is *not* marked seen here: the handler does that
+        once it owns the execution, so a bounced request leaves no trace.
+        """
+        if eid in self._reply_cache:
             # Client retry after a lost *response*: replay the original
             # answer verbatim (idempotent execution-id semantics).
             self.metrics.incr("lvi.replayed_reply")
-            return self._reply_cache[req.execution_id]
-        if req.execution_id in self._seen_requests:
+            return self._reply_cache[eid]
+        if eid in self._seen_requests:
             # Duplicate delivery: the original handler owns this execution
             # and will answer; a duplicate must stay completely silent (a
             # fast ok=False here would race ahead of the real response).
             self.metrics.incr("lvi.duplicate_request")
             return NO_REPLY
-        if self.intents.get(req.execution_id) is not None:
+        if durable and self.intents.get(eid) is not None:
             # Retry of a request the *previous incarnation* already
-            # validated: the durable intent proves it.  The reply cache
-            # died with the crash, so we cannot reconstruct the answer —
-            # stay silent and let the intent timer (or recovery) settle
-            # the write exactly once while the client exhausts its budget.
-            self._seen_requests.add(req.execution_id)
+            # validated (or voted yes on): the durable intent proves it.
+            # The reply cache died with the crash, so we cannot reconstruct
+            # the answer — stay silent and let the intent timer, the
+            # decision/lease machinery, or recovery settle the write
+            # exactly once while the client exhausts its budget.
+            self._seen_requests.add(eid)
             self.metrics.incr("lvi.replay_after_crash")
             return NO_REPLY
-        if self.idem.claimed(req.execution_id, IdempotencyTable.NEAR_STORAGE):
+        if durable and self.idem.claimed(eid, IdempotencyTable.NEAR_STORAGE):
             # The intent is gone but the durable claim remains: a previous
             # incarnation already *settled* this execution's writes (via
             # followup, timer, or recovery).  Validating it afresh would
             # mint a second intent and double-apply — stay silent.
-            self._seen_requests.add(req.execution_id)
+            self._seen_requests.add(eid)
             self.metrics.incr("lvi.settled_replay")
             return NO_REPLY
-        if self.replica and not req.skip_locks:
-            # A replica only ever serves lock-skipped reads; anything else
-            # must run at the primary.  Decline before touching any state
-            # so the runtime's retry through the primary starts clean.
-            self.metrics.incr("router.replica_bounce")
-            return LVIResponse(execution_id=req.execution_id, ok=False, bounced=True)
-        if req.skip_locks:
-            hit = self.detector is not None and self.detector.probe(
-                self.shard, req.read_facts
-            )
-            if not hit:
-                self._seen_requests.add(req.execution_id)
-                response = yield from self._serve_lock_free(req)
-                self._reply_cache[req.execution_id] = response
-                return response
-            if self.replica:
-                # Arrival-time probe hit: a replica cannot fall back to the
-                # locked path (its lock table is not the shard's) — bounce
-                # with state untouched; the runtime retries at the primary.
-                self.metrics.incr("router.replica_bounce")
-                return LVIResponse(
-                    execution_id=req.execution_id, ok=False, bounced=True
-                )
-            # Probe hit at the primary: serve through the full locked path.
-            self.metrics.incr("router.skip_fallback")
-        self._seen_requests.add(req.execution_id)
-        record = self.registry.get(req.function_id)
+        return _FRESH
+
+    def _lock_and_validate(self, req, bounded: bool, **span_tags) -> Generator:
+        """(4)-(5): take the request's locks, then validate under them.
+        Returns ``(authoritative, stale)`` — ``(None, None)`` when a
+        ``bounded`` acquisition timed out, with nothing held."""
+        eid = req.execution_id
         obs = self.sim.obs
         all_keys = list(dict.fromkeys(list(req.read_keys) + list(req.write_keys)))
-
-        # (4) Acquire locks, sorted lexicographically (deadlock freedom).
-        # The exclusive_locks ablation (§3.6 discusses why read/write locks
+        # Locks are taken sorted lexicographically (deadlock freedom).  The
+        # exclusive_locks ablation (§3.6 discusses why read/write locks
         # matter for read-heavy workloads) takes everything as a write lock.
         lock_reads = () if self.config.exclusive_locks else req.read_keys
         lock_writes = all_keys if self.config.exclusive_locks else req.write_keys
         lock_started = self.sim.now
-        yield from self.locks.acquire_all(
-            req.execution_id, (*lock_reads, _DIRECT_BARRIER), lock_writes
-        )
+        acquire = self.locks.acquire_all(eid, (*lock_reads, _DIRECT_BARRIER), lock_writes)
+        if not bounded:
+            yield from acquire
+        elif not (yield from self._acquire_bounded(eid, acquire)):
+            return None, None
         if obs.enabled:
             obs.span_at(
                 "server.lock_acquire", lock_started, self.sim.now,
-                kind="server", locks=len(all_keys),
+                kind="server", locks=len(all_keys), **span_tags,
             )
         if self.config.replicated:
-            yield from self._persist_locks_via_raft(req.execution_id, all_keys)
+            yield from self._persist_locks_via_raft(eid, all_keys)
             yield self.sim.timeout(self.config.replicated_idem_ms)
+        return (yield from self._validate(req, all_keys, **span_tags))
 
-        # (5) Validate: one storage round trip fetches every version.
+    def _acquire_bounded(self, eid: str, acquire: Generator) -> Generator:
+        """Run a lock acquisition under the prepare timeout; returns
+        whether the locks were granted.  A timed-out acquisition is
+        cancelled cleanly (granted locks released, queued waiters purged)
+        so it cannot wedge the shard's lock table."""
+        proc = self.sim.spawn(acquire, name=f"locks({eid})")
+        first = yield self.sim.any_of(
+            [proc.done_event, self.sim.timeout(self.config.prepare_lock_timeout_ms)]
+        )
+        if proc.done_event in first:
+            return True
+        proc.kill()
+        self.locks.cancel(eid)
+        return False
+
+    def _validate(self, req, keys: List[Key], **span_tags) -> Generator:
+        """(5) Validate: one storage round trip fetches every version.
+        Returns the authoritative versions of ``keys`` and the stale reads."""
+        obs = self.sim.obs
         validate_started = self.sim.now
         yield self.sim.timeout(self.config.server_storage_rtt_ms)
-        authoritative = self.store.batch_versions(all_keys)
+        authoritative = self.store.batch_versions(keys)
         stale = [
             k for k in req.read_keys if authoritative.get(k, 0) != req.versions.get(k, -1)
         ]
         if obs.enabled:
             obs.span_at(
                 "server.validate", validate_started, self.sim.now,
-                kind="server", stale=len(stale), ok=not stale,
+                kind="server", stale=len(stale), ok=not stale, **span_tags,
+            )
+        self.metrics.incr("validation.failure" if stale else "validation.success")
+        return authoritative, stale
+
+    def _yes_vote(self, req, authoritative: Dict[Key, int]) -> LVIResponse:
+        """Validation succeeded: confirm the versions read, and promise the
+        versions the writes WILL have once applied."""
+        return LVIResponse(
+            execution_id=req.execution_id,
+            ok=True,
+            validated_versions={k: authoritative[k] for k in req.read_keys},
+            new_versions={k: authoritative.get(k, 0) + 1 for k in req.write_keys},
+        )
+
+    def _write_intent(self, eid: str, function_id: str, span_tags: dict,
+                      **intent_fields) -> Generator:
+        """(6a) Durably record a write intent (one storage round trip).
+        The trace id rides along, so a settlement by a recovered replacement
+        server is attributed to the *original* invocation end-to-end."""
+        obs = self.sim.obs
+        intent_started = self.sim.now
+        yield self.sim.timeout(self.config.server_storage_rtt_ms)
+        ctx = self.sim.trace_context
+        self.intents.create(
+            eid, function_id, now=self.sim.now,
+            trace_id=ctx.trace_id if ctx is not None else 0, **intent_fields,
+        )
+        if obs.enabled:
+            obs.span_at(
+                "server.intent_write", intent_started, self.sim.now,
+                kind="server", **span_tags,
             )
 
-        if not stale:
-            self.metrics.incr("validation.success")
-            response = LVIResponse(
-                execution_id=req.execution_id,
-                ok=True,
-                validated_versions={k: authoritative[k] for k in req.read_keys},
-                new_versions={k: authoritative.get(k, 0) + 1 for k in req.write_keys},
+    def _run_near_storage(self, req, span_name: str, repair=None, constrain_to=None,
+                          **span_tags) -> Generator:
+        """Charge ``req``'s function its service time, run it on a
+        :class:`PrimaryEnv`, and build the one ``ok=False`` reply: result
+        and versions, plus — given ``repair``, the stale reads — the
+        authoritative items of those keys and of every key written, so the
+        near-user cache can repair itself (§3.2 step 8b).  An access
+        outside ``constrain_to`` (instantiated key constraints) — or any
+        write at all — means the static summary that let the request skip
+        locks was unsound, which is a hard protocol failure."""
+        obs = self.sim.obs
+        record = self.registry.get(req.function_id)
+        env = PrimaryEnv(self.store)
+        exec_started = self.sim.now
+        yield self.sim.timeout(record.service_ms(self._jitter, self.config.service_jitter_sigma))
+        violations: List[Tuple[str, str, str]] = []
+        trace = VM(
+            env, gas_limit=self.config.gas_limit,
+            external=self._external_for(req.execution_id),
+            access_hook=(
+                constraint_checker(constrain_to, violations)
+                if constrain_to is not None else None
+            ),
+        ).execute(record.f, list(req.args))
+        if violations:
+            self.metrics.incr("analysis.unsound")
+            raise ProtocolError(
+                f"lock-skipped {req.function_id} escaped its static key "
+                f"constraints: {violations[:3]}"
             )
+        if obs.enabled:
+            obs.span_at(
+                span_name, exec_started, self.sim.now,
+                kind="exec", function=req.function_id, **span_tags,
+            )
+        return LVIResponse(
+            execution_id=req.execution_id,
+            ok=False,
+            result=trace.result,
+            fresh=(
+                self._collect_fresh(repair + list(env.write_versions))
+                if repair is not None else None
+            ),
+            backup_read_versions=dict(env.read_versions),
+            backup_write_versions=dict(env.write_versions),
+        )
+
+    # -- the LVI request path -------------------------------------------------
+
+    def _handle_lvi(self, req: LVIRequest) -> Generator:
+        eid = req.execution_id
+        reply = self._dedup(eid, durable=True)
+        if reply is not _FRESH:
+            return reply
+        probe_hit = (
+            req.skip_locks
+            and self.detector is not None
+            and self.detector.probe(self.shard, req.read_facts)
+        )
+        if self.replica and (probe_hit or not req.skip_locks):
+            # A replica only ever serves lock-skipped reads, and on an
+            # arrival-time probe hit it cannot fall back to the locked path
+            # (its lock table is not the shard's).  Decline before touching
+            # any state so the runtime's retry at the primary starts clean.
+            self.metrics.incr("router.replica_bounce")
+            return LVIResponse(execution_id=eid, ok=False, bounced=True)
+        self._seen_requests.add(eid)
+        if req.skip_locks and not probe_hit:
+            response = yield from self._serve_lock_free(req)
+            self._reply_cache[eid] = response
+            return response
+        if req.skip_locks:
+            # Probe hit at the primary: serve through the full locked path.
+            self.metrics.incr("router.skip_fallback")
+
+        authoritative, stale = yield from self._lock_and_validate(req, bounded=False)
+        if not stale:
+            response = self._yes_vote(req, authoritative)
             if req.write_keys:
                 # (6a) Write intent + timer; locks stay held until the
                 # followup (or re-execution) applies the writes.  The args
                 # ride along in the intent so re-execution works even from
-                # a recovered replacement server — and so does the trace
-                # id, so a recovered re-execution is attributed to the
-                # *original* invocation end-to-end.
-                intent_started = self.sim.now
-                yield self.sim.timeout(self.config.server_storage_rtt_ms)
-                ctx = self.sim.trace_context
-                self.intents.create(
-                    req.execution_id, req.function_id, now=self.sim.now, args=req.args,
-                    trace_id=ctx.trace_id if ctx is not None else 0,
-                )
-                if obs.enabled:
-                    obs.span_at(
-                        "server.intent_write", intent_started, self.sim.now, kind="server",
-                    )
-                self._pending_exec[req.execution_id] = (req.function_id, req.args)
+                # a recovered replacement server.
+                yield from self._write_intent(eid, req.function_id, {}, args=req.args)
+                self._pending_exec[eid] = (req.function_id, req.args)
                 # The timer callback inherits this handler's trace context
                 # (the kernel snapshots it at schedule time), so a timer-
                 # driven re-execution lands in the invocation's trace.
-                self.sim.schedule(
-                    self.config.followup_timeout_ms,
-                    self._on_intent_timer,
-                    req.execution_id,
-                )
+                self.sim.schedule(self.config.followup_timeout_ms, self._on_intent_timer, eid)
             else:
                 # Read-only execution: nothing to wait for.
-                self._release(req.execution_id)
-            self._reply_cache[req.execution_id] = response
+                self._release(eid)
+            self._reply_cache[eid] = response
             return response
 
         # (6b) Validation failed: run the backup copy under the held locks.
-        self.metrics.incr("validation.failure")
-        if not self.idem.claim(req.execution_id, IdempotencyTable.NEAR_STORAGE):
+        if not self.idem.claim(eid, IdempotencyTable.NEAR_STORAGE):
             # An earlier incarnation (or another replica) already ran this
             # execution near storage; running it again would double-apply
             # its writes.  The claim is in primary storage, so the check
             # survives server crashes — §5.6's at-most-once-per-site rule,
             # enforced unconditionally now that crash/restart is routine.
             self.metrics.incr("lvi.duplicate_claim")
-            self._release(req.execution_id)
+            self._release(eid)
             return NO_REPLY
-        env = PrimaryEnv(self.store)
-        backup_started = self.sim.now
-        yield self.sim.timeout(self._exec_time(record))
-        trace = VM(
-            env, gas_limit=self.config.gas_limit,
-            external=self._external_for(req.execution_id),
-        ).execute(record.f, list(req.args))
-        if obs.enabled:
-            obs.span_at(
-                "server.backup_exec", backup_started, self.sim.now,
-                kind="exec", function=req.function_id,
-            )
-
         # (7b) Release locks, then ship the result plus cache repairs.
-        fresh = self._collect_fresh(stale, list(env.write_versions))
-        self._release(req.execution_id)
-        response = LVIResponse(
-            execution_id=req.execution_id,
-            ok=False,
-            result=trace.result,
-            fresh=fresh,
-            backup_read_versions=dict(env.read_versions),
-            backup_write_versions=dict(env.write_versions),
-        )
-        self._reply_cache[req.execution_id] = response
+        response = yield from self._run_near_storage(req, "server.backup_exec", repair=stale)
+        self._release(eid)
+        self._reply_cache[eid] = response
         return response
 
     def _serve_lock_free(self, req: LVIRequest) -> Generator:
@@ -479,62 +552,16 @@ class LVIServer:
         (b) ``batch_versions`` reads every version in one synchronous
         virtual instant, so the observed cut is consistent even though no
         read locks are held.  The backup path (stale cache) re-executes
-        under the request's *instantiated key constraints*: any access
-        outside them — or any write at all — means the static summary that
-        cleared the skip was unsound, which is a hard protocol failure.
+        under the request's *instantiated key constraints*.
         """
-        obs = self.sim.obs
         self.metrics.incr("router.lock_skipped")
-        validate_started = self.sim.now
-        yield self.sim.timeout(self.config.server_storage_rtt_ms)
-        read_keys = list(req.read_keys)
-        authoritative = self.store.batch_versions(read_keys)
-        stale = [
-            k for k in read_keys if authoritative.get(k, 0) != req.versions.get(k, -1)
-        ]
-        if obs.enabled:
-            obs.span_at(
-                "server.validate", validate_started, self.sim.now,
-                kind="server", stale=len(stale), ok=not stale, lock_free=True,
-            )
+        authoritative, stale = yield from self._validate(req, list(req.read_keys), lock_free=True)
         if not stale:
-            self.metrics.incr("validation.success")
-            return LVIResponse(
-                execution_id=req.execution_id,
-                ok=True,
-                validated_versions={k: authoritative[k] for k in read_keys},
-            )
-        self.metrics.incr("validation.failure")
-        record = self.registry.get(req.function_id)
-        env = PrimaryEnv(self.store)
-        backup_started = self.sim.now
-        yield self.sim.timeout(self._exec_time(record))
-        violations: List[Tuple[str, str, str]] = []
-        trace = VM(
-            env, gas_limit=self.config.gas_limit,
-            external=self._external_for(req.execution_id),
-            access_hook=constraint_checker(req.read_facts, violations),
-        ).execute(record.f, list(req.args))
-        if violations:
-            self.metrics.incr("analysis.unsound")
-            raise ProtocolError(
-                f"lock-skipped {req.function_id} escaped its static key "
-                f"constraints: {violations[:3]}"
-            )
-        if obs.enabled:
-            obs.span_at(
-                "server.backup_exec", backup_started, self.sim.now,
-                kind="exec", function=req.function_id, lock_free=True,
-            )
-        fresh = self._collect_fresh(stale, [])
-        return LVIResponse(
-            execution_id=req.execution_id,
-            ok=False,
-            result=trace.result,
-            fresh=fresh,
-            backup_read_versions=dict(env.read_versions),
-            backup_write_versions=dict(env.write_versions),
-        )
+            return self._yes_vote(req, authoritative)
+        return (yield from self._run_near_storage(
+            req, "server.backup_exec", repair=stale,
+            constrain_to=req.read_facts, lock_free=True,
+        ))
 
     def _persist_locks_via_raft(self, execution_id: str, keys: List[Key]) -> Generator:
         """§5.6: every lock is a serial Raft commit (~2.3 ms each) — or,
@@ -576,132 +603,49 @@ class LVIServer:
     # exactly one global outcome ever wins.
 
     def _handle_prepare(self, req: ShardPrepare) -> Generator:
-        from ..sim.network import NO_REPLY
-
         eid = req.execution_id
-        if eid in self._reply_cache:
-            self.metrics.incr("lvi.replayed_reply")
-            return self._reply_cache[eid]
-        if eid in self._seen_requests:
-            self.metrics.incr("lvi.duplicate_request")
-            return NO_REPLY
-        if self.intents.get(eid) is not None:
-            # Redelivery after a crash: the durable intent proves a prior
-            # incarnation already voted yes.  Its settlement is owned by
-            # the decision/lease machinery — stay silent.
-            self._seen_requests.add(eid)
-            self.metrics.incr("lvi.replay_after_crash")
-            return NO_REPLY
-        if self.idem.claimed(eid, IdempotencyTable.NEAR_STORAGE):
-            self._seen_requests.add(eid)
-            self.metrics.incr("lvi.settled_replay")
-            return NO_REPLY
+        reply = self._dedup(eid, durable=True)
+        if reply is not _FRESH:
+            return reply
         self._seen_requests.add(eid)
-        obs = self.sim.obs
-        all_keys = list(dict.fromkeys(list(req.read_keys) + list(req.write_keys)))
 
         # Locks are still taken in lexicographic order *within* the shard,
         # but no order exists across shards, so the wait is bounded: a
         # timeout votes no ("busy") and the runtime restarts the
         # invocation with backoff, breaking any distributed deadlock.
-        lock_reads = () if self.config.exclusive_locks else req.read_keys
-        lock_writes = all_keys if self.config.exclusive_locks else req.write_keys
-        lock_started = self.sim.now
-        acquired = yield from self._acquire_bounded(
-            eid, (*lock_reads, _DIRECT_BARRIER), lock_writes
+        authoritative, stale = yield from self._lock_and_validate(
+            req, bounded=True, shard=req.shard
         )
-        if not acquired:
+        if authoritative is None:
             self.metrics.incr("prepare.lock_timeout")
             response = LVIResponse(execution_id=eid, ok=False)
-            self._reply_cache[eid] = response
-            return response
-        if obs.enabled:
-            obs.span_at(
-                "server.lock_acquire", lock_started, self.sim.now,
-                kind="server", locks=len(all_keys), shard=req.shard,
-            )
-        if self.config.replicated:
-            yield from self._persist_locks_via_raft(eid, all_keys)
-            yield self.sim.timeout(self.config.replicated_idem_ms)
-
-        validate_started = self.sim.now
-        yield self.sim.timeout(self.config.server_storage_rtt_ms)
-        authoritative = self.store.batch_versions(all_keys)
-        stale = [
-            k for k in req.read_keys if authoritative.get(k, 0) != req.versions.get(k, -1)
-        ]
-        if obs.enabled:
-            obs.span_at(
-                "server.validate", validate_started, self.sim.now,
-                kind="server", stale=len(stale), ok=not stale, shard=req.shard,
-            )
-        if stale:
-            self.metrics.incr("validation.failure")
+        elif stale:
             self.metrics.incr("prepare.stale")
-            fresh = self._collect_fresh(stale, [])
+            response = LVIResponse(execution_id=eid, ok=False, fresh=self._collect_fresh(stale))
             self._release(eid)
-            response = LVIResponse(execution_id=eid, ok=False, fresh=fresh)
-            self._reply_cache[eid] = response
-            return response
-
-        self.metrics.incr("validation.success")
-        if req.write_keys:
-            # Durable yes-vote: the intent carries this shard's resolved
-            # writes, so the decision (or a recovered replacement) can
-            # apply them without re-executing the function — one shard
-            # cannot re-execute anyway, it holds only a slice of the
-            # read set.
-            intent_started = self.sim.now
-            yield self.sim.timeout(self.config.server_storage_rtt_ms)
-            ctx = self.sim.trace_context
-            self.intents.create(
-                eid, req.function_id, now=self.sim.now,
-                trace_id=ctx.trace_id if ctx is not None else 0,
-                kind=KIND_APPLY, writes=tuple(req.writes),
-                coordinator=req.coordinator,
-            )
-            if obs.enabled:
-                obs.span_at(
-                    "server.intent_write", intent_started, self.sim.now,
-                    kind="server", shard=req.shard,
-                )
         else:
-            self._prepared_reads.add(eid)
-        # The lease: if no decision arrives — lost messages, dead
-        # coordinator-side runtime — the shard settles by consulting the
-        # coordinating shard's decision record instead of guessing.
-        self.sim.schedule(
-            self.config.followup_timeout_ms, self._on_prepare_lease,
-            eid, req.coordinator,
-        )
-        response = LVIResponse(
-            execution_id=eid,
-            ok=True,
-            validated_versions={k: authoritative[k] for k in req.read_keys},
-            new_versions={k: authoritative.get(k, 0) + 1 for k in req.write_keys},
-        )
+            if req.write_keys:
+                # Durable yes-vote: the intent carries this shard's resolved
+                # writes, so the decision (or a recovered replacement) can
+                # apply them without re-executing the function — one shard
+                # cannot re-execute anyway, it holds only a slice of the
+                # read set.
+                yield from self._write_intent(
+                    eid, req.function_id, {"shard": req.shard}, kind=KIND_APPLY,
+                    writes=tuple(req.writes), coordinator=req.coordinator,
+                )
+            else:
+                self._prepared_reads.add(eid)
+            # The lease: if no decision arrives — lost messages, dead
+            # coordinator-side runtime — the shard settles by consulting the
+            # coordinating shard's decision record instead of guessing.
+            self.sim.schedule(
+                self.config.followup_timeout_ms, self._on_prepare_lease,
+                eid, req.coordinator,
+            )
+            response = self._yes_vote(req, authoritative)
         self._reply_cache[eid] = response
         return response
-
-    def _acquire_bounded(self, eid: str, lock_reads, lock_writes) -> Generator:
-        """Acquire the shard-local lock set under the prepare timeout;
-        returns whether the locks were granted.  A timed-out acquisition
-        is cancelled cleanly (granted locks released, queued waiters
-        purged) so it cannot wedge the shard's lock table."""
-        acquire = self.sim.spawn(
-            self.locks.acquire_all(eid, lock_reads, lock_writes),
-            name=f"locks({eid})",
-        )
-        timeout_ms = self.config.prepare_lock_timeout_ms
-        if timeout_ms <= 0:
-            yield acquire
-            return True
-        first = yield self.sim.any_of([acquire.done_event, self.sim.timeout(timeout_ms)])
-        if acquire.done_event in first:
-            return True
-        acquire.kill()
-        self.locks.cancel(eid)
-        return False
 
     def _handle_decision(self, req: ShardDecision) -> Generator:
         eid = req.execution_id
@@ -747,9 +691,7 @@ class LVIServer:
             applied = self._apply_intent_writes(eid, intent)
             return "applied" if applied else "discarded"
         # Read-only slice (or a duplicate decision): release and go.
-        self._prepared_reads.discard(eid)
-        if self.locks.held_by(eid):
-            self._release(eid)
+        self._release_prepared(eid)
         if self.idem.claimed(eid, IdempotencyTable.NEAR_STORAGE):
             return "applied"
         return "released"
@@ -782,35 +724,34 @@ class LVIServer:
 
     def _abort_prepared(self, eid: str) -> None:
         """Drop a prepared slice: intent removed un-applied, locks freed."""
-        from ..storage import IntentStatus
+        # Claim the settlement right via the same CAS the apply path
+        # uses, so a racing lease-apply and this abort cannot both win.
+        if self._pending_apply(eid) is not None and self.intents.try_complete(eid):
+            self.intents.remove(eid)
+        self._release_prepared(eid)
+        self.metrics.incr("xshard.aborted")
 
+    def _pending_apply(self, eid: str):
+        """A prepared slice's still-unsettled ``apply`` intent, or None."""
         intent = self.intents.get(eid)
         if (
             intent is not None
             and intent.kind == KIND_APPLY
             and intent.status == IntentStatus.PENDING
         ):
-            # Claim the settlement right via the same CAS the apply path
-            # uses, so a racing lease-apply and this abort cannot both win.
-            if self.intents.try_complete(eid):
-                self.intents.remove(eid)
+            return intent
+        return None
+
+    def _release_prepared(self, eid: str) -> None:
+        """Let go of a prepared slice's locks (and its read-only marker)."""
         self._prepared_reads.discard(eid)
         if self.locks.held_by(eid):
             self._release(eid)
-        self.metrics.incr("xshard.aborted")
 
     def _on_prepare_lease(self, eid: str, coordinator: str) -> None:
-        from ..storage import IntentStatus
-
         if self._crashed:
             return  # recovery re-arms settlement for durable intents
-        intent = self.intents.get(eid)
-        pending = (
-            intent is not None
-            and intent.kind == KIND_APPLY
-            and intent.status == IntentStatus.PENDING
-        )
-        if eid not in self._prepared_reads and not pending:
+        if eid not in self._prepared_reads and self._pending_apply(eid) is None:
             return  # the decision already settled this slice
         self.sim.spawn(
             self._guarded(self._settle_via_coordinator(eid, coordinator)),
@@ -821,15 +762,8 @@ class LVIServer:
         """Lease expiry / recovery: learn the transaction's outcome from
         the coordinating shard's decision record and settle accordingly.
         Unreachable coordinator → re-arm and try again next lease."""
-        from ..storage import IntentStatus
-
-        intent = self.intents.get(eid)
-        pending = (
-            intent is not None
-            and intent.kind == KIND_APPLY
-            and intent.status == IntentStatus.PENDING
-        )
-        if eid not in self._prepared_reads and not pending:
+        intent = self._pending_apply(eid)
+        if eid not in self._prepared_reads and intent is None:
             return
         self.metrics.incr("xshard.lease_query")
         if coordinator == self.name:
@@ -848,12 +782,10 @@ class LVIServer:
                 )
                 return
         if outcome == "commit":
-            if pending:
+            if intent is not None:
                 yield self.sim.timeout(self.config.server_storage_rtt_ms)
                 self._apply_intent_writes(eid, intent)
-            self._prepared_reads.discard(eid)
-            if self.locks.held_by(eid):
-                self._release(eid)
+            self._release_prepared(eid)
         else:
             self.metrics.incr("xshard.lease_abort")
             self._abort_prepared(eid)
@@ -869,8 +801,6 @@ class LVIServer:
         recovery re-executes) or after it (everything durable) — never in
         between, which would strand a completed-but-unapplied intent.
         """
-        from ..storage import IntentStatus
-
         intent = self.intents.get(followup.execution_id)
         if intent is None or intent.status != IntentStatus.PENDING:
             # Late or duplicate: the timer's re-execution won the race and
@@ -882,8 +812,6 @@ class LVIServer:
         if not self.intents.try_complete(followup.execution_id):
             self.metrics.incr("followup.discarded")
             return "discarded"
-        from ..storage import WriteOp
-
         self.store.apply_writes([WriteOp(t, k, v) for (t, k, v) in followup.writes])
         # Durable settlement marker: if this server crashes and the client's
         # original request is redelivered to the replacement, the claim is
@@ -904,8 +832,6 @@ class LVIServer:
     # -- the re-execution path --------------------------------------------------------
 
     def _on_intent_timer(self, execution_id: str) -> None:
-        from ..storage import IntentStatus
-
         if self._crashed:
             return  # the timer died with the process; recovery re-arms it
         intent = self.intents.get(execution_id)
@@ -927,8 +853,6 @@ class LVIServer:
         it from the intent record, so recovered executions stay
         attributable end-to-end.
         """
-        from ..storage import IntentStatus
-
         intent = self.intents.get(execution_id)
         if intent is None or intent.status != IntentStatus.PENDING:
             return
@@ -953,7 +877,7 @@ class LVIServer:
         # the commit point below (intent CAS + execute + apply) is a single
         # synchronous step, so a crash either precedes it (intent stays
         # PENDING and recovery retries) or follows it (writes durable).
-        yield self.sim.timeout(self._exec_time(record))
+        yield self.sim.timeout(record.service_ms(self._jitter, self.config.service_jitter_sigma))
         yield self.sim.timeout(self.config.server_storage_rtt_ms)
         if not self.intents.try_complete(execution_id):
             if span is not None:
@@ -1061,57 +985,34 @@ class LVIServer:
     # -- direct execution (unanalyzable functions, §3.3) ---------------------------------
 
     def _handle_direct(self, req: DirectExecRequest) -> Generator:
-        from ..sim.network import NO_REPLY
-
-        if req.execution_id in self._reply_cache:
-            self.metrics.incr("lvi.replayed_reply")
-            return self._reply_cache[req.execution_id]
-        if req.execution_id in self._seen_requests:
-            self.metrics.incr("lvi.duplicate_request")
-            return NO_REPLY
-        self._seen_requests.add(req.execution_id)
-        if not self.idem.claim(req.execution_id, IdempotencyTable.NEAR_STORAGE):
+        eid = req.execution_id
+        reply = self._dedup(eid, durable=False)
+        if reply is not _FRESH:
+            return reply
+        self._seen_requests.add(eid)
+        if not self.idem.claim(eid, IdempotencyTable.NEAR_STORAGE):
             # A previous incarnation already executed this id (and its
             # answer died with it).  Executing again would double-apply
             # the function's writes; stay silent instead.
             self.metrics.incr("lvi.duplicate_claim")
             return NO_REPLY
-        record = self.registry.get(req.function_id)
         # Serialize against validated executions: the write-mode barrier
         # waits (FIFO) for every in-flight validation and pending
         # speculative intent to settle before the VM reads primary state.
         obs = self.sim.obs
         barrier_started = self.sim.now
         yield self.sim.spawn(
-            self.locks.acquire_all(req.execution_id, (), (_DIRECT_BARRIER,)),
-            name=f"direct-barrier({req.execution_id})",
+            self.locks.acquire_all(eid, (), (_DIRECT_BARRIER,)),
+            name=f"direct-barrier({eid})",
         )
         if obs.enabled and self.sim.now > barrier_started:
             obs.span_at(
                 "server.direct_barrier", barrier_started, self.sim.now, kind="server",
             )
-        env = PrimaryEnv(self.store)
-        exec_started = self.sim.now
-        yield self.sim.timeout(self._exec_time(record))
-        trace = VM(
-            env, gas_limit=self.config.gas_limit,
-            external=self._external_for(req.execution_id),
-        ).execute(record.f, list(req.args))
-        self.metrics.incr("locks.released", self.locks.release_all(req.execution_id))
+        response = yield from self._run_near_storage(req, "server.direct_exec")
+        self.metrics.incr("locks.released", self.locks.release_all(eid))
         self.metrics.incr("direct.count")
-        if obs.enabled:
-            obs.span_at(
-                "server.direct_exec", exec_started, self.sim.now,
-                kind="exec", function=req.function_id,
-            )
-        response = LVIResponse(
-            execution_id=req.execution_id,
-            ok=False,
-            result=trace.result,
-            backup_read_versions=dict(env.read_versions),
-            backup_write_versions=dict(env.write_versions),
-        )
-        self._reply_cache[req.execution_id] = response
+        self._reply_cache[eid] = response
         return response
 
     # -- helpers ----------------------------------------------------------------------
@@ -1124,14 +1025,9 @@ class LVIServer:
             return None
         return self.external_hub.caller_for(execution_id)
 
-    def _exec_time(self, record) -> float:
-        sigma = self.config.service_jitter_sigma
-        factor = math.exp(self._jitter.gauss(0.0, sigma)) if sigma > 0 else 1.0
-        return record.service_time_ms * factor
-
-    def _collect_fresh(self, stale: List[Key], written: List[Key]) -> Dict[Key, FreshItem]:
+    def _collect_fresh(self, keys: List[Key]) -> Dict[Key, FreshItem]:
         fresh: Dict[Key, FreshItem] = {}
-        for table, key in dict.fromkeys(stale + written):
+        for table, key in dict.fromkeys(keys):
             item = self.store.get_or_none(table, key)
             if item is None:
                 fresh[(table, key)] = FreshItem(value=None, version=0, absent=True)
