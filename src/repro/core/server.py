@@ -14,6 +14,17 @@ One server (per deployment) runs alongside the primary store and handles:
   re-execute the function against the primary (read locks guarantee it
   sees the same state the speculation validated) and apply its writes.
 
+Locks are held until the data they protect has been read or written, and
+never across a wait.  A backup execution that writes nothing runs *on the
+validation fetch* — the reads linearize at that instant, under the locks —
+and releases before its service time is charged; a writer's locks cover
+its service time because its writes do not exist until the computation
+ends.  A pending intent is only waiting for its followup, so the first
+request that queues behind its locks fires the intent timer on the spot;
+the intent's compare-and-set arbitrates the race with the followup as it
+always has, and ``followup_timeout_ms`` remains the backstop for a
+followup that is lost.
+
 §5.6's replicated variant stores each lock through a real Raft cluster
 (serial commits, ~2.3 ms each) and claims an idempotency key (~3 ms) before
 any near-storage execution, making executions at-most-once per site even
@@ -50,7 +61,7 @@ from .messages import (
     WriteFollowup,
 )
 from .registry import FunctionRegistry
-from .storage_library import PrimaryEnv
+from .storage_library import PrimaryEnv, SnapshotEnv, SnapshotEscape
 
 Key = Tuple[str, str]
 
@@ -107,7 +118,7 @@ class LVIServer:
         self.region = region
         self.name = name
         self.shard = shard
-        self.locks = LockManager(sim, metrics=self.metrics, name=name)
+        self.locks = self._new_lock_table()
         self.intents = IntentTable(store, sim=sim)
         self.idem = IdempotencyTable(store)
         self._jitter = (streams or RandomStreams(0)).stream(f"server.{name}.exec")
@@ -125,8 +136,11 @@ class LVIServer:
         self.detector = None
         if self.config.replicated and self.raft is None and not replica:
             raise ProtocolError("replicated config requires a raft cluster")
-        # execution_id -> (function_id, args) retained while an intent is
-        # pending so the re-execution path has its inputs.
+        # execution_id -> (function_id, args) of every LVI intent this
+        # incarnation installed that is still waiting, undisturbed, for its
+        # followup.  The first request to queue behind its locks takes the
+        # entry out and re-executes (see _expedite); settlement and crash()
+        # drop it, so the table never outgrows the intents in flight.
         self._pending_exec: Dict[str, Tuple[str, Tuple[Any, ...]]] = {}
         # Delivered-request dedup: the network is at-least-once under
         # failure injection, and replaying an LVI request would double-
@@ -435,19 +449,36 @@ class LVIServer:
 
     def _run_near_storage(self, req, span_name: str, repair=None, constrain_to=None,
                           **span_tags) -> Generator:
-        """Charge ``req``'s function its service time, run it on a
-        :class:`PrimaryEnv`, and build the one ``ok=False`` reply: result
-        and versions, plus — given ``repair``, the stale reads — the
-        authoritative items of those keys and of every key written, so the
-        near-user cache can repair itself (§3.2 step 8b).  An access
-        outside ``constrain_to`` (instantiated key constraints) — or any
-        write at all — means the static summary that let the request skip
-        locks was unsound, which is a hard protocol failure."""
+        """A near-storage execution whose effects exist only once its
+        computation ends: charge the service time, then run ``f`` on the
+        primary (whatever locks protect it are the caller's to hold across
+        both)."""
+        yield from self._charge_service(req, span_name, **span_tags)
+        return self._execute_near_storage(req, PrimaryEnv(self.store), repair, constrain_to)
+
+    def _charge_service(self, req, span_name: str, **span_tags) -> Generator:
+        """Charge ``req``'s function its service time; the interval is the
+        span a near-storage execution shows up as."""
         obs = self.sim.obs
         record = self.registry.get(req.function_id)
-        env = PrimaryEnv(self.store)
         exec_started = self.sim.now
         yield self.sim.timeout(record.service_ms(self._jitter, self.config.service_jitter_sigma))
+        if obs.enabled:
+            obs.span_at(
+                span_name, exec_started, self.sim.now,
+                kind="exec", function=req.function_id, **span_tags,
+            )
+
+    def _execute_near_storage(self, req, env: PrimaryEnv, repair=None,
+                              constrain_to=None) -> LVIResponse:
+        """Run ``req``'s function on ``env`` at this instant and build the
+        one ``ok=False`` reply: result and versions, plus — given
+        ``repair``, the stale reads — the authoritative items of those keys
+        and of every key written, so the near-user cache can repair itself
+        (§3.2 step 8b).  An access outside ``constrain_to`` (instantiated
+        key constraints) — or any write at all — means the static summary
+        that let the request skip locks was unsound, which is a hard
+        protocol failure."""
         violations: List[Tuple[str, str, str]] = []
         trace = VM(
             env, gas_limit=self.config.gas_limit,
@@ -456,17 +487,12 @@ class LVIServer:
                 constraint_checker(constrain_to, violations)
                 if constrain_to is not None else None
             ),
-        ).execute(record.f, list(req.args))
+        ).execute(self.registry.get(req.function_id).f, list(req.args))
         if violations:
             self.metrics.incr("analysis.unsound")
             raise ProtocolError(
                 f"lock-skipped {req.function_id} escaped its static key "
                 f"constraints: {violations[:3]}"
-            )
-        if obs.enabled:
-            obs.span_at(
-                span_name, exec_started, self.sim.now,
-                kind="exec", function=req.function_id, **span_tags,
             )
         return LVIResponse(
             execution_id=req.execution_id,
@@ -522,6 +548,10 @@ class LVIServer:
                 # (the kernel snapshots it at schedule time), so a timer-
                 # driven re-execution lands in the invocation's trace.
                 self.sim.schedule(self.config.followup_timeout_ms, self._on_intent_timer, eid)
+                # Waiters that arrived while the intent was being written
+                # saw no intent to fire; do it for them.
+                if any(k != _DIRECT_BARRIER for k in self.locks.contended_keys(eid)):
+                    self._expedite(eid)
             else:
                 # Read-only execution: nothing to wait for.
                 self._release(eid)
@@ -538,10 +568,37 @@ class LVIServer:
             self.metrics.incr("lvi.duplicate_claim")
             self._release(eid)
             return NO_REPLY
-        # (7b) Release locks, then ship the result plus cache repairs.
-        response = yield from self._run_near_storage(req, "server.backup_exec", repair=stale)
-        self._release(eid)
+        # (7b) Release locks, then ship the result plus cache repairs.  A
+        # request predicted to write nothing has taken its last lock, so its
+        # reads may linearize right here: the validation fetch is the
+        # snapshot, the locks go now, and only the reply waits out the
+        # computation.
+        response = None if req.write_keys else self._snapshot_backup(req, stale)
+        if response is not None:
+            self._release(eid)
+            yield from self._charge_service(req, "server.backup_exec", snapshot=True)
+        else:
+            response = yield from self._run_near_storage(
+                req, "server.backup_exec", repair=stale
+            )
+            self._release(eid)
         self._reply_cache[eid] = response
+        return response
+
+    def _snapshot_backup(self, req: LVIRequest, stale: List[Key]) -> Optional[LVIResponse]:
+        """Run a backup execution predicted to be read-only at the
+        validation instant, on a read-only view of the read keys it locked.
+        ``None`` when ``f`` wrote, or read outside the locked set: the
+        prediction came from a stale cache, and the trial is thrown away
+        (it touched nothing; external calls dedup on the execution id)."""
+        try:
+            response = self._execute_near_storage(
+                req, SnapshotEnv(self.store, req.read_keys), repair=stale
+            )
+        except SnapshotEscape:
+            self.metrics.incr("backup.escaped")
+            return None
+        self.metrics.incr("backup.snapshot")
         return response
 
     def _serve_lock_free(self, req: LVIRequest) -> Generator:
@@ -575,6 +632,14 @@ class LVIServer:
             return
         for table, key in sorted(keys):
             yield from self.raft.submit(("put", f"lock:{table}/{key}", execution_id))
+
+    def _new_lock_table(self) -> LockManager:
+        """An empty lock table (at boot, and again after a crash) that
+        reports contention to this server."""
+        return LockManager(
+            self.sim, metrics=self.metrics, name=self.name,
+            on_contention=self._on_lock_contention,
+        )
 
     def _release(self, execution_id: str) -> None:
         released = self.locks.release_all(execution_id)
@@ -831,26 +896,47 @@ class LVIServer:
 
     # -- the re-execution path --------------------------------------------------------
 
-    def _on_intent_timer(self, execution_id: str) -> None:
+    def _on_lock_contention(self, key: Key, holders: List[str]) -> None:
+        """A request just queued on ``key`` behind ``holders``: settle any
+        of them that is a pending intent.  Never for the direct barrier —
+        every validated execution holds it, so one direct execution would
+        stampede every pending intent into re-execution."""
+        if key != _DIRECT_BARRIER:
+            for owner in holders:
+                self._expedite(owner)
+
+    def _expedite(self, execution_id: str) -> None:
+        """Fire the intent timer of a pending LVI intent now, once: its
+        write locks protect writes that already exist (in the followup, and
+        in the intent's own arguments), so a request blocked on them waits
+        for one execution instead of the followup's WAN round trip.  The
+        intent CAS arbitrates the race with the followup."""
+        if self._pending_exec.pop(execution_id, None) is not None:
+            self.metrics.incr("intent.expedited")
+            self._on_intent_timer(execution_id, trigger="contention")
+
+    def _on_intent_timer(self, execution_id: str, trigger: str = "timer") -> None:
         if self._crashed:
             return  # the timer died with the process; recovery re-arms it
         intent = self.intents.get(execution_id)
         if intent is None or intent.status != IntentStatus.PENDING:
             return  # followup handled it
         self.sim.spawn(
-            self._guarded(self._reexecute(execution_id)),
+            self._guarded(self._reexecute(execution_id, trigger)),
             name=f"reexec({execution_id})",
         )
 
-    def _reexecute(self, execution_id: str) -> Generator:
-        """Deterministic re-execution (§3.4): the followup never arrived.
+    def _reexecute(self, execution_id: str, trigger: str) -> Generator:
+        """Deterministic re-execution (§3.4): the followup never arrived,
+        or (``trigger="contention"``) somebody is waiting for it.
 
         The replay inputs come from the intent record in primary storage,
         so this path also works on a replacement server recovering after
         the original crashed (see :meth:`recover_pending`).  Re-execution
         spans carry the *original* invocation's trace id: the timer path
-        inherits it through the kernel, and the recovery path resurrects
-        it from the intent record, so recovered executions stay
+        inherits it through the kernel; every other trigger runs in
+        somebody else's context (the waiter's) or in none (recovery) and
+        resurrects it from the intent record, so re-executions stay
         attributable end-to-end.
         """
         intent = self.intents.get(execution_id)
@@ -860,16 +946,15 @@ class LVIServer:
         span = None
         if obs.enabled:
             parent = self.sim.trace_context
-            recovered = False
-            if parent is None and intent.trace_id:
-                # Replacement server: the live context died with the crash;
-                # re-join the invocation's trace via the persisted id.
+            # Replacement server: the live context died with the crash.
+            recovered = parent is None and bool(intent.trace_id)
+            if recovered or trigger != "timer":
+                # Re-join the invocation's trace via the persisted id.
                 parent = obs.resume_context(intent.trace_id)
-                recovered = True
             span = obs.start(
                 "server.reexec", kind="server", parent=parent,
                 execution_id=execution_id, function=intent.function_id,
-                recovered=recovered,
+                recovered=recovered, trigger=trigger,
             )
         record = self.registry.get(intent.function_id)
         env = PrimaryEnv(self.store)
@@ -930,7 +1015,7 @@ class LVIServer:
                 )
                 continue
             yield self.sim.spawn(
-                self._guarded(self._reexecute(intent.execution_id)),
+                self._guarded(self._reexecute(intent.execution_id, "recovery")),
                 name=f"recover({intent.execution_id})",
             )
         self.metrics.incr("recovery.intents", len(pending))
@@ -950,7 +1035,7 @@ class LVIServer:
         self._crashed = True
         self._incarnation += 1
         self.net.unregister(self.name)
-        self.locks = LockManager(self.sim, metrics=self.metrics, name=self.name)
+        self.locks = self._new_lock_table()
         self._seen_requests.clear()
         self._reply_cache.clear()
         self._pending_exec.clear()

@@ -1,6 +1,6 @@
 """Host environments wiring the sandbox to Radical's storage (§3.1).
 
-Three environments cover the three places a function can run:
+Four environments cover the places a function can run:
 
 * :class:`SpeculativeEnv` — near-user speculation: reads come from a
   *snapshot* of the cache pinned at first access (so the values the
@@ -12,20 +12,24 @@ Three environments cover the three places a function can run:
 * :class:`PrimaryEnv` — backup execution and deterministic re-execution at
   the near-storage location: reads and writes hit the primary store
   directly, under the locks the LVI request acquired.
+* :class:`SnapshotEnv` — a backup execution predicted to write nothing, run
+  at the validation instant: a :class:`PrimaryEnv` that can only read, and
+  only the keys the request read-locked; anything else raises
+  :class:`SnapshotEscape` before the store is touched.
 * the f^rw cache reader — a :class:`SnapshotReader` sharing the same
   snapshot, so dependent reads in f^rw and the later speculative run agree.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..storage import KVStore, NearUserCache, VERSION_MISS
 from ..storage.fastcopy import fast_deepcopy
 
 Key = Tuple[str, str]
 
-__all__ = ["SnapshotReader", "SpeculativeEnv", "PrimaryEnv"]
+__all__ = ["SnapshotReader", "SpeculativeEnv", "PrimaryEnv", "SnapshotEnv", "SnapshotEscape"]
 
 
 class SnapshotReader:
@@ -117,3 +121,27 @@ class PrimaryEnv:
 
     def db_put(self, table: str, key: str, value: Any) -> None:
         self.write_versions[(table, key)] = self.store.put(table, key, value)
+
+
+class SnapshotEscape(Exception):
+    """An execution on a :class:`SnapshotEnv` wrote, or read a key outside
+    the locked read set: it was not the read-only function over those keys
+    that the (possibly stale) cache predicted."""
+
+
+class SnapshotEnv(PrimaryEnv):
+    """A :class:`PrimaryEnv` restricted to reading ``read_keys`` — the keys
+    whose read locks the execution holds, so everything it can observe is
+    one consistent cut of the primary store."""
+
+    def __init__(self, store: KVStore, read_keys: Iterable[Key]):
+        super().__init__(store)
+        self._read_keys = frozenset(read_keys)
+
+    def db_get(self, table: str, key: str) -> Any:
+        if (table, key) not in self._read_keys:
+            raise SnapshotEscape(f"read of unlocked key {(table, key)}")
+        return super().db_get(table, key)
+
+    def db_put(self, table: str, key: str, value: Any) -> None:
+        raise SnapshotEscape(f"write to {(table, key)}")

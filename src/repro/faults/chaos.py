@@ -765,7 +765,7 @@ def run_chaos_case(
 
     wanted = (
         "fault.injected", "rpc.retry", "rpc.timeout", "rpc.exhausted",
-        "breaker.open", "breaker.fast_fail", "reexecution.count",
+        "breaker.open", "breaker.fast_fail", "reexecution.count", "intent.expedited",
         "followup.lost", "followup.retry", "lvi.replayed_reply",
         "lvi.replay_after_crash", "lvi.duplicate_claim", "recovery.intents",
         "server.crashes", "server.restarts", "server.killed_handlers",

@@ -1,8 +1,12 @@
 """Read/write lock manager used by the LVI server (paper §3.6).
 
-Each LVI request acquires a read or write lock per item before validation;
-the locks are held until the execution's writes reach primary storage (via
-followup or deterministic re-execution) and are then released as a group.
+Each LVI request acquires a read or write lock per item before validation
+and releases them as a group.  Locks are held until the data they protect
+has been read or written, never across a wait: a read-only execution lets
+go at its validation instant, a writer when its writes reach primary
+storage — and a writer that is only waiting (a pending intent whose
+followup is still crossing the WAN) is told the moment someone queues
+behind it, through ``on_contention``, so its holder can settle it at once.
 
 Semantics reproduced from the paper:
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Generator, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from ..errors import LockError
 from ..sim import Event, Metrics, Simulator
@@ -71,10 +75,19 @@ class _LockRecord:
 class LockManager:
     """Table of per-key read/write locks with FIFO fairness."""
 
-    def __init__(self, sim: Simulator, metrics: Optional[Metrics] = None, name: str = ""):
+    def __init__(
+        self,
+        sim: Simulator,
+        metrics: Optional[Metrics] = None,
+        name: str = "",
+        on_contention: Optional[Callable[[Key, List[str]], None]] = None,
+    ):
         self.sim = sim
         self.metrics = metrics
         self.name = name
+        # Called as ``(key, holders)`` at the instant an acquisition is
+        # enqueued, with the owners it queued behind (see :meth:`holders_of`).
+        self.on_contention = on_contention
         self._locks: Dict[Key, _LockRecord] = {}
         self._held: Dict[str, List[Tuple[Key, str]]] = {}
         # Metrics the benchmarks read.  The same numbers also flow into the
@@ -126,13 +139,16 @@ class LockManager:
                 # A contended acquisition is queue time on the server's
                 # critical path: record it as a lock.wait span so the
                 # analyzer can attribute p99 tails to hot keys.
+                holders = self.holders_of(req.key)
                 wait_span = None
                 if obs.enabled:
                     wait_span = obs.start(
                         "lock.wait", kind="lock",
                         table=req.key[0], key=req.key[1], mode=req.mode,
-                        queue=self.queue_length(req.key),
+                        queue=self.queue_length(req.key), holder=holders[0],
                     )
+                if self.on_contention is not None:
+                    self.on_contention(req.key, holders)
                 try:
                     yield ev
                 finally:
@@ -257,8 +273,20 @@ class LockManager:
             return set(), None
         return set(record.readers), record.writer
 
+    def holders_of(self, key: Key) -> List[str]:
+        """The owners holding ``key``, in a deterministic order (the writer,
+        or the readers sorted — ``readers`` is a set of strings): who a
+        request enqueued on ``key`` right now is waiting for.  Never empty
+        for a key with a queue, since a queue only forms behind a holder."""
+        readers, writer = self.holders(key)
+        return sorted(readers) if writer is None else [writer]
+
     def held_by(self, owner: str) -> List[Tuple[Key, str]]:
         return list(self._held.get(owner, ()))
+
+    def contended_keys(self, owner: str) -> List[Key]:
+        """The keys ``owner`` holds that somebody is queued on."""
+        return [key for key, _mode in self._held.get(owner, ()) if self.queue_length(key)]
 
     def held_owners(self) -> List[str]:
         """Every owner currently holding at least one granted lock — the

@@ -435,11 +435,13 @@ class TestOverloadChaosPlans:
         assert result.post_p50_ms <= result.pre_p50_ms * 1.10 + 1.0
 
     def test_gray_limp_regression_direct_path_serializable(self):
-        """Seed 1 of gray-limp is the exact case that exposed the unlocked
-        direct execution path (duplicate write of one version); it must
-        stay serializable now that the barrier serializes direct
-        executions against pending intents."""
-        result = run_chaos_case(builtin_plans()["gray-limp"], seed=1)
+        """A gray-limp seed whose half-open breaker probe goes down the
+        direct path is the case that exposed the unlocked direct execution
+        (duplicate write of one version); it must stay serializable now
+        that the barrier serializes direct executions against pending
+        intents.  Which seed that is depends on the whole timeline: of
+        seeds 1-8, only 3 takes the direct path (asserted below)."""
+        result = run_chaos_case(builtin_plans()["gray-limp"], seed=3)
         assert result.ok, result.violation
         assert result.serializable
         assert result.duplicate_writes == 0
