@@ -1,11 +1,10 @@
 """Experiment harness and per-figure/table reproductions of the evaluation."""
 
 from .analysis import (
-    ANALYSIS_INPUTS,
     EXPECTED_ANALYZABLE,
     EXPECTED_LOCK_SKIPPABLE,
     analysis_gate_failures,
-    conflict_density,
+    baseline_density,
     run_analysis_corpus,
 )
 from .cost import AwsPricing, CostBreakdown, cost_table, infrastructure_overhead, monthly_costs
@@ -13,7 +12,6 @@ from .experiments import (
     EvalTrio,
     MAIN_APP_BUILDERS,
     ablation_cache_bootstrap,
-    ablation_lock_modes,
     ablation_overlap,
     ablation_two_rtt,
     fig1_motivation,
@@ -42,21 +40,17 @@ from .kernelbench import (
     run_sweep,
 )
 from .mesh import (
-    MESH_GOSSIP_INTERVALS,
     mesh_gate_failures,
     mesh_partition_plan,
     sweep_mesh,
 )
 from .overload import (
-    OVERLOAD_RATES,
     overload_config,
     run_overload_point,
     sweep_overload,
 )
 from .plots import bar_chart, grouped_bar_chart
 from .routing import (
-    ROUTING_POLICIES,
-    ROUTING_REGION_COUNTS,
     present_routing,
     routing_gate_failures,
     run_routing_point,
@@ -64,7 +58,6 @@ from .routing import (
     sparse_placement,
 )
 from .readscale import (
-    READSCALE_SHARDS,
     readscale_app,
     readscale_config,
     readscale_gate_failures,
@@ -72,7 +65,6 @@ from .readscale import (
     sweep_readscale,
 )
 from .scalability import (
-    SCALABILITY_SHARDS,
     run_scalability_point,
     scalability_config,
     sweep_scalability,
@@ -83,26 +75,21 @@ from .report import (
     format_table,
     print_breakdown_report,
     print_table,
-    save_results,
 )
 
 __all__ = [
-    "ANALYSIS_INPUTS",
     "AwsPricing",
     "EXPECTED_ANALYZABLE",
     "EXPECTED_LOCK_SKIPPABLE",
     "analysis_gate_failures",
-    "conflict_density",
+    "baseline_density",
     "run_analysis_corpus",
     "CostBreakdown",
     "EvalTrio",
-    "SCALABILITY_SHARDS",
     "ExperimentConfig",
     "ExperimentResult",
     "MAIN_APP_BUILDERS",
-    "OVERLOAD_RATES",
     "ablation_cache_bootstrap",
-    "ablation_lock_modes",
     "ablation_overlap",
     "ablation_two_rtt",
     "bar_chart",
@@ -114,7 +101,6 @@ __all__ = [
     "fig6_rows",
     "format_table",
     "infrastructure_overhead",
-    "MESH_GOSSIP_INTERVALS",
     "merge_openloop",
     "mesh_gate_failures",
     "mesh_partition_plan",
@@ -123,13 +109,10 @@ __all__ = [
     "overload_config",
     "present_routing",
     "print_table",
-    "ROUTING_POLICIES",
-    "ROUTING_REGION_COUNTS",
     "routing_gate_failures",
     "run_routing_point",
     "run_routing_sweep",
     "sparse_placement",
-    "READSCALE_SHARDS",
     "readscale_app",
     "readscale_config",
     "readscale_gate_failures",
@@ -142,7 +125,6 @@ __all__ = [
     "run_overload_point",
     "run_radical_experiment",
     "run_scalability_point",
-    "save_results",
     "scalability_config",
     "sec56_replication",
     "sweep_concurrency",

@@ -43,18 +43,16 @@ from ..core.registry import FunctionRegistry
 from ..sim import RandomStreams
 from ..storage.kvstore import KVStore
 from ..wasm import VM
+from .report import load_results
 
 __all__ = [
-    "ANALYSIS_INPUTS",
     "EXPECTED_ANALYZABLE",
     "EXPECTED_LOCK_SKIPPABLE",
     "analysis_gate_failures",
+    "baseline_density",
     "conflict_density",
     "run_analysis_corpus",
 ]
-
-#: Inputs replayed per function (the smoke gate uses fewer).
-ANALYSIS_INPUTS = 10
 
 #: The seed corpus analyzes all 27 functions; a drop means an analyzer
 #: regression (the smoke gate's "analyzable -> fallback" check).
@@ -108,9 +106,7 @@ def conflict_density(matrix: Dict[str, Any]) -> float:
     return _round(conflicting / total)
 
 
-def run_analysis_corpus(
-    inputs_per_function: int = ANALYSIS_INPUTS, seed: int = 42
-) -> Dict[str, Any]:
+def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
     """Replay the whole corpus and return the ``results/analysis.json``
     payload (see the module docstring for what it contains)."""
     registry = FunctionRegistry()
@@ -267,28 +263,16 @@ def run_analysis_corpus(
     }
 
 
-def _baseline_density() -> Optional[float]:
+def baseline_density() -> Optional[float]:
     """Conflict density of the checked-in ``results/analysis.json`` (the
     precision the gate defends), or None when no artifact exists yet."""
-    import json
-    import os
-
-    from .report import results_dir
-
-    path = os.path.join(results_dir(), "analysis.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        baseline = json.load(fh)
-    matrix = baseline.get("conflict_matrix")
+    matrix = (load_results("analysis") or {}).get("conflict_matrix")
     if not matrix or "names" not in matrix:
         return None
     return conflict_density(matrix)
 
 
-def analysis_gate_failures(
-    payload: Dict[str, Any], baseline_density: Optional[float] = None
-) -> List[str]:
+def analysis_gate_failures(payload: Dict[str, Any]) -> List[str]:
     """The smoke gate: the reasons this corpus run must fail CI (empty
     list = healthy).  Checked facts: no function regressed from analyzable
     to fallback, optimized gas never exceeds unoptimized, optimized and
@@ -311,17 +295,12 @@ def analysis_gate_failures(
             f"lock-skippable regression: {skippable} function(s), expected "
             f"at least {EXPECTED_LOCK_SKIPPABLE}"
         )
-    if baseline_density is None:
-        baseline_density = _baseline_density()
+    checked_in = baseline_density()
     density = agg.get("conflict_density")
-    if (
-        baseline_density is not None
-        and density is not None
-        and density > baseline_density + 1e-9
-    ):
+    if checked_in is not None and density is not None and density > checked_in + 1e-9:
         problems.append(
             f"conflict matrix got denser: {density} vs checked-in "
-            f"{baseline_density} (analysis lost precision)"
+            f"{checked_in} (analysis lost precision)"
         )
     if checks["gas_regressions"]:
         problems.append(f"optimized gas above unoptimized: {checks['gas_regressions']}")

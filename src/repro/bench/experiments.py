@@ -1,8 +1,10 @@
-"""Per-figure/table experiment drivers (the paper's entire evaluation).
+"""Per-figure/table experiment functions (the paper's entire evaluation).
 
 Each ``figN_*``/``tableN_*``/``secNN_*`` function reproduces one table or
-figure from the paper: it runs the relevant deployments on the simulator,
-returns structured rows, and (via the benchmarks) prints the same series
+figure from the paper: it runs the relevant deployments on the simulator
+and returns structured rows — parameters in, payload out.  The scenario
+registry (:mod:`repro.scenarios.runners`) is the one caller: it passes
+every parameter from ``configs/<name>.json`` and prints the same series
 the paper reports.  Absolute numbers come from our simulated substrate; the
 *shapes* — who wins, by what factor, where crossovers fall — are the
 reproduction targets recorded in EXPERIMENTS.md.
@@ -11,7 +13,7 @@ reproduction targets recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis import analyze_source
 from ..apps import App, forum_app, hotel_app, social_media_app
@@ -31,6 +33,7 @@ from ..storage import KVStore, NearUserCache, ReplicatedStore
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
+    drive_open_loop,
     run_baseline_experiment,
     run_local_ideal_experiment,
     run_radical_experiment,
@@ -48,7 +51,6 @@ __all__ = [
     "sec56_replication",
     "ablation_overlap",
     "ablation_two_rtt",
-    "ablation_lock_modes",
     "ablation_cache_bootstrap",
     "sweep_skew",
     "sweep_concurrency",
@@ -75,10 +77,23 @@ def motivation(k):
 '''
 
 
-def fig1_motivation(requests_per_region: int = 200, seed: int = 42) -> List[dict]:
+def _back_to_back(sim: Simulator, call: Callable[[], object], n: int, name: str) -> List[float]:
+    """Latencies of ``n`` sequential invocations of ``call()`` (a generator
+    factory), run as the process ``name``."""
+    def flow():
+        samples = []
+        for _i in range(n):
+            start = sim.now
+            yield sim.spawn(call())
+            samples.append(sim.now - start)
+        return samples
+
+    return sim.run_process(flow(), name=name)
+
+
+def fig1_motivation(requests_per_region: int, seed: int) -> List[dict]:
     """Figure 1: a ~100 ms + one-read request from five user locations under
     the three §2 deployments.  Returns one row per region."""
-    rows = []
     config = RadicalConfig()
 
     # --- centralized: app + data in VA, clients everywhere -----------------
@@ -92,19 +107,12 @@ def fig1_motivation(requests_per_region: int = 200, seed: int = 42) -> List[dict
     baseline = PrimaryBaseline(sim, net, registry, store, config, streams)
     central: Dict[str, List[float]] = {}
     for region in Region.NEAR_USER:
-        net.register(f"fig1-client-{region}", region)
-
-        def flow(region=region):
-            samples = []
-            for _i in range(requests_per_region):
-                start = sim.now
-                yield sim.spawn(
-                    baseline.invoke_from(f"fig1-client-{region}", "fig1.motivation", [0])
-                )
-                samples.append(sim.now - start)
-            return samples
-
-        central[region] = sim.run_process(flow(), name=f"fig1-central-{region}")
+        client = f"fig1-client-{region}"
+        net.register(client, region)
+        central[region] = _back_to_back(
+            sim, lambda: baseline.invoke_from(client, "fig1.motivation", [0]),
+            requests_per_region, f"fig1-central-{region}",
+        )
 
     # --- geo-replicated: app per region, ABD quorum store ------------------
     sim = Simulator()
@@ -116,16 +124,10 @@ def fig1_motivation(requests_per_region: int = 200, seed: int = 42) -> List[dict
     geo: Dict[str, List[float]] = {}
     for region in Region.NEAR_USER:
         app_instance = GeoReplicatedApp(sim, net, region, quorum, config, streams)
-
-        def flow(app_instance=app_instance):
-            samples = []
-            for _i in range(requests_per_region):
-                start = sim.now
-                yield sim.spawn(app_instance.invoke(SimpleWorkload()))
-                samples.append(sim.now - start)
-            return samples
-
-        geo[region] = sim.run_process(flow(), name=f"fig1-geo-{region}")
+        geo[region] = _back_to_back(
+            sim, lambda: app_instance.invoke(SimpleWorkload()),
+            requests_per_region, f"fig1-geo-{region}",
+        )
 
     # --- local ideal: app + uncoordinated local data per region ------------
     sim = Simulator()
@@ -137,27 +139,20 @@ def fig1_motivation(requests_per_region: int = 200, seed: int = 42) -> List[dict
         store_r = KVStore()
         store_r.put("data", "k:0", {"payload": "x"})
         ideal = LocalIdeal(sim, region, registry2, config, streams, store=store_r)
-
-        def flow(ideal=ideal):
-            samples = []
-            for _i in range(requests_per_region):
-                start = sim.now
-                yield sim.spawn(ideal.invoke("fig1.motivation", [0]))
-                samples.append(sim.now - start)
-            return samples
-
-        local[region] = sim.run_process(flow(), name=f"fig1-local-{region}")
-
-    for region in Region.NEAR_USER:
-        rows.append(
-            {
-                "region": region,
-                "centralized_median_ms": Summary.of(central[region]).median,
-                "geo_replicated_median_ms": Summary.of(geo[region]).median,
-                "local_ideal_median_ms": Summary.of(local[region]).median,
-            }
+        local[region] = _back_to_back(
+            sim, lambda: ideal.invoke("fig1.motivation", [0]),
+            requests_per_region, f"fig1-local-{region}",
         )
-    return rows
+
+    return [
+        {
+            "region": region,
+            "centralized_median_ms": Summary.of(central[region]).median,
+            "geo_replicated_median_ms": Summary.of(geo[region]).median,
+            "local_ideal_median_ms": Summary.of(local[region]).median,
+        }
+        for region in Region.NEAR_USER
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +335,7 @@ def measure_raft_lock_latency(commits: int = 200, seed: int = 42) -> float:
     return Summary.of(samples).median
 
 
-def sec56_replication(lock_counts: Tuple[int, ...] = (1, 2, 4, 8), seed: int = 42) -> dict:
+def sec56_replication(lock_counts: Sequence[int], seed: int) -> dict:
     """§5.6: per-lock Raft commit latency, the 3 + 2.3·L added-latency
     model, and the minimum beneficial execution time 16 + 2.3·L.
 
@@ -429,7 +424,7 @@ def _micro_lvi_latency(
 # Ablations (DESIGN.md §5)
 # ---------------------------------------------------------------------------
 
-def ablation_overlap(app_name: str = "social", requests: int = 800, seed: int = 42) -> dict:
+def ablation_overlap(requests: int, seed: int, app_name: str = "social") -> dict:
     """Speculation overlap on vs off: without overlap the LVI round trip
     serializes before execution — most of Radical's win disappears."""
     on = run_radical_experiment(
@@ -448,7 +443,7 @@ def ablation_overlap(app_name: str = "social", requests: int = 800, seed: int = 
     }
 
 
-def ablation_two_rtt(app_name: str = "social", requests: int = 800, seed: int = 42) -> dict:
+def ablation_two_rtt(requests: int, seed: int, app_name: str = "social") -> dict:
     """Single LVI request vs validate-then-commit (a second synchronous
     round trip before responding on the write path)."""
     one = run_radical_experiment(
@@ -473,24 +468,6 @@ def ablation_two_rtt(app_name: str = "social", requests: int = 800, seed: int = 
     row["overall_single_ms"] = one.summary().median
     row["overall_two_rtt_ms"] = two.summary().median
     return row
-
-
-def ablation_lock_modes(requests: int = 800, seed: int = 42) -> dict:
-    """Read/write locks vs exclusive-only locks under the read-heavy,
-    highly skewed forum workload (every homepage read-locks the same key)."""
-    rw = run_radical_experiment(
-        forum_app(), ExperimentConfig(requests=requests, seed=seed)
-    )
-    excl = run_radical_experiment(
-        forum_app(),
-        ExperimentConfig(requests=requests, seed=seed, radical=RadicalConfig(exclusive_locks=True)),
-    )
-    return {
-        "rw_locks_median_ms": rw.summary().median,
-        "rw_locks_p99_ms": rw.summary().p99,
-        "exclusive_median_ms": excl.summary().median,
-        "exclusive_p99_ms": excl.summary().p99,
-    }
 
 
 _COUNTER_READ_SRC = '''
@@ -546,11 +523,7 @@ def _counter_app(zipf_s: float, keys: int = 500, write_pct: float = 20.0) -> App
     return App(name="counter-micro", functions=functions, seed=seed_data, context=ctx)
 
 
-def sweep_skew(
-    zipf_values: Tuple[float, ...] = (0.0, 0.5, 0.9, 0.99, 1.2),
-    requests: int = 800,
-    seed: int = 42,
-) -> List[dict]:
+def sweep_skew(zipf_values: Sequence[float], requests: int, seed: int) -> List[dict]:
     """Validation success and tail latency vs workload skew on the counter
     microbenchmark (zipf-selected keys, 20% writes): the §5.3/§3.6 axis,
     isolated.  The paper's apps run at zipf 0.99; here the whole curve."""
@@ -569,11 +542,7 @@ def sweep_skew(
     return rows
 
 
-def sweep_concurrency(
-    clients: Tuple[int, ...] = (1, 2, 4, 8),
-    requests: int = 800,
-    seed: int = 42,
-) -> List[dict]:
+def sweep_concurrency(clients: Sequence[int], requests: int, seed: int) -> List[dict]:
     """Latency vs client concurrency on the skewed forum workload: more
     concurrent clients means more lock queueing on the hot front-page key
     and more cross-region invalidation (§3.6's contention discussion)."""
@@ -592,18 +561,13 @@ def sweep_concurrency(
     return rows
 
 
-def sweep_offered_load(
-    rates_rps: Tuple[float, ...] = (5.0, 20.0, 50.0, 100.0),
-    duration_ms: float = 20_000.0,
-    seed: int = 42,
-) -> List[dict]:
+def sweep_offered_load(rates_rps: Sequence[float], duration_ms: float, seed: int) -> List[dict]:
     """Latency vs offered load with open-loop (Poisson) clients on the
     forum workload.  §5.3 states Radical's throughput matches the
     baseline's because the LVI server adds no bottleneck; what *does*
     queue under load is the hot front-page write lock — visible here as
     p99 growth while the median stays flat."""
     from ..topology import Deployment, TopologySpec
-    from ..workloads import OpenLoopClient
 
     rows = []
     for rate in rates_rps:
@@ -616,21 +580,9 @@ def sweep_offered_load(
             app=app,
         )
         sim, metrics = dep.sim, dep.metrics
-        clients = [
-            OpenLoopClient(
-                sim=sim,
-                app=app,
-                region=region,
-                invoke=dep.runtimes[region].invoke,
-                metrics=metrics,
-                rng=dep.streams.fork(f"open.{region}").stream("workload"),
-                rate_rps=rate,
-                duration_ms=duration_ms,
-            )
-            for region in Region.NEAR_USER
-        ]
-        procs = [sim.spawn(c.run(), name=f"open-{c.region}") for c in clients]
-        sim.run(until_event=sim.all_of([p.done_event for p in procs]))
+        # Failures are bugs here, not shed load: nothing is tolerated.
+        drive_open_loop(dep, app, Region.NEAR_USER, "open", rate, duration_ms,
+                        tolerate_unavailable=False)
         sim.run(until=sim.now + 10_000.0)
         summary = metrics.summary("e2e")
         rows.append(
@@ -649,7 +601,7 @@ def sweep_offered_load(
     return rows
 
 
-def ablation_cache_bootstrap(requests: int = 600, seed: int = 42) -> dict:
+def ablation_cache_bootstrap(requests: int, seed: int) -> dict:
     """Cold vs warm caches: the §3.2 gradual-bootstrap latency penalty."""
     warm = run_radical_experiment(
         social_media_app(), ExperimentConfig(requests=requests, seed=seed, warm_caches=True)

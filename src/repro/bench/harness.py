@@ -16,7 +16,7 @@ success rate, paths taken), and optionally the full consistency history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..apps import App
 from ..baselines import LocalIdeal, PrimaryBaseline
@@ -36,11 +36,12 @@ from ..sim import (
 )
 from ..storage import KVStore
 from ..topology import Deployment, ShardMap, TopologySpec
-from ..workloads import ClosedLoopClient, run_clients
+from ..workloads import ClosedLoopClient, OpenLoopClient, run_clients, run_open_loop
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
+    "drive_open_loop",
     "run_radical_experiment",
     "run_baseline_experiment",
     "run_local_ideal_experiment",
@@ -270,3 +271,33 @@ def run_local_ideal_experiment(app: App, cfg: ExperimentConfig) -> ExperimentRes
     return ExperimentResult(
         metrics=metrics, history=None, store=shared_store_for_result, virtual_time_ms=sim.now
     )
+
+
+def drive_open_loop(
+    dep: Deployment,
+    app: App,
+    regions: Sequence[str],
+    name: str,
+    rate_rps: float,
+    duration_ms: float,
+    tolerate_unavailable: bool = True,
+) -> float:
+    """Offer open-loop Poisson load (``rate_rps`` from each of ``regions``
+    for ``duration_ms``) to a built deployment and run to the last
+    completion; returns the makespan (see :func:`run_open_loop`).  ``name``
+    names the clients' RNG streams (``<name>.<region>``) and processes."""
+    clients = [
+        OpenLoopClient(
+            sim=dep.sim,
+            app=app,
+            region=region,
+            invoke=dep.runtimes[region].invoke,
+            metrics=dep.metrics,
+            rng=dep.streams.fork(f"{name}.{region}").stream("workload"),
+            rate_rps=rate_rps,
+            duration_ms=duration_ms,
+            tolerate_unavailable=tolerate_unavailable,
+        )
+        for region in regions
+    ]
+    return run_open_loop(dep.sim, clients, name=name)

@@ -224,9 +224,9 @@ def _openloop_chunk(spec: Dict[str, Any]) -> Dict[str, Any]:
 def _routing_point(spec: Dict[str, Any]) -> Dict[str, Any]:
     """One point of the routing sweep (repro.bench.routing); lazy import
     keeps this module light for the pure-kernel jobs."""
-    from .routing import routing_point_job
+    from .routing import run_routing_point
 
-    return routing_point_job(spec)
+    return run_routing_point(spec)
 
 
 _KINDS = {

@@ -21,11 +21,11 @@ the LVI path stays up), isolating the mesh's degradation mode: while
 partitioned, JP decays to exactly the mesh-off staleness curve, and the
 surviving PoPs keep gossiping.
 
-``radical-repro mesh`` drives this and writes ``results/mesh.json``;
-``--smoke`` runs a CI-sized slice (forum only, one interval) gated on
-structural checks — gossip flowed, every rate is a rate, and at least
-:data:`MIN_APPLIED_PER_SHIPPED` of the shipped updates were news to their
-receiver — not on point statistics.
+``radical-repro run mesh`` drives this and writes ``results/mesh.json``;
+``--smoke`` runs a CI-sized slice (forum only, one interval).  Both are
+gated on structural checks — gossip flowed, every rate is a rate, and at
+least :data:`MIN_APPLIED_PER_SHIPPED` of the shipped updates were news to
+their receiver — not on point statistics.
 """
 
 from __future__ import annotations
@@ -36,18 +36,13 @@ from ..faults import FaultPlan, PoPPartitionWindow
 from ..mesh import MeshSpec
 from ..sim import Region, percentile
 from .harness import ExperimentConfig, run_radical_experiment
-from .report import save_results
 
 __all__ = [
-    "MESH_GOSSIP_INTERVALS",
     "MIN_APPLIED_PER_SHIPPED",
     "mesh_partition_plan",
     "sweep_mesh",
     "mesh_gate_failures",
 ]
-
-#: Gossip intervals swept (virtual ms): the cache-staleness knob.
-MESH_GOSSIP_INTERVALS: Tuple[float, ...] = (25.0, 100.0, 400.0)
 
 #: Waste ratchet: the share of shipped updates a fault-free mesh must
 #: actually apply.  Ship-once gossip sits near 0.28 on five PoPs (each
@@ -138,18 +133,18 @@ def _run_point(
 
 
 def sweep_mesh(
-    apps: Optional[Sequence[str]] = None,
-    intervals: Sequence[float] = MESH_GOSSIP_INTERVALS,
-    requests: int = 1_200,
-    seed: int = 42,
-    save: bool = True,
+    apps: Optional[Sequence[str]],
+    intervals: Sequence[float],
+    requests: int,
+    seed: int,
 ) -> Dict[str, Any]:
-    """The full sweep: apps x (mesh off + each gossip interval) x
-    (no chaos, PoP partition).  Deterministic per seed — rerunning with
-    the same arguments reproduces ``results/mesh.json`` byte for byte."""
+    """The full sweep: apps (none named = all three) x (mesh off + each
+    gossip interval, the cache-staleness knob in virtual ms) x (no chaos,
+    PoP partition).  Deterministic per seed — rerunning with the same
+    arguments reproduces ``results/mesh.json`` byte for byte."""
     from .experiments import MAIN_APP_BUILDERS
 
-    app_names = list(apps) if apps is not None else list(MAIN_APP_BUILDERS)
+    app_names = list(apps or MAIN_APP_BUILDERS)
     rows = []
     for app_name in app_names:
         builder = MAIN_APP_BUILDERS[app_name]
@@ -161,7 +156,7 @@ def sweep_mesh(
                         requests, seed,
                     )
                 )
-    payload = {
+    return {
         "apps": app_names,
         "gossip_intervals_ms": list(intervals),
         "requests": requests,
@@ -169,9 +164,6 @@ def sweep_mesh(
         "regions": list(Region.NEAR_USER),
         "rows": rows,
     }
-    if save:
-        save_results("mesh", payload)
-    return payload
 
 
 def mesh_gate_failures(payload: Dict[str, Any]) -> List[str]:

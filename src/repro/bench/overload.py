@@ -18,10 +18,11 @@ backpressure, excess arrivals are shed in O(1) before touching any
 state, so goodput plateaus at (roughly) the server's capacity no matter
 how far past it the offered rate climbs.
 
-``radical-repro overload`` renders the two series; ``--smoke`` is the CI
-guardrail asserting shed-on goodput beats shed-off at the top rate.
-Results land in ``results/overload.json`` (byte-reproducible for a fixed
-seed — the simulator is deterministic and the JSON is written sorted).
+``radical-repro run overload`` renders the two series and gates on
+shed-on goodput beating shed-off at the top rate (``--smoke`` is the
+CI-sized run of the same gate).  Results land in ``results/overload.json``
+(byte-reproducible for a fixed seed — the simulator is deterministic and
+the JSON is written sorted).
 """
 
 from __future__ import annotations
@@ -31,22 +32,14 @@ from typing import Dict, List, Optional, Sequence
 from ..core import RadicalConfig
 from ..sim import Region
 from ..topology import Deployment, TopologySpec
-from ..workloads import OpenLoopClient
-from .report import save_results
+from .harness import drive_open_loop
 from .scalability import uniform_counter_app
 
 __all__ = [
-    "OVERLOAD_RATES",
     "overload_config",
     "run_overload_point",
     "sweep_overload",
 ]
-
-#: Offered rates (rps) the sweep covers; single-server capacity with the
-#: default knobs sits near 80 rps (8 ms/message, ~1.5 messages/request
-#: on the 50/50 counter mix), so the tail of the sweep is ~2x past it.
-OVERLOAD_RATES = (40.0, 60.0, 80.0, 100.0, 120.0, 160.0)
-
 
 def overload_config(shedding: bool = True, server_proc_ms: float = 8.0) -> RadicalConfig:
     """The knobs every overload point runs under.
@@ -97,24 +90,11 @@ def run_overload_point(
         app=app,
     )
     sim, metrics = dep.sim, dep.metrics
-    client = OpenLoopClient(
-        sim=sim,
-        app=app,
-        region=region,
-        invoke=dep.runtimes[region].invoke,
-        metrics=metrics,
-        rng=dep.streams.fork(f"overload.{region}").stream("workload"),
-        rate_rps=rate_rps,
-        duration_ms=duration_ms,
-        tolerate_unavailable=True,
-    )
-    proc = sim.spawn(client.run(), name=f"overload-{region}")
-    sim.run(until_event=proc.done_event)
     # Goodput counts only acked requests, but over the *makespan*: a
     # collapsed run keeps burning CPU on a drained backlog of requests
     # whose callers already failed, and that wasted tail is part of the
     # cost being measured.
-    makespan_ms = sim.now
+    makespan_ms = drive_open_loop(dep, app, (region,), "overload", rate_rps, duration_ms)
     acked = metrics.counter("requests.total")
     unavailable = metrics.counter("requests.unavailable")
     sim.run(until=sim.now + 10_000.0)  # settle followups/timers off the books
@@ -141,13 +121,13 @@ def run_overload_point(
 
 
 def sweep_overload(
-    rates: Sequence[float] = OVERLOAD_RATES,
-    duration_ms: float = 3_000.0,
-    seed: int = 42,
-    save: bool = True,
+    rates: Sequence[float], duration_ms: float, seed: int
 ) -> Dict[str, object]:
-    """The full sweep: every rate with shedding on and off.  Writes
-    ``results/overload.json`` (see EXPERIMENTS.md)."""
+    """The full sweep: every rate with shedding on and off — the
+    ``overload`` scenario's payload (see EXPERIMENTS.md).  Single-server
+    capacity with the default knobs sits near 80 rps (8 ms/message, ~1.5
+    messages/request on the 50/50 counter mix); ``configs/overload.json``
+    runs the tail of the sweep ~2x past it."""
     points: List[Dict[str, object]] = []
     for shedding in (True, False):
         for rate in rates:
@@ -157,7 +137,7 @@ def sweep_overload(
             point["series"] = "shed-on" if shedding else "shed-off"
             points.append(point)
     cfg = overload_config(shedding=True)
-    payload = {
+    return {
         "duration_ms": duration_ms,
         "seed": seed,
         "server_proc_ms": cfg.server_proc_ms,
@@ -168,6 +148,3 @@ def sweep_overload(
         "retry_max_attempts": cfg.retry_max_attempts,
         "points": points,
     }
-    if save:
-        save_results("overload", payload)
-    return payload

@@ -1,8 +1,8 @@
-"""Terminal bar charts for the figure benchmarks.
+"""Terminal bar charts for the figure scenarios.
 
 The paper's figures are grouped bar charts (median bars, p99 whiskers).
-These helpers render the same shape in plain text so `radical-repro fig4`
-and friends show a *figure*, not just a table.
+These helpers render the same shape in plain text so `radical-repro run
+fig4` and friends show a *figure*, not just a table.
 """
 
 from __future__ import annotations

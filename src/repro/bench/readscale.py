@@ -17,7 +17,7 @@ reads to the replicas: a locked read must go through the primary's lock
 table, so replicas are useless to the baseline by construction (that
 asymmetry is the measured effect, not an unfair configuration).
 
-``benchmarks``-style acceptance lives in :func:`readscale_gate_failures`:
+The scenario's acceptance gate is :func:`readscale_gate_failures`:
 detection-on throughput must beat detection-off at every point with >= 4
 shards, lock-skipped reads must actually occur, and every point's dirty
 set must be balanced (every enrollment settled or deliberately leaked)
@@ -26,27 +26,21 @@ once the deployment is quiescent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core import RadicalConfig
 from ..sim import Region
 from ..topology import Deployment, TopologySpec
-from ..workloads import OpenLoopClient
 from .experiments import _counter_app
-from .report import save_results
+from .harness import drive_open_loop
 
 __all__ = [
-    "READSCALE_SHARDS",
     "readscale_config",
     "readscale_app",
     "run_readscale_point",
     "sweep_readscale",
     "readscale_gate_failures",
 ]
-
-#: The shard counts the read-scaling sweep covers.
-READSCALE_SHARDS: Tuple[int, ...] = (1, 2, 4, 8)
-
 
 def readscale_config(
     detect: bool,
@@ -105,23 +99,7 @@ def run_readscale_point(
         app=app,
     )
     sim, metrics = dep.sim, dep.metrics
-    clients = [
-        OpenLoopClient(
-            sim=sim,
-            app=app,
-            region=region,
-            invoke=dep.runtimes[region].invoke,
-            metrics=metrics,
-            rng=dep.streams.fork(f"readscale.{region}").stream("workload"),
-            rate_rps=rate_rps_per_region,
-            duration_ms=duration_ms,
-            tolerate_unavailable=True,
-        )
-        for region in regions
-    ]
-    procs = [sim.spawn(c.run(), name=f"readscale-{c.region}") for c in clients]
-    sim.run(until_event=sim.all_of([p.done_event for p in procs]))
-    makespan_ms = sim.now
+    makespan_ms = drive_open_loop(dep, app, regions, "readscale", rate_rps_per_region, duration_ms)
     completed = metrics.counter("requests.total")
     sim.run(until=sim.now + 10_000.0)  # drain followups and intent timers
     summary = metrics.summary("e2e")
@@ -153,15 +131,14 @@ def run_readscale_point(
 
 
 def sweep_readscale(
-    shard_counts: Sequence[int] = READSCALE_SHARDS,
-    rate_rps_per_region: float = 250.0,
-    duration_ms: float = 4_000.0,
-    read_replicas: int = 3,
-    seed: int = 42,
-    save: bool = True,
+    shard_counts: Sequence[int],
+    rate_rps_per_region: float,
+    duration_ms: float,
+    read_replicas: int,
+    seed: int,
 ) -> Dict[str, object]:
-    """The full sweep: shard counts x {detection off, detection on}.
-    Writes ``results/readscale.json`` (see EXPERIMENTS.md)."""
+    """The full sweep: shard counts x {detection off, detection on} — the
+    ``readscale`` scenario's payload (see EXPERIMENTS.md)."""
     points: List[Dict[str, object]] = []
     for detect in (False, True):
         for shards in shard_counts:
@@ -171,16 +148,13 @@ def sweep_readscale(
             )
             point["series"] = "detect-on" if detect else "detect-off"
             points.append(point)
-    payload = {
+    return {
         "rate_rps_per_region": rate_rps_per_region,
         "duration_ms": duration_ms,
         "read_replicas": read_replicas,
         "server_proc_ms": readscale_config(False).server_proc_ms,
         "points": points,
     }
-    if save:
-        save_results("readscale", payload)
-    return payload
 
 
 def readscale_gate_failures(payload: Dict[str, object]) -> List[str]:

@@ -1,20 +1,22 @@
 """Plain-text table rendering and JSON persistence for experiment output.
 
-Every benchmark prints the same rows/series the paper's figures and tables
-report, via these helpers, and drops a JSON copy under ``results/`` so
-EXPERIMENTS.md can be regenerated from artifacts.
+Every scenario prints the same rows/series the paper's figures and tables
+report via these helpers; :func:`save_results` is the canonical artifact
+writer, and the scenario driver (:mod:`repro.scenarios.driver`) its only
+caller — nothing else writes ``results/``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 __all__ = [
     "format_table",
     "print_table",
     "save_results",
+    "load_results",
     "results_dir",
     "format_breakdown_report",
     "print_breakdown_report",
@@ -92,8 +94,18 @@ def print_breakdown_report(breakdowns: Sequence[Any], title: str = "Latency brea
 
 
 def save_results(name: str, payload: Dict[str, Any]) -> str:
-    """Persist one experiment's structured output as JSON."""
+    """Persist one scenario's payload as ``results/<name>.json`` (sorted
+    keys, so the bytes are a function of the payload alone)."""
     path = os.path.join(results_dir(), f"{name}.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
     return path
+
+
+def load_results(name: str) -> Optional[Dict[str, Any]]:
+    """The ``results/<name>.json`` on disk, decoded; None when absent."""
+    path = os.path.join(results_dir(), f"{name}.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)

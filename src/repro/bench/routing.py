@@ -30,20 +30,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..sim import SyntheticGeoRttDataset
 
 __all__ = [
-    "ROUTING_REGION_COUNTS",
-    "ROUTING_POLICIES",
     "present_routing",
     "routing_app",
     "routing_gate_failures",
-    "routing_point_job",
     "run_routing_point",
     "run_routing_sweep",
     "sparse_placement",
 ]
-
-ROUTING_REGION_COUNTS = (10, 25, 50)
-ROUTING_POLICIES = ("nearest-rtt", "tiered", "direct")
-
 
 def routing_app():
     """The sweep workload: uniform-key counter, 20% writes.
@@ -136,11 +129,6 @@ def run_routing_point(spec: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def routing_point_job(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """The picklable sweep-job entry (registered in kernelbench)."""
-    return run_routing_point(spec)
-
-
 def _breakeven(points: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Per (region count, placement): where edge execution stops winning.
 
@@ -205,14 +193,14 @@ def _breakeven(points: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def run_routing_sweep(
-    region_counts: Sequence[int] = ROUTING_REGION_COUNTS,
-    policies: Sequence[str] = ROUTING_POLICIES,
-    placements: Sequence[str] = ("dense", "sparse"),
-    requests: int = 1_500,
-    seed: int = 42,
-    rtt_seed: int = 7,
-    tiered_threshold_ms: float = 60.0,
-    sparse_pops: int = 5,
+    region_counts: Sequence[int],
+    policies: Sequence[str],
+    placements: Sequence[str],
+    requests: int,
+    seed: int,
+    rtt_seed: int,
+    tiered_threshold_ms: float,
+    sparse_pops: int,
     workers: Optional[int] = None,
 ) -> Dict[str, Any]:
     """The full placement × assignment-policy × region-count sweep."""

@@ -19,35 +19,30 @@ Each sweep point drives open-loop Poisson clients from all five regions
 at an offered load past the single-shard capacity and measures *delivered*
 throughput: completed requests over the makespan (generation plus backlog
 drain).  Overloaded shards stretch the makespan, so throughput converges
-to capacity; added shards move the ceiling.  ``benchmarks/
-bench_scalability.py`` asserts the headline: >= 2.5x aggregate throughput
-at 4 shards on the uniform counter workload with batching enabled, and a
-single-shard latency profile identical to a hand-rolled seed-style stack.
+to capacity; added shards move the ceiling.  ``tests/test_paper_shapes.py``
+asserts the headline on the checked-in artifact (>= 2.5x aggregate
+throughput at 4 shards on the uniform counter workload with batching
+enabled) and ``tests/test_topology.py`` that a single shard's latency
+profile is identical to a hand-rolled seed-style stack.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..apps import App, social_media_app
+from ..apps import App
 from ..core import RadicalConfig
 from ..sim import Region
 from ..topology import Deployment, ShardMap, TopologySpec
-from ..workloads import OpenLoopClient
 from .experiments import _counter_app
-from .report import save_results
+from .harness import drive_open_loop
 
 __all__ = [
-    "SCALABILITY_SHARDS",
     "scalability_config",
     "uniform_counter_app",
     "run_scalability_point",
     "sweep_scalability",
 ]
-
-#: The shard counts the scalability sweep covers.
-SCALABILITY_SHARDS: Tuple[int, ...] = (1, 2, 4, 8)
-
 
 def scalability_config(
     batch_window_ms: float = 0.0,
@@ -109,26 +104,10 @@ def run_scalability_point(
         app=app,
     )
     sim, metrics = dep.sim, dep.metrics
-    clients = [
-        OpenLoopClient(
-            sim=sim,
-            app=app,
-            region=region,
-            invoke=dep.runtimes[region].invoke,
-            metrics=metrics,
-            rng=dep.streams.fork(f"scale.{region}").stream("workload"),
-            rate_rps=rate_rps_per_region,
-            duration_ms=duration_ms,
-            tolerate_unavailable=True,
-        )
-        for region in regions
-    ]
-    procs = [sim.spawn(c.run(), name=f"scale-{c.region}") for c in clients]
-    sim.run(until_event=sim.all_of([p.done_event for p in procs]))
     # Makespan includes the backlog drain: an overloaded shard keeps
     # serving past the generation window, so completed/makespan converges
     # to the tier's capacity rather than the offered rate.
-    makespan_ms = sim.now
+    makespan_ms = drive_open_loop(dep, app, regions, "scale", rate_rps_per_region, duration_ms)
     completed = metrics.counter("requests.total")
     sim.run(until=sim.now + 10_000.0)  # settle followups off the books
     summary = metrics.summary("e2e")
@@ -155,26 +134,20 @@ def run_scalability_point(
 
 
 def sweep_scalability(
-    shard_counts: Sequence[int] = SCALABILITY_SHARDS,
-    rate_rps_per_region: float = 150.0,
-    duration_ms: float = 4_000.0,
-    batch_window_ms: float = 5.0,
-    seed: int = 42,
-    workloads: Optional[Dict[str, "Callable[[], App]"]] = None,
-    save: bool = True,
+    shard_counts: Sequence[int],
+    rate_rps_per_region: float,
+    duration_ms: float,
+    batch_window_ms: float,
+    seed: int,
+    workloads: Dict[str, "Callable[[], App]"],
 ) -> Dict[str, object]:
     """The full sweep: shards x workloads, batching on, plus an unbatched
-    counter series to separate the sharding win from the batching win.
-    Writes ``results/scalability.json`` (see EXPERIMENTS.md).
+    counter series to separate the sharding win from the batching win —
+    the ``scalability`` scenario's payload (see EXPERIMENTS.md).
 
     ``workloads`` maps series names to App *factories* — each point gets a
     fresh App so per-app sampler state never leaks across deployments.
     """
-    if workloads is None:
-        workloads = {
-            "counter": uniform_counter_app,
-            "social": social_media_app,
-        }
     points: List[Dict[str, object]] = []
     for name, make_app in workloads.items():
         for shards in shard_counts:
@@ -194,7 +167,7 @@ def sweep_scalability(
             )
         )
         points[-1]["series"] = "counter-unbatched"
-    payload = {
+    return {
         "rate_rps_per_region": rate_rps_per_region,
         "duration_ms": duration_ms,
         "batch_window_ms": batch_window_ms,
@@ -202,6 +175,3 @@ def sweep_scalability(
         "server_batch_item_ms": scalability_config().server_batch_item_ms,
         "points": points,
     }
-    if save:
-        save_results("scalability", payload)
-    return payload

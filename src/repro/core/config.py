@@ -99,7 +99,6 @@ class RadicalConfig:
     # Speculation switches (ablations; the paper's system has both on).
     speculate: bool = True               # overlap f with the LVI request
     single_request: bool = True          # False = validate then commit (2 RTT)
-    exclusive_locks: bool = False        # True = no shared read locks (ablation)
 
     # In-network conflict detection (Harmonia-style, via the ShardRouter's
     # dirty set of in-flight write constraints).  Off by default so every

@@ -364,13 +364,9 @@ class LVIServer:
         eid = req.execution_id
         obs = self.sim.obs
         all_keys = list(dict.fromkeys(list(req.read_keys) + list(req.write_keys)))
-        # Locks are taken sorted lexicographically (deadlock freedom).  The
-        # exclusive_locks ablation (§3.6 discusses why read/write locks
-        # matter for read-heavy workloads) takes everything as a write lock.
-        lock_reads = () if self.config.exclusive_locks else req.read_keys
-        lock_writes = all_keys if self.config.exclusive_locks else req.write_keys
+        # Locks are taken sorted lexicographically (deadlock freedom).
         lock_started = self.sim.now
-        acquire = self.locks.acquire_all(eid, (*lock_reads, _DIRECT_BARRIER), lock_writes)
+        acquire = self.locks.acquire_all(eid, (*req.read_keys, _DIRECT_BARRIER), req.write_keys)
         if not bounded:
             yield from acquire
         elif not (yield from self._acquire_bounded(eid, acquire)):

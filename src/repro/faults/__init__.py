@@ -8,9 +8,9 @@
 * :mod:`repro.faults.retry` — :class:`RetryPolicy` (deterministic
   backoff + jitter) and :class:`CircuitBreaker` (the degradation ladder
   speculative -> direct -> ``UnavailableError``).
-* :mod:`repro.faults.chaos` — the seeds x plans harness behind
-  ``radical-repro chaos``; proves strict serializability and exactly-once
-  writes under every plan.
+* :mod:`repro.faults.chaos` — the seeds x plans harness behind the
+  ``chaos*`` scenarios (``radical-repro run chaos``); proves strict
+  serializability and exactly-once writes under every plan.
 
 ``chaos`` is imported lazily (PEP 562): it builds full deployments from
 :mod:`repro.core`, which itself imports the retry policies from here.

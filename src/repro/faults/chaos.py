@@ -828,7 +828,7 @@ def run_chaos_matrix(
     seeds,
     **case_kwargs,
 ) -> List[ChaosCaseResult]:
-    """The full plan x seed sweep (what ``radical-repro chaos`` runs).
+    """The full plan x seed sweep (what the ``chaos`` scenario kind runs).
 
     ``seeds`` is either an iterable of seeds or an int N meaning 0..N-1.
     """
@@ -976,7 +976,7 @@ def builtin_plans() -> Dict[str, FaultPlan]:
 
 
 def resolve_plans(spec: str) -> List[FaultPlan]:
-    """Parse a ``--plans`` value.
+    """Parse a ``plans`` selection (``run chaos --set plans=...``).
 
     Accepts ``all``, or a comma-separated mix of builtin names, glob
     patterns over builtin names (``mesh-*``), and ``@file.json``

@@ -1,8 +1,9 @@
 """Config-driven scenario matrix: one JSON file per paper artifact.
 
 ``configs/<name>.json`` declares a scenario (kind + parameters + output
-artifact); :mod:`repro.scenarios.driver` runs any subset and regenerates
-``results/*.json`` byte-identically.  See EXPERIMENTS.md for the full
+artifact); :mod:`repro.scenarios.driver` runs any subset, is the only
+writer of ``results/*.json``, and regenerates each artifact byte-identically
+at its config's own parameters.  See EXPERIMENTS.md for the full
 config ↔ paper artifact ↔ results map.
 """
 
@@ -10,6 +11,7 @@ from .driver import (
     config_dir,
     discover_scenarios,
     load_all_scenarios,
+    load_scenario,
     run_matrix,
     run_scenario,
     scenario_state_path,
@@ -22,6 +24,7 @@ from .spec import (
     load_scenario_file,
     parse_fault_plan,
     parse_scenario,
+    parse_set_args,
 )
 
 __all__ = [
@@ -33,9 +36,11 @@ __all__ = [
     "config_dir",
     "discover_scenarios",
     "load_all_scenarios",
+    "load_scenario",
     "load_scenario_file",
     "parse_fault_plan",
     "parse_scenario",
+    "parse_set_args",
     "run_matrix",
     "run_scenario",
     "scenario_state_path",

@@ -1,20 +1,26 @@
 """The scenario driver: ``radical-repro run <scenario|glob|all>``.
 
-One entry point regenerates any subset of ``results/*.json`` from the
-checked-in configs:
+One entry point runs any subset of the checked-in configs, and is the only
+writer of ``results/``:
 
 * ``run all`` — every scenario, in config-name order;
 * ``run fig4 chaos`` — an explicit subset;
 * ``run 'sweep_*'`` — shell-style globs over scenario names;
-* ``--smoke`` — CI-sized runs (each kind's smoke overrides), no artifact
-  writes, plus a structural schema check of both the smoke payload and
-  the checked-in artifact — drift in either direction fails;
+* ``--set key=value`` — override a parameter of the selected scenarios
+  (typed and validated by the kind's schema, before anything runs);
+* ``--smoke`` — CI-sized runs (each kind's smoke overrides), plus a
+  structural schema check of both the smoke payload and the checked-in
+  artifact — drift in either direction fails;
 * ``--only-changed`` — skip scenarios whose config hash matches the one
   recorded at the last successful full run (``results/.scenario_state.json``)
   and whose artifact still exists.
 
-Runs are deterministic: a full run writes exactly the bytes of the
-checked-in artifact unless the config (or the simulation) changed.
+**An artifact is written only at its config's own parameters.**  A run
+resized with ``--set`` or ``--smoke`` prints its table and passes its gate
+but leaves ``results/<artifact>.json`` untouched, so the checked-in
+artifacts can only ever hold what their configs declare.  Runs are
+deterministic: a full run writes exactly the bytes of the checked-in
+artifact unless the config (or the simulation) changed.
 """
 
 from __future__ import annotations
@@ -26,41 +32,28 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..bench.report import load_results, results_dir, save_results
 from .runners import KINDS, schema_failures
-from .spec import ScenarioError, ScenarioSpec, load_scenario_file
+from .spec import ScenarioError, ScenarioSpec, load_scenario_file, parse_set_args
 
 __all__ = [
     "config_dir",
     "discover_scenarios",
     "load_all_scenarios",
+    "load_scenario",
     "run_scenario",
     "run_matrix",
     "scenario_state_path",
 ]
 
-_STATE_FILE = ".scenario_state.json"
-
-
-def _repo_root() -> str:
-    # src/repro/scenarios/driver.py -> repo root is three levels above src/.
-    here = os.path.dirname(os.path.abspath(__file__))
-    return os.path.normpath(os.path.join(here, "..", "..", ".."))
-
 
 def config_dir() -> str:
-    return os.environ.get(
-        "REPRO_CONFIG_DIR", os.path.join(_repo_root(), "configs")
-    )
+    """``configs/``, beside ``results/`` at the repo root."""
+    return os.path.join(os.path.dirname(results_dir()), "configs")
 
 
-def results_dir() -> str:
-    from ..bench.report import results_dir as _rd
-
-    return _rd()
-
-
-def scenario_state_path(results: Optional[str] = None) -> str:
-    return os.path.join(results or results_dir(), _STATE_FILE)
+def scenario_state_path() -> str:
+    return os.path.join(results_dir(), ".scenario_state.json")
 
 
 def discover_scenarios(configs: Optional[str] = None) -> Dict[str, str]:
@@ -92,6 +85,16 @@ def load_all_scenarios(configs: Optional[str] = None) -> Dict[str, ScenarioSpec]
     return specs
 
 
+def load_scenario(name: str) -> ScenarioSpec:
+    """Load + validate the checked-in config of one scenario, by name."""
+    paths = discover_scenarios()
+    if name not in paths:
+        raise ScenarioError(
+            f"unknown scenario {name!r} (available: {', '.join(sorted(paths))})"
+        )
+    return load_scenario_file(paths[name])
+
+
 def select_scenarios(patterns: Sequence[str],
                      specs: Dict[str, ScenarioSpec]) -> List[ScenarioSpec]:
     if not patterns or list(patterns) == ["all"]:
@@ -114,24 +117,34 @@ def _config_sha(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_state(results: Optional[str] = None) -> Dict[str, Any]:
+def _load_state() -> Dict[str, Any]:
     try:
-        with open(scenario_state_path(results), "r", encoding="utf-8") as fh:
+        with open(scenario_state_path(), "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError):
         return {}
 
 
-def _save_state(state: Dict[str, Any], results: Optional[str] = None) -> None:
-    path = scenario_state_path(results)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+def _record_state(spec: ScenarioSpec) -> None:
+    """Remember the config hash ``spec``'s artifact was just written at
+    (what ``--only-changed`` compares against)."""
+    state = _load_state()
+    state[spec.name] = {
+        "artifact": spec.artifact, "config_sha": _config_sha(spec.path),
+    }
+    with open(scenario_state_path(), "w", encoding="utf-8") as fh:
         json.dump(state, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _artifact_path(spec: ScenarioSpec, results: Optional[str] = None) -> str:
-    return os.path.join(results or results_dir(), f"{spec.artifact}.json")
+def _resolve(spec: ScenarioSpec, smoke: bool,
+             overrides: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The parameters a run would use, cross-field validated."""
+    kind = KINDS[spec.kind]
+    params = spec.resolved_params(smoke=smoke, overrides=overrides)
+    if kind.validate is not None:
+        kind.validate(f"scenario {spec.name!r}", params)
+    return params
 
 
 def run_scenario(
@@ -140,32 +153,28 @@ def run_scenario(
     smoke: bool = False,
     save: bool = True,
     present: bool = True,
-    configs: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run one scenario and return its payload.
+    """Run one scenario and return its payload — the single code path
+    behind every experiment, and the single writer of ``results/``.
 
-    This is the single code path behind the driver, the legacy per-figure
-    CLI commands, and the ``benchmarks/bench_*.py`` wrappers.  ``save``
-    writes ``results/<artifact>.json`` via the canonical writer
-    (:func:`repro.bench.save_results`), so every caller produces the same
-    bytes.  Gate failures raise :class:`ScenarioError`.
+    ``results/<artifact>.json`` (and the ``--only-changed`` state) is
+    written only when the resolved parameters equal the config's own: an
+    overridden or ``smoke`` run presents and gates, then leaves the
+    artifact untouched.  ``save=False`` never writes (library callers that
+    only want the payload).  Gate failures raise :class:`ScenarioError`.
     """
-    from ..bench import save_results
-
-    if isinstance(spec_or_name, ScenarioSpec):
-        spec = spec_or_name
-    else:
-        paths = discover_scenarios(configs)
-        if spec_or_name not in paths:
-            raise ScenarioError(
-                f"unknown scenario {spec_or_name!r} "
-                f"(available: {', '.join(sorted(paths))})"
-            )
-        spec = load_scenario_file(paths[spec_or_name])
+    spec = (
+        spec_or_name if isinstance(spec_or_name, ScenarioSpec)
+        else load_scenario(spec_or_name)
+    )
     kind = KINDS[spec.kind]
-    params = spec.resolved_params(smoke=smoke, overrides=overrides)
-    if kind.validate is not None:
-        kind.validate(f"scenario {spec.name!r}", params)
+    own = spec.resolved_params()
+    params = _resolve(spec, smoke, overrides)
+    canonical = not smoke and params == own
+    if canonical:
+        # An override that repeats the config (``--set rates=40`` against
+        # ``40.0``) must also repeat its bytes.
+        params = own
     payload = kind.run(params)
     if present:
         kind.present(payload)
@@ -175,13 +184,17 @@ def run_scenario(
             raise ScenarioError(
                 f"scenario {spec.name!r} gate failed: " + "; ".join(failures)
             )
-    if save and not smoke:
+    if canonical and save:
         save_results(spec.artifact, payload)
+        if spec.path:
+            _record_state(spec)
+        print(f"results written to results/{spec.artifact}.json")
+    elif save and not smoke:
+        print(f"non-default parameters: results/{spec.artifact}.json left untouched")
     return payload
 
 
-def _check_schema(spec: ScenarioSpec, payload: Dict[str, Any],
-                  results: Optional[str] = None) -> List[str]:
+def _check_schema(spec: ScenarioSpec, payload: Dict[str, Any]) -> List[str]:
     """Structural drift check: the kind's probes must hold for both the
     fresh (smoke) payload and the checked-in artifact, so either side
     drifting away from the declared shape fails CI."""
@@ -191,13 +204,11 @@ def _check_schema(spec: ScenarioSpec, payload: Dict[str, Any],
     failures = schema_failures(
         payload, kind.required_keys, label=f"{spec.name} (regenerated)"
     )
-    artifact = _artifact_path(spec, results)
-    if os.path.exists(artifact):
-        try:
-            with open(artifact, "r", encoding="utf-8") as fh:
-                checked_in = json.load(fh)
-        except json.JSONDecodeError as exc:
-            return failures + [f"{artifact}: not valid JSON ({exc})"]
+    try:
+        checked_in = load_results(spec.artifact)
+    except json.JSONDecodeError as exc:
+        return failures + [f"results/{spec.artifact}.json: not valid JSON ({exc})"]
+    if checked_in is not None:
         failures += schema_failures(
             checked_in, kind.required_keys, label=f"{spec.name} (checked-in)"
         )
@@ -209,13 +220,16 @@ def run_matrix(
     smoke: bool = False,
     only_changed: bool = False,
     list_only: bool = False,
-    configs: Optional[str] = None,
-    results: Optional[str] = None,
+    sets: Sequence[str] = (),
 ) -> int:
-    """Run a scenario selection; returns a process exit code."""
+    """Run a scenario selection; returns a process exit code.  ``sets``
+    are ``--set key=value`` strings applied to every selected scenario;
+    a bad selection, key or value exits 2 before anything runs."""
     try:
-        specs = load_all_scenarios(configs)
-        chosen = select_scenarios(patterns, specs)
+        chosen = select_scenarios(patterns, load_all_scenarios())
+        overrides = {spec.name: parse_set_args(spec, sets) for spec in chosen}
+        for spec in chosen:
+            _resolve(spec, smoke, overrides[spec.name])
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -228,17 +242,17 @@ def run_matrix(
                   f"results/{spec.artifact}.json{ref}")
         return 0
 
-    state = _load_state(results)
+    state = _load_state() if only_changed else {}
     failures: List[Tuple[str, str]] = []
     ran = skipped = 0
     for spec in chosen:
-        sha = _config_sha(spec.path) if spec.path else None
         if (
             only_changed
             and not smoke
-            and sha is not None
-            and state.get(spec.name, {}).get("config_sha") == sha
-            and os.path.exists(_artifact_path(spec, results))
+            and not sets
+            and spec.path
+            and state.get(spec.name, {}).get("config_sha") == _config_sha(spec.path)
+            and os.path.exists(os.path.join(results_dir(), f"{spec.artifact}.json"))
         ):
             skipped += 1
             print(f"--- {spec.name}: unchanged, skipping")
@@ -246,17 +260,11 @@ def run_matrix(
         print(f"\n### {spec.name} ({spec.kind})"
               + (f" — {spec.title}" if spec.title else ""))
         try:
-            payload = run_scenario(spec, smoke=smoke, save=not smoke)
+            payload = run_scenario(spec, overrides=overrides[spec.name], smoke=smoke)
             ran += 1
             if smoke:
-                for msg in _check_schema(spec, payload, results):
+                for msg in _check_schema(spec, payload):
                     failures.append((spec.name, f"schema drift: {msg}"))
-            elif sha is not None:
-                state[spec.name] = {
-                    "artifact": spec.artifact, "config_sha": sha,
-                }
-                _save_state(state, results)
-                print(f"results written to results/{spec.artifact}.json")
         except ScenarioError as exc:
             failures.append((spec.name, str(exc)))
     print(f"\n{ran} scenario(s) ran, {skipped} skipped"

@@ -3,10 +3,13 @@
 A :class:`ScenarioKind` bundles what the driver needs to execute one kind
 of scenario: the parameter schema (validated at config load), the run
 function (params → JSON-shaped payload, exactly the bytes that land in
-``results/<artifact>.json``), a presenter (the human table the legacy CLI
-printed), an optional gate (payload → failure messages; any failure fails
-the driver), CI smoke overrides, and a structural payload probe used by
-``run --smoke`` to detect result-schema drift.
+``results/<artifact>.json``), a presenter (the human-readable table), an
+optional gate (payload → failure messages; any failure fails the driver),
+CI smoke overrides, and a structural payload probe used by ``run --smoke``
+to detect result-schema drift.  This registry is the only place an
+experiment's schema, presentation and gate are declared; a parameter's
+*value* lives in ``configs/<name>.json``, its type and fallback in the
+:class:`~repro.scenarios.spec.ParamSpec` here, nowhere else.
 
 Every run function is pure in the simulation sense: the payload is fully
 determined by the parameters, so rerunning a config regenerates its
@@ -18,9 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import bench
+from ..analysis.ir.summary import ConflictMatrix
+from ..apps import social_media_app
+from ..bench import print_table
+from ..bench.plots import bar_chart, grouped_bar_chart
+from ..errors import FaultConfigError
+from ..faults import resolve_plans, run_chaos_matrix
+from ..faults.explorer import explore
+from ..faults.generate import SHAPES
+from ..sim import (
+    Network,
+    RandomStreams,
+    Region,
+    RttDatasetError,
+    Simulator,
+    paper_latency_table,
+    resolve_rtt_dataset,
+)
+from ..topology import ASSIGNMENT_POLICIES
 from .spec import ParamSpec, ScenarioError, parse_fault_plan
 
-__all__ = ["KINDS", "ScenarioKind", "schema_failures"]
+__all__ = ["KINDS", "ScenarioKind", "run_exploration", "schema_failures"]
 
 
 @dataclass(frozen=True)
@@ -88,49 +110,35 @@ def schema_failures(payload: Any, paths: Tuple[str, ...],
 # -- shared validators -------------------------------------------------------
 
 def _check_rtt_ref(value: Any) -> None:
-    from ..sim import RttDatasetError, resolve_rtt_dataset
-
     try:
         resolve_rtt_dataset(value)
     except RttDatasetError as exc:
         raise ScenarioError(f"bad RTT dataset reference: {exc}") from None
 
 
+def _plans_spec(plans: Any) -> str:
+    """The ``plans`` parameter (a list of names or the harness's own
+    comma-separated string) as :func:`repro.faults.resolve_plans` takes it."""
+    return plans if isinstance(plans, str) else ",".join(plans)
+
+
 def _validate_chaos(where: str, params: Dict[str, Any]) -> None:
-    from ..faults import builtin_plans
-
-    import fnmatch
-
-    plans = params["plans"]
-    known = builtin_plans()
-    if isinstance(plans, str):
-        names = [] if plans == "all" else [s.strip() for s in plans.split(",") if s.strip()]
-    else:
-        names = list(plans)
-    for name in names:
-        if name.startswith("@"):
-            # A serialized-plan file reference; the file is read (and its
-            # contents schema-checked) at run time, not config-parse time.
-            continue
-        if any(ch in name for ch in "*?["):
-            if not fnmatch.filter(known, name):
-                raise ScenarioError(
-                    f"{where}: no builtin fault plan matches pattern {name!r} "
-                    f"(available: {', '.join(sorted(known))})"
-                )
-            continue
-        if name not in known:
-            raise ScenarioError(
-                f"{where}: unknown fault plan {name!r} "
-                f"(available: {', '.join(sorted(known))})"
-            )
+    # An @file reference is read (and its contents schema-checked) at run
+    # time, not config-parse time; everything else resolves now.
+    builtin = [
+        name for name in _plans_spec(params["plans"]).split(",")
+        if name.strip() and not name.strip().startswith("@")
+    ]
+    try:
+        if builtin:
+            resolve_plans(",".join(builtin))
+    except FaultConfigError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
     for i, raw in enumerate(params.get("extra_plans") or []):
         parse_fault_plan(raw, where=f"{where}: extra_plans[{i}]")
 
 
 def _validate_chaos_explore(where: str, params: Dict[str, Any]) -> None:
-    from ..faults.generate import SHAPES
-
     for shape in params["shapes"]:
         if shape not in SHAPES:
             raise ScenarioError(
@@ -139,7 +147,11 @@ def _validate_chaos_explore(where: str, params: Dict[str, Any]) -> None:
             )
 
 
-_SCALABILITY_WORKLOADS = ("counter", "social")
+#: Series name -> App factory (each point gets a fresh App).
+_SCALABILITY_WORKLOADS = {
+    "counter": bench.uniform_counter_app,
+    "social": social_media_app,
+}
 
 
 def _validate_scalability(where: str, params: Dict[str, Any]) -> None:
@@ -151,27 +163,55 @@ def _validate_scalability(where: str, params: Dict[str, Any]) -> None:
             )
 
 
+def _validate_apps(where: str, apps: Any) -> None:
+    for app in apps:
+        if app not in bench.MAIN_APP_BUILDERS:
+            raise ScenarioError(
+                f"{where}: unknown app {app!r} "
+                f"(available: {', '.join(sorted(bench.MAIN_APP_BUILDERS))})"
+            )
+
+
+def _validate_routing(where: str, p: Dict[str, Any]) -> None:
+    for policy in p["policies"]:
+        if policy not in ASSIGNMENT_POLICIES:
+            raise ScenarioError(
+                f"{where}: unknown assignment policy {policy!r} "
+                f"(available: {', '.join(ASSIGNMENT_POLICIES)})"
+            )
+    for placement in p["placements"]:
+        if placement not in ("dense", "sparse"):
+            raise ScenarioError(
+                f"{where}: unknown placement {placement!r} "
+                "(available: dense, sparse)"
+            )
+    for n in p["region_counts"]:
+        if not 2 <= n <= 512:
+            raise ScenarioError(
+                f"{where}: region_counts entries must be in [2, 512], got {n}"
+            )
+
+
 # -- run functions -----------------------------------------------------------
 
-def _run_fig1(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import fig1_motivation
+def _call(fn: Callable[..., Any], wrap: Optional[str] = None) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """The run function of a kind whose parameter names are ``fn``'s own
+    keyword arguments — the schema is the signature, with no renaming
+    layer in between.  ``wrap`` names the payload key of a row-list result."""
+    def run(p: Dict[str, Any]) -> Dict[str, Any]:
+        result = fn(**p)
+        return result if wrap is None else {wrap: result}
 
-    return {"rows": fig1_motivation(
-        requests_per_region=p["requests_per_region"], seed=p["seed"]
-    )}
+    return run
 
 
 def _run_table1(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import table1_functions
-
-    return {"rows": table1_functions()}
+    return {"rows": bench.table1_functions()}
 
 
 def _measure_table2_rtts() -> Dict[str, float]:
     """Measure an empty RPC round trip from each region to a VA probe
     server — verifying the configured network delivers Table 2."""
-    from ..sim import Network, RandomStreams, Region, Simulator, paper_latency_table
-
     sim = Simulator()
     net = Network(sim, paper_latency_table(), RandomStreams(0))
 
@@ -195,194 +235,83 @@ def _measure_table2_rtts() -> Dict[str, float]:
 
 
 def _run_table2(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import table2_rtt
-
-    return {"rows": table2_rtt(), "measured": _measure_table2_rtts()}
+    return {"rows": bench.table2_rtt(), "measured": _measure_table2_rtts()}
 
 
 def _run_eval_trio(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import ExperimentConfig, fig4_rows, fig5_rows, fig6_rows, run_eval_trio
-
-    cfg = ExperimentConfig(requests=p["requests"], seed=p["seed"], rtt=p.get("rtt"))
-    trios = {app: run_eval_trio(app, cfg) for app in p["apps"]}
+    cfg = bench.ExperimentConfig(requests=p["requests"], seed=p["seed"], rtt=p.get("rtt"))
+    trios = {app: bench.run_eval_trio(app, cfg) for app in p["apps"]}
     view = p["view"]
     if view == "fig4":
-        return {"rows": [fig4_rows(t) for t in trios.values()]}
+        return {"rows": [bench.fig4_rows(t) for t in trios.values()]}
     if view == "fig5":
-        return {app: fig5_rows(t) for app, t in trios.items()}
-    return {"rows": [row for t in trios.values() for row in fig6_rows(t)]}
-
-
-def _run_sec56(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import sec56_replication
-
-    return sec56_replication(lock_counts=tuple(p["lock_counts"]), seed=p["seed"])
+        return {app: bench.fig5_rows(t) for app, t in trios.items()}
+    return {"rows": [row for t in trios.values() for row in bench.fig6_rows(t)]}
 
 
 def _run_sec57(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import cost_table, infrastructure_overhead
-
-    return {"rows": cost_table(), "infra_overhead": infrastructure_overhead()}
+    return {"rows": bench.cost_table(), "infra_overhead": bench.infrastructure_overhead()}
 
 
 def _run_ablation(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import (
-        ablation_cache_bootstrap,
-        ablation_lock_modes,
-        ablation_overlap,
-        ablation_two_rtt,
-    )
-
     fn = {
-        "overlap": ablation_overlap,
-        "two_rtt": ablation_two_rtt,
-        "lock_modes": ablation_lock_modes,
-        "cache_bootstrap": ablation_cache_bootstrap,
+        "overlap": bench.ablation_overlap,
+        "two_rtt": bench.ablation_two_rtt,
+        "cache_bootstrap": bench.ablation_cache_bootstrap,
     }[p["which"]]
     return fn(requests=p["requests"], seed=p["seed"])
 
 
-def _run_sweep_skew(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import sweep_skew
-
-    return {"rows": sweep_skew(
-        zipf_values=tuple(p["zipf_values"]), requests=p["requests"], seed=p["seed"]
-    )}
-
-
-def _run_sweep_concurrency(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import sweep_concurrency
-
-    return {"rows": sweep_concurrency(
-        clients=tuple(p["clients"]), requests=p["requests"], seed=p["seed"]
-    )}
-
-
-def _run_sweep_offered_load(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import sweep_offered_load
-
-    return {"rows": sweep_offered_load(
-        rates_rps=tuple(p["rates_rps"]), duration_ms=p["duration_ms"], seed=p["seed"]
-    )}
-
-
 def _run_scalability(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..apps import social_media_app
-    from ..bench import sweep_scalability, uniform_counter_app
-
-    builders = {"counter": uniform_counter_app, "social": social_media_app}
-    names = p.get("workloads")
-    workloads = {n: builders[n] for n in names} if names else None
-    return sweep_scalability(
+    names = p["workloads"] or list(_SCALABILITY_WORKLOADS)
+    return bench.sweep_scalability(
         shard_counts=tuple(p["shard_counts"]),
         rate_rps_per_region=p["rate_rps_per_region"],
         duration_ms=p["duration_ms"],
         batch_window_ms=p["batch_window_ms"],
         seed=p["seed"],
-        workloads=workloads,
-        save=False,
-    )
-
-
-def _run_readscale(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import sweep_readscale
-
-    return sweep_readscale(
-        shard_counts=tuple(p["shard_counts"]),
-        rate_rps_per_region=p["rate_rps_per_region"],
-        duration_ms=p["duration_ms"],
-        read_replicas=p["read_replicas"],
-        seed=p["seed"],
-        save=False,
-    )
-
-
-def _run_overload(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import sweep_overload
-
-    return sweep_overload(
-        rates=tuple(p["rates"]), duration_ms=p["duration_ms"], seed=p["seed"],
-        save=False,
-    )
-
-
-def _run_mesh(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import sweep_mesh
-
-    return sweep_mesh(
-        apps=tuple(p["apps"]) if p.get("apps") else None,
-        intervals=tuple(p["intervals"]),
-        requests=p["requests"],
-        seed=p["seed"],
-        save=False,
+        workloads={n: _SCALABILITY_WORKLOADS[n] for n in names},
     )
 
 
 def _run_chaos(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..faults import resolve_plans, run_chaos_case
-
-    plans_param = p["plans"]
-    spec = plans_param if isinstance(plans_param, str) else ",".join(plans_param)
-    plans = resolve_plans(spec)
+    plans = resolve_plans(_plans_spec(p["plans"]))
     plans.extend(
         parse_fault_plan(raw, where=f"extra_plans[{i}]")
         for i, raw in enumerate(p.get("extra_plans") or [])
     )
-    results = []
-    for plan in plans:
-        for seed in range(p["seeds"]):
-            results.append(run_chaos_case(
-                plan, seed=seed,
-                requests_per_client=p["requests"],
-                clients_per_region=p["clients"],
-                shards=p["shards"],
-                detect=p["detect"],
-            ))
+    results = run_chaos_matrix(
+        plans, p["seeds"],
+        requests_per_client=p["requests"],
+        clients_per_region=p["clients"],
+        shards=p["shards"],
+        detect=p["detect"],
+    )
     return {"shards": p["shards"], "cases": [r.to_dict() for r in results]}
 
 
-def _run_chaos_explore(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..faults.explorer import explore
-
-    record = explore(
+def run_exploration(p: Dict[str, Any], corpus_dir: Optional[str] = None,
+                    log: Optional[Callable[[str], None]] = None) -> Any:
+    """The ``chaos-explore`` search at parameters ``p``; ``explore
+    --corpus`` reuses it to persist reproducers as they are found."""
+    return explore(
         budget=p["budget"],
         seed=p["seed"],
         shapes=tuple(p["shapes"]),
         requests_per_client=p["requests"],
         clients_per_region=p["clients"],
-    )
-    return record.to_payload()
-
-
-def _run_analysis(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench import run_analysis_corpus
-
-    return run_analysis_corpus(
-        inputs_per_function=p["inputs_per_function"], seed=p["seed"]
+        corpus_dir=corpus_dir,
+        log=log,
     )
 
 
-def _run_routing(p: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench.routing import run_routing_sweep
-
-    return run_routing_sweep(
-        region_counts=tuple(p["region_counts"]),
-        policies=tuple(p["policies"]),
-        placements=tuple(p["placements"]),
-        requests=p["requests"],
-        seed=p["seed"],
-        rtt_seed=p["rtt_seed"],
-        tiered_threshold_ms=p["tiered_threshold_ms"],
-        sparse_pops=p["sparse_pops"],
-        workers=p.get("workers"),
-    )
+def _run_chaos_explore(p: Dict[str, Any]) -> Dict[str, Any]:
+    return run_exploration(p).to_payload()
 
 
 # -- presenters --------------------------------------------------------------
 
 def _present_fig1(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     rows = payload["rows"]
     print_table(
         ["region", "centralized (ms)", "geo-replicated (ms)", "local ideal (ms)"],
@@ -393,8 +322,6 @@ def _present_fig1(payload: Dict[str, Any]) -> None:
 
 
 def _present_table1(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["function", "writes", "analyzable", "exec (ms)", "workload %"],
         [[r["function"], r["writes"], r["analyzable"], r["exec_time_ms"],
@@ -404,8 +331,6 @@ def _present_table1(payload: Dict[str, Any]) -> None:
 
 
 def _present_table2(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     measured = payload.get("measured", {})
     print_table(
         ["region", "configured RTT (ms)", "measured RTT (ms)"],
@@ -416,9 +341,6 @@ def _present_table2(payload: Dict[str, Any]) -> None:
 
 
 def _present_fig4(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-    from ..bench.plots import grouped_bar_chart
-
     rows = payload["rows"]
     print_table(
         ["app", "radical med", "baseline med", "ideal med", "improve %",
@@ -440,9 +362,6 @@ def _present_fig4(payload: Dict[str, Any]) -> None:
 
 
 def _present_fig5(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-    from ..bench.plots import grouped_bar_chart
-
     for app, rows in payload.items():
         print_table(
             ["region", "radical med", "baseline med", "ideal med"],
@@ -461,9 +380,6 @@ def _present_fig5(payload: Dict[str, Any]) -> None:
 
 
 def _present_fig6(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-    from ..bench.plots import bar_chart
-
     rows = payload["rows"]
     print_table(
         ["function", "exec (ms)", "radical med", "baseline med", "n"],
@@ -492,8 +408,6 @@ def _present_eval_trio(payload: Dict[str, Any]) -> None:
 
 
 def _present_sec56(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print(f"Raft per-lock commit: {payload['raft_per_lock_commit_ms']:.2f} ms "
           f"(paper: 2.3 ms)")
     print_table(
@@ -505,8 +419,6 @@ def _present_sec56(payload: Dict[str, Any]) -> None:
 
 
 def _present_sec57(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["monthly invocations", "baseline ($)", "radical ($)", "overhead %"],
         [[f"{r['invocations']:,}", r["baseline_total"], r["radical_total"],
@@ -519,14 +431,11 @@ def _present_sec57(payload: Dict[str, Any]) -> None:
 _ABLATION_HEADLINES = {
     "overlap": ("overlap off (median ms)", "overlap_median_ms", "no_overlap_median_ms"),
     "two_rtt": ("2-RTT commit (overall ms)", "overall_single_ms", "overall_two_rtt_ms"),
-    "lock_modes": ("exclusive locks (p99 ms)", "rw_locks_p99_ms", "exclusive_p99_ms"),
     "cache_bootstrap": ("cold cache (median ms)", "warm_median_ms", "cold_median_ms"),
 }
 
 
 def _present_ablation(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     for label, radical_key, ablated_key in _ABLATION_HEADLINES.values():
         if radical_key in payload:
             print_table(
@@ -538,8 +447,6 @@ def _present_ablation(payload: Dict[str, Any]) -> None:
 
 
 def _present_sweep_skew(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["zipf s", "validation", "median (ms)", "p99 (ms)"],
         [[r["zipf_s"], r["validation_success"], r["median_ms"], r["p99_ms"]]
@@ -549,8 +456,6 @@ def _present_sweep_skew(payload: Dict[str, Any]) -> None:
 
 
 def _present_sweep_concurrency(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["clients/region", "validation", "median (ms)", "p99 (ms)"],
         [[r["clients_per_region"], r["validation_success"], r["median_ms"],
@@ -560,8 +465,6 @@ def _present_sweep_concurrency(payload: Dict[str, Any]) -> None:
 
 
 def _present_sweep_offered_load(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["rate (rps/region)", "requests", "median", "p99", "validation",
          "lock wait (ms)"],
@@ -572,8 +475,6 @@ def _present_sweep_offered_load(payload: Dict[str, Any]) -> None:
 
 
 def _present_scalability(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["series", "shards", "throughput (rps)", "median (ms)", "p99 (ms)",
          "coalesced", "xshard commits"],
@@ -586,8 +487,6 @@ def _present_scalability(payload: Dict[str, Any]) -> None:
 
 
 def _present_readscale(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["series", "shards", "throughput (rps)", "median (ms)", "p99 (ms)",
          "lock skips", "conflict hits", "bounces"],
@@ -600,8 +499,6 @@ def _present_readscale(payload: Dict[str, Any]) -> None:
 
 
 def _present_overload(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["series", "rate (rps)", "goodput (rps)", "acked", "failed", "shed",
          "timeouts", "max queue", "p99 (ms)"],
@@ -617,8 +514,6 @@ def _present_overload(payload: Dict[str, Any]) -> None:
 
 
 def _present_mesh(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     print_table(
         ["app", "mesh", "chaos", "abort %", "backup %", "hit age p50 (ms)",
          "med (ms)", "updates applied"],
@@ -634,8 +529,6 @@ def _present_mesh(payload: Dict[str, Any]) -> None:
 
 
 def _present_chaos(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     by_plan: Dict[str, List[Dict[str, Any]]] = {}
     for case in payload["cases"]:
         by_plan.setdefault(case["plan"], []).append(case)
@@ -664,8 +557,6 @@ def _present_chaos(payload: Dict[str, Any]) -> None:
 
 
 def _present_chaos_explore(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
     cov = payload["coverage"]
     print_table(
         ["schedules", "novel", "features", "distinct states", "violations"],
@@ -682,25 +573,70 @@ def _present_chaos_explore(payload: Dict[str, Any]) -> None:
 
 
 def _present_analysis(payload: Dict[str, Any]) -> None:
-    from ..bench import print_table
-
+    """Table-1-style per-function facts, the IR optimizer's executed-gas
+    savings on f^rw, the shard-affinity and conflict-predicate tallies,
+    and the may-conflict matrix (see docs/ANALYSIS.md)."""
+    rows = []
+    for r in payload["functions"]:
+        if not r["analyzable"]:
+            rows.append([r["function"], "-", "no", "-", "-", "-", "-", "-"])
+            continue
+        rows.append([
+            r["function"],
+            "yes" if r["writes"] else "no",
+            "yes",
+            "yes" if r["dependent_reads"] else "no",
+            f"{r['slice_ratio'] * 100:.2f}",
+            f"{r['slice_ratio_optimized'] * 100:.2f}",
+            f"{r['replay']['gas_reduction_pct']:.1f}",
+            "yes" if r.get("single_shard_affine") else "no",
+        ])
     agg = payload["aggregate"]
     print_table(
-        ["function", "analyzable", "slice %", "opt slice %", "gas saved %"],
-        [[r["function"], "yes" if r["analyzable"] else "no",
-          f"{r['slice_ratio'] * 100:.2f}" if r["analyzable"] else "-",
-          f"{r['slice_ratio_optimized'] * 100:.2f}" if r["analyzable"] else "-",
-          f"{r['replay']['gas_reduction_pct']:.1f}" if r["analyzable"] else "-"]
-         for r in payload["functions"]],
+        ["function", "writes", "analyzable", "dep reads", "slice %",
+         "opt slice %", "gas saved %", "1-shard"],
+        rows,
         title=f"Static analysis: {agg['analyzable']}/{agg['functions']} "
-              f"analyzable",
+              f"analyzable, {payload['inputs_per_function']} input(s)/function",
     )
-
-
-def _present_routing(payload: Dict[str, Any]) -> None:
-    from ..bench.routing import present_routing
-
-    present_routing(payload)
+    gas = agg["gas_reduction_pct"]
+    print(
+        f"f^rw executed-gas reduction: median {gas['median']:.1f}%, "
+        f"mean {gas['mean']:.1f}%; {gas['functions_improved']} function(s) "
+        f"improved (median among them {gas['median_nonzero']:.1f}%)"
+    )
+    print(
+        f"shard affinity: {agg['single_shard_affine']} function(s) statically "
+        f"single-shard; registration-time shard for "
+        f"{', '.join(agg['static_key_functions']) or 'none'}"
+    )
+    print(f"sanitizer: {agg['unsound_executions']} unsound execution(s)")
+    kinds = agg["constraint_kinds"]
+    print(
+        f"conflict predicates: {agg['lock_skippable']} function(s) "
+        f"lock-skippable, {agg['commutative_writes']} with commutative "
+        f"writes; constraint kinds "
+        + ", ".join(f"{k}={kinds[k]}" for k in sorted(kinds) if kinds[k])
+    )
+    # Presented before the driver writes, so this is still the artifact
+    # the run is compared against.
+    checked_in = bench.baseline_density()
+    print(
+        f"conflict-matrix density: {agg['conflict_density']:.4f}"
+        + (f" (checked-in: {checked_in:.4f})" if checked_in is not None else "")
+    )
+    cm = payload["conflict_matrix"]
+    hits = {tuple(pair) for pair in cm["conflicting_pairs"]}
+    names = cm["names"]
+    matrix = ConflictMatrix(
+        names=names,
+        pairs={
+            (a, b): ((a, b) in hits or (b, a) in hits)
+            for i, a in enumerate(names) for b in names[i:]
+        },
+    )
+    print("\nMay-conflict matrix (x = a write pattern may overlap):")
+    print(matrix.render())
 
 
 # -- gates -------------------------------------------------------------------
@@ -740,12 +676,6 @@ def _gate_scalability(payload: Dict[str, Any]) -> List[str]:
     return failures
 
 
-def _gate_readscale(payload: Dict[str, Any]) -> List[str]:
-    from ..bench import readscale_gate_failures
-
-    return readscale_gate_failures(payload)
-
-
 def _gate_overload(payload: Dict[str, Any]) -> List[str]:
     by_series: Dict[str, Dict[float, float]] = {}
     for p in payload["points"]:
@@ -758,24 +688,6 @@ def _gate_overload(payload: Dict[str, Any]) -> List[str]:
             f"({by_series['shed-off'][top]:.1f})"
         ]
     return []
-
-
-def _gate_mesh(payload: Dict[str, Any]) -> List[str]:
-    from ..bench import mesh_gate_failures
-
-    return mesh_gate_failures(payload)
-
-
-def _gate_analysis(payload: Dict[str, Any]) -> List[str]:
-    from ..bench import analysis_gate_failures
-
-    return analysis_gate_failures(payload)
-
-
-def _gate_routing(payload: Dict[str, Any]) -> List[str]:
-    from ..bench.routing import routing_gate_failures
-
-    return routing_gate_failures(payload)
 
 
 # -- the registry ------------------------------------------------------------
@@ -797,7 +709,7 @@ _register(ScenarioKind(
         "requests_per_region": _p("int", 200),
         "seed": _p("int", 42),
     },
-    run=_run_fig1,
+    run=_call(bench.fig1_motivation, wrap="rows"),
     present=_present_fig1,
     required_keys=("rows[].region", "rows[].centralized_median_ms",
                    "rows[].geo_replicated_median_ms",
@@ -841,24 +753,13 @@ _register(ScenarioKind(
 ))
 
 
-def _validate_apps(where: str, apps: Any) -> None:
-    from ..bench import MAIN_APP_BUILDERS
-
-    for app in apps:
-        if app not in MAIN_APP_BUILDERS:
-            raise ScenarioError(
-                f"{where}: unknown app {app!r} "
-                f"(available: {', '.join(sorted(MAIN_APP_BUILDERS))})"
-            )
-
-
 _register(ScenarioKind(
     name="sec56",
     params={
         "lock_counts": _p("list", [1, 2, 4, 8], element="int"),
         "seed": _p("int", 42),
     },
-    run=_run_sec56,
+    run=_call(bench.sec56_replication),
     present=_present_sec56,
     required_keys=("raft_per_lock_commit_ms", "model[].locks",
                    "measured[].measured_added_ms"),
@@ -878,7 +779,7 @@ _register(ScenarioKind(
     name="ablation",
     params={
         "which": _p("str", required=True,
-                    choices=("overlap", "two_rtt", "lock_modes", "cache_bootstrap")),
+                    choices=("overlap", "two_rtt", "cache_bootstrap")),
         "requests": _p("int", 800),
         "seed": _p("int", 42),
     },
@@ -894,7 +795,7 @@ _register(ScenarioKind(
         "requests": _p("int", 800),
         "seed": _p("int", 42),
     },
-    run=_run_sweep_skew,
+    run=_call(bench.sweep_skew, wrap="rows"),
     present=_present_sweep_skew,
     required_keys=("rows[].zipf_s", "rows[].validation_success",
                    "rows[].median_ms", "rows[].p99_ms"),
@@ -908,7 +809,7 @@ _register(ScenarioKind(
         "requests": _p("int", 800),
         "seed": _p("int", 42),
     },
-    run=_run_sweep_concurrency,
+    run=_call(bench.sweep_concurrency, wrap="rows"),
     present=_present_sweep_concurrency,
     required_keys=("rows[].clients_per_region", "rows[].median_ms"),
     smoke_defaults={"requests": 120, "clients": [1, 2]},
@@ -921,7 +822,7 @@ _register(ScenarioKind(
         "duration_ms": _p("number", 15_000.0),
         "seed": _p("int", 42),
     },
-    run=_run_sweep_offered_load,
+    run=_call(bench.sweep_offered_load, wrap="rows"),
     present=_present_sweep_offered_load,
     required_keys=("rows[].rate_rps_per_region", "rows[].median_ms",
                    "rows[].lock_wait_total_ms"),
@@ -957,12 +858,12 @@ _register(ScenarioKind(
         "read_replicas": _p("int", 3),
         "seed": _p("int", 42),
     },
-    run=_run_readscale,
+    run=_call(bench.sweep_readscale),
     present=_present_readscale,
     required_keys=("points[].series", "points[].shards",
                    "points[].throughput_rps", "points[].lock_skipped",
                    "read_replicas"),
-    gate=_gate_readscale,
+    gate=bench.readscale_gate_failures,
     smoke_defaults={"shard_counts": [1, 2], "rate_rps_per_region": 100.0,
                     "duration_ms": 1_500.0},
 ))
@@ -975,7 +876,7 @@ _register(ScenarioKind(
         "duration_ms": _p("number", 3_000.0),
         "seed": _p("int", 42),
     },
-    run=_run_overload,
+    run=_call(bench.sweep_overload),
     present=_present_overload,
     required_keys=("points[].series", "points[].rate_rps",
                    "points[].goodput_rps", "admission_queue_depth"),
@@ -991,11 +892,11 @@ _register(ScenarioKind(
         "requests": _p("int", 1_200),
         "seed": _p("int", 42),
     },
-    run=_run_mesh,
+    run=_call(bench.sweep_mesh),
     present=_present_mesh,
     required_keys=("rows[].app", "rows[].mesh", "rows[].chaos", "apps",
                    "gossip_intervals_ms"),
-    gate=_gate_mesh,
+    gate=bench.mesh_gate_failures,
     smoke_defaults={"apps": ["forum"], "intervals": [50.0], "requests": 300},
     validate=lambda where, p: _validate_apps(where, p["apps"] or ()),
 ))
@@ -1045,11 +946,11 @@ _register(ScenarioKind(
         "inputs_per_function": _p("int", 10),
         "seed": _p("int", 42),
     },
-    run=_run_analysis,
+    run=_call(bench.run_analysis_corpus),
     present=_present_analysis,
     required_keys=("aggregate", "functions[].function", "conflict_matrix",
                    "checks"),
-    gate=_gate_analysis,
+    gate=bench.analysis_gate_failures,
     smoke_defaults={"inputs_per_function": 3},
 ))
 
@@ -1067,36 +968,14 @@ _register(ScenarioKind(
         "sparse_pops": _p("int", 5),
         "workers": _p("int", None),
     },
-    run=_run_routing,
-    present=_present_routing,
+    run=_call(bench.run_routing_sweep),
+    present=bench.present_routing,
     required_keys=("points[].policy", "points[].placement",
                    "points[].region_count", "points[].median_ms",
                    "breakeven", "region_counts"),
-    gate=_gate_routing,
+    gate=bench.routing_gate_failures,
     smoke_defaults={"region_counts": [10], "requests": 200,
                     "placements": ["dense"],
                     "policies": ["nearest-rtt", "direct"]},
-    validate=lambda where, p: _validate_routing(where, p),
+    validate=_validate_routing,
 ))
-
-
-def _validate_routing(where: str, p: Dict[str, Any]) -> None:
-    from ..topology import ASSIGNMENT_POLICIES
-
-    for policy in p["policies"]:
-        if policy not in ASSIGNMENT_POLICIES:
-            raise ScenarioError(
-                f"{where}: unknown assignment policy {policy!r} "
-                f"(available: {', '.join(ASSIGNMENT_POLICIES)})"
-            )
-    for placement in p["placements"]:
-        if placement not in ("dense", "sparse"):
-            raise ScenarioError(
-                f"{where}: unknown placement {placement!r} "
-                "(available: dense, sparse)"
-            )
-    for n in p["region_counts"]:
-        if not 2 <= n <= 512:
-            raise ScenarioError(
-                f"{where}: region_counts entries must be in [2, 512], got {n}"
-            )

@@ -23,6 +23,7 @@ __all__ = [
     "load_scenario_file",
     "parse_fault_plan",
     "parse_scenario",
+    "parse_set_args",
 ]
 
 #: Top-level keys a scenario file may carry.
@@ -48,7 +49,6 @@ class ParamSpec:
     element: Optional[str] = None
     #: Extra validator: fn(value) raises ScenarioError on bad input.
     check: Optional[Any] = None
-    help: str = ""
 
 
 _TYPE_CHECKS = {
@@ -97,6 +97,75 @@ class ScenarioSpec:
                 )
             out.update({k: v for k, v in overrides.items() if v is not None})
         return out
+
+
+# -- ``--set key=value`` overrides -------------------------------------------
+
+def _parse_bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("true", "1", "yes", "on"):
+        return True
+    if word in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+_SCALAR_COERCIONS = {
+    "int": int, "float": float, "number": float, "str": str, "bool": _parse_bool,
+}
+
+
+def _coerce(type_: Optional[str], raw: str) -> Any:
+    if type_ in _SCALAR_COERCIONS:
+        return _SCALAR_COERCIONS[type_](raw)
+    # dict / any / an untyped list written as JSON: JSON when it parses,
+    # the raw string otherwise (``plans=all``, ``plans=surge-jp,gray-limp``).
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+def parse_set_args(spec: ScenarioSpec, items: Sequence[str]) -> Dict[str, Any]:
+    """Turn ``--set key=value`` strings into a validated override dict.
+
+    The value is coerced by the :class:`ParamSpec` its kind declares for
+    ``key``: a ``list`` is comma-split and each item coerced by
+    ``element`` (or given whole as a JSON array), ``int`` / ``number`` /
+    ``bool`` are parsed, ``dict`` / ``any`` are read as JSON with the raw
+    string as the fallback.  The result then passes the same unknown-key,
+    type, choice and ``check`` validation as a config file; any problem
+    raises :class:`ScenarioError` naming the scenario and the keys its
+    kind accepts.
+    """
+    from .runners import KINDS
+
+    schema = KINDS[spec.kind].params
+    where = f"scenario {spec.name!r}"
+    overrides: Dict[str, Any] = {}
+    for item in items:
+        key, eq, raw = item.partition("=")
+        if not eq or not key:
+            raise ScenarioError(f"{where}: --set expects KEY=VALUE, got {item!r}")
+        p = schema.get(key)
+        try:
+            if p is None:
+                overrides[key] = raw  # unknown: _check_params names the accepted keys
+            elif p.type == "list" and not raw.lstrip().startswith("["):
+                overrides[key] = [
+                    _coerce(p.element or "str", part.strip())
+                    for part in raw.split(",") if part.strip()
+                ]
+            else:
+                overrides[key] = _coerce(p.type, raw)
+        except ValueError:
+            raise ScenarioError(
+                f"{where}: --set {key}={raw!r}: expected "
+                f"{p.type}{f' of {p.element}' if p.element else ''} "
+                f"(accepted: {', '.join(sorted(schema))})"
+            ) from None
+    _check_params(where, spec.kind, overrides, schema, partial=True)
+    return overrides
 
 
 def _check_params(where: str, kind_name: str, params: Dict[str, Any],

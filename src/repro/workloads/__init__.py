@@ -1,5 +1,5 @@
 """Workload generation: zipf-skewed request mixes and closed-loop clients."""
 
-from .clients import ClosedLoopClient, Invoker, OpenLoopClient, run_clients
+from .clients import ClosedLoopClient, Invoker, OpenLoopClient, run_clients, run_open_loop
 
-__all__ = ["ClosedLoopClient", "Invoker", "OpenLoopClient", "run_clients"]
+__all__ = ["ClosedLoopClient", "Invoker", "OpenLoopClient", "run_clients", "run_open_loop"]

@@ -1,4 +1,4 @@
-"""Closed-loop workload clients (paper §5.2).
+"""Closed- and open-loop workload clients (paper §5.2).
 
 The paper drives each configuration with logical client processes issuing
 requests back-to-back; latencies are medians/p99s over the full run.  A
@@ -18,7 +18,7 @@ from ..consistency import HistoryRecorder
 from ..errors import UnavailableError
 from ..sim import Metrics, Simulator
 
-__all__ = ["Invoker", "ClosedLoopClient", "run_clients"]
+__all__ = ["Invoker", "ClosedLoopClient", "OpenLoopClient", "run_clients", "run_open_loop"]
 
 #: A deployment binding: invoke(function_id, args) -> generator -> outcome.
 #: Outcomes must expose .result/.latency_ms/.path/.read_versions/
@@ -190,19 +190,38 @@ class OpenLoopClient:
         self.metrics.incr("requests.total")
 
 
-def run_clients(sim: Simulator, clients: List[ClosedLoopClient]) -> None:
-    """Spawn every client and run the world until all complete.
-
-    A client that dies (e.g. an application function trapped in the VM)
-    re-raises here — experiments must fail loudly, not report partial
-    latency distributions.
-    """
-    procs = [sim.spawn(c.run(), name=f"client-{c.region}-{i}") for i, c in enumerate(clients)]
-    done = sim.all_of([p.done_event for p in procs])
-    sim.run(until_event=done)
+def _run_to_completion(sim: Simulator, procs: list) -> None:
+    """Run the world until every client process is done; a client that
+    died (e.g. an application function trapped in the VM) re-raises here —
+    experiments must fail loudly, not report partial latency
+    distributions."""
+    sim.run(until_event=sim.all_of([p.done_event for p in procs]))
+    # The first failure ends the run with the other clients still going:
+    # report the failure itself, not the clients it cut short.
+    for proc in procs:
+        if proc.done:
+            _ = proc.result  # re-raises the client's failure, if any
     for proc in procs:
         if not proc.done:
             raise RuntimeError(f"client {proc.name} did not finish (deadlock?)")
-        _ = proc.result  # re-raises the client's failure, if any
-    # Drain followups and timers so the primary reaches quiescence.
+
+
+def run_clients(sim: Simulator, clients: List[ClosedLoopClient]) -> None:
+    """Spawn every closed-loop client, run the world until all complete,
+    then drain followups and timers so the primary reaches quiescence."""
+    _run_to_completion(sim, [
+        sim.spawn(c.run(), name=f"client-{c.region}-{i}") for i, c in enumerate(clients)
+    ])
     sim.run(until=sim.now + 10_000.0)
+
+
+def run_open_loop(sim: Simulator, clients: List[OpenLoopClient], name: str) -> float:
+    """Spawn every open-loop client (process ``<name>-<region>``), run the
+    world to the last completion, and return the makespan — generation
+    plus backlog drain, the interval delivered throughput is measured
+    over.  The caller reads its makespan counters, then drains followups
+    itself, so they stay off the books."""
+    _run_to_completion(sim, [
+        sim.spawn(c.run(), name=f"{name}-{c.region}") for c in clients
+    ])
+    return sim.now

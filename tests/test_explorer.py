@@ -480,5 +480,5 @@ class TestScenarioIntegration:
             "scenario": "demo", "kind": "chaos", "artifact": "demo",
             "params": {"plans": ["solar-*"]},
         }
-        with pytest.raises(ScenarioError, match="no builtin fault plan matches"):
+        with pytest.raises(ScenarioError, match="no builtin plan matches"):
             parse_scenario(raw)

@@ -41,7 +41,7 @@ def drain(k):
 '''
 
 
-def build(trace=False, **config):
+def build(trace=False):
     def seed(store):
         store.put(*KEY, 0)
         store.put(*OTHER, 7)
@@ -50,9 +50,7 @@ def build(trace=False, **config):
     return Deployment.build(
         TopologySpec(
             regions=(Region.JP, Region.CA), seed=1, trace=trace,
-            config=RadicalConfig(
-                service_jitter_sigma=0.0, followup_timeout_ms=5_000.0, **config
-            ),
+            config=RadicalConfig(service_jitter_sigma=0.0, followup_timeout_ms=5_000.0),
             network_jitter_sigma=0.0, warm_caches=True, persistent_caches=False,
             raft_prewarm_ms=0.0,
         ),
@@ -139,15 +137,6 @@ class TestValidationFetchIsTheSnapshot:
         assert dep.metrics.counter("backup.snapshot") == 1
         assert dep.metrics.counter("backup.escaped") == 0
         assert dep.server.locks.held_owners() == []
-
-    def test_exclusive_lock_ablation_releases_at_validation_too(self):
-        dep = build(exclusive_locks=True)
-        r1 = arrive(dep, 0.0, read("r1", version=0))
-        r2 = arrive(dep, 0.0, read("r2", version=0))
-        dep.sim.run(until=1_000.0)
-        # r2 queues behind r1's (exclusive) lock for one validation fetch.
-        assert (r1["at"], r2["at"]) == (pytest.approx(42.0), pytest.approx(44.0))
-        assert dep.metrics.counter("backup.snapshot") == 2
 
     def test_dependent_read_escapes_and_takes_the_locked_path(self):
         dep = build()

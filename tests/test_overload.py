@@ -453,8 +453,7 @@ class TestOverloadSweep:
     def test_goodput_plateaus_with_shedding_and_collapses_without(self):
         from repro.bench import sweep_overload
 
-        payload = sweep_overload(rates=(60.0, 160.0), duration_ms=1_200.0,
-                                 seed=42, save=False)
+        payload = sweep_overload(rates=(60.0, 160.0), duration_ms=1_200.0, seed=42)
         goodput = {
             (p["series"], p["rate_rps"]): p["goodput_rps"]
             for p in payload["points"]

@@ -141,13 +141,20 @@ class TestBreakeven:
         assert combo["edge_wins"] == combo["clients"] == 2
 
 
+def small_sweep(**overrides):
+    params = dict(
+        region_counts=(6,), policies=("nearest-rtt", "direct"),
+        placements=("dense",), requests=60, seed=42, rtt_seed=7,
+        tiered_threshold_ms=60.0, sparse_pops=5, workers=1,
+    )
+    params.update(overrides)
+    return run_routing_sweep(**params)
+
+
 class TestSweep:
     @pytest.fixture(scope="class")
     def payload(self):
-        return run_routing_sweep(
-            region_counts=(6,), policies=("nearest-rtt", "direct"),
-            placements=("dense",), requests=60, workers=2,
-        )
+        return small_sweep(workers=2)
 
     def test_structure_and_gate(self, payload):
         assert len(payload["points"]) == 2
@@ -155,19 +162,14 @@ class TestSweep:
         assert routing_gate_failures(payload) == []
 
     def test_worker_count_invariant(self, payload):
-        serial = run_routing_sweep(
-            region_counts=(6,), policies=("nearest-rtt", "direct"),
-            placements=("dense",), requests=60, workers=1,
-        )
+        serial = small_sweep(workers=1)
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             payload, sort_keys=True
         )
 
     def test_home_region_skipped_off_dense(self):
-        payload = run_routing_sweep(
-            region_counts=(6,), policies=("home-region",),
-            placements=("sparse",), requests=60, workers=1,
-            sparse_pops=3,
+        payload = small_sweep(
+            policies=("home-region",), placements=("sparse",), sparse_pops=3,
         )
         assert payload["points"] == []
         assert payload["skipped"]

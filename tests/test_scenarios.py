@@ -15,6 +15,7 @@ from repro.scenarios import (
     load_scenario_file,
     parse_fault_plan,
     parse_scenario,
+    parse_set_args,
     run_scenario,
 )
 from repro.scenarios.driver import select_scenarios
@@ -134,7 +135,7 @@ class TestFaultPlanParsing:
             "scenario": "demo", "kind": "chaos", "artifact": "demo",
             "params": {"plans": ["baseline", "solar-flare"]},
         }
-        with pytest.raises(ScenarioError, match="unknown fault plan 'solar-flare'"):
+        with pytest.raises(ScenarioError, match="unknown plan 'solar-flare'"):
             parse_scenario(raw)
 
 
@@ -159,6 +160,92 @@ class TestResolvedParams:
         spec = parse_scenario(_base())
         with pytest.raises(ScenarioError, match="unknown override"):
             spec.resolved_params(overrides={"warp": 9})
+
+
+class TestSetOverrides:
+    """``--set key=value`` is typed by the kind's ParamSpec."""
+
+    @staticmethod
+    def _spec(kind, **params):
+        return parse_scenario(
+            {"scenario": "demo", "kind": kind, "artifact": "demo", "params": params}
+        )
+
+    def test_list_of_number_is_comma_split_into_floats(self):
+        got = parse_set_args(self._spec("overload"), ["rates=40,60.5", "duration_ms=500"])
+        assert got == {"rates": [40.0, 60.5], "duration_ms": 500.0}
+        assert [type(v) for v in got["rates"]] == [float, float]
+
+    def test_list_of_int_and_of_str(self):
+        routing = self._spec("routing")
+        got = parse_set_args(routing, ["region_counts=10, 25", "policies=tiered,direct"])
+        assert got == {"region_counts": [10, 25], "policies": ["tiered", "direct"]}
+        with pytest.raises(ScenarioError, match="expected list of int"):
+            parse_set_args(routing, ["region_counts=10,2.5"])
+
+    def test_list_may_be_given_as_json(self):
+        chaos = self._spec("chaos")
+        plan = {"name": "extra", "actions": []}
+        got = parse_set_args(chaos, [f"extra_plans={json.dumps([plan])}"])
+        assert got == {"extra_plans": [plan]}
+        with pytest.raises(ScenarioError, match=r"'extra_plans'\[0\] must be dict"):
+            parse_set_args(chaos, ["extra_plans=extra"])
+
+    @pytest.mark.parametrize("raw,value", [
+        ("true", True), ("1", True), ("on", True), ("False", False), ("no", False),
+    ])
+    def test_bool(self, raw, value):
+        assert parse_set_args(self._spec("chaos"), [f"detect={raw}"]) == {"detect": value}
+
+    def test_bool_rejects_anything_else(self):
+        with pytest.raises(ScenarioError, match="detect='maybe': expected bool"):
+            parse_set_args(self._spec("chaos"), ["detect=maybe"])
+
+    def test_any_is_json_with_the_raw_string_as_fallback(self):
+        chaos = self._spec("chaos")
+        # `plans` keeps the harness's own grammar: all, names, globs, @files.
+        assert parse_set_args(chaos, ["plans=all"]) == {"plans": "all"}
+        assert parse_set_args(chaos, ["plans=surge-jp,mesh-*"]) == {"plans": "surge-jp,mesh-*"}
+        assert parse_set_args(chaos, ['plans=["surge-jp", "gray-limp"]']) == {
+            "plans": ["surge-jp", "gray-limp"]
+        }
+
+    def test_json_dict(self):
+        fig4 = self._spec("eval-trio", view="fig4")
+        got = parse_set_args(fig4, ['rtt={"kind": "synthetic-geo", "n": 5}'])
+        assert got == {"rtt": {"kind": "synthetic-geo", "n": 5}}
+        # The ParamSpec's own check still runs on the coerced value.
+        with pytest.raises(ScenarioError, match="bad RTT dataset reference"):
+            parse_set_args(fig4, ["rtt=starlink"])
+
+    def test_choices_and_unknown_keys_name_what_is_accepted(self):
+        fig4 = self._spec("eval-trio", view="fig4")
+        with pytest.raises(ScenarioError, match="'view' must be one of 'fig4', 'fig5', 'fig6'"):
+            parse_set_args(fig4, ["view=fig9"])
+        with pytest.raises(ScenarioError, match=r"unknown parameter\(s\).*warp \(accepted: apps, "):
+            parse_set_args(fig4, ["warp=9"])
+        with pytest.raises(ScenarioError, match="expects KEY=VALUE"):
+            parse_set_args(fig4, ["requests"])
+
+    def test_value_may_contain_equals_signs(self):
+        got = parse_set_args(self._spec("chaos"), ["plans=@dir/a=b.json"])
+        assert got == {"plans": "@dir/a=b.json"}
+
+    def test_an_override_repeating_the_config_runs_at_the_configs_own_values(self, monkeypatch):
+        import dataclasses
+
+        seen = []
+        kind = KINDS["overload"]
+        monkeypatch.setitem(KINDS, "overload", dataclasses.replace(
+            kind, run=lambda p: seen.append(p) or {"points": []}, gate=None,
+        ))
+        own = load_all_scenarios()["overload"].resolved_params()
+        ints = [int(r) for r in own["rates"]]
+        run_scenario("overload", overrides={"rates": ints}, save=False, present=False)
+        run_scenario("overload", overrides={"rates": ints[:1]}, save=False, present=False)
+        # 40 == 40.0, but "40" != "40.0" in the artifact's bytes.
+        assert [type(r) for r in seen[0]["rates"]] == [float] * len(ints)
+        assert seen[1]["rates"] == ints[:1]
 
 
 class TestDiscovery:
@@ -210,7 +297,7 @@ def _artifact_bytes(name):
 
 
 def _payload_bytes(payload):
-    # Exactly what repro.bench.save_results writes.
+    # Exactly what the driver's writer (repro.bench.report.save_results) writes.
     return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
 

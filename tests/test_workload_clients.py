@@ -5,7 +5,7 @@ import pytest
 from repro.apps import social_media_app
 from repro.consistency import HistoryRecorder
 from repro.sim import Metrics, RandomStreams, Simulator
-from repro.workloads import ClosedLoopClient, OpenLoopClient, run_clients
+from repro.workloads import ClosedLoopClient, OpenLoopClient, run_clients, run_open_loop
 
 
 def make_invoker(sim, latency_ms=10.0):
@@ -162,3 +162,96 @@ class TestOpenLoop:
         # All issued requests completed and were recorded.
         assert metrics.counter("requests.total") == len(calls)
         assert sim.now >= 1000.0
+
+
+class TestRunOpenLoop:
+    """``run_open_loop``: the one open-loop drive every sweep goes through."""
+
+    @staticmethod
+    def _client(sim, invoke, region="jp", **kw):
+        return OpenLoopClient(
+            sim=sim, app=social_media_app(), region=region, invoke=invoke,
+            metrics=Metrics(), rng=RandomStreams(3).stream(f"w.{region}"),
+            rate_rps=100.0, duration_ms=100.0, **kw,
+        )
+
+    def test_returns_the_makespan_and_leaves_the_drain_to_the_caller(self):
+        sim = Simulator()
+        invoke, calls = make_invoker(sim, latency_ms=500.0)
+        sim.schedule(5_000.0, lambda: None)  # a followup timer, say
+        makespan = run_open_loop(
+            sim, [self._client(sim, invoke, "jp"), self._client(sim, invoke, "ca")],
+            name="probe",
+        )
+        # Generation window plus the backlog: the last request's reply.
+        assert makespan == sim.now
+        assert 500.0 < makespan < 700.0 and calls
+
+    @staticmethod
+    def _first_call_fails_late(sim):
+        """Every request takes 500 ms; the first one then raises."""
+        stub, calls = make_invoker(sim, latency_ms=500.0)
+
+        def invoke(function_id, args):
+            if calls:
+                return stub(function_id, args)
+
+            def flow():
+                calls.append((function_id, list(args)))
+                yield sim.timeout(500.0)
+                raise RuntimeError("app bug")
+
+            return flow()
+
+        return invoke, calls
+
+    def test_one_late_failure_is_not_swallowed(self):
+        # The request that dies is the one its (finished) generator is
+        # waiting on, every other request completes: run() returns
+        # normally and only the dead client's result holds the failure.  A
+        # sweep that never read it published a partial distribution.
+        sim = Simulator()
+        invoke, calls = self._first_call_fails_late(sim)
+        with pytest.raises(RuntimeError, match="app bug"):
+            run_open_loop(sim, [self._client(sim, invoke)], name="probe")
+        assert len(calls) > 1
+
+    def test_a_dead_client_is_reported_not_the_clients_it_cut_short(self):
+        sim = Simulator()
+        slow, _ = make_invoker(sim, latency_ms=5_000.0)
+        failing, _ = self._first_call_fails_late(sim)
+        clients = [self._client(sim, slow, "jp"), self._client(sim, failing, "ca")]
+        with pytest.raises(RuntimeError, match="app bug"):
+            run_open_loop(sim, clients, name="probe")
+        assert sim.now < 1_000.0  # jp was still going
+
+    def test_an_app_whose_function_traps_fails_the_sweep(self):
+        from repro.apps.base import App, AppFunction
+        from repro.core import FunctionSpec, RadicalConfig
+        from repro.sim import Region
+        from repro.topology import Deployment, TopologySpec
+
+        source = '''
+def boom(k):
+    items = db_get("t", f"k:{k}")
+    return items[3]
+'''
+        app = App(
+            name="trapper",
+            functions=[AppFunction(
+                FunctionSpec("t.boom", source, 5.0, 100.0, "indexes past the end"),
+                lambda ctx, rng: ["x"],
+            )],
+            seed=lambda store, streams, ctx: store.put("t", "k:x", []),
+        )
+        dep = Deployment.build(
+            TopologySpec(regions=(Region.JP,), seed=1, config=RadicalConfig()), app=app,
+        )
+        client = OpenLoopClient(
+            sim=dep.sim, app=app, region=Region.JP,
+            invoke=dep.runtimes[Region.JP].invoke, metrics=dep.metrics,
+            rng=dep.streams.fork("probe").stream("workload"),
+            rate_rps=50.0, duration_ms=200.0,
+        )
+        with pytest.raises(Exception, match="index failed"):
+            run_open_loop(dep.sim, [client], name="probe")
