@@ -21,6 +21,13 @@ Checked (AST-based, so comments and strings never false-positive):
 Scope: the deterministic core only (``sim``, ``core``, ``topology``,
 ``mesh``, ``faults``).  The CLI and bench layers may time themselves with
 the wall clock; the simulation may not.
+
+One rule covers every package, because ``events_dispatched`` is a count
+the benchmark holds the whole tree to: ``yield <sim>.spawn(<generator>)``
+— a process spawned only to be joined on the spot (SIM001).  ``yield from
+<generator>`` runs the same steps inside the calling process for two
+dispatches less (the child's start and the joiner's resume), with the
+same exception flow.  Spawn when the child must run *beside* the caller.
 """
 
 from __future__ import annotations
@@ -91,38 +98,62 @@ def _check_attribute(node: ast.Attribute, path: str) -> Optional[LintViolation]:
     return None
 
 
-def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
-    """Lint one module's source text."""
+def _check_yield(node: ast.Yield, path: str) -> Optional[LintViolation]:
+    call = node.value
+    if (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "spawn"
+    ):
+        return LintViolation(
+            path, node.lineno, "SIM001",
+            "process spawned only to be joined: `yield from <generator>` "
+            "runs it in this process for two dispatches less",
+        )
+    return None
+
+
+def lint_source(
+    source: str, path: str = "<string>", deterministic: bool = True
+) -> List[LintViolation]:
+    """Lint one module's source text; ``deterministic=False`` is a module
+    outside the deterministic core, held to SIM001 only."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [LintViolation(path, exc.lineno or 0, "DET000",
                               f"unparseable module: {exc.msg}")]
-    return [
-        v
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        if (v := _check_attribute(node, path)) is not None
-    ]
+    violations = []
+    for node in ast.walk(tree):
+        v = None
+        if isinstance(node, ast.Yield):
+            v = _check_yield(node, path)
+        elif deterministic and isinstance(node, ast.Attribute):
+            v = _check_attribute(node, path)
+        if v is not None:
+            violations.append(v)
+    return violations
 
 
-def lint_file(path: str) -> List[LintViolation]:
+def lint_file(path: str, deterministic: bool = True) -> List[LintViolation]:
     with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), path)
+        return lint_source(fh.read(), path, deterministic)
 
 
 def lint_tree(
     root: str, packages: Iterable[str] = DETERMINISTIC_PACKAGES
 ) -> List[LintViolation]:
-    """Lint every ``.py`` file of the named packages under ``root``
-    (the ``src/repro`` directory)."""
+    """Lint every ``.py`` file under ``root`` (the ``src/repro``
+    directory): the named packages by every rule, the rest by SIM001."""
     violations: List[LintViolation] = []
-    for package in packages:
-        base = os.path.join(root, package)
-        for dirpath, _dirnames, filenames in os.walk(base):
-            for name in sorted(filenames):
-                if name.endswith(".py"):
-                    violations.extend(lint_file(os.path.join(dirpath, name)))
+    core = tuple(os.path.join(root, package, "") for package in packages)
+    for dirpath, _dirnames, filenames in os.walk(root):
+        deterministic = os.path.join(dirpath, "").startswith(core)
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                violations.extend(
+                    lint_file(os.path.join(dirpath, name), deterministic)
+                )
     violations.sort(key=lambda v: (v.path, v.line))
     return violations
 
@@ -140,7 +171,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="radical-repro lint",
         description="Determinism lint over the simulation core "
                     f"({', '.join(DETERMINISTIC_PACKAGES)}): no wall "
-                    "clocks, no ambient randomness.",
+                    "clocks, no ambient randomness.  Everywhere: no "
+                    "process spawned only to be joined.",
     )
     parser.add_argument("paths", nargs="*",
                         help="specific files to lint (default: the whole "
@@ -154,8 +186,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for v in violations:
         print(str(v))
     if violations:
-        print(f"{len(violations)} determinism violation(s)")
+        print(f"{len(violations)} lint violation(s)")
         return 1
     scope = ", ".join(f"repro/{p}" for p in DETERMINISTIC_PACKAGES)
-    print(f"determinism lint clean ({scope})")
+    print(f"determinism lint clean ({scope}); no spawn-then-join anywhere in repro/")
     return 0

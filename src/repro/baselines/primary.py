@@ -102,9 +102,8 @@ class PrimaryBaseline:
         baseline's home-field case (Figure 5: VA users)."""
         invoked_at = self.sim.now
         yield self.sim.timeout(self.config.client_app_rtt_ms / 2.0)
-        result, reads, writes = yield self.sim.spawn(
-            self._handle(("invoke", function_id, list(args)), src="local"),
-            name=f"baseline-local({function_id})",
+        result, reads, writes = yield from self._handle(
+            ("invoke", function_id, list(args)), src="local"
         )
         yield self.sim.timeout(self.config.client_app_rtt_ms / 2.0)
         return BaselineOutcome(

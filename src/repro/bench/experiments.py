@@ -84,7 +84,7 @@ def _back_to_back(sim: Simulator, call: Callable[[], object], n: int, name: str)
         samples = []
         for _i in range(n):
             start = sim.now
-            yield sim.spawn(call())
+            yield from call()
             samples.append(sim.now - start)
         return samples
 
@@ -409,7 +409,7 @@ def _micro_lvi_latency(
     def flow():
         samples = []
         for _i in range(40):
-            outcome = yield sim.spawn(runtime.invoke("micro.rw", ["x"]))
+            outcome = yield from runtime.invoke("micro.rw", ["x"])
             samples.append(outcome.latency_ms)
             # Let the followup settle so locks do not queue across requests.
             yield sim.timeout(500.0)

@@ -503,13 +503,17 @@ class NearUserRuntime:
             return self._near_storage_outcome(attempt, response, PATH_MISS)
 
         if cfg.speculate:
-            # Overlap the LVI round trip with the function's execution.
-            lvi_proc = self.sim.spawn(
-                self._call_with_retry(request, attempt.deadline_at, "lvi", dst=dst, batch=True),
-                name=f"lvi({execution_id})",
+            # Overlap the LVI round trip with the function's execution: the
+            # service time is one armed timer, the round trip runs in this
+            # process, and whichever ends last ends the phase.
+            started = self.sim.now
+            exec_done = self.sim.timeout(attempt.exec_ms)
+            response: LVIResponse = yield from self._call_with_retry(
+                request, attempt.deadline_at, "lvi", dst=dst, batch=True
             )
-            yield from self._overlap_exec(attempt, [lvi_proc], "phase.spec_overlap")
-            response: LVIResponse = lvi_proc.result
+            if not exec_done.triggered:
+                yield exec_done
+            self._overlap_spans(attempt, started, "phase.spec_overlap")
         else:
             # Ablation: serialize the LVI request before execution.
             response = yield from self._lvi_round_trip(attempt, request, dst)
@@ -781,14 +785,12 @@ class NearUserRuntime:
         return response
 
     def _overlap_exec(self, attempt: _Attempt, procs, phase: str, **phase_tags) -> Generator:
-        """Wait for the validation RPCs ``procs`` overlapped with f's
-        service time: the phase's length is max(exec, slowest round trip),
-        the paper's core overlap (§3.2).  The enclosed spec.exec interval
-        and the child rpc spans let the analyzer name the winner.  (Under
-        the ``speculate=False`` ablation: one after the other.)"""
+        """Wait for the validation RPCs ``procs`` of a cross-shard fan-out
+        overlapped with f's service time: the phase's length is max(exec,
+        slowest round trip), the paper's core overlap (§3.2).  (Under the
+        ``speculate=False`` ablation: one after the other.)"""
         obs = self.sim.obs
         started = self.sim.now
-        exec_ms = attempt.exec_ms
         replies = [p.done_event for p in procs]
         if not self.config.speculate:
             yield self.sim.all_of(replies)
@@ -796,9 +798,15 @@ class NearUserRuntime:
                 obs.phase(phase, start_ms=started, **phase_tags)
             yield from self._charge_exec(attempt)
             return
-        exec_done = self.sim.timeout(exec_ms)
-        yield self.sim.all_of([exec_done] + replies)
+        yield self.sim.all_of([self.sim.timeout(attempt.exec_ms)] + replies)
+        self._overlap_spans(attempt, started, phase, **phase_tags)
+
+    def _overlap_spans(self, attempt: _Attempt, started: float, phase: str, **phase_tags) -> None:
+        """The overlap phase, with the spec.exec interval it encloses; the
+        child rpc spans let the analyzer name the winner."""
+        obs = self.sim.obs
         if obs.enabled:
+            exec_ms = attempt.exec_ms
             obs.span_at(
                 "spec.exec", started, started + exec_ms,
                 kind="exec", function=attempt.record.function_id,

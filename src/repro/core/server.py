@@ -1001,19 +1001,13 @@ class LVIServer:
                 # endpoint is registered before the query goes out.
                 keys = tuple(dict.fromkeys((t, k) for (t, k, _v) in intent.writes))
                 if keys and not self.locks.held_by(intent.execution_id):
-                    yield self.sim.spawn(
-                        self.locks.acquire_all(intent.execution_id, (), keys),
-                        name=f"relock({intent.execution_id})",
-                    )
+                    yield from self.locks.acquire_all(intent.execution_id, (), keys)
                 self.sim.schedule(
                     1.0, self._on_prepare_lease,
                     intent.execution_id, intent.coordinator or self.name,
                 )
                 continue
-            yield self.sim.spawn(
-                self._guarded(self._reexecute(intent.execution_id, "recovery")),
-                name=f"recover({intent.execution_id})",
-            )
+            yield from self._guarded(self._reexecute(intent.execution_id, "recovery"))
         self.metrics.incr("recovery.intents", len(pending))
         return len(pending)
 
@@ -1082,10 +1076,7 @@ class LVIServer:
         # speculative intent to settle before the VM reads primary state.
         obs = self.sim.obs
         barrier_started = self.sim.now
-        yield self.sim.spawn(
-            self.locks.acquire_all(eid, (), (_DIRECT_BARRIER,)),
-            name=f"direct-barrier({eid})",
-        )
+        yield from self.locks.acquire_all(eid, (), (_DIRECT_BARRIER,))
         if obs.enabled and self.sim.now > barrier_started:
             obs.span_at(
                 "server.direct_barrier", barrier_started, self.sim.now, kind="server",

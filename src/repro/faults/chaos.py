@@ -310,9 +310,7 @@ def _chaos_client(
         started = sim.now
         record = history.begin(fn, started)
         try:
-            outcome = yield sim.spawn(
-                runtime.invoke(fn, [key]), name=f"chaos({runtime.region}:{i})"
-            )
+            outcome = yield from runtime.invoke(fn, [key])
         except UnavailableError:
             # Clean failure: the write may or may not have landed near
             # storage (e.g. the response was lost), so it is *not*
@@ -389,10 +387,7 @@ def _mesh_chaos_client(
         started = sim.now
         record = history.begin(fn, started, session=client_id)
         try:
-            outcome = yield sim.spawn(
-                runtime.invoke(fn, [key], session=session),
-                name=f"chaos({client_id}:{i})",
-            )
+            outcome = yield from runtime.invoke(fn, [key], session=session)
         except UnavailableError:
             tally.unavailable += 1
             tally.probe_unavailable_at.append(sim.now)

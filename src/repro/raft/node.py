@@ -163,7 +163,7 @@ class RaftNode:
         seq = next(RaftNode._seq)
         entry = LogEntry(self.current_term, command, seq)
         self.log.append(entry)
-        ev = self.sim.event(name=f"commit({seq})")
+        ev = self.sim.event(name="commit")
         self._pending[seq] = ev
         # Leader persists before replicating (its own fsync).
         self.sim.schedule(self.config.fsync_ms, self._broadcast_append)
@@ -355,9 +355,11 @@ class RaftNode:
                     (_APPEND_REPLY, self.current_term, True, match_through),
                 )
 
-        # Durable write before acknowledging new entries.
-        delay = self.config.fsync_ms if entries else 0.0
-        self.sim.schedule(delay, reply)
+        if entries:
+            # Durable write before acknowledging new entries.
+            self.sim.schedule(self.config.fsync_ms, reply)
+        else:
+            reply()  # a heartbeat wrote nothing: answer in place
 
     def _handle_append_reply(self, msg: Tuple, src: str) -> None:
         _kind, term, success, match_through = msg

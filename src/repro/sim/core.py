@@ -35,6 +35,20 @@ counts executed queue entries, and a queue entry is what a wake-up costs.
   :class:`AnyOf`/:class:`AllOf` (the composite completes in the dispatch
   that completed its deciding child), and a timer cancelled before its
   calendar bucket was promoted (purged, never dispatched).
+* Costs nothing at all, because nothing waits: a lock granted on the spot
+  (``LockManager.acquire_all`` yields only for a lock it must queue for),
+  the start of an RPC handler (the message's delivery entry runs the
+  handler process's first step — :meth:`Simulator.spawn_in_dispatch`),
+  and a sub-generator the caller would only join (``yield from gen`` runs
+  it inside the calling process; ``yield sim.spawn(gen)`` pays the child's
+  start and the joiner's resume for the same steps, and the lint's SIM001
+  rejects it).  :meth:`Simulator.spawn` itself stays deferred: a child
+  that dies in its first step must find its spawner already joined.
+
+What a request then costs is what it models — on the paper's closed loop,
+six latency timers (two client hops, invoke + wasm load, f^rw, exec, the
+server's storage round trip), one delivery, one reply and the caller's
+resume: nine (docs/PERFORMANCE.md names every event above that).
 
 The queue is a calendar/bucket queue with a FIFO lane for zero-delay
 entries — most schedules are process resumes at the current instant, and a
@@ -509,6 +523,17 @@ class Simulator:
         """Start a new process from a generator and return its handle."""
         proc = Process(self, gen, name)
         proc._start()
+        return proc
+
+    def spawn_in_dispatch(self, gen: Generator, name: str = "") -> Process:
+        """Start a process whose first step runs here, inside the caller's
+        own queue entry, not from the queue.  For a callback that *is* the
+        wake-up (a message delivery starting its handler) and a generator
+        that handles whatever its first step raises: no one can have joined
+        the process yet, so an exception escaping that step aborts the run.
+        Everything else uses :meth:`spawn`."""
+        proc = Process(self, gen, name)
+        proc._step_send(None)
         return proc
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> "TimerHandle":

@@ -469,9 +469,8 @@ class Network:
     ) -> Generator:
         """RPC from endpoint ``src`` to endpoint ``dst``.
 
-        Returns a generator to run as a process (``yield net.spawn_call``
-        style): ``response = yield sim.spawn(net.call(...))`` or, from
-        inside a process, ``response = yield from net.call(...)``.
+        Returns a generator to run inside a process: ``response = yield
+        from net.call(...)``.
 
         The destination endpoint must have a *request handler* installed
         via :meth:`serve`: a callable ``fn(payload, src) -> generator``
@@ -485,7 +484,7 @@ class Network:
                 "rpc", kind="net", src=src, dst=dst,
                 request=type(payload).__name__,
             )
-        reply = self.sim.event(name=f"rpc({src}->{dst})")
+        reply = self.sim.event(name="rpc")
         self._send_request(src, dst, payload, reply)
         return (yield from _await_reply(self.sim, reply, timeout, src, dst, span))
 
@@ -498,42 +497,31 @@ class Network:
         """
 
         handler_name = f"rpc-handler({name})"
-        body_name = f"rpc-body({name})"
 
         def on_delivery(wrapped: Any, src: str) -> None:
-            if isinstance(wrapped, _RequestBatch):
-                # One physical message, N logical requests: each sub-
-                # request gets its own handler process and its own reply
-                # (a combined reply could deadlock — releasing one item's
-                # locks may depend on another item's answer reaching its
-                # caller first).
-                for request, reply_ref in wrapped.envelopes:
-                    self.sim.spawn(
-                        self._run_server_handler(fn, request, src, name, reply_ref, body_name),
-                        name=handler_name,
-                    )
-                return
-            request, reply_ref = wrapped
-            self.sim.spawn(
-                self._run_server_handler(fn, request, src, name, reply_ref, body_name),
-                name=handler_name,
-            )
+            # The delivery is the handler's wake-up: its one process takes
+            # its first step inside this dispatch (`_run_server_handler`
+            # catches everything the body raises, so that step cannot
+            # abort the run).
+            #
+            # One physical message may carry N logical requests: each
+            # gets its own handler process and its own reply (a combined
+            # reply could deadlock — releasing one item's locks may depend
+            # on another item's answer reaching its caller first).
+            batch = wrapped.envelopes if isinstance(wrapped, _RequestBatch) else (wrapped,)
+            for request, reply_ref in batch:
+                self.sim.spawn_in_dispatch(
+                    self._run_server_handler(fn, request, src, name, reply_ref),
+                    name=handler_name,
+                )
 
         return self.register_handler(name, region, on_delivery)
 
     def _run_server_handler(
-        self,
-        fn: Callable,
-        request: Any,
-        src: str,
-        server: str,
-        reply_ref: "_ReplyRef",
-        body_name: Optional[str] = None,
+        self, fn: Callable, request: Any, src: str, server: str, reply_ref: "_ReplyRef"
     ) -> Generator:
         try:
-            result = yield self.sim.spawn(
-                fn(request, src), name=body_name or f"rpc-body({server})"
-            )
+            result = yield from fn(request, src)
         except Exception as exc:  # propagate server-side failure to caller
             self._send_reply(server, reply_ref, exc, failed=True)
             return
@@ -690,7 +678,7 @@ class RequestBatcher:
                 "rpc", kind="net", src=self.src, dst=dst,
                 request=type(payload).__name__, batched=True,
             )
-        reply = sim.event(name=f"rpc({self.src}->{dst})")
+        reply = sim.event(name="rpc")
         self._enqueue(dst, (payload, _ReplyRef(src=self.src, reply=reply)))
         return (yield from _await_reply(sim, reply, timeout, self.src, dst, span))
 

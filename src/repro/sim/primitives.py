@@ -123,15 +123,14 @@ class Mutex(Semaphore):
     def holding(self, body: Generator) -> Generator:
         """Run ``body`` (a generator) while holding the mutex.
 
-        Usage: ``result = yield sim.spawn(mutex.holding(work()))``.
+        Usage: ``result = yield from mutex.holding(work())``.
         The mutex is released even if ``body`` raises.
         """
         yield self.acquire()
         try:
-            result = yield self.sim.spawn(body)
+            return (yield from body)
         finally:
             self.release()
-        return result
 
 
 class Gate:

@@ -134,7 +134,9 @@ class LockManager:
         obs = self.sim.obs
         for req in requests:
             ev = self._acquire_one(owner, req.key, req.mode)
-            if not ev.triggered:
+            if ev is not None:
+                # Only a lock that must be waited for costs an event (and a
+                # dispatch); one granted on the spot costs neither.
                 self.contended_acquisitions += 1
                 # A contended acquisition is queue time on the server's
                 # critical path: record it as a lock.wait span so the
@@ -156,8 +158,6 @@ class LockManager:
                     # injection cannot leak open spans.
                     if wait_span is not None and not wait_span.finished:
                         wait_span.finish(self.sim.now)
-            else:
-                yield ev
             self._held[owner].append((req.key, req.mode))
             if per_lock_latency > 0:
                 yield self.sim.timeout(per_lock_latency)
@@ -169,14 +169,15 @@ class LockManager:
             self.metrics.record_tagged("lock.wait", waited, server=self.name)
         return len(requests)
 
-    def _acquire_one(self, owner: str, key: Key, mode: str) -> Event:
+    def _acquire_one(self, owner: str, key: Key, mode: str) -> Optional[Event]:
+        """Grant the lock now (``None``) or queue for it (the event the
+        grant will trigger)."""
         record = self._locks.setdefault(key, _LockRecord())
-        ev = self.sim.event(name=f"lock({key},{mode},{owner})")
         if self._grantable(record, mode):
             self._grant(record, owner, mode)
-            ev.trigger(None)
-        else:
-            record.queue.append(_Waiter(owner, mode, ev))
+            return None
+        ev = self.sim.event(name="lock")
+        record.queue.append(_Waiter(owner, mode, ev))
         return ev
 
     @staticmethod

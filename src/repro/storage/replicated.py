@@ -131,7 +131,7 @@ class ReplicatedStore:
         def one(replica: _Replica) -> Generator:
             if replica is coordinator:
                 # Local processing: no network hop, just service time.
-                result = yield self.sim.spawn(replica.handle(request, coordinator.name))
+                result = yield from replica.handle(request, coordinator.name)
             else:
                 result = yield from self.net.call(coordinator.name, replica.name, request)
             responses.append(result)

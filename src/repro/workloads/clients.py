@@ -67,9 +67,7 @@ class ClosedLoopClient:
             yield self.sim.timeout(self.client_app_rtt_ms / 2.0)
             if root is not None:
                 obs.phase("phase.client_rtt", start_ms=start)
-            outcome = yield self.sim.spawn(
-                self.invoke(function_id, args), name=f"req({function_id})"
-            )
+            outcome = yield from self.invoke(function_id, args)
             reply_hop_start = self.sim.now
             yield self.sim.timeout(self.client_app_rtt_ms / 2.0)
             latency = self.sim.now - start
@@ -138,20 +136,32 @@ class OpenLoopClient:
         if self.start_after_ms > 0:
             yield self.sim.timeout(self.start_after_ms)
         deadline = self.sim.now + self.duration_ms
-        in_flight = []
         mean_gap_ms = 1000.0 / self.rate_rps
+        # In-flight requests are counted, not collected (the generator
+        # itself is the count's first unit): a finished request leaves
+        # nothing behind, and the drain is one wait on one event.
+        in_flight = 1
+        drained = self.sim.event(name="open-loop-drained")
+
+        def request(function_id: str, args) -> Generator:
+            nonlocal in_flight
+            try:
+                yield from self._one(function_id, args)
+            finally:
+                in_flight -= 1
+                if in_flight == 0:
+                    drained.trigger()
+
         while self.sim.now < deadline:
             yield self.sim.timeout(self.rng.expovariate(1.0 / mean_gap_ms))
             if self.sim.now >= deadline:
                 break
             function_id, args = self.app.generate_request(self.rng)
-            in_flight.append(
-                self.sim.spawn(
-                    self._one(function_id, args), name=f"openreq({function_id})"
-                )
-            )
-        for proc in in_flight:
-            yield proc
+            in_flight += 1
+            self.sim.spawn(request(function_id, args), name=f"openreq({function_id})")
+        in_flight -= 1
+        if in_flight:
+            yield drained
 
     def _one(self, function_id: str, args) -> Generator:
         obs = self.sim.obs
@@ -164,7 +174,7 @@ class OpenLoopClient:
             )
             obs.activate(root.context)
         try:
-            outcome = yield self.sim.spawn(self.invoke(function_id, args))
+            outcome = yield from self.invoke(function_id, args)
         except UnavailableError:
             if not self.tolerate_unavailable:
                 raise

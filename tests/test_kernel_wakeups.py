@@ -6,17 +6,27 @@ move when the cost does.
 "costs N dispatches" below is an exact count.
 """
 
+import gc
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.messages import LVIRequest
 from repro.sim import (
+    Metrics,
     Network,
+    Process,
     RandomStreams,
     Region,
     RequestBatcher,
     RpcTimeout,
+    SimulationError,
     Simulator,
     paper_latency_table,
 )
+from repro.storage.locks import LockManager
+from repro.workloads import OpenLoopClient
 
 from conftest import build_counter_deployment
 
@@ -203,6 +213,188 @@ class TestRunUntilEvent:
         assert sim.events_dispatched == before
 
 
+class TestGrantedLockCostsNothing:
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_n_uncontended_locks_dispatch_nothing(self, sim, n):
+        locks = LockManager(sim)
+        keys = [("t", f"k{i}") for i in range(n)]
+
+        def proc():
+            return (yield from locks.acquire_all("a", keys[:1], keys[1:]))
+
+        assert sim.run_process(proc()) == n
+        assert sim.events_dispatched == 1  # the spawn alone
+        assert len(locks.held_by("a")) == n
+
+    def test_one_contended_lock_costs_exactly_its_grant(self, sim):
+        locks = LockManager(sim)
+        free, hot = ("t", "a-free"), ("t", "b-hot")
+        granted_at = []
+
+        def holder():
+            yield from locks.acquire_all("h", (), [hot])
+            yield sim.timeout(5.0)
+            locks.release_all("h")
+
+        def waiter():
+            yield from locks.acquire_all("w", [free], [hot])
+            granted_at.append(sim.now)
+
+        sim.spawn(holder())
+        sim.spawn(waiter())
+        sim.run()
+        assert granted_at == [5.0]
+        # Two spawns and the hold timer, then one resume: the grant.
+        assert sim.events_dispatched == 3 + 1
+        assert locks.contended_acquisitions == 1
+
+    def test_a_double_grant_names_the_event_kind(self, sim):
+        locks = LockManager(sim)
+        key = ("t", "k")
+        sim.run_process(locks.acquire_all("h", (), [key]))
+        sim.spawn(locks.acquire_all("w", (), [key]))
+        sim.run()
+        queued = locks._locks[key].queue[0].event
+        locks.release_all("h")
+        with pytest.raises(SimulationError, match="'lock' triggered twice"):
+            queued.trigger(None)
+
+
+class TestHandlerStartsAtDelivery:
+    """One process per served request, started by the delivery itself.
+    CA -> VA is 37 ms one way."""
+
+    @staticmethod
+    def _net(sim, handler):
+        net = Network(sim, paper_latency_table(), RandomStreams(7))
+        net.serve("server", Region.VA, handler)
+        net.register("client", Region.CA)
+        return net
+
+    def test_a_round_trip_costs_deliver_reply_and_resume(self, sim):
+        def handler(payload, src):
+            return ("echo", payload)
+            yield  # a generator that never suspends
+
+        net = self._net(sim, handler)
+        assert sim.run_process(net.call("client", "server", "x")) == ("echo", "x")
+        assert sim.now == 74.0
+        assert sim.events_dispatched == 1 + 3  # the caller's spawn, then the trip
+
+    def test_a_handler_raising_in_its_first_step_fails_the_reply(self, sim):
+        def handler(payload, src):
+            raise KeyError("boom")
+            yield
+
+        net = self._net(sim, handler)
+
+        def client():
+            try:
+                yield from net.call("client", "server", "x")
+            except KeyError as exc:
+                return exc.args[0], sim.now
+
+        # The in-dispatch first step has no joiner; the handler process
+        # itself turns the exception into the failed reply.
+        assert sim.run_process(client()) == ("boom", 74.0)
+        sim.run()  # nothing died unobserved
+
+    def test_a_double_reply_names_the_event_kind(self, sim):
+        refs = []
+        net = Network(sim, paper_latency_table(), RandomStreams(7))
+        net.register_handler("server", Region.VA, lambda wrapped, src: refs.append(wrapped[1]))
+        net.register("client", Region.CA)
+        sim.spawn(net.call("client", "server", "x"))
+        sim.run()
+        refs[0].reply.trigger("once")
+        with pytest.raises(SimulationError, match="'rpc' triggered twice"):
+            refs[0].reply.trigger("twice")
+
+    @pytest.mark.parametrize("crash_first, killed, dropped", [(False, 1, 0), (True, 0, 1)])
+    def test_a_crash_in_the_delivery_instant(self, crash_first, killed, dropped):
+        """The handler's first step is part of the delivery, so a crash at
+        the same instant lands cleanly on one side of it: after it, the
+        handler has started under the old incarnation and is fenced at its
+        next step; before it, the message finds no endpoint.  (With a
+        deferred start the handler began *on the crashed server*, under
+        the new incarnation, and ran on unfenced.)"""
+        dep = build_counter_deployment()
+        sim, net, server = dep.sim, dep.net, dep.server
+        rt = dep.runtimes[Region.JP]
+        key = ("counters", "c:x")
+        req = LVIRequest(
+            execution_id="e-1", function_id="t.read", args=("x",),
+            read_keys=(key,), write_keys=(), versions={key: 1},
+            origin_region=Region.JP,
+        )
+        arrives = net.latency.one_way(Region.JP, server.region)
+
+        def caller():
+            try:
+                yield from net.call(rt.name, server.name, req, timeout=1_000.0)
+            except RpcTimeout:
+                return "silence"
+
+        if crash_first:
+            sim.schedule(arrives, server.crash)  # armed before the send
+        proc = sim.spawn(caller())
+        sim.run(until=arrives / 2)
+        if not crash_first:
+            sim.schedule(arrives - sim.now, server.crash)  # armed after it
+        sim.run(until_event=proc.done_event)
+        assert proc.result == "silence"
+        assert dep.metrics.counter("server.killed_handlers") == killed
+        assert net.messages_dropped == dropped
+
+
+class TestSpawnStaysDeferred:
+    def test_a_child_dying_in_its_first_step_reaches_its_joiner(self, sim):
+        """``spawn`` must not run the child's first step itself: the child
+        would die before its spawner could join it, and an unobserved
+        death aborts the simulation."""
+        def child():
+            raise KeyError("early")
+            yield
+
+        def parent():
+            try:
+                yield sim.spawn(child())
+            except KeyError as exc:
+                return exc.args[0]
+
+        assert sim.run_process(parent()) == "early"
+        assert sim.events_dispatched == 3  # parent start, child start, parent resume
+
+
+def test_open_loop_client_retains_in_flight_not_issued(sim):
+    """A finished request leaves no process behind: ~2000 requests of 10 ms
+    at 1000/s keep about ten alive, and the drain is one wait."""
+    def invoke(function_id, args):
+        yield sim.timeout(10.0)
+        return SimpleNamespace(path="stub")
+
+    metrics = Metrics()
+    client = OpenLoopClient(
+        sim, SimpleNamespace(generate_request=lambda rng: ("f", [])), Region.CA,
+        invoke, metrics, random.Random(5), rate_rps=1000.0, duration_ms=2_000.0,
+    )
+    alive = []
+
+    def census():
+        gc.collect()
+        alive.append(sum(type(o) is Process for o in gc.get_objects()))
+
+    sim.schedule(1_990.0, census)
+    proc = sim.spawn(client.run())
+    sim.run()
+    issued = metrics.counter("requests.total")
+    assert proc.done and issued > 1_500
+    assert alive[0] < 50
+    # One start and one timer per request, one timer per arrival gap (the
+    # last one lands past the deadline), the generator's start, its drain.
+    assert sim.events_dispatched == 1 + 3 * issued + 1 + 1 + 1
+
+
 def _call_through_network(net):
     net.register("client", Region.CA)
     return lambda payload, timeout: net.call("client", "server", payload, timeout=timeout)
@@ -312,7 +504,9 @@ class TestFencedHandlerCollection:
 def test_plumbing_ratchet_social_closed_loop():
     """Process plumbing per request cannot creep back unnoticed: the
     200-request seed-42 social closed loop on the seed topology dispatched
-    30.56 events per request before wake-ups became direct, 18.41 after."""
+    30.56 events per request before wake-ups became direct, 18.41 after,
+    and 9.2 once a request stopped paying for granted locks, spawn-then-
+    join processes and deferred handler starts (9 is what it models)."""
     from repro.apps.social import social_media_app
     from repro.bench.harness import ExperimentConfig, run_radical_experiment
 
@@ -321,4 +515,4 @@ def test_plumbing_ratchet_social_closed_loop():
     )
     requests = res.metrics.summary("e2e").count
     assert requests == 200
-    assert res.events_dispatched / requests <= 19.0
+    assert res.events_dispatched / requests <= 10.0

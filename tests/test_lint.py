@@ -1,4 +1,5 @@
-"""Determinism lint: the mechanical ban on wall clocks and ambient RNG."""
+"""Determinism lint: the mechanical ban on wall clocks and ambient RNG,
+plus the process-plumbing rule that holds everywhere."""
 
 from repro.analysis.lint import (
     DETERMINISTIC_PACKAGES,
@@ -6,6 +7,10 @@ from repro.analysis.lint import (
     lint_tree,
     repo_root,
 )
+
+
+#: One wall-clock read (DET001) and one spawn-then-join (SIM001).
+_BOTH_KINDS = "import time\ndef p(sim):\n    t = time.time()\n    yield sim.spawn(w())\n"
 
 
 def _codes(source):
@@ -48,10 +53,36 @@ class TestLintRules:
     def test_unparseable_module_is_reported(self):
         assert _codes("def f(:\n") == ["DET000"]
 
+    def test_spawn_joined_on_the_spot(self):
+        assert _codes("def p(sim):\n    yield sim.spawn(work())\n") == ["SIM001"]
+        assert _codes(
+            "def p(self, body):\n    r = yield self.sim.spawn(body, name='b')\n"
+        ) == ["SIM001"]
+
+    def test_spawn_beside_the_caller_is_legal(self):
+        clean = (
+            "def p(sim):\n"
+            "    proc = sim.spawn(work())\n"
+            "    yield sim.any_of([proc.done_event, sim.timeout(5.0)])\n"
+            "    result = yield from work()\n"
+            "    yield proc\n"
+        )
+        assert _codes(clean) == []
+
+    def test_outside_the_core_only_the_plumbing_rule_applies(self):
+        assert [v.code for v in lint_source(_BOTH_KINDS, deterministic=False)] == ["SIM001"]
+
 
 class TestLintScope:
     def test_simulation_core_is_clean(self):
         assert lint_tree(repo_root()) == []
+
+    def test_tree_walk_applies_each_rule_in_its_scope(self, tmp_path):
+        for package in ("sim", "bench"):
+            (tmp_path / package).mkdir()
+            (tmp_path / package / "m.py").write_text(_BOTH_KINDS)
+        found = [(v.path.split("/")[-2], v.code) for v in lint_tree(str(tmp_path))]
+        assert found == [("bench", "SIM001"), ("sim", "DET001"), ("sim", "SIM001")]
 
     def test_scope_names_real_packages(self):
         import os

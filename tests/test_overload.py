@@ -4,8 +4,11 @@ metastability verdict, and the goodput plateau-vs-collapse sweep."""
 
 import pytest
 
+from repro.consistency import HistoryRecorder, check_strict_serializability
 from repro.core import RadicalConfig
 from repro.core.messages import DirectExecRequest, LVIRequest, WriteFollowup
+from repro.core.runtime import PATH_DIRECT, PATH_SPECULATIVE
+from repro.core.server import _DIRECT_BARRIER
 from repro.errors import FaultConfigError, OverloadedError, UnavailableError
 from repro.faults import (
     AdaptiveLimiter,
@@ -283,6 +286,70 @@ class TestDirectBarrier:
         assert server.locks.held_owners() == []
 
 
+    def test_half_open_probe_goes_direct_and_waits_at_the_barrier(self):
+        """The path gray-limp found, constructed so it cannot go vacuous
+        when ties move: a validated intent is pending (its followup lost),
+        the breaker is opened by hand, and the probe the cooldown admits
+        must take the direct path, queue on the barrier behind the intent,
+        and run only after the intent's timer settled it."""
+        config = RadicalConfig(
+            service_jitter_sigma=0.0, followup_timeout_ms=3_000.0,
+            breaker_cooldown_ms=1_000.0,
+        )
+        dep = build_counter_deployment(seed=2, config=config)
+        sim, net, server, metrics = dep.sim, dep.net, dep.server, dep.metrics
+        writer, prober = dep.runtimes[Region.CA], dep.runtimes[Region.JP]
+        history = HistoryRecorder()
+        net.add_drop_filter(lambda src, dst, payload: isinstance(payload, WriteFollowup))
+
+        def client(runtime):
+            record = history.begin("t.bump", sim.now)
+            outcome = yield from runtime.invoke("t.bump", ["x"])
+            history.finish(record, sim.now, reads=outcome.read_versions,
+                           writes=outcome.write_versions)
+            return outcome
+
+        spec = sim.spawn(client(writer))
+        sim.run(until=400.0)
+        assert spec.done and spec.result.path == PATH_SPECULATIVE
+        (intent,) = dep.pending_intents()  # validated, followup lost
+
+        breaker = prober._breaker
+        for _ in range(config.breaker_failure_threshold):
+            breaker.record_failure()
+
+        def fast_fail():
+            with pytest.raises(UnavailableError, match="circuit open"):
+                yield from prober.invoke("t.bump", ["x"])
+
+        sim.run_process(fast_fail())
+        sim.run(until=sim.now + config.breaker_cooldown_ms)
+
+        probe = sim.spawn(client(prober))
+        sim.run(until=2_500.0)
+        # Admitted as the half-open probe, sent direct, and held at the
+        # barrier: the intent (timer due at ~3.1 s) still owns its locks.
+        assert metrics.counter("breaker.half_open") == 1
+        assert metrics.counter("path.direct") == 1
+        assert not probe.done
+        assert server.locks.queue_length(_DIRECT_BARRIER) == 1
+        assert server.locks.holders_of(_DIRECT_BARRIER) == [intent.execution_id]
+
+        sim.run(until=10_000.0)
+        assert probe.done and probe.result.path == PATH_DIRECT
+        assert metrics.counter("reexecution.count") == 1
+        assert metrics.counter("breaker.closed") == 1
+        # The direct execution observed the intent's write: two bumps, two
+        # distinct versions, a serializable history, nothing left held.
+        assert spec.result.write_versions[KEY] == 2
+        assert probe.result.write_versions[KEY] == 3
+        item = dep.store.get_or_none(*KEY)
+        assert (item.value, item.version) == (2, 3)
+        check_strict_serializability(history.records())
+        assert server.locks.held_owners() == []
+        assert dep.pending_intents() == []
+
+
 class TestLockStats:
     def test_lock_wait_stats_tagged_and_reset_across_crash(self):
         dep = build_counter_deployment(seed=3)
@@ -435,18 +502,19 @@ class TestOverloadChaosPlans:
         assert result.post_p50_ms <= result.pre_p50_ms * 1.10 + 1.0
 
     def test_gray_limp_regression_direct_path_serializable(self):
-        """A gray-limp seed whose half-open breaker probe goes down the
-        direct path is the case that exposed the unlocked direct execution
-        (duplicate write of one version); it must stay serializable now
-        that the barrier serializes direct executions against pending
-        intents.  Which seed that is depends on the whole timeline: of
-        seeds 1-8, only 3 takes the direct path (asserted below)."""
-        result = run_chaos_case(builtin_plans()["gray-limp"], seed=3)
-        assert result.ok, result.violation
-        assert result.serializable
-        assert result.duplicate_writes == 0
-        assert result.counters.get("path.direct", 0) >= 1
-        assert result.counters.get("admission.shed", 0) > 0
+        """gray-limp is the plan that exposed the unlocked direct execution
+        (a half-open breaker probe going down the direct path minted a
+        duplicate write of one version).  Whether any seed's probe takes
+        that path depends on the whole timeline's same-instant ties, so
+        the path itself is pinned by the constructed case in
+        ``TestDirectBarrier``; here every seed must stay correct whichever
+        path its probes take."""
+        for seed in range(1, 9):
+            result = run_chaos_case(builtin_plans()["gray-limp"], seed=seed)
+            assert result.ok, (seed, result.violation)
+            assert result.serializable, seed
+            assert result.duplicate_writes == 0, seed
+            assert result.counters.get("admission.shed", 0) > 0, seed
 
 
 class TestOverloadSweep:
