@@ -38,6 +38,9 @@ def timed(fn):
 
 def bench_fig4(requests, seed):
     from repro.apps.social import social_media_app
+    # Not stale: this script is run against the *seed* tree, whose harness
+    # has these names (see the module docstring); the current tree's
+    # spelling is in repro.bench.kernelbench.fig4_job.
     from repro.bench.harness import ExperimentConfig, run_radical_experiment
 
     cfg = ExperimentConfig(requests=requests, seed=seed)

@@ -37,21 +37,22 @@ def main() -> int:
     args = parser.parse_args()
 
     from repro.apps.social import social_media_app
-    from repro.bench.harness import ExperimentConfig, run_radical_experiment
+    from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
+    from repro.topology import Deployment, TopologySpec
 
-    cfg = ExperimentConfig(requests=args.requests, seed=args.seed)
+    spec = TopologySpec(seed=args.seed, network_jitter_sigma=PAPER_JITTER_SIGMA)
     app = social_media_app()
 
     profiler = cProfile.Profile()
     profiler.enable()
-    res = run_radical_experiment(app, cfg)
+    dep = drive_closed_loop(Deployment.build(spec, app=app), app, args.requests)
     profiler.disable()
 
     print(
         f"fig4 x{args.requests} seed={args.seed}: "
-        f"e2e median {res.metrics.summary('e2e').median:.3f} ms, "
-        f"{res.events_dispatched} events, "
-        f"virtual {res.virtual_time_ms:.1f} ms\n"
+        f"e2e median {dep.metrics.summary('e2e').median:.3f} ms, "
+        f"{dep.sim.events_dispatched} events, "
+        f"virtual {dep.sim.now:.1f} ms\n"
     )
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")

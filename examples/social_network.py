@@ -12,19 +12,21 @@ Run:  python examples/social_network.py        (~2000 requests, a few seconds)
 """
 
 from repro.bench import (
-    ExperimentConfig,
+    PAPER_JITTER_SIGMA,
     fig4_rows,
     fig5_rows,
     print_table,
     run_eval_trio,
 )
+from repro.topology import TopologySpec
 
 
 def main() -> None:
-    cfg = ExperimentConfig(requests=2000, seed=2026)
+    # One description of the deployment; all three systems are built from it.
+    spec = TopologySpec(seed=2026, network_jitter_sigma=PAPER_JITTER_SIGMA)
     print("Running the social network under Radical, the primary-DC "
           "baseline, and the local ideal (3 x 2000 requests)...")
-    trio = run_eval_trio("social", cfg)
+    trio = run_eval_trio("social", spec, requests=2000)
 
     row = fig4_rows(trio)
     print_table(

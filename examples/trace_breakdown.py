@@ -18,12 +18,13 @@ Run:  python examples/trace_breakdown.py
 """
 
 from repro.bench import (
-    ExperimentConfig,
+    MAIN_APP_BUILDERS,
+    PAPER_JITTER_SIGMA,
+    drive_closed_loop,
     print_breakdown_report,
-    run_radical_experiment,
 )
-from repro.bench.experiments import MAIN_APP_BUILDERS
 from repro.obs import (
+    all_breakdowns,
     critical_path,
     critical_path_signatures,
     group_traces,
@@ -31,18 +32,25 @@ from repro.obs import (
     spans_to_jsonl,
     write_jsonl,
 )
+from repro.topology import Deployment, TopologySpec
+
+
+def run(trace: bool) -> Deployment:
+    """Build the paper topology and drive 300 social requests through it."""
+    spec = TopologySpec(seed=7, network_jitter_sigma=PAPER_JITTER_SIGMA, trace=trace)
+    app = MAIN_APP_BUILDERS["social"]()
+    return drive_closed_loop(Deployment.build(spec, app=app), app, requests=300)
 
 
 def main() -> None:
-    cfg = ExperimentConfig(requests=300, seed=7, trace=True)
     print("Running the social app under Radical with tracing enabled ...")
-    result = run_radical_experiment(MAIN_APP_BUILDERS["social"](), cfg)
-    spans = result.trace.spans
+    traced = run(trace=True)
+    spans = traced.trace.spans
     print(f"  {len(spans)} spans recorded, {len(orphan_spans(spans))} orphans "
           f"(must be 0)")
 
     # -- 1. the breakdown table ------------------------------------------------
-    breakdowns = result.breakdowns()
+    breakdowns = all_breakdowns(spans)
     print_breakdown_report(breakdowns, title="Latency breakdown (social, Radical)")
 
     # -- 2. what bounded each request? ----------------------------------------
@@ -70,11 +78,8 @@ def main() -> None:
     print(f"\nExported {len(spans)} spans to {path}")
     print("First record:", spans_to_jsonl(spans[:1]).strip()[:120], "...")
 
-    untraced = run_radical_experiment(
-        MAIN_APP_BUILDERS["social"](),
-        ExperimentConfig(requests=300, seed=7, trace=False),
-    )
-    same = untraced.summary() == result.summary()
+    untraced = run(trace=False)
+    same = untraced.metrics.summary("e2e") == traced.metrics.summary("e2e")
     print(f"\nSame seed without tracing -> identical summaries: {same}")
     assert same, "tracing must never perturb the simulation"
 

@@ -18,11 +18,13 @@ The package is organised bottom-up:
 
 Quickstart::
 
-    from repro.bench import ExperimentConfig, run_radical_experiment
     from repro.apps import social_media_app
+    from repro.bench import drive_closed_loop
+    from repro.topology import Deployment, TopologySpec
 
-    result = run_radical_experiment(social_media_app(), ExperimentConfig(requests=2000))
-    print(result.summary("e2e"))
+    app = social_media_app()
+    dep = drive_closed_loop(Deployment.build(TopologySpec(), app=app), app, requests=2000)
+    print(dep.metrics.summary("e2e"))
 """
 
 __version__ = "1.0.0"

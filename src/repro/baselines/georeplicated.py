@@ -10,17 +10,16 @@ the PRAM bound in action.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from ..core import RadicalConfig
 from ..core.registry import jittered_ms
-from ..sim import Metrics, Network, RandomStreams, Simulator
+from ..sim import Metrics, Network, RandomStreams, Region, Simulator
 from ..storage import ReplicatedStore
-from .primary import BaselineOutcome
+from .primary import BaselineOutcome, _BaselineSystem
 
-__all__ = ["GeoReplicatedApp", "SimpleWorkload"]
+__all__ = ["GeoReplicatedApp", "GeoReplicatedDeployment", "SimpleWorkload"]
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,6 @@ class SimpleWorkload:
 
 class GeoReplicatedApp:
     """One region's app instance bound to the shared quorum store."""
-
-    _ids = itertools.count()
 
     def __init__(
         self,
@@ -53,7 +50,7 @@ class GeoReplicatedApp:
         self.store = store
         self.config = config or RadicalConfig()
         self.metrics = metrics or Metrics()
-        self.client = store.client(region, f"geo-app-{region}-{next(GeoReplicatedApp._ids)}")
+        self.client = store.client(region, net.unique_endpoint_name(f"geo-app-{region}"))
         self._jitter = (streams or RandomStreams(0)).stream(f"geo.{region}")
 
     def invoke(self, workload: SimpleWorkload, key: str = "motivation") -> Generator:
@@ -77,3 +74,28 @@ class GeoReplicatedApp:
             function_id="motivation",
             path="geo-replicated",
         )
+
+
+class GeoReplicatedDeployment(_BaselineSystem):
+    """Figure 1's middle bar under a spec's network and seed: an app
+    instance in every ``spec.regions`` entry over one quorum store
+    replicated across VA / OH / OR (the paper's global table)."""
+
+    def _wire(self) -> None:
+        self.net = self._network()
+        self.store = ReplicatedStore(self.sim, self.net, [Region.VA, Region.OH, Region.OR])
+        self.apps: Dict[str, GeoReplicatedApp] = {
+            region: GeoReplicatedApp(
+                self.sim, self.net, region, self.store, self.spec.config,
+                self.streams, self.metrics,
+            )
+            for region in self.spec.regions
+        }
+
+    def write(self, key: str, value: Any) -> None:
+        """Quorum-write one ``app`` item from beside the primary, to
+        completion — how data gets in before traffic."""
+        writer = self.store.client(
+            self.spec.primary_region, self.net.unique_endpoint_name("geo-seed")
+        )
+        self.sim.run_process(writer.write("app", key, value))

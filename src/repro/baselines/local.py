@@ -8,17 +8,16 @@ metric is how close it gets to this bound while staying linearizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core import FunctionRegistry, RadicalConfig
 from ..core.storage_library import PrimaryEnv
 from ..sim import Metrics, RandomStreams, Simulator
 from ..storage import KVStore
 from ..wasm import VM
-from .primary import BaselineOutcome
+from .primary import BaselineOutcome, _BaselineSystem
 
-__all__ = ["LocalIdeal"]
+__all__ = ["LocalIdeal", "LocalIdealDeployment"]
 
 
 class LocalIdeal:
@@ -63,3 +62,23 @@ class LocalIdeal:
             function_id=function_id,
             path="local-ideal",
         )
+
+
+class LocalIdealDeployment(_BaselineSystem):
+    """The local lower bound under a spec's seed and regions: every
+    region runs the application on its own, separately seeded store.  The
+    spec's network fields describe links no request here ever crosses."""
+
+    def _wire(self) -> None:
+        self.locals: Dict[str, LocalIdeal] = {
+            region: LocalIdeal(
+                self.sim, region, self.registry, self.spec.config, self.streams,
+                self.metrics, store=self._seed(KVStore(name=f"local-{region}")),
+            )
+            for region in self.spec.regions
+        }
+
+    def client(self, region: str) -> Tuple[Callable[..., Generator], float]:
+        """A client in ``region``: its ``(invoke, client_rtt_ms)`` — the
+        same sub-millisecond hop a Radical client pays to its PoP."""
+        return self.locals[region].invoke, self.spec.config.client_app_rtt_ms

@@ -27,11 +27,10 @@ from .experiments import (
     table2_rtt,
 )
 from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_baseline_experiment,
-    run_local_ideal_experiment,
-    run_radical_experiment,
+    PAPER_JITTER_SIGMA,
+    drive_closed_loop,
+    drive_open_loop,
+    validation_success_rate,
 )
 from .kernelbench import (
     merge_openloop,
@@ -45,7 +44,6 @@ from .mesh import (
     sweep_mesh,
 )
 from .overload import (
-    overload_config,
     run_overload_point,
     sweep_overload,
 )
@@ -58,15 +56,10 @@ from .routing import (
     sparse_placement,
 )
 from .readscale import (
-    readscale_app,
-    readscale_config,
     readscale_gate_failures,
-    run_readscale_point,
     sweep_readscale,
 )
 from .scalability import (
-    run_scalability_point,
-    scalability_config,
     sweep_scalability,
     uniform_counter_app,
 )
@@ -86,14 +79,15 @@ __all__ = [
     "run_analysis_corpus",
     "CostBreakdown",
     "EvalTrio",
-    "ExperimentConfig",
-    "ExperimentResult",
     "MAIN_APP_BUILDERS",
+    "PAPER_JITTER_SIGMA",
     "ablation_cache_bootstrap",
     "ablation_overlap",
     "ablation_two_rtt",
     "bar_chart",
     "cost_table",
+    "drive_closed_loop",
+    "drive_open_loop",
     "grouped_bar_chart",
     "fig1_motivation",
     "fig4_rows",
@@ -106,26 +100,17 @@ __all__ = [
     "mesh_partition_plan",
     "monthly_costs",
     "openloop_chunk_jobs",
-    "overload_config",
     "present_routing",
     "print_table",
     "routing_gate_failures",
     "run_routing_point",
     "run_routing_sweep",
     "sparse_placement",
-    "readscale_app",
-    "readscale_config",
     "readscale_gate_failures",
     "run_kernelbench",
-    "run_readscale_point",
     "run_sweep",
-    "run_baseline_experiment",
     "run_eval_trio",
-    "run_local_ideal_experiment",
     "run_overload_point",
-    "run_radical_experiment",
-    "run_scalability_point",
-    "scalability_config",
     "sec56_replication",
     "sweep_concurrency",
     "sweep_mesh",
@@ -136,4 +121,5 @@ __all__ = [
     "table1_functions",
     "table2_rtt",
     "uniform_counter_app",
+    "validation_success_rate",
 ]

@@ -12,31 +12,25 @@ reproduction targets recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence
 
 from ..analysis import analyze_source
-from ..apps import App, forum_app, hotel_app, social_media_app
-from ..baselines import GeoReplicatedApp, LocalIdeal, PrimaryBaseline, SimpleWorkload
-from ..core import FunctionRegistry, FunctionSpec, LVIServer, NearUserRuntime, RadicalConfig
-from ..sim import (
-    Metrics,
-    Network,
-    PAPER_RTT_TO_PRIMARY,
-    RandomStreams,
-    Region,
-    Simulator,
-    Summary,
-    paper_latency_table,
+from ..apps import App, AppFunction, WorkloadContext, forum_app, hotel_app, social_media_app
+from ..baselines import (
+    GeoReplicatedDeployment,
+    LocalIdealDeployment,
+    PrimaryDeployment,
+    SimpleWorkload,
 )
-from ..storage import KVStore, NearUserCache, ReplicatedStore
+from ..core import FunctionSpec, RadicalConfig
+from ..sim import PAPER_RTT_TO_PRIMARY, RandomStreams, Region, Simulator, Summary
+from ..topology import Deployment, TopologySpec
 from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
+    PAPER_JITTER_SIGMA,
+    drive_closed_loop,
     drive_open_loop,
-    run_baseline_experiment,
-    run_local_ideal_experiment,
-    run_radical_experiment,
+    validation_success_rate,
 )
 
 __all__ = [
@@ -94,65 +88,38 @@ def _back_to_back(sim: Simulator, call: Callable[[], object], n: int, name: str)
 def fig1_motivation(requests_per_region: int, seed: int) -> List[dict]:
     """Figure 1: a ~100 ms + one-read request from five user locations under
     the three §2 deployments.  Returns one row per region."""
-    config = RadicalConfig()
+    spec = TopologySpec(seed=seed, network_jitter_sigma=PAPER_JITTER_SIGMA)
+    item = {"payload": "x"}
+    function = dict(
+        functions=[FunctionSpec("fig1.motivation", MOTIVATION_SRC, 100.0)],
+        seed_data=lambda store: store.put("data", "k:0", item),
+    )
 
-    # --- centralized: app + data in VA, clients everywhere -----------------
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    net = Network(sim, paper_latency_table(), streams, jitter_sigma=0.02)
-    registry = FunctionRegistry()
-    registry.register(FunctionSpec("fig1.motivation", MOTIVATION_SRC, 100.0))
-    store = KVStore()
-    store.put("data", "k:0", {"payload": "x"})
-    baseline = PrimaryBaseline(sim, net, registry, store, config, streams)
-    central: Dict[str, List[float]] = {}
-    for region in Region.NEAR_USER:
-        client = f"fig1-client-{region}"
-        net.register(client, region)
-        central[region] = _back_to_back(
-            sim, lambda: baseline.invoke_from(client, "fig1.motivation", [0]),
-            requests_per_region, f"fig1-central-{region}",
-        )
+    # Three independent worlds under one spec.  Centralized: app + data in
+    # VA, every user (VA's included) reaching it over the network;
+    # geo-replicated: app per region over the ABD quorum store; local ideal:
+    # app + uncoordinated local data per region.
+    central = PrimaryDeployment.build(spec, **function)
+    geo = GeoReplicatedDeployment.build(spec)
+    geo.write("motivation", item)
+    local = LocalIdealDeployment.build(spec, **function)
 
-    # --- geo-replicated: app per region, ABD quorum store ------------------
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    net = Network(sim, paper_latency_table(), streams, jitter_sigma=0.02)
-    quorum = ReplicatedStore(sim, net, [Region.VA, Region.OH, Region.OR])
-    seed_client = quorum.client(Region.VA, "fig1-seed")
-    sim.run_process(seed_client.write("app", "motivation", {"payload": "x"}))
-    geo: Dict[str, List[float]] = {}
-    for region in Region.NEAR_USER:
-        app_instance = GeoReplicatedApp(sim, net, region, quorum, config, streams)
-        geo[region] = _back_to_back(
-            sim, lambda: app_instance.invoke(SimpleWorkload()),
-            requests_per_region, f"fig1-geo-{region}",
-        )
-
-    # --- local ideal: app + uncoordinated local data per region ------------
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    registry2 = FunctionRegistry()
-    registry2.register(FunctionSpec("fig1.motivation", MOTIVATION_SRC, 100.0))
-    local: Dict[str, List[float]] = {}
-    for region in Region.NEAR_USER:
-        store_r = KVStore()
-        store_r.put("data", "k:0", {"payload": "x"})
-        ideal = LocalIdeal(sim, region, registry2, config, streams, store=store_r)
-        local[region] = _back_to_back(
-            sim, lambda: ideal.invoke("fig1.motivation", [0]),
-            requests_per_region, f"fig1-local-{region}",
-        )
-
-    return [
-        {
-            "region": region,
-            "centralized_median_ms": Summary.of(central[region]).median,
-            "geo_replicated_median_ms": Summary.of(geo[region]).median,
-            "local_ideal_median_ms": Summary.of(local[region]).median,
+    rows = []
+    for region in spec.regions:
+        user = central.remote_client(region, f"fig1-client-{region}")
+        calls = {
+            "centralized": (central.sim, lambda: user("fig1.motivation", [0])),
+            "geo_replicated": (geo.sim, lambda: geo.apps[region].invoke(SimpleWorkload())),
+            "local_ideal": (
+                local.sim, lambda: local.locals[region].invoke("fig1.motivation", [0])
+            ),
         }
-        for region in Region.NEAR_USER
-    ]
+        row = {"region": region}
+        for column, (sim, call) in calls.items():
+            samples = _back_to_back(sim, call, requests_per_region, f"fig1-{column}-{region}")
+            row[f"{column}_median_ms"] = Summary.of(samples).median
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -198,95 +165,101 @@ def table2_rtt() -> List[dict]:
 
 @dataclass
 class EvalTrio:
-    """Radical + baseline + local-ideal results for one application."""
+    """The three driven systems for one application, built from one spec."""
 
     app_name: str
-    radical: ExperimentResult
-    baseline: ExperimentResult
-    ideal: ExperimentResult
+    radical: Deployment
+    baseline: PrimaryDeployment
+    ideal: LocalIdealDeployment
+
+    def _gain_over_baseline(self, system: Any) -> float:
+        """How far ``system``'s median end-to-end latency sits under the
+        baseline's, as a fraction of the baseline's."""
+        baseline = self.baseline.metrics.summary("e2e").median
+        return 1.0 - system.metrics.summary("e2e").median / baseline
 
     def improvement(self) -> float:
         """Median end-to-end latency improvement of Radical vs baseline."""
-        return 1.0 - self.radical.summary().median / self.baseline.summary().median
+        return self._gain_over_baseline(self.radical)
 
     def max_improvement(self) -> float:
-        return 1.0 - self.ideal.summary().median / self.baseline.summary().median
+        return self._gain_over_baseline(self.ideal)
 
     def fraction_of_max(self) -> float:
         maximum = self.max_improvement()
         return self.improvement() / maximum if maximum > 0 else float("nan")
 
 
-def run_eval_trio(app_name: str, cfg: Optional[ExperimentConfig] = None) -> EvalTrio:
-    """Run the three deployments for one app under identical workloads."""
-    builder = MAIN_APP_BUILDERS[app_name]
-    cfg = cfg or ExperimentConfig()
+def run_eval_trio(
+    app_name: str, spec: TopologySpec, requests: int = 2000, clients_per_region: int = 2
+) -> EvalTrio:
+    """Build the three systems for one app from ``spec`` — identical
+    network, seed and regions — and drive each with the identical load."""
+    def driven(build: Callable[..., Any]) -> Any:
+        app = MAIN_APP_BUILDERS[app_name]()
+        return drive_closed_loop(build(spec, app=app), app, requests, clients_per_region)
+
     return EvalTrio(
         app_name=app_name,
-        radical=run_radical_experiment(builder(), cfg),
-        baseline=run_baseline_experiment(builder(), cfg),
-        ideal=run_local_ideal_experiment(builder(), cfg),
+        radical=driven(Deployment.build),
+        baseline=driven(PrimaryDeployment.build),
+        ideal=driven(LocalIdealDeployment.build),
     )
+
+
+def _latency_columns(trio: EvalTrio, label: str = "e2e") -> dict:
+    """Radical's and the baseline's median+p99 under one metrics label —
+    the columns Figures 4, 5 and 6 share."""
+    r, b = trio.radical.metrics.summary(label), trio.baseline.metrics.summary(label)
+    return {
+        "radical_median_ms": r.median,
+        "radical_p99_ms": r.p99,
+        "baseline_median_ms": b.median,
+        "baseline_p99_ms": b.p99,
+    }
 
 
 def fig4_rows(trio: EvalTrio) -> dict:
     """Figure 4: per-app median+p99 for both deployments plus the red line,
     improvement percentages, and the validation success rate (§5.3)."""
-    r, b, i = trio.radical.summary(), trio.baseline.summary(), trio.ideal.summary()
     return {
         "app": trio.app_name,
-        "radical_median_ms": r.median,
-        "radical_p99_ms": r.p99,
-        "baseline_median_ms": b.median,
-        "baseline_p99_ms": b.p99,
-        "ideal_median_ms": i.median,
+        **_latency_columns(trio),
+        "ideal_median_ms": trio.ideal.metrics.summary("e2e").median,
         "improvement_pct": trio.improvement() * 100,
         "fraction_of_max_pct": trio.fraction_of_max() * 100,
-        "validation_success_rate": trio.radical.validation_success_rate(),
+        "validation_success_rate": validation_success_rate(trio.radical.metrics),
     }
 
 
 def fig5_rows(trio: EvalTrio) -> List[dict]:
     """Figure 5: per-region median+p99 for one application."""
-    rows = []
-    for region in Region.NEAR_USER:
-        r = trio.radical.region_summary(region)
-        b = trio.baseline.region_summary(region)
-        i = trio.ideal.region_summary(region)
-        rows.append(
-            {
-                "app": trio.app_name,
-                "region": region,
-                "lat_nu_ns_ms": PAPER_RTT_TO_PRIMARY[region],
-                "radical_median_ms": r.median,
-                "radical_p99_ms": r.p99,
-                "baseline_median_ms": b.median,
-                "baseline_p99_ms": b.p99,
-                "ideal_median_ms": i.median,
-            }
-        )
-    return rows
+    spec, latency = trio.radical.spec, trio.radical.net.latency
+    return [
+        {
+            "app": trio.app_name,
+            "region": region,
+            "lat_nu_ns_ms": latency.rtt(region, spec.primary_region),
+            **_latency_columns(trio, f"e2e.region.{region}"),
+            "ideal_median_ms": trio.ideal.metrics.summary(f"e2e.region.{region}").median,
+        }
+        for region in spec.regions
+    ]
 
 
 def fig6_rows(trio: EvalTrio) -> List[dict]:
     """Figure 6: per-function median+p99 for one application."""
-    builder = MAIN_APP_BUILDERS[trio.app_name]
     rows = []
-    for fn in builder().functions:
-        fid = fn.function_id
-        if not trio.radical.metrics.has(f"e2e.fn.{fid}"):
+    for fn in MAIN_APP_BUILDERS[trio.app_name]().functions:
+        label = f"e2e.fn.{fn.function_id}"
+        if not trio.radical.metrics.has(label):
             continue  # low-weight function that drew no requests
-        r = trio.radical.function_summary(fid)
-        b = trio.baseline.function_summary(fid)
         rows.append(
             {
-                "function": fid,
+                "function": fn.function_id,
                 "service_time_ms": fn.spec.service_time_ms,
-                "radical_median_ms": r.median,
-                "radical_p99_ms": r.p99,
-                "baseline_median_ms": b.median,
-                "baseline_p99_ms": b.p99,
-                "samples": r.count,
+                **_latency_columns(trio, label),
+                "samples": trio.radical.metrics.summary(label).count,
             }
         )
     return rows
@@ -382,8 +355,6 @@ def _micro_lvi_latency(
 ) -> float:
     """Median e2e latency of an L-key write with a ~0.5 ms execution (so
     the LVI request is never hidden and server costs are visible)."""
-    from ..topology import Deployment, TopologySpec
-
     config = RadicalConfig(
         service_jitter_sigma=0.0,
         replicated=replicated,
@@ -424,49 +395,45 @@ def _micro_lvi_latency(
 # Ablations (DESIGN.md §5)
 # ---------------------------------------------------------------------------
 
-def ablation_overlap(requests: int, seed: int, app_name: str = "social") -> dict:
+def _paper_run(
+    app: App, requests: int, seed: int, clients_per_region: int = 2, **spec_fields: Any
+) -> Deployment:
+    """Radical on the paper topology (``spec_fields`` override it) under
+    the closed-loop workload every figure uses."""
+    spec = TopologySpec(seed=seed, network_jitter_sigma=PAPER_JITTER_SIGMA, **spec_fields)
+    return drive_closed_loop(Deployment.build(spec, app=app), app, requests, clients_per_region)
+
+
+def ablation_overlap(requests: int, seed: int) -> dict:
     """Speculation overlap on vs off: without overlap the LVI round trip
     serializes before execution — most of Radical's win disappears."""
-    on = run_radical_experiment(
-        MAIN_APP_BUILDERS[app_name](),
-        ExperimentConfig(requests=requests, seed=seed),
-    )
-    off = run_radical_experiment(
-        MAIN_APP_BUILDERS[app_name](),
-        ExperimentConfig(requests=requests, seed=seed, radical=RadicalConfig(speculate=False)),
-    )
+    on = _paper_run(social_media_app(), requests, seed).metrics.summary("e2e").median
+    off = _paper_run(
+        social_media_app(), requests, seed, config=RadicalConfig(speculate=False)
+    ).metrics.summary("e2e").median
     return {
-        "app": app_name,
-        "overlap_median_ms": on.summary().median,
-        "no_overlap_median_ms": off.summary().median,
-        "penalty_pct": (off.summary().median / on.summary().median - 1.0) * 100,
+        "app": "social",
+        "overlap_median_ms": on,
+        "no_overlap_median_ms": off,
+        "penalty_pct": (off / on - 1.0) * 100,
     }
 
 
-def ablation_two_rtt(requests: int, seed: int, app_name: str = "social") -> dict:
+def ablation_two_rtt(requests: int, seed: int) -> dict:
     """Single LVI request vs validate-then-commit (a second synchronous
     round trip before responding on the write path)."""
-    one = run_radical_experiment(
-        MAIN_APP_BUILDERS[app_name](),
-        ExperimentConfig(requests=requests, seed=seed),
+    one = _paper_run(social_media_app(), requests, seed)
+    two = _paper_run(
+        social_media_app(), requests, seed, config=RadicalConfig(single_request=False)
     )
-    two = run_radical_experiment(
-        MAIN_APP_BUILDERS[app_name](),
-        ExperimentConfig(requests=requests, seed=seed, radical=RadicalConfig(single_request=False)),
-    )
-    # Writes are rare in the mixes, so compare the write functions directly.
-    write_fns = {
-        "social": "social.post",
-        "hotel": "hotel.book",
-        "forum": "forum.post",
-    }
-    fid = write_fns[app_name]
-    row = {"app": app_name, "write_function": fid}
+    # Writes are rare in the mix, so compare the write function directly.
+    fid = "social.post"
+    row = {"app": "social", "write_function": fid}
     if one.metrics.has(f"e2e.fn.{fid}") and two.metrics.has(f"e2e.fn.{fid}"):
-        row["single_request_median_ms"] = one.function_summary(fid).median
-        row["two_rtt_median_ms"] = two.function_summary(fid).median
-    row["overall_single_ms"] = one.summary().median
-    row["overall_two_rtt_ms"] = two.summary().median
+        row["single_request_median_ms"] = one.metrics.summary(f"e2e.fn.{fid}").median
+        row["two_rtt_median_ms"] = two.metrics.summary(f"e2e.fn.{fid}").median
+    row["overall_single_ms"] = one.metrics.summary("e2e").median
+    row["overall_two_rtt_ms"] = two.metrics.summary("e2e").median
     return row
 
 
@@ -498,9 +465,6 @@ def _counter_app(zipf_s: float, keys: int = 500, write_pct: float = 20.0) -> App
     contention is entirely controlled by the zipf parameter — the right
     instrument for the §3.6 locking/validation discussion.
     """
-    from ..apps.base import App, AppFunction, WorkloadContext
-    from ..core import FunctionSpec
-
     ctx = WorkloadContext(zipf_s=zipf_s)
 
     def gen_read(c, rng):
@@ -523,42 +487,36 @@ def _counter_app(zipf_s: float, keys: int = 500, write_pct: float = 20.0) -> App
     return App(name="counter-micro", functions=functions, seed=seed_data, context=ctx)
 
 
+def _contention_row(dep: Deployment) -> dict:
+    summary = dep.metrics.summary("e2e")
+    return {
+        "validation_success": validation_success_rate(dep.metrics),
+        "median_ms": summary.median,
+        "p99_ms": summary.p99,
+    }
+
+
 def sweep_skew(zipf_values: Sequence[float], requests: int, seed: int) -> List[dict]:
     """Validation success and tail latency vs workload skew on the counter
     microbenchmark (zipf-selected keys, 20% writes): the §5.3/§3.6 axis,
     isolated.  The paper's apps run at zipf 0.99; here the whole curve."""
-    rows = []
-    for s in zipf_values:
-        app = _counter_app(zipf_s=s)
-        result = run_radical_experiment(app, ExperimentConfig(requests=requests, seed=seed))
-        rows.append(
-            {
-                "zipf_s": s,
-                "validation_success": result.validation_success_rate(),
-                "median_ms": result.summary().median,
-                "p99_ms": result.summary().p99,
-            }
-        )
-    return rows
+    return [
+        {"zipf_s": s, **_contention_row(_paper_run(_counter_app(zipf_s=s), requests, seed))}
+        for s in zipf_values
+    ]
 
 
 def sweep_concurrency(clients: Sequence[int], requests: int, seed: int) -> List[dict]:
     """Latency vs client concurrency on the skewed forum workload: more
     concurrent clients means more lock queueing on the hot front-page key
     and more cross-region invalidation (§3.6's contention discussion)."""
-    rows = []
-    for n in clients:
-        cfg = ExperimentConfig(requests=requests, seed=seed, clients_per_region=n)
-        result = run_radical_experiment(forum_app(), cfg)
-        rows.append(
-            {
-                "clients_per_region": n,
-                "validation_success": result.validation_success_rate(),
-                "median_ms": result.summary().median,
-                "p99_ms": result.summary().p99,
-            }
-        )
-    return rows
+    return [
+        {
+            "clients_per_region": n,
+            **_contention_row(_paper_run(forum_app(), requests, seed, clients_per_region=n)),
+        }
+        for n in clients
+    ]
 
 
 def sweep_offered_load(rates_rps: Sequence[float], duration_ms: float, seed: int) -> List[dict]:
@@ -567,32 +525,21 @@ def sweep_offered_load(rates_rps: Sequence[float], duration_ms: float, seed: int
     baseline's because the LVI server adds no bottleneck; what *does*
     queue under load is the hot front-page write lock — visible here as
     p99 growth while the median stays flat."""
-    from ..topology import Deployment, TopologySpec
-
     rows = []
     for rate in rates_rps:
         app = forum_app()
         dep = Deployment.build(
-            TopologySpec(
-                regions=Region.NEAR_USER, seed=seed, config=RadicalConfig(),
-                network_jitter_sigma=0.02,
-            ),
-            app=app,
+            TopologySpec(seed=seed, network_jitter_sigma=PAPER_JITTER_SIGMA), app=app
         )
-        sim, metrics = dep.sim, dep.metrics
         # Failures are bugs here, not shed load: nothing is tolerated.
-        drive_open_loop(dep, app, Region.NEAR_USER, "open", rate, duration_ms,
-                        tolerate_unavailable=False)
-        sim.run(until=sim.now + 10_000.0)
-        summary = metrics.summary("e2e")
+        point = drive_open_loop(dep, app, "open", rate, duration_ms, tolerate_unavailable=False)
         rows.append(
             {
                 "rate_rps_per_region": rate,
-                "requests": summary.count,
-                "median_ms": summary.median,
-                "p99_ms": summary.p99,
-                "validation_success": metrics.counter("validation.success")
-                / max(1, metrics.counter("validation.success") + metrics.counter("validation.failure")),
+                "requests": point["completed"],
+                "median_ms": point["median_ms"],
+                "p99_ms": point["p99_ms"],
+                "validation_success": validation_success_rate(dep.metrics),
                 # Aggregated across shards (one server on this topology).
                 "lock_wait_total_ms": sum(s.locks.total_wait_ms for s in dep.servers),
                 "lock_wait_max_ms": max(s.locks.max_wait_ms for s in dep.servers),
@@ -603,15 +550,11 @@ def sweep_offered_load(rates_rps: Sequence[float], duration_ms: float, seed: int
 
 def ablation_cache_bootstrap(requests: int, seed: int) -> dict:
     """Cold vs warm caches: the §3.2 gradual-bootstrap latency penalty."""
-    warm = run_radical_experiment(
-        social_media_app(), ExperimentConfig(requests=requests, seed=seed, warm_caches=True)
-    )
-    cold = run_radical_experiment(
-        social_media_app(), ExperimentConfig(requests=requests, seed=seed, warm_caches=False)
-    )
+    warm = _paper_run(social_media_app(), requests, seed, warm_caches=True)
+    cold = _paper_run(social_media_app(), requests, seed, warm_caches=False)
     return {
-        "warm_median_ms": warm.summary().median,
-        "cold_median_ms": cold.summary().median,
-        "warm_validation_success": warm.validation_success_rate(),
-        "cold_validation_success": cold.validation_success_rate(),
+        "warm_median_ms": warm.metrics.summary("e2e").median,
+        "cold_median_ms": cold.metrics.summary("e2e").median,
+        "warm_validation_success": validation_success_rate(warm.metrics),
+        "cold_validation_success": validation_success_rate(cold.metrics),
     }

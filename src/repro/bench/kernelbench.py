@@ -109,13 +109,17 @@ def fig4_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     microbenchmark.
     """
     from ..apps.social import social_media_app
-    from .harness import ExperimentConfig, run_radical_experiment
+    from ..topology import Deployment, TopologySpec
+    from .harness import PAPER_JITTER_SIGMA, drive_closed_loop
 
-    cfg = ExperimentConfig(requests=spec["requests"], seed=spec["seed"])
+    topology = TopologySpec(seed=spec["seed"], network_jitter_sigma=PAPER_JITTER_SIGMA)
     app = social_media_app()
-    res, wall = _timed(lambda: run_radical_experiment(app, cfg))
-    summary = res.metrics.summary("e2e")
-    timing = _timing(res.events_dispatched, res.virtual_time_ms, wall)
+    dep, wall = _timed(
+        lambda: drive_closed_loop(Deployment.build(topology, app=app), app, spec["requests"])
+    )
+    summary = dep.metrics.summary("e2e")
+    events = dep.sim.events_dispatched
+    timing = _timing(events, dep.sim.now, wall)
     # Work per second: unlike events/sec it does not fall when the kernel
     # learns to serve the same requests with fewer events.
     timing["requests_per_sec"] = summary.count / wall if wall > 0 else 0.0
@@ -125,9 +129,9 @@ def fig4_job(spec: Dict[str, Any]) -> Dict[str, Any]:
             "requests": summary.count,
             "e2e_median_ms": summary.median,
             "e2e_p99_ms": summary.p99,
-            "virtual_time_ms": res.virtual_time_ms,
-            "events_dispatched": res.events_dispatched,
-            "events_per_request": res.events_dispatched / summary.count,
+            "virtual_time_ms": dep.sim.now,
+            "events_dispatched": events,
+            "events_per_request": events / summary.count,
         },
         "timing": timing,
     }
@@ -168,9 +172,9 @@ def _openloop_chunk(spec: Dict[str, Any]) -> Dict[str, Any]:
     is identical wherever (and alongside whatever) it runs."""
     from ..apps.social import social_media_app
     from ..sim.network import Region
+    from ..core import RadicalConfig
     from ..topology import Deployment, TopologySpec
     from ..workloads import OpenLoopClient
-    from .harness import RadicalConfig
 
     app = social_media_app()
     regions = Region.NEAR_USER

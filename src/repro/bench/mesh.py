@@ -35,7 +35,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..faults import FaultPlan, PoPPartitionWindow
 from ..mesh import MeshSpec
 from ..sim import Region, percentile
-from .harness import ExperimentConfig, run_radical_experiment
+from ..topology import Deployment, TopologySpec
+from .experiments import MAIN_APP_BUILDERS
+from .harness import drive_closed_loop
 
 __all__ = [
     "MIN_APPLIED_PER_SHIPPED",
@@ -81,15 +83,13 @@ def _mesh_settings(
 
 def _run_point(
     app_name: str,
-    app_builder,
     mesh_label: str,
     mesh_spec: Optional[MeshSpec],
     chaos: str,
     requests: int,
     seed: int,
 ) -> Dict[str, Any]:
-    cfg = ExperimentConfig(
-        requests=requests,
+    spec = TopologySpec(
         seed=seed,
         # Jitter off: the abort/backup curves compare cache *staleness*
         # across mesh settings; latency noise would only blur them.
@@ -97,8 +97,9 @@ def _run_point(
         mesh=mesh_spec,
         fault_plan=mesh_partition_plan() if chaos == "pop-partition" else None,
     )
-    result = run_radical_experiment(app_builder(), cfg)
-    m = result.metrics
+    app = MAIN_APP_BUILDERS[app_name]()
+    dep = drive_closed_loop(Deployment.build(spec, app=app), app, requests)
+    m = dep.metrics
 
     ok = m.counter("validation.success")
     bad = m.counter("validation.failure")
@@ -128,7 +129,7 @@ def _run_point(
         "gossip_timeouts": m.counter("mesh.gossip_timeout"),
         "updates_shipped": m.counter("mesh.updates_shipped"),
         "updates_applied": m.counter("mesh.updates_applied"),
-        "virtual_time_ms": round(result.virtual_time_ms, 3),
+        "virtual_time_ms": round(dep.sim.now, 3),
     }
 
 
@@ -142,19 +143,13 @@ def sweep_mesh(
     gossip interval, the cache-staleness knob in virtual ms) x (no chaos,
     PoP partition).  Deterministic per seed — rerunning with the same
     arguments reproduces ``results/mesh.json`` byte for byte."""
-    from .experiments import MAIN_APP_BUILDERS
-
     app_names = list(apps or MAIN_APP_BUILDERS)
     rows = []
     for app_name in app_names:
-        builder = MAIN_APP_BUILDERS[app_name]
         for chaos in ("none", "pop-partition"):
             for mesh_label, mesh_spec in _mesh_settings(intervals):
                 rows.append(
-                    _run_point(
-                        app_name, builder, mesh_label, mesh_spec, chaos,
-                        requests, seed,
-                    )
+                    _run_point(app_name, mesh_label, mesh_spec, chaos, requests, seed)
                 )
     return {
         "apps": app_names,

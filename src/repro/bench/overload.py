@@ -27,7 +27,7 @@ the JSON is written sorted).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core import RadicalConfig
 from ..sim import Region
@@ -65,51 +65,27 @@ def overload_config(shedding: bool = True, server_proc_ms: float = 8.0) -> Radic
 
 
 def run_overload_point(
-    rate_rps: float,
-    shedding: bool,
-    duration_ms: float = 3_000.0,
-    seed: int = 42,
-    region: str = Region.JP,
-    keys: int = 64,
-    config: Optional[RadicalConfig] = None,
+    rate_rps: float, shedding: bool, duration_ms: float, seed: int
 ) -> Dict[str, object]:
-    """One sweep point: open-loop Poisson arrivals from one region against
-    a single-shard deployment; returns delivered goodput (acked requests
-    over the makespan, which includes the backlog drain) plus the shed /
-    failure accounting."""
-    cfg = config or overload_config(shedding=shedding)
-    app = uniform_counter_app(keys=keys)
-    dep = Deployment.build(
-        TopologySpec(
-            regions=(region,),
-            shards=1,
-            seed=seed,
-            config=cfg,
-            network_jitter_sigma=0.0,
-        ),
-        app=app,
-    )
-    sim, metrics = dep.sim, dep.metrics
-    # Goodput counts only acked requests, but over the *makespan*: a
-    # collapsed run keeps burning CPU on a drained backlog of requests
-    # whose callers already failed, and that wasted tail is part of the
-    # cost being measured.
-    makespan_ms = drive_open_loop(dep, app, (region,), "overload", rate_rps, duration_ms)
-    acked = metrics.counter("requests.total")
-    unavailable = metrics.counter("requests.unavailable")
-    sim.run(until=sim.now + 10_000.0)  # settle followups/timers off the books
-    summary = metrics.summary("e2e")
+    """One sweep point: open-loop Poisson arrivals from one region (JP)
+    against a single-shard deployment; returns delivered goodput (acked
+    requests over the makespan, which includes the backlog drain) plus
+    the shed / failure accounting."""
+    app = uniform_counter_app(keys=64)
+    spec = TopologySpec(regions=(Region.JP,), seed=seed, config=overload_config(shedding))
+    dep = Deployment.build(spec, app=app)
+    # Goodput is the shared row's delivered throughput under this sweep's
+    # names: acked requests over the makespan.
+    point = drive_open_loop(dep, app, "overload", rate_rps, duration_ms)
+    acked, goodput_rps = point.pop("completed"), point.pop("throughput_rps")
+    metrics = dep.metrics
     return {
+        **point,
         "rate_rps": rate_rps,
         "shedding": shedding,
-        "duration_ms": duration_ms,
         "acked": acked,
-        "unavailable": unavailable,
-        "offered": acked + unavailable,
-        "makespan_ms": round(makespan_ms, 3),
-        "goodput_rps": round(acked / makespan_ms * 1000.0, 3),
-        "median_ms": summary.median,
-        "p99_ms": summary.p99,
+        "offered": acked + point["unavailable"],
+        "goodput_rps": goodput_rps,
         "shed": metrics.counter("admission.shed"),
         "rpc_timeouts": metrics.counter("rpc.timeout"),
         "rpc_exhausted": metrics.counter("rpc.exhausted"),
@@ -131,9 +107,7 @@ def sweep_overload(
     points: List[Dict[str, object]] = []
     for shedding in (True, False):
         for rate in rates:
-            point = run_overload_point(
-                rate, shedding, duration_ms=duration_ms, seed=seed
-            )
+            point = run_overload_point(rate, shedding, duration_ms, seed)
             point["series"] = "shed-on" if shedding else "shed-off"
             points.append(point)
     cfg = overload_config(shedding=True)

@@ -26,45 +26,19 @@ once the deployment is quiescent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..core import RadicalConfig
-from ..sim import Region
 from ..topology import Deployment, TopologySpec
 from .experiments import _counter_app
 from .harness import drive_open_loop
+from .scalability import capacity_config
 
 __all__ = [
-    "readscale_config",
     "readscale_app",
     "run_readscale_point",
     "sweep_readscale",
     "readscale_gate_failures",
 ]
-
-def readscale_config(
-    detect: bool,
-    read_replicas: int = 3,
-    server_proc_ms: float = 6.0,
-) -> RadicalConfig:
-    """One sweep point's knobs.
-
-    Same capacity model as the scalability sweep (serial per-message CPU
-    cost, generous timeouts so overload stretches the makespan instead of
-    shedding) — ``detect`` is the only axis the on/off rows differ on;
-    ``read_replicas`` is configured identically for both.
-    """
-    return RadicalConfig(
-        service_jitter_sigma=0.0,
-        server_proc_ms=server_proc_ms,
-        rpc_timeout_ms=300_000.0,
-        retry_max_attempts=1,
-        invocation_deadline_ms=0.0,
-        followup_timeout_ms=120_000.0,
-        conflict_detection=detect,
-        read_replicas=read_replicas,
-    )
-
 
 def readscale_app(keys: int = 256):
     """Uniform read-heavy counter workload: 90% ``micro.read``, 10%
@@ -75,55 +49,37 @@ def readscale_app(keys: int = 256):
 
 
 def run_readscale_point(
-    app,
     shards: int,
     detect: bool,
     rate_rps_per_region: float,
-    duration_ms: float = 4_000.0,
-    seed: int = 42,
-    read_replicas: int = 3,
-    regions: Sequence[str] = Region.NEAR_USER,
-    config: Optional[RadicalConfig] = None,
+    duration_ms: float,
+    seed: int,
+    read_replicas: int,
 ) -> Dict[str, object]:
     """One point: open-loop Poisson load, delivered throughput measured
     over the makespan (generation plus backlog drain)."""
-    cfg = config or readscale_config(detect, read_replicas=read_replicas)
-    dep = Deployment.build(
-        TopologySpec(
-            regions=tuple(regions),
-            shards=shards,
-            seed=seed,
-            config=cfg,
-            network_jitter_sigma=0.0,
-        ),
-        app=app,
-    )
-    sim, metrics = dep.sim, dep.metrics
-    makespan_ms = drive_open_loop(dep, app, regions, "readscale", rate_rps_per_region, duration_ms)
-    completed = metrics.counter("requests.total")
-    sim.run(until=sim.now + 10_000.0)  # drain followups and intent timers
-    summary = metrics.summary("e2e")
-    detector = dep.router.detector if dep.router is not None else None
+    app = readscale_app()
+    # The scalability sweep's capacity model; ``detect`` is the only axis
+    # the on/off rows differ on — ``read_replicas`` is the same for both.
+    config = capacity_config(conflict_detection=detect, read_replicas=read_replicas)
+    spec = TopologySpec(shards=shards, seed=seed, config=config)
+    dep = Deployment.build(spec, app=app)
+    metrics = dep.metrics
     row: Dict[str, object] = {
+        **drive_open_loop(dep, app, "readscale", rate_rps_per_region, duration_ms),
         "workload": app.name,
         "shards": shards,
         "detect": detect,
         "read_replicas": read_replicas,
         "rate_rps_per_region": rate_rps_per_region,
-        "offered_rps": rate_rps_per_region * len(regions),
-        "duration_ms": duration_ms,
-        "completed": completed,
-        "unavailable": metrics.counter("requests.unavailable"),
-        "makespan_ms": round(makespan_ms, 3),
-        "throughput_rps": round(completed / makespan_ms * 1000.0, 3),
-        "median_ms": summary.median,
-        "p99_ms": summary.p99,
+        "offered_rps": rate_rps_per_region * len(spec.regions),
         "lock_skipped": metrics.counter("router.lock_skipped"),
         "conflict_hits": metrics.counter("router.conflict_hit"),
         "skip_fallbacks": metrics.counter("router.skip_fallback"),
         "replica_bounces": metrics.counter("router.replica_bounce"),
         "unsound": metrics.counter("analysis.unsound"),
     }
+    detector = dep.router.detector if dep.router is not None else None
     if detector is not None:
         row["dirty"] = detector.dirty.stats()
         row["dirty_balanced"] = detector.dirty.balanced
@@ -143,8 +99,7 @@ def sweep_readscale(
     for detect in (False, True):
         for shards in shard_counts:
             point = run_readscale_point(
-                readscale_app(), shards, detect, rate_rps_per_region,
-                duration_ms, seed, read_replicas=read_replicas,
+                shards, detect, rate_rps_per_region, duration_ms, seed, read_replicas
             )
             point["series"] = "detect-on" if detect else "detect-off"
             points.append(point)
@@ -152,7 +107,7 @@ def sweep_readscale(
         "rate_rps_per_region": rate_rps_per_region,
         "duration_ms": duration_ms,
         "read_replicas": read_replicas,
-        "server_proc_ms": readscale_config(False).server_proc_ms,
+        "server_proc_ms": capacity_config().server_proc_ms,
         "points": points,
     }
 

@@ -28,6 +28,9 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import SyntheticGeoRttDataset
+from ..topology import Deployment, TopologySpec
+from .experiments import _counter_app
+from .harness import PAPER_JITTER_SIGMA, drive_closed_loop, validation_success_rate
 
 __all__ = [
     "present_routing",
@@ -45,8 +48,6 @@ def routing_app():
     counts, so latency differences between points are pure routing — not
     contention artifacts that shift with the region count.
     """
-    from .experiments import _counter_app
-
     return _counter_app(zipf_s=0.0, keys=500, write_pct=20.0)
 
 
@@ -72,8 +73,6 @@ def sparse_placement(dataset: SyntheticGeoRttDataset, k: int) -> Tuple[str, ...]
 
 def run_routing_point(spec: Dict[str, Any]) -> Dict[str, Any]:
     """One (region count, placement, policy) point: build, drive, measure."""
-    from .harness import ExperimentConfig, run_radical_experiment
-
     n = spec["region_count"]
     dataset = SyntheticGeoRttDataset(n, seed=spec["rtt_seed"])
     regions = dataset.region_names()
@@ -82,39 +81,40 @@ def run_routing_point(spec: Dict[str, Any]) -> Dict[str, Any]:
         None if placement == "dense"
         else sparse_placement(dataset, spec["sparse_pops"])
     )
-    cfg = ExperimentConfig(
-        requests=spec["requests"],
-        regions=regions,
-        clients_per_region=1,
-        seed=spec["seed"],
-        rtt={"kind": "synthetic-geo", "n": n, "seed": spec["rtt_seed"]},
-        pop_regions=pops,
-        primary_region=dataset.primary_region,
-        assignment=spec["policy"],
-        tiered_threshold_ms=spec["tiered_threshold_ms"],
+    app = routing_app()
+    dep = drive_closed_loop(
+        Deployment.build(
+            TopologySpec(
+                regions=regions,
+                seed=spec["seed"],
+                network_jitter_sigma=PAPER_JITTER_SIGMA,
+                rtt={"kind": "synthetic-geo", "n": n, "seed": spec["rtt_seed"]},
+                pop_regions=pops,
+                primary_region=dataset.primary_region,
+                assignment=spec["policy"],
+                tiered_threshold_ms=spec["tiered_threshold_ms"],
+            ),
+            app=app,
+        ),
+        app, spec["requests"], clients_per_region=1,
     )
-    result = run_radical_experiment(routing_app(), cfg)
-    dep = result.deployment
     clients = []
     modes: Dict[str, int] = {}
     for region in regions:
         a = dep.assignments[region]
         modes[a.mode] = modes.get(a.mode, 0) + 1
-        summary = result.region_summary(region)
+        summary = dep.metrics.summary(f"e2e.region.{region}")
         clients.append({
             "region": region,
             "pop": a.pop,
             "mode": a.mode,
             "pop_rtt_ms": a.client_rtt_ms if a.client_rtt_ms is not None else 1.0,
-            "primary_rtt_ms": (
-                dataset.rtt(region, dataset.primary_region)
-                if region != dataset.primary_region else dataset.intra_rtt
-            ),
+            "primary_rtt_ms": dep.net.latency.rtt(region, dataset.primary_region),
             "median_ms": round(summary.median, 3),
             "p99_ms": round(summary.p99, 3),
             "samples": summary.count,
         })
-    overall = result.summary()
+    overall = dep.metrics.summary("e2e")
     return {
         "region_count": n,
         "placement": placement,
@@ -123,7 +123,7 @@ def run_routing_point(spec: Dict[str, Any]) -> Dict[str, Any]:
         "primary": dataset.primary_region,
         "median_ms": round(overall.median, 3),
         "p99_ms": round(overall.p99, 3),
-        "validation_success": result.validation_success_rate(),
+        "validation_success": validation_success_rate(dep.metrics),
         "modes": modes,
         "clients": clients,
     }

@@ -8,7 +8,7 @@ space across independent LVI shards scale aggregate throughput — without
 touching single-shard latency?
 
 The seed simulator cannot answer that: server handlers cost zero virtual
-time, so one shard has infinite capacity.  ``scalability_config`` turns on
+time, so one shard has infinite capacity.  ``capacity_config`` turns on
 the serial processing model (``server_proc_ms`` per message through one
 CPU; coalesced batch members after the first pay only
 ``server_batch_item_ms``) which makes the near-storage tier saturable,
@@ -28,44 +28,49 @@ profile is identical to a hand-rolled seed-style stack.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from ..apps import App
 from ..core import RadicalConfig
-from ..sim import Region
-from ..topology import Deployment, ShardMap, TopologySpec
+from ..topology import Deployment, TopologySpec
 from .experiments import _counter_app
-from .harness import drive_open_loop
+from .harness import drive_open_loop, validation_success_rate
 
 __all__ = [
+    "capacity_config",
     "scalability_config",
     "uniform_counter_app",
     "run_scalability_point",
     "sweep_scalability",
 ]
 
-def scalability_config(
-    batch_window_ms: float = 0.0,
-    server_proc_ms: float = 6.0,
-    server_batch_item_ms: float = 2.0,
-) -> RadicalConfig:
-    """The knobs every scalability point runs under.
+def capacity_config(server_proc_ms: float = 6.0, **overrides: Any) -> RadicalConfig:
+    """The capacity model the scalability and read-scaling sweeps share.
 
     The serial processing model makes shards saturable; the generous RPC
     timeout and disabled deadline let requests sit in an overloaded
-    shard's queue instead of timing out (the sweep measures capacity, not
+    shard's queue instead of timing out (the sweeps measure capacity, not
     availability — chaos owns the failure axis), and the long followup
     timer keeps intent re-execution out of the capacity signal.
     """
     return RadicalConfig(
         service_jitter_sigma=0.0,
         server_proc_ms=server_proc_ms,
-        server_batch_item_ms=server_batch_item_ms,
-        lvi_batch_window_ms=batch_window_ms,
         rpc_timeout_ms=300_000.0,
         retry_max_attempts=1,
         invocation_deadline_ms=0.0,
         followup_timeout_ms=120_000.0,
+        **overrides,
+    )
+
+
+def scalability_config(batch_window_ms: float = 0.0) -> RadicalConfig:
+    """The knobs every scalability point runs under: the capacity model
+    plus batching (coalesced batch members after the first pay only
+    ``server_batch_item_ms``)."""
+    return capacity_config(
+        server_batch_item_ms=2.0,
+        lvi_batch_window_ms=batch_window_ms,
         # Hot cross-shard keys churn fast under deliberate overload; give
         # restarts more room before a request is shed as unavailable.
         cross_shard_max_restarts=8,
@@ -83,50 +88,25 @@ def run_scalability_point(
     app: App,
     shards: int,
     rate_rps_per_region: float,
-    duration_ms: float = 4_000.0,
-    seed: int = 42,
-    config: Optional[RadicalConfig] = None,
-    regions: Sequence[str] = Region.NEAR_USER,
-    shard_map: Optional[ShardMap] = None,
+    duration_ms: float,
+    seed: int,
+    batch_window_ms: float,
 ) -> Dict[str, object]:
     """One sweep point: open-loop Poisson load against a ``shards``-wide
     deployment; returns delivered throughput and the latency profile."""
-    cfg = config or scalability_config()
-    dep = Deployment.build(
-        TopologySpec(
-            regions=tuple(regions),
-            shards=shards,
-            seed=seed,
-            config=cfg,
-            network_jitter_sigma=0.0,
-            shard_map=shard_map,
-        ),
-        app=app,
+    spec = TopologySpec(
+        shards=shards, seed=seed, config=scalability_config(batch_window_ms=batch_window_ms)
     )
-    sim, metrics = dep.sim, dep.metrics
-    # Makespan includes the backlog drain: an overloaded shard keeps
-    # serving past the generation window, so completed/makespan converges
-    # to the tier's capacity rather than the offered rate.
-    makespan_ms = drive_open_loop(dep, app, regions, "scale", rate_rps_per_region, duration_ms)
-    completed = metrics.counter("requests.total")
-    sim.run(until=sim.now + 10_000.0)  # settle followups off the books
-    summary = metrics.summary("e2e")
-    ok = metrics.counter("validation.success")
-    bad = metrics.counter("validation.failure")
+    dep = Deployment.build(spec, app=app)
+    metrics = dep.metrics
     return {
+        **drive_open_loop(dep, app, "scale", rate_rps_per_region, duration_ms),
         "workload": app.name,
         "shards": shards,
         "rate_rps_per_region": rate_rps_per_region,
-        "offered_rps": rate_rps_per_region * len(regions),
-        "duration_ms": duration_ms,
-        "completed": completed,
-        "unavailable": metrics.counter("requests.unavailable"),
-        "makespan_ms": round(makespan_ms, 3),
-        "throughput_rps": round(completed / makespan_ms * 1000.0, 3),
-        "median_ms": summary.median,
-        "p99_ms": summary.p99,
-        "validation_success": ok / max(1, ok + bad),
-        "batch_window_ms": cfg.lvi_batch_window_ms,
+        "offered_rps": rate_rps_per_region * len(spec.regions),
+        "validation_success": validation_success_rate(metrics),
+        "batch_window_ms": batch_window_ms,
         "batch_flushes": metrics.counter("batch.flush"),
         "batch_coalesced": metrics.counter("batch.coalesced"),
         "xshard_commits": metrics.counter("xshard.commit"),
@@ -148,25 +128,17 @@ def sweep_scalability(
     ``workloads`` maps series names to App *factories* — each point gets a
     fresh App so per-app sampler state never leaks across deployments.
     """
-    points: List[Dict[str, object]] = []
-    for name, make_app in workloads.items():
-        for shards in shard_counts:
-            points.append(
-                run_scalability_point(
-                    make_app(), shards, rate_rps_per_region, duration_ms, seed,
-                    config=scalability_config(batch_window_ms=batch_window_ms),
-                )
-            )
-            points[-1]["series"] = name
+    series = [(name, make_app, batch_window_ms) for name, make_app in workloads.items()]
     counter_factory = workloads.get("counter", next(iter(workloads.values())))
-    for shards in shard_counts:
-        points.append(
-            run_scalability_point(
-                counter_factory(), shards, rate_rps_per_region, duration_ms, seed,
-                config=scalability_config(batch_window_ms=0.0),
+    series.append(("counter-unbatched", counter_factory, 0.0))
+    points: List[Dict[str, object]] = []
+    for name, make_app, window_ms in series:
+        for shards in shard_counts:
+            point = run_scalability_point(
+                make_app(), shards, rate_rps_per_region, duration_ms, seed, window_ms
             )
-        )
-        points[-1]["series"] = "counter-unbatched"
+            point["series"] = name
+            points.append(point)
     return {
         "rate_rps_per_region": rate_rps_per_region,
         "duration_ms": duration_ms,

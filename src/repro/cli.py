@@ -170,21 +170,25 @@ def _trace_record(out: str, requests: Optional[int], seed: Optional[int]) -> int
     record per span, tagged with the app it came from) and print each
     app's breakdown.  The traced deployments are driven exactly as the
     ``fig4`` scenario drives them — tracing is observationally free."""
-    from .bench import ExperimentConfig, MAIN_APP_BUILDERS, print_breakdown_report, run_radical_experiment
-    from .obs import write_jsonl
+    from .bench import MAIN_APP_BUILDERS, PAPER_JITTER_SIGMA, drive_closed_loop, print_breakdown_report
+    from .obs import all_breakdowns, write_jsonl
     from .scenarios import load_scenario
+    from .topology import Deployment, TopologySpec
 
     p = load_scenario("fig4").resolved_params(overrides={"requests": requests, "seed": seed})
-    cfg = ExperimentConfig(requests=p["requests"], seed=p["seed"], rtt=p["rtt"], trace=True)
+    spec = TopologySpec(
+        seed=p["seed"], network_jitter_sigma=PAPER_JITTER_SIGMA, rtt=p["rtt"], trace=True
+    )
     offset = 0
-    for i, app in enumerate(p["apps"]):
-        result = run_radical_experiment(MAIN_APP_BUILDERS[app](), cfg)
-        spans = result.trace.spans
+    for i, name in enumerate(p["apps"]):
+        app = MAIN_APP_BUILDERS[name]()
+        dep = drive_closed_loop(Deployment.build(spec, app=app), app, p["requests"])
+        spans = dep.trace.spans
         # Each collector numbers traces from 1; offset so the merged file
         # keeps every app's invocations distinct for the analyzer.
-        write_jsonl(out, spans, extra={"app": app}, append=i > 0, trace_id_offset=offset)
+        write_jsonl(out, spans, extra={"app": name}, append=i > 0, trace_id_offset=offset)
         offset += max((s.trace_id for s in spans), default=0)
-        print_breakdown_report(result.breakdowns(), title=f"Latency breakdown ({app}, Radical)")
+        print_breakdown_report(all_breakdowns(spans), title=f"Latency breakdown ({name}, Radical)")
     print(f"trace spans written to {out}")
     return 0
 

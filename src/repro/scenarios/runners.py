@@ -39,7 +39,7 @@ from ..sim import (
     paper_latency_table,
     resolve_rtt_dataset,
 )
-from ..topology import ASSIGNMENT_POLICIES
+from ..topology import ASSIGNMENT_POLICIES, TopologySpec
 from .spec import ParamSpec, ScenarioError, parse_fault_plan
 
 __all__ = ["KINDS", "ScenarioKind", "run_exploration", "schema_failures"]
@@ -239,8 +239,10 @@ def _run_table2(p: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_eval_trio(p: Dict[str, Any]) -> Dict[str, Any]:
-    cfg = bench.ExperimentConfig(requests=p["requests"], seed=p["seed"], rtt=p.get("rtt"))
-    trios = {app: bench.run_eval_trio(app, cfg) for app in p["apps"]}
+    spec = TopologySpec(
+        seed=p["seed"], network_jitter_sigma=bench.PAPER_JITTER_SIGMA, rtt=p.get("rtt")
+    )
+    trios = {app: bench.run_eval_trio(app, spec, p["requests"]) for app in p["apps"]}
     view = p["view"]
     if view == "fig4":
         return {"rows": [bench.fig4_rows(t) for t in trios.values()]}

@@ -468,10 +468,17 @@ class Deployment:
         assignment policy (their own PoP under the seed default)."""
         return self.runtimes[self.assignments[region].pop]
 
-    def client_pop_rtt_ms(self, region: str) -> Optional[float]:
-        """Client↔assigned-PoP round trip to model in the workload layer;
-        ``None`` keeps the seed's same-region default."""
-        return self.assignments[region].client_rtt_ms
+    def client(self, region: str) -> Tuple[Callable[..., Any], float]:
+        """What a workload client homed in ``region`` binds to — the
+        ``(invoke, client_rtt_ms)`` the baseline systems in
+        :mod:`repro.baselines` expose too: its assigned runtime and the
+        client↔PoP round trip to model (the seed's same-region hop unless
+        the assignment policy sent it to a remote PoP)."""
+        rtt = self.assignments[region].client_rtt_ms
+        return (
+            self.runtime_for_client(region).invoke,
+            self.spec.config.client_app_rtt_ms if rtt is None else rtt,
+        )
 
     def fault_targets(self) -> Dict[str, Any]:
         """Crash/restartable objects, keyed the way CrashWindows name them."""

@@ -2,10 +2,21 @@
 
 import pytest
 
-from repro.baselines import GeoReplicatedApp, LocalIdeal, PrimaryBaseline, SimpleWorkload
+from repro.baselines import (
+    GeoReplicatedApp,
+    GeoReplicatedDeployment,
+    LocalIdeal,
+    LocalIdealDeployment,
+    PrimaryBaseline,
+    PrimaryDeployment,
+    SimpleWorkload,
+)
 from repro.core import FunctionRegistry, FunctionSpec, RadicalConfig
+from repro.faults import FaultPlan
+from repro.mesh import MeshSpec
 from repro.sim import Network, RandomStreams, Region, Simulator, paper_latency_table
 from repro.storage import KVStore, ReplicatedStore
+from repro.topology import HashShardMap, TopologySpec
 
 SRC = '''
 def echo(k):
@@ -114,3 +125,84 @@ class TestGeoReplicated:
             return outcome.result
 
         assert sim.run_process(flow()) == {"from": Region.CA}
+
+
+class TestEndpointNamesAreNotProcessGlobal:
+    """An endpoint name is a function of its own Network, never of how
+    many baselines this process built before."""
+
+    def _fresh_baseline(self):
+        sim = Simulator()
+        net = Network(sim, paper_latency_table(), RandomStreams(9))
+        return net, PrimaryBaseline(sim, net, FunctionRegistry(), KVStore())
+
+    def test_two_fresh_networks_name_the_baseline_alike(self):
+        _net_a, first = self._fresh_baseline()
+        _net_b, second = self._fresh_baseline()
+        assert first.name == second.name == "baseline-app-0"
+
+    def test_two_baselines_on_one_network_stay_distinct(self):
+        net, first = self._fresh_baseline()
+        second = PrimaryBaseline(first.sim, net, FunctionRegistry(), KVStore())
+        assert first.name != second.name
+        assert net.endpoint(first.name) is not net.endpoint(second.name)
+
+    def test_geo_replicated_app_names(self):
+        def names():
+            sim = Simulator()
+            net = Network(sim, paper_latency_table(), RandomStreams(9))
+            quorum = ReplicatedStore(sim, net, [Region.VA, Region.OH, Region.OR])
+            return [GeoReplicatedApp(sim, net, Region.CA, quorum).client.name for _ in range(2)]
+
+        assert names() == names() == ["geo-app-ca-0", "geo-app-ca-1"]
+
+
+class TestBuildersTakeTheSpec:
+    """Each baseline is built from the TopologySpec Radical is built from,
+    and refuses — never ignores — a field only Radical can honour."""
+
+    BUILDERS = [PrimaryDeployment.build, LocalIdealDeployment.build, GeoReplicatedDeployment.build]
+    RADICAL_ONLY = {
+        "shards": 2,
+        "shard_map": HashShardMap(1),
+        "mesh": MeshSpec(),
+        "fault_plan": FaultPlan("empty", ()),
+        "trace": True,
+        "pop_regions": Region.NEAR_USER,
+        "assignment": "nearest-rtt",
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__self__.__name__)
+    @pytest.mark.parametrize("field", sorted(RADICAL_ONLY))
+    def test_radical_only_field_is_rejected(self, build, field):
+        spec = TopologySpec(**{field: self.RADICAL_ONLY[field]})
+        with pytest.raises(ValueError, match=field):
+            build(spec)
+
+    def test_primary_sits_in_the_specs_primary_region(self):
+        system = PrimaryDeployment.build(
+            TopologySpec(
+                primary_region=Region.JP, config=RadicalConfig(service_jitter_sigma=0.0)
+            ),
+            functions=[FunctionSpec("echo", SRC, 100.0)],
+            seed_data=lambda store: store.put("data", "k:0", "v"),
+        )
+        assert system.baseline.region == Region.JP
+        near, _ = system.client(Region.JP)
+        far, _ = system.client(Region.VA)
+        near_ms = system.sim.run_process(near("echo", [0])).latency_ms
+        far_ms = system.sim.run_process(far("echo", [0])).latency_ms
+        # rtt(va,jp)=146 against the 1 ms co-located client hop.
+        assert 140 <= far_ms - near_ms <= 150
+
+    def test_local_ideal_seeds_one_store_per_region(self):
+        system = LocalIdealDeployment.build(
+            TopologySpec(regions=(Region.CA, Region.DE), record_history=True),
+            functions=[FunctionSpec("set", WRITE_SRC, 20.0)],
+        )
+        invoke, client_rtt_ms = system.client(Region.CA)
+        system.sim.run_process(invoke("set", [1, "ca"]))
+        assert client_rtt_ms == system.spec.config.client_app_rtt_ms
+        assert system.locals[Region.CA].store.get("data", "k:1").value == "ca"
+        assert system.locals[Region.DE].store.get_or_none("data", "k:1") is None
+        assert system.history is not None

@@ -1,114 +1,174 @@
 """Tests for the experiment harness and per-figure experiment drivers."""
 
+import json
+
 import pytest
 
 from repro.apps import social_media_app
+from repro.baselines import LocalIdealDeployment, PrimaryDeployment
 from repro.bench import (
-    ExperimentConfig,
+    PAPER_JITTER_SIGMA,
     cost_table,
+    drive_closed_loop,
     fig4_rows,
     fig5_rows,
     fig6_rows,
     infrastructure_overhead,
     monthly_costs,
-    run_baseline_experiment,
     run_eval_trio,
-    run_local_ideal_experiment,
-    run_radical_experiment,
     table1_functions,
     table2_rtt,
+    validation_success_rate,
 )
 from repro.core import RadicalConfig
-from repro.sim import Region
+from repro.scenarios.runners import KINDS
+from repro.sim import Region, SyntheticGeoRttDataset, paper_latency_table
+from repro.topology import Deployment, TopologySpec
 
 
-SMALL = ExperimentConfig(requests=300, seed=11, clients_per_region=1)
+def paper_spec(seed=11, **fields):
+    return TopologySpec(seed=seed, network_jitter_sigma=PAPER_JITTER_SIGMA, **fields)
+
+
+def run(build=Deployment.build, requests=300, **fields):
+    """``requests`` social requests, one client per region, on the system
+    ``build`` makes from the paper spec."""
+    app = social_media_app()
+    return drive_closed_loop(
+        build(paper_spec(**fields), app=app), app, requests, clients_per_region=1
+    )
+
+
+def trio():
+    return run_eval_trio("social", paper_spec(), requests=300, clients_per_region=1)
 
 
 class TestHarness:
     def test_radical_experiment_completes_all_requests(self):
-        result = run_radical_experiment(social_media_app(), SMALL)
-        assert result.metrics.counter("requests.total") == 300
-        assert result.summary().count == 300
+        dep = run()
+        assert dep.metrics.counter("requests.total") == 300
+        assert dep.metrics.summary("e2e").count == 300
 
     def test_all_regions_and_functions_sampled(self):
-        result = run_radical_experiment(social_media_app(), SMALL)
+        dep = run()
         for region in Region.NEAR_USER:
-            assert result.region_summary(region).count > 0
-        assert result.function_summary("social.timeline").count > 100
+            assert dep.metrics.summary(f"e2e.region.{region}").count > 0
+        assert dep.metrics.summary("e2e.fn.social.timeline").count > 100
 
     def test_baseline_fastest_in_va(self):
-        result = run_baseline_experiment(social_media_app(), SMALL)
-        medians = {r: result.region_summary(r).median for r in Region.NEAR_USER}
+        baseline = run(PrimaryDeployment.build)
+        medians = {r: baseline.metrics.summary(f"e2e.region.{r}").median for r in Region.NEAR_USER}
         assert medians["va"] == min(medians.values())
         assert medians["jp"] == max(medians.values())
 
+    def test_baseline_reports_its_kernel_events(self):
+        baseline = run(PrimaryDeployment.build, requests=60)
+        assert baseline.sim.events_dispatched > 60
+
     def test_local_ideal_flat_across_regions(self):
-        result = run_local_ideal_experiment(social_media_app(), SMALL)
-        medians = [result.region_summary(r).median for r in Region.NEAR_USER]
+        ideal = run(LocalIdealDeployment.build)
+        medians = [ideal.metrics.summary(f"e2e.region.{r}").median for r in Region.NEAR_USER]
         assert max(medians) - min(medians) < 30
 
     def test_radical_beats_baseline(self):
-        trio = run_eval_trio("social", SMALL)
-        assert trio.improvement() > 0.15
-        assert 0 < trio.fraction_of_max() < 1.2
+        t = trio()
+        assert t.improvement() > 0.15
+        assert 0 < t.fraction_of_max() < 1.2
 
     def test_validation_success_rate_high_when_warm(self):
-        result = run_radical_experiment(social_media_app(), SMALL)
-        assert result.validation_success_rate() > 0.9
+        assert validation_success_rate(run().metrics) > 0.9
 
     def test_cold_cache_run_completes(self):
-        cfg = ExperimentConfig(requests=150, seed=11, warm_caches=False, clients_per_region=1)
-        result = run_radical_experiment(social_media_app(), cfg)
-        assert result.metrics.counter("path.miss") > 0
+        dep = run(requests=150, warm_caches=False)
+        assert dep.metrics.counter("path.miss") > 0
 
     def test_deterministic_given_seed(self):
-        a = run_radical_experiment(social_media_app(), SMALL)
-        b = run_radical_experiment(social_media_app(), SMALL)
-        assert a.summary().median == b.summary().median
+        a, b = run(), run()
+        assert a.metrics.summary("e2e").median == b.metrics.summary("e2e").median
         assert a.metrics.counters() == b.metrics.counters()
 
     def test_different_seeds_differ(self):
-        other = ExperimentConfig(requests=300, seed=12, clients_per_region=1)
-        a = run_radical_experiment(social_media_app(), SMALL)
-        b = run_radical_experiment(social_media_app(), other)
-        assert a.summary().median != b.summary().median
+        a, b = run(), run(seed=12)
+        assert a.metrics.summary("e2e").median != b.metrics.summary("e2e").median
 
     def test_history_recording(self):
-        cfg = ExperimentConfig(
-            requests=100, seed=11, clients_per_region=1, record_history=True
-        )
-        result = run_radical_experiment(social_media_app(), cfg)
-        assert result.history is not None
-        assert len(result.history) == 100
+        dep = run(requests=100, record_history=True)
+        assert dep.history is not None
+        assert len(dep.history) == 100
 
     def test_recorded_history_strictly_serializable(self):
         from repro.consistency import check_strict_serializability
 
-        cfg = ExperimentConfig(
-            requests=200, seed=13, clients_per_region=1, record_history=True
+        dep = run(requests=200, seed=13, record_history=True)
+        check_strict_serializability(dep.history.records())
+
+
+class TestOneSpecBuildsAllThreeSystems:
+    """The headline is a ratio of three systems under an identical network:
+    an ``rtt`` override has to move the baseline with Radical."""
+
+    @staticmethod
+    def _fig(view, rtt):
+        """The fig4/5 scenarios at smoke size, as ``run fig4 --smoke --set
+        rtt=...`` resolves them."""
+        return KINDS["eval-trio"].run(
+            {"view": view, "requests": 150, "seed": 42, "apps": ["social"], "rtt": rtt}
         )
-        result = run_radical_experiment(social_media_app(), cfg)
-        check_strict_serializability(result.history.records())
+
+    @pytest.fixture
+    def doubled(self, tmp_path):
+        """A matrix-file dataset: the paper matrix with every WAN RTT doubled."""
+        table, regions = paper_latency_table(), Region.ALL
+        rtts = {
+            f"{a}:{b}": 2 * table.rtt(a, b)
+            for i, a in enumerate(regions) for b in regions[i + 1:]
+        }
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps({"primary": Region.VA, "rtts": rtts}))
+        return {"kind": "matrix-file", "path": str(path)}
+
+    def test_slower_wan_raises_the_baseline_and_the_improvement(self, doubled):
+        (paper,), (slow,) = self._fig("fig4", None)["rows"], self._fig("fig4", doubled)["rows"]
+        assert slow["radical_median_ms"] > paper["radical_median_ms"]
+        assert slow["baseline_median_ms"] > paper["baseline_median_ms"] + 50
+        assert slow["improvement_pct"] > paper["improvement_pct"]
+        assert slow["ideal_median_ms"] == paper["ideal_median_ms"]
+
+    def test_fig5_distance_column_reads_the_built_network(self, doubled):
+        paper = {r["region"]: r["lat_nu_ns_ms"] for r in self._fig("fig5", None)["social"]}
+        slow = {r["region"]: r["lat_nu_ns_ms"] for r in self._fig("fig5", doubled)["social"]}
+        assert paper == {"va": 7.0, "ca": 74.0, "ie": 70.0, "de": 93.0, "jp": 146.0}
+        assert slow == {"va": 7.0, "ca": 148.0, "ie": 140.0, "de": 186.0, "jp": 292.0}
+
+    def test_synthetic_geography_runs_all_three_systems(self):
+        dataset = SyntheticGeoRttDataset(6, seed=7)
+        spec = TopologySpec(
+            regions=dataset.region_names(), seed=11,
+            network_jitter_sigma=PAPER_JITTER_SIGMA,
+            rtt={"kind": "synthetic-geo", "n": 6, "seed": 7},
+            primary_region=dataset.primary_region,
+        )
+        t = run_eval_trio("social", spec, requests=120, clients_per_region=1)
+        for system in (t.radical, t.baseline, t.ideal):
+            assert system.metrics.summary("e2e").count == 120
+        assert [r["region"] for r in fig5_rows(t)] == list(dataset.region_names())
+        assert t.baseline.baseline.region == dataset.primary_region
 
 
 @pytest.mark.slow
 class TestExperimentViews:
     def test_fig4_row_fields(self):
-        trio = run_eval_trio("social", SMALL)
-        row = fig4_rows(trio)
+        row = fig4_rows(trio())
         assert row["app"] == "social"
         assert row["radical_median_ms"] < row["baseline_median_ms"]
         assert 0 < row["validation_success_rate"] <= 1
 
     def test_fig5_rows_cover_regions(self):
-        trio = run_eval_trio("social", SMALL)
-        rows = fig5_rows(trio)
+        rows = fig5_rows(trio())
         assert [r["region"] for r in rows] == list(Region.NEAR_USER)
 
     def test_fig6_rows_have_service_times(self):
-        trio = run_eval_trio("social", SMALL)
-        rows = fig6_rows(trio)
+        rows = fig6_rows(trio())
         assert any(r["function"] == "social.timeline" for r in rows)
         for r in rows:
             assert r["service_time_ms"] > 0
@@ -149,22 +209,12 @@ class TestCostModel:
 
 class TestReplicatedMode:
     def test_replicated_experiment_runs(self):
-        cfg = ExperimentConfig(
-            requests=60, seed=11, clients_per_region=1,
-            regions=(Region.CA,),
-            radical=RadicalConfig(replicated=True),
-        )
-        result = run_radical_experiment(social_media_app(), cfg)
-        assert result.metrics.counter("requests.total") == 60
+        dep = run(requests=60, regions=(Region.CA,), config=RadicalConfig(replicated=True))
+        assert dep.metrics.counter("requests.total") == 60
 
     def test_replicated_adds_latency(self):
-        base_cfg = ExperimentConfig(
-            requests=100, seed=11, clients_per_region=1, regions=(Region.CA,)
+        single = run(requests=100, regions=(Region.CA,))
+        replicated = run(
+            requests=100, regions=(Region.CA,), config=RadicalConfig(replicated=True)
         )
-        repl_cfg = ExperimentConfig(
-            requests=100, seed=11, clients_per_region=1, regions=(Region.CA,),
-            radical=RadicalConfig(replicated=True),
-        )
-        single = run_radical_experiment(social_media_app(), base_cfg)
-        replicated = run_radical_experiment(social_media_app(), repl_cfg)
-        assert replicated.summary().mean >= single.summary().mean
+        assert replicated.metrics.summary("e2e").mean >= single.metrics.summary("e2e").mean

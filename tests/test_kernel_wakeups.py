@@ -508,11 +508,12 @@ def test_plumbing_ratchet_social_closed_loop():
     and 9.2 once a request stopped paying for granted locks, spawn-then-
     join processes and deferred handler starts (9 is what it models)."""
     from repro.apps.social import social_media_app
-    from repro.bench.harness import ExperimentConfig, run_radical_experiment
+    from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
+    from repro.topology import Deployment, TopologySpec
 
-    res = run_radical_experiment(
-        social_media_app(), ExperimentConfig(requests=200, seed=42)
-    )
-    requests = res.metrics.summary("e2e").count
+    spec = TopologySpec(seed=42, network_jitter_sigma=PAPER_JITTER_SIGMA)
+    app = social_media_app()
+    dep = drive_closed_loop(Deployment.build(spec, app=app), app, requests=200)
+    requests = dep.metrics.summary("e2e").count
     assert requests == 200
-    assert res.events_dispatched / requests <= 10.0
+    assert dep.sim.events_dispatched / requests <= 10.0

@@ -6,25 +6,26 @@ Two regressions are pinned here:
   streams (hashed via the canonical JSONL serialization) and identical
   latency summaries;
 * the same seed run *without* tracing produces exactly the same
-  ExperimentResult summaries as the traced run — the collector never
+  latency summaries as the traced run — the collector never
   draws randomness, never schedules events, and never changes event
   order.
 """
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_radical_experiment
-from repro.bench.experiments import MAIN_APP_BUILDERS
+from repro.bench import MAIN_APP_BUILDERS, PAPER_JITTER_SIGMA, drive_closed_loop
 from repro.obs import orphan_spans, trace_digest
 from repro.sim import Region
+from repro.topology import Deployment, TopologySpec
 
 REQUESTS = 200
 SEED = 1234
 
 
 def run(trace, seed=SEED, app="social"):
-    cfg = ExperimentConfig(requests=REQUESTS, seed=seed, trace=trace)
-    return run_radical_experiment(MAIN_APP_BUILDERS[app](), cfg)
+    spec = TopologySpec(seed=seed, network_jitter_sigma=PAPER_JITTER_SIGMA, trace=trace)
+    app = MAIN_APP_BUILDERS[app]()
+    return drive_closed_loop(Deployment.build(spec, app=app), app, REQUESTS)
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +52,8 @@ class TestTracedRunsAreReproducible:
         assert orphan_spans(traced.trace.spans) == []
 
     def test_summaries_identical(self, traced, traced_again):
-        assert traced.summary() == traced_again.summary()
-        assert traced.virtual_time_ms == traced_again.virtual_time_ms
+        assert traced.metrics.summary("e2e") == traced_again.metrics.summary("e2e")
+        assert traced.sim.now == traced_again.sim.now
 
     def test_event_timestamps_identical(self, traced, traced_again):
         firsts = [(s.name, s.start_ms, s.end_ms) for s in traced.trace.spans]
@@ -62,25 +63,25 @@ class TestTracedRunsAreReproducible:
 
 class TestTracingIsObservationallyFree:
     def test_overall_summary_identical(self, traced, untraced):
-        assert traced.summary() == untraced.summary()
+        assert traced.metrics.summary("e2e") == untraced.metrics.summary("e2e")
 
     def test_per_region_summaries_identical(self, traced, untraced):
         for region in Region.NEAR_USER:
-            assert traced.region_summary(region) == untraced.region_summary(region)
+            label = f"e2e.region.{region}"
+            assert traced.metrics.summary(label) == untraced.metrics.summary(label)
 
     def test_counters_identical(self, traced, untraced):
         assert traced.metrics.counters() == untraced.metrics.counters()
 
     def test_virtual_time_identical(self, traced, untraced):
-        assert traced.virtual_time_ms == untraced.virtual_time_ms
+        assert traced.sim.now == untraced.sim.now
 
     def test_raw_samples_identical(self, traced, untraced):
         assert traced.metrics.samples("e2e") == untraced.metrics.samples("e2e")
 
     def test_untraced_result_has_no_collector(self, untraced):
         assert untraced.trace is None
-        with pytest.raises(ValueError):
-            untraced.breakdowns()
+        assert not untraced.sim.obs.enabled
 
 
 class TestSeedsDiffer:

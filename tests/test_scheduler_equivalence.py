@@ -160,14 +160,16 @@ class TestFig4Equivalence:
     @staticmethod
     def _fig4():
         from repro.apps.social import social_media_app
-        from repro.bench.harness import ExperimentConfig, run_radical_experiment
+        from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
+        from repro.topology import Deployment, TopologySpec
 
-        cfg = ExperimentConfig(requests=400, seed=42)
-        res = run_radical_experiment(social_media_app(), cfg)
+        spec = TopologySpec(seed=42, network_jitter_sigma=PAPER_JITTER_SIGMA)
+        app = social_media_app()
+        dep = drive_closed_loop(Deployment.build(spec, app=app), app, requests=400)
         return {
-            "samples": res.metrics.samples("e2e"),
-            "virtual": res.virtual_time_ms,
-            "counters": res.metrics.counters(),
+            "samples": dep.metrics.samples("e2e"),
+            "virtual": dep.sim.now,
+            "counters": dep.metrics.counters(),
         }
 
     def test_fig4_identical_under_both_queues(self, monkeypatch):

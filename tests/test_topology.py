@@ -5,7 +5,7 @@ import pytest
 
 from conftest import build_counter_deployment
 from repro.apps import social_media_app
-from repro.bench import ExperimentConfig, run_radical_experiment
+from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
 from repro.core import FunctionRegistry, LVIServer, NearUserRuntime, RadicalConfig
 from repro.obs import TraceCollector
 from repro.sim import Metrics, Network, RandomStreams, Region, Simulator, paper_latency_table
@@ -168,23 +168,22 @@ class TestSingleShardIsTheSeed:
     SEED = 11
 
     def _hand_rolled(self):
-        """The construction run_radical_experiment used before the
-        topology layer existed, inlined verbatim."""
+        """The construction the experiment harness used before the
+        topology layer existed, inlined verbatim: the reference."""
         app = social_media_app()
-        cfg = ExperimentConfig(requests=self.REQUESTS, seed=self.SEED, trace=True)
+        radical = RadicalConfig()
         sim = Simulator()
         sim.obs = trace = TraceCollector(sim)
-        streams = RandomStreams(cfg.seed)
-        net = Network(sim, paper_latency_table(), streams,
-                      jitter_sigma=cfg.network_jitter_sigma)
+        streams = RandomStreams(self.SEED)
+        net = Network(sim, paper_latency_table(), streams, jitter_sigma=0.02)
         metrics = Metrics()
         registry = FunctionRegistry()
         registry.register_all(app.specs())
         store = KVStore()
         app.seed(store, streams, app.context)
-        LVIServer(sim, net, registry, store, cfg.radical, streams, metrics)
+        LVIServer(sim, net, registry, store, radical, streams, metrics)
         clients = []
-        for region in cfg.regions:
+        for region in Region.NEAR_USER:
             cache = NearUserCache(region, persistent=True)
             for table in store.table_names():
                 if table.startswith("_radical"):
@@ -192,16 +191,16 @@ class TestSingleShardIsTheSeed:
                 for key, item in store.scan(table):
                     cache.install(table, key, item)
             runtime = NearUserRuntime(
-                sim, net, region, cache, registry, cfg.radical, streams, metrics
+                sim, net, region, cache, registry, radical, streams, metrics
             )
-            for i in range(cfg.clients_per_region):
+            for i in range(2):
                 clients.append(
                     ClosedLoopClient(
                         sim=sim, app=app, region=region, invoke=runtime.invoke,
                         metrics=metrics,
                         rng=streams.fork(f"client.{region}.{i}").stream("workload"),
-                        requests=cfg.per_client_requests(),
-                        client_app_rtt_ms=cfg.radical.client_app_rtt_ms,
+                        requests=self.REQUESTS // len(Region.NEAR_USER) // 2,
+                        client_app_rtt_ms=radical.client_app_rtt_ms,
                         history=None,
                     )
                 )
@@ -209,8 +208,13 @@ class TestSingleShardIsTheSeed:
         return sim, metrics, trace
 
     def test_fig4_social_is_virtual_time_identical(self):
-        cfg = ExperimentConfig(requests=self.REQUESTS, seed=self.SEED, trace=True)
-        via_topology = run_radical_experiment(social_media_app(), cfg)
+        spec = TopologySpec(
+            seed=self.SEED, network_jitter_sigma=PAPER_JITTER_SIGMA, trace=True
+        )
+        app = social_media_app()
+        via_topology = drive_closed_loop(
+            Deployment.build(spec, app=app), app, self.REQUESTS, clients_per_region=2
+        )
         sim, metrics, trace = self._hand_rolled()
 
         s_new = via_topology.metrics.summary("e2e")
@@ -218,11 +222,11 @@ class TestSingleShardIsTheSeed:
         assert s_new.count == s_old.count
         assert s_new.median == s_old.median
         assert s_new.p99 == s_old.p99
-        assert via_topology.virtual_time_ms == sim.now
+        assert via_topology.sim.now == sim.now
         assert len(via_topology.trace.spans) == len(trace.spans)
         for counter in ("validation.success", "validation.failure",
                         "path.speculative", "path.direct"):
             assert via_topology.metrics.counter(counter) == metrics.counter(counter)
-        for region in cfg.regions:
+        for region in spec.regions:
             assert (via_topology.metrics.summary(f"e2e.region.{region}").median
                     == metrics.summary(f"e2e.region.{region}").median)
