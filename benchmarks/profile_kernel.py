@@ -2,8 +2,8 @@
 """Profile the simulator hot path over the fig4 workload.
 
 Prints the top-N functions by cumulative time (plus a tottime view) for
-the exact closed-loop experiment the determinism oracle runs — the same
-workload ``radical-repro kernelbench`` times.  This is the tool that
+the exact closed-loop experiment the determinism oracle runs — the
+ledger's ``social-closed`` workload.  This is the tool that
 produced the findings behind the fast-kernel refactor (calendar queue,
 slotted messages, fast deep copy, VM opcode translation); rerun it before
 claiming any further kernel optimisation.
@@ -13,7 +13,8 @@ claiming any further kernel optimisation.
 Note that cProfile's tracing inflates call-heavy code (it roughly tripled
 the wall-clock of this workload when the refactor was measured), so treat
 the output as a ranking, not as absolute cost — confirm wins with
-``radical-repro kernelbench``, which times untraced runs.
+``python3 ledger/run.py --workload social-closed``, which times untraced
+runs.
 """
 
 import argparse

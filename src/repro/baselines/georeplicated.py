@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
 from ..core import RadicalConfig
+from ..core.config import INVOKE_MS
 from ..core.registry import jittered_ms
 from ..sim import Metrics, Network, RandomStreams, Region, Simulator
 from ..storage import ReplicatedStore
@@ -57,7 +58,7 @@ class GeoReplicatedApp:
         """Run the synthetic motivation request; generator returning a
         :class:`BaselineOutcome` whose latency includes real quorum ops."""
         invoked_at = self.sim.now
-        yield self.sim.timeout(self.config.invoke_ms)
+        yield self.sim.timeout(INVOKE_MS)
         yield self.sim.timeout(
             jittered_ms(workload.compute_ms, self._jitter, self.config.service_jitter_sigma)
         )

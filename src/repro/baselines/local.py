@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core import FunctionRegistry, RadicalConfig
+from ..core.config import INVOKE_MS, WASM_LOAD_MS
 from ..core.storage_library import PrimaryEnv
 from ..sim import Metrics, RandomStreams, Simulator
 from ..storage import KVStore
@@ -46,7 +47,7 @@ class LocalIdeal:
         :class:`BaselineOutcome`.  No network leaves the region."""
         invoked_at = self.sim.now
         record = self.registry.get(function_id)
-        yield self.sim.timeout(self.config.invoke_ms + self.config.wasm_load_ms)
+        yield self.sim.timeout(INVOKE_MS + WASM_LOAD_MS)
         yield self.sim.timeout(
             record.service_ms(self._jitter, self.config.service_jitter_sigma)
         )

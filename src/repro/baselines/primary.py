@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 
 from ..consistency import HistoryRecorder
 from ..core import FunctionRegistry, RadicalConfig
+from ..core.config import INVOKE_MS, WASM_LOAD_MS
 from ..core.storage_library import PrimaryEnv
 from ..sim import Metrics, Network, RandomStreams, Region, Simulator
 from ..storage import KVStore
@@ -70,7 +71,7 @@ class PrimaryBaseline:
     def _handle(self, payload: Tuple, src: str) -> Generator:
         _kind, function_id, args = payload
         record = self.registry.get(function_id)
-        yield self.sim.timeout(self.config.invoke_ms + self.config.wasm_load_ms)
+        yield self.sim.timeout(INVOKE_MS + WASM_LOAD_MS)
         yield self.sim.timeout(
             record.service_ms(self._jitter, self.config.service_jitter_sigma)
         )

@@ -32,12 +32,6 @@ from .harness import (
     drive_open_loop,
     validation_success_rate,
 )
-from .kernelbench import (
-    merge_openloop,
-    openloop_chunk_jobs,
-    run_kernelbench,
-    run_sweep,
-)
 from .mesh import (
     mesh_gate_failures,
     mesh_partition_plan,
@@ -95,11 +89,9 @@ __all__ = [
     "fig6_rows",
     "format_table",
     "infrastructure_overhead",
-    "merge_openloop",
     "mesh_gate_failures",
     "mesh_partition_plan",
     "monthly_costs",
-    "openloop_chunk_jobs",
     "present_routing",
     "print_table",
     "routing_gate_failures",
@@ -107,8 +99,6 @@ __all__ = [
     "run_routing_sweep",
     "sparse_placement",
     "readscale_gate_failures",
-    "run_kernelbench",
-    "run_sweep",
     "run_eval_trio",
     "run_overload_point",
     "sec56_replication",

@@ -24,6 +24,7 @@ from ..baselines import (
     SimpleWorkload,
 )
 from ..core import FunctionSpec, RadicalConfig
+from ..core.config import REPLICATED_IDEM_MS
 from ..sim import PAPER_RTT_TO_PRIMARY, RandomStreams, Region, Simulator, Summary
 from ..topology import Deployment, TopologySpec
 from .harness import (
@@ -317,11 +318,10 @@ def sec56_replication(lock_counts: Sequence[int], seed: int) -> dict:
     and a Raft-replicated server.
     """
     per_lock = measure_raft_lock_latency(seed=seed)
-    cfg = RadicalConfig()
     model_rows = [
         {
             "locks": L,
-            "added_latency_model_ms": cfg.replicated_idem_ms + 2.3 * L,
+            "added_latency_model_ms": REPLICATED_IDEM_MS + 2.3 * L,
             "min_beneficial_exec_ms": 16.0 + 2.3 * L,
         }
         for L in lock_counts
@@ -344,7 +344,7 @@ def sec56_replication(lock_counts: Sequence[int], seed: int) -> dict:
         )
     return {
         "raft_per_lock_commit_ms": per_lock,
-        "idempotency_key_ms": cfg.replicated_idem_ms,
+        "idempotency_key_ms": REPLICATED_IDEM_MS,
         "model": model_rows,
         "measured": measured_rows,
     }

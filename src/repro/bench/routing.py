@@ -17,13 +17,14 @@ edge execution stops paying and the tiered policy's direct fallback wins.
 ``results/routing.json`` carries the per-client breakdown curve and the
 interpolated breakeven per (region count, placement).
 
-Points are independent simulations, parallelized with the PR-6 sweep
-runner (``repro.bench.kernelbench.run_sweep``) — the merged payload is
+Points are independent simulations, each a pure function of its spec,
+mapped over a process pool in a fixed order — the merged payload is
 worker-count-invariant.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -204,9 +205,7 @@ def run_routing_sweep(
     workers: Optional[int] = None,
 ) -> Dict[str, Any]:
     """The full placement × assignment-policy × region-count sweep."""
-    from .kernelbench import run_sweep
-
-    jobs = []
+    specs: List[Dict[str, Any]] = []
     skipped: List[Dict[str, str]] = []
     for n in region_counts:
         for placement in placements:
@@ -219,21 +218,27 @@ def run_routing_sweep(
                         "reason": "home-region requires dense placement",
                     })
                     continue
-                jobs.append((
-                    (n, placement, policy),
-                    {
-                        "kind": "routing-point",
-                        "region_count": n,
-                        "placement": placement,
-                        "policy": policy,
-                        "requests": requests,
-                        "seed": seed,
-                        "rtt_seed": rtt_seed,
-                        "tiered_threshold_ms": tiered_threshold_ms,
-                        "sparse_pops": sparse_pops,
-                    },
-                ))
-    points = run_sweep(jobs, workers=workers or (os.cpu_count() or 1))
+                specs.append({
+                    "region_count": n,
+                    "placement": placement,
+                    "policy": policy,
+                    "requests": requests,
+                    "seed": seed,
+                    "rtt_seed": rtt_seed,
+                    "tiered_threshold_ms": tiered_threshold_ms,
+                    "sparse_pops": sparse_pops,
+                })
+    # Points are ordered by (region count, placement, policy), never by
+    # completion, and ``Pool.map`` keeps its input order.
+    specs.sort(key=lambda s: (s["region_count"], s["placement"], s["policy"]))
+    workers = min(workers or os.cpu_count() or 1, len(specs))
+    if workers <= 1:
+        points = [run_routing_point(s) for s in specs]
+    else:
+        # fork where available: workers inherit the warmed import state.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with multiprocessing.get_context(method).Pool(workers) as pool:
+            points = pool.map(run_routing_point, specs)
     return {
         "region_counts": list(region_counts),
         "policies": list(policies),

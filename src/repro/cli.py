@@ -4,7 +4,6 @@ Usage::
 
     radical-repro run all                      # every scenario in configs/
     radical-repro run fig4 'sweep_*' --smoke   # names or globs; CI-sized runs
-    radical-repro run all --only-changed       # skip unchanged configs
     radical-repro run --list                   # the scenario matrix
     radical-repro run chaos --set plans='mesh-*' --set seeds=3
     radical-repro trace record /tmp/t.jsonl --requests 200
@@ -20,7 +19,7 @@ and validated by the scenario kind's parameter schema, and an artifact is
 written only at its config's own parameters: a resized run prints its
 tables and leaves ``results/`` untouched.  The other commands are tools
 around that path, not experiments (``trace``, ``explore``, ``analyze
---explain``, ``lint``, ``kernelbench``).
+--explain``, ``lint``).
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ def _run_main(argv: List[str]) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized runs; writes no artifacts, checks "
                              "payload and artifact structure instead")
-    parser.add_argument("--only-changed", action="store_true",
-                        help="skip scenarios whose config hash matches the "
-                             "last successful run and whose artifact exists")
     parser.add_argument("--list", action="store_true", dest="list_only",
                         help="list the selected scenarios and exit")
     parser.add_argument("--set", action="append", default=[], dest="sets",
@@ -63,7 +59,6 @@ def _run_main(argv: List[str]) -> int:
     return run_matrix(
         args.scenarios or ["all"],
         smoke=args.smoke,
-        only_changed=args.only_changed,
         list_only=args.list_only,
         sets=args.sets,
     )
@@ -320,76 +315,12 @@ def _lint_main(argv: List[str]) -> int:
     return lint_main(argv)
 
 
-def _kernelbench_main(argv: List[str]) -> int:
-    """``radical-repro kernelbench`` — measure simulator kernel throughput
-    (events/sec, wall-clock per simulated second, peak RSS) and write
-    ``BENCH_kernel.json``.  ``--smoke`` runs CI-sized workloads and gates
-    fig4 on the repo-stored requests/sec floor (fails on a >20%
-    regression) and on the exact events-per-request ceiling."""
-    parser = argparse.ArgumentParser(
-        prog="radical-repro kernelbench",
-        description="Benchmark the simulation kernel "
-                    "(see docs/PERFORMANCE.md).",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run gated on benchmarks/kernel_floor.json")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="sweep worker processes (default: CPU count)")
-    parser.add_argument("--out", default="BENCH_kernel.json", metavar="PATH",
-                        help="where to write the report")
-    parser.add_argument("--skip-openloop", action="store_true",
-                        help="skip the chunked open-loop sweep workload")
-    args = parser.parse_args(argv)
-
-    from .bench import print_table, run_kernelbench
-
-    report = run_kernelbench(
-        smoke=args.smoke,
-        workers=args.workers,
-        out_path=args.out,
-        skip_openloop=args.skip_openloop,
-    )
-    rows = []
-    for name, row in sorted(report["workloads"].items()):
-        t = row["timing"]
-        speed = report.get("speedup_vs_baseline", {}).get(name, {}).get("speedup")
-        rows.append([
-            name,
-            row["sim"]["events_dispatched"],
-            round(t["events_per_sec"]),
-            round(t["wall_per_sim_sec"], 4),
-            round(t["wall_s"], 3),
-            f"{speed:.2f}x" if speed else "-",
-        ])
-    print_table(
-        ["workload", "events", "events/sec", "wall s / sim s", "wall (s)",
-         "vs baseline"],
-        rows,
-        title=f"Kernel benchmark ({report['meta']['workers']} worker(s), "
-              f"python {report['meta']['python']})",
-    )
-    print(f"report written to {args.out}")
-    check = report.get("floor_check")
-    if check is not None and not check["ok"]:
-        print(
-            f"FAIL fig4 requests/sec {check['measured_requests_per_sec']:.0f} "
-            f"(threshold {check['threshold']:.0f} = floor "
-            f"{check['floor_requests_per_sec']:.0f} - 20%), events/request "
-            f"{check['measured_events_per_request']:.2f} "
-            f"(ceiling {check['events_per_request_ceiling']})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 _SUBCOMMANDS = {
     "run": _run_main,
     "explore": _explore_main,
     "analyze": _analyze_main,
     "trace": _trace_main,
     "lint": _lint_main,
-    "kernelbench": _kernelbench_main,
 }
 
 

@@ -1,12 +1,12 @@
 """Configuration for Radical deployments (timings from the paper's §5.2).
 
-All times are milliseconds of virtual time.  The defaults reproduce the
-paper's measured constants:
+All times are milliseconds of virtual time.  The paper's measured
+constants are module constants, not knobs — no experiment varies them:
 
-* ``invoke_ms`` — invoking a Lambda in the same datacenter is ~12 ms;
+* ``INVOKE_MS`` — invoking a Lambda in the same datacenter is ~12 ms;
 * the latency table's intra-region RTT (7 ms) is Table 2's VA row: the
   round trip from a function to the storage service in the same region;
-* ``replicated_idem_ms`` — §5.6 measures 3 ms for the idempotency-key
+* ``REPLICATED_IDEM_MS`` — §5.6 measures 3 ms for the idempotency-key
   write; its 2.3 ms per serial lock through etcd is not a constant here but
   what a commit through the deployment's real ``RaftCluster`` costs.
 
@@ -18,20 +18,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["RadicalConfig"]
+__all__ = [
+    "INVOKE_MS",
+    "LIMITER_DECREASE_COOLDOWN_MS",
+    "PREPARE_LOCK_TIMEOUT_MS",
+    "REPLICATED_IDEM_MS",
+    "RadicalConfig",
+    "SERVER_STORAGE_RTT_MS",
+    "WASM_LOAD_MS",
+]
+
+# Near-user invocation overheads (§5.5 components 1-2).
+INVOKE_MS = 12.0             # Lambda instantiation
+WASM_LOAD_MS = 1.0           # loading the WASM blob from disk
+
+# Near-storage processing.
+SERVER_STORAGE_RTT_MS = 2.0  # LVI server <-> DynamoDB round trip
+REPLICATED_IDEM_MS = 3.0     # §5.6 idempotency-key write (replicated server)
+
+# Cross-shard prepares cannot rely on a global lock order, so their lock
+# waits are bounded; a timeout aborts the prepare and the runtime retries
+# the invocation with backoff.
+PREPARE_LOCK_TIMEOUT_MS = 250.0
+
+# Spaces the AIMD limiter's multiplicative decreases so one burst of
+# overload replies does not collapse the window to 1.
+LIMITER_DECREASE_COOLDOWN_MS = 200.0
 
 
 @dataclass
 class RadicalConfig:
     """Timing and behaviour knobs shared by runtimes and servers."""
 
-    # Near-user invocation overheads (§5.5 components 1-2).
-    invoke_ms: float = 12.0            # Lambda instantiation
-    wasm_load_ms: float = 1.0          # loading the WASM blob from disk
+    # Near-user invocation overhead (§5.5 component 1).
     client_app_rtt_ms: float = 1.0     # client to its co-located deployment
 
     # Near-storage processing.
-    server_storage_rtt_ms: float = 2.0   # LVI server <-> DynamoDB round trip
     followup_timeout_ms: float = 1500.0  # write-intent timer (§3.4)
 
     # Client-side robustness: retries, deadlines, circuit breaking.  The
@@ -54,7 +76,6 @@ class RadicalConfig:
 
     # §5.6 replicated server costs (each lock is a real Raft commit).
     replicated: bool = False
-    replicated_idem_ms: float = 3.0      # idempotency-key write
     # §5.6's suggested future optimization: commit all of a request's lock
     # records in one consensus round instead of serially.
     replicated_batch_locks: bool = False
@@ -71,10 +92,9 @@ class RadicalConfig:
     # to the same shard into one physical message within this virtual-time
     # window (0 = off, so paper figures are unchanged).
     lvi_batch_window_ms: float = 0.0
-    # Cross-shard prepares cannot rely on a global lock order, so their
-    # lock waits are bounded; a timeout aborts the prepare and the runtime
-    # retries the invocation with backoff.
-    prepare_lock_timeout_ms: float = 250.0
+    # An invocation whose cross-shard prepare was aborted
+    # (``PREPARE_LOCK_TIMEOUT_MS``) restarts with backoff at most this
+    # many times.
     cross_shard_max_restarts: int = 4
 
     # Overload robustness.  All default *off* so existing experiment
@@ -85,13 +105,10 @@ class RadicalConfig:
     # ``admission_sojourn_ms`` adds a CoDel-flavoured deadline-aware drop:
     # shed when the *estimated* queue wait already exceeds the bound, even
     # if the depth cap has room.  ``limiter_max_inflight`` enables the
-    # runtime's AIMD in-flight limiter (and is its window ceiling);
-    # ``limiter_decrease_cooldown_ms`` spaces multiplicative decreases so
-    # one burst of overload replies does not collapse the window to 1.
+    # runtime's AIMD in-flight limiter (and is its window ceiling).
     admission_queue_depth: int = 0        # 0 = no admission control
     admission_sojourn_ms: float = 0.0     # 0 = no sojourn-based shedding
     limiter_max_inflight: int = 0         # 0 = no client-side limiter
-    limiter_decrease_cooldown_ms: float = 200.0
 
     # Sandbox budget.
     gas_limit: int = 2_000_000

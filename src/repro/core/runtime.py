@@ -41,7 +41,7 @@ from ..faults.retry import AdaptiveLimiter, CircuitBreaker, RetryPolicy
 from ..sim import Metrics, Network, RandomStreams, RequestBatcher, RpcTimeout, Simulator
 from ..storage import Item, NearUserCache
 from ..wasm import VM
-from .config import RadicalConfig
+from .config import INVOKE_MS, LIMITER_DECREASE_COOLDOWN_MS, WASM_LOAD_MS, RadicalConfig
 from .messages import (
     DirectExecRequest,
     LVIRequest,
@@ -212,7 +212,7 @@ class NearUserRuntime:
             AdaptiveLimiter(
                 sim,
                 max_inflight=self.config.limiter_max_inflight,
-                decrease_cooldown_ms=self.config.limiter_decrease_cooldown_ms,
+                decrease_cooldown_ms=LIMITER_DECREASE_COOLDOWN_MS,
                 metrics=self.metrics,
                 name=f"limiter.{region}",
             )
@@ -338,7 +338,7 @@ class NearUserRuntime:
         probe = self._breaker.probing
 
         # (§5.5 components 1-2) Lambda instantiation + WASM load.
-        yield self.sim.timeout(cfg.invoke_ms + cfg.wasm_load_ms)
+        yield self.sim.timeout(INVOKE_MS + WASM_LOAD_MS)
         if obs.enabled:
             obs.phase("phase.overhead", start_ms=attempt.invoked_at, region=self.region)
 

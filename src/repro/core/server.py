@@ -49,7 +49,12 @@ from ..storage import (
     WriteOp,
 )
 from ..wasm import VM
-from .config import RadicalConfig
+from .config import (
+    PREPARE_LOCK_TIMEOUT_MS,
+    REPLICATED_IDEM_MS,
+    SERVER_STORAGE_RTT_MS,
+    RadicalConfig,
+)
 from .messages import (
     DirectExecRequest,
     FreshItem,
@@ -378,7 +383,7 @@ class LVIServer:
             )
         if self.config.replicated:
             yield from self._persist_locks_via_raft(eid, all_keys)
-            yield self.sim.timeout(self.config.replicated_idem_ms)
+            yield self.sim.timeout(REPLICATED_IDEM_MS)
         return (yield from self._validate(req, all_keys, **span_tags))
 
     def _acquire_bounded(self, eid: str, acquire: Generator) -> Generator:
@@ -388,7 +393,7 @@ class LVIServer:
         so it cannot wedge the shard's lock table."""
         proc = self.sim.spawn(acquire, name=f"locks({eid})")
         first = yield self.sim.any_of(
-            [proc.done_event, self.sim.timeout(self.config.prepare_lock_timeout_ms)]
+            [proc.done_event, self.sim.timeout(PREPARE_LOCK_TIMEOUT_MS)]
         )
         if proc.done_event in first:
             return True
@@ -401,7 +406,7 @@ class LVIServer:
         Returns the authoritative versions of ``keys`` and the stale reads."""
         obs = self.sim.obs
         validate_started = self.sim.now
-        yield self.sim.timeout(self.config.server_storage_rtt_ms)
+        yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
         authoritative = self.store.batch_versions(keys)
         stale = [
             k for k in req.read_keys if authoritative.get(k, 0) != req.versions.get(k, -1)
@@ -431,7 +436,7 @@ class LVIServer:
         server is attributed to the *original* invocation end-to-end."""
         obs = self.sim.obs
         intent_started = self.sim.now
-        yield self.sim.timeout(self.config.server_storage_rtt_ms)
+        yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
         ctx = self.sim.trace_context
         self.intents.create(
             eid, function_id, now=self.sim.now,
@@ -723,7 +728,7 @@ class LVIServer:
         """Coordinator-side outcome lookup: read the decision record,
         forcing an abort tombstone into existence if none is there yet
         (see ShardDecisionQuery's docstring for why this is safe)."""
-        yield self.sim.timeout(self.config.server_storage_rtt_ms)
+        yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
         outcome = self._record_decision(req.execution_id, "abort")
         self.metrics.incr("xshard.decision_query")
         return outcome
@@ -739,7 +744,7 @@ class LVIServer:
         """
         outcome = want
         if record:
-            yield self.sim.timeout(self.config.server_storage_rtt_ms)
+            yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
             outcome = self._record_decision(eid, want)
             if want == "commit" and outcome != "commit":
                 self.metrics.incr("xshard.commit_lost_race")
@@ -748,7 +753,7 @@ class LVIServer:
             return "aborted"
         intent = self.intents.get(eid)
         if intent is not None and intent.kind == KIND_APPLY:
-            yield self.sim.timeout(self.config.server_storage_rtt_ms)
+            yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
             applied = self._apply_intent_writes(eid, intent)
             return "applied" if applied else "discarded"
         # Read-only slice (or a duplicate decision): release and go.
@@ -828,7 +833,7 @@ class LVIServer:
             return
         self.metrics.incr("xshard.lease_query")
         if coordinator == self.name:
-            yield self.sim.timeout(self.config.server_storage_rtt_ms)
+            yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
             outcome = self._record_decision(eid, "abort")
         else:
             try:
@@ -844,7 +849,7 @@ class LVIServer:
                 return
         if outcome == "commit":
             if intent is not None:
-                yield self.sim.timeout(self.config.server_storage_rtt_ms)
+                yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
                 self._apply_intent_writes(eid, intent)
             self._release_prepared(eid)
         else:
@@ -869,7 +874,7 @@ class LVIServer:
             self.metrics.incr("followup.discarded")
             return "discarded"
         apply_started = self.sim.now
-        yield self.sim.timeout(self.config.server_storage_rtt_ms)
+        yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
         if not self.intents.try_complete(followup.execution_id):
             self.metrics.incr("followup.discarded")
             return "discarded"
@@ -959,7 +964,7 @@ class LVIServer:
         # synchronous step, so a crash either precedes it (intent stays
         # PENDING and recovery retries) or follows it (writes durable).
         yield self.sim.timeout(record.service_ms(self._jitter, self.config.service_jitter_sigma))
-        yield self.sim.timeout(self.config.server_storage_rtt_ms)
+        yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
         if not self.intents.try_complete(execution_id):
             if span is not None:
                 span.finish(self.sim.now, status="lost_race")

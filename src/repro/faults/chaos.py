@@ -33,7 +33,7 @@ from __future__ import annotations
 import fnmatch
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..consistency import (
     HistoryRecorder,
@@ -42,10 +42,10 @@ from ..consistency import (
     find_monotonic_read_violations,
     find_read_your_writes_violations,
 )
-from ..core import FunctionSpec, NearUserRuntime, RadicalConfig
+from ..core import FunctionSpec, RadicalConfig
 from ..errors import ConsistencyViolation, FaultConfigError, UnavailableError
 from ..mesh import MeshSpec, Session
-from ..sim import Region, Simulator, percentile
+from ..sim import Region, percentile
 from ..topology import Deployment, TopologySpec
 from ..workloads import OpenLoopClient
 from .plan import (
@@ -253,7 +253,6 @@ def chaos_config(
         admission_queue_depth=12 if overload else 0,
         admission_sojourn_ms=100.0 if overload else 0.0,
         limiter_max_inflight=32 if overload else 0,
-        limiter_decrease_cooldown_ms=200.0,
         conflict_detection=detect,
         read_replicas=3 if detect else 1,
     )
@@ -280,61 +279,37 @@ class _Tally:
     probe_unavailable_at: List[float] = field(default_factory=list)
     migrations: int = 0
 
+    def ack(self, history: HistoryRecorder, record, key: str, outcome,
+            ended: float, probe_region: Optional[str] = None) -> None:
+        """An acknowledged invocation: into the history and the acked
+        tallies; a probe's (``probe_region``) also into the latency series."""
+        took_ms = ended - record.invoked_at
+        history.finish(
+            record, ended,
+            reads=outcome.read_versions, writes=outcome.write_versions,
+        )
+        self.acked += 1
+        if probe_region is not None:
+            self.latencies.append(took_ms)
+            self.probe_samples.append((ended, took_ms, probe_region, outcome.path))
+        self._count(record.function, key, self.acked_bumps, took_ms)
 
-def _chaos_client(
-    sim: Simulator,
-    runtime: NearUserRuntime,
-    rng,
-    history: HistoryRecorder,
-    tally: _Tally,
-    requests: int,
-    keys: int,
-    think_ms: float,
-    until_ms: Optional[float] = None,
-) -> Generator:
-    """The closed-loop probe: ``requests`` requests back to back, or —
-    for overload plans (``until_ms``) — as many as fit before the probe
-    horizon, so there are always post-recovery samples to measure no
-    matter how long the overload window stalled the client."""
-    i = 0
-    while True:
-        if until_ms is None:
-            if i >= requests:
-                break
-        elif sim.now >= until_ms:
-            break
-        i += 1
-        key = f"c:{rng.randrange(keys)}"
-        is_bump = rng.random() < 0.7
-        fn = "chaos.bump" if is_bump else "chaos.read"
-        started = sim.now
-        record = history.begin(fn, started)
-        try:
-            outcome = yield from runtime.invoke(fn, [key])
-        except UnavailableError:
-            # Clean failure: the write may or may not have landed near
-            # storage (e.g. the response was lost), so it is *not*
-            # recorded in the history — but it is tallied so the final
-            # counter reconciliation can bound it.
-            tally.unavailable += 1
-            tally.probe_unavailable_at.append(sim.now)
-            if is_bump:
-                tally.maybe_bumps[key] = tally.maybe_bumps.get(key, 0) + 1
-        else:
-            history.finish(
-                record, sim.now,
-                reads=outcome.read_versions, writes=outcome.write_versions,
-            )
-            tally.acked += 1
-            tally.latencies.append(sim.now - started)
-            tally.probe_samples.append(
-                (sim.now, sim.now - started, runtime.region, outcome.path)
-            )
-            if is_bump:
-                tally.acked_bumps[key] = tally.acked_bumps.get(key, 0) + 1
-        tally.issued += 1
-        tally.max_invocation_ms = max(tally.max_invocation_ms, sim.now - started)
-        yield sim.timeout(think_ms)
+    def fail(self, fn: str, key: str, started: float, ended: float,
+             probe_region: Optional[str] = None) -> None:
+        """A clean ``UnavailableError``: the write may or may not have
+        landed near storage (e.g. the response was lost), so it is *not*
+        recorded in the history — but it is tallied so the final counter
+        reconciliation can bound it."""
+        self.unavailable += 1
+        if probe_region is not None:
+            self.probe_unavailable_at.append(ended)
+        self._count(fn, key, self.maybe_bumps, ended - started)
+
+    def _count(self, fn: str, key: str, bumps: Dict[str, int], took_ms: float) -> None:
+        if fn == "chaos.bump":
+            bumps[key] = bumps.get(key, 0) + 1
+        self.issued += 1
+        self.max_invocation_ms = max(self.max_invocation_ms, took_ms)
 
 
 def _next_live_region(dep: Deployment, current: str) -> str:
@@ -350,77 +325,75 @@ def _next_live_region(dep: Deployment, current: str) -> str:
     return others[0] if others else current
 
 
-def _mesh_chaos_client(
-    sim: Simulator,
+def _chaos_client(
     dep: Deployment,
-    start_region: str,
-    client_id: str,
+    region: str,
     rng,
+    mix: _ChaosMix,
     history: HistoryRecorder,
     tally: _Tally,
     requests: int,
-    keys: int,
     think_ms: float,
-    moves: List[Tuple[float, str]],
+    until_ms: Optional[float] = None,
+    session: Optional[Session] = None,
+    migrations: Sequence[MigrationWindow] = (),
 ) -> Generator:
-    """The session-carrying probe mesh plans run instead of
-    :func:`_chaos_client`: same 70/30 bump/read mix, but every request
-    rides a :class:`~repro.mesh.Session`, the plan's forced-migration
-    schedule (``moves``) re-attaches the client mid-run, and a
-    ``UnavailableError`` from a downed PoP triggers failover to the next
-    live region — all without dropping the session watermark, so the
-    post-hoc session-guarantee checks judge exactly this client's history."""
-    session = Session(client_id)
-    runtime = dep.runtimes[start_region]
-    yield from runtime.attach(session)
-    pending_moves = list(moves)  # (at_ms, to_region), time-sorted
-    for i in range(requests):
-        while pending_moves and sim.now >= pending_moves[0][0]:
-            _, to_region = pending_moves.pop(0)
+    """The closed-loop probe: ``requests`` requests of ``mix`` back to
+    back, or — for overload plans (``until_ms``) — as many as fit before
+    the probe horizon, so there are always post-recovery samples to measure
+    no matter how long the overload window stalled the client.
+
+    Mesh plans carry a :class:`~repro.mesh.Session`: every request rides
+    it, the plan's forced-migration schedule (``migrations``, time-sorted)
+    re-attaches the client mid-run, and an ``UnavailableError`` from a
+    downed PoP triggers failover to the next live region — all without
+    dropping the session watermark, so the post-hoc session-guarantee
+    checks judge exactly this client's history."""
+    sim = dep.sim
+    runtime = dep.runtimes[region]
+    client_id = ""
+    pending_moves: List[MigrationWindow] = []
+    if session is not None:
+        client_id = session.client_id
+        yield from runtime.attach(session)
+        pending_moves = [w for w in migrations if w.client in (client_id, "*")]
+    issued = 0
+    while (issued < requests) if until_ms is None else (sim.now < until_ms):
+        issued += 1
+        while pending_moves and sim.now >= pending_moves[0].at_ms:
+            to_region = pending_moves.pop(0).to_region
             if to_region != session.region:
                 runtime = dep.runtimes[to_region]
                 yield from runtime.attach(session)
                 tally.migrations += 1
-        key = f"c:{rng.randrange(keys)}"
-        is_bump = rng.random() < 0.7
-        fn = "chaos.bump" if is_bump else "chaos.read"
+        fn, (key,) = mix.generate_request(rng)
         started = sim.now
         record = history.begin(fn, started, session=client_id)
         try:
             outcome = yield from runtime.invoke(fn, [key], session=session)
         except UnavailableError:
-            tally.unavailable += 1
-            tally.probe_unavailable_at.append(sim.now)
-            if is_bump:
-                tally.maybe_bumps[key] = tally.maybe_bumps.get(key, 0) + 1
+            tally.fail(fn, key, started, sim.now, probe_region=runtime.region)
             # Mid-session migration on PoP loss: re-attach to the next
             # live PoP and keep going.  The session vector travels along,
             # so reads at the new PoP still honour every floor.
-            if dep.mesh is not None and not dep.mesh.pop(runtime.region).serving:
+            if (
+                session is not None
+                and dep.mesh is not None
+                and not dep.mesh.pop(runtime.region).serving
+            ):
                 runtime = dep.runtimes[_next_live_region(dep, runtime.region)]
                 yield from runtime.attach(session)
                 tally.migrations += 1
         else:
-            history.finish(
-                record, sim.now,
-                reads=outcome.read_versions, writes=outcome.write_versions,
-            )
-            tally.acked += 1
-            tally.latencies.append(sim.now - started)
-            tally.probe_samples.append(
-                (sim.now, sim.now - started, runtime.region, outcome.path)
-            )
-            if is_bump:
-                tally.acked_bumps[key] = tally.acked_bumps.get(key, 0) + 1
-        tally.issued += 1
-        tally.max_invocation_ms = max(tally.max_invocation_ms, sim.now - started)
+            tally.ack(history, record, key, outcome, sim.now, probe_region=runtime.region)
         yield sim.timeout(think_ms)
 
 
 class _ChaosMix:
-    """``generate_request`` shim for the surge clients: the same 70/30
-    bump/read mix over the same keyspace as the probe clients, so surge
-    traffic contends on exactly the counters the checks reconcile."""
+    """The 70/30 bump/read mix over the counter keyspace, drawn by the
+    probe clients and (as their ``app``) by the surge ``OpenLoopClient``s,
+    so surge traffic contends on exactly the counters the checks
+    reconcile."""
 
     def __init__(self, keys: int):
         self.keys = keys
@@ -437,23 +410,10 @@ def _surge_recorder(history: HistoryRecorder, tally: _Tally):
     probe read of a surge-bumped counter would flag a phantom write."""
 
     def on_outcome(fn, args, outcome, started, ended):
-        key = args[0]
-        is_bump = fn == "chaos.bump"
-        tally.issued += 1
-        tally.max_invocation_ms = max(tally.max_invocation_ms, ended - started)
         if outcome is None:
-            tally.unavailable += 1
-            if is_bump:
-                tally.maybe_bumps[key] = tally.maybe_bumps.get(key, 0) + 1
+            tally.fail(fn, args[0], started, ended)
         else:
-            record = history.begin(fn, started)
-            history.finish(
-                record, ended,
-                reads=outcome.read_versions, writes=outcome.write_versions,
-            )
-            tally.acked += 1
-            if is_bump:
-                tally.acked_bumps[key] = tally.acked_bumps.get(key, 0) + 1
+            tally.ack(history, history.begin(fn, started), args[0], outcome, ended)
 
     return on_outcome
 
@@ -508,7 +468,8 @@ def run_chaos_case(
             # crashed, its clients must still have somewhere to fail over
             # to *and* the survivors must still form a gossiping pair.
             regions = (Region.JP, Region.CA, Region.IE)
-    for w in plan.migration_windows():
+    migrations = plan.migration_windows()
+    for w in migrations:
         if w.to_region not in regions:
             raise FaultConfigError(
                 f"plan {plan.name!r} migrates to {w.to_region!r}, "
@@ -571,30 +532,19 @@ def run_chaos_case(
     history = HistoryRecorder()
     tally = _Tally()
     procs = []
-    migration_schedule = plan.migration_windows()
+    mix = _ChaosMix(keys)
     for region in regions:
         for c in range(clients_per_region):
             rng = dep.streams.stream(f"chaos.client.{region}.{c}")
-            if plan.mesh:
-                client_id = f"{region}-{c}"
-                moves = [
-                    (w.at_ms, w.to_region)
-                    for w in migration_schedule
-                    if w.client in (client_id, "*")
-                ]
-                body = _mesh_chaos_client(
-                    sim, dep, region, client_id, rng, history, tally,
-                    requests_per_client, keys, think_ms, moves,
-                )
-            else:
-                body = _chaos_client(
-                    sim, dep.runtimes[region], rng, history, tally,
-                    requests_per_client, keys, think_ms,
-                    until_ms=probe_until,
-                )
+            body = _chaos_client(
+                dep, region, rng, mix, history, tally,
+                requests_per_client, think_ms,
+                until_ms=probe_until,
+                session=Session(f"{region}-{c}") if plan.mesh else None,
+                migrations=migrations,
+            )
             procs.append(sim.spawn(body, name=f"chaos-client-{region}-{c}"))
     surge_outcome = _surge_recorder(history, tally)
-    mix = _ChaosMix(keys)
     for i, w in enumerate(plan.surge_windows()):
         if w.region not in dep.runtimes:
             raise FaultConfigError(

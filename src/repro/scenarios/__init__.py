@@ -14,7 +14,6 @@ from .driver import (
     load_scenario,
     run_matrix,
     run_scenario,
-    scenario_state_path,
 )
 from .runners import KINDS, ScenarioKind, schema_failures
 from .spec import (
@@ -43,6 +42,5 @@ __all__ = [
     "parse_set_args",
     "run_matrix",
     "run_scenario",
-    "scenario_state_path",
     "schema_failures",
 ]

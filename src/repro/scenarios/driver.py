@@ -10,10 +10,7 @@ writer of ``results/``:
   (typed and validated by the kind's schema, before anything runs);
 * ``--smoke`` — CI-sized runs (each kind's smoke overrides), plus a
   structural schema check of both the smoke payload and the checked-in
-  artifact — drift in either direction fails;
-* ``--only-changed`` — skip scenarios whose config hash matches the one
-  recorded at the last successful full run (``results/.scenario_state.json``)
-  and whose artifact still exists.
+  artifact — drift in either direction fails.
 
 **An artifact is written only at its config's own parameters.**  A run
 resized with ``--set`` or ``--smoke`` prints its table and passes its gate
@@ -26,7 +23,6 @@ artifact unless the config (or the simulation) changed.
 from __future__ import annotations
 
 import fnmatch
-import hashlib
 import json
 import os
 import sys
@@ -43,17 +39,12 @@ __all__ = [
     "load_scenario",
     "run_scenario",
     "run_matrix",
-    "scenario_state_path",
 ]
 
 
 def config_dir() -> str:
     """``configs/``, beside ``results/`` at the repo root."""
     return os.path.join(os.path.dirname(results_dir()), "configs")
-
-
-def scenario_state_path() -> str:
-    return os.path.join(results_dir(), ".scenario_state.json")
 
 
 def discover_scenarios(configs: Optional[str] = None) -> Dict[str, str]:
@@ -112,31 +103,6 @@ def select_scenarios(patterns: Sequence[str],
     return list(chosen.values())
 
 
-def _config_sha(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_state() -> Dict[str, Any]:
-    try:
-        with open(scenario_state_path(), "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return {}
-
-
-def _record_state(spec: ScenarioSpec) -> None:
-    """Remember the config hash ``spec``'s artifact was just written at
-    (what ``--only-changed`` compares against)."""
-    state = _load_state()
-    state[spec.name] = {
-        "artifact": spec.artifact, "config_sha": _config_sha(spec.path),
-    }
-    with open(scenario_state_path(), "w", encoding="utf-8") as fh:
-        json.dump(state, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _resolve(spec: ScenarioSpec, smoke: bool,
              overrides: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """The parameters a run would use, cross-field validated."""
@@ -157,11 +123,11 @@ def run_scenario(
     """Run one scenario and return its payload — the single code path
     behind every experiment, and the single writer of ``results/``.
 
-    ``results/<artifact>.json`` (and the ``--only-changed`` state) is
-    written only when the resolved parameters equal the config's own: an
-    overridden or ``smoke`` run presents and gates, then leaves the
-    artifact untouched.  ``save=False`` never writes (library callers that
-    only want the payload).  Gate failures raise :class:`ScenarioError`.
+    ``results/<artifact>.json`` is written only when the resolved
+    parameters equal the config's own: an overridden or ``smoke`` run
+    presents and gates, then leaves the artifact untouched.  ``save=False``
+    never writes (library callers that only want the payload).  Gate
+    failures raise :class:`ScenarioError`.
     """
     spec = (
         spec_or_name if isinstance(spec_or_name, ScenarioSpec)
@@ -186,8 +152,6 @@ def run_scenario(
             )
     if canonical and save:
         save_results(spec.artifact, payload)
-        if spec.path:
-            _record_state(spec)
         print(f"results written to results/{spec.artifact}.json")
     elif save and not smoke:
         print(f"non-default parameters: results/{spec.artifact}.json left untouched")
@@ -218,7 +182,6 @@ def _check_schema(spec: ScenarioSpec, payload: Dict[str, Any]) -> List[str]:
 def run_matrix(
     patterns: Sequence[str],
     smoke: bool = False,
-    only_changed: bool = False,
     list_only: bool = False,
     sets: Sequence[str] = (),
 ) -> int:
@@ -242,21 +205,9 @@ def run_matrix(
                   f"results/{spec.artifact}.json{ref}")
         return 0
 
-    state = _load_state() if only_changed else {}
     failures: List[Tuple[str, str]] = []
-    ran = skipped = 0
+    ran = 0
     for spec in chosen:
-        if (
-            only_changed
-            and not smoke
-            and not sets
-            and spec.path
-            and state.get(spec.name, {}).get("config_sha") == _config_sha(spec.path)
-            and os.path.exists(os.path.join(results_dir(), f"{spec.artifact}.json"))
-        ):
-            skipped += 1
-            print(f"--- {spec.name}: unchanged, skipping")
-            continue
         print(f"\n### {spec.name} ({spec.kind})"
               + (f" — {spec.title}" if spec.title else ""))
         try:
@@ -267,7 +218,7 @@ def run_matrix(
                     failures.append((spec.name, f"schema drift: {msg}"))
         except ScenarioError as exc:
             failures.append((spec.name, str(exc)))
-    print(f"\n{ran} scenario(s) ran, {skipped} skipped"
+    print(f"\n{ran} scenario(s) ran"
           + (", smoke mode (no artifacts written)" if smoke else ""))
     for name, msg in failures:
         print(f"FAIL {name}: {msg}", file=sys.stderr)

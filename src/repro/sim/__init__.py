@@ -30,7 +30,7 @@ from .network import (
     UnknownRegionError,
     paper_latency_table,
 )
-from .primitives import Channel, Gate, Mutex, Semaphore
+from .primitives import Channel
 from .rand import RandomStreams, ZipfSampler
 from .rtt import (
     MatrixFileRttDataset,
@@ -48,13 +48,11 @@ __all__ = [
     "Channel",
     "Endpoint",
     "Event",
-    "Gate",
     "Interrupted",
     "LatencyTable",
     "MatrixFileRttDataset",
     "Message",
     "Metrics",
-    "Mutex",
     "NO_REPLY",
     "Network",
     "PAPER_RTT_TO_PRIMARY",
@@ -66,7 +64,6 @@ __all__ = [
     "RpcTimeout",
     "RttDataset",
     "RttDatasetError",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "Summary",

@@ -472,8 +472,8 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        #: Dispatched-callback counter: the numerator of the kernelbench
-        #: events/sec metric.  Incremented once per executed entry.
+        #: Dispatched-callback counter: the numerator of the ledger's
+        #: ``events_per_req``.  Incremented once per executed entry.
         self.events_dispatched: int = 0
         # Calendar queue: zero-delay entries go to the FIFO `_imm` (their
         # `when` is always the current clock, so FIFO append order IS

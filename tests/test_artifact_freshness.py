@@ -64,7 +64,6 @@ def stub(monkeypatch, *names):
         )
     out = []
     monkeypatch.setattr(driver, "save_results", lambda name, payload: out.append(name))
-    monkeypatch.setattr(driver, "_record_state", lambda spec: out.append(f"state:{spec.name}"))
     return out
 
 
@@ -85,7 +84,7 @@ def test_repeated_parameter_is_written(name, key, monkeypatch, capsys):
     spec, written = SPECS[name], stub(monkeypatch, name)
     value = same(KINDS[spec.kind].params[key], spec.resolved_params()[key])
     assert main(["run", name, "--set", f"{key}={value}"]) == 0
-    assert written == [spec.artifact, f"state:{name}"]
+    assert written == [spec.artifact]
     assert f"results written to results/{spec.artifact}.json" in capsys.readouterr().out
 
 
@@ -101,7 +100,7 @@ def test_smoke_is_never_written(name, monkeypatch, capsys):
 def test_plain_run_is_written(monkeypatch):
     written = stub(monkeypatch, "table1", "sec57")
     assert main(["run", "table1", "sec57"]) == 0
-    assert written == ["table1_functions", "state:table1", "sec57_cost", "state:sec57"]
+    assert written == ["table1_functions", "sec57_cost"]
 
 
 def test_library_callers_can_opt_out(monkeypatch):

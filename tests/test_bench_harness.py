@@ -1,5 +1,6 @@
 """Tests for the experiment harness and per-figure experiment drivers."""
 
+import importlib
 import json
 
 import pytest
@@ -41,6 +42,13 @@ def run(build=Deployment.build, requests=300, **fields):
 
 def trio():
     return run_eval_trio("social", paper_spec(), requests=300, clients_per_region=1)
+
+
+@pytest.mark.parametrize("package", ["repro.bench", "repro.sim", "repro.scenarios"])
+def test_package_exports_resolve(package):
+    # A name deleted from a package must leave its ``__all__`` too.
+    module = importlib.import_module(package)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 class TestHarness:

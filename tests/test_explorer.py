@@ -324,13 +324,14 @@ class TestExplorer:
         # so duplicate or late followups re-apply writes — and the
         # explorer must find an invariant violation within a smoke-sized
         # budget and shrink it to <= 2 windows.
+        from repro.core.config import SERVER_STORAGE_RTT_MS
         from repro.core.server import LVIServer
         from repro.faults.explorer import explore
         from repro.storage import IdempotencyTable, WriteOp
 
         def weakened(self, followup):
             intent = self.intents.get(followup.execution_id)
-            yield self.sim.timeout(self.config.server_storage_rtt_ms)
+            yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
             if intent is not None:
                 self.intents.try_complete(followup.execution_id)  # ignored!
             self.store.apply_writes(
@@ -354,13 +355,14 @@ class TestExplorer:
             assert plan_hash(restored) == v["hash"]
 
     def test_explorer_can_write_the_corpus(self, tmp_path, monkeypatch):
+        from repro.core.config import SERVER_STORAGE_RTT_MS
         from repro.core.server import LVIServer
         from repro.faults.explorer import explore, load_corpus
         from repro.storage import IdempotencyTable, WriteOp
 
         def weakened(self, followup):
             intent = self.intents.get(followup.execution_id)
-            yield self.sim.timeout(self.config.server_storage_rtt_ms)
+            yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
             if intent is not None:
                 self.intents.try_complete(followup.execution_id)
             self.store.apply_writes(

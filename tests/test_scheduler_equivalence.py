@@ -218,31 +218,3 @@ class TestShardedEquivalence:
     def test_sharded_identical_under_both_queues(self, monkeypatch):
         heap, calendar = _both(monkeypatch, self._sharded)
         assert heap == calendar
-
-
-@pytest.mark.slow
-class TestSweepWorkerInvariance:
-    """The parallel sweep runner's merged output may not depend on the
-    worker count — chunk results are pure functions of their specs and the
-    merge orders by job key."""
-
-    def test_openloop_merge_identical_1_vs_2_workers(self):
-        from repro.bench.kernelbench import (
-            merge_openloop,
-            openloop_chunk_jobs,
-            run_sweep,
-        )
-
-        jobs = openloop_chunk_jobs(clients=300, chunks=3, seed=11)
-        serial = merge_openloop(run_sweep(jobs, workers=1))
-        parallel = merge_openloop(run_sweep(jobs, workers=2))
-        assert serial["sim"] == parallel["sim"]
-        assert serial["sim"]["requests"] > 0
-
-    def test_chunking_is_exhaustive_and_deterministic(self):
-        from repro.bench.kernelbench import openloop_chunk_jobs
-
-        jobs = openloop_chunk_jobs(clients=10, chunks=4, seed=3)
-        assert sum(spec["clients"] for _, spec in jobs) == 10
-        assert [key for key, _ in jobs] == [(0,), (1,), (2,), (3,)]
-        assert jobs == openloop_chunk_jobs(clients=10, chunks=4, seed=3)

@@ -1,8 +1,8 @@
-"""Unit tests for channels, semaphores, mutexes, and gates."""
+"""Unit tests for channels."""
 
 import pytest
 
-from repro.sim import Channel, Gate, Mutex, Semaphore, SimulationError, Simulator
+from repro.sim import Channel, SimulationError, Simulator
 from repro.sim.primitives import ChannelClosed
 
 
@@ -109,148 +109,3 @@ class TestChannel:
                 return "closed"
 
         assert sim.run_process(getter()) == "closed"
-
-
-class TestSemaphore:
-    def test_acquire_up_to_capacity_without_blocking(self, sim):
-        sem = Semaphore(sim, capacity=2)
-
-        def proc():
-            yield sem.acquire()
-            yield sem.acquire()
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
-        assert sem.available == 0
-
-    def test_acquire_blocks_at_capacity(self, sim):
-        sem = Semaphore(sim, capacity=1)
-        order = []
-
-        def holder():
-            yield sem.acquire()
-            order.append(("holder", sim.now))
-            yield sim.timeout(10.0)
-            sem.release()
-
-        def waiter():
-            yield sim.timeout(1.0)
-            yield sem.acquire()
-            order.append(("waiter", sim.now))
-            sem.release()
-
-        sim.spawn(holder())
-        sim.spawn(waiter())
-        sim.run()
-        assert order == [("holder", 0.0), ("waiter", 10.0)]
-
-    def test_fifo_wakeup(self, sim):
-        sem = Semaphore(sim, capacity=1)
-        order = []
-
-        def worker(i):
-            yield sem.acquire()
-            order.append(i)
-            yield sim.timeout(1.0)
-            sem.release()
-
-        for i in range(4):
-            sim.spawn(worker(i))
-        sim.run()
-        assert order == [0, 1, 2, 3]
-
-    def test_over_release_raises(self, sim):
-        sem = Semaphore(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            sem.release()
-
-    def test_zero_capacity_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Semaphore(sim, capacity=0)
-
-
-class TestMutex:
-    def test_holding_releases_on_success(self, sim):
-        mtx = Mutex(sim)
-
-        def work():
-            yield sim.timeout(1.0)
-            return "ok"
-
-        def proc():
-            result = yield sim.spawn(mtx.holding(work()))
-            return result, mtx.available
-
-        assert sim.run_process(proc()) == ("ok", 1)
-
-    def test_holding_releases_on_exception(self, sim):
-        mtx = Mutex(sim)
-
-        def work():
-            yield sim.timeout(1.0)
-            raise ValueError("boom")
-
-        def proc():
-            try:
-                yield sim.spawn(mtx.holding(work()))
-            except ValueError:
-                pass
-            return mtx.available
-
-        assert sim.run_process(proc()) == 1
-
-    def test_mutual_exclusion(self, sim):
-        mtx = Mutex(sim)
-        active = []
-        max_active = []
-
-        def work(i):
-            active.append(i)
-            max_active.append(len(active))
-            yield sim.timeout(2.0)
-            active.remove(i)
-
-        def proc(i):
-            yield sim.spawn(mtx.holding(work(i)))
-
-        for i in range(3):
-            sim.spawn(proc(i))
-        sim.run()
-        assert max(max_active) == 1
-
-
-class TestGate:
-    def test_wait_on_open_gate_is_immediate(self, sim):
-        gate = Gate(sim, open_=True)
-
-        def proc():
-            yield gate.wait()
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
-
-    def test_wait_blocks_until_open(self, sim):
-        gate = Gate(sim)
-
-        def proc():
-            yield gate.wait()
-            return sim.now
-
-        p = sim.spawn(proc())
-        sim.schedule(7.0, gate.open)
-        sim.run()
-        assert p.result == 7.0
-
-    def test_gate_reusable_after_close(self, sim):
-        gate = Gate(sim, open_=True)
-        gate.close()
-        assert not gate.is_open
-
-        def proc():
-            yield gate.wait()
-            return sim.now
-
-        p = sim.spawn(proc())
-        sim.schedule(3.0, gate.open)
-        sim.run()
-        assert p.result == 3.0
