@@ -11,11 +11,12 @@ idea on top of Radical's near-user caches:
   on crash-restart so a reborn PoP never reuses ids) — plus the origin
   version vector the PoP had applied at write time (the update's causal
   dependencies).
-* PoPs gossip on a fixed virtual-time interval with one-way, ship-once
-  anti-entropy.  A :class:`GossipDigest` is a fire-and-forget message
-  carrying the sender's epoch, its version vector and the updates it has
-  not yet shipped to that peer; the receiver applies it synchronously at
-  delivery and sends nothing back.
+* PoPs gossip in mesh-wide rounds on a fixed virtual-time interval (one
+  timer walks every PoP) with one-way, ship-once anti-entropy.  A
+  :class:`GossipDigest` is a fire-and-forget message carrying the sender's
+  epoch, its version vector and the updates it has not yet shipped to that
+  peer; the receiver applies it synchronously at delivery and sends
+  nothing back.
 * The cumulative ack is piggybacked: the vector every digest carries *is*
   the acknowledgement of everything the sender has applied.  Receivers
   merge it element-wise-max within an epoch (a late, older digest never
@@ -84,7 +85,7 @@ __all__ = [
 class MeshSpec:
     """Declarative mesh configuration (lives on ``TopologySpec.mesh``)."""
 
-    #: Gossip round period per PoP, virtual ms.
+    #: Gossip round period of the mesh, virtual ms.
     gossip_interval_ms: float = 100.0
     #: Retransmit / idle-heartbeat horizon: an idle link still carries one
     #: digest per horizon, and shipped updates are shipped again once the
@@ -594,7 +595,7 @@ class CacheMesh:
         return [r for r in self.regions if self.pops[r].serving]
 
     def start(self) -> None:
-        """Register gossip endpoints and schedule the rounds.
+        """Register gossip endpoints and arm the mesh's one gossip tick.
 
         Called by ``Deployment.build`` after every runtime exists, so the
         mesh perturbs no endpoint-name counters or RNG streams.  With
@@ -604,11 +605,10 @@ class CacheMesh:
         if self.started or not self.spec.enabled or len(self.pops) < 2:
             return
         self.started = True
-        self._peers = {region: self.peers_of(region) for region in self.pops}
+        self._peers = {region: self.peers_of(region) for region in sorted(self.pops)}
         for region, pop in sorted(self.pops.items()):
             self._register_endpoints(pop)
-        for region, pop in sorted(self.pops.items()):
-            self.sim.schedule(self.spec.gossip_interval_ms, self._gossip_round, pop)
+        self.sim.schedule(self.spec.gossip_interval_ms, self._gossip_tick)
 
     def _register_endpoints(self, pop: MeshPop) -> None:
         def serve_cut(payload, src, _pop=pop):
@@ -630,14 +630,16 @@ class CacheMesh:
         return pop.serve_cut(payload)
         yield  # unreachable: makes this a generator (the RPC handler contract)
 
-    def _gossip_round(self, pop: MeshPop) -> None:
-        if not self.started:
-            return
-        if pop.serving:
-            for peer in self._peers[pop.region]:
-                if pop.digest_due(peer):
-                    self._send_digest(pop, peer)
-        self.sim.schedule(self.spec.gossip_interval_ms, self._gossip_round, pop)
+    def _gossip_tick(self) -> None:
+        """One round of the whole mesh: every serving PoP, in region order,
+        sends each peer the digest it owes."""
+        for region, peers in self._peers.items():
+            pop = self.pops[region]
+            if pop.serving:
+                for peer in peers:
+                    if pop.digest_due(peer):
+                        self._send_digest(pop, peer)
+        self.sim.schedule(self.spec.gossip_interval_ms, self._gossip_tick)
 
     def _send_digest(self, pop: MeshPop, peer: str) -> None:
         """Fire and forget: no reply hop, no timer — the peer's own digests

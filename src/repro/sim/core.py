@@ -23,32 +23,36 @@ with :meth:`Simulator.run`.
 The wake-up contract (see docs/PERFORMANCE.md): ``events_dispatched``
 counts executed queue entries, and a queue entry is what a wake-up costs.
 
-* Costs one dispatch: a timer entry (a :class:`Timeout` or a
-  :meth:`Simulator.schedule` callback, cancelled-in-the-current-bucket
-  tombstones included), a :meth:`Simulator.spawn`, and one resume per
-  process waiting on a *triggered* :class:`Event` (the trigger may come
-  from anywhere, so its waiters run from the queue, not from the
-  triggerer's stack).
-* Costs nothing extra: a timeout's waiters (its queue entry resumes them
-  itself, in waiting order — processing an event runs its callbacks, as in
-  SimPy), the forwarding of a child's completion to an
-  :class:`AnyOf`/:class:`AllOf` (the composite completes in the dispatch
-  that completed its deciding child), and a timer cancelled before its
-  calendar bucket was promoted (purged, never dispatched).
+* Costs one dispatch: a timer entry (a :class:`Timeout`, an RPC reply's
+  arrival or deadline, a :meth:`Simulator.schedule` callback,
+  cancelled-in-the-current-bucket tombstones included), a
+  :meth:`Simulator.spawn`, and one resume per process waiting on any
+  other triggered :class:`Event` (its trigger may come from anywhere, so
+  its waiters run from the queue, not from the triggerer's stack).
+* Costs nothing extra: the waiters of an :class:`Arrival` — a timeout, or
+  the reply event of ``Network.call`` / ``RequestBatcher.call``, which only
+  the reply's delivery or the call's deadline completes — because that
+  queue entry resumes them itself, in waiting order (processing an event
+  runs its callbacks, as in SimPy); the forwarding of a child's completion
+  to an :class:`AnyOf`/:class:`AllOf` (the composite completes in the
+  dispatch that completed its deciding child); and a timer cancelled
+  before its calendar bucket was promoted (purged, never dispatched).
 * Costs nothing at all, because nothing waits: a lock granted on the spot
   (``LockManager.acquire_all`` yields only for a lock it must queue for),
-  the start of an RPC handler (the message's delivery entry runs the
-  handler process's first step — :meth:`Simulator.spawn_in_dispatch`),
-  and a sub-generator the caller would only join (``yield from gen`` runs
-  it inside the calling process; ``yield sim.spawn(gen)`` pays the child's
-  start and the joiner's resume for the same steps, and the lint's SIM001
-  rejects it).  :meth:`Simulator.spawn` itself stays deferred: a child
-  that dies in its first step must find its spawner already joined.
+  the start of an RPC handler or of an open-loop request (the delivery or
+  arrival entry runs the new process's first step —
+  :meth:`Simulator.spawn_in_dispatch`), and a sub-generator the caller
+  would only join (``yield from gen`` runs it inside the calling process;
+  ``yield sim.spawn(gen)`` pays the child's start and the joiner's resume
+  for the same steps, and the lint's SIM001 rejects it).
+  :meth:`Simulator.spawn` itself stays deferred: a child that dies in its
+  first step must find its spawner already joined.
 
 What a request then costs is what it models — on the paper's closed loop,
 six latency timers (two client hops, invoke + wasm load, f^rw, exec, the
-server's storage round trip), one delivery, one reply and the caller's
-resume: nine (docs/PERFORMANCE.md names every event above that).
+server's storage round trip), one delivery and one reply, whose arrival
+resumes the caller: eight (docs/PERFORMANCE.md names every event above
+that).
 
 The queue is a calendar/bucket queue with a FIFO lane for zero-delay
 entries — most schedules are process resumes at the current instant, and a
@@ -73,6 +77,7 @@ __all__ = [
     "Simulator",
     "Process",
     "Event",
+    "Arrival",
     "Timeout",
     "AnyOf",
     "AllOf",
@@ -202,7 +207,25 @@ class Event:
         return f"<Event {self.name!r} {state}>"
 
 
-class Timeout(Event):
+class Arrival(Event):
+    """An event completed only by a queue entry of its own — a timer firing,
+    a message arriving — which therefore *is* the wake-up: waiters resume
+    inside that entry, in waiting order, instead of each paying a second
+    zero-delay dispatch.  Completing one from anywhere else would run its
+    waiters on the completer's stack."""
+
+    __slots__ = ()
+
+    def _wake(self) -> None:
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            if type(waiter) is Process:
+                waiter._resume(self)
+            else:
+                waiter(self)
+
+
+class Timeout(Arrival):
     """An event that triggers itself after a fixed virtual-time delay."""
 
     __slots__ = ("delay",)
@@ -216,17 +239,6 @@ class Timeout(Event):
         super().__init__(sim)
         self.delay = delay
         sim._schedule(delay, self.trigger, value)
-
-    def _wake(self) -> None:
-        # Runs inside the timeout's own queue entry, which therefore *is*
-        # the wake-up: waiters resume here, in waiting order, instead of
-        # each paying a second zero-delay dispatch.
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if type(waiter) is Process:
-                waiter._resume(self)
-            else:
-                waiter(self)
 
 
 class AnyOf(Event):
@@ -527,10 +539,11 @@ class Simulator:
 
     def spawn_in_dispatch(self, gen: Generator, name: str = "") -> Process:
         """Start a process whose first step runs here, inside the caller's
-        own queue entry, not from the queue.  For a callback that *is* the
-        wake-up (a message delivery starting its handler) and a generator
-        that handles whatever its first step raises: no one can have joined
-        the process yet, so an exception escaping that step aborts the run.
+        own queue entry, not from the queue.  For an entry that *is* the
+        wake-up (a message delivery starting its handler, an open-loop
+        arrival starting its request) and a process no one will join: no
+        one can have joined it yet, so an exception escaping that step
+        aborts the run, exactly as an unjoined :meth:`spawn` would.
         Everything else uses :meth:`spawn`."""
         proc = Process(self, gen, name)
         proc._step_send(None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 from ..errors import FaultConfigError
-from .core import Event, Simulator
+from .core import Arrival, Event, Simulator
 from .primitives import Channel
 from .rand import RandomStreams
 
@@ -484,7 +484,7 @@ class Network:
                 "rpc", kind="net", src=src, dst=dst,
                 request=type(payload).__name__,
             )
-        reply = self.sim.event(name="rpc")
+        reply = Arrival(self.sim, name="rpc")
         self._send_request(src, dst, payload, reply)
         return (yield from _await_reply(self.sim, reply, timeout, src, dst, span))
 
@@ -529,7 +529,7 @@ class Network:
             return
         self._send_reply(server, reply_ref, result, failed=False)
 
-    def _send_request(self, src: str, dst: str, payload: Any, reply: Event) -> None:
+    def _send_request(self, src: str, dst: str, payload: Any, reply: Arrival) -> None:
         reply_ref = _ReplyRef(src=src, reply=reply)
         self.send(src, dst, (payload, reply_ref))
 
@@ -575,14 +575,17 @@ class Network:
 
 
 def _await_reply(
-    sim: Simulator, reply: Event, timeout: Optional[float], src: str, dst: str, span
+    sim: Simulator, reply: Arrival, timeout: Optional[float], src: str, dst: str, span
 ) -> Generator:
     """The caller's half of an RPC, shared by :meth:`Network.call` and
     :meth:`RequestBatcher.call`: wait on ``reply`` itself, with the deadline
     as one timer that fails ``reply`` with :class:`RpcTimeout` — cancelled
-    (and so never dispatched) once the wait ends any other way.  A response
-    landing after the deadline finds ``reply`` completed and is dropped by
-    ``_send_reply``.  Finishes the ``rpc`` span (ok / timeout / error)."""
+    (and so never dispatched) once the wait ends any other way.  ``reply``
+    is an :class:`Arrival`: the response's delivery entry or the deadline's
+    entry is the only thing that completes it, and resumes the caller in
+    place.  A response landing after the deadline finds ``reply`` completed
+    and is dropped by ``_send_reply``.  Finishes the ``rpc`` span (ok /
+    timeout / error)."""
     status = "ok"
     timer = None
     if timeout is not None:
@@ -612,7 +615,7 @@ class _ReplyRef:
 
     __slots__ = ("src", "reply")
 
-    def __init__(self, src: str, reply: Event = None):  # type: ignore[assignment]
+    def __init__(self, src: str, reply: Arrival):
         self.src = src
         self.reply = reply
 
@@ -678,7 +681,7 @@ class RequestBatcher:
                 "rpc", kind="net", src=self.src, dst=dst,
                 request=type(payload).__name__, batched=True,
             )
-        reply = sim.event(name="rpc")
+        reply = Arrival(sim, name="rpc")
         self._enqueue(dst, (payload, _ReplyRef(src=self.src, reply=reply)))
         return (yield from _await_reply(sim, reply, timeout, self.src, dst, span))
 

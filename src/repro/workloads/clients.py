@@ -158,7 +158,9 @@ class OpenLoopClient:
                 break
             function_id, args = self.app.generate_request(self.rng)
             in_flight += 1
-            self.sim.spawn(request(function_id, args), name=f"openreq({function_id})")
+            # The arrival's timer entry is the request's wake-up; nothing
+            # joins it, so its first step runs here.
+            self.sim.spawn_in_dispatch(request(function_id, args), name=f"openreq({function_id})")
         in_flight -= 1
         if in_flight:
             yield drained
