@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Developer tool: what the static analyzer sees in your functions.
 
-Runs both analysis engines — the slicer (which produces the runnable
-f^rw) and the symbolic executor (which enumerates paths and access
-patterns) — over all 27 functions of the five benchmark applications and
+Runs both analysis engines — the IR slice (which derives the runnable
+f^rw from the compiled function) and the symbolic executor (which
+enumerates paths and access patterns) — over all 27 functions of the five benchmark applications and
 prints a Table-1-style report, plus a deep dive into one function from
 each engine's perspective.
 
 Run:  python examples/analyze_functions.py
 """
 
-from repro.analysis import analyze_source, symbolic_analyze
+from repro.analysis import analyze_source, extract_access_sites, symbolic_analyze
 from repro.apps import all_apps
 from repro.bench import print_table
 
@@ -45,8 +45,15 @@ def main() -> None:
 
     post = social_media_app().function("social.post")
     analyzed = analyze_source(post.spec.source)
-    print("=== social.post: the derived f^rw (slicer) ===")
-    print(analyzed.frw.source)
+    print("=== social.post: the derived f^rw (IR slice) ===")
+    print(analyzed.frw.disassemble())
+    print()
+    print("=== social.post: f^rw's IR access sites ===")
+    sites = extract_access_sites(analyzed.frw)
+    for site in sites:
+        mult = "per-element" if site.in_loop else "once"
+        print(f"  {site.kind:5s} {site.table}/{site.key_pattern}  ({mult})")
+    assert {s.table for s in sites} == {"posts", "graph", "timelines"}
     print()
     print("=== social.post: symbolic access patterns ===")
     sym = symbolic_analyze(post.spec.source)

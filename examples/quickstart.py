@@ -15,6 +15,7 @@ walks through the three LVI protocol paths:
 Run:  python examples/quickstart.py
 """
 
+from repro.analysis import extract_access_sites
 from repro.core import (
     FunctionRegistry,
     FunctionSpec,
@@ -61,7 +62,11 @@ def main() -> None:
         print(f"  {record.function_id}: writes={record.writes} "
               f"analyzable={record.analyzable} slice_ratio={record.analyzed.slice_ratio:.2f}")
     print("\nDerived f^rw for demo.rename:")
-    print("  " + "\n  ".join(rename.analyzed.frw.source.splitlines()))
+    print("  " + "\n  ".join(rename.analyzed.frw.disassemble().splitlines()))
+    sites = extract_access_sites(rename.analyzed.frw)
+    for site in sites:
+        print(f"  access site: {site.kind} {site.table}/{site.key_pattern}")
+    assert [s.kind for s in sites] == ["read", "write"]
 
     # Primary store + LVI server in Virginia; runtime + cache in Tokyo.
     store = KVStore()

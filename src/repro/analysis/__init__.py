@@ -1,8 +1,9 @@
 """Static analysis: derive f^rw (read/write-set functions) from functions.
 
-Reproduces the paper's Eunomia-based analyzer (§3.3) with conservative
-AST-level dependency slicing plus runtime execution of the slice against
-the near-user cache (the dependent-read optimization).
+Reproduces the paper's Eunomia-based analyzer (§3.3): f^rw is a backward
+slice of the compiled function (:mod:`repro.analysis.ir.slice`), executed
+at invocation time against the near-user cache (the dependent-read
+optimization).
 """
 
 from .analyzer import (
@@ -17,6 +18,7 @@ from .ir import (
     ConflictMatrix,
     ConflictPredicate,
     CrossValidation,
+    FrwSlice,
     FunctionSummary,
     IRAccessSite,
     KeyConstraint,
@@ -29,12 +31,12 @@ from .ir import (
     cross_validate,
     extract_access_sites,
     optimize,
+    slice_frw,
     static_gas,
     summarize_function,
 )
 from .rwset import Key, ReadWriteSet, VersionedReadSet
 from .sanitizer import SanitizerReport, access_checker, check_coverage, constraint_checker
-from .slicer import SliceResult, slice_function
 from .symbolic import (
     AccessSite,
     PathReport,
@@ -50,6 +52,7 @@ __all__ = [
     "ConflictMatrix",
     "ConflictPredicate",
     "CrossValidation",
+    "FrwSlice",
     "FunctionSummary",
     "IRAccessSite",
     "Key",
@@ -60,7 +63,6 @@ __all__ = [
     "RequestFacts",
     "ReadWriteSet",
     "SanitizerReport",
-    "SliceResult",
     "SymbolicReport",
     "VersionedReadSet",
     "access_checker",
@@ -74,7 +76,7 @@ __all__ = [
     "derive_rwset",
     "extract_access_sites",
     "optimize",
-    "slice_function",
+    "slice_frw",
     "static_gas",
     "summarize_function",
     "symbolic_analyze",

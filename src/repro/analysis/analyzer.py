@@ -4,10 +4,11 @@ This is the reproduction of the paper's Eunomia-based analyzer (§3.3, §4):
 given a function's source it produces an :class:`AnalyzedFunction` bundling
 
 * the compiled original ``f`` (wasm-lite),
-* the compiled slice ``f^rw`` that, executed on the same inputs against the
-  near-user cache, returns the exact read/write set for that invocation —
-  run through the IR optimizer (:mod:`repro.analysis.ir.optimizer`), whose
-  rewrites are executed-gas non-increasing and rw-set preserving,
+* ``f^rw``, the backward slice of ``f`` (:mod:`repro.analysis.ir.slice`)
+  that, executed on the same inputs against the near-user cache, returns
+  the exact read/write set for that invocation — run through the IR
+  optimizer (:mod:`repro.analysis.ir.optimizer`), whose rewrites are
+  executed-gas non-increasing and rw-set preserving,
 * the static facts Table 1 reports per function: does it write, is it
   analyzable, does it need the dependent-read optimization,
 * the IR-level key-pattern summary feeding the shard-affinity fast path
@@ -19,9 +20,10 @@ post-optimization ratios are both recorded; the f^rw latency model uses
 runtime gas, so a smaller optimized body directly shrinks the speculation
 phase).
 
-Analysis failure (unsupported constructs, exceeded budgets) is not fatal to
-the application: the runtime routes such functions to the near-storage
-location on every invocation (§3.3, "Failure case").
+Analysis failure (unsupported constructs, an access that depends on an
+external service) is not fatal to the application: the runtime routes such
+functions to the near-storage location on every invocation (§3.3, "Failure
+case").
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from .ir import (
     FunctionSummary,
     OptimizationReport,
     optimize,
+    slice_frw,
     static_gas,
     summarize_function,
 )
 from .rwset import ReadWriteSet
-from .slicer import SliceResult, slice_function
 
 __all__ = ["AnalyzedFunction", "analyze_source", "try_analyze", "derive_rwset", "CacheReader"]
 
@@ -62,8 +64,8 @@ class AnalyzedFunction:
     analyzable: bool
     slice_ratio: float
     error: Optional[str] = None
-    #: The slice as compiled, before the IR optimizer ran (``frw`` is the
-    #: optimized body the runtime executes).
+    #: The slice before the IR optimizer ran (``frw`` is the optimized
+    #: body the runtime executes).
     frw_unoptimized: Optional[WasmFunction] = None
     #: Gas-weighted IR size ratio of the *optimized* f^rw over f;
     #: ``slice_ratio`` is the same ratio pre-optimization.
@@ -73,35 +75,22 @@ class AnalyzedFunction:
     summary: Optional[FunctionSummary] = None
 
     @property
-    def frw_source(self) -> str:
-        return "" if self.frw is None else self.frw.source
-
-    @property
     def single_shard_affine(self) -> bool:
         """Statically proven to touch one key per invocation (see
         :class:`~repro.analysis.ir.summary.FunctionSummary`)."""
         return self.summary is not None and self.summary.single_key
 
 
-def analyze_source(
-    source: str, node_budget: int = 50_000, optimize_frw: bool = True
-) -> AnalyzedFunction:
-    """Analyze one function; raises :class:`AnalysisError` (or a compile
-    error) if the function is outside the supported subset."""
+def analyze_source(source: str) -> AnalyzedFunction:
+    """Analyze one function: compile, slice, optimize.  Raises
+    :class:`AnalysisError` (or a compile error) if the function is outside
+    the supported subset."""
     f = compile_source(source, kind="f")
-    slice_result: SliceResult = slice_function(source, node_budget=node_budget)
+    sliced = slice_frw(f)
     try:
-        frw_raw = compile_source(slice_result.frw_source, kind="frw")
-    except (CompileError, NonDeterminismError) as exc:
-        raise AnalysisError(f"{f.name}: derived f^rw does not compile: {exc}") from exc
-
-    report: Optional[OptimizationReport] = None
-    frw = frw_raw
-    if optimize_frw:
-        try:
-            frw, report = optimize(frw_raw)
-        except AnalysisError as exc:
-            raise AnalysisError(f"{f.name}: f^rw optimization failed: {exc}") from exc
+        frw, report = optimize(sliced.frw)
+    except AnalysisError as exc:
+        raise AnalysisError(f"{f.name}: f^rw optimization failed: {exc}") from exc
 
     f_gas = max(1, static_gas(f))
     try:
@@ -113,26 +102,24 @@ def analyze_source(
         name=f.name,
         f=f,
         frw=frw,
-        writes=slice_result.writes,
-        reads=slice_result.reads,
-        dependent_reads=slice_result.dependent_reads,
+        writes=sliced.writes,
+        reads=sliced.reads,
+        dependent_reads=sliced.dependent_reads,
         analyzable=True,
-        slice_ratio=min(1.0, static_gas(frw_raw) / f_gas),
-        frw_unoptimized=frw_raw,
+        slice_ratio=min(1.0, static_gas(sliced.frw) / f_gas),
+        frw_unoptimized=sliced.frw,
         slice_ratio_optimized=min(1.0, static_gas(frw) / f_gas),
         optimization=report,
         summary=summary,
     )
 
 
-def try_analyze(
-    source: str, node_budget: int = 50_000, optimize_frw: bool = True
-) -> AnalyzedFunction:
+def try_analyze(source: str) -> AnalyzedFunction:
     """Like :func:`analyze_source` but failure yields an unanalyzable
     function record instead of raising — only ``f`` is available, and the
     runtime will execute it near storage every time."""
     try:
-        return analyze_source(source, node_budget=node_budget, optimize_frw=optimize_frw)
+        return analyze_source(source)
     except NonDeterminismError:
         raise  # the determinism contract is non-negotiable: reject upload
     except (AnalysisError, CompileError) as exc:
@@ -179,8 +166,8 @@ def derive_rwset(
     ``args`` is deep-copied first: in the paper f^rw runs near the user and
     f near storage, so argument objects cross a serialization boundary and
     an f^rw-side mutation can never leak into f's execution.  Copying here
-    models that boundary (and is what licenses the optimizer's
-    dead-statement strike to drop mutations of argument objects).
+    models that boundary (and is what licenses the slicer to drop
+    mutations of argument objects).
     """
     vm = VM(_FrwEnv(cache_reader), gas_limit=gas_limit)
     trace = vm.execute(frw, fast_deepcopy(args))

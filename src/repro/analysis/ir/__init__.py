@@ -1,17 +1,21 @@
 """IR-level analysis over compiled wasm-lite instruction streams.
 
-The AST engines (:mod:`repro.analysis.slicer`, :mod:`repro.analysis.symbolic`)
-reason about *source*; this package reasons about the artifact the VM
-actually executes and meters with gas — mirroring the paper's analyzer,
-which operates on the compiled WASM binary (§3.3, §4).
+The AST symbolic executor (:mod:`repro.analysis.symbolic`) reasons about
+*source*; this package reasons about the artifact the VM actually executes
+and meters with gas — mirroring the paper's analyzer, which operates on the
+compiled WASM binary (§3.3, §4).  f^rw itself is derived here.
 
 Layers, bottom up:
 
 * :mod:`~repro.analysis.ir.cfg` — basic blocks, successor edges,
-  dominators, and static gas weights over a :class:`~repro.wasm.ir.WasmFunction`.
+  dominators, post-dominators, and static gas weights over a :class:`~repro.wasm.ir.WasmFunction`.
 * :mod:`~repro.analysis.ir.dataflow` — a generic worklist solver plus the
   classic instances (reaching definitions, liveness, definite assignment,
   constant propagation).
+* :mod:`~repro.analysis.ir.slice` — f^rw as a backward slice of the
+  compiled ``f``: seeded at every storage access, closed under data,
+  alias and control dependence, emitted with ``RW_READ`` / ``RW_WRITE``
+  (table and key only) in place of the accesses.
 * :mod:`~repro.analysis.ir.optimizer` — constant folding, jump threading
   and liveness-based dead-code elimination over f^rw bodies; every rewrite
   is executed-gas non-increasing, so an optimized f^rw never costs more
@@ -38,6 +42,7 @@ from .dataflow import (
     solve,
 )
 from .optimizer import OptimizationReport, optimize
+from .slice import FrwSlice, slice_frw
 from .access import IRAccessSite, CrossValidation, SymValue, extract_access_sites, cross_validate
 from .summary import (
     ConflictMatrix,
@@ -61,6 +66,7 @@ __all__ = [
     "CrossValidation",
     "DataflowAnalysis",
     "DefiniteAssignment",
+    "FrwSlice",
     "FunctionSummary",
     "IRAccessSite",
     "IntervalAnalysis",
@@ -79,6 +85,7 @@ __all__ = [
     "cross_validate",
     "extract_access_sites",
     "optimize",
+    "slice_frw",
     "solve",
     "static_gas",
     "summarize_function",

@@ -9,9 +9,8 @@ from the artifact the VM executes.
 
 This is the IR mirror of the AST symbolic executor's
 :class:`~repro.analysis.symbolic.AccessSite` report, and
-:func:`cross_validate` checks the two (plus the slicer-derived f^rw) agree
-— a three-way consistency check between independent engines over the same
-function.
+:func:`cross_validate` checks the two (plus the sliced f^rw) agree — a
+three-way consistency check between engines over the same function.
 """
 
 from __future__ import annotations
@@ -215,8 +214,7 @@ def _transfer(
                     flat.extend(p.payload if p.kind == "format" else (p,))
                 stack.append(SymValue("format", tuple(flat)))
         elif op in _ACCESS_OPS:
-            extra = 1 if (op in (Op.DB_PUT,) or (op == Op.RW_WRITE and instr.arg == 3)) else 0
-            value = pop() if extra else None  # the written operand
+            value = pop() if op == Op.DB_PUT else None  # the written operand
             key = pop()
             table = pop()
             if sites is not None and pc not in sites:
@@ -355,7 +353,7 @@ def extract_access_sites(func: WasmFunction) -> List[IRAccessSite]:
 @dataclass
 class CrossValidation:
     """Agreement report between the IR extractor, the AST symbolic
-    executor, and the slicer-derived f^rw."""
+    executor, and the sliced f^rw."""
 
     function: str
     consistent: bool
@@ -377,11 +375,10 @@ def cross_validate(
     f: WasmFunction,
     frw: Optional[WasmFunction],
     symbolic_report,
-    slice_result,
 ) -> CrossValidation:
-    """Check that three independent engines tell the same story about one
-    function: the IR extractor over ``f``, the AST symbolic executor's
-    report, and the compiled slice ``frw``.
+    """Check that three engines tell the same story about one function:
+    the IR extractor over ``f``, the AST symbolic executor's report, and
+    the slice ``frw``.
 
     The engines have different precision (the symbolic executor
     enumerates feasible paths; the IR extractor sees every reachable
@@ -391,15 +388,7 @@ def cross_validate(
     problems: List[str] = []
     ir_sites = extract_access_sites(f)
 
-    # 1. Writes flag: IR opcodes vs slicer verdict.
-    ir_writes = any(s.kind == "write" for s in ir_sites)
-    if ir_writes != bool(slice_result.writes):
-        problems.append(
-            f"slicer says writes={slice_result.writes} but IR "
-            f"{'has' if ir_writes else 'has no'} write opcodes"
-        )
-
-    # 2. Tables: the symbolic executor only reports feasible-path sites,
+    # 1. Tables: the symbolic executor only reports feasible-path sites,
     #    so its table sets must be contained in the IR's (opaque IR tables
     #    make the IR side unbounded, so skip when any table is opaque).
     if all(s.table is not None for s in ir_sites):
@@ -416,7 +405,7 @@ def cross_validate(
                 f"IR write tables {sorted(_tables(ir_sites, 'write'))}"
             )
 
-    # 3. The compiled f^rw must touch a subset of f's tables (slicing only
+    # 2. The f^rw must touch a subset of f's tables (slicing only
     #    removes code) and must preserve the write sites' tables exactly.
     if frw is not None:
         frw_sites = extract_access_sites(frw)

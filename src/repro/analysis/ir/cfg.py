@@ -3,7 +3,8 @@
 The compiler (:mod:`repro.wasm.compiler`) emits a flat instruction vector
 with absolute-pc jump targets; this module recovers the block structure the
 dataflow analyses and the optimizer need: basic blocks, successor /
-predecessor edges, dominators and natural-loop membership.
+predecessor edges, dominators, post-dominators and natural-loop
+membership.
 
 One wasm-lite wrinkle matters here: the keep-variants of the conditional
 jumps (``jifk`` / ``jitk``, emitted for ``and`` / ``or`` chains) *peek* at
@@ -17,13 +18,13 @@ terminator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...errors import AnalysisError
 from ...wasm.intrinsics import lookup
 from ...wasm.ir import Instr, Op, WasmFunction
 
-__all__ = ["BasicBlock", "CFG", "build_cfg", "static_gas"]
+__all__ = ["BasicBlock", "CFG", "build_cfg", "stack_effect", "static_gas"]
 
 #: Opcodes that transfer control (operand = absolute target pc).
 JUMP_OPS = {
@@ -36,6 +37,36 @@ JUMP_OPS = {
 
 #: Conditional jumps: fall through as well as jump.
 COND_JUMP_OPS = JUMP_OPS - {Op.JUMP}
+
+
+def stack_effect(instr: Instr) -> Tuple[int, int]:
+    """(values popped, values pushed) by one instruction.  The keep-jumps
+    peek and count as (0, 0); ``DUP`` is the caller's to model."""
+    op, arg = instr.op, instr.arg
+    if op in (Op.PUSH, Op.LOAD):
+        return 0, 1
+    if op in (Op.STORE, Op.POP, Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE, Op.RETURN):
+        return 1, 0
+    if op in (Op.BINOP, Op.COMPARE, Op.INDEX, Op.DB_GET, Op.RW_READ, Op.RW_WRITE,
+              Op.EXT_CALL):
+        return 2, 1
+    if op == Op.UNARY:
+        return 1, 1
+    if op in (Op.CALL, Op.INTRINSIC):
+        return arg[1], 1
+    if op == Op.METHOD:
+        return arg[1] + 1, 1
+    if op in (Op.BUILD_LIST, Op.BUILD_TUPLE, Op.FORMAT):
+        return arg, 1
+    if op == Op.BUILD_DICT:
+        return 2 * arg, 1
+    if op in (Op.STORE_INDEX, Op.SLICE):
+        return 3, 0 if op == Op.STORE_INDEX else 1
+    if op == Op.DB_PUT:
+        return 3, 1
+    if op in (Op.JUMP, Op.JUMP_IF_FALSE_KEEP, Op.JUMP_IF_TRUE_KEEP):
+        return 0, 0
+    raise AnalysisError(f"no stack effect for opcode {op}")
 
 
 @dataclass
@@ -106,19 +137,39 @@ class CFG:
         Unreachable blocks get the full set (vacuous truth), matching the
         textbook initialisation.
         """
+        return self._dominance([self.entry], lambda b: self.blocks[b].preds)
+
+    def post_dominators(self) -> List[Set[int]]:
+        """pdom[b] = set of blocks on every path from b to a return — the
+        reverse of :meth:`dominators`, rooted at every exit block.  Blocks
+        that cannot reach a return get the full set."""
+        exits = [b.index for b in self.blocks if not b.succs]
+        return self._dominance(exits, lambda b: self.blocks[b].succs)
+
+    def immediate_post_dominators(self) -> List[Optional[int]]:
+        """ipdom[b] = the nearest strict post-dominator of b, or None when
+        b's paths share no block before the function returns."""
+        pdom = self.post_dominators()
+        out: List[Optional[int]] = []
+        for b, doms in enumerate(pdom):
+            strict = doms - {b}
+            out.append(next((d for d in sorted(strict) if pdom[d] == strict), None))
+        return out
+
+    def _dominance(self, roots: List[int], edges_in) -> List[Set[int]]:
         n = len(self.blocks)
         everything = set(range(n))
         dom: List[Set[int]] = [everything.copy() for _ in range(n)]
-        dom[self.entry] = {self.entry}
+        for r in roots:
+            dom[r] = {r}
         changed = True
         while changed:
             changed = False
             for b in range(n):
-                if b == self.entry:
+                if b in roots:
                     continue
-                preds = self.blocks[b].preds
                 new = everything.copy()
-                for p in preds:
+                for p in edges_in(b):
                     new &= dom[p]
                 new.add(b)
                 if new != dom[b]:

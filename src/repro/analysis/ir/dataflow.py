@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ...wasm.ir import Instr, Op, WasmFunction
-from .cfg import CFG, BasicBlock, build_cfg
+from .cfg import CFG, BasicBlock, build_cfg, stack_effect
 
 __all__ = [
     "DataflowAnalysis",
@@ -448,49 +448,14 @@ def simulate_block(block: BasicBlock, env: Dict[str, Any]) -> List[Any]:
                 except Exception:
                     pass
             stack.append(NAC)
-        elif op == Op.INTRINSIC:
-            _name, argc = instr.arg
-            popn(argc)
-            stack.append(NAC)
-        elif op == Op.METHOD:
-            _name, argc = instr.arg
-            popn(argc)
-            pop()  # receiver
-            stack.append(NAC)
-        elif op in (Op.BUILD_LIST, Op.BUILD_DICT):
-            n = instr.arg * (2 if op == Op.BUILD_DICT else 1)
-            popn(n)
-            stack.append(NAC)
-        elif op == Op.INDEX:
-            popn(2)
-            stack.append(NAC)
-        elif op == Op.STORE_INDEX:
-            popn(3)
-        elif op == Op.SLICE:
-            popn(3)
-            stack.append(NAC)
-        elif op in (Op.DB_GET, Op.RW_READ):
-            popn(2)
-            stack.append(NAC)
-        elif op == Op.DB_PUT:
-            popn(3)
-            stack.append(NAC)
-        elif op == Op.RW_WRITE:
-            popn(3 if instr.arg == 3 else 2)
-            stack.append(NAC)
-        elif op == Op.EXT_CALL:
-            popn(2)
-            stack.append(NAC)
-        elif op == Op.JUMP:
-            pass
         elif op in (Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE):
             term_cond = [pop()]
         elif op in (Op.JUMP_IF_FALSE_KEEP, Op.JUMP_IF_TRUE_KEEP):
             term_cond = [stack[-1] if stack else NAC]
-        elif op == Op.RETURN:
-            pop()
-        else:  # pragma: no cover - compiler emits only known opcodes
-            stack.append(NAC)
+        else:
+            pops, pushes = stack_effect(instr)
+            popn(pops)
+            stack.extend([NAC] * pushes)
     return term_cond
 
 
@@ -643,12 +608,10 @@ def _interval_walk(block: BasicBlock, env: Dict[str, Tuple], record) -> None:
                 stack.append(IV_TOP)
         elif op == Op.FORMAT:
             stack.append(_iv_format(popn(instr.arg)))
-        elif op in (Op.DB_GET, Op.RW_READ):
+        elif op in (Op.DB_GET, Op.RW_READ, Op.RW_WRITE):
             access(pc, 0)
         elif op == Op.DB_PUT:
             access(pc, 1)
-        elif op == Op.RW_WRITE:
-            access(pc, 1 if instr.arg == 3 else 0)
         elif op in (Op.CALL, Op.INTRINSIC):
             name, argc = instr.arg
             args = popn(argc)
@@ -659,34 +622,10 @@ def _interval_walk(block: BasicBlock, env: Dict[str, Tuple], record) -> None:
                 stack.append(args[0] if args[0][0] == "int" else ("int", None, None))
             else:
                 stack.append(IV_TOP)
-        elif op == Op.METHOD:
-            popn(instr.arg[1] + 1)
-            stack.append(IV_TOP)
-        elif op in (Op.BUILD_LIST, Op.BUILD_TUPLE):
-            popn(instr.arg)
-            stack.append(IV_TOP)
-        elif op == Op.BUILD_DICT:
-            popn(2 * instr.arg)
-            stack.append(IV_TOP)
-        elif op in (Op.COMPARE, Op.INDEX):
-            popn(2)
-            stack.append(IV_TOP)
-        elif op == Op.STORE_INDEX:
-            popn(3)
-        elif op == Op.SLICE:
-            popn(3)
-            stack.append(IV_TOP)
-        elif op == Op.EXT_CALL:
-            popn(2)
-            stack.append(IV_TOP)
-        elif op in (Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE):
-            pop()
-        elif op in (Op.JUMP, Op.JUMP_IF_FALSE_KEEP, Op.JUMP_IF_TRUE_KEEP):
-            pass
-        elif op == Op.RETURN:
-            pop()
-        else:  # pragma: no cover - compiler emits only known opcodes
-            stack.append(IV_TOP)
+        else:
+            pops, pushes = stack_effect(instr)
+            popn(pops)
+            stack.extend([IV_TOP] * pushes)
 
 
 class IntervalAnalysis(DataflowAnalysis):

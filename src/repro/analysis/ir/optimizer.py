@@ -1,6 +1,6 @@
 """Executed-gas-non-increasing optimizer for compiled f^rw bodies.
 
-Four classic passes run to fixpoint over the CFG:
+Three classic passes run to fixpoint over the CFG:
 
 * **constant folding / propagation** — constants flow through locals
   (:class:`~repro.analysis.ir.dataflow.ConstantLattice`) and the operand
@@ -12,46 +12,29 @@ Four classic passes run to fixpoint over the CFG:
   (:class:`~repro.analysis.ir.dataflow.Liveness`) turns dead ``STORE``\\ s
   into ``POP``\\ s, and a symbolic-stack pass cancels ``POP``\\ s against
   their side-effect-free, trap-free producers.
-* **dead-statement strike** (f^rw bodies only) — a whole statement region
-  that performs no storage access and whose only effect is defining or
-  mutating locals never observed afterwards is deleted outright.  This is
-  where the real gas lives: the AST slicer conservatively keeps value
-  mutations like ``votes['up'] = votes['up'] + 1`` even though they
-  contribute nothing to the rw-set.
 
-The invariant the first three passes preserve on **every** input: the
-optimized function performs the same storage accesses in the same order,
-returns the same result, traps iff the original traps, and executes at
-most as much gas.  The dead-statement strike deliberately relaxes exactly
-one clause, and only for ``kind == "frw"`` bodies: a struck region can no
-longer trap, so an input on which the unoptimized slice would have trapped
-(fell back to near-storage execution) instead completes and yields the
-rw-set the slice predicts for well-formed data.  That relaxation is safe
-precisely because of the runtime soundness sanitizer
-(:mod:`repro.analysis.sanitizer`): every speculative execution's actual
-access trace is checked against the prediction, so a prediction the strike
-"rescued" is either correct (covers the execution — the common case) or is
-caught as ``analysis.unsound`` and the invocation fails closed.  On any
-input where neither version traps — in particular the whole app corpus —
-rw-set, result, and access order are bit-identical and executed gas only
-shrinks.
+The invariant every pass preserves on **every** input: the optimized
+function performs the same storage accesses in the same order, returns the
+same result, traps iff the original traps, and executes at most as much
+gas.  Deleting whole statements that cannot reach an access is the
+slicer's job (:mod:`repro.analysis.ir.slice`), not the optimizer's.
 
-Trap preservation is the subtle part of the *instruction-level* DCE — a
-``LOAD`` of a local that may be unbound, or a ``BINOP`` on ill-typed
-operands, is a *visible* effect (f^rw failure falls back to near-storage
-execution), so POP-cancellation only deletes producers proven trap-free:
-``PUSH``/``DUP``, ``LOAD`` of a definitely assigned local
+Trap preservation is the subtle part — a ``LOAD`` of a local that may be
+unbound, or a ``BINOP`` on ill-typed operands, is a *visible* effect (f^rw
+failure falls back to near-storage execution), so POP-cancellation only
+deletes producers proven trap-free: ``PUSH``/``DUP``, ``LOAD`` of a
+definitely assigned local
 (:class:`~repro.analysis.ir.dataflow.DefiniteAssignment`),
 identity/equality compares, ``not``, and list/tuple construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ...wasm.ir import Instr, Op, WasmFunction
-from .cfg import CFG, COND_JUMP_OPS, build_cfg, static_gas
+from .cfg import CFG, COND_JUMP_OPS, build_cfg, stack_effect, static_gas
 from .dataflow import (
     NAC,
     ConstantLattice,
@@ -87,7 +70,6 @@ class OptimizationReport:
     jumps_threaded: int = 0
     branches_removed: int = 0
     dead_instrs_removed: int = 0
-    dead_statements_removed: int = 0
     rounds: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -101,7 +83,6 @@ class OptimizationReport:
             "jumps_threaded": self.jumps_threaded,
             "branches_removed": self.branches_removed,
             "dead_instrs_removed": self.dead_instrs_removed,
-            "dead_statements_removed": self.dead_statements_removed,
             "rounds": self.rounds,
         }
 
@@ -168,8 +149,6 @@ def _run_round(func: WasmFunction, report: OptimizationReport) -> Tuple[WasmFunc
 
     blocks = _to_opt_blocks(cfg)
     changed = False
-    if func.kind == "frw":
-        changed |= _strike_dead_statements(blocks, live_out, report)
     for block in blocks:
         b = block.label
         changed |= _demote_dead_stores(block, live_out[b], report)
@@ -232,340 +211,7 @@ def _demote_dead_stores(block: _OptBlock, live_out, report: OptimizationReport) 
     return changed
 
 
-# -- dead-statement strike (f^rw only) ---------------------------------------
-
-#: Opcodes allowed inside a strikeable statement region: pure apart from
-#: possible traps and mutation of locals / operand-stack values.
-_STRIKE_OPS = {
-    Op.PUSH, Op.LOAD, Op.STORE, Op.POP, Op.DUP,
-    Op.BINOP, Op.UNARY, Op.COMPARE, Op.FORMAT,
-    Op.BUILD_LIST, Op.BUILD_TUPLE, Op.BUILD_DICT,
-    Op.INDEX, Op.STORE_INDEX, Op.SLICE, Op.METHOD, Op.CALL,
-}
-
-#: Methods that mutate their receiver in place.
-_MUTATING_METHODS = {
-    "append", "extend", "insert", "pop", "remove", "sort", "reverse", "setdefault",
-}
-
-#: All storage reads may return the same underlying object, and carried
-#: stack values crossing block boundaries are anonymous: both get sentinel
-#: "names" in the alias analysis.
-_EXTERN = "<extern>"
-_FLOAT = "<float>"
-
-
-def _stack_delta(instr: Instr) -> int:
-    op = instr.op
-    if op in (Op.PUSH, Op.LOAD, Op.DUP):
-        return 1
-    if op in (Op.STORE, Op.POP, Op.BINOP, Op.COMPARE, Op.INDEX, Op.RETURN):
-        return -1
-    if op == Op.UNARY:
-        return 0
-    if op in (Op.CALL, Op.INTRINSIC):
-        return 1 - instr.arg[1]
-    if op == Op.METHOD:
-        return -instr.arg[1]
-    if op in (Op.BUILD_LIST, Op.BUILD_TUPLE, Op.FORMAT):
-        return 1 - instr.arg
-    if op == Op.BUILD_DICT:
-        return 1 - 2 * instr.arg
-    if op == Op.STORE_INDEX:
-        return -3
-    if op == Op.SLICE:
-        return -2
-    if op in (Op.DB_GET, Op.RW_READ, Op.EXT_CALL):
-        return -1
-    if op == Op.DB_PUT:
-        return -2
-    if op == Op.RW_WRITE:
-        return 1 - (3 if instr.arg == 3 else 2)
-    raise AssertionError(f"no stack delta for {op}")  # pragma: no cover
-
-
-class _ObsGraph:
-    """Directed may-expose graph over local names.
-
-    Edge ``u -> v`` means *reading u may expose (part of) the object v
-    names*: ``u = v`` draws both directions (same object), while storing v
-    into a container u (``u.append(v)``, ``u[k] = v``, ``u = [v] + ...``)
-    draws only ``u -> v`` — reading v can never surface u.  Directionality
-    is what keeps an int parameter appended into a dead list from blocking
-    the list's elimination."""
-
-    def __init__(self) -> None:
-        self._fwd: Dict[str, Set[str]] = {}
-
-    def add(self, src: str, dst: str) -> None:
-        self._fwd.setdefault(src, set()).add(dst)
-
-    def link(self, a: str, b: str) -> None:
-        self.add(a, b)
-        self.add(b, a)
-
-    def observers(self, targets: Set[str]) -> Set[str]:
-        """All names ``n`` with a path ``n ->* t`` into ``targets``
-        (including the targets themselves)."""
-        rev: Dict[str, Set[str]] = {}
-        for src, dsts in self._fwd.items():
-            for dst in dsts:
-                rev.setdefault(dst, set()).add(src)
-        seen = set(targets)
-        work = list(targets)
-        while work:
-            node = work.pop()
-            for pred in rev.get(node, ()):
-                if pred not in seen:
-                    seen.add(pred)
-                    work.append(pred)
-        return seen
-
-
-def _taint_pass(blocks: List[_OptBlock], graph: _ObsGraph) -> None:
-    """One flow-insensitive pass building the may-expose graph.  A value's
-    taint is the set of names whose objects it may be or be derived from;
-    stores draw alias links, container insertions draw one-way edges."""
-    for block in blocks:
-        stack: List[Set[str]] = []
-
-        def tpop() -> Set[str]:
-            return stack.pop() if stack else {_FLOAT}
-
-        def tpopn(n: int) -> Set[str]:
-            out: Set[str] = set()
-            for _ in range(n):
-                out |= tpop()
-            return out
-
-        for slot in block.slots:
-            for instr in slot:
-                op = instr.op
-                if op == Op.PUSH:
-                    stack.append(set())
-                elif op == Op.LOAD:
-                    stack.append({instr.arg})
-                elif op == Op.STORE:
-                    for t in tpop():
-                        graph.link(instr.arg, t)
-                elif op == Op.POP:
-                    tpop()
-                elif op == Op.DUP:
-                    if not stack:
-                        stack.append({_FLOAT})
-                    stack.append(set(stack[-1]))
-                elif op in (Op.BINOP, Op.UNARY, Op.INDEX, Op.SLICE):
-                    stack.append(tpopn(2 if op in (Op.BINOP, Op.INDEX) else
-                                       3 if op == Op.SLICE else 1))
-                elif op == Op.COMPARE:
-                    tpopn(2)
-                    stack.append(set())
-                elif op == Op.FORMAT:
-                    tpopn(instr.arg)
-                    stack.append(set())
-                elif op in (Op.BUILD_LIST, Op.BUILD_TUPLE):
-                    stack.append(tpopn(instr.arg))
-                elif op == Op.BUILD_DICT:
-                    stack.append(tpopn(2 * instr.arg))
-                elif op in (Op.CALL, Op.INTRINSIC):
-                    stack.append(tpopn(instr.arg[1]))
-                elif op == Op.METHOD:
-                    args = tpopn(instr.arg[1])
-                    recv = tpop()
-                    if instr.arg[0] in _MUTATING_METHODS:
-                        for r in recv:
-                            for a in args:
-                                graph.add(r, a)
-                    stack.append(recv | args)
-                elif op == Op.STORE_INDEX:
-                    value = tpop()
-                    value |= tpop()  # the index, in case it is a container
-                    for b in tpop():
-                        for v in value:
-                            graph.add(b, v)
-                elif op in (Op.DB_GET, Op.RW_READ):
-                    tpopn(2)
-                    stack.append({_EXTERN})
-                elif op == Op.DB_PUT:
-                    for v in tpop():
-                        graph.add(_EXTERN, v)
-                    tpopn(2)
-                    stack.append(set())
-                elif op == Op.RW_WRITE:
-                    tpopn(3 if instr.arg == 3 else 2)
-                    stack.append(set())
-                elif op == Op.EXT_CALL:
-                    tpopn(2)
-                    stack.append(set())
-                elif op == Op.RETURN:
-                    tpop()
-        # Values left for a successor (keep-branch conditions) are anonymous
-        # from the successor's point of view: tie them to the float name.
-        for taint in stack:
-            for t in taint:
-                graph.link(_FLOAT, t)
-
-
-def _region_effects(instrs: List[Instr]):
-    """Simulate one candidate region; returns (stored_names, mutated_names)
-    or None when the region is not provably effect-confined."""
-    stored: Set[str] = set()
-    mutated: Set[str] = set()
-    stack: List[Set[str]] = []
-
-    def tpop() -> Set[str]:
-        return stack.pop() if stack else {_FLOAT}
-
-    def tpopn(n: int) -> Set[str]:
-        out: Set[str] = set()
-        for _ in range(n):
-            out |= tpop()
-        return out
-
-    for instr in instrs:
-        op = instr.op
-        if op not in _STRIKE_OPS:
-            return None
-        if op == Op.CALL and instr.arg[0] == "busy":
-            return None  # busy() *is* the cost model, never silently dropped
-        if op == Op.PUSH:
-            stack.append(set())
-        elif op == Op.LOAD:
-            stack.append({instr.arg})
-        elif op == Op.STORE:
-            tpop()
-            stored.add(instr.arg)
-        elif op == Op.POP:
-            tpop()
-        elif op == Op.DUP:
-            if not stack:
-                return None
-            stack.append(set(stack[-1]))
-        elif op in (Op.BINOP, Op.INDEX):
-            stack.append(tpopn(2))
-        elif op == Op.UNARY:
-            stack.append(tpop())
-        elif op in (Op.COMPARE, Op.FORMAT):
-            tpopn(2 if op == Op.COMPARE else instr.arg)
-            stack.append(set())
-        elif op in (Op.BUILD_LIST, Op.BUILD_TUPLE):
-            stack.append(tpopn(instr.arg))
-        elif op == Op.BUILD_DICT:
-            stack.append(tpopn(2 * instr.arg))
-        elif op == Op.SLICE:
-            stack.append(tpopn(3))
-        elif op == Op.CALL:
-            stack.append(tpopn(instr.arg[1]))
-        elif op == Op.METHOD:
-            args = tpopn(instr.arg[1])
-            recv = tpop()
-            if instr.arg[0] in _MUTATING_METHODS:
-                # Only the receiver's object is mutated; observability of the
-                # mutation *through* inserted arguments is the graph's job.
-                if _FLOAT in recv:
-                    return None
-                mutated |= recv
-            stack.append(recv | args)
-        elif op == Op.STORE_INDEX:
-            tpop()
-            tpop()
-            base = tpop()
-            if _FLOAT in base:
-                return None
-            mutated |= base
-    if stack:
-        return None  # not a self-contained statement after all
-    if _FLOAT in mutated:
-        return None
-    return stored, mutated
-
-
-def _strike_dead_statements(
-    blocks: List[_OptBlock], live_out: Dict[int, frozenset], report: OptimizationReport
-) -> bool:
-    """Delete statement regions whose effects no later code can observe.
-
-    A *region* is a maximal run of slots over which the operand stack
-    returns to its block-entry depth — the compiler emits one per source
-    statement.  A region is struck when every opcode in it is pure apart
-    from traps (no storage/extern access, no ``busy``), every ``STORE``
-    target is dead at the region's end, and every in-place mutation hits an
-    object none of whose may-expose observers is live there.  See the
-    module docstring for why dropping the region's *traps* is safe for
-    f^rw bodies (the runtime sanitizer is the net).
-    """
-    graph = _ObsGraph()
-    _taint_pass(blocks, graph)
-    changed = False
-
-    for block in blocks:
-        # Point-level liveness: live_after[si] = names live just after slot si.
-        live = set(live_out[block.label])
-        live_after: Dict[int, Set[str]] = {}
-        for si in range(len(block.slots) - 1, -1, -1):
-            live_after[si] = set(live)
-            for instr in reversed(block.slots[si]):
-                if instr.op == Op.STORE:
-                    live.discard(instr.arg)
-                elif instr.op == Op.LOAD:
-                    live.add(instr.arg)
-
-        # Region split: track the stack depth across slots; a statement
-        # boundary is wherever it returns to zero.  Blocks entered with
-        # values on the stack (keep-branch merges) dip negative — skip them.
-        regions: List[Tuple[int, int]] = []  # (start_slot, end_slot) inclusive
-        depth = 0
-        start: Optional[int] = None
-        ok = True
-        for si, slot in enumerate(block.slots):
-            if not slot:
-                continue
-            if start is None:
-                start = si
-            depth += sum(_stack_delta(i) for i in slot)
-            if depth < 0:
-                ok = False
-                break
-            if depth == 0:
-                regions.append((start, si))
-                start = None
-        if not ok:
-            continue
-
-        for rstart, rend in reversed(regions):
-            instrs = [i for si in range(rstart, rend + 1) for i in block.slots[si]]
-            effects = _region_effects(instrs)
-            if effects is None:
-                continue
-            stored, mutated = effects
-            alive = live_after[rend]
-            if stored & alive:
-                continue
-            if mutated:
-                observers = graph.observers(mutated)
-                if _FLOAT in observers or observers & alive:
-                    continue
-            for si in range(rstart, rend + 1):
-                report.dead_instrs_removed += len(block.slots[si])
-                block.slots[si] = []
-            report.dead_statements_removed += 1
-            changed = True
-    return changed
-
-
 # -- the forward symbolic-stack scan -----------------------------------------
-
-#: net (pops, pushes) for opcodes with fixed arity and no special handling.
-_FIXED_EFFECTS = {
-    Op.INDEX: (2, 1),
-    Op.STORE_INDEX: (3, 0),
-    Op.SLICE: (3, 1),
-    Op.DB_GET: (2, 1),
-    Op.DB_PUT: (3, 1),
-    Op.EXT_CALL: (2, 1),
-    Op.RW_READ: (2, 1),
-}
-
 
 def _forward_scan(
     block: _OptBlock,
@@ -656,30 +302,11 @@ def _forward_scan(
                     folded = True
             if not folded:
                 push(NAC, si)
-        elif op == Op.INTRINSIC:
-            popn(instr.arg[1])
-            push(NAC, si)
-        elif op == Op.METHOD:
-            popn(instr.arg[1] + 1)
-            push(NAC, si)
-        elif op == Op.BUILD_LIST:
-            popn(instr.arg)
-            push(NAC, si)
-        elif op == Op.BUILD_DICT:
-            popn(2 * instr.arg)
-            push(NAC, si)
-        elif op == Op.RW_WRITE:
-            popn(3 if instr.arg == 3 else 2)
-            push(NAC, si)
-        elif op in _FIXED_EFFECTS:
-            pops, pushes = _FIXED_EFFECTS[op]
+        else:
+            pops, pushes = stack_effect(instr)
             popn(pops)
             if pushes:
                 push(NAC, si)
-        elif op == Op.RETURN:
-            pop()
-        else:  # pragma: no cover - jumps never appear in slot bodies
-            stack.clear()
 
     changed |= _fold_terminator(block, stack, report)
     return changed

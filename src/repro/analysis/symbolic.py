@@ -5,9 +5,10 @@ WebAssembly: it explores the function's paths with symbolic inputs, finds
 every storage access, and records the constraints and dependencies of each
 access's arguments.  This module is that engine for our AST subset.
 
-It complements the slicer (:mod:`repro.analysis.slicer`):
+It complements the IR slicer (:mod:`repro.analysis.ir.slice`):
 
-* the **slicer** produces the runnable ``f^rw`` used by the protocol;
+* the **slicer** derives the runnable ``f^rw`` used by the protocol from
+  the compiled function;
 * the **symbolic executor** produces the *static report* — every reachable
   access site, the symbolic pattern of its key, the path condition
   guarding it, and whether the key depends on a prior read (the
@@ -15,10 +16,10 @@ It complements the slicer (:mod:`repro.analysis.slicer`):
   "symbolic execution is not guaranteed to terminate" failure mode via
   explicit path/step budgets.
 
-Tests cross-validate the two: every access the symbolic executor finds
-must appear in the slice, dependent-read classifications must agree, and
-for concrete inputs the symbolically-predicted key patterns must match the
-keys f^rw computes.
+Tests cross-validate the two: every table the symbolic executor finds must
+appear among the compiled function's access sites, dependent-read
+classifications must agree, and for concrete inputs the
+symbolically-predicted key patterns must match the keys f^rw computes.
 
 Loops over symbolic collections are abstracted to a single iteration over
 a fresh symbolic element whose accesses are reported with multiplicity
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import AnalysisError, AnalysisTimeout
-from .slicer import DB_READ_NAMES, DB_WRITE_NAMES
+from ..wasm.compiler import DB_GET_NAME, DB_PUT_NAME
 
 __all__ = [
     "SymbolicValue",
@@ -494,7 +495,7 @@ class _SymbolicExecutor:
             raise AnalysisError(f"{self.fn.name}: unsupported call form")
         name = node.func.id
         args = [self._eval(a, state) for a in node.args]
-        if name in DB_READ_NAMES or name in DB_WRITE_NAMES:
+        if name in (DB_GET_NAME, DB_PUT_NAME):
             return self._record_access(name, node, args, state)
         # Builtins/intrinsics: fold when fully concrete and safe.
         if all(a.is_concrete() for a in args) and name in _FOLDABLE:
@@ -513,7 +514,7 @@ class _SymbolicExecutor:
                 f"{self.fn.name}: line {node.lineno}: symbolic table names are "
                 "not supported (cannot lock an unknown table)"
             )
-        kind = "read" if name in DB_READ_NAMES else "write"
+        kind = "read" if name == DB_GET_NAME else "write"
         dependent = _depends_on_db(key_val)
         # The key pattern is the symbol's detail unwrapped (a concrete key
         # is just the string itself; a symbolic one keeps its {...} parts).

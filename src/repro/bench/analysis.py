@@ -6,16 +6,18 @@ measures what the analysis tentpole actually buys:
 * **executed f^rw gas, before vs after the IR optimizer** — each function
   is replayed on seeded randomized inputs against its app's seeded store,
   and both slice bodies derive the rw-set; the optimized body must produce
-  the *identical* rw-set for strictly-not-more gas (any violation lands in
-  ``checks`` and fails the smoke gate),
-* **soundness** — the full ``f`` runs on the same inputs and the sanitizer
+  the *identical* rw-set for strictly-not-more gas, and neither may trap
+  on an input ``f`` completes (any violation lands in ``checks`` and fails
+  the smoke gate),
+* **exactness** — the full ``f`` runs on the same inputs and the sanitizer
   (:func:`~repro.analysis.sanitizer.check_coverage`) verifies the
   prediction covers the actual trace; the corpus must show zero unsound
-  executions, and over-approximation is reported as wasted locks,
+  executions and zero wasted locks (over-approximation),
 * **static facts** — slice ratios (gas-weighted, pre/post optimization),
   per-function key-pattern summaries, the cross-function conflict matrix,
   the shard-affinity classification, and the three-way cross-validation
-  between the IR extractor, the AST symbolic executor, and the slicer.
+  between the IR extractor, the AST symbolic executor, and the sliced
+  f^rw.
 
 Everything is seeded (`random.Random(f"{seed}:{function_id}")` per
 function, :class:`~repro.sim.RandomStreams` for the store seeding), so
@@ -34,12 +36,12 @@ from ..analysis import (
     check_coverage,
     cross_validate,
     derive_rwset,
-    slice_function,
     static_gas,
     symbolic_analyze,
 )
 from ..apps import all_apps
 from ..core.registry import FunctionRegistry
+from ..errors import VMError
 from ..sim import RandomStreams
 from ..storage.kvstore import KVStore
 from ..wasm import VM
@@ -91,6 +93,10 @@ def _store_reader(store: KVStore) -> Callable[[str, str], Any]:
 
 def _round(x: float) -> float:
     return round(x, 4)
+
+
+def _mean(xs: List[float]) -> float:
+    return statistics.mean(xs) if xs else 0.0
 
 
 def conflict_density(matrix: Dict[str, Any]) -> float:
@@ -155,7 +161,6 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
                 analyzed.f,
                 analyzed.frw,
                 symbolic_analyze(fn.spec.source),
-                slice_function(fn.spec.source),
             )
             row["cross_validation"] = validation.to_dict()
             if not validation.consistent:
@@ -170,10 +175,15 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
             unsound_here = 0
             for _ in range(inputs_per_function):
                 args = fn.arggen(app.context, rng)
-                rw_before, g_before = derive_rwset(
-                    analyzed.frw_unoptimized, list(args), reader
-                )
-                rw_after, g_after = derive_rwset(analyzed.frw, list(args), reader)
+                try:
+                    rw_before, g_before = derive_rwset(
+                        analyzed.frw_unoptimized, list(args), reader
+                    )
+                    rw_after, g_after = derive_rwset(analyzed.frw, list(args), reader)
+                except VMError:
+                    # f^rw failed where f completes: no rw-set to compare.
+                    rwset_mismatches.append(fn.function_id)
+                    continue
                 gas_unopt.append(g_before)
                 gas_opt.append(g_after)
                 if rw_before != rw_after:
@@ -186,8 +196,8 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
                     unsound_here += 1
                 wasted.append(report.wasted_locks)
 
-            mean_before = statistics.mean(gas_unopt)
-            mean_after = statistics.mean(gas_opt)
+            mean_before = _mean(gas_unopt)
+            mean_after = _mean(gas_opt)
             reduction = (
                 100.0 * (mean_before - mean_after) / mean_before if mean_before else 0.0
             )
@@ -197,7 +207,7 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
                 "frw_gas_mean_optimized": _round(mean_after),
                 "gas_reduction_pct": _round(reduction),
                 "unsound": unsound_here,
-                "wasted_locks_mean": _round(statistics.mean(wasted)),
+                "wasted_locks_mean": _round(_mean(wasted)),
             }
             unsound_total += unsound_here
             rows.append(row)
@@ -276,8 +286,9 @@ def analysis_gate_failures(payload: Dict[str, Any]) -> List[str]:
     """The smoke gate: the reasons this corpus run must fail CI (empty
     list = healthy).  Checked facts: no function regressed from analyzable
     to fallback, optimized gas never exceeds unoptimized, optimized and
-    unoptimized slices agree on every rw-set, zero unsound executions,
-    the three engines cross-validate, enough of the corpus stays
+    unoptimized slices agree on every rw-set and never trap, zero unsound
+    executions, zero wasted locks (the derived rw-set is exact), the three
+    engines cross-validate, enough of the corpus stays
     lock-skippable, and the conflict matrix never gets *denser* than the
     checked-in artifact (precision is a ratchet, not a suggestion)."""
     problems: List[str] = []
@@ -305,9 +316,17 @@ def analysis_gate_failures(payload: Dict[str, Any]) -> List[str]:
     if checks["gas_regressions"]:
         problems.append(f"optimized gas above unoptimized: {checks['gas_regressions']}")
     if checks["rwset_mismatches"]:
-        problems.append(f"optimizer changed rw-sets: {checks['rwset_mismatches']}")
+        problems.append(
+            f"f^rw rw-sets disagree or trap: {checks['rwset_mismatches']}"
+        )
     if checks["unsound_executions"]:
         problems.append(f"{checks['unsound_executions']} unsound execution(s)")
+    wasteful = [
+        r["function"] for r in payload["functions"]
+        if r.get("replay", {}).get("wasted_locks_mean", 0) > 0
+    ]
+    if wasteful:
+        problems.append(f"wasted locks (rw-set over-approximated): {wasteful}")
     if checks["cross_validation_failures"]:
         problems.append(
             f"cross-validation disagreement: {checks['cross_validation_failures']}"

@@ -83,19 +83,17 @@ class RegisteredFunction:
 class FunctionRegistry:
     """The catalogue shared by all locations of one deployment.
 
-    ``analysis_node_budget`` bounds the analyzer's work per function
-    (§3.3's non-termination guard); functions exceeding it register as
-    unanalyzable and run near storage on every invocation.
+    A function the analyzer cannot handle registers as unanalyzable and
+    runs near storage on every invocation (§3.3, "Failure case").
     """
 
-    def __init__(self, analysis_node_budget: int = 50_000):
+    def __init__(self) -> None:
         self._functions: Dict[str, RegisteredFunction] = {}
-        self.analysis_node_budget = analysis_node_budget
 
     def register(self, spec: FunctionSpec) -> RegisteredFunction:
         """Analyze and store a function; re-registration replaces (the
         paper's 'upload or update a function' flow)."""
-        analyzed = try_analyze(spec.source, node_budget=self.analysis_node_budget)
+        analyzed = try_analyze(spec.source)
         record = RegisteredFunction(spec=spec, analyzed=analyzed)
         self._functions[spec.function_id] = record
         return record

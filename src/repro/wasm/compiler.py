@@ -68,8 +68,6 @@ _CMPOPS: Dict[type, str] = {
 #: Storage-access call names (also recognised by the analyzer).
 DB_GET_NAME = "db_get"
 DB_PUT_NAME = "db_put"
-RW_READ_NAME = "__rw_read"
-RW_WRITE_NAME = "__rw_write"
 #: External-service call (§3.5): external("payments", payload).
 EXTERNAL_NAME = "external"
 
@@ -430,16 +428,6 @@ class _Codegen:
             self._fixed_call(node, 2, Op.DB_GET)
         elif name == DB_PUT_NAME:
             self._fixed_call(node, 3, Op.DB_PUT)
-        elif name == RW_READ_NAME:
-            self._fixed_call(node, 2, Op.RW_READ)
-        elif name == RW_WRITE_NAME:
-            # Arity 2 normally; arity 3 when the sliced-away value still
-            # contains nested accesses that must execute for recording.
-            if argc not in (2, 3):
-                raise self._err(node, "__rw_write takes 2 or 3 arguments")
-            for arg in node.args:
-                self.expr(arg)
-            self._emit(Op.RW_WRITE, argc)
         elif name in REGISTRY:
             for arg in node.args:
                 self.expr(arg)

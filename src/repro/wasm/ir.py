@@ -78,8 +78,9 @@ class Instr:
 class WasmFunction:
     """A compiled function: parameter names plus an instruction vector.
 
-    ``source`` is retained for the analyzer (which slices at the AST level)
-    and for error messages.  ``kind`` distinguishes an application function
+    ``source`` is the Python source the function was compiled from (an
+    f^rw carries its ``f``'s), kept for the AST symbolic executor and for
+    error messages.  ``kind`` distinguishes an application function
     (``"f"``) from its derived read/write-set function (``"frw"``).
     """
 

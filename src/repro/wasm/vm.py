@@ -275,8 +275,6 @@ class VM:
                 writes.append((table, key, value))
                 append(None)
             elif op == _RW_WRITE:
-                if arg == 3:
-                    pop()  # value evaluated only for its nested reads
                 key = pop()
                 table = pop()
                 if not (type(table) is str and type(key) is str):

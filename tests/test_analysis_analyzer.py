@@ -44,11 +44,9 @@ def login(username, password):
         assert analyzed.writes
 
     def test_unanalyzable_source_degrades_gracefully(self):
-        # Uses a construct the slicer handles but the compiler rejects in
-        # f^rw?  Easier: blow the node budget.
-        src = "def f(x):\n" + "\n".join(f"    v{i} = x + {i}" for i in range(300))
-        src += "\n    return db_get('t', f'k:{v299}')"
-        result = try_analyze(src, node_budget=100)
+        # Compiles, but the key depends on an external service's response.
+        src = "def f(x):\n    t = external('tokens', x)\n    return db_get('t', f'k:{t}')"
+        result = try_analyze(src)
         assert not result.analyzable
         assert result.frw is None
         assert result.error

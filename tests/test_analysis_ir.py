@@ -1,13 +1,19 @@
-"""The IR layer: CFG recovery, dataflow solving, and the f^rw optimizer.
+"""The IR layer: CFG recovery, dataflow solving, the f^rw slice and the
+f^rw optimizer.
 
-The load-bearing test is the differential corpus sweep at the bottom:
-every optimized slice body must derive the *identical* rw-set as the
-unoptimized one on randomized seeded inputs, for strictly-not-more gas —
-the executable statement of the optimizer's contract (the dead-statement
-strike additionally may only fire on ``kind == "frw"`` bodies).
+The load-bearing tests are the corpus sweeps at the bottom: every
+optimized slice body must derive the *identical* rw-set as the
+unoptimized one on randomized seeded inputs, for strictly-not-more gas
+(the optimizer's contract); the corpus replay must reject planted slicer
+mutants (the oracle guards the slice); and the slice must be independent
+of the interpreter's hash seed.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,16 +25,18 @@ from repro.analysis import (
     derive_rwset,
     extract_access_sites,
     optimize,
-    slice_function,
+    slice_frw,
     static_gas,
     summarize_function,
     symbolic_analyze,
 )
 from repro.analysis.ir import Liveness, solve
+from repro.analysis.ir import slice as ir_slice
 from repro.apps import all_apps
+from repro.bench.analysis import analysis_gate_failures, run_analysis_corpus
 from repro.sim import RandomStreams
 from repro.storage.kvstore import KVStore
-from repro.wasm import VM, compile_source
+from repro.wasm import VM, Instr, Op, compile_source
 
 BRANCHY_SRC = '''
 def f(x):
@@ -72,6 +80,16 @@ class TestCFG:
     def test_straight_line_has_no_back_edge(self):
         cfg = build_cfg(compile_source(BRANCHY_SRC))
         assert cfg.back_edges() == []
+
+    def test_join_post_dominates_both_arms(self):
+        cfg = build_cfg(compile_source(BRANCHY_SRC))
+        pdom = cfg.post_dominators()
+        ipdom = cfg.immediate_post_dominators()
+        join = ipdom[cfg.entry]
+        assert join is not None and not cfg.blocks[join].succs  # the return
+        for b in cfg.reachable():
+            assert join in pdom[b]
+        assert ipdom[join] is None
 
     def test_static_gas_counts_busy_literal(self):
         plain = compile_source("def f():\n    return 1\n")
@@ -125,40 +143,60 @@ class TestOptimizer:
         assert report.branches_removed + report.dead_instrs_removed > 0
         assert self._run(opt, []).result == 1
 
-    def test_strike_fires_only_on_frw_kind(self):
-        # A statement whose stored value is dead and whose mutation target
-        # is unobservable: struck from an frw body, kept in an f body
-        # (where dropping it could drop a trap).
-        src = (
-            "def f(k):\n"
-            "    votes = db_get(\"t\", f\"v:{k}\")\n"
-            "    votes[\"up\"] = votes[\"up\"] + 1\n"
-            "    return None\n"
-        )
-        as_f, rep_f = optimize(compile_source(src, kind="f"))
-        as_frw, rep_frw = optimize(compile_source(src, kind="frw"))
-        assert rep_f.dead_statements_removed == 0
-        assert rep_frw.dead_statements_removed > 0
-        assert static_gas(as_frw) < static_gas(as_f)
-
-    def test_strike_keeps_statements_feeding_keys(self):
-        # The second read's key depends on the first statement's store, so
-        # nothing here is strikeable even in an frw body.
-        src = (
-            "def f(k):\n"
-            "    a = db_get(\"t\", f\"v:{k}\")\n"
-            "    b = db_get(\"t\", f\"w:{a}\")\n"
-            "    return b\n"
-        )
-        _opt, report = optimize(compile_source(src, kind="frw"))
-        assert report.dead_statements_removed == 0
-
     def test_report_gas_accounting_matches(self):
         func = compile_source(BRANCHY_SRC)
         opt, report = optimize(func)
         assert report.static_gas_before == static_gas(func)
         assert report.static_gas_after == static_gas(opt)
         assert report.static_gas_after <= report.static_gas_before
+
+
+class TestSlice:
+    def test_dead_value_mutation_dropped_by_slice_not_optimizer(self):
+        # A mutation that only shapes a written value: the slice drops it,
+        # while the optimizer keeps it in f (dropping it could drop a trap).
+        src = (
+            "def f(k):\n"
+            "    votes = db_get(\"t\", f\"v:{k}\")\n"
+            "    votes[\"up\"] = votes[\"up\"] + 1\n"
+            "    db_put(\"t\", f\"v:{k}\", votes)\n"
+            "    return None\n"
+        )
+        f = compile_source(src)
+        opt_f, _report = optimize(f)
+        frw = slice_frw(f).frw
+        assert any(i.op == Op.STORE_INDEX for i in opt_f.instructions)
+        assert all(i.op != Op.STORE_INDEX for i in frw.instructions)
+        assert static_gas(frw) < static_gas(opt_f)
+
+    def test_slice_keeps_statements_feeding_keys(self):
+        # The second read's key depends on the first statement's store.
+        src = (
+            "def f(k):\n"
+            "    a = db_get(\"t\", f\"v:{k}\")\n"
+            "    b = db_get(\"t\", f\"w:{a}\")\n"
+            "    return b\n"
+        )
+        result = slice_frw(compile_source(src))
+        assert result.dependent_reads
+        rw, _gas = derive_rwset(result.frw, ["x"], lambda t, key: {"v:x": 5}.get(key))
+        assert list(rw.reads) == [("t", "v:x"), ("t", "w:5")]
+
+    def test_frw_returns_none(self):
+        frw = slice_frw(compile_source(
+            "def f(k):\n    v = db_get(\"t\", k)\n    return v\n"
+        )).frw
+        trace = VM(_NullEnv()).execute(frw, ["a"])
+        assert trace.result is None
+        assert [s.kind for s in extract_access_sites(frw)] == ["read"]
+
+
+class _NullEnv:
+    def db_get(self, t, k):
+        return None
+
+    def db_put(self, t, k, v):
+        pass
 
 
 class TestAccessAndSummary:
@@ -240,12 +278,152 @@ class TestCorpusDifferential:
         for fn in app.functions:
             analyzed = analyze_source(fn.spec.source)
             verdict = cross_validate(
-                analyzed.f,
-                analyzed.frw,
-                symbolic_analyze(fn.spec.source),
-                slice_function(fn.spec.source),
+                analyzed.f, analyzed.frw, symbolic_analyze(fn.spec.source)
             )
             assert verdict.consistent, verdict.discrepancies
+            ir_writes = any(s.kind == "write" for s in extract_access_sites(analyzed.f))
+            assert analyzed.writes == ir_writes, fn.function_id
+
+    def test_frw_gas_within_parent_ceilings(self):
+        # Mean executed f^rw gas per function on the `analysis` scenario's
+        # replay (seed 42, 10 inputs) before the IR slice replaced the AST
+        # slicer and the optimizer's dead-statement strike: the slice may
+        # only ever execute less.
+        payload = run_analysis_corpus(10, 42)
+        got = {
+            r["function"]: r["replay"]["frw_gas_mean_optimized"]
+            for r in payload["functions"]
+        }
+        assert got.keys() == FRW_GAS_CEILINGS.keys()
+        over = {f: (got[f], c) for f, c in FRW_GAS_CEILINGS.items() if got[f] > c}
+        assert not over, over
+        assert analysis_gate_failures(payload) == []
+
+    def test_frw_independent_of_hash_seed(self):
+        # f^rw gas feeds virtual time, so a slice that iterated a set of
+        # names in hash order would silently reorder its output.
+        script = (
+            "from repro.apps import all_apps\n"
+            "from repro.analysis import analyze_source\n"
+            "for app in all_apps():\n"
+            "    for fn in app.functions:\n"
+            "        print(analyze_source(fn.spec.source).frw.disassemble())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count("[frw]") == 27
+
+
+#: Executed f^rw gas (mean over the `analysis` replay) per corpus function
+#: under the AST slicer plus the optimizer's dead-statement strike.
+FRW_GAS_CEILINGS = {
+    "forum.homepage": 6, "forum.interact": 19.6, "forum.login": 8,
+    "forum.post": 61.6, "forum.view": 18, "hotel.attractions": 18,
+    "hotel.book": 47, "hotel.login": 8, "hotel.recommend": 8,
+    "hotel.review": 14, "hotel.search": 170.2, "imageboard.favorite": 14,
+    "imageboard.moderate": 16, "imageboard.tag_search": 188.8,
+    "imageboard.upload": 76, "imageboard.view": 8, "pm.assign_task": 18,
+    "pm.board": 8, "pm.comment_task": 14, "pm.complete_task": 162.6,
+    "pm.create_task": 76, "pm.login": 8, "social.follow": 38,
+    "social.login": 8, "social.post": 287.7, "social.profile": 18,
+    "social.timeline": 8,
+}
+
+
+class _DropKeyDefinition(ir_slice._Slicer):
+    """Forgets the reaching definition of the first local feeding an
+    access key."""
+
+    def _reaching_defs(self):
+        super()._reaching_defs()
+        for pc, instr in enumerate(self.f.instructions):
+            if instr.op not in (Op.DB_GET, Op.DB_PUT) or pc not in self.operands:
+                continue
+            work, seen = list(self.operands[pc][:2]), set()
+            while work:
+                web = work.pop()
+                if web in seen:
+                    continue
+                seen.add(web)
+                for producer in self.producers.get(web, ()):
+                    if self.defs.get(producer):
+                        self.defs[producer] = set()
+                        return
+                    work.extend(self.operands.get(producer, ()))
+
+
+class _DropControlEdge(ir_slice._Slicer):
+    """Forgets that the first conditional branch controls its region."""
+
+    def _regions(self):
+        super()._regions()
+        branches = [br for brs in self.guards.values() for br in brs]
+        if branches:
+            first = min(branches)
+            for b in self.guards:
+                self.guards[b] = [br for br in self.guards[b] if br != first]
+
+
+class _DropEarlyExit(ir_slice._Slicer):
+    """Emits the first guarded early exit — a ``return`` under a branch or
+    a ``break`` out of a loop — as a fall-through.  (The corpus has no
+    ``break``; its guarded returns play that part.)"""
+
+    def emit(self, kept, webs):
+        loops = self.cfg.loop_blocks()
+        for b in sorted(self.guards):
+            block = self.cfg.blocks[b]
+            term = block.terminator
+            in_loop = any(self.block_of[g] in loops for g in self.guards[b])
+            leaves = term.op == Op.RETURN or (
+                term.op == Op.JUMP and in_loop
+                and self.cfg.block_at(term.arg) not in loops
+            )
+            if leaves and block.end < len(self.f.instructions):
+                block.instrs[-1] = Instr(Op.JUMP, block.end)
+                break
+        return super().emit(kept, webs)
+
+
+class TestReplayOracleCatchesMutants:
+    """The corpus replay is what guards the slice: each planted slicer bug
+    must fail the `analysis` scenario's gate."""
+
+    @pytest.mark.parametrize(
+        "mutant", [_DropKeyDefinition, _DropControlEdge, _DropEarlyExit],
+        ids=lambda m: m.__name__.lstrip("_"),
+    )
+    def test_mutant_fails_the_gate(self, monkeypatch, mutant):
+        monkeypatch.setattr(ir_slice, "_Slicer", mutant)
+        payload = run_analysis_corpus(10, 42)
+        wasted = [r for r in payload["functions"] if r["replay"]["wasted_locks_mean"] > 0]
+        checks = payload["checks"]
+        assert checks["unsound_executions"] or checks["rwset_mismatches"] or wasted
+        assert analysis_gate_failures(payload)
+
+    def test_dropped_break_over_approximates(self, monkeypatch):
+        src = (
+            "def f(items):\n"
+            "    for x in items:\n"
+            "        if x == \"stop\":\n"
+            "            break\n"
+            "        db_put(\"t\", f\"k:{x}\", 1)\n"
+            "    return None\n"
+        )
+        f = compile_source(src)
+        args = [["a", "stop", "b"]]
+        expected, _gas = derive_rwset(slice_frw(f).frw, args, lambda t, k: None)
+        monkeypatch.setattr(ir_slice, "_Slicer", _DropEarlyExit)
+        mutated, _gas = derive_rwset(slice_frw(f).frw, args, lambda t, k: None)
+        assert list(expected.writes) == [("t", "k:a")]
+        assert list(mutated.writes) == [("t", "k:a"), ("t", "k:stop"), ("t", "k:b")]
 
 
 if __name__ == "__main__":

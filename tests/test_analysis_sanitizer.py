@@ -6,7 +6,7 @@ argument: every registered function of all five apps, replayed on seeded
 randomized inputs, must produce a speculative trace fully covered by its
 f^rw prediction (zero ``analysis.unsound``).  The second half tampers
 with a registered function's slice and asserts the runtime refuses to
-commit — the check that licenses the optimizer's dead-statement strike.
+commit — the check that licenses the slice's trap relaxation.
 """
 
 import random

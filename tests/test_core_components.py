@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import derive_rwset
 from repro.core import (
+    ExternalServiceHub,
     FunctionRegistry,
     FunctionSpec,
     LVIServer,
@@ -17,6 +18,14 @@ from repro.errors import FunctionNotRegistered, NonDeterminismError
 from repro.sim import Metrics, Network, RandomStreams, Region, Simulator, paper_latency_table
 from repro.storage import Item, KVStore, NearUserCache
 from repro.wasm import VM
+
+# The read key comes from an external service's response, so f^rw cannot
+# be derived: the function registers as unanalyzable (§3.3 failure case).
+EXTERNAL_KEY_SRC = """
+def f(x):
+    token = external("tokens", x)
+    return db_get("t", f"k:{token}")
+"""
 
 
 class TestFunctionRegistry:
@@ -44,12 +53,10 @@ class TestFunctionRegistry:
             reg.register(FunctionSpec("a.bad", "def f():\n    return now()", 10.0))
 
     def test_unanalyzable_function_registered_without_frw(self):
-        # Blow the analysis budget but stay compilable: the function
-        # registers with analyzable=False and no f^rw.
-        big_body = "\n".join(f"    v{i} = x + {i}" for i in range(400))
-        src = f"def f(x):\n{big_body}\n    return db_get('t', f'k:{{v399}}')"
-        reg = FunctionRegistry(analysis_node_budget=100)
-        record = reg.register(FunctionSpec("a.huge", src, 10.0))
+        # Compilable but not analyzable: the function registers with
+        # analyzable=False and no f^rw.
+        reg = FunctionRegistry()
+        record = reg.register(FunctionSpec("a.ext", EXTERNAL_KEY_SRC, 10.0))
         assert not record.analyzable
         assert record.frw is None
 
@@ -138,24 +145,24 @@ class TestSpeculativeEnv:
 
 
 class TestRuntimeEdgePaths:
-    def _world(self, source, service=20.0, node_budget=50_000):
+    def _world(self, source, service=20.0, external_hub=None):
         sim = Simulator()
         streams = RandomStreams(4)
         net = Network(sim, paper_latency_table(), streams)
         metrics = Metrics()
         config = RadicalConfig(service_jitter_sigma=0.0)
-        registry = FunctionRegistry(analysis_node_budget=node_budget)
+        registry = FunctionRegistry()
         registry.register(FunctionSpec("t.fn", source, service))
         store = KVStore()
-        LVIServer(sim, net, registry, store, config, streams, metrics)
+        LVIServer(sim, net, registry, store, config, streams, metrics, external_hub=external_hub)
         cache = NearUserCache(Region.CA)
         runtime = NearUserRuntime(sim, net, Region.CA, cache, registry, config, streams, metrics)
         return sim, runtime, store, metrics
 
     def test_unanalyzable_function_takes_direct_path(self):
-        big_body = "\n".join(f"    v{i} = x + {i}" for i in range(400))
-        src = f"def f(x):\n{big_body}\n    return db_get('t', f'k:{{v399}}')"
-        sim, runtime, store, metrics = self._world(src, node_budget=100)
+        hub = ExternalServiceHub()
+        hub.register("tokens", lambda x: x + 399)
+        sim, runtime, store, metrics = self._world(EXTERNAL_KEY_SRC, external_hub=hub)
         store.put("t", "k:399", "found")
         outcome = sim.run_process(runtime.invoke("t.fn", [0]))
         assert outcome.path == PATH_DIRECT

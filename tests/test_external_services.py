@@ -15,7 +15,7 @@ from repro.core import (
     NearUserRuntime,
     RadicalConfig,
 )
-from repro.errors import AnalysisError, VMTrap
+from repro.errors import VMTrap
 from repro.sim import Metrics, Network, RandomStreams, Region, Simulator, paper_latency_table
 from repro.storage import KVStore, NearUserCache
 from repro.wasm import DictEnv, VM, compile_source
@@ -126,10 +126,11 @@ class TestVmIntegration:
 class TestAnalysis:
     def test_external_result_feeding_key_is_unanalyzable(self):
         # The order key depends on the receipt: f^rw cannot be derived.
-        from repro.analysis import slice_function
+        from repro.analysis import try_analyze
 
-        with pytest.raises(AnalysisError, match="external"):
-            slice_function(PAY_SRC)
+        record = try_analyze(PAY_SRC)
+        assert not record.analyzable and record.frw is None
+        assert "external" in record.error
 
     def test_external_without_key_dependency_slices_away(self):
         src = """
@@ -138,10 +139,13 @@ def notify(uid):
     external("email", {"to": uid})
     return user
 """
-        from repro.analysis import slice_function
+        from repro.analysis import try_analyze
+        from repro.wasm import Op
 
-        result = slice_function(src)
-        assert "external" not in result.frw_source  # f^rw is side-effect free
+        record = try_analyze(src)
+        assert record.analyzable
+        # f^rw is side-effect free: no external call survives the slice.
+        assert all(i.op != Op.EXT_CALL for i in record.frw.instructions)
 
     def test_unanalyzable_checkout_registers_for_direct_execution(self):
         reg = FunctionRegistry()

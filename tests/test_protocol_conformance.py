@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import (
     DirectExecRequest,
+    ExternalServiceHub,
     FunctionRegistry,
     FunctionSpec,
     LVIRequest,
@@ -25,6 +26,13 @@ READ_SRC = '''
 def read(k):
     busy(5000)
     return db_get("items", f"i:{k}")
+'''
+
+# The read key comes from an external service's response: unanalyzable.
+EXTERNAL_KEY_SRC = '''
+def read(k):
+    token = external("tokens", k)
+    return db_get("items", f"i:{token}")
 '''
 
 WRITE_SRC = '''
@@ -126,12 +134,14 @@ class TestWireSequences:
         sim = Simulator()
         streams = RandomStreams(8)
         net = Network(sim, paper_latency_table(), streams)
-        registry = FunctionRegistry(analysis_node_budget=10)
-        registry.register(FunctionSpec("t.big", READ_SRC, 50.0))
+        registry = FunctionRegistry()
+        registry.register(FunctionSpec("t.big", EXTERNAL_KEY_SRC, 50.0))
         store = KVStore()
         store.put("items", "i:a", "v0")
         config = RadicalConfig(service_jitter_sigma=0.0)
-        LVIServer(sim, net, registry, store, config, streams)
+        hub = ExternalServiceHub()
+        hub.register("tokens", lambda k: k)
+        LVIServer(sim, net, registry, store, config, streams, external_hub=hub)
         runtime = NearUserRuntime(
             sim, net, Region.DE, NearUserCache(Region.DE), registry, config, streams
         )
