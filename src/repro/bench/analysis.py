@@ -26,7 +26,6 @@ function, :class:`~repro.sim.RandomStreams` for the store seeding), so
 
 from __future__ import annotations
 
-import copy
 import random
 import statistics
 from typing import Any, Callable, Dict, List, Optional
@@ -43,6 +42,7 @@ from ..apps import all_apps
 from ..core.registry import FunctionRegistry
 from ..errors import VMError
 from ..sim import RandomStreams
+from ..storage.fastcopy import fast_deepcopy
 from ..storage.kvstore import KVStore
 from ..wasm import VM
 from .report import load_results
@@ -76,17 +76,17 @@ class _ReplayEnv:
 
     def db_get(self, table: str, key: str) -> Any:
         if (table, key) in self._writes:
-            return copy.deepcopy(self._writes[(table, key)])
+            return fast_deepcopy(self._writes[(table, key)])
         return self._read(table, key)
 
     def db_put(self, table: str, key: str, value: Any) -> None:
-        self._writes[(table, key)] = copy.deepcopy(value)
+        self._writes[(table, key)] = fast_deepcopy(value)
 
 
 def _store_reader(store: KVStore) -> Callable[[str, str], Any]:
     def read(table: str, key: str) -> Any:
         item = store.get_or_none(table, key)
-        return None if item is None else item.copy_value()
+        return None if item is None else fast_deepcopy(item.value)
 
     return read
 

@@ -18,6 +18,13 @@ Four environments cover the places a function can run:
   :class:`SnapshotEscape` before the store is touched.
 * the f^rw cache reader — a :class:`SnapshotReader` sharing the same
   snapshot, so dependent reads in f^rw and the later speculative run agree.
+
+These environments are the sandbox boundary of the ownership rule in
+:mod:`repro.storage.fastcopy`: every value a function reads is a private
+copy made here (``SnapshotReader.read``, a read of the function's own
+buffered write, ``PrimaryEnv.db_get``), and storage copies a function's
+write in when it accepts it.  Nothing on the storage side of this line ever
+copies or edits a value.
 """
 
 from __future__ import annotations
@@ -35,15 +42,17 @@ __all__ = ["SnapshotReader", "SpeculativeEnv", "PrimaryEnv", "SnapshotEnv", "Sna
 class SnapshotReader:
     """Lazily pins cache entries at first access.
 
-    Records, per key: the value handed to the sandbox and the cached
-    version (``-1`` for a miss).  Both f^rw and the speculative f read
-    through the same instance, so they observe the same versions.
+    Records, per key: the cached value and version (``-1`` for a miss).
+    Both f^rw and the speculative f read through the same instance, so they
+    observe the same versions.
 
-    Every ``read`` returns a **fresh deep copy** of the pinned value: in
-    the real system f^rw and f are separate executions each deserialising
-    their own copy from the cache, so in-place mutations by one (f^rw's
-    slice may retain mutation statements) must never leak into the other —
-    or worse, into the cache itself.
+    The pin shares the entry's value: cache entries are replaced, never
+    edited, so the pinned object cannot move under a later cache update.
+    Every ``read`` returns a **fresh deep copy** of it: in the real system
+    f^rw and f are separate executions each deserialising their own copy
+    from the cache, so in-place mutations by one (f^rw's slice may retain
+    mutation statements) must never leak into the other — or worse, into
+    the cache itself.
     """
 
     def __init__(self, cache: NearUserCache):
@@ -51,7 +60,7 @@ class SnapshotReader:
         self._values: Dict[Key, Any] = {}
         self.versions: Dict[Key, int] = {}
 
-    def read(self, table: str, key: str) -> Any:
+    def _pin(self, table: str, key: str) -> Key:
         k = (table, key)
         if k not in self._values:
             entry = self.cache.lookup(table, key)
@@ -59,14 +68,16 @@ class SnapshotReader:
                 self._values[k] = None
                 self.versions[k] = VERSION_MISS
             else:
-                self._values[k] = fast_deepcopy(None if entry.absent else entry.value)
+                self._values[k] = None if entry.absent else entry.value
                 self.versions[k] = entry.version
-        return fast_deepcopy(self._values[k])
+        return k
+
+    def read(self, table: str, key: str) -> Any:
+        return fast_deepcopy(self._values[self._pin(table, key)])
 
     def version_of(self, table: str, key: str) -> int:
         """Version for a key, pinning it if not yet read."""
-        self.read(table, key)
-        return self.versions[(table, key)]
+        return self.versions[self._pin(table, key)]
 
 
 class SpeculativeEnv:
@@ -117,7 +128,8 @@ class PrimaryEnv:
     def db_get(self, table: str, key: str) -> Any:
         item = self.store.get_or_none(table, key)
         self.read_versions.setdefault((table, key), 0 if item is None else item.version)
-        return None if item is None else item.value
+        # The store hands out its own item: copy the value out.
+        return None if item is None else fast_deepcopy(item.value)
 
     def db_put(self, table: str, key: str, value: Any) -> None:
         self.write_versions[(table, key)] = self.store.put(table, key, value)

@@ -41,6 +41,10 @@ idea on top of Radical's near-user caches:
   version comparison (newer wins) and relayed updates are safe: a PoP
   forwards everything it has applied, which gives transitive delivery
   around partitioned links.
+* Values are shared, never copied (the ownership rule in
+  :mod:`repro.storage.fastcopy`): an update carries the value its origin's
+  cache entry holds, and every PoP that applies it, every digest that
+  relays it and every cut reply that serves it holds that one object.
 
 Correctness never depends on any of this: the LVI protocol validates every
 cached version at the primary before a speculative result is released.
@@ -66,7 +70,6 @@ from ..consistency import CutEvent
 from ..errors import FaultConfigError, ProtocolError
 from ..sim.network import RpcTimeout
 from ..storage.cache import CacheEntry, NearUserCache
-from ..storage.fastcopy import fast_deepcopy
 from ..storage.kvstore import Item
 from .session import Key, Session
 
@@ -282,7 +285,8 @@ class MeshPop(NearUserCache):
     def apply_local_write(self, table: str, key: str, value: Any, version: int) -> None:
         super().apply_local_write(table, key, value, version)
         if self._gossip_active():
-            self._log_own_update(table, key, value, version)
+            # Log the cache's own copy, not the function's object.
+            self._log_own_update(table, key, self._entries[(table, key)].value, version)
 
     def install(self, table: str, key: str, item: Optional[Item]) -> None:
         super().install(table, key, item)
@@ -301,7 +305,7 @@ class MeshPop(NearUserCache):
         self._own_seq += 1
         seq = self._own_seq
         origin = self.origin
-        update = MeshUpdate(origin, seq, table, key, fast_deepcopy(value), version, deps)
+        update = MeshUpdate(origin, seq, table, key, value, version, deps)
         self.updates.setdefault(origin, {})[seq] = update
         self._advance(origin, seq)
         self.applied_log.append(CutEvent(origin, seq, deps))
@@ -387,7 +391,7 @@ class MeshPop(NearUserCache):
         self.applied_log.append(CutEvent(update.origin, update.seq, update.deps))
         if update.version > self.version(update.table, update.key):
             self._entries[(update.table, update.key)] = CacheEntry(
-                value=fast_deepcopy(update.value),
+                value=update.value,
                 version=update.version,
                 installed_at=self._now(),
             )
@@ -467,7 +471,7 @@ class MeshPop(NearUserCache):
         for (table, key), floor in request.floors:
             entry = self._entries.get((table, key))
             if entry is not None and not entry.absent and entry.version >= floor:
-                entries.append((table, key, fast_deepcopy(entry.value), entry.version))
+                entries.append((table, key, entry.value, entry.version))
         return CutReply(self.region, tuple(entries))
 
     def unsatisfied_floors(self, session: Session) -> Dict[Key, int]:
@@ -512,7 +516,7 @@ class MeshPop(NearUserCache):
             for table, key, value, version in reply.entries:
                 if version > self.version(table, key):
                     self._entries[(table, key)] = CacheEntry(
-                        value=fast_deepcopy(value),
+                        value=value,
                         version=version,
                         installed_at=self._now(),
                     )

@@ -9,11 +9,17 @@ requests fail validation until the working set is re-fetched.
 
 ``persistent=True`` models the paper's implementation choice of backing the
 cache with persistent storage so a restart does not cold-start it.
+
+Entries follow the ownership rule in :mod:`repro.storage.fastcopy`: an
+authoritative item from the primary is installed as-is (it is already
+storage-owned and never edited), a function's write is copied in once by
+:meth:`NearUserCache.apply_local_write`, and an entry is only ever
+*replaced*, never edited — so a snapshot that pinned an entry's value keeps
+seeing exactly what it pinned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .fastcopy import fast_deepcopy
@@ -22,7 +28,6 @@ from .kvstore import Item, VERSION_MISS
 __all__ = ["CacheEntry", "NearUserCache"]
 
 
-@dataclass
 class CacheEntry:
     """A cached item: possibly-stale value plus the version it came from.
 
@@ -31,13 +36,24 @@ class CacheEntry:
     speculate and validate.  ``installed_at`` is the virtual time the entry
     was last refreshed (0.0 for entries installed before the cache was
     bound to a simulator, e.g. build-time warming) — the hit-age metric and
-    the mesh staleness analysis both read it.
+    the mesh staleness analysis both read it.  Read-only by contract, like
+    the :class:`Item` whose value it may share.
     """
 
-    value: Any
-    version: int
-    absent: bool = False
-    installed_at: float = 0.0
+    __slots__ = ("value", "version", "absent", "installed_at")
+
+    def __init__(self, value: Any, version: int, absent: bool = False,
+                 installed_at: float = 0.0):
+        self.value = value
+        self.version = version
+        self.absent = absent
+        self.installed_at = installed_at
+
+    def __repr__(self) -> str:
+        return (
+            f"CacheEntry(value={self.value!r}, version={self.version}, "
+            f"absent={self.absent}, installed_at={self.installed_at})"
+        )
 
 
 class NearUserCache:
@@ -105,7 +121,8 @@ class NearUserCache:
     def install(self, table: str, key: str, item: Optional[Item]) -> None:
         """Install an authoritative (value, version) from an LVI response.
 
-        ``item=None`` records that the primary has no such key.
+        ``item=None`` records that the primary has no such key.  The entry
+        shares the item's value: storage-owned values are never edited.
         """
         if item is None:
             self._entries[(table, key)] = CacheEntry(
@@ -127,8 +144,8 @@ class NearUserCache:
 
         Called only after the LVI request succeeds — Radical delays cache
         updates (including the version bump) until then (§3.2 step 2).
-        The value is deep-copied: the cache must never alias objects a
-        still-running execution could mutate.
+        The value is a function's and is copied in here, once: the cache
+        must never alias an object a sandbox could still mutate.
         """
         self._entries[(table, key)] = CacheEntry(
             value=fast_deepcopy(value), version=version, installed_at=self._now()

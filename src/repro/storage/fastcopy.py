@@ -1,12 +1,25 @@
-"""Fast deep copy for plain simulation data.
+"""Fast deep copy for plain simulation data, and the rule for when to copy.
 
-Every value that crosses a storage boundary (KVStore puts/gets, cache
-snapshots, buffered speculative writes) is defensively deep-copied so no
-component can mutate another's state through a shared reference.  The
-stdlib ``copy.deepcopy`` pays for generality this data never uses — memo
-bookkeeping for aliasing/cycles, reduce-protocol dispatch — and showed up
-as one of the top entries in the kernel profile.
+**Ownership rule.**  A value is copied only where it crosses the *sandbox
+boundary* — the line between a function's execution and storage:
 
+* once **in**, where a function's value enters storage: ``KVStore.put``
+  and ``NearUserCache.apply_local_write``;
+* once **out**, where a function reads: ``SnapshotReader.read``, a
+  speculative read of the function's own buffered write
+  (``SpeculativeEnv.db_get``) and ``PrimaryEnv.db_get``;
+* once for the arguments f^rw runs on.
+
+Inside storage nothing is ever edited in place — a write *replaces* an
+item, a fresher version *replaces* a cache entry (paper §3.1–3.2) — so
+every holder shares the one object: store items, cache entries, the pins
+of a snapshot, the fresh items of an LVI response, mesh updates and cut
+replies.  Code on the storage side that needs a value it may mutate calls
+``Item.copy_value()``.
+
+**The copier.**  The stdlib ``copy.deepcopy`` pays for generality this data
+never uses — memo bookkeeping for aliasing/cycles, reduce-protocol dispatch
+— and showed up as one of the top entries in the kernel profile.
 Application values in this reproduction are JSON-shaped: dicts, lists,
 tuples, and atomic scalars.  :func:`fast_deepcopy` handles exactly those
 shapes with direct recursion (no memo — acyclic by construction, and

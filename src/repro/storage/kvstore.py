@@ -14,6 +14,13 @@ The store itself is passive and synchronous; *access latency* is modelled by
 the component making the access (e.g. the LVI server charges one
 in-datacenter round trip per batch of storage operations), matching how the
 paper attributes latency to the network rather than to DynamoDB's innards.
+
+Values follow the ownership rule in :mod:`repro.storage.fastcopy`: ``put``
+copies the caller's value in, and every read hands out the stored
+:class:`Item` itself.  A stored item is never edited — a write replaces it —
+so the caches, LVI responses and mesh updates that receive it all share the
+one object; the sandbox environments copy a value out before a function can
+touch it.
 """
 
 from __future__ import annotations
@@ -32,15 +39,25 @@ VERSION_ABSENT = 0
 VERSION_MISS = -1
 
 
-@dataclass(frozen=True)
 class Item:
-    """An immutable snapshot of one stored item: value plus version."""
+    """One stored item: value plus version.
 
-    value: Any
-    version: int
+    Read-only by contract: the store hands out its own instance, which the
+    caches and messages downstream share, so neither field nor value may
+    ever be edited in place.
+    """
+
+    __slots__ = ("value", "version")
+
+    def __init__(self, value: Any, version: int):
+        self.value = value
+        self.version = version
+
+    def __repr__(self) -> str:
+        return f"Item(value={self.value!r}, version={self.version})"
 
     def copy_value(self) -> Any:
-        """A defensive deep copy of the value for handing to callers."""
+        """A private deep copy of the value, for code that may mutate it."""
         return fast_deepcopy(self.value)
 
 
@@ -65,20 +82,18 @@ class KVStore:
     # -- single-item operations ------------------------------------------------
 
     def get(self, table: str, key: str) -> Item:
-        """Return the item; raises :class:`KeyMissing` if absent."""
+        """Return the stored, read-only item; raises :class:`KeyMissing` if
+        absent."""
         self.reads += 1
         item = self._tables.get(table, {}).get(key)
         if item is None:
             raise KeyMissing(table, key)
-        return Item(item.copy_value(), item.version)
+        return item
 
     def get_or_none(self, table: str, key: str) -> Optional[Item]:
-        """Return the item or ``None`` if absent (no exception)."""
+        """Return the stored, read-only item or ``None`` if absent."""
         self.reads += 1
-        item = self._tables.get(table, {}).get(key)
-        if item is None:
-            return None
-        return Item(item.copy_value(), item.version)
+        return self._tables.get(table, {}).get(key)
 
     def version(self, table: str, key: str) -> int:
         """The item's version, or :data:`VERSION_ABSENT` if never written."""
@@ -89,7 +104,8 @@ class KVStore:
         """Write a value, incrementing the version; returns the new version.
 
         Radical interposes on every write to bump the version (§3.1); here
-        the store does it natively, which is equivalent.
+        the store does it natively, which is equivalent.  The value is
+        copied in: the caller keeps its object, the store owns the copy.
         """
         self.writes += 1
         tbl = self._tables.setdefault(table, {})
@@ -134,7 +150,8 @@ class KVStore:
         return {(t, k): self.version(t, k) for (t, k) in keys}
 
     def batch_get(self, keys: Iterable[Tuple[str, str]]) -> Dict[Tuple[str, str], Optional[Item]]:
-        """Items for many (table, key) pairs; absent keys map to ``None``."""
+        """Stored items for many (table, key) pairs; absent keys map to
+        ``None``."""
         return {(t, k): self.get_or_none(t, k) for (t, k) in keys}
 
     def apply_writes(self, writes: Iterable[WriteOp]) -> Dict[Tuple[str, str], int]:
@@ -149,9 +166,9 @@ class KVStore:
     # -- introspection ------------------------------------------------------------
 
     def scan(self, table: str) -> List[Tuple[str, Item]]:
-        """All (key, item) pairs of a table, sorted by key (for tests)."""
-        tbl = self._tables.get(table, {})
-        return [(k, Item(v.copy_value(), v.version)) for k, v in sorted(tbl.items())]
+        """All (key, stored item) pairs of a table, sorted by key — what
+        cache warming and the intent table's recovery sweep walk."""
+        return sorted(self._tables.get(table, {}).items())
 
     def table_names(self) -> List[str]:
         return sorted(self._tables)

@@ -571,10 +571,12 @@ def _assign_clients(
 
 
 def _warm_cache(cache: NearUserCache, store: KVStore) -> None:
-    """Copy a primary store's current contents into a near-user cache —
+    """Install a primary store's current contents in a near-user cache —
     the steady-state starting point (the paper's runs measure warmed
-    deployments; cold-start is the §3.2 bootstrap ablation).  Protocol
-    tables (``_radical*``) never enter caches."""
+    deployments; cold-start is the §3.2 bootstrap ablation).  The entries
+    share the store's values, as every installed item does, so warming N
+    PoPs copies nothing.  Protocol tables (``_radical*``) never enter
+    caches."""
     for table in store.table_names():
         if table.startswith("_radical"):
             continue

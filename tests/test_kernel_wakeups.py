@@ -560,3 +560,51 @@ def test_plumbing_ratchet_social_closed_loop():
     requests = dep.metrics.summary("e2e").count
     assert requests == 200
     assert dep.sim.events_dispatched / requests <= 9.0
+
+
+def test_copies_ratchet_social_closed_loop(monkeypatch):
+    """Copies per request cannot creep back unnoticed either: a value is
+    copied only at the sandbox boundary (``repro.storage.fastcopy``).  The
+    200-request seed-42 social closed loop made 5.87 ``fast_deepcopy`` calls
+    per request while every storage crossing copied, and 3.52 once only the
+    boundary does; warming the caches, which share the store's items,
+    copies nothing (25,000 calls before)."""
+    import sys
+
+    from repro.apps.social import social_media_app
+    from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
+    from repro.storage import fastcopy
+    from repro.topology import Deployment, TopologySpec, deployment
+
+    copies = {"run": 0, "warm": 0}
+    phase = ["build"]
+    original = fastcopy.fast_deepcopy
+
+    def counted(x):
+        if phase[0] in copies:
+            copies[phase[0]] += 1
+        return original(x)
+
+    # Every importer's binding, as the ledger's probe counts them.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and module is not fastcopy and module is not None:
+            if vars(module).get("fast_deepcopy") is original:
+                monkeypatch.setattr(module, "fast_deepcopy", counted)
+    warm = deployment._warm_cache
+
+    def counted_warm(cache, store):
+        phase[0] = "warm"
+        try:
+            warm(cache, store)
+        finally:
+            phase[0] = "build"
+
+    monkeypatch.setattr(deployment, "_warm_cache", counted_warm)
+    spec = TopologySpec(seed=42, network_jitter_sigma=PAPER_JITTER_SIGMA)
+    app = social_media_app()
+    dep = Deployment.build(spec, app=app)
+    phase[0] = "run"
+    drive_closed_loop(dep, app, requests=200)
+    assert dep.metrics.summary("e2e").count == 200
+    assert copies["warm"] == 0
+    assert copies["run"] / 200 <= 3.6

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.storage_library import PrimaryEnv
 from repro.errors import ConditionFailed, KeyMissing
 from repro.storage import KVStore, VERSION_ABSENT, VERSION_MISS, WriteOp
 
@@ -43,10 +44,18 @@ class TestBasicOps:
         assert store.get("a", "k").value == 1
         assert store.get("b", "k").value == 2
 
-    def test_get_returns_deep_copy(self, store):
+    def test_get_returns_the_stored_item(self, store):
+        # Reads share the stored, read-only item; copying is the sandbox
+        # boundary's job (see the next test).
         store.put("t", "k", {"list": [1, 2]})
-        item = store.get("t", "k")
-        item.value["list"].append(3)
+        assert store.get("t", "k") is store.get_or_none("t", "k")
+        assert store.batch_get([("t", "k")])[("t", "k")] is store.get("t", "k")
+        assert store.scan("t")[0][1] is store.get("t", "k")
+
+    def test_primary_env_get_returns_deep_copy(self, store):
+        store.put("t", "k", {"list": [1, 2]})
+        value = PrimaryEnv(store).db_get("t", "k")
+        value["list"].append(3)
         assert store.get("t", "k").value == {"list": [1, 2]}
 
     def test_put_copies_input(self, store):
