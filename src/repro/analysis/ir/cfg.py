@@ -4,7 +4,9 @@ The compiler (:mod:`repro.wasm.compiler`) emits a flat instruction vector
 with absolute-pc jump targets; this module recovers the block structure the
 dataflow analyses and the optimizer need: basic blocks, successor /
 predecessor edges, dominators, post-dominators and natural-loop
-membership.
+membership.  Where blocks start and what each instruction pops and pushes
+are :mod:`repro.wasm.ir`'s (``block_starts``, ``stack_effect``), shared
+with the VM's code generator.
 
 One wasm-lite wrinkle matters here: the keep-variants of the conditional
 jumps (``jifk`` / ``jitk``, emitted for ``and`` / ``or`` chains) *peek* at
@@ -22,51 +24,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...errors import AnalysisError
 from ...wasm.intrinsics import lookup
-from ...wasm.ir import Instr, Op, WasmFunction
+from ...wasm.ir import COND_JUMP_OPS, Instr, Op, WasmFunction, block_starts, stack_effect
 
 __all__ = ["BasicBlock", "CFG", "build_cfg", "stack_effect", "static_gas"]
-
-#: Opcodes that transfer control (operand = absolute target pc).
-JUMP_OPS = {
-    Op.JUMP,
-    Op.JUMP_IF_FALSE,
-    Op.JUMP_IF_TRUE,
-    Op.JUMP_IF_FALSE_KEEP,
-    Op.JUMP_IF_TRUE_KEEP,
-}
-
-#: Conditional jumps: fall through as well as jump.
-COND_JUMP_OPS = JUMP_OPS - {Op.JUMP}
-
-
-def stack_effect(instr: Instr) -> Tuple[int, int]:
-    """(values popped, values pushed) by one instruction.  The keep-jumps
-    peek and count as (0, 0); ``DUP`` is the caller's to model."""
-    op, arg = instr.op, instr.arg
-    if op in (Op.PUSH, Op.LOAD):
-        return 0, 1
-    if op in (Op.STORE, Op.POP, Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE, Op.RETURN):
-        return 1, 0
-    if op in (Op.BINOP, Op.COMPARE, Op.INDEX, Op.DB_GET, Op.RW_READ, Op.RW_WRITE,
-              Op.EXT_CALL):
-        return 2, 1
-    if op == Op.UNARY:
-        return 1, 1
-    if op in (Op.CALL, Op.INTRINSIC):
-        return arg[1], 1
-    if op == Op.METHOD:
-        return arg[1] + 1, 1
-    if op in (Op.BUILD_LIST, Op.BUILD_TUPLE, Op.FORMAT):
-        return arg, 1
-    if op == Op.BUILD_DICT:
-        return 2 * arg, 1
-    if op in (Op.STORE_INDEX, Op.SLICE):
-        return 3, 0 if op == Op.STORE_INDEX else 1
-    if op == Op.DB_PUT:
-        return 3, 1
-    if op in (Op.JUMP, Op.JUMP_IF_FALSE_KEEP, Op.JUMP_IF_TRUE_KEEP):
-        return 0, 0
-    raise AnalysisError(f"no stack effect for opcode {op}")
 
 
 @dataclass
@@ -210,24 +170,7 @@ def build_cfg(func: WasmFunction) -> CFG:
     """Split ``func``'s instruction vector into basic blocks and wire edges."""
     code = func.instructions
     n = len(code)
-    if n == 0:
-        raise AnalysisError(f"{func.name}: empty instruction stream")
-
-    leaders: Set[int] = {0}
-    for pc, instr in enumerate(code):
-        if instr.op in JUMP_OPS:
-            target = instr.arg
-            if not isinstance(target, int) or not (0 <= target < n):
-                raise AnalysisError(
-                    f"{func.name}: jump at pc {pc} targets invalid pc {target!r}"
-                )
-            leaders.add(target)
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-        elif instr.op == Op.RETURN and pc + 1 < n:
-            leaders.add(pc + 1)
-
-    starts = sorted(leaders)
+    starts = block_starts(func)
     blocks: List[BasicBlock] = []
     for index, start in enumerate(starts):
         end = starts[index + 1] if index + 1 < len(starts) else n

@@ -285,8 +285,8 @@ class ConstantLattice(DataflowAnalysis):
 
 
 def _fold_binop(op: str, lhs: Any, rhs: Any) -> Any:
-    """Mirror of ``VM._binop`` for constant operands; raises on anything
-    the VM would trap on (callers treat a raise as 'do not fold')."""
+    """Mirror of ``repro.wasm.vm._binop`` for constant operands; raises on
+    anything the VM would trap on (callers treat a raise as 'do not fold')."""
     if op == "+":
         if isinstance(lhs, (list, str)) != isinstance(rhs, (list, str)):
             if not (isinstance(lhs, (int, float)) and isinstance(rhs, (int, float))):

@@ -156,6 +156,9 @@ def _taint_pass(cfg: CFG, graph: _ObsGraph) -> Dict[int, Set[str]]:
                     graph.link(instr.arg, t)
                 for t in inner:
                     graph.add(instr.arg, t)
+            elif op == Op.DUP:
+                top = tpop()
+                stack.extend((top, top))
             elif op in _FRESH_OPS:
                 stack.append((set(), tpopn(stack_effect(instr)[0])))
             elif op in _SCALAR_OPS:

@@ -11,14 +11,25 @@ Storage accesses (``DB_GET``/``DB_PUT``) are first-class opcodes: they are
 what the static analyzer searches for, and what the VM's host environment
 interposes on, exactly as Radical's storage library interposes on each
 access (§3.1).
+
+Two facts about an instruction stream are shared by everything that reads
+one — the analyses' CFG (:mod:`repro.analysis.ir.cfg`) and the VM's code
+generator (:mod:`repro.wasm.codegen`): what each instruction pops and
+pushes (:func:`stack_effect`) and where basic blocks start
+(:func:`block_starts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
-__all__ = ["Op", "Instr", "WasmFunction"]
+from ..errors import AnalysisError
+
+__all__ = [
+    "COND_JUMP_OPS", "Instr", "JUMP_OPS", "Op", "WasmFunction",
+    "block_starts", "charges_by_data", "stack_effect",
+]
 
 
 class Op:
@@ -63,6 +74,19 @@ class Op:
     RETURN = "return"          # pop return value; halt
 
 
+#: Opcodes that transfer control (operand = absolute target pc).
+JUMP_OPS = frozenset({
+    Op.JUMP,
+    Op.JUMP_IF_FALSE,
+    Op.JUMP_IF_TRUE,
+    Op.JUMP_IF_FALSE_KEEP,
+    Op.JUMP_IF_TRUE_KEEP,
+})
+
+#: Conditional jumps: fall through as well as jump.
+COND_JUMP_OPS = JUMP_OPS - {Op.JUMP}
+
+
 @dataclass(frozen=True)
 class Instr:
     """One instruction: opcode plus optional operand."""
@@ -82,6 +106,10 @@ class WasmFunction:
     f^rw carries its ``f``'s), kept for the AST symbolic executor and for
     error messages.  ``kind`` distinguishes an application function
     (``"f"``) from its derived read/write-set function (``"frw"``).
+
+    The VM generates a function's Python once, on its first execution, and
+    caches it on the object; the instruction vector must not change after
+    that.
     """
 
     name: str
@@ -109,3 +137,74 @@ class WasmFunction:
     def may_write(self) -> bool:
         """True if the instruction stream contains any write opcode."""
         return any(i.op in (Op.DB_PUT, Op.RW_WRITE) for i in self.instructions)
+
+
+def stack_effect(instr: Instr) -> Tuple[int, int]:
+    """(values popped, values pushed) by one instruction.  The keep-jumps
+    peek at the top of stack and count as (0, 0); ``DUP`` pops its operand
+    and pushes it twice."""
+    op, arg = instr.op, instr.arg
+    if op in (Op.PUSH, Op.LOAD):
+        return 0, 1
+    if op in (Op.STORE, Op.POP, Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE, Op.RETURN):
+        return 1, 0
+    if op == Op.DUP:
+        return 1, 2
+    if op in (Op.BINOP, Op.COMPARE, Op.INDEX, Op.DB_GET, Op.RW_READ, Op.RW_WRITE,
+              Op.EXT_CALL):
+        return 2, 1
+    if op == Op.UNARY:
+        return 1, 1
+    if op in (Op.CALL, Op.INTRINSIC):
+        return arg[1], 1
+    if op == Op.METHOD:
+        return arg[1] + 1, 1
+    if op in (Op.BUILD_LIST, Op.BUILD_TUPLE, Op.FORMAT):
+        return arg, 1
+    if op == Op.BUILD_DICT:
+        return 2 * arg, 1
+    if op in (Op.STORE_INDEX, Op.SLICE):
+        return 3, 0 if op == Op.STORE_INDEX else 1
+    if op == Op.DB_PUT:
+        return 3, 1
+    if op in (Op.JUMP, Op.JUMP_IF_FALSE_KEEP, Op.JUMP_IF_TRUE_KEEP):
+        return 0, 0
+    raise AnalysisError(f"no stack effect for opcode {op}")
+
+
+def charges_by_data(instr: Instr) -> bool:
+    """True for an instruction whose gas depends on the values it runs on:
+    builtins, methods and intrinsics charge extra by result or receiver
+    size (or by their declared cost), and ``*`` / ``**`` by the size of a
+    sequence repeat or an integer power."""
+    op = instr.op
+    return op in (Op.CALL, Op.METHOD, Op.INTRINSIC) or (
+        op == Op.BINOP and instr.arg in ("*", "**")
+    )
+
+
+def block_starts(func: WasmFunction, by_gas: bool = False) -> List[int]:
+    """Sorted pcs at which a basic block starts: pc 0, every jump target,
+    and the pc after every jump and ``RETURN``.  With ``by_gas``, also the
+    pc after every instruction that :func:`charges_by_data`, so that every
+    other instruction of a block costs exactly one gas.
+
+    Raises :class:`AnalysisError` for an empty stream or a jump whose
+    target is not a pc of the stream."""
+    code = func.instructions
+    n = len(code)
+    if n == 0:
+        raise AnalysisError(f"{func.name}: empty instruction stream")
+    leaders = {0}
+    for pc, instr in enumerate(code):
+        if instr.op in JUMP_OPS:
+            target = instr.arg
+            if not isinstance(target, int) or not (0 <= target < n):
+                raise AnalysisError(
+                    f"{func.name}: jump at pc {pc} targets invalid pc {target!r}"
+                )
+            leaders.add(target)
+            leaders.add(pc + 1)
+        elif instr.op == Op.RETURN or (by_gas and charges_by_data(instr)):
+            leaders.add(pc + 1)
+    return sorted(pc for pc in leaders if pc < n)

@@ -1,4 +1,4 @@
-"""The deterministic stack-machine interpreter for wasm-lite functions.
+"""The deterministic sandbox that runs wasm-lite functions.
 
 The VM plays the role WasmTime plays in the paper (§4): it executes
 compiled functions in a sandbox whose only window to the world is the
@@ -18,6 +18,35 @@ Properties the protocol relies on and the VM enforces:
   :class:`~repro.errors.GasExhausted` instead of a hung simulation; gas is
   also the VM's abstract cost measure, from which the f^rw latency model
   derives its slice ratio.
+
+**How a function runs.**  On its first execution a function is compiled
+once into one Python function (:mod:`repro.wasm.codegen`), cached on the
+:class:`~repro.wasm.ir.WasmFunction`; every execution runs that.  The
+operators' semantics — ``_binop``, ``_method``, ``_builtin`` and the other
+module-level helpers below — are shared by the generated code and by the
+*stepper* (:meth:`VM._step`), which executes one instruction at a time and
+is the reference semantics.  The stepper runs only two things: the block
+in which the gas limit is crossed, and a function the generator rejects
+(an inconsistent stack depth, an unknown opcode; nothing the compiler
+emits).
+
+**The gas contract.**  Every instruction costs one gas, checked before it
+runs: the instruction that would take ``gas`` past ``gas_limit`` raises
+:class:`GasExhausted` naming its pc, with nothing of it done.  Builtins,
+methods and intrinsics charge extra by the size of what they return or
+walk (``range``, ``sorted``, ``keys``, ...) or by their declared cost,
+after they run; the next instruction's check sees it.  A sequence repeat
+(``[0] * n``) charges its result length and an integer power its result
+size in 64-bit words *before* evaluating, checked at once, so a
+gigabyte-sized value trips the budget instead of being built.  Generated
+code keeps these semantics exactly but charges them per block: a block
+ends after every instruction whose gas depends on data
+(:func:`~repro.wasm.ir.charges_by_data`), so every other instruction of a
+block costs one gas, and the block charges its length once, on entry.
+When that charge would cross the limit, the block's entry state (pc, gas,
+stack, variables) passes to the stepper, which raises at the same pc
+after the same env and hook calls.  The counts are exact because f^rw's
+virtual duration is computed from both gas counts.
 """
 
 from __future__ import annotations
@@ -26,53 +55,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..errors import GasExhausted, VMTrap
-from .intrinsics import REGISTRY, lookup
-from .ir import Instr, Op, WasmFunction
+from . import codegen
+from .intrinsics import REGISTRY
+from .ir import Op, WasmFunction
 
 __all__ = ["HostEnv", "DictEnv", "ExecutionTrace", "VM", "DEFAULT_GAS_LIMIT"]
 
 DEFAULT_GAS_LIMIT = 2_000_000
-
-# Integer opcodes for the dispatch loop.  The public IR keeps readable
-# string mnemonics (`Op`); execution translates each function once into
-# (int, arg) pairs so the interpreter compares small ints instead of
-# walking a string-equality chain, and skips the per-instruction
-# ``instr.op``/``instr.arg`` attribute loads.  Numbered in rough hot-path
-# frequency order, matching the if/elif chain in :meth:`VM.execute`.
-(
-    _LOAD, _PUSH, _COMPARE, _JUMP_IF_FALSE, _BINOP, _STORE, _INDEX, _JUMP,
-    _JUMP_IF_TRUE, _DUP, _POP, _METHOD, _CALL, _FORMAT, _BUILD_LIST,
-    _BUILD_DICT, _BUILD_TUPLE, _DB_GET, _DB_PUT, _RW_READ, _RW_WRITE,
-    _INTRINSIC, _RETURN, _UNARY, _JUMP_IF_FALSE_KEEP, _JUMP_IF_TRUE_KEEP,
-    _SLICE, _STORE_INDEX, _EXT_CALL, _UNKNOWN,
-) = range(30)
-
-_OPMAP = {
-    Op.LOAD: _LOAD, Op.PUSH: _PUSH, Op.COMPARE: _COMPARE,
-    Op.JUMP_IF_FALSE: _JUMP_IF_FALSE, Op.BINOP: _BINOP, Op.STORE: _STORE,
-    Op.INDEX: _INDEX, Op.JUMP: _JUMP, Op.JUMP_IF_TRUE: _JUMP_IF_TRUE,
-    Op.DUP: _DUP, Op.POP: _POP, Op.METHOD: _METHOD, Op.CALL: _CALL,
-    Op.FORMAT: _FORMAT, Op.BUILD_LIST: _BUILD_LIST, Op.BUILD_DICT: _BUILD_DICT,
-    Op.BUILD_TUPLE: _BUILD_TUPLE, Op.DB_GET: _DB_GET, Op.DB_PUT: _DB_PUT,
-    Op.RW_READ: _RW_READ, Op.RW_WRITE: _RW_WRITE, Op.INTRINSIC: _INTRINSIC,
-    Op.RETURN: _RETURN, Op.UNARY: _UNARY,
-    Op.JUMP_IF_FALSE_KEEP: _JUMP_IF_FALSE_KEEP,
-    Op.JUMP_IF_TRUE_KEEP: _JUMP_IF_TRUE_KEEP, Op.SLICE: _SLICE,
-    Op.STORE_INDEX: _STORE_INDEX, Op.EXT_CALL: _EXT_CALL,
-}
-
-
-def _translate(func: WasmFunction) -> list:
-    """Translate a function's instruction vector to (int opcode, arg)
-    pairs, cached on the function object.  Unknown mnemonics become
-    ``_UNKNOWN`` entries that trap at execution, preserving the original
-    lazy unknown-opcode behaviour."""
-    fast = [
-        (_OPMAP.get(i.op, _UNKNOWN), i.arg if _OPMAP.get(i.op) is not None else i.op)
-        for i in func.instructions
-    ]
-    func._fastcode = fast
-    return fast
 
 
 class HostEnv(Protocol):
@@ -119,7 +108,7 @@ class ExecutionTrace:
 
 
 class VM:
-    """Interpreter instance; stateless between :meth:`execute` calls."""
+    """A sandbox instance; stateless between :meth:`execute` calls."""
 
     def __init__(
         self,
@@ -150,395 +139,475 @@ class VM:
                 f"{func.name}: expected {len(func.params)} arguments, got {len(args)}"
             )
         trace = ExecutionTrace()
-        locals_: Dict[str, Any] = dict(zip(func.params, args))
-        stack: List[Any] = []
         try:
-            code = func._fastcode
+            run = func._compiled
         except AttributeError:
-            code = _translate(func)
-        ncode = len(code)
-        pc = 0
-        gas = 0
+            run = func._compiled = codegen.generate(func, _RUNTIME)
+        if run is None:
+            return self._step(func, trace, 0, 0, [], dict(zip(func.params, args)))
+        return run(self, func, trace, *args)
+
+    def _step(
+        self,
+        func: WasmFunction,
+        trace: ExecutionTrace,
+        pc: int,
+        gas: int,
+        stack: List[Any],
+        locals_: Dict[str, Any],
+    ) -> ExecutionTrace:
+        """Run ``func`` one instruction at a time from ``pc``, with ``gas``
+        already used and the given operand stack and bound variables, to
+        its return, a trap or gas exhaustion."""
+        name = func.name
+        code = func.instructions
         limit = self.gas_limit
-        # Hot locals: one attribute load each for the whole execution.
-        append = stack.append
-        pop = stack.pop
-        hook = self.access_hook
         env = self.env
-        reads = trace.reads
-        writes = trace.writes
-        reg_get = REGISTRY.get
+        hook = self.access_hook
+        push = stack.append
+        pop = stack.pop
+
+        def popn(n: int) -> List[Any]:
+            items = stack[len(stack) - n:]
+            del stack[len(stack) - n:]
+            return items
 
         while True:
-            if pc >= ncode:
-                raise VMTrap(f"{func.name}: fell off the end of the code")
-            op, arg = code[pc]
+            if pc >= len(code):
+                raise VMTrap(f"{name}: fell off the end of the code")
+            op, arg = code[pc].op, code[pc].arg
             gas += 1
             if gas > limit:
                 trace.gas_used = gas
-                raise GasExhausted(f"{func.name}: exceeded {limit} gas at pc={pc}")
+                raise _exhausted(name, limit, pc)
+            here = pc
             pc += 1
 
-            if op == _LOAD:
+            if op == Op.PUSH:
+                push(arg)
+            elif op == Op.LOAD:
                 try:
-                    append(locals_[arg])
+                    push(locals_[arg])
                 except KeyError:
-                    raise VMTrap(f"{func.name}: unbound variable {arg!r}") from None
-            elif op == _PUSH:
-                append(arg)
-            elif op == _COMPARE:
+                    raise _unbound(name, arg) from None
+            elif op == Op.STORE:
+                locals_[arg] = pop()
+            elif op == Op.POP:
+                pop()
+            elif op == Op.DUP:
+                push(stack[-1])
+            elif op == Op.BINOP:
                 rhs = pop()
                 lhs = pop()
-                append(self._compare(func, arg, lhs, rhs))
-            elif op == _JUMP_IF_FALSE:
+                extra = _binop_gas(arg, lhs, rhs)
+                if extra:
+                    gas += extra
+                    if gas > limit:
+                        trace.gas_used = gas
+                        raise _exhausted(name, limit, here)
+                push(_binop(name, arg, lhs, rhs))
+            elif op == Op.UNARY:
+                push(_unary(name, arg, pop()))
+            elif op == Op.COMPARE:
+                rhs = pop()
+                lhs = pop()
+                push(_compare(name, arg, lhs, rhs))
+            elif op == Op.JUMP:
+                pc = arg
+            elif op == Op.JUMP_IF_FALSE:
                 if not pop():
                     pc = arg
-            elif op == _BINOP:
-                rhs = pop()
-                lhs = pop()
-                append(self._binop(func, arg, lhs, rhs))
-            elif op == _STORE:
-                locals_[arg] = pop()
-            elif op == _INDEX:
+            elif op == Op.JUMP_IF_TRUE:
+                if pop():
+                    pc = arg
+            elif op == Op.JUMP_IF_FALSE_KEEP:
+                if not stack[-1]:
+                    pc = arg
+            elif op == Op.JUMP_IF_TRUE_KEEP:
+                if stack[-1]:
+                    pc = arg
+            elif op == Op.CALL:
+                result, extra = _builtin(name, arg[0], popn(arg[1]))
+                gas += extra
+                push(result)
+            elif op == Op.METHOD:
+                call_args = popn(arg[1])
+                result, extra = _method(name, pop(), arg[0], call_args)
+                gas += extra
+                push(result)
+            elif op == Op.INTRINSIC:
+                result, extra = _intrinsic(name, arg[0], popn(arg[1]))
+                gas += extra
+                push(result)
+            elif op == Op.FORMAT:
+                push("".join([_to_str(name, part) for part in popn(arg)]))
+            elif op == Op.BUILD_LIST:
+                push(popn(arg))
+            elif op == Op.BUILD_TUPLE:
+                push(tuple(popn(arg)))
+            elif op == Op.BUILD_DICT:
+                flat = popn(2 * arg)
+                d = {}
+                for i in range(0, 2 * arg, 2):
+                    _dict_key(name, flat[i])
+                    d[flat[i]] = flat[i + 1]
+                push(d)
+            elif op == Op.INDEX:
                 index = pop()
                 obj = pop()
                 try:
-                    append(obj[index])
+                    push(obj[index])
                 except (KeyError, IndexError, TypeError) as exc:
-                    raise VMTrap(f"{func.name}: index failed: {exc}") from exc
-            elif op == _JUMP:
-                pc = arg
-            elif op == _JUMP_IF_TRUE:
-                if pop():
-                    pc = arg
-            elif op == _DUP:
-                append(stack[-1])
-            elif op == _POP:
-                pop()
-            elif op == _METHOD:
-                name, argc = arg
-                call_args = stack[len(stack) - argc:]
-                del stack[len(stack) - argc:]
-                receiver = pop()
-                result, extra_gas = self._method(func, receiver, name, call_args)
-                gas += extra_gas
-                append(result)
-            elif op == _CALL:
-                name, argc = arg
-                call_args = stack[len(stack) - argc:]
-                del stack[len(stack) - argc:]
-                result, extra_gas = self._builtin(func, name, call_args)
-                gas += extra_gas
-                append(result)
-            elif op == _FORMAT:
-                parts = stack[len(stack) - arg:]
-                del stack[len(stack) - arg:]
-                append("".join(self._to_str(func, p) for p in parts))
-            elif op == _BUILD_LIST:
-                items = stack[len(stack) - arg:]
-                del stack[len(stack) - arg:]
-                append(items)
-            elif op == _BUILD_DICT:
-                n2 = 2 * arg
-                flat = stack[len(stack) - n2:]
-                del stack[len(stack) - n2:]
-                d = {}
-                for i in range(0, n2, 2):
-                    key = flat[i]
-                    if not isinstance(key, (str, int, float, bool, tuple)):
-                        raise VMTrap(f"{func.name}: unhashable dict key {key!r}")
-                    d[key] = flat[i + 1]
-                append(d)
-            elif op == _BUILD_TUPLE:
-                items = tuple(stack[len(stack) - arg:])
-                del stack[len(stack) - arg:]
-                append(items)
-            elif op == _DB_GET or op == _RW_READ:
+                    raise _failed(name, "index", exc) from exc
+            elif op == Op.STORE_INDEX:
+                value = pop()
+                index = pop()
+                _store_index(name, pop(), index, value)
+            elif op == Op.SLICE:
+                hi = pop()
+                lo = pop()
+                push(_slice(name, pop(), lo, hi))
+            elif op == Op.DB_GET or op == Op.RW_READ:
                 key = pop()
                 table = pop()
-                if not (type(table) is str and type(key) is str):
-                    self._check_key(func, table, key)
+                _check_key(name, table, key)
                 if hook is not None:
                     hook("read", table, key)
-                value = env.db_get(table, key)
-                reads.append((table, key))
-                append(value)
-            elif op == _DB_PUT:
+                push(env.db_get(table, key))
+                trace.reads.append((table, key))
+            elif op == Op.DB_PUT:
                 value = pop()
                 key = pop()
                 table = pop()
-                if not (type(table) is str and type(key) is str):
-                    self._check_key(func, table, key)
+                _check_key(name, table, key)
                 if hook is not None:
                     hook("write", table, key)
                 env.db_put(table, key, value)
-                writes.append((table, key, value))
-                append(None)
-            elif op == _RW_WRITE:
+                trace.writes.append((table, key, value))
+                push(None)
+            elif op == Op.RW_WRITE:
                 key = pop()
                 table = pop()
-                if not (type(table) is str and type(key) is str):
-                    self._check_key(func, table, key)
+                _check_key(name, table, key)
                 if hook is not None:
                     hook("write", table, key)
-                writes.append((table, key, None))
-                append(None)
-            elif op == _INTRINSIC:
-                name, argc = arg
-                call_args = stack[len(stack) - argc:]
-                del stack[len(stack) - argc:]
-                intrinsic = reg_get(name)
-                if intrinsic is None:
-                    raise VMTrap(f"unknown intrinsic {name!r}")
-                gas += intrinsic.cost
-                try:
-                    append(intrinsic.fn(*call_args))
-                except VMTrap:
-                    raise
-                except Exception as exc:
-                    raise VMTrap(f"{func.name}: intrinsic {name} failed: {exc}") from exc
-            elif op == _RETURN:
+                trace.writes.append((table, key, None))
+                push(None)
+            elif op == Op.EXT_CALL:
+                payload = pop()
+                push(_external(self, name, trace, pop(), payload))
+            elif op == Op.RETURN:
                 trace.result = pop()
                 trace.gas_used = gas
                 return trace
-            elif op == _UNARY:
-                value = pop()
-                append(self._unary(func, arg, value))
-            elif op == _JUMP_IF_FALSE_KEEP:
-                if not stack[-1]:
-                    pc = arg
-            elif op == _JUMP_IF_TRUE_KEEP:
-                if stack[-1]:
-                    pc = arg
-            elif op == _SLICE:
-                hi = pop()
-                lo = pop()
-                obj = pop()
-                if not isinstance(obj, (list, str, tuple)):
-                    raise VMTrap(f"{func.name}: cannot slice {type(obj).__name__}")
-                append(obj[lo:hi])
-            elif op == _STORE_INDEX:
-                value = pop()
-                index = pop()
-                obj = pop()
-                self._store_index(func, obj, index, value)
-            elif op == _EXT_CALL:
-                payload = pop()
-                service = pop()
-                if not isinstance(service, str):
-                    raise VMTrap(f"{func.name}: external service name must be a string")
-                if self.external is None:
-                    raise VMTrap(
-                        f"{func.name}: no external services available in this sandbox"
-                    )
-                seq = len(trace.external_calls)
-                try:
-                    response = self.external(service, payload, seq)
-                except VMTrap:
-                    raise
-                except Exception as exc:
-                    raise VMTrap(
-                        f"{func.name}: external service {service} failed: {exc}"
-                    ) from exc
-                trace.external_calls.append((service, seq))
-                append(response)
-            else:  # pragma: no cover - compiler emits only known opcodes
-                raise VMTrap(f"{func.name}: unknown opcode {arg!r}")
+            else:
+                raise VMTrap(f"{name}: unknown opcode {op!r}")
 
-    # -- operand helpers -----------------------------------------------------
 
-    def _binop(self, func: WasmFunction, op: str, lhs: Any, rhs: Any) -> Any:
+# -- the operators' semantics, shared by the stepper and generated code -----
+#
+# ``name`` is the running function's name, for trap messages.
+
+
+#: The value of a generated function's variable before its first store:
+#: loading it traps as an unbound variable.
+_UNBOUND = object()
+
+
+def _bound(names: Tuple[str, ...], frame: Dict[str, Any]) -> Dict[str, Any]:
+    """The stepper's variables from a generated function's locals, where
+    the variable called ``names[i]`` is ``v<i>``: the bound ones."""
+    values = (frame[f"v{i}"] for i in range(len(names)))
+    return {n: v for n, v in zip(names, values) if v is not _UNBOUND}
+
+
+def _unbound(name: str, var: str) -> VMTrap:
+    return VMTrap(f"{name}: unbound variable {var!r}")
+
+
+def _failed(name: str, what: str, exc: BaseException) -> VMTrap:
+    return VMTrap(f"{name}: {what} failed: {exc}")
+
+
+def _exhausted(name: str, limit: int, pc: int) -> GasExhausted:
+    return GasExhausted(f"{name}: exceeded {limit} gas at pc={pc}")
+
+
+def _binop(name: str, op: str, lhs: Any, rhs: Any) -> Any:
+    try:
+        if op == "+":
+            if isinstance(lhs, (list, str)) != isinstance(rhs, (list, str)):
+                # Allow numeric + numeric, str + str, list + list only.
+                if not (isinstance(lhs, (int, float)) and isinstance(rhs, (int, float))):
+                    raise TypeError(f"cannot add {type(lhs).__name__} and {type(rhs).__name__}")
+            return lhs + rhs
+        if op == "-":
+            return lhs - rhs
+        if op == "*":
+            return lhs * rhs
+        if op == "/":
+            return lhs / rhs
+        if op == "//":
+            return lhs // rhs
+        if op == "%":
+            return lhs % rhs
+        if op == "**":
+            return lhs ** rhs
+    except Exception as exc:
+        raise _failed(name, op, exc) from exc
+    raise VMTrap(f"{name}: unknown binop {op!r}")
+
+
+def _binop_gas(op: str, lhs: Any, rhs: Any) -> int:
+    """Extra gas for a binop whose cost grows with its operands, charged
+    before it runs: a sequence repeat charges its result length, an int
+    power its result size in 64-bit words (bounded above by the base's
+    bit length times the exponent)."""
+    if op == "*":
+        if isinstance(lhs, (list, str, tuple)) and isinstance(rhs, int):
+            return len(lhs) * max(rhs, 0)
+        if isinstance(rhs, (list, str, tuple)) and isinstance(lhs, int):
+            return len(rhs) * max(lhs, 0)
+    elif op == "**":
+        if isinstance(lhs, int) and isinstance(rhs, int) and rhs >= 0:
+            bits = abs(lhs).bit_length() * rhs if abs(lhs) > 1 else 0
+            return 1 + bits // 64
+    return 0
+
+
+def _unary(name: str, op: str, value: Any) -> Any:
+    try:
+        if op == "-":
+            return -value
+        if op == "+":
+            return +value
+        if op == "not":
+            return not value
+    except Exception as exc:
+        raise _failed(name, f"unary {op}", exc) from exc
+    raise VMTrap(f"{name}: unknown unary {op!r}")
+
+
+def _compare(name: str, op: str, lhs: Any, rhs: Any) -> bool:
+    try:
+        if op == "==":
+            return lhs == rhs
+        if op == "!=":
+            return lhs != rhs
+        if op == "<":
+            return lhs < rhs
+        if op == "<=":
+            return lhs <= rhs
+        if op == ">":
+            return lhs > rhs
+        if op == ">=":
+            return lhs >= rhs
+        if op == "in":
+            return lhs in rhs
+        if op == "not in":
+            return lhs not in rhs
+        if op == "is":
+            # Only identity against None is meaningful in the sandbox.
+            return lhs is rhs
+        if op == "is not":
+            return lhs is not rhs
+    except Exception as exc:
+        raise _failed(name, f"comparison {op}", exc) from exc
+    raise VMTrap(f"{name}: unknown comparison {op!r}")
+
+
+def _store_index(name: str, obj: Any, index: Any, value: Any) -> None:
+    if not isinstance(obj, (list, dict)):
+        raise VMTrap(f"{name}: cannot assign into {type(obj).__name__}")
+    try:
+        obj[index] = value
+    except (KeyError, IndexError, TypeError) as exc:
+        raise _failed(name, "index assignment", exc) from exc
+
+
+def _slice(name: str, obj: Any, lo: Any, hi: Any) -> Any:
+    if not isinstance(obj, (list, str, tuple)):
+        raise VMTrap(f"{name}: cannot slice {type(obj).__name__}")
+    try:
+        return obj[lo:hi]
+    except TypeError as exc:  # a bound that is not an int or None
+        raise _failed(name, "slice", exc) from exc
+
+
+def _dict_key(name: str, key: Any) -> None:
+    """Trap unless ``key`` can key a sandbox dict: a scalar, or a tuple
+    that hashes (one holding a list or a dict does not)."""
+    if isinstance(key, (str, int, float, bool)):
+        return
+    if isinstance(key, tuple):
         try:
-            if op == "+":
-                if isinstance(lhs, (list, str)) != isinstance(rhs, (list, str)):
-                    # Allow numeric + numeric, str + str, list + list only.
-                    if not (isinstance(lhs, (int, float)) and isinstance(rhs, (int, float))):
-                        raise TypeError(f"cannot add {type(lhs).__name__} and {type(rhs).__name__}")
-                return lhs + rhs
-            if op == "-":
-                return lhs - rhs
-            if op == "*":
-                return lhs * rhs
-            if op == "/":
-                return lhs / rhs
-            if op == "//":
-                return lhs // rhs
-            if op == "%":
-                return lhs % rhs
-            if op == "**":
-                return lhs ** rhs
-        except VMTrap:
-            raise
-        except Exception as exc:
-            raise VMTrap(f"{func.name}: {op} failed: {exc}") from exc
-        raise VMTrap(f"{func.name}: unknown binop {op!r}")
+            hash(key)
+            return
+        except TypeError:
+            pass
+    raise VMTrap(f"{name}: unhashable dict key {key!r}")
 
-    def _unary(self, func: WasmFunction, op: str, value: Any) -> Any:
-        try:
-            if op == "-":
-                return -value
-            if op == "+":
-                return +value
-            if op == "not":
-                return not value
-        except Exception as exc:
-            raise VMTrap(f"{func.name}: unary {op} failed: {exc}") from exc
-        raise VMTrap(f"{func.name}: unknown unary {op!r}")
 
-    def _compare(self, func: WasmFunction, op: str, lhs: Any, rhs: Any) -> bool:
-        try:
-            if op == "==":
-                return lhs == rhs
-            if op == "!=":
-                return lhs != rhs
-            if op == "<":
-                return lhs < rhs
-            if op == "<=":
-                return lhs <= rhs
-            if op == ">":
-                return lhs > rhs
-            if op == ">=":
-                return lhs >= rhs
-            if op == "in":
-                return lhs in rhs
-            if op == "not in":
-                return lhs not in rhs
-            if op == "is":
-                # Only identity against None is meaningful in the sandbox.
-                return lhs is rhs
-            if op == "is not":
-                return lhs is not rhs
-        except Exception as exc:
-            raise VMTrap(f"{func.name}: comparison {op} failed: {exc}") from exc
-        raise VMTrap(f"{func.name}: unknown comparison {op!r}")
+def _check_key(name: str, table: Any, key: Any) -> None:
+    if not isinstance(table, str) or not isinstance(key, str):
+        raise VMTrap(
+            f"{name}: storage table and key must be strings, "
+            f"got ({type(table).__name__}, {type(key).__name__})"
+        )
 
-    def _index(self, func: WasmFunction, obj: Any, index: Any) -> Any:
-        try:
-            return obj[index]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise VMTrap(f"{func.name}: index failed: {exc}") from exc
 
-    def _store_index(self, func: WasmFunction, obj: Any, index: Any, value: Any) -> None:
-        if not isinstance(obj, (list, dict)):
-            raise VMTrap(f"{func.name}: cannot assign into {type(obj).__name__}")
-        try:
-            obj[index] = value
-        except (KeyError, IndexError, TypeError) as exc:
-            raise VMTrap(f"{func.name}: index assignment failed: {exc}") from exc
+def _to_str(name: str, value: Any) -> str:
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return str(value)
+    raise VMTrap(f"{name}: cannot format {type(value).__name__} in f-string")
 
-    def _check_key(self, func: WasmFunction, table: Any, key: Any) -> None:
-        if not isinstance(table, str) or not isinstance(key, str):
-            raise VMTrap(
-                f"{func.name}: storage table and key must be strings, "
-                f"got ({type(table).__name__}, {type(key).__name__})"
-            )
 
-    @staticmethod
-    def _to_str(func: WasmFunction, value: Any) -> str:
-        if value is None or isinstance(value, (str, int, float, bool)):
-            return str(value)
-        raise VMTrap(f"{func.name}: cannot format {type(value).__name__} in f-string")
+def _builtin(name: str, builtin: str, args: List[Any]) -> Tuple[Any, int]:
+    """Execute a whitelisted builtin; returns (result, extra gas)."""
+    try:
+        if builtin == "busy":
+            # Pure computation: burns gas, returns nothing.
+            amount = int(args[0])
+            if amount < 0:
+                raise ValueError(f"busy() amount must be >= 0, got {amount}")
+            return None, amount
+        if builtin == "len":
+            return len(args[0]), 0
+        if builtin == "str":
+            return _to_str(name, args[0]), 0
+        if builtin == "int":
+            return int(args[0]), 0
+        if builtin == "float":
+            return float(args[0]), 0
+        if builtin == "bool":
+            return bool(args[0]), 0
+        if builtin == "abs":
+            return abs(args[0]), 0
+        if builtin == "min":
+            target = args[0] if len(args) == 1 else args
+            return min(target), len(target)
+        if builtin == "max":
+            target = args[0] if len(args) == 1 else args
+            return max(target), len(target)
+        if builtin == "sum":
+            return sum(args[0]), len(args[0])
+        if builtin == "sorted":
+            result = sorted(args[0])
+            return result, len(result)
+        if builtin == "range":
+            result = list(range(*args))
+            return result, len(result)
+        if builtin == "round":
+            return round(*args), 0
+        if builtin == "list":
+            if not args:
+                return [], 0
+            src = args[0]
+            if isinstance(src, dict):
+                result = list(src.keys())
+            elif isinstance(src, (list, tuple, str)):
+                result = list(src)
+            else:
+                raise TypeError(f"cannot make a list from {type(src).__name__}")
+            return result, len(result)
+        if builtin == "dict":
+            if not args:
+                return {}, 0
+            return dict(args[0]), len(args[0])
+    except VMTrap:
+        raise
+    except Exception as exc:
+        raise _failed(name, f"builtin {builtin}", exc) from exc
+    raise VMTrap(f"{name}: unknown builtin {builtin!r}")
 
-    # -- builtins ------------------------------------------------------------
 
-    def _builtin(self, func: WasmFunction, name: str, args: List[Any]) -> Tuple[Any, int]:
-        """Execute a whitelisted builtin; returns (result, extra gas)."""
-        try:
-            if name == "busy":
-                # Pure computation: burns gas, returns nothing.
-                amount = int(args[0])
-                if amount < 0:
-                    raise ValueError(f"busy() amount must be >= 0, got {amount}")
-                return None, amount
-            if name == "len":
-                return len(args[0]), 0
-            if name == "str":
-                return self._to_str(func, args[0]), 0
-            if name == "int":
-                return int(args[0]), 0
-            if name == "float":
-                return float(args[0]), 0
-            if name == "bool":
-                return bool(args[0]), 0
-            if name == "abs":
-                return abs(args[0]), 0
-            if name == "min":
-                target = args[0] if len(args) == 1 else args
-                return min(target), len(target)
-            if name == "max":
-                target = args[0] if len(args) == 1 else args
-                return max(target), len(target)
-            if name == "sum":
-                return sum(args[0]), len(args[0])
-            if name == "sorted":
-                result = sorted(args[0])
-                return result, len(result)
-            if name == "range":
-                result = list(range(*args))
-                return result, len(result)
-            if name == "round":
-                return round(*args), 0
-            if name == "list":
-                if not args:
-                    return [], 0
-                src = args[0]
-                if isinstance(src, dict):
-                    result = list(src.keys())
-                elif isinstance(src, (list, tuple, str)):
-                    result = list(src)
-                else:
-                    raise TypeError(f"cannot make a list from {type(src).__name__}")
-                return result, len(result)
-            if name == "dict":
-                if not args:
-                    return {}, 0
-                return dict(args[0]), len(args[0])
-        except VMTrap:
-            raise
-        except Exception as exc:
-            raise VMTrap(f"{func.name}: builtin {name} failed: {exc}") from exc
-        raise VMTrap(f"{func.name}: unknown builtin {name!r}")
+_LIST_METHODS = {
+    "append", "extend", "pop", "insert", "remove", "index", "count",
+    "sort", "reverse", "copy",
+}
+_DICT_METHODS = {"get", "keys", "values", "items", "pop", "setdefault", "copy"}
+_STR_METHODS = {
+    "lower", "upper", "split", "join", "strip", "startswith", "endswith",
+    "replace", "find", "zfill", "count", "index",
+}
 
-    # -- methods -------------------------------------------------------------
 
-    _LIST_METHODS = {
-        "append", "extend", "pop", "insert", "remove", "index", "count",
-        "sort", "reverse", "copy",
-    }
-    _DICT_METHODS = {"get", "keys", "values", "items", "pop", "setdefault", "copy"}
-    _STR_METHODS = {
-        "lower", "upper", "split", "join", "strip", "startswith", "endswith",
-        "replace", "find", "zfill", "count", "index",
-    }
+def _method(name: str, receiver: Any, method: str, args: List[Any]) -> Tuple[Any, int]:
+    """Call a whitelisted method; returns (result, extra gas)."""
+    if isinstance(receiver, list):
+        allowed = _LIST_METHODS
+    elif isinstance(receiver, dict):
+        allowed = _DICT_METHODS
+    elif isinstance(receiver, str):
+        allowed = _STR_METHODS
+    else:
+        raise VMTrap(f"{name}: no methods on {type(receiver).__name__} values")
+    if method not in allowed:
+        raise VMTrap(
+            f"{name}: method {method!r} not allowed on {type(receiver).__name__}"
+        )
+    try:
+        result = getattr(receiver, method)(*args)
+    except VMTrap:
+        raise
+    except Exception as exc:
+        raise _failed(name, f"method {method}", exc) from exc
+    # dict views must become plain lists so values stay in the sandbox's
+    # simple data model.
+    if method in ("keys", "values"):
+        return list(result), len(receiver)
+    if method == "items":
+        return [list(pair) for pair in result], len(receiver)
+    extra = len(receiver) if method in ("sort", "reverse", "copy", "extend") else 0
+    return result, extra
 
-    def _method(
-        self, func: WasmFunction, receiver: Any, name: str, args: List[Any]
-    ) -> Tuple[Any, int]:
-        if isinstance(receiver, list):
-            allowed = self._LIST_METHODS
-        elif isinstance(receiver, dict):
-            allowed = self._DICT_METHODS
-        elif isinstance(receiver, str):
-            allowed = self._STR_METHODS
-        else:
-            raise VMTrap(
-                f"{func.name}: no methods on {type(receiver).__name__} values"
-            )
-        if name not in allowed:
-            raise VMTrap(
-                f"{func.name}: method {name!r} not allowed on {type(receiver).__name__}"
-            )
-        try:
-            result = getattr(receiver, name)(*args)
-        except VMTrap:
-            raise
-        except Exception as exc:
-            raise VMTrap(f"{func.name}: method {name} failed: {exc}") from exc
-        # dict views must become plain lists so values stay in the sandbox's
-        # simple data model.
-        if name in ("keys", "values"):
-            return list(result), len(receiver)
-        if name == "items":
-            return [list(pair) for pair in result], len(receiver)
-        extra = len(receiver) if name in ("sort", "reverse", "copy", "extend") else 0
-        return result, extra
+
+def _intrinsic(name: str, intrinsic_name: str, args: List[Any]) -> Tuple[Any, int]:
+    """Call a registered intrinsic; returns (result, its declared cost)."""
+    intrinsic = REGISTRY.get(intrinsic_name)
+    if intrinsic is None:
+        raise VMTrap(f"unknown intrinsic {intrinsic_name!r}")
+    try:
+        return intrinsic.fn(*args), intrinsic.cost
+    except VMTrap:
+        raise
+    except Exception as exc:
+        raise _failed(name, f"intrinsic {intrinsic_name}", exc) from exc
+
+
+def _external(vm: VM, name: str, trace: ExecutionTrace, service: Any, payload: Any) -> Any:
+    """One §3.5 external-service call, recorded in the trace."""
+    if not isinstance(service, str):
+        raise VMTrap(f"{name}: external service name must be a string")
+    if vm.external is None:
+        raise VMTrap(f"{name}: no external services available in this sandbox")
+    seq = len(trace.external_calls)
+    try:
+        response = vm.external(service, payload, seq)
+    except VMTrap:
+        raise
+    except Exception as exc:
+        raise _failed(name, f"external service {service}", exc) from exc
+    trace.external_calls.append((service, seq))
+    return response
+
+
+#: What generated code may name besides Python's builtins.
+_RUNTIME: Dict[str, Any] = {
+    "_U": _UNBOUND,
+    "_bound": _bound,
+    "_unbound": _unbound,
+    "_failed": _failed,
+    "_binop": _binop,
+    "_binop_gas": _binop_gas,
+    "_unary": _unary,
+    "_store_index": _store_index,
+    "_slice": _slice,
+    "_dict_key": _dict_key,
+    "_check_key": _check_key,
+    "_to_str": _to_str,
+    "_builtin": _builtin,
+    "_method": _method,
+    "_intrinsic": _intrinsic,
+    "_external": _external,
+}

@@ -76,10 +76,48 @@ def program(draw):
     return "\n".join(lines)
 
 
+#: Slice bounds: ints and None, which slices take, and values it does not.
+_slice_bounds = st.one_of(
+    st.sampled_from(["None", "a", "b", '"a"', "1.5", "[1]"]), _int.map(str),
+)
+
+
+@st.composite
+def slice_program(draw):
+    seq = draw(st.sampled_from(["[a, b, 3, 4]", '"abcdef"', "(a, b, 5)"]))
+    lo, hi = draw(_slice_bounds), draw(_slice_bounds)
+    return f"def f(a, b):\n    s = {seq}\n    return s[{lo}:{hi}]"
+
+
+@st.composite
+def dict_key_program(draw):
+    """Dict displays keyed by scalars and by tuples, some of which hold a
+    list or a dict (unhashable), and by a list."""
+    keys = draw(st.lists(st.sampled_from([
+        "a", '"k"', "(1, a)", "(b, (a, 2))", "(1, [a])", "(a, {})", "[a]",
+    ]), min_size=1, max_size=3))
+    pairs = ", ".join(f"{k}: {i}" for i, k in enumerate(keys))
+    return f"def f(a, b):\n    d = {{{pairs}}}\n    return [len(d), d]"
+
+
 class TestDifferentialArithmetic:
     @given(source=program(), a=_int, b=_int)
     @settings(max_examples=150, deadline=None)
     def test_property_vm_agrees_with_cpython(self, source, a, b):
+        vm_result, py_result = run_both(source, [a, b])
+        assert vm_result == py_result
+
+    @given(source=slice_program(), a=_int, b=_int)
+    @settings(max_examples=100, deadline=None)
+    def test_property_slices_agree(self, source, a, b):
+        # A bound no slice takes (a str, a float, a list) fails on both
+        # sides: a trap in the VM, never a raw TypeError.
+        vm_result, py_result = run_both(source, [a, b])
+        assert vm_result == py_result
+
+    @given(source=dict_key_program(), a=_int, b=_int)
+    @settings(max_examples=100, deadline=None)
+    def test_property_dict_keys_agree(self, source, a, b):
         vm_result, py_result = run_both(source, [a, b])
         assert vm_result == py_result
 
