@@ -19,9 +19,11 @@ Checked (AST-based, so comments and strings never false-positive):
   stays legal; ``random.SystemRandom`` is OS entropy and is not.
 
 Scope: the deterministic core only (``sim``, ``core``, ``topology``,
-``mesh``, ``faults``, and ``wasm`` — the sandbox and the code generator
-that compiles its functions).  The CLI and bench layers may time
-themselves with the wall clock; the simulation may not.
+``mesh``, ``faults``, ``wasm`` — the sandbox and the code generator that
+compiles its functions — ``raft``, ``storage``, the load generators in
+``workloads`` and the ``baselines`` every comparison runs against).  The
+CLI and bench layers may time themselves with the wall clock; the
+simulation may not.
 
 One rule covers every package, because ``events_dispatched`` is a count
 the benchmark holds the whole tree to: ``yield <sim>.spawn(<generator>)``
@@ -47,7 +49,10 @@ __all__ = [
 ]
 
 #: The packages (relative to ``src/repro``) the determinism ban covers.
-DETERMINISTIC_PACKAGES = ("sim", "core", "topology", "mesh", "faults", "wasm")
+DETERMINISTIC_PACKAGES = (
+    "sim", "core", "topology", "mesh", "faults", "wasm",
+    "raft", "storage", "workloads", "baselines",
+)
 
 _WALL_CLOCK_TIME = {
     "time", "time_ns", "monotonic", "monotonic_ns",

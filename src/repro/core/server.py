@@ -646,13 +646,12 @@ class LVIServer:
         released = self.locks.release_all(execution_id)
         self.metrics.incr("locks.released", released)
         if self.config.replicated:
-            # Lock-record deletion replicates off the critical path.
-            self.sim.spawn(
-                self._unpersist_locks(execution_id), name=f"unlock({execution_id})"
+            # Lock-record deletion replicates off the critical path; its
+            # first step submits here, and the commit resumes it in place.
+            self.sim.spawn_in_dispatch(
+                self.raft.submit(("put", f"unlock:{execution_id}", True)),
+                name=f"unlock({execution_id})",
             )
-
-    def _unpersist_locks(self, execution_id: str) -> Generator:
-        yield from self.raft.submit(("put", f"unlock:{execution_id}", True))
 
     # -- the cross-shard prepare / decision path ------------------------------
     #

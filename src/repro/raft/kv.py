@@ -17,7 +17,8 @@ majority round trip with follower fsyncs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+import itertools
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..sim import LatencyTable, Network, RandomStreams, Simulator
 from .node import NotLeader, RaftConfig, RaftNode
@@ -95,6 +96,7 @@ class RaftCluster:
         node_ids = [f"raft-{i}" for i in range(n)]
         self.machines: Dict[str, KVStateMachine] = {nid: KVStateMachine() for nid in node_ids}
         self.nodes: Dict[str, RaftNode] = {}
+        seqs = itertools.count(1)
         for i, nid in enumerate(node_ids):
             machine = self.machines[nid]
             self.nodes[nid] = RaftNode(
@@ -105,6 +107,7 @@ class RaftCluster:
                 peer_ids=node_ids,
                 apply_fn=machine.apply,
                 streams=streams,
+                seqs=seqs,
                 config=self.config,
             )
 
@@ -125,7 +128,8 @@ class RaftCluster:
 
     def submit(self, command: Tuple, retry_delay_ms: float = 10.0, max_tries: int = 200) -> Generator:
         """Submit a command, retrying across elections; a generator that
-        returns the state machine's result."""
+        returns the state machine's result.  The commit resumes it in
+        place (an :class:`~repro.sim.core.Arrival`)."""
         for _attempt in range(max_tries):
             node = self.leader()
             if node is None:

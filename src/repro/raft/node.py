@@ -13,16 +13,37 @@ is what the §5.6 fault-tolerance argument needs.
 
 The ``fsync_ms`` knob models the durable-write latency etcd pays before
 acknowledging; with sub-millisecond AZ round trips it produces the ~2.3 ms
-per-lock commit latency the paper measures.
+per-lock commit latency the paper measures.  The leader persists a new
+entry before replicating it (a timer, then the broadcast).  A follower
+that appends entries answers once they are durable, at the *fsync instant*
+``t + fsync_ms``: it decides the ack when the append arrives and holds it
+(:meth:`Network.send_at`), so the ack costs one queue entry, its arrival
+at exactly ``(t + fsync_ms) + one_way``.  Until the fsync instant the ack
+is not yet sent:
+
+* a crash takes it back (the write never became durable): no ack, and
+  nothing counted in ``messages_sent``;
+* a term change re-stamps it, because an ack carries the term its sender
+  has when it leaves.
+
+From the fsync instant on it is on the wire, and a crash does not stop it.
+A heartbeat that appends nothing is answered at once.
+
+A commit wakes its waiter in place: the event :meth:`RaftNode.submit`
+returns is an :class:`~repro.sim.core.Arrival`, completed only inside a
+queue entry — the ack delivery that advances the commit index, a
+follower's apply inside an append delivery, an append that overwrites the
+entry (a deposed leader's, failed with :class:`NotLeader`), or
+:meth:`RaftNode.crash`, run by a fault entry.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..sim import Event, Network, RandomStreams, Simulator
+from ..sim import Network, RandomStreams, Simulator
+from ..sim.core import Arrival
 
 __all__ = ["RaftConfig", "RaftNode", "NotLeader", "LogEntry"]
 
@@ -74,10 +95,9 @@ class RaftNode:
     ``apply_fn(command) -> result`` is the replicated state machine; it is
     invoked exactly once per committed entry, in log order, on every node.
     The submitting node resolves the submitter's wait event with the
-    ``apply_fn`` result.
+    ``apply_fn`` result.  ``seqs`` numbers submissions; the nodes of one
+    cluster share it, so every log entry's ``seq`` is unique.
     """
-
-    _seq = itertools.count(1)
 
     def __init__(
         self,
@@ -88,6 +108,7 @@ class RaftNode:
         peer_ids: List[str],
         apply_fn: Callable[[Any], Any],
         streams: RandomStreams,
+        seqs: Iterator[int],
         config: Optional[RaftConfig] = None,
     ):
         self.sim = sim
@@ -96,6 +117,7 @@ class RaftNode:
         self.region = region
         self.peers = [p for p in peer_ids if p != node_id]
         self.apply_fn = apply_fn
+        self._seqs = seqs
         self.config = config or RaftConfig()
         self._rng = streams.stream(f"raft.{node_id}")
 
@@ -115,8 +137,8 @@ class RaftNode:
         self.match_index: Dict[str, int] = {}
         self._votes: set = set()
 
-        # Client waits: seq -> Event resolved with apply result.
-        self._pending: Dict[int, Event] = {}
+        # Client waits: seq -> Arrival resolved with apply result.
+        self._pending: Dict[int, Arrival] = {}
 
         self._election_timer = None
         self._heartbeat_timer = None
@@ -135,13 +157,14 @@ class RaftNode:
         """Stop processing messages and timers; persistent state is kept."""
         self._alive = False
         self._cancel_timers()
-        # Volatile leader state is lost.
+        # Volatile leader state is lost, and so are the acks whose fsync
+        # had not finished.
         self.state = FOLLOWER
         self._votes = set()
-        for ev in self._pending.values():
-            if not ev.triggered:
-                ev.fail(NotLeader(None))
-        self._pending.clear()
+        self.net.withdraw_held(self.node_id)
+        pending, self._pending = self._pending, {}
+        for commit in pending.values():
+            commit.fail(NotLeader(None))
 
     def recover(self) -> None:
         """Restart after a crash; commit_index is rebuilt by the leader."""
@@ -154,20 +177,21 @@ class RaftNode:
 
     # -- client interface ----------------------------------------------------
 
-    def submit(self, command: Any) -> Event:
+    def submit(self, command: Any) -> Arrival:
         """Replicate a command; the event resolves with apply_fn's result
-        once the entry commits.  Raises :class:`NotLeader` immediately if
-        this node is not the leader."""
+        once the entry commits, or fails with :class:`NotLeader` if this
+        node crashes or the entry is overwritten first.  Raises
+        :class:`NotLeader` immediately if this node is not the leader."""
         if not self.is_leader:
             raise NotLeader(self.leader_hint)
-        seq = next(RaftNode._seq)
+        seq = next(self._seqs)
         entry = LogEntry(self.current_term, command, seq)
         self.log.append(entry)
-        ev = self.sim.event(name="commit")
-        self._pending[seq] = ev
+        commit = Arrival(self.sim, name="commit")
+        self._pending[seq] = commit
         # Leader persists before replicating (its own fsync).
         self.sim.schedule(self.config.fsync_ms, self._broadcast_append)
-        return ev
+        return commit
 
     # -- timers ----------------------------------------------------------------
 
@@ -203,6 +227,7 @@ class RaftNode:
 
     def _become_candidate(self) -> None:
         self.current_term += 1
+        self._restamp_held_acks()
         self.state = CANDIDATE
         self.voted_for = self.node_id
         self._votes = {self.node_id}
@@ -283,12 +308,20 @@ class RaftNode:
     def _observe_term(self, term: int) -> None:
         if term > self.current_term:
             self.current_term = term
+            self._restamp_held_acks()
             self.voted_for = None
             if self.state == LEADER and self._heartbeat_timer is not None:
                 self._heartbeat_timer.cancel()
             if self.state != FOLLOWER:
                 self.state = FOLLOWER
                 self._reset_election_timer()
+
+    def _restamp_held_acks(self) -> None:
+        # An ack carries the term its sender has when it leaves, at the end
+        # of its fsync: one still held across a term change takes the new one.
+        for held in self.net.held_from(self.node_id):
+            _kind, _term, success, match_through = held.payload
+            held.payload = (_APPEND_REPLY, self.current_term, success, match_through)
 
     def _handle_request_vote(self, msg: Tuple, src: str) -> None:
         _kind, term, candidate, last_index, last_term = msg
@@ -334,10 +367,17 @@ class RaftNode:
             return
         # Append/overwrite entries.
         insert_at = prev_index
+        overwritten: List[Arrival] = []
         for i, entry in enumerate(entries):
             index = insert_at + i  # 0-based position
             if index < len(self.log):
                 if self.log[index].term != entry.term:
+                    # Entries a deposed leader accepted and never committed:
+                    # their submitters must retry on the new leader.
+                    for lost in self.log[index:]:
+                        waiter = self._pending.pop(lost.seq, None)
+                        if waiter is not None:
+                            overwritten.append(waiter)
                     del self.log[index:]
                     self.log.append(entry)
             else:
@@ -347,19 +387,15 @@ class RaftNode:
             self.commit_index = min(leader_commit, len(self.log))
             self._apply_committed()
 
-        def reply() -> None:
-            if self._alive:
-                self.net.send(
-                    self.node_id,
-                    src,
-                    (_APPEND_REPLY, self.current_term, True, match_through),
-                )
-
+        ack = (_APPEND_REPLY, self.current_term, True, match_through)
         if entries:
-            # Durable write before acknowledging new entries.
-            self.sim.schedule(self.config.fsync_ms, reply)
+            # Durable write before acknowledging new entries: the ack leaves
+            # at the fsync instant (the module docstring).
+            self.net.send_at(self.sim.now + self.config.fsync_ms, self.node_id, src, ack)
         else:
-            reply()  # a heartbeat wrote nothing: answer in place
+            self.net.send(self.node_id, src, ack)  # a heartbeat wrote nothing
+        for waiter in overwritten:
+            waiter.fail(NotLeader(leader))
 
     def _handle_append_reply(self, msg: Tuple, src: str) -> None:
         _kind, term, success, match_through = msg
@@ -386,10 +422,13 @@ class RaftNode:
                 break
 
     def _apply_committed(self) -> None:
+        # A waiter resumes inside ``trigger`` and may submit again, which
+        # appends to the log and adds to ``_pending``: the loop re-reads its
+        # bounds every round and takes each waiter out before waking it.
         while self.last_applied < self.commit_index:
             self.last_applied += 1
             entry = self.log[self.last_applied - 1]
             result = self.apply_fn(entry.command)
             waiter = self._pending.pop(entry.seq, None)
-            if waiter is not None and not waiter.triggered:
+            if waiter is not None:
                 waiter.trigger(result)

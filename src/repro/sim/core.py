@@ -26,21 +26,27 @@ counts executed queue entries, and a queue entry is what a wake-up costs.
 * Costs one dispatch: a timer entry (a :class:`Timeout`, an RPC reply's
   arrival or deadline, a :meth:`Simulator.schedule` callback,
   cancelled-in-the-current-bucket tombstones included), a
-  :meth:`Simulator.spawn`, and one resume per process waiting on any
-  other triggered :class:`Event` (its trigger may come from anywhere, so
-  its waiters run from the queue, not from the triggerer's stack).
-* Costs nothing extra: the waiters of an :class:`Arrival` — a timeout, or
+  :meth:`Simulator.spawn`, a message's delivery — also of one held for a
+  later send instant (``Network.send_at``, a Raft follower's ack sent
+  when its fsync ends): its delivery is its only entry — and one resume
+  per process waiting on any other triggered :class:`Event` (its trigger
+  may come from anywhere, so its waiters run from the queue, not from the
+  triggerer's stack).
+* Costs nothing extra: the waiters of an :class:`Arrival` — a timeout,
   the reply event of ``Network.call`` / ``RequestBatcher.call``, which only
-  the reply's delivery or the call's deadline completes — because that
-  queue entry resumes them itself, in waiting order (processing an event
-  runs its callbacks, as in SimPy); the forwarding of a child's completion
-  to an :class:`AnyOf`/:class:`AllOf` (the composite completes in the
-  dispatch that completed its deciding child); and a timer cancelled
-  before its calendar bucket was promoted (purged, never dispatched).
+  the reply's delivery or the call's deadline completes, or a Raft commit
+  (``RaftNode.submit``), which only an ack or append delivery, or a
+  crash's fault entry, completes — because that queue entry resumes them
+  itself, in waiting order (processing an event runs its callbacks, as in
+  SimPy); the forwarding of a child's completion to an
+  :class:`AnyOf`/:class:`AllOf` (the composite completes in the dispatch
+  that completed its deciding child); and a timer cancelled before its
+  calendar bucket was promoted (purged, never dispatched).
 * Costs nothing at all, because nothing waits: a lock granted on the spot
   (``LockManager.acquire_all`` yields only for a lock it must queue for),
-  the start of an RPC handler or of an open-loop request (the delivery or
-  arrival entry runs the new process's first step —
+  the start of an RPC handler, of an open-loop request or of a Raft
+  unlock record no one waits on (the delivery, arrival or releasing entry
+  runs the new process's first step —
   :meth:`Simulator.spawn_in_dispatch`), and a sub-generator the caller
   would only join (``yield from gen`` runs it inside the calling process;
   ``yield sim.spawn(gen)`` pays the child's start and the joiner's resume
@@ -541,9 +547,11 @@ class Simulator:
         """Start a process whose first step runs here, inside the caller's
         own queue entry, not from the queue.  For an entry that *is* the
         wake-up (a message delivery starting its handler, an open-loop
-        arrival starting its request) and a process no one will join: no
-        one can have joined it yet, so an exception escaping that step
-        aborts the run, exactly as an unjoined :meth:`spawn` would.
+        arrival starting its request) or a fire-and-forget child (an LVI
+        server's unlock record, submitted as it releases its locks), and a
+        process no one will join: no one can have joined it yet, so an
+        exception escaping that step aborts the run, exactly as an unjoined
+        :meth:`spawn` would.
         Everything else uses :meth:`spawn`."""
         proc = Process(self, gen, name)
         proc._step_send(None)
@@ -687,6 +695,28 @@ class Simulator:
             self._imm.append((self.now, next(self._seq), self.trace_context, fn, args))
             return
         when = self.now + delay
+        entry = (when, next(self._seq), self.trace_context, fn, args)
+        idx = int(when // _BUCKET_MS)
+        if idx <= self._cur_idx:
+            heapq.heappush(self._cur, entry)
+        else:
+            bucket = self._buckets.get(idx)
+            if bucket is None:
+                self._buckets[idx] = [entry]
+                heapq.heappush(self._bucket_heap, idx)
+            else:
+                bucket.append(entry)
+
+    def _schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
+        """:meth:`_schedule` at the absolute instant ``when`` (not before
+        now), in the same global (when, seq) order.  For an entry whose
+        instant the caller holds as a sum of its own, such as a held
+        message's ``sent_at + one_way``: ``now + (when - now)`` can miss
+        ``when`` by an ulp."""
+        if when < self.now:
+            raise ValueError(f"instant {when} is before now ({self.now})")
+        # The insertion below is also inlined in _schedule, the hottest
+        # call in the kernel: delegating to this method made it ~45% slower.
         entry = (when, next(self._seq), self.trace_context, fn, args)
         idx = int(when // _BUCKET_MS)
         if idx <= self._cur_idx:

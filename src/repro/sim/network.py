@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Generator, Iterator, Optional, Set, Tuple
 
 from ..errors import FaultConfigError
 from .core import Arrival, Event, Simulator
@@ -197,6 +198,24 @@ class Message:
         self.deliver_at = deliver_at
 
 
+class HeldMessage:
+    """A message queued now that leaves its sender at the later instant
+    ``sent_at`` (:meth:`Network.send_at`).  Until then the sender may still
+    rewrite ``payload`` or take the message back
+    (:meth:`Network.withdraw_held`); from ``sent_at`` on it is on the wire."""
+
+    __slots__ = ("src", "dst", "link", "payload", "sent_at", "withdrawn")
+
+    def __init__(self, src: str, dst: str, link: Tuple[str, str], payload: Any,
+                 sent_at: float):
+        self.src = src
+        self.dst = dst
+        self.link = link  # (src_region, dst_region)
+        self.payload = payload
+        self.sent_at = sent_at
+        self.withdrawn = False
+
+
 @dataclass
 class _LinkFaults:
     """Failure-injection state for one directed region pair."""
@@ -235,6 +254,12 @@ class Endpoint:
 NO_REPLY = object()
 
 
+def _unwrapped(payload: Any) -> Any:
+    """The request inside an RPC envelope ``(request, reply_ref)``, or any
+    other payload as it is: what tracers and drop filters see."""
+    return payload[0] if isinstance(payload, tuple) and len(payload) == 2 else payload
+
+
 class Network:
     """Message fabric between endpoints with per-link failure injection.
 
@@ -261,11 +286,17 @@ class Network:
         self._faults: Dict[Tuple[str, str], _LinkFaults] = {}
         self._drop_filters: list = []
         self._msg_ids = itertools.count()
+        # Messages queued by send_at, oldest first; the ones still ahead of
+        # their send instant freeze their link's faults and the drop filters.
+        self._held: deque = deque()
         self.messages_sent = 0
         self.messages_dropped = 0
         self.bytes_proxy = 0  # count of payloads, a proxy for bandwidth cost
         #: Optional hook called as tracer(time, src, dst, payload) on every
         #: send — protocol-conformance tests record message sequences here.
+        #: A held message (:meth:`send_at`) is reported when its copy
+        #: arrives, one one-way delay after its ``time``, so a held send can
+        #: come after later-stamped ones: sort by ``time`` to order them.
         self.tracer: Optional[Callable[[float, str, str, Any], None]] = None
 
     # -- topology -----------------------------------------------------------
@@ -306,21 +337,31 @@ class Network:
     # -- failure injection ----------------------------------------------------
 
     def _fault(self, src_region: str, dst_region: str) -> _LinkFaults:
+        # Every link-fault setter comes through here, to change the entry.
         key = (src_region, dst_region)
+        if any(held.link == key for held in self._pending_held()):
+            raise FaultConfigError(
+                f"link {src_region}->{dst_region} changed while a held message "
+                "on it was still ahead of its send instant: its fate was "
+                "decided when it was queued"
+            )
         if key not in self._faults:
             self._faults[key] = _LinkFaults()
         return self._faults[key]
 
     def partition(self, region_a: str, region_b: str, bidirectional: bool = True) -> None:
         """Silently drop all traffic between two regions."""
-        self._fault(region_a, region_b).partitioned = True
+        # Both directions pass _fault's check before either changes.
+        links = [self._fault(region_a, region_b)]
         if bidirectional:
-            self._fault(region_b, region_a).partitioned = True
+            links.append(self._fault(region_b, region_a))
+        for fault in links:
+            fault.partitioned = True
 
     def heal(self, region_a: str, region_b: str) -> None:
         """Undo :meth:`partition` in both directions."""
-        self._fault(region_a, region_b).partitioned = False
-        self._fault(region_b, region_a).partitioned = False
+        for fault in (self._fault(region_a, region_b), self._fault(region_b, region_a)):
+            fault.partitioned = False
 
     def set_drop_probability(self, src_region: str, dst_region: str, p: float) -> None:
         """Drop each message on the directed link with probability ``p``."""
@@ -350,16 +391,25 @@ class Network:
         one message *type* — e.g. lose every :class:`WriteFollowup` during
         a window — without disturbing the link's other traffic or its RNG
         draws."""
+        self._refuse_while_holding("a drop filter was added")
         self._drop_filters.append(fn)
 
     def remove_drop_filter(self, fn: Callable[[str, str, Any], bool]) -> None:
         """Uninstall a predicate added by :meth:`add_drop_filter`."""
+        self._refuse_while_holding("a drop filter was removed")
         self._drop_filters.remove(fn)
+
+    def _refuse_while_holding(self, what: str) -> None:
+        if any(True for _ in self._pending_held()):
+            raise FaultConfigError(
+                f"{what} while a held message was still ahead of its send "
+                "instant: its fate was decided when it was queued"
+            )
 
     def _filtered(self, src: str, dst: str, payload: Any) -> bool:
         if not self._drop_filters:
             return False
-        inner = payload[0] if isinstance(payload, tuple) and len(payload) == 2 else payload
+        inner = _unwrapped(payload)
         return any(fn(src, dst, inner) for fn in self._drop_filters)
 
     # -- transmission ----------------------------------------------------------
@@ -381,16 +431,18 @@ class Network:
             return True
         return fault.drop_probability > 0 and self._drop_rng.random() < fault.drop_probability
 
-    def _hop_span(self, src: str, dst: str, src_region: str, dst_region: str):
+    def _hop_span(self, src: str, dst: str, src_region: str, dst_region: str,
+                  start_ms: Optional[float] = None):
         """Start one ``net.hop`` span per physical message copy (or None
-        with tracing disabled).  Every hop span is closed exactly once —
-        at delivery, or immediately when failure injection eats the copy —
-        so span accounting balances even under drops and partitions."""
+        with tracing disabled), at ``start_ms`` (default now).  Every hop
+        span is closed exactly once — at delivery, or at its send instant
+        when failure injection eats the copy — so span accounting balances
+        even under drops and partitions."""
         obs = self.sim.obs
         if not obs.enabled:
             return None
         return obs.start(
-            "net.hop", kind="net",
+            "net.hop", kind="net", start_ms=start_ms,
             src=src, dst=dst, src_region=src_region, dst_region=dst_region,
         )
 
@@ -405,8 +457,7 @@ class Network:
         self.messages_sent += 1
         self.bytes_proxy += 1
         if self.tracer is not None:
-            traced = payload[0] if isinstance(payload, tuple) and len(payload) == 2 else payload
-            self.tracer(self.sim.now, src, dst, traced)
+            self.tracer(self.sim.now, src, dst, _unwrapped(payload))
         dst_region = dst_ep.region if dst_ep is not None else "?"
         span = self._hop_span(src, dst, src_ep.region, dst_region)
         if (
@@ -441,6 +492,98 @@ class Network:
                 dup_span.attrs["duplicate"] = True
             self.sim.schedule(delay + 0.1, self._deliver, msg, dup_span)
         return msg
+
+    def send_at(self, sent_at: float, src: str, dst: str, payload: Any) -> None:
+        """:meth:`send` from the later instant ``sent_at`` (a Raft follower's
+        ack, which leaves when its fsync ends), queued now so that nothing
+        has to run at ``sent_at``: the message costs one queue entry, its
+        arrival at exactly ``sent_at + one_way`` (or ``sent_at`` itself for
+        a lost copy, and one more for a duplicate).  That entry stamps the
+        send at ``sent_at`` — the tracer's time, the ``net.hop`` span's
+        start — and ``messages_sent`` counts it from now.
+
+        The copy's fate (lost, one-way delay, duplicated) is drawn now, and
+        a send at ``sent_at`` would get the same one only if nothing that
+        decides it changes in between.  So this network refuses, with
+        :class:`FaultConfigError`, to change a link's faults while a message
+        held on that link is ahead of its send instant, or any drop filter
+        while any held message is, and refuses to hold a message at all
+        while a drop filter is installed: a filter judges the payload, which
+        the sender may still rewrite."""
+        now = self.sim.now
+        if sent_at < now:
+            raise ValueError(f"send instant {sent_at} is before now ({now})")
+        if self._drop_filters:
+            raise FaultConfigError(
+                f"cannot hold a message {src}->{dst} past a drop filter: the "
+                "filter would judge a payload its sender may still rewrite"
+            )
+        src_region = self._endpoints[src].region
+        dst_region = self._endpoints[dst].region
+        held = HeldMessage(src, dst, (src_region, dst_region), payload, sent_at)
+        queue = self._held
+        while queue and queue[0].sent_at <= now:
+            queue.popleft()
+        queue.append(held)
+        self.messages_sent += 1
+        self.bytes_proxy += 1
+        schedule_at = self.sim._schedule_at
+        if self._lossy(src_region, dst_region):
+            schedule_at(sent_at, self._emit_held, held, None, False)
+            return
+        delay = self._delay(src_region, dst_region)
+        schedule_at(sent_at + delay, self._emit_held, held, delay, False)
+        fault = self._faults.get((src_region, dst_region))
+        if (
+            fault is not None
+            and fault.duplicate_probability > 0
+            and self._drop_rng.random() < fault.duplicate_probability
+        ):
+            schedule_at(sent_at + (delay + 0.1), self._emit_held, held, delay, True)
+
+    def _emit_held(self, held: HeldMessage, delay: Optional[float], duplicate: bool) -> None:
+        """A held copy's one entry: the send, stamped at ``sent_at``, and
+        the copy's arrival (``delay``), or its loss (``delay`` None).  A
+        withdrawn message's entries pop as no-ops."""
+        if held.withdrawn:
+            return
+        src, dst, sent_at = held.src, held.dst, held.sent_at
+        if self.tracer is not None and not duplicate:
+            self.tracer(sent_at, src, dst, _unwrapped(held.payload))
+        span = self._hop_span(src, dst, *held.link, start_ms=sent_at)
+        if delay is None:
+            self.messages_dropped += 1
+            if span is not None:
+                span.finish(sent_at, status="dropped")
+            return
+        if span is not None:
+            if duplicate:
+                span.attrs["duplicate"] = True
+            else:
+                span.attrs["one_way_ms"] = delay
+        self._deliver(
+            Message(next(self._msg_ids), src, dst, held.payload, sent_at, sent_at + delay),
+            span,
+        )
+
+    def _pending_held(self) -> Iterator[HeldMessage]:
+        """The held messages still ahead of their send instant, oldest first."""
+        now = self.sim.now
+        return (held for held in self._held if held.sent_at > now and not held.withdrawn)
+
+    def held_from(self, src: str) -> Iterator[HeldMessage]:
+        """The messages ``src`` holds that are still ahead of their send
+        instant, oldest first."""
+        return (held for held in self._pending_held() if held.src == src)
+
+    def withdraw_held(self, src: str) -> None:
+        """Take back every message ``src`` holds that is still ahead of its
+        send instant (a crash before the send): never sent, never counted."""
+        taken = list(self.held_from(src))
+        for held in taken:
+            held.withdrawn = True
+        self.messages_sent -= len(taken)
+        self.bytes_proxy -= len(taken)
 
     def _deliver(self, msg: Message, span=None) -> None:
         ep = self._endpoints.get(msg.dst)

@@ -23,8 +23,12 @@ from conftest import build_counter_deployment
 
 
 def _ref_schedule(sim, delay, fn, *args):
+    _ref_schedule_at(sim, sim.now + delay, fn, *args)
+
+
+def _ref_schedule_at(sim, when, fn, *args):
     heap = sim.__dict__.setdefault("_ref_heap", [])
-    heapq.heappush(heap, (sim.now + delay, next(sim._seq), sim.trace_context, fn, args))
+    heapq.heappush(heap, (when, next(sim._seq), sim.trace_context, fn, args))
 
 
 def _ref_schedule_resume(sim, proc, event):
@@ -56,6 +60,7 @@ def reference_heap(monkeypatch):
     heap inside this block."""
     with monkeypatch.context() as m:
         m.setattr(Simulator, "_schedule", _ref_schedule)
+        m.setattr(Simulator, "_schedule_at", _ref_schedule_at)
         m.setattr(Simulator, "_schedule_resume", _ref_schedule_resume)
         m.setattr(Simulator, "run", _ref_run)
         yield
@@ -97,6 +102,17 @@ class TestKernelEventOrder:
             # Multiples of 16 ms straddle the 32 ms bucket width, so ties
             # occur at bucket boundaries and across bucket promotions.
             sim.schedule(float((i * 16) % 96), cb, f"t{i}")
+        for i in range(12):
+            # Absolute instants on the same grid, armed later: they tie
+            # with the timers above and the processes' timeouts.
+            sim._schedule_at(float((i * 24) % 96), cb, f"a{i}")
+
+        def arm_from_inside():
+            # Into the current bucket and into a later one, mid-run.
+            sim._schedule_at(sim.now + 8.0, cb, "a-cur")
+            sim._schedule_at(sim.now + 40.0, cb, "a-later")
+
+        sim.schedule(16.0, arm_from_inside)
         sim.run()
         return order
 
@@ -179,18 +195,28 @@ class TestFig4Equivalence:
 
 
 class TestChaosEquivalence:
-    """A fault plan (drops, duplicates) under both queues: every RNG draw
-    happens in the same order, so verdicts and latencies match exactly."""
+    """A fault plan (drops, duplicates; a Raft node's crash, whose
+    followers' acks are queued at absolute instants) under both queues:
+    every RNG draw happens in the same order, so verdicts and latencies
+    match exactly."""
 
-    def test_flaky_links_identical_under_both_queues(self, monkeypatch):
+    @staticmethod
+    def _case(monkeypatch, name):
         from repro.faults import builtin_plans, run_chaos_case
 
-        plan = builtin_plans()["flaky-links"]
+        plan = builtin_plans()[name]
 
         def case():
             return run_chaos_case(plan, seed=7, requests_per_client=10).to_dict()
 
-        heap, calendar = _both(monkeypatch, case)
+        return _both(monkeypatch, case)
+
+    def test_flaky_links_identical_under_both_queues(self, monkeypatch):
+        heap, calendar = self._case(monkeypatch, "flaky-links")
+        assert heap == calendar
+
+    def test_raft_follower_crash_identical_under_both_queues(self, monkeypatch):
+        heap, calendar = self._case(monkeypatch, "raft-follower-crash")
         assert heap == calendar
 
 
