@@ -23,14 +23,12 @@ from .ir import (
     IRAccessSite,
     KeyConstraint,
     KeyFact,
-    OptimizationReport,
     RequestFacts,
     build_cfg,
     build_conflict_matrix,
     conflict_witness,
     cross_validate,
     extract_access_sites,
-    optimize,
     slice_frw,
     static_gas,
     summarize_function,
@@ -58,7 +56,6 @@ __all__ = [
     "Key",
     "KeyConstraint",
     "KeyFact",
-    "OptimizationReport",
     "PathReport",
     "RequestFacts",
     "ReadWriteSet",
@@ -75,7 +72,6 @@ __all__ = [
     "cross_validate",
     "derive_rwset",
     "extract_access_sites",
-    "optimize",
     "slice_frw",
     "static_gas",
     "summarize_function",

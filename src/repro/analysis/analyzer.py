@@ -6,19 +6,16 @@ given a function's source it produces an :class:`AnalyzedFunction` bundling
 * the compiled original ``f`` (wasm-lite),
 * ``f^rw``, the backward slice of ``f`` (:mod:`repro.analysis.ir.slice`)
   that, executed on the same inputs against the near-user cache, returns
-  the exact read/write set for that invocation — run through the IR
-  optimizer (:mod:`repro.analysis.ir.optimizer`), whose rewrites are
-  executed-gas non-increasing and rw-set preserving,
+  the exact read/write set for that invocation,
 * the static facts Table 1 reports per function: does it write, is it
   analyzable, does it need the dependent-read optimization,
 * the IR-level key-pattern summary feeding the shard-affinity fast path
   and the conflict matrix (:mod:`repro.analysis.ir.summary`).
 
 ``slice_ratio`` is measured on the compiled IR, not source lines: the
-gas-weighted size of f^rw over the gas-weighted size of f (the pre- and
-post-optimization ratios are both recorded; the f^rw latency model uses
-runtime gas, so a smaller optimized body directly shrinks the speculation
-phase).
+gas-weighted size of f^rw over the gas-weighted size of f (the f^rw
+latency model uses runtime gas, so a smaller slice directly shrinks the
+speculation phase).
 
 Analysis failure (unsupported constructs, an access that depends on an
 external service) is not fatal to the application: the runtime routes such
@@ -34,14 +31,7 @@ from typing import Any, Callable, List, Optional
 from ..errors import AnalysisError, CompileError, NonDeterminismError, VMError
 from ..wasm import VM, WasmFunction, compile_source
 from ..storage.fastcopy import fast_deepcopy
-from .ir import (
-    FunctionSummary,
-    OptimizationReport,
-    optimize,
-    slice_frw,
-    static_gas,
-    summarize_function,
-)
+from .ir import FunctionSummary, slice_frw, static_gas, summarize_function
 from .rwset import ReadWriteSet
 
 __all__ = ["AnalyzedFunction", "analyze_source", "try_analyze", "derive_rwset", "CacheReader"]
@@ -64,13 +54,6 @@ class AnalyzedFunction:
     analyzable: bool
     slice_ratio: float
     error: Optional[str] = None
-    #: The slice before the IR optimizer ran (``frw`` is the optimized
-    #: body the runtime executes).
-    frw_unoptimized: Optional[WasmFunction] = None
-    #: Gas-weighted IR size ratio of the *optimized* f^rw over f;
-    #: ``slice_ratio`` is the same ratio pre-optimization.
-    slice_ratio_optimized: float = 1.0
-    optimization: Optional[OptimizationReport] = None
     #: IR key-pattern summary of ``f`` (conflict matrix / shard affinity).
     summary: Optional[FunctionSummary] = None
 
@@ -82,17 +65,11 @@ class AnalyzedFunction:
 
 
 def analyze_source(source: str) -> AnalyzedFunction:
-    """Analyze one function: compile, slice, optimize.  Raises
+    """Analyze one function: compile, slice, summarize.  Raises
     :class:`AnalysisError` (or a compile error) if the function is outside
     the supported subset."""
     f = compile_source(source, kind="f")
     sliced = slice_frw(f)
-    try:
-        frw, report = optimize(sliced.frw)
-    except AnalysisError as exc:
-        raise AnalysisError(f"{f.name}: f^rw optimization failed: {exc}") from exc
-
-    f_gas = max(1, static_gas(f))
     try:
         summary = summarize_function(f)
     except AnalysisError:
@@ -101,15 +78,12 @@ def analyze_source(source: str) -> AnalyzedFunction:
     return AnalyzedFunction(
         name=f.name,
         f=f,
-        frw=frw,
+        frw=sliced.frw,
         writes=sliced.writes,
         reads=sliced.reads,
         dependent_reads=sliced.dependent_reads,
         analyzable=True,
-        slice_ratio=min(1.0, static_gas(sliced.frw) / f_gas),
-        frw_unoptimized=sliced.frw,
-        slice_ratio_optimized=min(1.0, static_gas(frw) / f_gas),
-        optimization=report,
+        slice_ratio=min(1.0, static_gas(sliced.frw) / max(1, static_gas(f))),
         summary=summary,
     )
 

@@ -10,16 +10,13 @@ Layers, bottom up:
 * :mod:`~repro.analysis.ir.cfg` — basic blocks, successor edges,
   dominators, post-dominators, and static gas weights over a :class:`~repro.wasm.ir.WasmFunction`.
 * :mod:`~repro.analysis.ir.dataflow` — a generic worklist solver plus the
-  classic instances (reaching definitions, liveness, definite assignment,
-  constant propagation).
+  instances the slice and the key summaries use (reaching definitions,
+  liveness, integer intervals).
 * :mod:`~repro.analysis.ir.slice` — f^rw as a backward slice of the
   compiled ``f``: seeded at every storage access, closed under data,
   alias and control dependence, emitted with ``RW_READ`` / ``RW_WRITE``
-  (table and key only) in place of the accesses.
-* :mod:`~repro.analysis.ir.optimizer` — constant folding, jump threading
-  and liveness-based dead-code elimination over f^rw bodies; every rewrite
-  is executed-gas non-increasing, so an optimized f^rw never costs more
-  than the slice it came from.
+  (table and key only) in place of the accesses.  The slice *is* f^rw:
+  nothing rewrites it afterwards.
 * :mod:`~repro.analysis.ir.access` — storage access sites (``DB_GET`` /
   ``DB_PUT`` / ``RW_*``) with back-traced key operands, cross-validated
   against the AST symbolic report.
@@ -32,16 +29,13 @@ Layers, bottom up:
 
 from .cfg import CFG, BasicBlock, build_cfg, static_gas
 from .dataflow import (
-    ConstantLattice,
     DataflowAnalysis,
-    DefiniteAssignment,
     IntervalAnalysis,
     Liveness,
     ReachingDefinitions,
     access_key_intervals,
     solve,
 )
-from .optimizer import OptimizationReport, optimize
 from .slice import FrwSlice, slice_frw
 from .access import IRAccessSite, CrossValidation, SymValue, extract_access_sites, cross_validate
 from .summary import (
@@ -62,10 +56,8 @@ __all__ = [
     "CFG",
     "ConflictMatrix",
     "ConflictPredicate",
-    "ConstantLattice",
     "CrossValidation",
     "DataflowAnalysis",
-    "DefiniteAssignment",
     "FrwSlice",
     "FunctionSummary",
     "IRAccessSite",
@@ -74,7 +66,6 @@ __all__ = [
     "KeyFact",
     "KeyPattern",
     "Liveness",
-    "OptimizationReport",
     "ReachingDefinitions",
     "RequestFacts",
     "SymValue",
@@ -84,7 +75,6 @@ __all__ = [
     "conflict_witness",
     "cross_validate",
     "extract_access_sites",
-    "optimize",
     "slice_frw",
     "solve",
     "static_gas",

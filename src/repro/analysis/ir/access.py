@@ -20,11 +20,20 @@ from typing import Any, ClassVar, Dict, List, Optional, Sequence, Set
 
 from ...wasm.ir import Op, WasmFunction
 from .cfg import build_cfg
-from .dataflow import is_const_value
 
 __all__ = ["SymValue", "IRAccessSite", "CrossValidation", "extract_access_sites", "cross_validate"]
 
 _MAX_PASSES = 30
+
+#: Immutable constant types a ``const`` SymValue may carry.  Lists/dicts
+#: are mutable and never constant; tuples of constants are fine.
+CONST_TYPES = (str, int, float, bool, type(None), tuple)
+
+
+def is_const_value(value: Any) -> bool:
+    if isinstance(value, tuple):
+        return all(is_const_value(v) for v in value)
+    return isinstance(value, CONST_TYPES)
 
 
 @dataclass(frozen=True)

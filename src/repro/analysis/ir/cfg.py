@@ -2,7 +2,7 @@
 
 The compiler (:mod:`repro.wasm.compiler`) emits a flat instruction vector
 with absolute-pc jump targets; this module recovers the block structure the
-dataflow analyses and the optimizer need: basic blocks, successor /
+dataflow analyses and the slicer need: basic blocks, successor /
 predecessor edges, dominators, post-dominators and natural-loop
 membership.  Where blocks start and what each instruction pops and pushes
 are :mod:`repro.wasm.ir`'s (``block_starts``, ``stack_effect``), shared
@@ -11,9 +11,9 @@ with the VM's code generator.
 One wasm-lite wrinkle matters here: the keep-variants of the conditional
 jumps (``jifk`` / ``jitk``, emitted for ``and`` / ``or`` chains) *peek* at
 the top of stack instead of popping it, so a value can be live on the
-operand stack **across block boundaries**.  Block-local stack reasoning in
-the optimizer therefore treats the entry stack as opaque; the CFG records
-which edges carry such values only implicitly (via the opcode of the
+operand stack **across block boundaries**.  The slicer's stack-flow pass
+therefore carries operand stacks across edges; the CFG records which
+edges carry such values only implicitly (via the opcode of the
 terminator).
 """
 

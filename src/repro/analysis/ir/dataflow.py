@@ -10,12 +10,6 @@ Instances provided:
 * :class:`ReachingDefinitions` — forward, may; which ``STORE`` sites can
   reach each block.
 * :class:`Liveness` — backward, may; which locals may still be loaded.
-* :class:`DefiniteAssignment` — forward, must; which locals are bound on
-  every path (a ``LOAD`` of a definitely-assigned local cannot trap, which
-  is what licenses the optimizer to delete dead ones).
-* :class:`ConstantLattice` — forward constant propagation over locals,
-  with an in-block abstract stack so constants flow through the operand
-  stack as well.
 * :class:`IntervalAnalysis` — forward integer-interval propagation over
   locals (with loop-head widening, since the interval lattice has
   unbounded chains); :func:`access_key_intervals` uses it to bound keys
@@ -25,9 +19,9 @@ Instances provided:
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from ...wasm.ir import Instr, Op, WasmFunction
+from ...wasm.ir import Op, WasmFunction
 from .cfg import CFG, BasicBlock, build_cfg, stack_effect
 
 __all__ = [
@@ -35,9 +29,6 @@ __all__ = [
     "solve",
     "ReachingDefinitions",
     "Liveness",
-    "DefiniteAssignment",
-    "ConstantLattice",
-    "NAC",
     "IntervalAnalysis",
     "IV_TOP",
     "access_key_intervals",
@@ -175,288 +166,6 @@ class Liveness(DataflowAnalysis):
             elif instr.op == Op.LOAD:
                 live.add(instr.arg)
         return frozenset(live)
-
-
-# -- definite assignment -----------------------------------------------------
-
-
-class DefiniteAssignment(DataflowAnalysis):
-    """Forward must-analysis: locals bound on *every* path to a point.
-
-    ``top`` is "all variables" (the must-meet identity); the meet is set
-    intersection.  A ``LOAD`` of a definitely-assigned local cannot raise
-    the VM's unbound-variable trap.
-    """
-
-    forward = True
-
-    def _universe(self, cfg: CFG) -> FrozenSet[str]:
-        names = set(cfg.func.params)
-        for block in cfg.blocks:
-            for instr in block.instrs:
-                if instr.op in (Op.STORE, Op.LOAD):
-                    names.add(instr.arg)
-        return frozenset(names)
-
-    def boundary(self, cfg: CFG) -> FrozenSet[str]:
-        return frozenset(cfg.func.params)
-
-    def top(self, cfg: CFG) -> FrozenSet[str]:
-        return self._universe(cfg)
-
-    def meet(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
-        return a & b
-
-    def transfer(self, cfg: CFG, block: BasicBlock, fact: FrozenSet[str]) -> FrozenSet[str]:
-        bound = set(fact)
-        for instr in block.instrs:
-            if instr.op == Op.STORE:
-                bound.add(instr.arg)
-        return frozenset(bound)
-
-
-# -- constant propagation ----------------------------------------------------
-
-
-class _NotAConstant:
-    """Lattice bottom-for-optimization: value unknown at compile time."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NAC"
-
-
-NAC = _NotAConstant()
-
-#: Immutable constant types the propagation tracks.  Lists/dicts are
-#: mutable and never constant; tuples of constants are fine.
-CONST_TYPES = (str, int, float, bool, type(None), tuple)
-
-
-def is_const_value(value: Any) -> bool:
-    if isinstance(value, tuple):
-        return all(is_const_value(v) for v in value)
-    return isinstance(value, CONST_TYPES)
-
-
-class ConstantLattice(DataflowAnalysis):
-    """Forward constant propagation over locals.
-
-    A fact maps variable name -> constant value or :data:`NAC`; a variable
-    absent from the map is *unassigned* (lattice top).  The transfer
-    function simulates the block's abstract operand stack so constants
-    survive trips through the stack; values entering a block on the stack
-    (keep-jump operands) are opaque.
-    """
-
-    forward = True
-
-    def boundary(self, cfg: CFG) -> Dict[str, Any]:
-        # Parameter values vary per invocation.
-        return {p: NAC for p in cfg.func.params}
-
-    def top(self, cfg: CFG) -> Dict[str, Any]:
-        return {}
-
-    def meet(self, a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-        if not a:
-            return dict(b)
-        if not b:
-            return dict(a)
-        merged: Dict[str, Any] = {}
-        for var in set(a) | set(b):
-            if var not in a:
-                merged[var] = b[var]
-            elif var not in b:
-                merged[var] = a[var]
-            else:
-                va, vb = a[var], b[var]
-                if va is NAC or vb is NAC:
-                    merged[var] = NAC
-                elif type(va) is type(vb) and va == vb:
-                    merged[var] = va
-                else:
-                    merged[var] = NAC
-        return merged
-
-    def transfer(self, cfg: CFG, block: BasicBlock, fact: Dict[str, Any]) -> Dict[str, Any]:
-        env = dict(fact)
-        simulate_block(block, env)
-        return env
-
-
-def _fold_binop(op: str, lhs: Any, rhs: Any) -> Any:
-    """Mirror of ``repro.wasm.vm._binop`` for constant operands; raises on
-    anything the VM would trap on (callers treat a raise as 'do not fold')."""
-    if op == "+":
-        if isinstance(lhs, (list, str)) != isinstance(rhs, (list, str)):
-            if not (isinstance(lhs, (int, float)) and isinstance(rhs, (int, float))):
-                raise TypeError(f"cannot add {type(lhs).__name__} and {type(rhs).__name__}")
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    if op == "//":
-        return lhs // rhs
-    if op == "%":
-        return lhs % rhs
-    if op == "**":
-        return lhs ** rhs
-    raise ValueError(f"unknown binop {op!r}")
-
-
-def _fold_unary(op: str, value: Any) -> Any:
-    if op == "-":
-        return -value
-    if op == "+":
-        return +value
-    if op == "not":
-        return not value
-    raise ValueError(f"unknown unary {op!r}")
-
-
-def _fold_compare(op: str, lhs: Any, rhs: Any) -> bool:
-    if op == "==":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    if op == "in":
-        return lhs in rhs
-    if op == "not in":
-        return lhs not in rhs
-    if op == "is":
-        return lhs is rhs
-    if op == "is not":
-        return lhs is not rhs
-    raise ValueError(f"unknown comparison {op!r}")
-
-
-#: Builtins foldable at compile time: pure, argument-count 1, and their
-#: extra gas is zero so folding only ever removes cost.  ``busy`` is the
-#: cost model itself and must never be folded.
-FOLDABLE_BUILTINS = {
-    "len": len,
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "abs": abs,
-}
-
-
-def fold_instr(instr: Instr, operands: List[Any]) -> Any:
-    """Constant-fold one instruction given constant operand values.
-
-    Raises if the instruction is not foldable or folding would trap —
-    callers must treat any exception as 'leave the instruction alone'.
-    """
-    op = instr.op
-    if op == Op.BINOP:
-        result = _fold_binop(instr.arg, operands[0], operands[1])
-    elif op == Op.UNARY:
-        result = _fold_unary(instr.arg, operands[0])
-    elif op == Op.COMPARE:
-        result = _fold_compare(instr.arg, operands[0], operands[1])
-    elif op == Op.FORMAT:
-        parts = []
-        for part in operands:
-            if part is None or isinstance(part, (str, int, float, bool)):
-                parts.append(str(part))
-            else:
-                raise TypeError(f"cannot format {type(part).__name__}")
-        result = "".join(parts)
-    elif op == Op.BUILD_TUPLE:
-        result = tuple(operands)
-    elif op == Op.CALL:
-        name, argc = instr.arg
-        if name not in FOLDABLE_BUILTINS or argc != 1:
-            raise ValueError(f"builtin {name!r} is not foldable")
-        if name == "str" and not (
-            operands[0] is None or isinstance(operands[0], (str, int, float, bool))
-        ):
-            raise TypeError("str() on non-primitive")
-        result = FOLDABLE_BUILTINS[name](operands[0])
-    else:
-        raise ValueError(f"opcode {op!r} is not foldable")
-    if not is_const_value(result):
-        raise TypeError(f"folded result {result!r} is not an immutable constant")
-    return result
-
-
-#: How many operands each foldable opcode pops (FORMAT/BUILD_TUPLE/CALL
-#: read their count from the operand).
-def fold_arity(instr: Instr) -> Optional[int]:
-    if instr.op in (Op.BINOP, Op.COMPARE):
-        return 2
-    if instr.op == Op.UNARY:
-        return 1
-    if instr.op in (Op.FORMAT, Op.BUILD_TUPLE):
-        return instr.arg
-    if instr.op == Op.CALL:
-        _name, argc = instr.arg
-        return argc
-    return None
-
-
-def simulate_block(block: BasicBlock, env: Dict[str, Any]) -> List[Any]:
-    """Abstractly interpret a block, mutating ``env`` (var -> const/NAC).
-
-    Returns the abstract value consumed/peeked by the terminator's
-    condition if the terminator is a conditional jump, wrapped in a
-    one-element list; otherwise an empty list.  The operand stack below the
-    block entry is opaque: pops beyond it yield NAC.
-    """
-    stack: List[Any] = []
-
-    def pop() -> Any:
-        return stack.pop() if stack else NAC
-
-    def popn(n: int) -> List[Any]:
-        return [pop() for _ in range(n)][::-1]
-
-    term_cond: List[Any] = []
-    for instr in block.instrs:
-        op = instr.op
-        if op == Op.PUSH:
-            stack.append(instr.arg if is_const_value(instr.arg) else NAC)
-        elif op == Op.LOAD:
-            stack.append(env.get(instr.arg, NAC))
-        elif op == Op.STORE:
-            env[instr.arg] = pop()
-        elif op == Op.POP:
-            pop()
-        elif op == Op.DUP:
-            top = stack[-1] if stack else NAC
-            stack.append(top)
-        elif op in (Op.BINOP, Op.UNARY, Op.COMPARE, Op.FORMAT, Op.BUILD_TUPLE, Op.CALL):
-            arity = fold_arity(instr)
-            operands = popn(arity if arity is not None else 0)
-            if operands and all(o is not NAC for o in operands):
-                try:
-                    stack.append(fold_instr(instr, operands))
-                    continue
-                except Exception:
-                    pass
-            stack.append(NAC)
-        elif op in (Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE):
-            term_cond = [pop()]
-        elif op in (Op.JUMP_IF_FALSE_KEEP, Op.JUMP_IF_TRUE_KEEP):
-            term_cond = [stack[-1] if stack else NAC]
-        else:
-            pops, pushes = stack_effect(instr)
-            popn(pops)
-            stack.extend([NAC] * pushes)
-    return term_cond
 
 
 # -- interval analysis -------------------------------------------------------
@@ -631,8 +340,7 @@ def _interval_walk(block: BasicBlock, env: Dict[str, Tuple], record) -> None:
 class IntervalAnalysis(DataflowAnalysis):
     """Forward interval propagation over locals.
 
-    Facts mirror :class:`ConstantLattice`: variable name -> abstract value
-    (absent = unassigned).  Instances are single-use per :func:`solve`
+    A fact maps variable name -> abstract value (absent = unassigned).  Instances are single-use per :func:`solve`
     call: the transfer function keeps a per-block memo of the previous
     in-fact and applies :func:`_iv_widen` on every revisit of a block
     inside a loop, so the fixpoint terminates even though the interval

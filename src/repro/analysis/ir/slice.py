@@ -39,13 +39,12 @@ trace is checked against the prediction, and an uncovered one fails closed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...errors import AnalysisError
 from ...wasm.ir import Instr, Op, WasmFunction
 from .cfg import COND_JUMP_OPS, CFG, build_cfg, stack_effect
 from .dataflow import Liveness, ReachingDefinitions, solve
-from .optimizer import _linearize, _OptBlock
 
 __all__ = ["FrwSlice", "slice_frw"]
 
@@ -437,7 +436,7 @@ class _Slicer:
         def pops_for(pc: int) -> List[Instr]:
             return [Instr(Op.POP) for w in self.operands.get(pc, ()) if w in webs]
 
-        blocks: Dict[int, _OptBlock] = {}
+        blocks: Dict[int, _EmitBlock] = {}
         work = [cfg.entry]
         while work:
             b = work.pop()
@@ -481,13 +480,56 @@ class _Slicer:
                     out.append(instr)
                     if stack_effect(code[pc])[1] and self.web_of(pc) not in webs:
                         out.append(Instr(Op.POP))
-            blocks[b] = _OptBlock(label=b, slots=[[i] for i in out], term=term)
+            blocks[b] = _EmitBlock(label=b, instrs=out, term=term)
             work.extend(t for t in term[1:] if isinstance(t, int))
-        template = WasmFunction(
-            name=self.f.name, params=list(self.f.params), instructions=[],
+        return WasmFunction(
+            name=self.f.name, params=list(self.f.params),
+            instructions=_linearize(list(blocks.values())),
             source=self.f.source, kind="frw",
         )
-        return _linearize(template, list(blocks.values()))
+
+
+@dataclass
+class _EmitBlock:
+    """One block of the slice being laid out: its kept instructions plus a
+    symbolic terminator."""
+
+    label: int
+    instrs: List[Instr]
+    # ("ret",) | ("jump", label) | ("branch", op, target_label, fall_label)
+    term: Tuple
+
+
+def _linearize(blocks: List[_EmitBlock]) -> List[Instr]:
+    """Flatten blocks in label order into one instruction vector, eliding
+    jumps to the next block."""
+    order = sorted(blocks, key=lambda b: b.label)
+    next_of: Dict[int, Optional[int]] = {}
+    for i, block in enumerate(order):
+        next_of[block.label] = order[i + 1].label if i + 1 < len(order) else None
+
+    # First pass: lay out instructions with symbolic (block-label) targets.
+    out: List[Any] = []  # Instr or ("jump-to", label, op)
+    starts: Dict[int, int] = {}
+    for block in order:
+        starts[block.label] = len(out)
+        out.extend(block.instrs)
+        term = block.term
+        if term[0] == "ret":
+            continue
+        if term[0] == "jump":
+            if term[1] != next_of[block.label]:
+                out.append(("jump-to", term[1], Op.JUMP))
+            continue
+        _tag, op, target, fall = term
+        out.append(("jump-to", target, op))
+        if fall != next_of[block.label]:
+            out.append(("jump-to", fall, Op.JUMP))
+
+    return [
+        item if isinstance(item, Instr) else Instr(item[2], starts[item[1]])
+        for item in out
+    ]
 
 
 def slice_frw(f: WasmFunction) -> FrwSlice:

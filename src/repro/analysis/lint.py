@@ -18,12 +18,15 @@ Checked (AST-based, so comments and strings never false-positive):
   seeded instance (``random.Random(seed)``) is the sanctioned idiom and
   stays legal; ``random.SystemRandom`` is OS entropy and is not.
 
-Scope: the deterministic core only (``sim``, ``core``, ``topology``,
-``mesh``, ``faults``, ``wasm`` — the sandbox and the code generator that
-compiles its functions — ``raft``, ``storage``, the load generators in
-``workloads`` and the ``baselines`` every comparison runs against).  The
-CLI and bench layers may time themselves with the wall clock; the
-simulation may not.
+Scope: the deterministic core plus every package whose output feeds an
+artifact (``sim``, ``core``, ``topology``, ``mesh``, ``faults``, ``wasm``
+— the sandbox and the code generator that compiles its functions —
+``raft``, ``storage``, the load generators in ``workloads``, the
+``baselines`` every comparison runs against, ``analysis`` — f^rw's gas
+becomes virtual time — the ``apps`` that seed the stores and generate
+request arguments, and the ``consistency`` checkers whose verdicts land
+in ``results/``).  The CLI and bench layers may time themselves with the
+wall clock; the simulation may not.
 
 One rule covers every package, because ``events_dispatched`` is a count
 the benchmark holds the whole tree to: ``yield <sim>.spawn(<generator>)``
@@ -52,6 +55,7 @@ __all__ = [
 DETERMINISTIC_PACKAGES = (
     "sim", "core", "topology", "mesh", "faults", "wasm",
     "raft", "storage", "workloads", "baselines",
+    "analysis", "apps", "consistency",
 )
 
 _WALL_CLOCK_TIME = {

@@ -3,21 +3,18 @@
 For every registered function in the five ported applications this module
 measures what the analysis tentpole actually buys:
 
-* **executed f^rw gas, before vs after the IR optimizer** — each function
-  is replayed on seeded randomized inputs against its app's seeded store,
-  and both slice bodies derive the rw-set; the optimized body must produce
-  the *identical* rw-set for strictly-not-more gas, and neither may trap
-  on an input ``f`` completes (any violation lands in ``checks`` and fails
-  the smoke gate),
+* **executed f^rw gas** — each function is replayed on seeded randomized
+  inputs against its app's seeded store, and f^rw derives the rw-set; it
+  may not trap on an input ``f`` completes (a trap lands in
+  ``checks.frw_traps`` and fails the smoke gate),
 * **exactness** — the full ``f`` runs on the same inputs and the sanitizer
   (:func:`~repro.analysis.sanitizer.check_coverage`) verifies the
   prediction covers the actual trace; the corpus must show zero unsound
   executions and zero wasted locks (over-approximation),
-* **static facts** — slice ratios (gas-weighted, pre/post optimization),
-  per-function key-pattern summaries, the cross-function conflict matrix,
-  the shard-affinity classification, and the three-way cross-validation
-  between the IR extractor, the AST symbolic executor, and the sliced
-  f^rw.
+* **static facts** — gas-weighted slice ratios, per-function key-pattern
+  summaries, the cross-function conflict matrix, the shard-affinity
+  classification, and the three-way cross-validation between the IR
+  extractor, the AST symbolic executor, and the sliced f^rw.
 
 Everything is seeded (`random.Random(f"{seed}:{function_id}")` per
 function, :class:`~repro.sim.RandomStreams` for the store seeding), so
@@ -119,8 +116,7 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
     rows: List[Dict[str, Any]] = []
     matrix_summaries = []
     unsound_total = 0
-    gas_regressions: List[str] = []
-    rwset_mismatches: List[str] = []
+    frw_traps: List[str] = []
     cross_val_failures: List[str] = []
 
     for app in all_apps():
@@ -144,14 +140,10 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
                 continue
 
             row["slice_ratio"] = _round(analyzed.slice_ratio)
-            row["slice_ratio_optimized"] = _round(analyzed.slice_ratio_optimized)
             row["static_gas"] = {
                 "f": static_gas(analyzed.f),
-                "frw": static_gas(analyzed.frw_unoptimized),
-                "frw_optimized": static_gas(analyzed.frw),
+                "frw": static_gas(analyzed.frw),
             }
-            if analyzed.optimization is not None:
-                row["optimization"] = analyzed.optimization.to_dict()
             if analyzed.summary is not None:
                 matrix_summaries.append(analyzed.summary)
                 row["summary"] = analyzed.summary.to_dict()
@@ -166,46 +158,30 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
             if not validation.consistent:
                 cross_val_failures.append(fn.function_id)
 
-            # Replay: derive the rw-set with both slice bodies, then run
-            # the full f under the sanitizer.
+            # Replay: derive the rw-set with f^rw, then run the full f
+            # under the sanitizer.
             rng = random.Random(f"{seed}:{fn.function_id}")
-            gas_unopt: List[int] = []
-            gas_opt: List[int] = []
+            gas: List[int] = []
             wasted: List[int] = []
             unsound_here = 0
             for _ in range(inputs_per_function):
                 args = fn.arggen(app.context, rng)
                 try:
-                    rw_before, g_before = derive_rwset(
-                        analyzed.frw_unoptimized, list(args), reader
-                    )
-                    rw_after, g_after = derive_rwset(analyzed.frw, list(args), reader)
+                    rwset, g = derive_rwset(analyzed.frw, list(args), reader)
                 except VMError:
-                    # f^rw failed where f completes: no rw-set to compare.
-                    rwset_mismatches.append(fn.function_id)
+                    # f^rw trapped where f completes: no rw-set to check.
+                    frw_traps.append(fn.function_id)
                     continue
-                gas_unopt.append(g_before)
-                gas_opt.append(g_after)
-                if rw_before != rw_after:
-                    rwset_mismatches.append(fn.function_id)
-                if g_after > g_before:
-                    gas_regressions.append(fn.function_id)
+                gas.append(g)
                 trace = VM(_ReplayEnv(reader)).execute(analyzed.f, list(args))
-                report = check_coverage(fn.function_id, rw_after, trace)
+                report = check_coverage(fn.function_id, rwset, trace)
                 if not report.sound:
                     unsound_here += 1
                 wasted.append(report.wasted_locks)
 
-            mean_before = _mean(gas_unopt)
-            mean_after = _mean(gas_opt)
-            reduction = (
-                100.0 * (mean_before - mean_after) / mean_before if mean_before else 0.0
-            )
             row["replay"] = {
                 "inputs": inputs_per_function,
-                "frw_gas_mean": _round(mean_before),
-                "frw_gas_mean_optimized": _round(mean_after),
-                "gas_reduction_pct": _round(reduction),
+                "frw_gas_mean": _round(_mean(gas)),
                 "unsound": unsound_here,
                 "wasted_locks_mean": _round(_mean(wasted)),
             }
@@ -213,10 +189,6 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
             rows.append(row)
 
     rows.sort(key=lambda r: r["function"])
-    reductions = [
-        r["replay"]["gas_reduction_pct"] for r in rows if "replay" in r
-    ]
-    nonzero = [x for x in reductions if x > 0.0]
     matrix = build_conflict_matrix(
         sorted(matrix_summaries, key=lambda s: s.name)
     )
@@ -242,19 +214,8 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
             for r in rows
             if r.get("summary", {}).get("static_key") is not None
         ),
-        "gas_reduction_pct": {
-            "median": _round(statistics.median(reductions)) if reductions else 0.0,
-            "mean": _round(statistics.mean(reductions)) if reductions else 0.0,
-            "median_nonzero": _round(statistics.median(nonzero)) if nonzero else 0.0,
-            "functions_improved": len(nonzero),
-        },
         "slice_ratio_median": _round(
             statistics.median(r["slice_ratio"] for r in rows if "slice_ratio" in r)
-        ),
-        "slice_ratio_optimized_median": _round(
-            statistics.median(
-                r["slice_ratio_optimized"] for r in rows if "slice_ratio_optimized" in r
-            )
         ),
         "unsound_executions": unsound_total,
     }
@@ -266,8 +227,7 @@ def run_analysis_corpus(inputs_per_function: int, seed: int) -> Dict[str, Any]:
         "conflict_matrix": matrix_dict,
         "checks": {
             "unsound_executions": unsound_total,
-            "gas_regressions": sorted(set(gas_regressions)),
-            "rwset_mismatches": sorted(set(rwset_mismatches)),
+            "frw_traps": sorted(set(frw_traps)),
             "cross_validation_failures": sorted(set(cross_val_failures)),
         },
     }
@@ -285,12 +245,11 @@ def baseline_density() -> Optional[float]:
 def analysis_gate_failures(payload: Dict[str, Any]) -> List[str]:
     """The smoke gate: the reasons this corpus run must fail CI (empty
     list = healthy).  Checked facts: no function regressed from analyzable
-    to fallback, optimized gas never exceeds unoptimized, optimized and
-    unoptimized slices agree on every rw-set and never trap, zero unsound
+    to fallback, f^rw never traps on an input ``f`` completes, zero unsound
     executions, zero wasted locks (the derived rw-set is exact), the three
-    engines cross-validate, enough of the corpus stays
-    lock-skippable, and the conflict matrix never gets *denser* than the
-    checked-in artifact (precision is a ratchet, not a suggestion)."""
+    engines cross-validate, enough of the corpus stays lock-skippable, and
+    the conflict matrix never gets *denser* than the checked-in artifact
+    (precision is a ratchet, not a suggestion)."""
     problems: List[str] = []
     checks = payload["checks"]
     agg = payload["aggregate"]
@@ -313,12 +272,8 @@ def analysis_gate_failures(payload: Dict[str, Any]) -> List[str]:
             f"conflict matrix got denser: {density} vs checked-in "
             f"{checked_in} (analysis lost precision)"
         )
-    if checks["gas_regressions"]:
-        problems.append(f"optimized gas above unoptimized: {checks['gas_regressions']}")
-    if checks["rwset_mismatches"]:
-        problems.append(
-            f"f^rw rw-sets disagree or trap: {checks['rwset_mismatches']}"
-        )
+    if checks["frw_traps"]:
+        problems.append(f"f^rw trapped where f completes: {checks['frw_traps']}")
     if checks["unsound_executions"]:
         problems.append(f"{checks['unsound_executions']} unsound execution(s)")
     wasteful = [

@@ -575,13 +575,13 @@ def _present_chaos_explore(payload: Dict[str, Any]) -> None:
 
 
 def _present_analysis(payload: Dict[str, Any]) -> None:
-    """Table-1-style per-function facts, the IR optimizer's executed-gas
-    savings on f^rw, the shard-affinity and conflict-predicate tallies,
-    and the may-conflict matrix (see docs/ANALYSIS.md)."""
+    """Table-1-style per-function facts, the shard-affinity and
+    conflict-predicate tallies, and the may-conflict matrix (see
+    docs/ANALYSIS.md)."""
     rows = []
     for r in payload["functions"]:
         if not r["analyzable"]:
-            rows.append([r["function"], "-", "no", "-", "-", "-", "-", "-"])
+            rows.append([r["function"], "-", "no", "-", "-", "-"])
             continue
         rows.append([
             r["function"],
@@ -589,23 +589,14 @@ def _present_analysis(payload: Dict[str, Any]) -> None:
             "yes",
             "yes" if r["dependent_reads"] else "no",
             f"{r['slice_ratio'] * 100:.2f}",
-            f"{r['slice_ratio_optimized'] * 100:.2f}",
-            f"{r['replay']['gas_reduction_pct']:.1f}",
             "yes" if r.get("single_shard_affine") else "no",
         ])
     agg = payload["aggregate"]
     print_table(
-        ["function", "writes", "analyzable", "dep reads", "slice %",
-         "opt slice %", "gas saved %", "1-shard"],
+        ["function", "writes", "analyzable", "dep reads", "slice %", "1-shard"],
         rows,
         title=f"Static analysis: {agg['analyzable']}/{agg['functions']} "
               f"analyzable, {payload['inputs_per_function']} input(s)/function",
-    )
-    gas = agg["gas_reduction_pct"]
-    print(
-        f"f^rw executed-gas reduction: median {gas['median']:.1f}%, "
-        f"mean {gas['mean']:.1f}%; {gas['functions_improved']} function(s) "
-        f"improved (median among them {gas['median_nonzero']:.1f}%)"
     )
     print(
         f"shard affinity: {agg['single_shard_affine']} function(s) statically "

@@ -11,19 +11,6 @@ from .intrinsics import Intrinsic, REGISTRY, banned_names, lookup, register_intr
 from .ir import Instr, Op, WasmFunction
 from .vm import DEFAULT_GAS_LIMIT, DictEnv, ExecutionTrace, HostEnv, VM
 
-
-def optimize_function(func: WasmFunction):
-    """Optimize a compiled function (entry point to the IR optimizer).
-
-    Returns ``(optimized, report)``; see
-    :func:`repro.analysis.ir.optimizer.optimize`.  Imported lazily because
-    the analysis package sits above wasm in the layering.
-    """
-    from ..analysis.ir import optimize
-
-    return optimize(func)
-
-
 __all__ = [
     "BUILTINS",
     "DEFAULT_GAS_LIMIT",
@@ -41,6 +28,5 @@ __all__ = [
     "compile_callable",
     "compile_source",
     "lookup",
-    "optimize_function",
     "register_intrinsic",
 ]

@@ -1,18 +1,17 @@
-"""The IR layer: CFG recovery, dataflow solving, the f^rw slice and the
-f^rw optimizer.
+"""The IR layer: CFG recovery, dataflow solving and the f^rw slice.
 
-The load-bearing tests are the corpus sweeps at the bottom: every
-optimized slice body must derive the *identical* rw-set as the
-unoptimized one on randomized seeded inputs, for strictly-not-more gas
-(the optimizer's contract); the corpus replay must reject planted slicer
-mutants (the oracle guards the slice); and the slice must be independent
-of the interpreter's hash seed.
+The load-bearing tests are the corpus sweeps at the bottom: the three
+analysis engines must agree on every app function, f^rw may never execute
+more gas than the recorded ceilings, the corpus replay must reject planted
+slicer mutants (the oracle guards the slice), and the slice must be
+independent of the interpreter's hash seed.
 """
 
 import os
-import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,6 @@ from repro.analysis import (
     cross_validate,
     derive_rwset,
     extract_access_sites,
-    optimize,
     slice_frw,
     static_gas,
     summarize_function,
@@ -34,8 +32,7 @@ from repro.analysis.ir import Liveness, solve
 from repro.analysis.ir import slice as ir_slice
 from repro.apps import all_apps
 from repro.bench.analysis import analysis_gate_failures, run_analysis_corpus
-from repro.sim import RandomStreams
-from repro.storage.kvstore import KVStore
+from repro.errors import GasExhausted
 from repro.wasm import VM, Instr, Op, compile_source
 
 BRANCHY_SRC = '''
@@ -116,45 +113,10 @@ class TestDataflow:
             assert out[b] == frozenset()
 
 
-class TestOptimizer:
-    def _run(self, func, args):
-        class Env:
-            def db_get(self, t, k):
-                return None
-
-            def db_put(self, t, k, v):
-                pass
-
-        return VM(Env()).execute(func, list(args))
-
-    def test_constant_folding_preserves_result(self):
-        src = "def f(x):\n    y = 2 + 3\n    return y * x\n"
-        func = compile_source(src)
-        opt, report = optimize(func)
-        assert report.constants_folded > 0
-        for x in (0, 1, -7):
-            assert self._run(opt, [x]).result == self._run(func, [x]).result
-        assert self._run(opt, [4]).gas_used <= self._run(func, [4]).gas_used
-
-    def test_dead_branch_removed(self):
-        src = "def f():\n    if 1 > 2:\n        return 99\n    return 1\n"
-        func = compile_source(src)
-        opt, report = optimize(func)
-        assert report.branches_removed + report.dead_instrs_removed > 0
-        assert self._run(opt, []).result == 1
-
-    def test_report_gas_accounting_matches(self):
-        func = compile_source(BRANCHY_SRC)
-        opt, report = optimize(func)
-        assert report.static_gas_before == static_gas(func)
-        assert report.static_gas_after == static_gas(opt)
-        assert report.static_gas_after <= report.static_gas_before
-
-
 class TestSlice:
-    def test_dead_value_mutation_dropped_by_slice_not_optimizer(self):
-        # A mutation that only shapes a written value: the slice drops it,
-        # while the optimizer keeps it in f (dropping it could drop a trap).
+    def test_dead_value_mutation_dropped_by_slice(self):
+        # A mutation that only shapes a written value: f performs it, the
+        # slice drops it.
         src = (
             "def f(k):\n"
             "    votes = db_get(\"t\", f\"v:{k}\")\n"
@@ -163,11 +125,33 @@ class TestSlice:
             "    return None\n"
         )
         f = compile_source(src)
-        opt_f, _report = optimize(f)
         frw = slice_frw(f).frw
-        assert any(i.op == Op.STORE_INDEX for i in opt_f.instructions)
+        assert any(i.op == Op.STORE_INDEX for i in f.instructions)
         assert all(i.op != Op.STORE_INDEX for i in frw.instructions)
-        assert static_gas(frw) < static_gas(opt_f)
+        assert static_gas(frw) < static_gas(f)
+
+    def test_literal_arithmetic_is_charged_not_evaluated_at_upload(self):
+        # A key built from literal arithmetic costs what the VM charges for
+        # it at run time: analysis never evaluates it (no 10 MB constant at
+        # upload), and f^rw runs out of gas exactly where f does.
+        src = 'def f(u):\n    return db_get("t", "k" * (10 ** 7))\n'
+        tracemalloc.start()
+        try:
+            analyzed = analyze_source(src)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert sum(i.op == Op.BINOP for i in analyzed.frw.instructions) == 2
+
+        def trap_pc(run):
+            with pytest.raises(GasExhausted) as info:
+                run()
+            return re.search(r"at pc=(\d+)", str(info.value)).group(1)
+
+        f_pc = trap_pc(lambda: VM(_NullEnv()).execute(analyzed.f, ["u"]))
+        frw_pc = trap_pc(lambda: derive_rwset(analyzed.frw, ["u"], lambda t, k: None))
+        assert frw_pc == f_pc
 
     def test_slice_keeps_statements_feeding_keys(self):
         # The second read's key depends on the first statement's store.
@@ -250,28 +234,8 @@ class TestAccessAndSummary:
 
 
 class TestCorpusDifferential:
-    """The optimizer's contract, executed over every app function."""
-
-    @pytest.mark.parametrize("app", all_apps(), ids=lambda a: a.name)
-    def test_optimized_frw_is_equivalent_and_cheaper(self, app):
-        store = KVStore(app.name)
-        app.seed(store, RandomStreams(7), app.context)
-
-        def read(table, key):
-            item = store.get_or_none(table, key)
-            return None if item is None else item.copy_value()
-
-        for fn in app.functions:
-            analyzed = analyze_source(fn.spec.source)
-            rng = random.Random(f"differential:{fn.function_id}")
-            for _ in range(5):
-                args = fn.arggen(app.context, rng)
-                rw_before, gas_before = derive_rwset(
-                    analyzed.frw_unoptimized, list(args), read
-                )
-                rw_after, gas_after = derive_rwset(analyzed.frw, list(args), read)
-                assert rw_after == rw_before, fn.function_id
-                assert gas_after <= gas_before, fn.function_id
+    """f^rw checked against the other engines and its recorded cost, over
+    every app function."""
 
     @pytest.mark.parametrize("app", all_apps(), ids=lambda a: a.name)
     def test_three_engines_agree(self, app):
@@ -291,7 +255,7 @@ class TestCorpusDifferential:
         # only ever execute less.
         payload = run_analysis_corpus(10, 42)
         got = {
-            r["function"]: r["replay"]["frw_gas_mean_optimized"]
+            r["function"]: r["replay"]["frw_gas_mean"]
             for r in payload["functions"]
         }
         assert got.keys() == FRW_GAS_CEILINGS.keys()
@@ -405,7 +369,7 @@ class TestReplayOracleCatchesMutants:
         payload = run_analysis_corpus(10, 42)
         wasted = [r for r in payload["functions"] if r["replay"]["wasted_locks_mean"] > 0]
         checks = payload["checks"]
-        assert checks["unsound_executions"] or checks["rwset_mismatches"] or wasted
+        assert checks["unsound_executions"] or checks["frw_traps"] or wasted
         assert analysis_gate_failures(payload)
 
     def test_dropped_break_over_approximates(self, monkeypatch):

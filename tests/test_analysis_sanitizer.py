@@ -57,7 +57,7 @@ APPS = {app.name: app for app in all_apps()}
 @pytest.mark.parametrize("app_name", sorted(APPS))
 def test_corpus_soundness(app_name):
     """Every function in the app, on randomized seeded inputs: the actual
-    access trace never escapes the optimized f^rw's prediction, and the
+    access trace never escapes f^rw's prediction, and the
     streaming interposition hook agrees with the post-hoc verdict."""
     app = APPS[app_name]
     store = KVStore(app.name)
