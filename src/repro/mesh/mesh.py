@@ -297,6 +297,15 @@ class MeshPop(NearUserCache):
         ):
             self._log_own_update(table, key, item.value, item.version)
 
+    def warm(self, entries: Dict[Tuple[str, str], CacheEntry]) -> None:
+        """Build-time warming only: a warmed entry is not an update and is
+        never logged, so warming after the mesh has started is an error."""
+        if self.mesh.started:
+            raise RuntimeError(
+                f"cannot warm mesh pop {self.region!r}: gossip already started"
+            )
+        super().warm(entries)
+
     def _gossip_active(self) -> bool:
         return self.mesh.started and self.serving
 

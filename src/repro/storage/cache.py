@@ -15,7 +15,13 @@ authoritative item from the primary is installed as-is (it is already
 storage-owned and never edited), a function's write is copied in once by
 :meth:`NearUserCache.apply_local_write`, and an entry is only ever
 *replaced*, never edited — so a snapshot that pinned an entry's value keeps
-seeing exactly what it pinned.
+seeing exactly what it pinned.  Because an entry is immutable, any number
+of caches may share it: a deployment builds its warm entries once and
+every PoP's :meth:`NearUserCache.warm` installs the same objects.  Every
+write path — :meth:`~NearUserCache.install`,
+:meth:`~NearUserCache.apply_local_write`, a mesh PoP's gossiped apply,
+:meth:`~NearUserCache.invalidate`, :meth:`~NearUserCache.wipe` — replaces
+or drops the dict slot of its own cache, so no other holder sees it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ class CacheEntry:
     was last refreshed (0.0 for entries installed before the cache was
     bound to a simulator, e.g. build-time warming) — the hit-age metric and
     the mesh staleness analysis both read it.  Read-only by contract, like
-    the :class:`Item` whose value it may share.
+    the :class:`Item` whose value it may share, and so shareable between
+    caches.
     """
 
     __slots__ = ("value", "version", "absent", "installed_at")
@@ -132,6 +139,15 @@ class NearUserCache:
             self._entries[(table, key)] = CacheEntry(
                 value=item.value, version=item.version, installed_at=self._now()
             )
+
+    def warm(self, entries: Dict[Tuple[str, str], CacheEntry]) -> None:
+        """Install prebuilt entries as they are — build-time warming.
+
+        The entries (and their key tuples) are shared with every other
+        cache warmed from the same mapping; that is safe because no write
+        path edits an entry, it replaces the slot.
+        """
+        self._entries.update(entries)
 
     def install_batch(self, fresh: Dict[Tuple[str, str], Optional[Item]]) -> None:
         """Install many authoritative items (the stale set of an LVI

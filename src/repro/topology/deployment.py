@@ -45,7 +45,7 @@ from ..sim import (
     Simulator,
     resolve_rtt_dataset,
 )
-from ..storage import KVStore, NearUserCache
+from ..storage import CacheEntry, KVStore, NearUserCache
 from .shardmap import ConflictDetector, HashShardMap, ShardMap, ShardRouter
 
 __all__ = [
@@ -386,14 +386,19 @@ class Deployment:
             self.mesh = CacheMesh(
                 sim, self.net, spec.mesh, list(spec.regions), self.metrics
             )
+        warm = None
+        if spec.warm_caches:
+            # Stamped as ``install`` would stamp them: a mesh PoP is on the
+            # clock from birth, a plain cache only once its runtime binds it.
+            installed_at = sim.now if self.mesh is not None else 0.0
+            warm = _warm_entries(self.stores, installed_at)
         for region in pop_regions:
             if self.mesh is not None:
                 cache = self.mesh.make_pop(region, persistent=spec.persistent_caches)
             else:
                 cache = NearUserCache(region, persistent=spec.persistent_caches)
-            if spec.warm_caches:
-                for store in self.stores:
-                    _warm_cache(cache, store)
+            if warm is not None:
+                cache.warm(warm)
             self.caches[region] = cache
             self.runtimes[region] = NearUserRuntime(
                 sim, self.net, region, cache, self.registry, cfg,
@@ -570,15 +575,23 @@ def _assign_clients(
     return out
 
 
-def _warm_cache(cache: NearUserCache, store: KVStore) -> None:
-    """Install a primary store's current contents in a near-user cache —
-    the steady-state starting point (the paper's runs measure warmed
-    deployments; cold-start is the §3.2 bootstrap ablation).  The entries
-    share the store's values, as every installed item does, so warming N
-    PoPs copies nothing.  Protocol tables (``_radical*``) never enter
-    caches."""
-    for table in store.table_names():
-        if table.startswith("_radical"):
-            continue
-        for key, item in store.scan(table):
-            cache.install(table, key, item)
+def _warm_entries(
+    stores: List[KVStore], installed_at: float
+) -> Dict[Tuple[str, str], CacheEntry]:
+    """The primary stores' current contents as cache entries — the
+    steady-state starting point of every PoP (the paper's runs measure
+    warmed deployments; cold-start is the §3.2 bootstrap ablation).  Built
+    once per deployment and shared by every cache it warms: an entry is
+    immutable and shares its item's value, so warming N PoPs copies
+    nothing and allocates one entry per stored item.  Protocol tables
+    (``_radical*``) never enter caches."""
+    entries: Dict[Tuple[str, str], CacheEntry] = {}
+    for store in stores:
+        for table in store.table_names():
+            if table.startswith("_radical"):
+                continue
+            for key, item in store.scan(table):
+                entries[(table, key)] = CacheEntry(
+                    item.value, item.version, installed_at=installed_at
+                )
+    return entries

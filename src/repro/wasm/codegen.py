@@ -63,7 +63,9 @@ def generate(func: WasmFunction, runtime: Dict[str, Any]) -> Optional[Callable[.
     source, consts = generated
     namespace = dict(runtime)
     exec(_compile(source), namespace)
-    return namespace["_factory"](consts, func.name)
+    # Popped, not read: ``_factory.__globals__`` is the namespace, and a
+    # namespace that kept it would be a cycle only the collector frees.
+    return namespace.pop("_factory")(consts, func.name)
 
 
 @functools.lru_cache(maxsize=256)

@@ -79,3 +79,25 @@ def build_counter_stack(seed=1, followup_timeout=400.0,
         config=config, shards=shards,
     )
     return dep.sim, dep.net, dep.store, dep.server, dep.runtimes, dep.metrics
+
+
+def assert_warm_entries_shared(dep):
+    """Every PoP holds the same entry object (and key tuple) for every
+    stored item, one entry per item."""
+    stored = {
+        (table, key)
+        for store in dep.stores
+        for table in store.table_names() if not table.startswith("_radical")
+        for key, _item in store.scan(table)
+    }
+    assert stored
+    first, *rest = dep.caches.values()
+    assert rest
+    for cache in rest:
+        assert len(cache) == len(stored)
+        for (key, entry), (key0, entry0) in zip(cache.entries(), first.entries()):
+            assert key is key0 and entry is entry0
+    assert {key for key, _entry in first.entries()} == stored
+    for key, entry in first.entries():
+        item = dep.store_for(*key).get_or_none(*key)
+        assert entry.value is item.value and entry.version == item.version

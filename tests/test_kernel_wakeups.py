@@ -567,13 +567,13 @@ def test_copies_ratchet_social_closed_loop(monkeypatch):
     copied only at the sandbox boundary (``repro.storage.fastcopy``).  The
     200-request seed-42 social closed loop made 5.87 ``fast_deepcopy`` calls
     per request while every storage crossing copied, and 3.52 once only the
-    boundary does; warming the caches, which share the store's items,
-    copies nothing (25,000 calls before)."""
+    boundary does; warming the caches, whose shared entries hold the
+    store's values, copies nothing (25,000 calls before)."""
     import sys
 
     from repro.apps.social import social_media_app
     from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
-    from repro.storage import fastcopy
+    from repro.storage import NearUserCache, fastcopy
     from repro.topology import Deployment, TopologySpec, deployment
 
     copies = {"run": 0, "warm": 0}
@@ -590,16 +590,18 @@ def test_copies_ratchet_social_closed_loop(monkeypatch):
         if name.startswith("repro.") and module is not fastcopy and module is not None:
             if vars(module).get("fast_deepcopy") is original:
                 monkeypatch.setattr(module, "fast_deepcopy", counted)
-    warm = deployment._warm_cache
+    def warming(step):
+        def counted_step(*args):
+            phase[0] = "warm"
+            try:
+                return step(*args)
+            finally:
+                phase[0] = "build"
+        return counted_step
 
-    def counted_warm(cache, store):
-        phase[0] = "warm"
-        try:
-            warm(cache, store)
-        finally:
-            phase[0] = "build"
-
-    monkeypatch.setattr(deployment, "_warm_cache", counted_warm)
+    # Warming is building the shared entries, then installing them per PoP.
+    monkeypatch.setattr(deployment, "_warm_entries", warming(deployment._warm_entries))
+    monkeypatch.setattr(NearUserCache, "warm", warming(NearUserCache.warm))
     spec = TopologySpec(seed=42, network_jitter_sigma=PAPER_JITTER_SIGMA)
     app = social_media_app()
     dep = Deployment.build(spec, app=app)

@@ -15,7 +15,9 @@ import math
 
 import pytest
 
+from repro.apps import social_media_app
 from repro.consistency import find_causal_cut_violations
+from repro.core import RadicalConfig
 from repro.errors import FaultConfigError
 from repro.faults import (
     CrashWindow,
@@ -31,8 +33,9 @@ from repro.mesh import CacheMesh, GossipDigest, MeshSpec, MeshUpdate, Session
 from repro.sim import Metrics, Network, RandomStreams, Region, Simulator, paper_latency_table
 from repro.storage import NearUserCache
 from repro.storage.kvstore import Item
+from repro.topology import Deployment, TopologySpec
 
-from conftest import build_counter_deployment
+from conftest import assert_warm_entries_shared, build_counter_deployment
 
 KEY = ("counters", "c:x")
 
@@ -122,6 +125,43 @@ class TestGossip:
         )
         assert jp.vv.get("ie#0", 0) == 1          # dependency satisfied -> applied
         assert find_causal_cut_violations(jp.applied_log) == []
+
+
+class TestWarmEntriesShared:
+    def test_mesh_pops_share_warm_entries(self):
+        dep = build_mesh_deployment(regions=(Region.JP, Region.CA, Region.IE))
+        assert_warm_entries_shared(dep)
+
+    def test_mesh_pop_warms_at_build_time_after_raft_prewarm(self):
+        # A mesh PoP is on the clock from birth, as ``install`` stamped it.
+        dep = Deployment.build(
+            TopologySpec(
+                seed=1, config=RadicalConfig(replicated=True),
+                mesh=MeshSpec(gossip_interval_ms=25.0),
+            ),
+            app=social_media_app(),
+        )
+        assert dep.sim.now == 500.0
+        for pop in dep.mesh.pops.values():
+            assert {e.installed_at for _k, e in pop.entries()} == {500.0}
+
+    def test_gossiped_apply_replaces_only_its_own_entry(self):
+        dep = build_mesh_deployment(regions=(Region.JP, Region.CA, Region.IE))
+        jp = dep.mesh.pop(Region.JP)
+        shared = jp.lookup(*KEY)
+        others = [p for r, p in dep.mesh.pops.items() if r != Region.JP]
+        update = MeshUpdate("ca#0", 1, *KEY, 7, shared.version + 1, deps=())
+        jp.receive_digest(GossipDigest(Region.CA, (("ca#0", 1),), (update,)))
+        assert jp.lookup(*KEY).value == 7
+        assert (shared.value, shared.version) == (0, update.version - 1)
+        for pop in others:
+            assert pop.lookup(*KEY) is shared
+
+    def test_warming_a_started_pop_raises(self):
+        _mesh, jp = bare_mesh()
+        with pytest.raises(RuntimeError, match="gossip already started"):
+            jp.warm({})
+        assert len(jp) == 0 and jp.applied_log == []
 
 
 class TestShipOnceGossip:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import Item, KVStore, NearUserCache, VERSION_MISS
+from repro.storage import CacheEntry, Item, KVStore, NearUserCache, VERSION_MISS
 
 
 @pytest.fixture
@@ -97,3 +97,45 @@ class TestFailureModel:
         assert cache.version("t", "k") == VERSION_MISS
         cache.install("t", "k", Item("v2", 2))
         assert cache.lookup("t", "k").value == "v2"
+
+
+class TestSharedEntries:
+    """Build-time warming shares one immutable entry per item between
+    caches; every write path replaces or drops only its own cache's slot."""
+
+    @pytest.fixture
+    def pair(self):
+        entries = {
+            ("t", "a"): CacheEntry("va", 3, installed_at=12.5),
+            ("t", "b"): CacheEntry(["vb"], 1, installed_at=12.5),
+        }
+        one, two = NearUserCache("jp"), NearUserCache("ca")
+        one.warm(entries)
+        two.warm(entries)
+        return one, two, entries
+
+    def test_warm_installs_the_entries_themselves(self, pair):
+        one, two, entries = pair
+        for cache in (one, two):
+            assert len(cache) == 2
+            for (key, entry), (wkey, wentry) in zip(cache.entries(), entries.items()):
+                assert key is wkey and entry is wentry
+        assert one.lookup("t", "a").installed_at == 12.5  # not restamped
+
+    @pytest.mark.parametrize("write", [
+        lambda c: c.apply_local_write("t", "a", "mine", 4),
+        lambda c: c.install("t", "a", Item(value="fresh", version=5)),
+        lambda c: c.install("t", "a", None),
+        lambda c: c.invalidate("t", "a"),
+        lambda c: c.wipe(),
+    ], ids=["apply_local_write", "install", "install_absent", "invalidate", "wipe"])
+    def test_a_write_leaves_the_other_cache_untouched(self, pair, write):
+        one, two, entries = pair
+        before = dict(two.entries())
+        write(one)
+        assert dict(two.entries()) == before
+        for key, entry in two.entries():
+            assert entry is entries[key]
+        shared = entries[("t", "a")]
+        assert (shared.value, shared.version, shared.absent) == ("va", 3, False)
+        assert one.lookup("t", "a") is not shared

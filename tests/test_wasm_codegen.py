@@ -13,6 +13,7 @@ environment and the access hook.
 import contextlib
 import dataclasses
 import functools
+import gc
 import os
 import random
 import subprocess
@@ -248,6 +249,22 @@ def test_planted_generator_mutant_is_killed(monkeypatch, mutant):
 def test_every_corpus_function_compiles():
     assert len(corpus()) == 54
     assert [f.name for f, _s, _i in corpus() if codegen.generate_source(f) is None] == []
+
+
+def test_generated_function_leaves_no_cycle():
+    """A generated function is freed by reference counting alone: the exec
+    namespace must not keep ``_factory``, whose ``__globals__`` it is, or
+    every deployment leaves a function <-> dict cycle per function."""
+    func = corpus()[0][0]
+    gc.collect()
+    gc.disable()
+    try:
+        run = codegen.generate(func, vm_module._RUNTIME)
+        assert run is not None
+        del run
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- (e) hash-seed independence ------------------------------------------------
