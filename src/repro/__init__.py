@@ -8,7 +8,7 @@ The package is organised bottom-up:
   lock manager, write intents, quorum-replicated baseline store.
 * :mod:`repro.raft` — Raft consensus (the etcd stand-in for §5.6).
 * :mod:`repro.wasm` — deterministic "wasm-lite" VM and compiler.
-* :mod:`repro.analysis` — symbolic-execution analyzer deriving f^rw.
+* :mod:`repro.analysis` — IR analyzer deriving f^rw as a backward slice.
 * :mod:`repro.core` — Radical itself: runtime, LVI server, protocol.
 * :mod:`repro.baselines` — primary-DC / geo-replicated / local-ideal.
 * :mod:`repro.consistency` — history recording + linearizability checking.

@@ -43,7 +43,6 @@ from .overload import (
 )
 from .plots import bar_chart, grouped_bar_chart
 from .routing import (
-    present_routing,
     routing_gate_failures,
     run_routing_point,
     run_routing_sweep,
@@ -92,7 +91,6 @@ __all__ = [
     "mesh_gate_failures",
     "mesh_partition_plan",
     "monthly_costs",
-    "present_routing",
     "print_table",
     "routing_gate_failures",
     "run_routing_point",

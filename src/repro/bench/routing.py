@@ -34,7 +34,6 @@ from .experiments import _counter_app
 from .harness import PAPER_JITTER_SIGMA, drive_closed_loop, validation_success_rate
 
 __all__ = [
-    "present_routing",
     "routing_app",
     "routing_gate_failures",
     "run_routing_point",
@@ -280,38 +279,3 @@ def routing_gate_failures(payload: Dict[str, Any]) -> List[str]:
                 "execution never wins — speculative path broken?"
             )
     return failures
-
-
-def present_routing(payload: Dict[str, Any]) -> None:
-    from .report import print_table
-
-    print_table(
-        ["regions", "placement", "policy", "pops", "median (ms)", "p99 (ms)",
-         "valid %", "home/edge/direct"],
-        [[p["region_count"], p["placement"], p["policy"], p["pops"],
-          p["median_ms"], p["p99_ms"],
-          f"{p['validation_success'] * 100:.1f}"
-          if p["validation_success"] is not None else "-",
-          "/".join(str(p["modes"].get(m, 0)) for m in ("home", "edge", "direct"))]
-         for p in payload["points"]],
-        title=f"Routing sweep: {payload['requests']} requests/point, "
-              f"tiered threshold {payload['tiered_threshold_ms']:.0f} ms",
-    )
-    rows = []
-    for b in payload["breakeven"]:
-        rows.append([
-            b["region_count"], b["placement"],
-            f"{b['breakeven_pop_rtt_ms']:.1f}"
-            if b["breakeven_pop_rtt_ms"] is not None else "> max",
-            f"{b['edge_wins']}/{b['clients']}",
-        ])
-    if rows:
-        print_table(
-            ["regions", "placement", "breakeven PoP RTT (ms)", "edge wins"],
-            rows,
-            title="Single-RTT advantage: breakeven client→PoP RTT "
-                  "(edge vs direct-to-primary)",
-        )
-    for skip in payload.get("skipped", []):
-        print(f"skipped {skip['region_count']}/{skip['placement']}/"
-              f"{skip['policy']}: {skip['reason']}")

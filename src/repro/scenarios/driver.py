@@ -103,16 +103,6 @@ def select_scenarios(patterns: Sequence[str],
     return list(chosen.values())
 
 
-def _resolve(spec: ScenarioSpec, smoke: bool,
-             overrides: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """The parameters a run would use, cross-field validated."""
-    kind = KINDS[spec.kind]
-    params = spec.resolved_params(smoke=smoke, overrides=overrides)
-    if kind.validate is not None:
-        kind.validate(f"scenario {spec.name!r}", params)
-    return params
-
-
 def run_scenario(
     spec_or_name: Any,
     overrides: Optional[Dict[str, Any]] = None,
@@ -135,7 +125,7 @@ def run_scenario(
     )
     kind = KINDS[spec.kind]
     own = spec.resolved_params()
-    params = _resolve(spec, smoke, overrides)
+    params = spec.resolved_params(smoke=smoke, overrides=overrides)
     canonical = not smoke and params == own
     if canonical:
         # An override that repeats the config (``--set rates=40`` against
@@ -161,10 +151,11 @@ def run_scenario(
 def _check_schema(spec: ScenarioSpec, payload: Dict[str, Any]) -> List[str]:
     """Structural drift check: the kind's probes must hold for both the
     fresh (smoke) payload and the checked-in artifact, so either side
-    drifting away from the declared shape fails CI."""
+    drifting away from the declared shape fails CI.  A kind with no probe
+    at all fails too: it could drift unseen."""
     kind = KINDS[spec.kind]
     if not kind.required_keys:
-        return []
+        return [f"{spec.name}: kind declares no structural probe"]
     failures = schema_failures(
         payload, kind.required_keys, label=f"{spec.name} (regenerated)"
     )
@@ -191,17 +182,16 @@ def run_matrix(
     try:
         chosen = select_scenarios(patterns, load_all_scenarios())
         overrides = {spec.name: parse_set_args(spec, sets) for spec in chosen}
-        for spec in chosen:
-            _resolve(spec, smoke, overrides[spec.name])
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
     if list_only:
         width = max(len(s.name) for s in chosen)
+        kind_width = max(len(s.kind) for s in chosen)
         for spec in chosen:
             ref = f" [{spec.paper_ref}]" if spec.paper_ref else ""
-            print(f"{spec.name:{width}s}  {spec.kind:18s} -> "
+            print(f"{spec.name:{width}s}  {spec.kind:{kind_width}s} -> "
                   f"results/{spec.artifact}.json{ref}")
         return 0
 

@@ -5,16 +5,17 @@ chaos matrix).  A spec names a *kind* (the runner that knows how to build
 and drive the deployment), the parameters that kind accepts, the output
 artifact under ``results/``, and optionally reduced ``smoke`` overrides
 for CI.  Validation is strict — unknown keys, missing required fields,
-bad fault plans, and bad RTT dataset references all fail at load time
-with messages that name the file and the offending field, never
-mid-simulation.
+wrongly typed parameters, and any value a parameter's ``check`` rejects
+(bad fault plans, bad RTT dataset references, unknown apps or shapes)
+all fail at load time with messages that name the file and the
+offending field, never mid-simulation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 __all__ = [
     "ParamSpec",
@@ -43,12 +44,11 @@ class ParamSpec:
     #: "int" | "float" | "number" | "str" | "bool" | "list" | "dict" | "any"
     type: str
     default: Any = None
-    required: bool = False
-    choices: Optional[Tuple[Any, ...]] = None
     #: For lists: required element type ("number", "str", "int", "dict").
     element: Optional[str] = None
-    #: Extra validator: fn(value) raises ScenarioError on bad input.
-    check: Optional[Any] = None
+    #: Value check: fn(value) raises on bad input; the message is reported
+    #: after the config location and the parameter's name.
+    check: Optional[Callable[[Any], Any]] = None
 
 
 _TYPE_CHECKS = {
@@ -134,7 +134,7 @@ def parse_set_args(spec: ScenarioSpec, items: Sequence[str]) -> Dict[str, Any]:
     ``element`` (or given whole as a JSON array), ``int`` / ``number`` /
     ``bool`` are parsed, ``dict`` / ``any`` are read as JSON with the raw
     string as the fallback.  The result then passes the same unknown-key,
-    type, choice and ``check`` validation as a config file; any problem
+    type and ``check`` validation as a config file; any problem
     raises :class:`ScenarioError` naming the scenario and the keys its
     kind accepts.
     """
@@ -164,12 +164,12 @@ def parse_set_args(spec: ScenarioSpec, items: Sequence[str]) -> Dict[str, Any]:
                 f"{p.type}{f' of {p.element}' if p.element else ''} "
                 f"(accepted: {', '.join(sorted(schema))})"
             ) from None
-    _check_params(where, spec.kind, overrides, schema, partial=True)
+    _check_params(where, spec.kind, overrides, schema)
     return overrides
 
 
 def _check_params(where: str, kind_name: str, params: Dict[str, Any],
-                  schema: Dict[str, ParamSpec], partial: bool) -> None:
+                  schema: Dict[str, ParamSpec]) -> None:
     unknown = set(params) - set(schema)
     if unknown:
         raise ScenarioError(
@@ -177,26 +177,14 @@ def _check_params(where: str, kind_name: str, params: Dict[str, Any],
             f"{', '.join(sorted(unknown))} "
             f"(accepted: {', '.join(sorted(schema)) or 'none'})"
         )
-    if not partial:
-        missing = [n for n, p in schema.items() if p.required and n not in params]
-        if missing:
-            raise ScenarioError(
-                f"{where}: missing required parameter(s) for kind "
-                f"{kind_name!r}: {', '.join(sorted(missing))}"
-            )
     for name, value in params.items():
         p = schema[name]
-        if value is None and not p.required:
+        if value is None:
             continue
         if not _TYPE_CHECKS[p.type](value):
             raise ScenarioError(
                 f"{where}: parameter {name!r} must be {p.type}, "
                 f"got {type(value).__name__} ({value!r})"
-            )
-        if p.choices is not None and value not in p.choices:
-            raise ScenarioError(
-                f"{where}: parameter {name!r} must be one of "
-                f"{', '.join(repr(c) for c in p.choices)}, got {value!r}"
             )
         if p.type == "list" and p.element is not None:
             for i, item in enumerate(value):
@@ -208,8 +196,6 @@ def _check_params(where: str, kind_name: str, params: Dict[str, Any],
         if p.check is not None:
             try:
                 p.check(value)
-            except ScenarioError:
-                raise
             except Exception as exc:
                 raise ScenarioError(
                     f"{where}: parameter {name!r}: {exc}"
@@ -256,9 +242,9 @@ def parse_scenario(raw: Any, source: str = "<inline>") -> ScenarioSpec:
     smoke = raw.get("smoke", {})
     if not isinstance(smoke, dict):
         raise ScenarioError(f"{where}: 'smoke' must be an object")
-    _check_params(where, kind_name, params, kind.params, partial=False)
-    _check_params(where, kind_name, smoke, kind.params, partial=True)
-    spec = ScenarioSpec(
+    _check_params(where, kind_name, params, kind.params)
+    _check_params(where, kind_name, smoke, kind.params)
+    return ScenarioSpec(
         name=name,
         kind=kind_name,
         artifact=raw["artifact"],
@@ -269,11 +255,6 @@ def parse_scenario(raw: Any, source: str = "<inline>") -> ScenarioSpec:
         paper_ref=raw.get("paper_ref", ""),
         path=None if source == "<inline>" else source,
     )
-    if kind.validate is not None:
-        kind.validate(where, spec.resolved_params())
-        if smoke:
-            kind.validate(where, spec.resolved_params(smoke=True))
-    return spec
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:

@@ -35,8 +35,6 @@ OTHER = {
 
 def different(key, p, value):
     """A ``--set`` value for ``key`` that is valid and is not ``value``."""
-    if p.choices:
-        return next(c for c in p.choices if c != value)
     if p.type == "bool":
         return "false" if value else "true"
     if p.type in ("int", "number"):

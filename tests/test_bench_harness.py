@@ -119,9 +119,7 @@ class TestOneSpecBuildsAllThreeSystems:
     def _fig(view, rtt):
         """The fig4/5 scenarios at smoke size, as ``run fig4 --smoke --set
         rtt=...`` resolves them."""
-        return KINDS["eval-trio"].run(
-            {"view": view, "requests": 150, "seed": 42, "apps": ["social"], "rtt": rtt}
-        )
+        return KINDS[view].run({"requests": 150, "seed": 42, "apps": ["social"], "rtt": rtt})
 
     @pytest.fixture
     def doubled(self, tmp_path):

@@ -25,9 +25,9 @@ from repro.scenarios.runners import KINDS
 def _base(**overrides):
     raw = {
         "scenario": "demo",
-        "kind": "eval-trio",
+        "kind": "fig4",
         "artifact": "demo",
-        "params": {"view": "fig4"},
+        "params": {},
     }
     raw.update(overrides)
     return raw
@@ -36,25 +36,26 @@ def _base(**overrides):
 class TestValidation:
     def test_minimal_config_parses(self):
         spec = parse_scenario(_base())
-        assert spec.name == "demo" and spec.kind == "eval-trio"
+        assert spec.name == "demo" and spec.kind == "fig4"
 
     @pytest.mark.parametrize("raw,message", [
         ("not an object", "must be a JSON object"),
         (_base(flavour="spicy"), "unknown top-level key"),
-        ({"kind": "eval-trio", "artifact": "x"}, r"missing required key\(s\): scenario"),
+        ({"kind": "fig4", "artifact": "x"}, r"missing required key\(s\): scenario"),
         (_base(scenario=""), "'scenario' must be a non-empty string"),
         (_base(kind="warp-drive"), "unknown kind 'warp-drive'"),
         (_base(params="fast"), "'params' must be an object"),
-        (_base(params={"view": "fig4", "warp": 9}), "unknown parameter"),
-        (_base(params={}), r"missing required parameter\(s\) for kind 'eval-trio': view"),
-        (_base(params={"view": "fig9"}), "parameter 'view' must be one of"),
-        (_base(params={"view": "fig4", "requests": "lots"}),
+        (_base(params={"warp": 9}), "unknown parameter"),
+        (_base(params={"apps": ["social", "chess"]}),
+         r"parameter 'apps': unknown app 'chess' \(available: forum, "),
+        (_base(smoke={"apps": ["chess"]}), "parameter 'apps': unknown app 'chess'"),
+        (_base(params={"requests": "lots"}),
          "parameter 'requests' must be int"),
         (_base(smoke=[1, 2]), "'smoke' must be an object"),
         (_base(smoke={"warp": 9}), "unknown parameter"),
-        (_base(params={"view": "fig4", "rtt": {"kind": "starlink"}}),
+        (_base(params={"rtt": {"kind": "starlink"}}),
          "bad RTT dataset reference"),
-        (_base(params={"view": "fig4", "rtt": {"kind": "synthetic-geo"}}),
+        (_base(params={"rtt": {"kind": "synthetic-geo"}}),
          "needs 'n'"),
     ])
     def test_malformed_configs_fail_actionably(self, raw, message):
@@ -64,6 +65,17 @@ class TestValidation:
     def test_errors_name_the_source_file(self):
         with pytest.raises(ScenarioError, match="bad.json"):
             parse_scenario(_base(kind="warp-drive"), source="bad.json")
+
+    def test_check_failures_name_the_file_and_parameter(self):
+        # A ParamSpec check's own message follows the config location and
+        # the parameter it rejected.
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(_base(params={"rtt": {"kind": "starlink"}}),
+                           source="configs/demo.json")
+        assert str(err.value).startswith(
+            "configs/demo.json (scenario 'demo'): parameter 'rtt': "
+            "bad RTT dataset reference: "
+        )
 
     def test_unknown_kind_lists_available(self):
         with pytest.raises(ScenarioError, match="available:.*chaos"):
@@ -142,10 +154,10 @@ class TestFaultPlanParsing:
 class TestResolvedParams:
     def test_precedence_defaults_config_smoke_overrides(self):
         spec = parse_scenario(_base(
-            params={"view": "fig4", "requests": 1000},
+            params={"requests": 1000},
             smoke={"requests": 99},
         ))
-        kind = KINDS["eval-trio"]
+        kind = KINDS["fig4"]
         assert spec.resolved_params()["requests"] == 1000
         assert spec.resolved_params(smoke=True)["requests"] == 99
         assert spec.resolved_params(
@@ -211,7 +223,7 @@ class TestSetOverrides:
         }
 
     def test_json_dict(self):
-        fig4 = self._spec("eval-trio", view="fig4")
+        fig4 = self._spec("fig4")
         got = parse_set_args(fig4, ['rtt={"kind": "synthetic-geo", "n": 5}'])
         assert got == {"rtt": {"kind": "synthetic-geo", "n": 5}}
         # The ParamSpec's own check still runs on the coerced value.
@@ -219,9 +231,11 @@ class TestSetOverrides:
             parse_set_args(fig4, ["rtt=starlink"])
 
     def test_choices_and_unknown_keys_name_what_is_accepted(self):
-        fig4 = self._spec("eval-trio", view="fig4")
-        with pytest.raises(ScenarioError, match="'view' must be one of 'fig4', 'fig5', 'fig6'"):
-            parse_set_args(fig4, ["view=fig9"])
+        explore = self._spec("chaos-explore")
+        with pytest.raises(ScenarioError, match=r"scenario 'demo': parameter 'shapes': "
+                           r"unknown deployment shape 'torus' \(available: seed, "):
+            parse_set_args(explore, ["shapes=seed,torus"])
+        fig4 = self._spec("fig4")
         with pytest.raises(ScenarioError, match=r"unknown parameter\(s\).*warp \(accepted: apps, "):
             parse_set_args(fig4, ["warp=9"])
         with pytest.raises(ScenarioError, match="expects KEY=VALUE"):
