@@ -5,8 +5,11 @@ integration test records the versions each client operation observed and
 verifies the resulting transaction history is strictly serializable.
 
 Session-level guarantees (read-your-writes, monotonic reads) and mesh
-causal-cut validity live here too — the cache mesh's chaos matrix runs
-them on every case.
+causal-cut validity live here too.  :func:`verdicts` is the one suite
+that judges a drained deployment against all of them (plus exactly-once,
+pending intents, held locks, sanitizer soundness and dirty-set balance);
+the chaos harness calls it on every case, over the history its
+:class:`Recorder` kept.
 """
 
 from .checker import (
@@ -24,13 +27,16 @@ from .checker import (
     find_read_your_writes_violations,
 )
 from .history import HistoryRecorder, Key, TxnRecord
+from .suite import Recorder, Request, verdicts
 
 __all__ = [
     "CutEvent",
     "DependencyGraph",
     "HistoryRecorder",
     "Key",
+    "Recorder",
     "RegisterOp",
+    "Request",
     "TxnRecord",
     "build_dependency_graph",
     "check_causal_cut",
@@ -41,4 +47,5 @@ __all__ = [
     "find_causal_cut_violations",
     "find_monotonic_read_violations",
     "find_read_your_writes_violations",
+    "verdicts",
 ]

@@ -2,16 +2,20 @@
 
 Each case builds a fresh two-region Radical deployment, arms one
 :class:`~repro.faults.plan.FaultPlan` through the scheduler, drives
-closed-loop clients that bump and read shared counters, and then *proves*
-the §3.4 correctness claims for that execution:
+closed-loop clients that bump and read shared counters through one
+:class:`~repro.consistency.Recorder`, drains, and then judges the
+execution with :func:`repro.consistency.verdicts` — the §3.4 / §3.6
+claims on the final state: strict serializability of the acked history,
+exactly-once application of every acked bump (reconciled against acked
+and maybe-applied tallies, so both lost and duplicated writes are
+caught), no pending intent, no held lock, no unsound speculative
+execution, and, where the deployment has them, a balanced dirty set and
+clean session guarantees and causal cuts.
 
-* the history of acknowledged invocations is strictly serializable
-  (:func:`repro.consistency.check_strict_serializability`);
-* every acknowledged bump was applied exactly once — the final counter
-  values and versions are reconciled against per-key acked/maybe-applied
-  tallies, so both lost and duplicated writes are caught;
-* every invocation *terminated* within its deadline — retried success,
-  direct fallback, or a clean ``UnavailableError`` — never a hang.
+Two more verdicts judge the run itself: ``completed`` (every client and
+surge process returned, none raised or hung) and ``deadline`` (every
+invocation terminated within its deadline — retried success, direct
+fallback, or a clean ``UnavailableError``).
 
 Counters make the strongest probe: every bump is a read-modify-write on
 shared state, so any lost update, double application, or stale read under
@@ -20,30 +24,23 @@ failure shows up as an arithmetic or serialization violation.
 Plans marked ``overload=True`` (traffic surges, limping servers) run
 under a capacity-bounded config — a serial processing model plus
 admission control on the server and an AIMD in-flight limiter on the
-client — and add a *metastability* check on top of the correctness
-claims: once the last overload window closes, probe latency must return
-to the pre-overload median (within 10%) and goodput must be total (zero
-probe failures) after a bounded recovery horizon.  Queue depth must never
-exceed the configured admission bound, and shed requests must abort
-cleanly: no leaked locks, no orphan intents.
+client — and add two verdicts: ``queue_bound`` (the admission queue
+never exceeded its bound) and ``metastable`` (once the last overload
+window closes, probe latency returns to the pre-overload median within
+10% and every probe succeeds after a bounded recovery horizon).
 """
 
 from __future__ import annotations
 
 import fnmatch
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..consistency import (
-    HistoryRecorder,
-    check_strict_serializability,
-    find_causal_cut_violations,
-    find_monotonic_read_violations,
-    find_read_your_writes_violations,
-)
+from ..consistency import Recorder, Request, verdicts
 from ..core import FunctionSpec, RadicalConfig
-from ..errors import ConsistencyViolation, FaultConfigError, UnavailableError
+from ..errors import FaultConfigError, UnavailableError
 from ..mesh import MeshSpec, Session
 from ..sim import Region, percentile
 from ..topology import Deployment, TopologySpec
@@ -91,50 +88,28 @@ def read(k):
 
 @dataclass
 class ChaosCaseResult:
-    """Everything one (plan, seed) case proved and measured."""
+    """Everything one (plan, seed) case judged and measured."""
 
     plan: str
     seed: int
     requests: int
     acked: int
     unavailable: int
-    completed: bool            # every client process ran to the end
-    deadline_ok: bool          # no invocation outlived its deadline
-    serializable: bool
-    lost_writes: int           # acked bumps missing from the final state
-    duplicate_writes: int      # applications beyond acked + maybe-applied
-    pending_intents: int       # unsettled intents after the drain
-    violation: str = ""
+    #: ``{name: "" | first problem}``: :func:`repro.consistency.verdicts`,
+    #: then ``completed``, ``deadline`` and, for overload plans,
+    #: ``queue_bound`` and ``metastable``.
+    verdicts: Dict[str, str]
     median_ms: Optional[float] = None
     p99_ms: Optional[float] = None
     max_invocation_ms: float = 0.0
     counters: Dict[str, int] = field(default_factory=dict)
-    # Overload-plan verdicts (trivially true for plans without overload
-    # windows, so `ok` composes uniformly across the matrix).
-    metastable_ok: bool = True     # post-overload p50 back within 10% of pre
-    queue_bound_ok: bool = True    # admission queue never exceeded its bound
-    leaked_locks: int = 0          # owners still holding locks after drain
     shed: int = 0                  # requests shed at server admission
     max_queue_depth: int = 0       # high-water admission queue depth
-    # Analyzer-soundness verdict: the runtime sanitizer compared every
-    # speculative execution's actual access trace against its f^rw
-    # prediction (analysis.unsound); any escape is a hard failure.
-    sanitizer_ok: bool = True
-    unsound_executions: int = 0
     pre_p50_ms: Optional[float] = None
     post_p50_ms: Optional[float] = None
-    # Mesh-plan verdicts (trivially clean for non-mesh plans): session
-    # guarantees over the per-client histories and causal-cut validity of
-    # every PoP's gossip application log.
-    ryw_violations: int = 0        # read-your-writes breaches
-    mr_violations: int = 0         # monotonic-reads breaches
-    causal_violations: int = 0     # causal-cut breaches across PoP logs
-    migrations: int = 0            # client re-attachments (forced + failover)
-    # Conflict-detection verdicts (None when the case ran without a
-    # detector, and then omitted from to_dict so pre-detection artifacts
-    # keep their bytes): the dirty set must balance at quiescence — every
-    # writer enrollment settled or deliberately leaked, zero live depth.
-    dirty_balanced: Optional[bool] = None
+    migrations: int = 0            # re-attachments to another PoP (forced + failover)
+    # Conflict-detection measurements (None when the case ran without a
+    # detector, and then omitted from to_dict).
     lock_skipped: Optional[int] = None
     dirty: Optional[Dict[str, int]] = None
 
@@ -143,39 +118,20 @@ class ChaosCaseResult:
         return self.acked / self.requests if self.requests else 1.0
 
     @property
-    def session_ok(self) -> bool:
-        """Session guarantees + causal cuts held (vacuous off-mesh)."""
-        return (
-            self.ryw_violations == 0
-            and self.mr_violations == 0
-            and self.causal_violations == 0
-        )
+    def ok(self) -> bool:
+        """No verdict found a problem (availability may be anything)."""
+        return not any(self.verdicts.values())
 
     @property
-    def ok(self) -> bool:
-        """The case's correctness verdict (availability may be anything)."""
-        return (
-            self.completed
-            and self.deadline_ok
-            and self.serializable
-            and self.lost_writes == 0
-            and self.duplicate_writes == 0
-            and self.metastable_ok
-            and self.queue_bound_ok
-            and self.leaked_locks == 0
-            and self.sanitizer_ok
-            and self.session_ok
-            and self.dirty_balanced is not False
-        )
+    def violation(self) -> str:
+        """The first failed verdict as ``"name: problem"``; empty when ok."""
+        return next((f"{name}: {problem}" for name, problem in self.verdicts.items()
+                     if problem), "")
 
     def to_dict(self) -> Dict[str, Any]:
         detect_fields: Dict[str, Any] = {}
-        if self.dirty_balanced is not None:
-            detect_fields = {
-                "dirty_balanced": self.dirty_balanced,
-                "lock_skipped": self.lock_skipped,
-                "dirty": self.dirty,
-            }
+        if self.dirty is not None:
+            detect_fields = {"lock_skipped": self.lock_skipped, "dirty": self.dirty}
         return {
             "plan": self.plan,
             "seed": self.seed,
@@ -183,29 +139,15 @@ class ChaosCaseResult:
             "acked": self.acked,
             "unavailable": self.unavailable,
             "availability": round(self.availability, 4),
-            "completed": self.completed,
-            "deadline_ok": self.deadline_ok,
-            "serializable": self.serializable,
-            "lost_writes": self.lost_writes,
-            "duplicate_writes": self.duplicate_writes,
-            "pending_intents": self.pending_intents,
+            "verdicts": self.verdicts,
             "violation": self.violation,
             "median_ms": self.median_ms,
             "p99_ms": self.p99_ms,
             "max_invocation_ms": round(self.max_invocation_ms, 3),
-            "metastable_ok": self.metastable_ok,
-            "queue_bound_ok": self.queue_bound_ok,
-            "leaked_locks": self.leaked_locks,
             "shed": self.shed,
             "max_queue_depth": self.max_queue_depth,
             "pre_p50_ms": self.pre_p50_ms,
             "post_p50_ms": self.post_p50_ms,
-            "sanitizer_ok": self.sanitizer_ok,
-            "unsound_executions": self.unsound_executions,
-            "session_ok": self.session_ok,
-            "ryw_violations": self.ryw_violations,
-            "mr_violations": self.mr_violations,
-            "causal_violations": self.causal_violations,
             "migrations": self.migrations,
             **detect_fields,
             "ok": self.ok,
@@ -258,60 +200,6 @@ def chaos_config(
     )
 
 
-@dataclass
-class _Tally:
-    issued: int = 0
-    acked: int = 0
-    unavailable: int = 0
-    acked_bumps: Dict[str, int] = field(default_factory=dict)
-    maybe_bumps: Dict[str, int] = field(default_factory=dict)
-    latencies: List[float] = field(default_factory=list)
-    max_invocation_ms: float = 0.0
-    # Probe-only, timestamped (time, latency, region, path) series for
-    # the metastability check: the surge clients are deliberately
-    # overloaded traffic, so their latencies and failures say nothing
-    # about *recovery*.  Region and execution path ride along because
-    # healthy latency differs per region (WAN RTT) and per path (a
-    # backup-path request pays an extra near-storage round) — pre/post
-    # medians are compared within a (region, path) stratum, never across
-    # the pooled mix, whose modes flip on sampling luck alone.
-    probe_samples: List[Tuple[float, float, str, str]] = field(default_factory=list)
-    probe_unavailable_at: List[float] = field(default_factory=list)
-    migrations: int = 0
-
-    def ack(self, history: HistoryRecorder, record, key: str, outcome,
-            ended: float, probe_region: Optional[str] = None) -> None:
-        """An acknowledged invocation: into the history and the acked
-        tallies; a probe's (``probe_region``) also into the latency series."""
-        took_ms = ended - record.invoked_at
-        history.finish(
-            record, ended,
-            reads=outcome.read_versions, writes=outcome.write_versions,
-        )
-        self.acked += 1
-        if probe_region is not None:
-            self.latencies.append(took_ms)
-            self.probe_samples.append((ended, took_ms, probe_region, outcome.path))
-        self._count(record.function, key, self.acked_bumps, took_ms)
-
-    def fail(self, fn: str, key: str, started: float, ended: float,
-             probe_region: Optional[str] = None) -> None:
-        """A clean ``UnavailableError``: the write may or may not have
-        landed near storage (e.g. the response was lost), so it is *not*
-        recorded in the history — but it is tallied so the final counter
-        reconciliation can bound it."""
-        self.unavailable += 1
-        if probe_region is not None:
-            self.probe_unavailable_at.append(ended)
-        self._count(fn, key, self.maybe_bumps, ended - started)
-
-    def _count(self, fn: str, key: str, bumps: Dict[str, int], took_ms: float) -> None:
-        if fn == "chaos.bump":
-            bumps[key] = bumps.get(key, 0) + 1
-        self.issued += 1
-        self.max_invocation_ms = max(self.max_invocation_ms, took_ms)
-
-
 def _next_live_region(dep: Deployment, current: str) -> str:
     """Failover target for a client whose PoP went dark: the first
     spec-order region (other than ``current``) whose PoP is serving.
@@ -330,8 +218,7 @@ def _chaos_client(
     region: str,
     rng,
     mix: _ChaosMix,
-    history: HistoryRecorder,
-    tally: _Tally,
+    recorder: Recorder,
     requests: int,
     think_ms: float,
     until_ms: Optional[float] = None,
@@ -351,12 +238,10 @@ def _chaos_client(
     checks judge exactly this client's history."""
     sim = dep.sim
     runtime = dep.runtimes[region]
-    client_id = ""
     pending_moves: List[MigrationWindow] = []
     if session is not None:
-        client_id = session.client_id
         yield from runtime.attach(session)
-        pending_moves = [w for w in migrations if w.client in (client_id, "*")]
+        pending_moves = [w for w in migrations if w.client in (session.client_id, "*")]
     issued = 0
     while (issued < requests) if until_ms is None else (sim.now < until_ms):
         issued += 1
@@ -365,14 +250,10 @@ def _chaos_client(
             if to_region != session.region:
                 runtime = dep.runtimes[to_region]
                 yield from runtime.attach(session)
-                tally.migrations += 1
-        fn, (key,) = mix.generate_request(rng)
-        started = sim.now
-        record = history.begin(fn, started, session=client_id)
+        fn, args = mix.generate_request(rng)
         try:
-            outcome = yield from runtime.invoke(fn, [key], session=session)
+            yield from recorder.invoke(runtime, fn, args, session=session)
         except UnavailableError:
-            tally.fail(fn, key, started, sim.now, probe_region=runtime.region)
             # Mid-session migration on PoP loss: re-attach to the next
             # live PoP and keep going.  The session vector travels along,
             # so reads at the new PoP still honour every floor.
@@ -383,9 +264,6 @@ def _chaos_client(
             ):
                 runtime = dep.runtimes[_next_live_region(dep, runtime.region)]
                 yield from runtime.attach(session)
-                tally.migrations += 1
-        else:
-            tally.ack(history, record, key, outcome, sim.now, probe_region=runtime.region)
         yield sim.timeout(think_ms)
 
 
@@ -404,18 +282,84 @@ class _ChaosMix:
         return fn, [key]
 
 
-def _surge_recorder(history: HistoryRecorder, tally: _Tally):
-    """Completion hook for the surge ``OpenLoopClient``s: surge traffic
-    must land in the same history and ack tallies as the probes, or a
-    probe read of a surge-bumped counter would flag a phantom write."""
+def _completed(procs) -> str:
+    """The ``completed`` verdict: the first client or surge process that
+    raised, else the first that never finished."""
+    for proc in procs:
+        if proc.done and not proc.done_event.ok:
+            try:
+                proc.result
+            except Exception as exc:  # noqa: BLE001 - reported, not handled
+                return f"{proc.name}: {type(exc).__name__}: {exc}"
+    return next((f"{proc.name} never finished" for proc in procs if not proc.done), "")
 
-    def on_outcome(fn, args, outcome, started, ended):
-        if outcome is None:
-            tally.fail(fn, args[0], started, ended)
-        else:
-            tally.ack(history, history.begin(fn, started), args[0], outcome, ended)
 
-    return on_outcome
+def _metastability(
+    requests: Sequence[Request], first_start: float, post_from: float,
+) -> Tuple[str, Optional[float], Optional[float]]:
+    """The ``metastable`` verdict plus the pre/post p50 of the region that
+    recovered worst.
+
+    A system that sheds correctly returns to its pre-overload latency once
+    the offered load does — a metastable one stays collapsed (retry
+    storms, residual queues) long after the trigger is gone.  Only probe
+    requests count: the surge clients are deliberately overloaded
+    traffic, so their latencies and failures say nothing about recovery.
+    """
+    pre_by: Dict[Tuple[str, str], List[float]] = {}
+    post_by: Dict[Tuple[str, str], List[float]] = {}
+    problems: List[str] = []
+    late_failures = 0
+    for r in requests:
+        if not r.probe:
+            continue
+        if r.path is None:
+            if r.ended >= post_from:
+                late_failures += 1
+        elif r.ended <= first_start:
+            pre_by.setdefault((r.region, r.path), []).append(r.took_ms)
+        elif r.ended >= post_from:
+            post_by.setdefault((r.region, r.path), []).append(r.took_ms)
+    if late_failures:
+        problems.append(f"{late_failures} probe request(s) unavailable after recovery")
+    # Judge each region against its own healthy baseline, within the
+    # region's *dominant* pre-overload path: JP's WAN median is ~50%
+    # above CA's, and a backup-path request pays ~18 ms (plus any lock
+    # wait) over a speculative one, so a pooled p50 flips with the
+    # sampling mix, not with recovery.  The dominant path — speculative,
+    # when the tier is healthy — is near-deterministic, and metastable
+    # collapse (standing queues, retry storms) delays every path, so its
+    # median is both a stable and a sufficient recovery probe.  A region
+    # whose dominant pre path has vanished post-recovery has not
+    # recovered (LVI's whole point is serving the speculative path again).
+    worst_ratio = -1.0
+    pre_p50: Optional[float] = None
+    post_p50: Optional[float] = None
+    probed = {region for region, _ in set(pre_by) | set(post_by)}
+    for region in sorted(probed):
+        candidates = [path for (r, path) in pre_by if r == region]
+        if not candidates:
+            problems.append(f"{region}: no pre-overload probe sample")
+            continue
+        dominant = max(sorted(candidates), key=lambda p: len(pre_by[(region, p)]))
+        pre = pre_by[(region, dominant)]
+        post = post_by.get((region, dominant), [])
+        if len(pre) < 3 or len(post) < 3:
+            problems.append(f"{region}/{dominant}: {len(pre)} pre and {len(post)} "
+                            f"post samples, need 3 each")
+            continue
+        region_pre = percentile(pre, 50.0)
+        region_post = percentile(post, 50.0)
+        if region_post > region_pre * 1.10 + 1.0:
+            problems.append(f"{region}/{dominant}: post p50 {region_post:.1f} ms "
+                            f"over pre p50 {region_pre:.1f} ms + 10%")
+        ratio = region_post / max(region_pre, 1e-9)
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            pre_p50, post_p50 = region_pre, region_post
+    if pre_p50 is None:
+        problems.append("no region has enough probe samples to judge")
+    return (problems[0] if problems else ""), pre_p50, post_p50
 
 
 def run_chaos_case(
@@ -432,7 +376,7 @@ def run_chaos_case(
     recovery_horizon_ms: Optional[float] = None,
     on_metrics: Optional[Callable[[Any], None]] = None,
 ) -> ChaosCaseResult:
-    """Run one (plan, seed) case end to end and return its verdict.
+    """Run one (plan, seed) case end to end and return its verdicts.
 
     ``shards`` > 1 runs the same plan against a partitioned near-storage
     tier (keys hash across shards; the correctness claims are unchanged —
@@ -442,9 +386,7 @@ def run_chaos_case(
     ``detect`` runs the case with in-network conflict detection on: the
     exact same fault plan, but provably non-conflicting reads skip lock
     acquisition and may be served by read replicas.  Every correctness
-    claim is unchanged, and two verdicts are added — the runtime
-    sanitizer must not flag a single lock-skipped escape, and the dirty
-    set must balance at quiescence.
+    claim is unchanged, and the ``dirty_set_balanced`` verdict is added.
 
     For overload plans, ``recovery_horizon_ms`` is the grace period after
     the last overload window closes before the metastability check starts
@@ -529,32 +471,32 @@ def run_chaos_case(
     )
     sim, metrics = dep.sim, dep.metrics
 
-    history = HistoryRecorder()
-    tally = _Tally()
+    recorder = Recorder()
     procs = []
     mix = _ChaosMix(keys)
     for region in regions:
         for c in range(clients_per_region):
             rng = dep.streams.stream(f"chaos.client.{region}.{c}")
             body = _chaos_client(
-                dep, region, rng, mix, history, tally,
+                dep, region, rng, mix, recorder,
                 requests_per_client, think_ms,
                 until_ms=probe_until,
                 session=Session(f"{region}-{c}") if plan.mesh else None,
                 migrations=migrations,
             )
             procs.append(sim.spawn(body, name=f"chaos-client-{region}-{c}"))
-    surge_outcome = _surge_recorder(history, tally)
     for i, w in enumerate(plan.surge_windows()):
         if w.region not in dep.runtimes:
             raise FaultConfigError(
                 f"plan {plan.name!r} surges from {w.region!r}, which has no runtime"
             )
+        # Surge traffic lands in the same recorder as the probes, or a
+        # probe read of a surge-bumped counter would flag a phantom write.
         surge = OpenLoopClient(
             sim=sim,
             app=mix,
             region=w.region,
-            invoke=dep.runtimes[w.region].invoke,
+            invoke=functools.partial(recorder.invoke, dep.runtimes[w.region], probe=False),
             metrics=metrics,
             rng=dep.streams.stream(f"chaos.surge.{w.region}.{i}"),
             rate_rps=w.rate_rps,
@@ -562,145 +504,37 @@ def run_chaos_case(
             label_prefix="surge",
             tolerate_unavailable=True,
             start_after_ms=w.start_ms,
-            on_outcome=surge_outcome,
         )
         procs.append(sim.spawn(surge.run(), name=f"chaos-surge-{w.region}-{i}"))
     done = sim.all_of([p.done_event for p in procs])
     sim.run(until_event=done)
-    completed = all(p.done for p in procs)
+    completed = _completed(procs)
     # Drain: let the last intent timers, retries, and any scheduled
-    # restart + recovery settle before reconciling the final state.
+    # restart + recovery settle before judging the final state.
     drain_until = max(sim.now, plan.horizon_ms()) + cfg.followup_timeout_ms * 2 + 5_000.0
     sim.run(until=drain_until)
 
-    serializable = True
-    violation = ""
-    try:
-        check_strict_serializability(history.records())
-    except ConsistencyViolation as exc:
-        serializable = False
-        violation = str(exc)
-
-    # Session guarantees + causal cuts (mesh plans only): the per-client
-    # histories carry session ids and every PoP kept its gossip
-    # application log, so both claims are checked against the actual
-    # execution rather than assumed from the protocol argument.
-    ryw_msgs: List[str] = []
-    mr_msgs: List[str] = []
-    causal_msgs: List[str] = []
-    if plan.mesh:
-        srecords = [r for r in history.records() if r.session]
-        ryw_msgs = find_read_your_writes_violations(srecords)
-        mr_msgs = find_monotonic_read_violations(srecords)
-        if dep.mesh is not None:
-            for region in sorted(dep.mesh.pops):
-                for label, log in dep.mesh.pop(region).application_logs():
-                    causal_msgs.extend(find_causal_cut_violations(log, label=label))
-        if not violation:
-            for msgs in (ryw_msgs, mr_msgs, causal_msgs):
-                if msgs:
-                    violation = msgs[0]
-                    break
-
-    # Exactly-once reconciliation: for each key,
-    #   acked - pending  <=  final value  <=  acked + maybe-applied.
-    # A pending intent is an acked speculative write the (still-dead)
-    # server has not applied yet; plans that restart their crash targets
-    # always settle to pending == 0.
-    pending = dep.pending_intents()
-    pending_per_key: Dict[str, int] = {}
-    for intent in pending:
-        key = intent.args[0] if intent.args else "?"
-        pending_per_key[key] = pending_per_key.get(key, 0) + 1
-    lost = 0
-    duplicates = 0
-    for i in range(keys):
-        key = f"c:{i}"
-        item = dep.get_or_none("counters", key)
-        value = item.value if item is not None else 0
-        version = item.version if item is not None else 0
-        acked = tally.acked_bumps.get(key, 0)
-        maybe = tally.maybe_bumps.get(key, 0)
-        lost += max(0, acked - value - pending_per_key.get(key, 0))
-        duplicates += max(0, value - acked - maybe)
-        if item is not None and version - 1 != value and not violation:
-            serializable = False
-            violation = (
-                f"{key}: version {version} does not match value {value} "
-                f"(non-bump write applied?)"
-            )
-
-    # Overload plans use the time-based probe, so the issued count is the
-    # ground truth; the fixed-count formula covers everything else.
-    if plan.overload:
-        total_requests = tally.issued
-    else:
-        total_requests = requests_per_client * clients_per_region * len(regions)
-    deadline_ok = (
-        cfg.invocation_deadline_ms <= 0
-        or tally.max_invocation_ms <= cfg.invocation_deadline_ms + 1.0
+    requests = recorder.requests
+    judged = verdicts(dep, recorder, [f"c:{i}" for i in range(keys)], "chaos.bump")
+    judged["completed"] = completed
+    max_invocation_ms = max((r.took_ms for r in requests), default=0.0)
+    deadline = cfg.invocation_deadline_ms
+    judged["deadline"] = (
+        "" if deadline <= 0 or max_invocation_ms <= deadline + 1.0
+        else f"an invocation took {max_invocation_ms:.1f} ms, over the {deadline:.0f} ms deadline"
     )
-
-    # Metastability: a system that sheds correctly returns to its
-    # pre-overload latency once the offered load does — a metastable one
-    # stays collapsed (retry storms, residual queues) long after the
-    # trigger is gone.
-    metastable_ok = True
-    queue_bound_ok = True
-    leaked_locks = 0
     pre_p50: Optional[float] = None
     post_p50: Optional[float] = None
     max_queue_depth = max((s.max_admission_queue for s in dep.servers), default=0)
-    if cfg.admission_queue_depth > 0:
-        queue_bound_ok = max_queue_depth <= cfg.admission_queue_depth
-    if plan.overload and overload_windows:
+    if plan.overload:
+        bound = cfg.admission_queue_depth
+        judged["queue_bound"] = (
+            "" if bound <= 0 or max_queue_depth <= bound
+            else f"admission queue reached {max_queue_depth}, over its bound of {bound}"
+        )
+    if post_from is not None:
         first_start = min(start for start, _ in overload_windows)
-        pre_by: Dict[Tuple[str, str], List[float]] = {}
-        post_by: Dict[Tuple[str, str], List[float]] = {}
-        for t, lat, region, path in tally.probe_samples:
-            if t <= first_start:
-                pre_by.setdefault((region, path), []).append(lat)
-            elif t >= post_from:
-                post_by.setdefault((region, path), []).append(lat)
-        late_failures = sum(1 for t in tally.probe_unavailable_at if t >= post_from)
-        metastable_ok = late_failures == 0
-        # Judge each region against its own healthy baseline, within the
-        # region's *dominant* pre-overload path: JP's WAN median is ~50%
-        # above CA's, and a backup-path request pays ~18 ms (plus any
-        # lock wait) over a speculative one, so a pooled p50 flips with
-        # the sampling mix, not with recovery.  The dominant path —
-        # speculative, when the tier is healthy — is near-deterministic,
-        # and metastable collapse (standing queues, retry storms) delays
-        # every path, so its median is both a stable and a sufficient
-        # recovery probe.  A region whose dominant pre path has vanished
-        # post-recovery has not recovered (LVI's whole point is serving
-        # the speculative path again).
-        worst_ratio = -1.0
-        probed = {region for region, _ in set(pre_by) | set(post_by)}
-        for region in sorted(probed):
-            candidates = [path for (r, path) in pre_by if r == region]
-            if not candidates:
-                metastable_ok = False
-                continue
-            dominant = max(sorted(candidates), key=lambda p: len(pre_by[(region, p)]))
-            pre = pre_by[(region, dominant)]
-            post = post_by.get((region, dominant))
-            if len(pre) < 3 or not post or len(post) < 3:
-                metastable_ok = False
-                continue
-            region_pre = percentile(pre, 50.0)
-            region_post = percentile(post, 50.0)
-            if region_post > region_pre * 1.10 + 1.0:
-                metastable_ok = False
-            ratio = region_post / max(region_pre, 1e-9)
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                pre_p50, post_p50 = region_pre, region_post
-        if pre_p50 is None:
-            metastable_ok = False
-        # Shed requests must abort cleanly — after the drain no execution
-        # may still hold locks anywhere in the tier.
-        leaked_locks = sum(len(s.locks.held_owners()) for s in dep.servers)
+        judged["metastable"], pre_p50, post_p50 = _metastability(requests, first_start, post_from)
 
     if on_metrics is not None:
         # Observation hook for the coverage-guided explorer: the full
@@ -726,41 +560,29 @@ def run_chaos_case(
         "mesh.cut_fetched", "mesh.cut_unsatisfied", "mesh.cut_timeout",
         "mesh.attach", "mesh.migrate", "mesh.pop_down",
     )
-    unsound = metrics.counter("analysis.unsound")
     counters = {k: metrics.counter(k) for k in wanted if metrics.counter(k)}
     detector = dep.router.detector if dep.router is not None else None
-    lat = sorted(tally.latencies)
+    lat = sorted(r.took_ms for r in requests if r.probe and r.path is not None)
+    acked = sum(1 for r in requests if r.path is not None)
     return ChaosCaseResult(
         plan=plan.name,
         seed=seed,
-        requests=total_requests,
-        acked=tally.acked,
-        unavailable=tally.unavailable,
-        completed=completed,
-        deadline_ok=deadline_ok,
-        serializable=serializable,
-        lost_writes=lost,
-        duplicate_writes=duplicates,
-        pending_intents=len(pending),
-        violation=violation,
+        # Overload plans use the time-based probe, so the issued count is
+        # the ground truth; the fixed-count formula covers everything else.
+        requests=(len(requests) if plan.overload
+                  else requests_per_client * clients_per_region * len(regions)),
+        acked=acked,
+        unavailable=len(requests) - acked,
+        verdicts=judged,
         median_ms=percentile(lat, 50.0) if lat else None,
         p99_ms=percentile(lat, 99.0) if lat else None,
-        max_invocation_ms=tally.max_invocation_ms,
+        max_invocation_ms=max_invocation_ms,
         counters=counters,
-        metastable_ok=metastable_ok,
-        queue_bound_ok=queue_bound_ok,
-        leaked_locks=leaked_locks,
         shed=metrics.counter("admission.shed"),
         max_queue_depth=max_queue_depth,
         pre_p50_ms=round(pre_p50, 3) if pre_p50 is not None else None,
         post_p50_ms=round(post_p50, 3) if post_p50 is not None else None,
-        sanitizer_ok=unsound == 0,
-        unsound_executions=unsound,
-        ryw_violations=len(ryw_msgs),
-        mr_violations=len(mr_msgs),
-        causal_violations=len(causal_msgs),
-        migrations=tally.migrations,
-        dirty_balanced=detector.dirty.balanced if detector is not None else None,
+        migrations=metrics.counter("mesh.migrate"),
         lock_skipped=(
             metrics.counter("router.lock_skipped") if detector is not None else None
         ),

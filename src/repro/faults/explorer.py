@@ -8,8 +8,8 @@ schedule plus a seed *is* the bug report.  The explorer
    mutates a previously interesting one),
 2. runs each through :func:`~repro.faults.chaos.run_chaos_case` on one
    of the deployment shapes (seed / sharded / replicated / mesh) with
-   every existing checker — strict serializability, exactly-once,
-   session guarantees, sanitizer, liveness — as the invariant set,
+   every verdict of :func:`repro.consistency.verdicts` plus the run's own
+   (completed, deadline) as the invariant set,
 3. extracts a **coverage signature** from the run's metrics counters
    (which fault kinds fired, which protocol paths ran, which recovery
    transitions happened, bucketed by magnitude), and keeps schedules
@@ -128,9 +128,7 @@ def _run_case(plan: FaultPlan, shape: str, case_seed: int,
         )
     except Exception as exc:  # noqa: BLE001 - the oracle must be total
         return None, captured, f"harness exception: {type(exc).__name__}: {exc}"
-    if result.ok:
-        return result, captured, None
-    return result, captured, result.violation or "invariant violation"
+    return result, captured, None if result.ok else result.violation
 
 
 def explore(

@@ -599,10 +599,7 @@ def _present_breakeven(payload: Payload) -> None:
 
 def _gate_chaos(payload: Payload) -> List[str]:
     return [
-        f"chaos case plan={c['plan']} seed={c['seed']}: "
-        f"serializable={c['serializable']} lost={c['lost_writes']} "
-        f"dup={c['duplicate_writes']} completed={c['completed']} "
-        f"deadline_ok={c['deadline_ok']} {c['violation']}"
+        f"chaos case plan={c['plan']} seed={c['seed']}: {c['violation']}"
         for c in payload["cases"] if not c["ok"]
     ]
 
@@ -833,10 +830,9 @@ KINDS: Dict[str, ScenarioKind] = {kind.name: kind for kind in [
         run=_run_chaos,
         extra=_present_chaos,
         probes=("shards", "cases[].plan", "cases[].seed", "cases[].ok",
-                "cases[].serializable", "cases[].counters", "cases[].acked",
-                "cases[].requests", "cases[].median_ms", "cases[].p99_ms",
-                "cases[].lost_writes", "cases[].duplicate_writes",
-                "cases[].completed", "cases[].deadline_ok", "cases[].violation"),
+                "cases[].verdicts", "cases[].violation", "cases[].counters",
+                "cases[].acked", "cases[].requests", "cases[].median_ms",
+                "cases[].p99_ms"),
         gate=_gate_chaos,
         smoke_defaults={"seeds": 2},
     ),

@@ -124,11 +124,6 @@ class OpenLoopClient:
     #: start as the delay, so the Poisson gap stream is identical no
     #: matter when the window opens.
     start_after_ms: float = 0.0
-    #: Per-request completion hook, called as ``on_outcome(function_id,
-    #: args, outcome_or_None, started_at, ended_at)`` — ``None`` for a
-    #: tolerated ``UnavailableError``.  The chaos harness uses it to land
-    #: surge traffic in the same history/ack tallies as the probe clients.
-    on_outcome: Optional[Callable[..., None]] = None
 
     def run(self) -> Generator:
         """The generator process: emits requests until the duration ends,
@@ -184,11 +179,7 @@ class OpenLoopClient:
                 root.finish(self.sim.now, path="unavailable")
                 obs.activate(None)
             self.metrics.incr("requests.unavailable")
-            if self.on_outcome is not None:
-                self.on_outcome(function_id, args, None, start, self.sim.now)
             return
-        if self.on_outcome is not None:
-            self.on_outcome(function_id, args, outcome, start, self.sim.now)
         latency = self.sim.now - start
         if root is not None:
             root.finish(self.sim.now, path=outcome.path)

@@ -347,17 +347,17 @@ class TestDirtyBalanceUnderFaults:
     def test_baseline_settles_every_enrollment(self):
         result = self._run("baseline")
         assert result.ok
-        assert result.dirty_balanced
+        assert result.verdicts["dirty_set_balanced"] == ""
         assert result.dirty["leaked"] == 0
         assert result.dirty["enrolled"] == result.dirty["settled"]
 
     def test_crash_restart_balances_with_conservative_leaks(self):
         result = self._run("server-crash")
-        assert result.ok and result.serializable
-        assert result.sanitizer_ok
+        assert result.ok and result.verdicts["strict_serializability"] == ""
+        assert result.verdicts["analysis_sound"] == ""
         # Every enrollment is either settled or deliberately leaked
         # (writes whose fate the crash made unknowable) — never dropped.
-        assert result.dirty_balanced
+        assert result.verdicts["dirty_set_balanced"] == ""
         assert result.dirty["enrolled"] == (
             result.dirty["settled"] + result.dirty["leaked"])
 
@@ -365,5 +365,6 @@ class TestDirtyBalanceUnderFaults:
         from repro.faults import builtin_plans, run_chaos_case
 
         result = run_chaos_case(builtin_plans()["baseline"], seed=0)
-        assert result.dirty_balanced is None
-        assert "dirty_balanced" not in result.to_dict()
+        assert "dirty_set_balanced" not in result.verdicts
+        assert result.dirty is None
+        assert "dirty" not in result.to_dict()

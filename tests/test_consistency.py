@@ -2,12 +2,16 @@
 
 import pytest
 
+from conftest import build_counter_deployment
+
 from repro.consistency import (
     HistoryRecorder,
+    Recorder,
     RegisterOp,
     TxnRecord,
     check_register_linearizable,
     check_strict_serializability,
+    verdicts,
 )
 from repro.errors import ConsistencyViolation
 
@@ -42,6 +46,52 @@ class TestRecorder:
         c = txn(2, 11.0, 20.0)
         assert a.overlaps(b)
         assert not a.overlaps(c)
+
+
+class TestVerdicts:
+    """The one suite on a built deployment, with the broken state planted
+    by hand."""
+
+    def test_recorder_keeps_one_row_and_one_record_per_ack(self):
+        dep = build_counter_deployment()
+        recorder = Recorder()
+        runtime = dep.runtimes["jp"]
+        outcome = dep.sim.run_process(recorder.invoke(runtime, "t.bump", ["x"]))
+        (row,) = recorder.requests
+        assert (row.function, row.args, row.region, row.path, row.probe) == (
+            "t.bump", ["x"], "jp", outcome.path, True)
+        assert row.took_ms == row.ended - row.started > 0
+        (record,) = recorder.history.records()
+        assert record.writes == outcome.write_versions
+
+    def test_clean_deployment_passes_every_verdict(self):
+        judged = verdicts(build_counter_deployment(), Recorder(), ["c:x"], "t.bump")
+        assert judged == {
+            "strict_serializability": "", "exactly_once": "", "no_pending_intents": "",
+            "no_held_locks": "", "analysis_sound": "",
+        }
+
+    def test_held_lock_and_pending_intent_are_reported(self):
+        dep = build_counter_deployment()
+        dep.sim.spawn(dep.server.locks.acquire_all("leaker", [], [("counters", "c:x")]))
+        dep.sim.run(until=dep.sim.now + 10.0)
+        dep.server.intents.create("stuck", "t.bump", dep.sim.now, args=("x",))
+        judged = verdicts(dep, Recorder(), ["c:x"], "t.bump")
+        assert judged["no_held_locks"] == "1 owners still hold locks"
+        assert judged["no_pending_intents"] == "1 intents still pending"
+        assert judged["exactly_once"] == ""
+
+    def test_unrecorded_write_breaks_exactly_once(self):
+        dep = build_counter_deployment()
+        dep.store.put("counters", "c:x", 1)
+        judged = verdicts(dep, Recorder(), ["c:x"], "t.bump")
+        assert judged["exactly_once"] == "c:x: value 1 outside [0, 0]"
+
+    def test_version_out_of_step_with_value_breaks_exactly_once(self):
+        dep = build_counter_deployment()
+        dep.store.put("counters", "c:x", 0)   # a write that is not a bump
+        judged = verdicts(dep, Recorder(), ["c:x"], "t.bump")
+        assert judged["exactly_once"] == "c:x: version 2 does not match value 0"
 
 
 class TestStrictSerializability:

@@ -347,7 +347,15 @@ class TestExplorer:
         monkeypatch.setattr(LVIServer, "_handle_followup", weakened)
         record = explore(budget=12, seed=7)
         assert record.violations, "planted bug not found in a smoke budget"
+        verdicts = {
+            "strict_serializability", "exactly_once", "no_pending_intents",
+            "no_held_locks", "analysis_sound", "dirty_set_balanced",
+            "session_guarantees", "causal_cuts", "completed", "deadline",
+            "queue_bound", "metastable",
+        }
         for v in record.violations:
+            # Every failure names the verdict that caught it.
+            assert v["violation"].split(":", 1)[0] in verdicts, v["violation"]
             assert v["minimal_windows"] <= 2
             assert v["minimal_windows"] <= v["original_windows"]
             # The reproducer row is complete and self-contained.

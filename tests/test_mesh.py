@@ -496,7 +496,8 @@ class TestMeshChaosPlans:
             builtin_plans()["mesh-pop-crash"], seed=0, requests_per_client=8,
         )
         assert result.ok
-        assert result.session_ok
+        assert result.verdicts["session_guarantees"] == ""
+        assert result.verdicts["causal_cuts"] == ""
         assert result.migrations >= 1          # jp's client failed over
         assert result.counters.get("mesh.updates_applied", 0) > 0
 
@@ -509,9 +510,8 @@ class TestMeshChaosPlans:
         )
         assert result.ok
         assert result.migrations >= 3
-        assert result.ryw_violations == 0
-        assert result.mr_violations == 0
-        assert result.causal_violations == 0
+        assert result.verdicts["session_guarantees"] == ""
+        assert result.verdicts["causal_cuts"] == ""
 
     def test_migration_to_unknown_region_rejected(self):
         from repro.faults import run_chaos_case

@@ -19,7 +19,7 @@ import pytest
 from repro.apps.social import social_media_app
 from repro.core import RadicalConfig
 from repro.core.server import LVIServer
-from repro.errors import FaultConfigError
+from repro.errors import FaultConfigError, UnavailableError
 from repro.faults import (
     CrashWindow,
     DropWindow,
@@ -448,24 +448,24 @@ def snapshot(dep, extra, submitted_at):
 
 
 def chaos_case(monkeypatch, plan, seed):
-    built, histories = [], []
-    build, history_recorder = Deployment.build.__func__, chaos.HistoryRecorder
+    built, recorders = [], []
+    build, chaos_recorder = Deployment.build.__func__, chaos.Recorder
 
     def capture(cls, *args, **kwargs):
         built.append(build(cls, *args, **kwargs))
         return built[-1]
 
     def recorder():
-        histories.append(history_recorder())
-        return histories[-1]
+        recorders.append(chaos_recorder())
+        return recorders[-1]
 
     with monkeypatch.context() as m, submission_instants(monkeypatch) as submitted_at:
         m.setattr(Deployment, "build", classmethod(capture))
-        m.setattr(chaos, "HistoryRecorder", recorder)
+        m.setattr(chaos, "Recorder", recorder)
         result = run_chaos_case(builtin_plans()[plan], seed=seed)
     assert result.ok, result.violation
     (dep,) = built
-    return snapshot(dep, (result.to_dict(), histories[0].records()), submitted_at)
+    return snapshot(dep, (result.to_dict(), recorders[0].history.records()), submitted_at)
 
 
 def raft_faulted_smoke(monkeypatch):
@@ -498,18 +498,25 @@ def raft_faulted_smoke(monkeypatch):
     )
     outcomes = []
 
-    def record(function_id, args, outcome, started, ended):
-        if outcome is not None:
-            outcome = (outcome.path, outcome.result, outcome.read_versions,
-                       outcome.write_versions)
-        outcomes.append((function_id, args, outcome, started, ended))
+    def recording(invoke):
+        def wrapped(function_id, args):
+            started = dep.sim.now
+            try:
+                outcome = yield from invoke(function_id, args)
+            except UnavailableError:
+                outcomes.append((function_id, args, None, started, dep.sim.now))
+                raise
+            outcomes.append((function_id, args, (outcome.path, outcome.result,
+                             outcome.read_versions, outcome.write_versions),
+                             started, dep.sim.now))
+            return outcome
+        return wrapped
 
     clients = [
         OpenLoopClient(
-            sim=dep.sim, app=app, region=region, invoke=dep.client(region)[0],
+            sim=dep.sim, app=app, region=region, invoke=recording(dep.client(region)[0]),
             metrics=dep.metrics, rng=dep.streams.fork(f"smoke.{region}").stream("workload"),
             rate_rps=4.0, duration_ms=20_000.0, tolerate_unavailable=True,
-            on_outcome=record,
         )
         for region in dep.spec.regions
     ]
