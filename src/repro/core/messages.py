@@ -13,6 +13,14 @@ request-bearing messages (:class:`LVIRequest`, :class:`DirectExecRequest`,
 :class:`ShardPrepare`) are subject to admission control; followups,
 decisions, and queries always get through.
 
+Every request-bearing message and every :class:`ShardDecision` also
+carries two ints from its sender (RIFL's completion piggyback): ``seq``,
+the sender's sequence number for the execution, and ``floor``, "every
+execution of mine below this number is finished".  The server drops its
+dedup entries below a client's floor and answers a request below it with
+silence.  The defaults (0, 0) mean no floor: a hand-built request behaves
+as it always has.
+
 These were frozen dataclasses until the fast-kernel refactor; they are now
 hand-written ``__slots__`` classes because every request allocates several
 of them and the dataclass machinery (``__dict__`` per instance, generated
@@ -60,6 +68,8 @@ class LVIRequest:
         "origin_region",
         "skip_locks",
         "read_facts",
+        "seq",
+        "floor",
     )
 
     def __init__(
@@ -77,6 +87,8 @@ class LVIRequest:
         # the request promised to stay inside (sanitizer-enforced).
         skip_locks: bool = False,
         read_facts: Tuple[Any, ...] = (),
+        seq: int = 0,
+        floor: int = 0,
     ):
         self.execution_id = execution_id
         self.function_id = function_id
@@ -87,6 +99,8 @@ class LVIRequest:
         self.origin_region = origin_region
         self.skip_locks = skip_locks
         self.read_facts = read_facts
+        self.seq = seq
+        self.floor = floor
 
 
 class FreshItem:
@@ -185,6 +199,8 @@ class ShardPrepare:
         "shard",
         "coordinator",
         "nshards",
+        "seq",
+        "floor",
     )
 
     def __init__(
@@ -199,6 +215,8 @@ class ShardPrepare:
         shard: int,  # this shard's index
         coordinator: str,  # coordinating shard's endpoint
         nshards: int,  # shards touched by the txn
+        seq: int = 0,
+        floor: int = 0,
     ):
         self.execution_id = execution_id
         self.function_id = function_id
@@ -210,6 +228,8 @@ class ShardPrepare:
         self.shard = shard
         self.coordinator = coordinator
         self.nshards = nshards
+        self.seq = seq
+        self.floor = floor
 
 
 class ShardDecision:
@@ -221,12 +241,21 @@ class ShardDecision:
     decision message is lost.
     """
 
-    __slots__ = ("execution_id", "commit", "record_decision")
+    __slots__ = ("execution_id", "commit", "record_decision", "seq", "floor")
 
-    def __init__(self, execution_id: str, commit: bool, record_decision: bool = False):
+    def __init__(
+        self,
+        execution_id: str,
+        commit: bool,
+        record_decision: bool = False,
+        seq: int = 0,
+        floor: int = 0,
+    ):
         self.execution_id = execution_id
         self.commit = commit
         self.record_decision = record_decision
+        self.seq = seq
+        self.floor = floor
 
 
 class ShardDecisionQuery:
@@ -247,7 +276,7 @@ class DirectExecRequest:
     """Fallback for unanalyzable functions: run near storage, no
     speculation (§3.3 'Failure case')."""
 
-    __slots__ = ("execution_id", "function_id", "args", "origin_region")
+    __slots__ = ("execution_id", "function_id", "args", "origin_region", "seq", "floor")
 
     def __init__(
         self,
@@ -255,8 +284,12 @@ class DirectExecRequest:
         function_id: str,
         args: Tuple[Any, ...],
         origin_region: str,
+        seq: int = 0,
+        floor: int = 0,
     ):
         self.execution_id = execution_id
         self.function_id = function_id
         self.args = args
         self.origin_region = origin_region
+        self.seq = seq
+        self.floor = floor

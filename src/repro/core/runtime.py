@@ -30,8 +30,8 @@ the LVI request validated.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -117,6 +117,7 @@ class _Attempt:
     record: RegisteredFunction
     args: List[Any]
     execution_id: str
+    seq: int                 # the invocation's sequence number (restarts share it)
     invoked_at: float
     deadline_at: float
     session: Any = None
@@ -219,7 +220,19 @@ class NearUserRuntime:
             if self.config.limiter_max_inflight > 0
             else None
         )
-        self._exec_counter = itertools.count()
+        # The completion floor (RIFL's piggybacked "every execution below N
+        # is finished"): each execution gets the next sequence number and
+        # stays *open* from the moment its id is minted until ``invoke``
+        # has returned and every detached sender it left behind (the
+        # ``xabort`` fan-out, see _detach) has finished.  ``_open`` counts those holders
+        # per open seq; ``_open_order`` lists minted seqs in minting order,
+        # closed ones dropped lazily from the front, so the floor — the
+        # smallest open seq, or the next to mint — is amortised O(1).
+        # Followups need not hold a seq: the server answers them from its
+        # intent table, never from the dedup tables the floor trims.
+        self._next_seq = 0
+        self._open: Dict[int, int] = {}
+        self._open_order: deque = deque()
         # The cache reports hit/miss events to the same collector as the
         # rest of the deployment (a no-op unless tracing is installed) and
         # timestamps entries / emits hit-age samples via the bound clock.
@@ -276,51 +289,59 @@ class NearUserRuntime:
         """
         invoked_at = self.sim.now
         record = self.registry.get(function_id)
-        execution_id = f"{self.name}:{next(self._exec_counter)}"
+        # Open from the moment the id exists: an invocation still waiting
+        # at the limiter must hold the floor below its seq.
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._open[seq] = 1
+        self._open_order.append(seq)
+        execution_id = f"{self.name}:{seq}"
         cfg = self.config
         deadline_at = (
             invoked_at + cfg.invocation_deadline_ms
             if cfg.invocation_deadline_ms > 0
             else math.inf
         )
-
-        # A crashed PoP location can run nothing at all — same contract as
-        # an open breaker, so session-aware clients migrate off it.
-        if self.pop is not None and not self.pop.serving:
-            self.metrics.incr("mesh.pop_down")
-            raise UnavailableError(f"{self.region}: PoP location is down")
-
-        # Degradation ladder, bottom rung: while the breaker is open the
-        # near-storage path is known-dead — fail fast instead of feeding
-        # doomed RPCs into the WAN until the cooldown admits a probe.
-        if not self._breaker.allow():
-            self.metrics.incr("breaker.fast_fail")
-            raise UnavailableError(
-                f"{self.region}: near-storage path unavailable (circuit open)"
-            )
-
-        limiter = self._limiter
-        if limiter is not None:
-            # Backpressure gate: wait (FIFO) for an in-flight slot under
-            # the AIMD window.  A wait that outlives the deadline is the
-            # same clean failure as an exhausted retry budget.
-            admitted = yield from limiter.acquire(deadline_at)
-            if not admitted:
-                self.metrics.incr("limiter.shed")
-                if self.sim.obs.enabled:
-                    self.sim.obs.event("limiter.shed", region=self.region,
-                                       window=limiter.window)
-                raise UnavailableError(
-                    f"{self.region}: in-flight limit held past the "
-                    f"invocation deadline (window {limiter.window})"
-                )
         try:
-            outcome = yield from self._admitted(
-                _Attempt(record, args, execution_id, invoked_at, deadline_at, session)
-            )
-        finally:
+            # A crashed PoP location can run nothing at all — same contract
+            # as an open breaker, so session-aware clients migrate off it.
+            if self.pop is not None and not self.pop.serving:
+                self.metrics.incr("mesh.pop_down")
+                raise UnavailableError(f"{self.region}: PoP location is down")
+
+            # Degradation ladder, bottom rung: while the breaker is open the
+            # near-storage path is known-dead — fail fast instead of feeding
+            # doomed RPCs into the WAN until the cooldown admits a probe.
+            if not self._breaker.allow():
+                self.metrics.incr("breaker.fast_fail")
+                raise UnavailableError(
+                    f"{self.region}: near-storage path unavailable (circuit open)"
+                )
+
+            limiter = self._limiter
             if limiter is not None:
-                limiter.release()
+                # Backpressure gate: wait (FIFO) for an in-flight slot under
+                # the AIMD window.  A wait that outlives the deadline is the
+                # same clean failure as an exhausted retry budget.
+                admitted = yield from limiter.acquire(deadline_at)
+                if not admitted:
+                    self.metrics.incr("limiter.shed")
+                    if self.sim.obs.enabled:
+                        self.sim.obs.event("limiter.shed", region=self.region,
+                                           window=limiter.window)
+                    raise UnavailableError(
+                        f"{self.region}: in-flight limit held past the "
+                        f"invocation deadline (window {limiter.window})"
+                    )
+            try:
+                outcome = yield from self._admitted(
+                    _Attempt(record, args, execution_id, seq, invoked_at, deadline_at, session)
+                )
+            finally:
+                if limiter is not None:
+                    limiter.release()
+        finally:
+            self._close(seq)
         if limiter is not None:
             limiter.on_success()
         if session is not None:
@@ -378,7 +399,7 @@ class NearUserRuntime:
                 if backoff > 0:
                     yield self.sim.timeout(backoff)
             attempt = _Attempt(
-                attempt.record, attempt.args, f"{execution_id}~r{restart}",
+                attempt.record, attempt.args, f"{execution_id}~r{restart}", attempt.seq,
                 attempt.invoked_at, attempt.deadline_at, attempt.session,
             )
 
@@ -608,6 +629,8 @@ class NearUserRuntime:
                 shard=shard,
                 coordinator=coord_ep,
                 nshards=len(shards),
+                seq=attempt.seq,
+                floor=self._floor(),
             )
             procs.append(self.sim.spawn(
                 self._catching_call(req, attempt.deadline_at, f"prepare.s{shard}",
@@ -630,7 +653,8 @@ class NearUserRuntime:
             # leases settle the attempt either way.
             commit_started = self.sim.now
             decision = ShardDecision(execution_id=execution_id, commit=True,
-                                     record_decision=True)
+                                     record_decision=True, seq=attempt.seq,
+                                     floor=self._floor())
             status = yield from self._call_with_retry(
                 decision, attempt.deadline_at, "xcommit", dst=coord_ep
             )
@@ -646,7 +670,8 @@ class NearUserRuntime:
             # isn't serialized behind it, and presumed abort makes it safe
             # either way: without a commit record this attempt can never
             # apply anywhere.  The no-votes' cache repairs ride along.
-            self.sim.spawn(
+            self._detach(
+                attempt.seq,
                 self._scatter_decision(attempt, shards, commit=False, coord_ep=coord_ep),
                 name=f"xabort({execution_id})",
             )
@@ -699,6 +724,8 @@ class NearUserRuntime:
             function_id=function_id,
             args=tuple(attempt.args),
             origin_region=self.region,
+            seq=attempt.seq,
+            floor=self._floor(),
         )
         self.metrics.incr("path.direct")
         obs = self.sim.obs
@@ -771,7 +798,39 @@ class NearUserRuntime:
             origin_region=self.region,
             skip_locks=skip_facts is not None,
             read_facts=tuple(skip_facts) if skip_facts is not None else (),
+            seq=attempt.seq,
+            floor=self._floor(),
         )
+
+    def _floor(self) -> int:
+        """Every execution of this runtime below the returned seq is
+        finished: the smallest open seq, or the next one to mint."""
+        order, open_ = self._open_order, self._open
+        while order and order[0] not in open_:
+            order.popleft()
+        return order[0] if order else self._next_seq
+
+    def _close(self, seq: int) -> None:
+        """One holder of ``seq`` is done; the last one closes it."""
+        left = self._open[seq] - 1
+        if left:
+            self._open[seq] = left
+        else:
+            del self._open[seq]
+
+    def _detach(self, seq: int, gen: Generator, name: str) -> None:
+        """Spawn ``gen``, a sender of execution ``seq`` nobody waits for:
+        ``seq`` stays open until it finishes, however soon ``invoke``
+        returns (the hold is taken now, before the caller can close)."""
+        self._open[seq] += 1
+
+        def holding() -> Generator:
+            try:
+                return (yield from gen)
+            finally:
+                self._close(seq)
+
+        self.sim.spawn(holding(), name=name)
 
     def _lvi_round_trip(self, attempt: _Attempt, request, dst: str, **phase_tags) -> Generator:
         """An LVI request nothing overlaps (a cache miss, the ablation, the
@@ -875,6 +934,7 @@ class NearUserRuntime:
                         record_decision=(
                             not commit and self.router.endpoint(shard) == coord_ep
                         ),
+                        seq=attempt.seq, floor=self._floor(),
                     ),
                     deadline_at, f"{label}.s{shard}", self.router.endpoint(shard),
                 ),

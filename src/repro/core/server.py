@@ -33,6 +33,7 @@ across server failovers.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..analysis.sanitizer import constraint_checker
@@ -151,10 +152,17 @@ class LVIServer:
         # failure injection, and replaying an LVI request would double-
         # acquire locks and double-execute.
         self._seen_requests: set = set()
-        # execution_id -> response, so a client retry whose original
-        # *response* was lost gets the same answer instead of silence.
-        # In-memory on purpose: it dies with the process (see crash()).
+        # execution_id (or "<id>#decision") -> response, so a client retry
+        # whose original *response* was lost gets the same answer instead
+        # of silence.  An entry lives until its client's completion floor
+        # passes its execution (see _stale), so both tables hold
+        # the executions in flight, not the run.  In-memory on purpose: it
+        # dies with the process (see crash()).
         self._reply_cache: Dict[str, Any] = {}
+        # client endpoint -> the highest completion floor it has sent, and
+        # -> a heap of (seq, key) for its entries in the two tables above.
+        self._floors: Dict[str, int] = {}
+        self._entries: Dict[str, list] = {}
         self._crashed = False
         # Bumped by crash(): handlers resumed under a newer incarnation
         # stop instead of mutating state from beyond the grave.
@@ -178,17 +186,19 @@ class LVIServer:
 
     # -- dispatch -----------------------------------------------------------
 
-    #: message type -> (handler, admission-gated).  Handlers are held by
-    #: *name* and resolved at dispatch, never as function objects: a test
-    #: that plants a bug with ``monkeypatch.setattr(LVIServer,
-    #: "_handle_followup", ...)`` must change what runs.
+    #: message type -> (handler, admission-gated, floored).  Handlers are
+    #: held by *name* and resolved at dispatch, never as function objects:
+    #: a test that plants a bug with ``monkeypatch.setattr(LVIServer,
+    #: "_handle_followup", ...)`` must change what runs.  A floored
+    #: message carries its sender's ``seq``/``floor``, and its handler is
+    #: also told the sender (the client the floor belongs to).
     _HANDLERS = {
-        LVIRequest: ("_handle_lvi", True),
-        WriteFollowup: ("_handle_followup", False),
-        DirectExecRequest: ("_handle_direct", True),
-        ShardPrepare: ("_handle_prepare", True),
-        ShardDecision: ("_handle_decision", False),
-        ShardDecisionQuery: ("_handle_query", False),
+        LVIRequest: ("_handle_lvi", True, True),
+        WriteFollowup: ("_handle_followup", False, False),
+        DirectExecRequest: ("_handle_direct", True, True),
+        ShardPrepare: ("_handle_prepare", True, True),
+        ShardDecision: ("_handle_decision", False, True),
+        ShardDecisionQuery: ("_handle_query", False, False),
     }
 
     def _handle(self, payload: Any, src: str) -> Generator:
@@ -199,7 +209,7 @@ class LVIServer:
         kind = type(payload)
         if kind not in self._HANDLERS:
             raise ProtocolError(f"unknown message {kind.__name__}")
-        handler, gated = self._HANDLERS[kind]
+        handler, gated, floored = self._HANDLERS[kind]
         # Admission control gates only *request* traffic.  Followups,
         # decisions, and lease queries always get through: shedding them
         # would strand held locks and pending intents, hurting liveness
@@ -208,7 +218,10 @@ class LVIServer:
         # caller's retry is re-admitted cleanly, and the network layer turns
         # the exception into a failed reply at the client's ``net.call``.
         admitted = gated and self._admit(kind.__name__)
-        inner = getattr(self, handler)(payload)
+        if floored:
+            inner = getattr(self, handler)(payload, src)
+        else:
+            inner = getattr(self, handler)(payload)
         return self._guarded(self._charge_proc(inner, batch_index, admitted))
 
     def _effective_proc_ms(self) -> float:
@@ -321,16 +334,25 @@ class LVIServer:
 
     # -- stages shared by the request-bearing handlers --------------------------
 
-    def _dedup(self, eid: str, durable: bool):
+    def _dedup(self, req, client: Optional[str], durable: bool):
         """The dedup prologue of every request-bearing handler: the reply a
         redelivered request gets (a cached response, or ``NO_REPLY`` for
         silence), or ``_FRESH`` for a request never seen before.
+
+        First the sender's completion floor: a higher one trims the
+        client's entries below it, and a request below its client's floor
+        is *stale* — every execution that could still wait for it has
+        finished — so it gets silence and touches nothing.  ``client`` is
+        None for a handler called directly, outside dispatch: no floor.
 
         ``durable`` also consults what survives a crash — the intent table
         and the idempotency claims — for requests that leave such records.
         A ``_FRESH`` id is *not* marked seen here: the handler does that
         once it owns the execution, so a bounced request leaves no trace.
         """
+        if self._stale(req, client):
+            return NO_REPLY
+        eid = req.execution_id
         if eid in self._reply_cache:
             # Client retry after a lost *response*: replay the original
             # answer verbatim (idempotent execution-id semantics).
@@ -349,7 +371,7 @@ class LVIServer:
             # the answer — stay silent and let the intent timer, the
             # decision/lease machinery, or recovery settle the write
             # exactly once while the client exhausts its budget.
-            self._seen_requests.add(eid)
+            self._mark_seen(req, client)
             self.metrics.incr("lvi.replay_after_crash")
             return NO_REPLY
         if durable and self.idem.claimed(eid, IdempotencyTable.NEAR_STORAGE):
@@ -357,10 +379,57 @@ class LVIServer:
             # incarnation already *settled* this execution's writes (via
             # followup, timer, or recovery).  Validating it afresh would
             # mint a second intent and double-apply — stay silent.
-            self._seen_requests.add(eid)
+            self._mark_seen(req, client)
             self.metrics.incr("lvi.settled_replay")
             return NO_REPLY
         return _FRESH
+
+    def _stale(self, req, client: Optional[str]) -> bool:
+        """Take in the completion floor ``req`` carries — a higher one
+        drops the client's dedup entries below it (floors only rise: a
+        retry resends the one it was built with) — and say, counting it,
+        whether ``req`` itself is below its client's floor."""
+        if client is None:
+            return False
+        floor = self._floors.get(client, 0)
+        if req.floor > floor:
+            floor = self._floors[client] = req.floor
+            entries = self._entries.get(client)
+            seen, replies = self._seen_requests, self._reply_cache
+            while entries and entries[0][0] < floor:
+                key = heapq.heappop(entries)[1]
+                seen.discard(key)
+                replies.pop(key, None)
+        if req.seq >= floor:
+            return False
+        self.metrics.incr("lvi.stale_request")
+        return True
+
+    def _mark_seen(self, req, client: Optional[str]) -> None:
+        """This server now owns ``req``'s execution: a redelivery of it is
+        a duplicate, until its client's floor passes it."""
+        eid = req.execution_id
+        self._seen_requests.add(eid)
+        if client is not None:
+            heapq.heappush(self._entries.setdefault(client, []), (req.seq, eid))
+
+    def _cache_reply(self, req, client: Optional[str], response: Any,
+                     key: Optional[str] = None) -> None:
+        """Keep ``response`` for a retry of ``req``, under ``key`` — a key
+        of its own, or by default the execution id ``_mark_seen`` filed,
+        which then leaves the seen set (``_dedup`` consults the reply
+        first), so an execution holds one entry.  A handler that finishes
+        after its client's floor has passed it keeps nothing: every later
+        copy of its request is stale."""
+        if client is not None:
+            if req.seq < self._floors.get(client, 0):
+                return
+            if key is not None:
+                heapq.heappush(self._entries.setdefault(client, []), (req.seq, key))
+        if key is None:
+            key = req.execution_id
+            self._seen_requests.discard(key)
+        self._reply_cache[key] = response
 
     def _lock_and_validate(self, req, bounded: bool, **span_tags) -> Generator:
         """(4)-(5): take the request's locks, then validate under them.
@@ -509,9 +578,9 @@ class LVIServer:
 
     # -- the LVI request path -------------------------------------------------
 
-    def _handle_lvi(self, req: LVIRequest) -> Generator:
+    def _handle_lvi(self, req: LVIRequest, client: Optional[str] = None) -> Generator:
         eid = req.execution_id
-        reply = self._dedup(eid, durable=True)
+        reply = self._dedup(req, client, durable=True)
         if reply is not _FRESH:
             return reply
         probe_hit = (
@@ -526,10 +595,10 @@ class LVIServer:
             # any state so the runtime's retry at the primary starts clean.
             self.metrics.incr("router.replica_bounce")
             return LVIResponse(execution_id=eid, ok=False, bounced=True)
-        self._seen_requests.add(eid)
+        self._mark_seen(req, client)
         if req.skip_locks and not probe_hit:
             response = yield from self._serve_lock_free(req)
-            self._reply_cache[eid] = response
+            self._cache_reply(req, client, response)
             return response
         if req.skip_locks:
             # Probe hit at the primary: serve through the full locked path.
@@ -556,7 +625,7 @@ class LVIServer:
             else:
                 # Read-only execution: nothing to wait for.
                 self._release(eid)
-            self._reply_cache[eid] = response
+            self._cache_reply(req, client, response)
             return response
 
         # (6b) Validation failed: run the backup copy under the held locks.
@@ -583,7 +652,7 @@ class LVIServer:
                 req, "server.backup_exec", repair=stale
             )
             self._release(eid)
-        self._reply_cache[eid] = response
+        self._cache_reply(req, client, response)
         return response
 
     def _snapshot_backup(self, req: LVIRequest, stale: List[Key]) -> Optional[LVIResponse]:
@@ -667,12 +736,12 @@ class LVIServer:
     # tombstone and the COMMIT record race through a conditional put, so
     # exactly one global outcome ever wins.
 
-    def _handle_prepare(self, req: ShardPrepare) -> Generator:
+    def _handle_prepare(self, req: ShardPrepare, client: Optional[str] = None) -> Generator:
         eid = req.execution_id
-        reply = self._dedup(eid, durable=True)
+        reply = self._dedup(req, client, durable=True)
         if reply is not _FRESH:
             return reply
-        self._seen_requests.add(eid)
+        self._mark_seen(req, client)
 
         # Locks are still taken in lexicographic order *within* the shard,
         # but no order exists across shards, so the wait is bounded: a
@@ -709,10 +778,12 @@ class LVIServer:
                 eid, req.coordinator,
             )
             response = self._yes_vote(req, authoritative)
-        self._reply_cache[eid] = response
+        self._cache_reply(req, client, response)
         return response
 
-    def _handle_decision(self, req: ShardDecision) -> Generator:
+    def _handle_decision(self, req: ShardDecision, client: Optional[str] = None) -> Generator:
+        if self._stale(req, client):
+            return NO_REPLY
         eid = req.execution_id
         cache_key = f"{eid}#decision"
         if cache_key in self._reply_cache:
@@ -720,7 +791,7 @@ class LVIServer:
         status = yield from self._apply_decision(
             eid, "commit" if req.commit else "abort", record=req.record_decision
         )
-        self._reply_cache[cache_key] = status
+        self._cache_reply(req, client, status, key=cache_key)
         return status
 
     def _handle_query(self, req: ShardDecisionQuery) -> Generator:
@@ -1020,10 +1091,11 @@ class LVIServer:
     def crash(self) -> None:
         """Kill the server process: the endpoint disappears (in-flight
         messages to it are dropped), every in-memory table — locks, dedup
-        set, reply cache — is lost, and handlers still in flight are
-        fenced off before their next step.  Durable state (the primary
-        store, intents, idempotency claims) survives, exactly as §3.4
-        assumes."""
+        set, reply cache, the clients' completion floors — is lost, and
+        handlers still in flight are fenced off before their next step.
+        Durable state (the primary store, intents, idempotency claims)
+        survives, exactly as §3.4 assumes, and answers a redelivery after
+        the restart through ``_dedup``'s durable checks."""
         if self._crashed:
             raise ProtocolError(f"server {self.name} is already crashed")
         self._crashed = True
@@ -1032,6 +1104,8 @@ class LVIServer:
         self.locks = self._new_lock_table()
         self._seen_requests.clear()
         self._reply_cache.clear()
+        self._floors.clear()
+        self._entries.clear()
         self._pending_exec.clear()
         self._prepared_reads.clear()
         self._proc_free_at = 0.0
@@ -1063,12 +1137,12 @@ class LVIServer:
 
     # -- direct execution (unanalyzable functions, §3.3) ---------------------------------
 
-    def _handle_direct(self, req: DirectExecRequest) -> Generator:
+    def _handle_direct(self, req: DirectExecRequest, client: Optional[str] = None) -> Generator:
         eid = req.execution_id
-        reply = self._dedup(eid, durable=False)
+        reply = self._dedup(req, client, durable=False)
         if reply is not _FRESH:
             return reply
-        self._seen_requests.add(eid)
+        self._mark_seen(req, client)
         if not self.idem.claim(eid, IdempotencyTable.NEAR_STORAGE):
             # A previous incarnation already executed this id (and its
             # answer died with it).  Executing again would double-apply
@@ -1088,7 +1162,7 @@ class LVIServer:
         response = yield from self._run_near_storage(req, "server.direct_exec")
         self.metrics.incr("locks.released", self.locks.release_all(eid))
         self.metrics.incr("direct.count")
-        self._reply_cache[eid] = response
+        self._cache_reply(req, client, response)
         return response
 
     # -- helpers ----------------------------------------------------------------------

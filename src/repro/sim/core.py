@@ -25,7 +25,8 @@ counts executed queue entries, and a queue entry is what a wake-up costs.
 
 * Costs one dispatch: a timer entry (a :class:`Timeout`, an RPC reply's
   arrival or deadline, a :meth:`Simulator.schedule` callback,
-  cancelled-in-the-current-bucket tombstones included), a
+  cancelled-in-the-current-bucket tombstones included — a cancelled
+  entry holds no callback or arguments, only its place), a
   :meth:`Simulator.spawn`, a message's delivery — also of one held for a
   later send instant (``Network.send_at``, a Raft follower's ack sent
   when its fsync ends): its delivery is its only entry — and one resume
@@ -745,11 +746,13 @@ class TimerHandle:
     """Cancellable handle returned by :meth:`Simulator.schedule`; also the
     callable the queue entry runs.
 
-    Cancellation is *lazy*: :meth:`cancel` only flips a flag.  An entry
-    still in a future calendar bucket is dropped when that bucket is
-    promoted and is never dispatched; one already in the current bucket
-    pops as a no-op.  O(1) cancel, no queue surgery, and the dispatch order
-    of live entries is unaffected.
+    Cancellation is *lazy*: :meth:`cancel` flips a flag and drops the
+    callback and its arguments, so the tombstone left in the queue holds
+    nothing (a long deadline cancelled early keeps no reply alive, as with
+    asyncio's ``TimerHandle.cancel``).  An entry still in a future calendar
+    bucket is dropped when that bucket is promoted and is never dispatched;
+    one already in the current bucket pops as a no-op.  O(1) cancel, no
+    queue surgery, and the dispatch order of live entries is unaffected.
     """
 
     __slots__ = ("_fn", "_args", "cancelled", "fired")
@@ -761,8 +764,11 @@ class TimerHandle:
         self.fired = False
 
     def cancel(self) -> None:
-        """Prevent the callback from running if it has not fired yet."""
+        """Prevent the callback from running if it has not fired yet, and
+        release it and its arguments."""
         self.cancelled = True
+        self._fn = None
+        self._args = ()
 
     def __call__(self) -> None:
         if self.cancelled:

@@ -8,6 +8,7 @@ move when the cost does.
 
 import gc
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -175,6 +176,35 @@ class TestCancelledTimers:
         assert fired == []
         assert sim.events_dispatched == 2
         assert not soon.fired
+
+    def test_cancel_releases_what_the_callback_holds(self, sim):
+        # The tombstone stays queued in its future bucket, but it holds
+        # neither the callback nor its arguments once cancelled.
+        class Payload:
+            pass
+
+        held = Payload()
+        ref = weakref.ref(held)
+        far = sim.schedule(200.0, lambda payload: None, held)
+        near = sim.schedule(1.0, lambda: (held,))  # a closure over it too
+        del held
+        assert ref() is not None
+        far.cancel()
+        near.cancel()
+        gc.collect()
+        assert ref() is None
+        # Neither bucket was promoted yet: both entries purge unseen.
+        assert sim.run() == 0.0 and sim.events_dispatched == 0
+
+    def test_released_tombstone_in_the_current_bucket_still_costs_its_dispatch(self, sim):
+        fired = []
+        soon = sim.schedule(3.0, fired.append, "soon")
+        sim.schedule(1.0, soon.cancel)
+        sim.schedule(3.0, fired.append, "after")
+        assert sim.run() == 3.0
+        assert fired == ["after"]
+        assert sim.events_dispatched == 3  # cancel, tombstone no-op, "after"
+        assert soon.cancelled and not soon.fired
 
     def test_cancel_after_firing_is_harmless(self, sim):
         fired = []
@@ -436,6 +466,25 @@ class TestRpcDeadlineIsOneCancellableTimer:
         before = sim.events_dispatched
         assert sim.run() == send_delay + 75.0  # not t + 500: the timer is gone
         assert sim.events_dispatched == before
+
+    def test_answered_call_keeps_no_response_alive(self, sim, make_call, send_delay):
+        # The deadline's tombstone waits ~500 ms in a future bucket; it
+        # must not keep the reply (and through it the response) alive.
+        class Response:
+            pass
+
+        net = Network(sim, paper_latency_table(), RandomStreams(7))
+
+        def handler(payload, src):
+            yield sim.timeout(1.0)
+            return Response()
+
+        net.serve("server", Region.VA, handler)
+        call = make_call(net)
+        ref = weakref.ref(sim.run_process(call("x", 500.0)))
+        gc.collect()
+        assert ref() is None
+        assert sim.run() == send_delay + 75.0
 
     def test_unanswered_call_times_out_at_exactly_the_deadline(self, sim, make_call, send_delay):
         net = self._net(sim, service=1.0)

@@ -7,7 +7,10 @@
   message: in-flight duplicate, replayed reply, and redelivery to a
   restarted server before and after the execution settled;
 * the two ways a server declines a request — a replica's bounce and an
-  admission shed — leave no dedup state behind.
+  admission shed — leave no dedup state behind;
+* the *completion floor*: the server's dedup tables hold the executions in
+  flight, not the run; a request below its runtime's floor is inert; and
+  no runtime ever sends a floor past an execution that can still send.
 """
 
 import pytest
@@ -35,8 +38,11 @@ from repro.sim import (
     Simulator,
     paper_latency_table,
 )
-from repro.storage import KVStore
+from repro.storage import IdempotencyTable, KVStore
+from repro.mesh import MeshSpec
 from repro.topology import ConflictDetector, Deployment, RangeShardMap, TopologySpec
+
+from conftest import build_counter_deployment
 
 BUMP_SRC = '''
 def bump(k):
@@ -83,13 +89,13 @@ def detecting_config(**overrides) -> RadicalConfig:
     return RadicalConfig(**base)
 
 
-def build(shards=1):
+def build(shards=1, **config):
     return Deployment.build(
         TopologySpec(
             regions=(Region.JP, Region.CA),
             shards=shards,
             seed=1,
-            config=detecting_config(),
+            config=detecting_config(**config),
             network_jitter_sigma=0.0,
             warm_caches=True,
             persistent_caches=False,
@@ -439,3 +445,188 @@ class TestDeclinedRequestsLeaveNoTrace:
         shed = [s for s in w.sim.obs.spans if s.name == "server.shed"]
         assert len(shed) == 1 and shed[0].attrs["request"] == "LVIRequest"
         self._assert_untouched(w.server)
+
+
+# -- (d) the completion floor ----------------------------------------------------
+
+FLOORED = (LVIRequest, ShardPrepare, ShardDecision, DirectExecRequest)
+
+
+def record_calls(dep):
+    """Wrap ``net.call`` to keep ``(src, payload)`` for every RPC, in send
+    order."""
+    sent = []
+    call = dep.net.call
+
+    def recording(src, dst, payload, timeout=None):
+        sent.append((src, payload))
+        return call(src, dst, payload, timeout=timeout)
+
+    dep.net.call = recording
+    return sent
+
+
+def assert_floor_never_passed(dep, sent):
+    """No message carries a seq below its own floor or below a floor its
+    runtime had already sent, and no server ever saw a stale request."""
+    highest = {}
+    for src, msg in sent:
+        if isinstance(msg, FLOORED):
+            floor = max(msg.floor, highest.get(src, 0))
+            assert msg.seq >= floor, (
+                f"{type(msg).__name__} of {src}:{msg.seq} sent after floor {floor}"
+            )
+            highest[src] = floor
+    assert dep.metrics.counter("lvi.stale_request") == 0
+
+
+class TestDedupTablesHoldTheInFlight:
+    def test_sequential_invocations_leave_one_entry(self):
+        dep = build()
+        runtime = dep.runtimes[Region.JP]
+
+        def driver():
+            for _ in range(500):
+                yield from runtime.invoke("t.bump", [LOW])
+
+        dep.sim.run_process(driver())
+        quiesce(dep)
+        server = dep.server
+        assert dep.store.get("counters", LOW).value == 500
+        # Nothing is in flight; the last reply stays until a higher floor
+        # arrives (it was 500 + 500 when nothing was ever dropped).
+        assert len(server._reply_cache) + len(server._seen_requests) <= 1
+
+    def test_a_request_below_the_floor_is_inert(self):
+        dep = build()
+        runtime, server = dep.runtimes[Region.JP], dep.server
+        sent = record_calls(dep)
+        assert invoke(dep, Region.JP, "t.read", [LOW]).path == "speculative"
+        assert invoke(dep, Region.JP, "t.bump", [HIGH]).path == "speculative"
+        quiesce(dep)
+        first = sent[0][1]
+        assert isinstance(first, LVIRequest) and first.seq == 0
+        released = dep.metrics.counter("locks.released")
+        # Redelivered after the runtime's floor passed it: silence, and no
+        # lock, intent or claim.
+        reply = dep.sim.run_process(server._handle(first, runtime.name))
+        assert reply is NO_REPLY
+        assert dep.metrics.counter("lvi.stale_request") == 1
+        assert dep.metrics.counter("lvi.replayed_reply") == 0
+        assert dep.metrics.counter("locks.released") == released
+        assert not server.locks.held_owners()
+        assert server.intents.get(first.execution_id) is None
+        assert not server.idem.claimed(first.execution_id, IdempotencyTable.NEAR_STORAGE)
+
+    def test_a_crash_forgets_the_floors_and_the_durable_checks_answer(self):
+        dep = build()
+        runtime, server = dep.runtimes[Region.JP], dep.server
+        sent = record_calls(dep)
+        assert invoke(dep, Region.JP, "t.bump", [LOW]).path == "speculative"
+        assert invoke(dep, Region.JP, "t.bump", [LOW]).path == "speculative"
+        quiesce(dep)
+        assert server._floors == {runtime.name: 1}
+        server.crash()
+        assert server._floors == {} and server._entries == {}
+        server.restart()
+        quiesce(dep)
+        # The first bump is below the floor the crash forgot; its settled
+        # claim keeps the redelivery silent, exactly as without floors.
+        first = sent[0][1]
+        assert isinstance(first, LVIRequest) and first.seq == 0
+        assert dep.sim.run_process(server._handle(first, runtime.name)) is NO_REPLY
+        assert dep.metrics.counter("lvi.stale_request") == 0
+        assert dep.metrics.counter("lvi.settled_replay") == 1
+        assert dep.store.get("counters", LOW).value == 2
+
+
+class TestTheFloorNeverPassesAnExecutionThatCanStillSend:
+    def test_an_invocation_waiting_at_the_limiter(self):
+        # A runs alone; B queues at the limiter; the window then lets C
+        # past B (AIMD growth admits a newcomer without waking the queue)
+        # and shrinks again, so A's release leaves B waiting.  C sends
+        # after A has finished: its floor must stay at B's seq.
+        dry = build(limiter_max_inflight=2)
+        latency = invoke(dry, Region.JP, "t.read", [LOW]).latency_ms
+
+        dep = build(limiter_max_inflight=2)
+        runtime = dep.runtimes[Region.JP]
+        limiter = runtime._limiter
+        sent = record_calls(dep)
+        outcomes = {}
+
+        def client(label, fn, key):
+            outcomes[label] = yield from runtime.invoke(fn, [key])
+
+        def scenario():
+            limiter._window = 1.0
+            dep.sim.spawn(client("A", "t.read", LOW))
+            yield dep.sim.timeout(1.0)
+            dep.sim.spawn(client("B", "t.bump", HIGH))
+            yield dep.sim.timeout(latency - 3.0)
+            assert limiter._waiters and "A" not in outcomes
+            limiter._window = 2.0
+            dep.sim.spawn(client("C", "t.read", LOW))
+            yield dep.sim.timeout(0.5)
+            limiter._window = 1.0
+
+        dep.sim.spawn(scenario())
+        quiesce(dep)
+        assert sorted(outcomes) == ["A", "B", "C"]
+        assert outcomes["B"].result == 1
+        # A, then C, then B: C was built after A finished, with B open.
+        floors = [(msg.seq, msg.floor) for _src, msg in sent if isinstance(msg, FLOORED)]
+        assert floors == [(0, 0), (2, 1), (1, 1)]
+        assert_floor_never_passed(dep, sent)
+
+    def test_a_detached_abort_fan_out_outlives_invoke(self):
+        dep = build(shards=2, cross_shard_max_restarts=0)
+        assert invoke(dep, Region.JP, "t.bump", [HIGH]).result == 1
+        quiesce(dep)
+        sent = record_calls(dep)
+        # CA's cached HIGH is stale: shard 1 votes no, and with no restart
+        # allowed invoke returns while its abort fan-out is still on the
+        # wire; the next invocations must not pass it.
+        assert invoke(dep, Region.CA, "t.xfer", [LOW, HIGH]) == "unavailable"
+        assert dep.metrics.counter("xshard.aborted") == 0
+        for _ in range(3):
+            assert invoke(dep, Region.CA, "t.read", [LOW]).path == "speculative"
+        quiesce(dep)
+        assert dep.metrics.counter("xshard.aborted") == 2
+        assert sum(isinstance(msg, ShardDecision) for _src, msg in sent) == 2
+        assert_floor_never_passed(dep, sent)
+        for server in dep.servers:
+            assert not server.locks.held_owners()
+
+    def test_a_pop_crash_mid_invocation(self):
+        dep = build_counter_deployment(mesh=MeshSpec(gossip_interval_ms=50.0))
+        runtime, pop = dep.runtimes[Region.JP], dep.mesh.pop(Region.JP)
+        sent = record_calls(dep)
+        outcomes = []
+
+        def client():
+            for _ in range(6):
+                try:
+                    outcomes.append((yield from runtime.invoke("t.bump", ["x"])).path)
+                except UnavailableError:
+                    outcomes.append("unavailable")
+                    yield dep.sim.timeout(100.0)
+
+        def crash_midway():
+            yield dep.sim.timeout(30.0)  # every client's first request is in flight
+            pop.crash()
+            yield dep.sim.timeout(400.0)
+            pop.restart()
+
+        for _ in range(3):
+            dep.sim.spawn(client())
+        dep.sim.spawn(crash_midway())
+        quiesce(dep)
+        # The three invocations caught by the crash still finish; the ones
+        # refused while the PoP is down send nothing; later ones run.
+        assert outcomes[:3] != ["unavailable"] * 3 and "unavailable" in outcomes
+        assert outcomes[-3:] != ["unavailable"] * 3
+        assert len(sent) > 3
+        assert_floor_never_passed(dep, sent)
+        assert runtime._open == {}
+        assert dep.store.get("counters", "c:x").value == len(outcomes) - outcomes.count("unavailable")
