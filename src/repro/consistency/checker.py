@@ -53,31 +53,33 @@ class DependencyGraph:
     labels: Dict[Tuple[int, int], str]
 
     def find_cycle(self) -> Optional[List[int]]:
-        """Return one cycle as a node list, or None if the graph is a DAG."""
+        """Return one cycle as a node list, or None if the graph is a DAG.
+
+        A depth-first search with an explicit stack, so a dependency chain
+        of any length checks without recursion.  Roots and successors are
+        visited in sorted order, so the first cycle found is always the
+        same one."""
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {n: WHITE for n in self.edges}
-        stack: List[int] = []
-
-        def dfs(node: int) -> Optional[List[int]]:
-            color[node] = GRAY
-            stack.append(node)
-            for nxt in sorted(self.edges.get(node, ())):
-                if color.get(nxt, WHITE) == GRAY:
-                    i = stack.index(nxt)
-                    return stack[i:] + [nxt]
-                if color.get(nxt, WHITE) == WHITE:
-                    found = dfs(nxt)
-                    if found:
-                        return found
-            stack.pop()
-            color[node] = BLACK
-            return None
-
-        for node in sorted(self.edges):
-            if color[node] == WHITE:
-                found = dfs(node)
-                if found:
-                    return found
+        for root in sorted(self.edges):
+            if color[root] != WHITE:
+                continue
+            color[root] = GRAY
+            path = [root]
+            successors = [iter(sorted(self.edges[root]))]
+            while successors:
+                for nxt in successors[-1]:
+                    state = color.get(nxt, WHITE)
+                    if state == GRAY:
+                        return path[path.index(nxt):] + [nxt]
+                    if state == WHITE:
+                        color[nxt] = GRAY
+                        path.append(nxt)
+                        successors.append(iter(sorted(self.edges.get(nxt, ()))))
+                        break
+                else:
+                    successors.pop()
+                    color[path.pop()] = BLACK
         return None
 
 

@@ -297,14 +297,14 @@ class MeshPop(NearUserCache):
         ):
             self._log_own_update(table, key, item.value, item.version)
 
-    def warm(self, entries: Dict[Tuple[str, str], CacheEntry]) -> None:
-        """Build-time warming only: a warmed entry is not an update and is
+    def warm(self, snapshot: Dict[str, Dict[str, Item]]) -> None:
+        """Build-time warming only: a warm item is not an update and is
         never logged, so warming after the mesh has started is an error."""
         if self.mesh.started:
             raise RuntimeError(
                 f"cannot warm mesh pop {self.region!r}: gossip already started"
             )
-        super().warm(entries)
+        super().warm(snapshot)
 
     def _gossip_active(self) -> bool:
         return self.mesh.started and self.serving
@@ -478,7 +478,7 @@ class MeshPop(NearUserCache):
     def serve_cut(self, request: CutRequest) -> CutReply:
         entries: List[Tuple[str, str, Any, int]] = []
         for (table, key), floor in request.floors:
-            entry = self._entries.get((table, key))
+            entry = self._peek(table, key)
             if entry is not None and not entry.absent and entry.version >= floor:
                 entries.append((table, key, entry.value, entry.version))
         return CutReply(self.region, tuple(entries))
@@ -489,7 +489,7 @@ class MeshPop(NearUserCache):
         for key, floor in session.floors().items():
             if floor <= 0:
                 continue
-            entry = self._entries.get(key)
+            entry = self._peek(*key)
             version = -1 if entry is None or entry.absent else entry.version
             if version < floor:
                 missing[key] = floor

@@ -10,44 +10,57 @@ requests fail validation until the working set is re-fetched.
 ``persistent=True`` models the paper's implementation choice of backing the
 cache with persistent storage so a restart does not cold-start it.
 
-Entries follow the ownership rule in :mod:`repro.storage.fastcopy`: an
-authoritative item from the primary is installed as-is (it is already
-storage-owned and never edited), a function's write is copied in once by
-:meth:`NearUserCache.apply_local_write`, and an entry is only ever
-*replaced*, never edited — so a snapshot that pinned an entry's value keeps
-seeing exactly what it pinned.  Because an entry is immutable, any number
-of caches may share it: a deployment builds its warm entries once and
-every PoP's :meth:`NearUserCache.warm` installs the same objects.  Every
-write path — :meth:`~NearUserCache.install`,
-:meth:`~NearUserCache.apply_local_write`, a mesh PoP's gossiped apply,
-:meth:`~NearUserCache.invalidate`, :meth:`~NearUserCache.wipe` — replaces
-or drops the dict slot of its own cache, so no other holder sees it.
+Each cache has two layers.  The lower one is the deployment's **warm
+snapshot** of the stores (:meth:`repro.storage.kvstore.KVStore.snapshot`):
+``{table: {key: Item}}``, taken once per deployment and shared, unwritten,
+by every PoP cache.  The upper one is the cache's own **overlay**: what it
+has installed, applied, fetched or invalidated since warming.  Reads check
+the overlay first; every write path — :meth:`~NearUserCache.install`,
+:meth:`~NearUserCache.apply_local_write`, a mesh PoP's gossiped apply and
+cut pull, :meth:`~NearUserCache.invalidate` (which hides a snapshot key
+behind a ``None`` marker), :meth:`~NearUserCache.wipe` — touches only the
+overlay or this cache's reference to the snapshot, so no other holder sees
+it.
+
+Both layers follow the ownership rule in :mod:`repro.storage.fastcopy`.  A
+warm hit is the stored :class:`Item` itself: the store never edits an item
+(a write replaces it), so the snapshot is the warm-time state forever and
+needs no per-item wrapper.  An authoritative item from the primary is
+installed sharing its value, a function's write is copied in once by
+:meth:`NearUserCache.apply_local_write`, and an overlay entry is only ever
+*replaced*, never edited — so a snapshot reader that pinned an entry's
+value keeps seeing exactly what it pinned.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .fastcopy import fast_deepcopy
 from .kvstore import Item, VERSION_MISS
 
 __all__ = ["CacheEntry", "NearUserCache"]
 
+#: The rows of a table the warm snapshot does not hold.
+_NO_ROWS: Mapping[str, Item] = MappingProxyType({})
+#: What an overlay lookup returns when the overlay has no word on a key.
+_UNSET = object()
 
-class CacheEntry:
-    """A cached item: possibly-stale value plus the version it came from.
+
+class CacheEntry(Item):
+    """An overlay entry: possibly-stale value plus the version it came from.
 
     ``absent=True`` caches the knowledge that the primary had no such key
     (at the recorded version, always 0), so reads of missing keys can still
     speculate and validate.  ``installed_at`` is the virtual time the entry
-    was last refreshed (0.0 for entries installed before the cache was
-    bound to a simulator, e.g. build-time warming) — the hit-age metric and
-    the mesh staleness analysis both read it.  Read-only by contract, like
-    the :class:`Item` whose value it may share, and so shareable between
-    caches.
+    was installed (0.0 while the cache is unbound to a simulator) — the
+    hit-age metric reads it; a warm hit, which is a plain stored
+    :class:`Item`, is aged from its cache's ``warmed_at`` instead.
+    Read-only by contract, like the :class:`Item` whose value it may share.
     """
 
-    __slots__ = ("value", "version", "absent", "installed_at")
+    __slots__ = ("absent", "installed_at")
 
     def __init__(self, value: Any, version: int, absent: bool = False,
                  installed_at: float = 0.0):
@@ -64,12 +77,21 @@ class CacheEntry:
 
 
 class NearUserCache:
-    """Per-location cache keyed by (table, key)."""
+    """Per-location cache keyed by (table, key): the shared warm snapshot
+    under this cache's own overlay."""
 
     def __init__(self, region: str, persistent: bool = False):
         self.region = region
         self.persistent = persistent
-        self._entries: Dict[Tuple[str, str], CacheEntry] = {}
+        #: The lower layer, ``{table: {key: Item}}``: set by :meth:`warm`,
+        #: shared with every cache warmed from it, never written.
+        self._snapshot: Dict[str, Dict[str, Item]] = {}
+        #: The virtual time this cache was warmed: the install time of
+        #: every snapshot hit, for the hit-age metric.
+        self.warmed_at = 0.0
+        #: The upper layer: entries installed since warming; ``None``
+        #: hides the snapshot's item for a key this cache invalidated.
+        self._entries: Dict[Tuple[str, str], Optional[CacheEntry]] = {}
         self.hits = 0
         self.misses = 0
         #: Optional trace collector (set by the owning runtime).  When one
@@ -92,10 +114,20 @@ class NearUserCache:
 
     # -- reads -------------------------------------------------------------
 
-    def lookup(self, table: str, key: str) -> Optional[CacheEntry]:
+    def _peek(self, table: str, key: str) -> Optional[Item]:
+        """The visible entry — the overlay's, else the snapshot's — without
+        counting a hit or a miss."""
+        entry = self._entries.get((table, key), _UNSET)
+        if entry is _UNSET:
+            return self._snapshot.get(table, _NO_ROWS).get(key)
+        return entry
+
+    def lookup(self, table: str, key: str) -> Optional[Item]:
         """The cached entry, or ``None`` on a miss (version -1 in the LVI
-        request; speculation is skipped because validation must fail)."""
-        entry = self._entries.get((table, key))
+        request; speculation is skipped because validation must fail).  A
+        warm hit is the stored :class:`Item`, anything newer a
+        :class:`CacheEntry`; both carry ``value``, ``version``, ``absent``."""
+        entry = self._peek(table, key)
         obs = self.obs
         if entry is None:
             self.misses += 1
@@ -105,7 +137,10 @@ class NearUserCache:
         self.hits += 1
         metrics = self.metrics
         if metrics is not None and metrics.enabled:
-            age_ms = self._now() - entry.installed_at
+            installed_at = (
+                entry.installed_at if isinstance(entry, CacheEntry) else self.warmed_at
+            )
+            age_ms = self._now() - installed_at
             metrics.record_tagged("cache.hit_age_ms", age_ms, region=self.region)
             if obs is not None and obs.enabled:
                 obs.event(
@@ -117,11 +152,11 @@ class NearUserCache:
 
     def version(self, table: str, key: str) -> int:
         """Cached version, or :data:`VERSION_MISS` if not cached."""
-        entry = self._entries.get((table, key))
+        entry = self._peek(table, key)
         return VERSION_MISS if entry is None else entry.version
 
     def contains(self, table: str, key: str) -> bool:
-        return (table, key) in self._entries
+        return self._peek(table, key) is not None
 
     # -- updates -----------------------------------------------------------
 
@@ -140,14 +175,20 @@ class NearUserCache:
                 value=item.value, version=item.version, installed_at=self._now()
             )
 
-    def warm(self, entries: Dict[Tuple[str, str], CacheEntry]) -> None:
-        """Install prebuilt entries as they are — build-time warming.
+    def warm(self, snapshot: Dict[str, Dict[str, Item]]) -> None:
+        """Build-time warming: read ``snapshot`` as the lower layer.
 
-        The entries (and their key tuples) are shared with every other
-        cache warmed from the same mapping; that is safe because no write
-        path edits an entry, it replaces the slot.
+        The snapshot is kept by reference and shared with every other cache
+        warmed from it; nothing here or on any write path edits it.  Its
+        items are stamped as :meth:`install` would stamp them now: a cache
+        still unbound to a simulator at 0.0, a mesh PoP at ``sim.now``.
         """
-        self._entries.update(entries)
+        if self._snapshot or self._entries:
+            raise RuntimeError(
+                f"cannot warm cache {self.region!r}: it already holds entries"
+            )
+        self._snapshot = snapshot
+        self.warmed_at = self._now()
 
     def install_batch(self, fresh: Dict[Tuple[str, str], Optional[Item]]) -> None:
         """Install many authoritative items (the stale set of an LVI
@@ -168,8 +209,13 @@ class NearUserCache:
         )
 
     def invalidate(self, table: str, key: str) -> None:
-        """Drop one entry (next access will be a miss)."""
-        self._entries.pop((table, key), None)
+        """Drop one entry (next access will be a miss); a warm key stays
+        hidden behind a marker, because the shared snapshot is not ours to
+        edit."""
+        if key in self._snapshot.get(table, _NO_ROWS):
+            self._entries[(table, key)] = None
+        else:
+            self._entries.pop((table, key), None)
 
     def wipe(self) -> None:
         """Lose all cached state, unless the cache is persistent.
@@ -178,20 +224,35 @@ class NearUserCache:
         because validation rejects whatever the cache cannot prove fresh.
         """
         if not self.persistent:
-            self._entries.clear()
+            self.force_wipe()
 
     def force_wipe(self) -> None:
-        """Lose all state even if persistent (disk also failed)."""
+        """Lose all state even if persistent (disk also failed): both the
+        overlay and this cache's reference to the snapshot."""
+        self._snapshot = {}
         self._entries.clear()
 
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries())
 
     def hit_rate(self) -> Optional[float]:
         total = self.hits + self.misses
         return None if total == 0 else self.hits / total
 
-    def entries(self) -> Iterable[Tuple[Tuple[str, str], CacheEntry]]:
-        return list(self._entries.items())
+    def entries(self) -> Iterable[Tuple[Tuple[str, str], Item]]:
+        """Every visible ``((table, key), entry)``: the snapshot's keys in
+        its order (an overlay entry in place of the item it shadows), then
+        the keys only the overlay holds."""
+        overlay = self._entries
+        out = []
+        for table, rows in self._snapshot.items():
+            for key, item in rows.items():
+                entry = overlay.get((table, key), item)
+                if entry is not None:
+                    out.append(((table, key), entry))
+        for (table, key), entry in overlay.items():
+            if entry is not None and key not in self._snapshot.get(table, _NO_ROWS):
+                out.append(((table, key), entry))
+        return out

@@ -14,11 +14,11 @@ Inside storage nothing is ever edited in place — a write *replaces* an
 item, a fresher version *replaces* a cache entry (paper §3.1–3.2) — so
 every holder shares the one object: store items, cache entries, the pins
 of a snapshot, the fresh items of an LVI response, mesh updates and cut
-replies.  The same holds one level up: a ``CacheEntry`` is immutable, so
-the warm entries of a deployment are built once and shared by every PoP
-cache, and each cache write path (``install``, ``apply_local_write``, the
-mesh's gossiped apply, ``invalidate``, ``wipe``) replaces or drops an
-entry rather than editing it.  Code on the storage side that needs a
+replies.  The same holds one level up: a deployment's warm snapshot of
+the stores is taken once and read by every PoP cache under its own
+overlay, and each cache write path (``install``, ``apply_local_write``,
+the mesh's gossiped apply, ``invalidate``, ``wipe``) replaces or hides an
+entry in that overlay rather than editing anything shared.  Code on the storage side that needs a
 value it may mutate calls ``Item.copy_value()``.
 
 **The copier.**  The stdlib ``copy.deepcopy`` pays for generality this data

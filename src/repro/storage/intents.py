@@ -222,7 +222,7 @@ class IdempotencyTable:
         if item is not None:
             return False
         try:
-            self.store.conditional_put(IDEM_TABLE, key, {"claimed": True}, expected_version=0)
+            self.store.conditional_put(IDEM_TABLE, key, True, expected_version=0)
         except ConditionFailed:
             return False
         return True

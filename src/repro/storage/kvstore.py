@@ -44,10 +44,15 @@ class Item:
 
     Read-only by contract: the store hands out its own instance, which the
     caches and messages downstream share, so neither field nor value may
-    ever be edited in place.
+    ever be edited in place.  A near-user cache serves a warm hit as the
+    stored item itself, so an item reads as a present cache entry
+    (``absent`` is false).
     """
 
     __slots__ = ("value", "version")
+
+    #: A stored item always exists; only a cache entry can record absence.
+    absent = False
 
     def __init__(self, value: Any, version: int):
         self.value = value
@@ -167,8 +172,20 @@ class KVStore:
 
     def scan(self, table: str) -> List[Tuple[str, Item]]:
         """All (key, stored item) pairs of a table, sorted by key — what
-        cache warming and the intent table's recovery sweep walk."""
+        the intent table's recovery sweep walks."""
         return sorted(self._tables.get(table, {}).items())
+
+    def snapshot(self) -> Dict[str, Dict[str, Item]]:
+        """``{table: {key: stored item}}`` for every application table, as
+        of now — what a deployment warms its caches from.  Each table dict
+        is a shallow copy; no item or value is copied, because a stored
+        item is never edited, so the copy stays this instant's state
+        forever.  Protocol tables (``_radical*``) are left out."""
+        return {
+            table: dict(rows)
+            for table, rows in self._tables.items()
+            if not table.startswith("_radical")
+        }
 
     def table_names(self) -> List[str]:
         return sorted(self._tables)

@@ -45,7 +45,7 @@ from ..sim import (
     Simulator,
     resolve_rtt_dataset,
 )
-from ..storage import CacheEntry, KVStore, NearUserCache
+from ..storage import Item, KVStore, NearUserCache
 from .shardmap import ConflictDetector, HashShardMap, ShardMap, ShardRouter
 
 __all__ = [
@@ -386,12 +386,7 @@ class Deployment:
             self.mesh = CacheMesh(
                 sim, self.net, spec.mesh, list(spec.regions), self.metrics
             )
-        warm = None
-        if spec.warm_caches:
-            # Stamped as ``install`` would stamp them: a mesh PoP is on the
-            # clock from birth, a plain cache only once its runtime binds it.
-            installed_at = sim.now if self.mesh is not None else 0.0
-            warm = _warm_entries(self.stores, installed_at)
+        warm = _warm_snapshot(self.stores) if spec.warm_caches else None
         for region in pop_regions:
             if self.mesh is not None:
                 cache = self.mesh.make_pop(region, persistent=spec.persistent_caches)
@@ -575,23 +570,18 @@ def _assign_clients(
     return out
 
 
-def _warm_entries(
-    stores: List[KVStore], installed_at: float
-) -> Dict[Tuple[str, str], CacheEntry]:
-    """The primary stores' current contents as cache entries — the
+def _warm_snapshot(stores: List[KVStore]) -> Dict[str, Dict[str, Item]]:
+    """The primary stores' current contents, ``{table: {key: Item}}`` — the
     steady-state starting point of every PoP (the paper's runs measure
-    warmed deployments; cold-start is the §3.2 bootstrap ablation).  Built
-    once per deployment and shared by every cache it warms: an entry is
-    immutable and shares its item's value, so warming N PoPs copies
-    nothing and allocates one entry per stored item.  Protocol tables
-    (``_radical*``) never enter caches."""
-    entries: Dict[Tuple[str, str], CacheEntry] = {}
+    warmed deployments; cold-start is the §3.2 bootstrap ablation).  Taken
+    once per deployment and read, unwritten, by every cache it warms: the
+    shards' snapshots merge per table (their keys are disjoint), and no
+    item or value is copied."""
+    merged: Dict[str, Dict[str, Item]] = {}
     for store in stores:
-        for table in store.table_names():
-            if table.startswith("_radical"):
-                continue
-            for key, item in store.scan(table):
-                entries[(table, key)] = CacheEntry(
-                    item.value, item.version, installed_at=installed_at
-                )
-    return entries
+        for table, rows in store.snapshot().items():
+            if table in merged:
+                merged[table].update(rows)
+            else:
+                merged[table] = rows
+    return merged

@@ -81,9 +81,9 @@ def build_counter_stack(seed=1, followup_timeout=400.0,
     return dep.sim, dep.net, dep.store, dep.server, dep.runtimes, dep.metrics
 
 
-def assert_warm_entries_shared(dep):
-    """Every PoP holds the same entry object (and key tuple) for every
-    stored item, one entry per item."""
+def assert_warm_snapshot_shared(dep):
+    """Every PoP reads the same warm snapshot under an empty overlay, and a
+    warm read returns the store's own item."""
     stored = {
         (table, key)
         for store in dep.stores
@@ -93,11 +93,11 @@ def assert_warm_entries_shared(dep):
     assert stored
     first, *rest = dep.caches.values()
     assert rest
-    for cache in rest:
+    for cache in dep.caches.values():
+        assert cache._snapshot is first._snapshot
+        assert cache._entries == {}
         assert len(cache) == len(stored)
-        for (key, entry), (key0, entry0) in zip(cache.entries(), first.entries()):
-            assert key is key0 and entry is entry0
-    assert {key for key, _entry in first.entries()} == stored
-    for key, entry in first.entries():
-        item = dep.store_for(*key).get_or_none(*key)
-        assert entry.value is item.value and entry.version == item.version
+        assert {key for key, _entry in cache.entries()} == stored
+        for key, entry in cache.entries():
+            assert entry is dep.store_for(*key).get_or_none(*key)
+            assert cache.lookup(*key) is entry

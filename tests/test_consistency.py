@@ -1,5 +1,7 @@
 """Tests for the strict-serializability checker and register checker."""
 
+import random
+
 import pytest
 
 from conftest import build_counter_deployment
@@ -13,6 +15,7 @@ from repro.consistency import (
     check_strict_serializability,
     verdicts,
 )
+from repro.consistency.checker import build_dependency_graph
 from repro.errors import ConsistencyViolation
 
 K = ("t", "x")
@@ -165,6 +168,86 @@ class TestStrictSerializability:
                 txn(i, float(2 * i), float(2 * i + 1), reads={K: i}, writes={K: i + 1})
             )
         check_strict_serializability(history)
+
+    @staticmethod
+    def bump_chain(n):
+        # Every bump is in flight at once, so the chain is all dependency
+        # edges and no real-time ones (those are all-pairs, ROADMAP 1(b)).
+        return [
+            txn(i, 0.0, 1e9, reads={K: i}, writes={K: i + 1}) for i in range(n)
+        ]
+
+    def test_long_dependency_chain_checks_without_recursion(self):
+        check_strict_serializability(self.bump_chain(1500))
+
+    def test_long_dependency_chain_with_a_back_edge_reports_the_cycle(self):
+        history = self.bump_chain(1500)
+        history[0].reads[K2] = 1
+        history[-1].writes[K2] = 1
+        with pytest.raises(ConsistencyViolation) as err:
+            check_strict_serializability(history)
+        message = str(err.value)
+        assert message.startswith("dependency cycle: T0 --[ww ('t', 'x')@v1->v2]--> T1; ")
+        assert message.endswith("; T1499 --[wr ('t', 'y')@v1]--> T0")
+        assert message.count("-->") == 1500
+
+
+def recursive_find_cycle(graph):
+    """The recursive search ``DependencyGraph.find_cycle`` replaced, kept as
+    the reference for the iterative one on graphs shallow enough for it."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in graph.edges}
+    stack = []
+
+    def dfs(node):
+        color[node] = GRAY
+        stack.append(node)
+        for nxt in sorted(graph.edges.get(node, ())):
+            if color.get(nxt, WHITE) == GRAY:
+                i = stack.index(nxt)
+                return stack[i:] + [nxt]
+            if color.get(nxt, WHITE) == WHITE:
+                found = dfs(nxt)
+                if found:
+                    return found
+        stack.pop()
+        color[node] = BLACK
+        return None
+
+    for node in sorted(graph.edges):
+        if color[node] == WHITE:
+            found = dfs(node)
+            if found:
+                return found
+    return None
+
+
+def random_history(rng):
+    """Up to 12 transactions over three keys: each written version has one
+    writer, reads pick any version, intervals overlap at random."""
+    n = rng.randint(2, 12)
+    records = [
+        txn(i, float(start), float(start + rng.randint(0, 20)))
+        for i, start in enumerate(rng.choices(range(20), k=n))
+    ]
+    for key in (K, K2, ("t", "z")):
+        writers = rng.sample(range(n), rng.randint(0, n))
+        for version, writer in enumerate(writers, start=1):
+            records[writer].writes[key] = version
+        for record in rng.sample(records, rng.randint(0, n // 2)):
+            record.reads[key] = rng.randint(0, len(writers))
+    return records
+
+
+def test_iterative_cycle_search_matches_the_recursive_one():
+    rng = random.Random(2024)
+    cyclic = 0
+    for _ in range(200):
+        graph = build_dependency_graph(random_history(rng))
+        found = graph.find_cycle()
+        assert found == recursive_find_cycle(graph)
+        cyclic += found is not None
+    assert 20 < cyclic < 180  # both verdicts are exercised
 
 
 class TestRegisterChecker:

@@ -648,8 +648,8 @@ def test_copies_ratchet_social_closed_loop(monkeypatch):
                 phase[0] = "build"
         return counted_step
 
-    # Warming is building the shared entries, then installing them per PoP.
-    monkeypatch.setattr(deployment, "_warm_entries", warming(deployment._warm_entries))
+    # Warming is taking the shared snapshot, then handing it to each PoP.
+    monkeypatch.setattr(deployment, "_warm_snapshot", warming(deployment._warm_snapshot))
     monkeypatch.setattr(NearUserCache, "warm", warming(NearUserCache.warm))
     spec = TopologySpec(seed=42, network_jitter_sigma=PAPER_JITTER_SIGMA)
     app = social_media_app()

@@ -11,11 +11,13 @@ cost and recovery properties: ship-once, idle suppression, retransmit
 after loss, relay around a cut link, and reordering-proof acks.
 """
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
-from repro.apps import social_media_app
+from repro.apps import forum_app, social_media_app
 from repro.consistency import find_causal_cut_violations
 from repro.core import RadicalConfig
 from repro.errors import FaultConfigError
@@ -29,13 +31,13 @@ from repro.faults import (
     PoPPartitionWindow,
     SlowServerWindow,
 )
-from repro.mesh import CacheMesh, GossipDigest, MeshSpec, MeshUpdate, Session
+from repro.mesh import CacheMesh, CutRequest, GossipDigest, MeshSpec, MeshUpdate, Session
 from repro.sim import Metrics, Network, RandomStreams, Region, Simulator, paper_latency_table
 from repro.storage import NearUserCache
 from repro.storage.kvstore import Item
 from repro.topology import Deployment, TopologySpec
 
-from conftest import assert_warm_entries_shared, build_counter_deployment
+from conftest import assert_warm_snapshot_shared, build_counter_deployment
 
 KEY = ("counters", "c:x")
 
@@ -130,7 +132,7 @@ class TestGossip:
 class TestWarmEntriesShared:
     def test_mesh_pops_share_warm_entries(self):
         dep = build_mesh_deployment(regions=(Region.JP, Region.CA, Region.IE))
-        assert_warm_entries_shared(dep)
+        assert_warm_snapshot_shared(dep)
 
     def test_mesh_pop_warms_at_build_time_after_raft_prewarm(self):
         # A mesh PoP is on the clock from birth, as ``install`` stamped it.
@@ -142,8 +144,11 @@ class TestWarmEntriesShared:
             app=social_media_app(),
         )
         assert dep.sim.now == 500.0
-        for pop in dep.mesh.pops.values():
-            assert {e.installed_at for _k, e in pop.entries()} == {500.0}
+        for region, pop in dep.mesh.pops.items():
+            assert pop.warmed_at == 500.0 and pop._entries == {}
+            (key, _item), *_rest = pop.entries()
+            pop.lookup(*key)
+            assert dep.metrics.samples_tagged("cache.hit_age_ms", region=region) == [0.0]
 
     def test_gossiped_apply_replaces_only_its_own_entry(self):
         dep = build_mesh_deployment(regions=(Region.JP, Region.CA, Region.IE))
@@ -162,6 +167,45 @@ class TestWarmEntriesShared:
         with pytest.raises(RuntimeError, match="gossip already started"):
             jp.warm({})
         assert len(jp) == 0 and jp.applied_log == []
+
+    def test_cut_serving_reads_both_layers_without_counting(self):
+        dep = build_mesh_deployment(regions=(Region.JP, Region.CA, Region.IE))
+        jp = dep.mesh.pop(Region.JP)
+        warm = dep.store.get(*KEY)
+        request = CutRequest(((KEY, warm.version),))
+        assert jp.serve_cut(request).entries == ((*KEY, warm.value, warm.version),)
+        session = Session("c")
+        session.observe({}, {KEY: warm.version + 1})
+        assert jp.unsatisfied_floors(session) == {KEY: warm.version + 1}
+        jp.invalidate(*KEY)
+        assert jp.serve_cut(request).entries == ()
+        jp.install(*KEY, Item(5, warm.version + 1))
+        assert jp.unsatisfied_floors(session) == {}
+        assert (jp.hits, jp.misses) == (0, 0)
+
+    def test_five_pops_cost_about_one_in_memory(self):
+        # The warm snapshot is shared, so PoPs past the first add only
+        # their runtimes and empty overlays — not a copy of the stores.
+        def build_cost(regions):
+            app = forum_app()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                dep = Deployment.build(
+                    TopologySpec(seed=42, regions=regions,
+                                 mesh=MeshSpec(gossip_interval_ms=25.0)),
+                    app=app,
+                )
+                gc.collect()
+                size, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(dep.caches) == len(regions)
+            return size
+
+        one = build_cost((Region.JP,))
+        five = build_cost(TopologySpec().regions)
+        assert five - one < 0.2e6
 
 
 class TestShipOnceGossip:

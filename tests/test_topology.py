@@ -3,7 +3,7 @@ that one shard *is* the seed topology — virtual-time identical."""
 
 import pytest
 
-from conftest import assert_warm_entries_shared, build_counter_deployment
+from conftest import assert_warm_snapshot_shared, build_counter_deployment
 from repro.apps import social_media_app
 from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
 from repro.core import FunctionRegistry, LVIServer, NearUserRuntime, RadicalConfig
@@ -162,12 +162,12 @@ class TestDeployment:
 class TestWarmEntriesShared:
     def test_plain_deployment(self):
         dep = Deployment.build(TopologySpec(seed=42), app=social_media_app())
-        assert_warm_entries_shared(dep)
+        assert_warm_snapshot_shared(dep)
 
     def test_sharded_deployment(self):
         dep = Deployment.build(TopologySpec(seed=42, shards=2), app=social_media_app())
         assert all(store.size("users") for store in dep.stores)
-        assert_warm_entries_shared(dep)
+        assert_warm_snapshot_shared(dep)
 
     def test_plain_cache_warms_at_time_zero_after_raft_prewarm(self):
         # A plain cache is unbound while warmed, as ``install`` stamped it.
@@ -176,8 +176,11 @@ class TestWarmEntriesShared:
             app=social_media_app(),
         )
         assert dep.sim.now == 500.0
-        for cache in dep.caches.values():
-            assert {e.installed_at for _k, e in cache.entries()} == {0.0}
+        for region, cache in dep.caches.items():
+            assert cache.warmed_at == 0.0 and cache._entries == {}
+            (key, _item), *_rest = cache.entries()
+            cache.lookup(*key)
+            assert dep.metrics.samples_tagged("cache.hit_age_ms", region=region) == [500.0]
 
 
 class TestSingleShardIsTheSeed:
