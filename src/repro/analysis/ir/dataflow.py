@@ -2,36 +2,32 @@
 
 The solver is direction-agnostic: an analysis declares ``forward`` or
 ``backward``, a boundary fact, a top element, a meet and a per-block
-transfer function, and :func:`solve` iterates to the (unique, because all
-lattices here are finite) fixpoint.
+transfer function, and :func:`solve` iterates to the fixpoint.  There is
+no iteration cap: an analysis whose lattice has infinite ascending chains
+must widen inside its transfer.
 
 Instances provided:
 
 * :class:`ReachingDefinitions` — forward, may; which ``STORE`` sites can
   reach each block.
 * :class:`Liveness` — backward, may; which locals may still be loaded.
-* :class:`IntervalAnalysis` — forward integer-interval propagation over
-  locals (with loop-head widening, since the interval lattice has
-  unbounded chains); :func:`access_key_intervals` uses it to bound keys
-  of the form ``prefix + str(i)`` where ``i`` is provably confined to a
-  finite range (the ``int(x) % c`` sharding idiom).
+* :class:`~repro.analysis.ir.access.KeyShapeAnalysis` — forward; the
+  symbolic term and integer interval of every stack slot and local,
+  which say which table and key each storage access touches.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, FrozenSet, List, Tuple
 
-from ...wasm.ir import Op, WasmFunction
-from .cfg import CFG, BasicBlock, build_cfg, stack_effect
+from ...wasm.ir import Op
+from .cfg import CFG, BasicBlock
 
 __all__ = [
     "DataflowAnalysis",
     "solve",
     "ReachingDefinitions",
     "Liveness",
-    "IntervalAnalysis",
-    "IV_TOP",
-    "access_key_intervals",
 ]
 
 
@@ -70,16 +66,16 @@ def solve(cfg: CFG, analysis: DataflowAnalysis) -> Tuple[List[Any], List[Any]]:
     out_facts: List[Any] = [top] * n
 
     if analysis.forward:
-        in_facts[cfg.entry] = boundary
         worklist = list(range(n))
         while worklist:
             b = worklist.pop(0)
             block = cfg.blocks[b]
-            if b != cfg.entry:
-                fact = top
-                for p in block.preds:
-                    fact = analysis.meet(fact, out_facts[p])
-                in_facts[b] = fact
+            # The entry meets its boundary with any back edge into it (a
+            # function that opens with a ``while`` loop).
+            fact = boundary if b == cfg.entry else top
+            for p in block.preds:
+                fact = analysis.meet(fact, out_facts[p])
+            in_facts[b] = fact
             new_out = analysis.transfer(cfg, block, in_facts[b])
             if new_out != out_facts[b]:
                 out_facts[b] = new_out
@@ -166,249 +162,3 @@ class Liveness(DataflowAnalysis):
             elif instr.op == Op.LOAD:
                 live.add(instr.arg)
         return frozenset(live)
-
-
-# -- interval analysis -------------------------------------------------------
-
-#: Abstract values are small tagged tuples:
-#:   ("int", lo, hi)          integer interval; a ``None`` bound is unbounded
-#:   ("str", s)               exactly the string ``s``
-#:   ("key", prefix, lo, hi)  the string ``prefix + str(i)`` for some
-#:                            ``lo <= i <= hi`` (both bounds finite)
-#:   IV_TOP                   any value at all
-IV_TOP = ("top",)
-
-
-def _iv_of_const(value: Any) -> Tuple:
-    if isinstance(value, bool):
-        return ("int", int(value), int(value))
-    if isinstance(value, int):
-        return ("int", value, value)
-    if isinstance(value, str):
-        return ("str", value)
-    return IV_TOP
-
-
-def _iv_join(a: Tuple, b: Tuple) -> Tuple:
-    if a == b:
-        return a
-    if a[0] == "int" and b[0] == "int":
-        lo = None if a[1] is None or b[1] is None else min(a[1], b[1])
-        hi = None if a[2] is None or b[2] is None else max(a[2], b[2])
-        return ("int", lo, hi)
-    return IV_TOP
-
-
-def _iv_widen(prev: Tuple, new: Tuple) -> Tuple:
-    """``prev ∇ new``: keep bounds that stopped moving, jump growing ones
-    straight to unbounded.  Guarantees finite ascending chains, which the
-    interval lattice alone does not."""
-    if prev == new:
-        return new
-    if prev[0] != "int" or new[0] != "int":
-        return IV_TOP
-    lo = prev[1] if prev[1] is not None and new[1] is not None and new[1] >= prev[1] else None
-    hi = prev[2] if prev[2] is not None and new[2] is not None and new[2] <= prev[2] else None
-    return ("int", lo, hi)
-
-
-def _iv_binop(op: str, lhs: Tuple, rhs: Tuple) -> Tuple:
-    if op == "+" and lhs[0] == "str" and rhs[0] == "str":
-        return ("str", lhs[1] + rhs[1])
-    if lhs[0] != "int" or rhs[0] != "int":
-        return IV_TOP
-    a_lo, a_hi, b_lo, b_hi = lhs[1], lhs[2], rhs[1], rhs[2]
-    if op == "%":
-        # Python's % with a positive divisor lands in [0, c) regardless of
-        # the dividend's sign; lhs must be a known int (a float dividend
-        # would yield a fractional result).
-        if b_lo is not None and b_lo == b_hi and b_lo > 0:
-            return ("int", 0, b_lo - 1)
-        return IV_TOP
-    if op == "+":
-        return (
-            "int",
-            None if a_lo is None or b_lo is None else a_lo + b_lo,
-            None if a_hi is None or b_hi is None else a_hi + b_hi,
-        )
-    if op == "-":
-        return (
-            "int",
-            None if a_lo is None or b_hi is None else a_lo - b_hi,
-            None if a_hi is None or b_lo is None else a_hi - b_lo,
-        )
-    if op == "*":
-        if None in (a_lo, a_hi, b_lo, b_hi):
-            return IV_TOP
-        products = [a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi]
-        return ("int", min(products), max(products))
-    if op == "//" and b_lo is not None and b_lo == b_hi and b_lo > 0:
-        return (
-            "int",
-            None if a_lo is None else a_lo // b_lo,
-            None if a_hi is None else a_hi // b_lo,
-        )
-    return IV_TOP
-
-
-def _iv_format(parts: List[Tuple]) -> Tuple:
-    """FORMAT over abstract parts: constant pieces accumulate into a
-    prefix; a trailing finite int interval makes the result a key span."""
-    prefix: List[str] = []
-    for i, p in enumerate(parts):
-        if p[0] == "str":
-            prefix.append(p[1])
-        elif p[0] == "int" and p[1] is not None and p[2] is not None:
-            if i == len(parts) - 1:
-                return ("key", "".join(prefix), p[1], p[2])
-            if p[1] == p[2]:
-                prefix.append(str(p[1]))
-            else:
-                return IV_TOP
-        else:
-            return IV_TOP
-    return ("str", "".join(prefix))
-
-
-def _interval_walk(block: BasicBlock, env: Dict[str, Tuple], record) -> None:
-    """Interval-abstract interpretation of one block, mutating ``env``.
-
-    ``record(pc, keyspan)`` is invoked for every storage access whose key
-    operand is a ``("key", prefix, lo, hi)`` span (``None`` to skip)."""
-    stack: List[Tuple] = []
-
-    def pop() -> Tuple:
-        return stack.pop() if stack else IV_TOP
-
-    def popn(n: int) -> List[Tuple]:
-        return [pop() for _ in range(n)][::-1]
-
-    def access(pc: int, extra: int) -> None:
-        if extra:
-            pop()
-        key = pop()
-        pop()  # table
-        if record is not None and key[0] == "key":
-            record(pc, key)
-        stack.append(IV_TOP)
-
-    for pc, instr in block.pcs():
-        op = instr.op
-        if op == Op.PUSH:
-            stack.append(_iv_of_const(instr.arg))
-        elif op == Op.LOAD:
-            stack.append(env.get(instr.arg, IV_TOP))
-        elif op == Op.STORE:
-            env[instr.arg] = pop()
-        elif op == Op.POP:
-            pop()
-        elif op == Op.DUP:
-            stack.append(stack[-1] if stack else IV_TOP)
-        elif op == Op.BINOP:
-            rhs, lhs = pop(), pop()
-            stack.append(_iv_binop(instr.arg, lhs, rhs))
-        elif op == Op.UNARY:
-            v = pop()
-            if instr.arg == "-" and v[0] == "int":
-                lo = None if v[2] is None else -v[2]
-                hi = None if v[1] is None else -v[1]
-                stack.append(("int", lo, hi))
-            else:
-                stack.append(IV_TOP)
-        elif op == Op.FORMAT:
-            stack.append(_iv_format(popn(instr.arg)))
-        elif op in (Op.DB_GET, Op.RW_READ, Op.RW_WRITE):
-            access(pc, 0)
-        elif op == Op.DB_PUT:
-            access(pc, 1)
-        elif op in (Op.CALL, Op.INTRINSIC):
-            name, argc = instr.arg
-            args = popn(argc)
-            if op == Op.CALL and name == "int" and argc == 1:
-                # int() always yields an integer (or the VM traps before
-                # any access happens) — the hook that lets ``int(x) % c``
-                # bound otherwise-opaque request arguments.
-                stack.append(args[0] if args[0][0] == "int" else ("int", None, None))
-            else:
-                stack.append(IV_TOP)
-        else:
-            pops, pushes = stack_effect(instr)
-            popn(pops)
-            stack.extend([IV_TOP] * pushes)
-
-
-class IntervalAnalysis(DataflowAnalysis):
-    """Forward interval propagation over locals.
-
-    A fact maps variable name -> abstract value (absent = unassigned).  Instances are single-use per :func:`solve`
-    call: the transfer function keeps a per-block memo of the previous
-    in-fact and applies :func:`_iv_widen` on every revisit of a block
-    inside a loop, so the fixpoint terminates even though the interval
-    lattice has infinite ascending chains.  Branch joins outside loops
-    stay precise (plain interval hull).
-    """
-
-    forward = True
-
-    def __init__(self) -> None:
-        self._prev_in: Dict[int, Dict[str, Tuple]] = {}
-        self._loop_blocks: Optional[set] = None
-
-    def boundary(self, cfg: CFG) -> Dict[str, Tuple]:
-        return {p: IV_TOP for p in cfg.func.params}
-
-    def top(self, cfg: CFG) -> Dict[str, Tuple]:
-        return {}
-
-    def meet(self, a: Dict[str, Tuple], b: Dict[str, Tuple]) -> Dict[str, Tuple]:
-        if not a:
-            return dict(b)
-        if not b:
-            return dict(a)
-        merged: Dict[str, Tuple] = {}
-        for var in set(a) | set(b):
-            if var not in a:
-                merged[var] = b[var]
-            elif var not in b:
-                merged[var] = a[var]
-            else:
-                merged[var] = _iv_join(a[var], b[var])
-        return merged
-
-    def transfer(self, cfg: CFG, block: BasicBlock, fact: Dict[str, Tuple]) -> Dict[str, Tuple]:
-        if self._loop_blocks is None:
-            self._loop_blocks = cfg.loop_blocks()
-        if block.index in self._loop_blocks:
-            prev = self._prev_in.get(block.index)
-            if prev is not None:
-                fact = {
-                    var: _iv_widen(prev[var], iv) if var in prev else iv
-                    for var, iv in fact.items()
-                }
-            self._prev_in[block.index] = dict(fact)
-        env = dict(fact)
-        _interval_walk(block, env, None)
-        return env
-
-
-def access_key_intervals(func: WasmFunction) -> Dict[int, Tuple[str, int, int]]:
-    """Map access-site pc -> ``(prefix, lo, hi)`` for every storage access
-    whose key is provably ``prefix + str(i)`` with ``lo <= i <= hi``.
-
-    This is the interval complement to
-    :func:`~repro.analysis.ir.access.extract_access_sites`: where the
-    symbolic extractor reports an opaque ``{?}`` key part, the interval
-    walk can still bound it to a finite key span (e.g. ``int(uid) % 8``
-    sharding suffixes), which the conflict predicate turns into an
-    interval constraint.
-    """
-    cfg = build_cfg(func)
-    in_facts, _ = solve(cfg, IntervalAnalysis())
-    spans: Dict[int, Tuple[str, int, int]] = {}
-
-    def record(pc: int, key: Tuple) -> None:
-        spans[pc] = (key[1], key[2], key[3])
-
-    for block in cfg.blocks:
-        _interval_walk(block, dict(in_facts[block.index]), record)
-    return spans

@@ -21,7 +21,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...wasm.ir import Op, WasmFunction
 from .access import IRAccessSite, SymValue, extract_access_sites
-from .dataflow import access_key_intervals
 
 __all__ = [
     "KeyPattern",
@@ -84,11 +83,6 @@ def _patterns_overlap(a: KeyPattern, b: KeyPattern) -> bool:
 CONSTRAINT_KINDS = ("const", "exact", "prefix", "interval", "any")
 
 
-def _fmt_arg(value: Any) -> str:
-    # Mirror of the VM's FORMAT rendering (f-string semantics).
-    return str(value)
-
-
 def _resolve_sym(sym: SymValue, env: Dict[str, Any]) -> Optional[str]:
     """Fully render ``sym`` as a key string under an argument binding, or
     None when any part depends on something other than bound args."""
@@ -96,7 +90,7 @@ def _resolve_sym(sym: SymValue, env: Dict[str, Any]) -> Optional[str]:
         return str(sym.payload)
     if sym.kind == "param":
         if sym.payload in env:
-            return _fmt_arg(env[sym.payload])
+            return str(env[sym.payload])  # the VM's FORMAT rendering
         return None
     if sym.kind == "format":
         parts = [_resolve_sym(p, env) for p in sym.payload]
@@ -299,12 +293,6 @@ class ConflictPredicate:
     params: Tuple[str, ...]
     constraints: Tuple[KeyConstraint, ...]
 
-    def read_constraints(self) -> List[KeyConstraint]:
-        return [c for c in self.constraints if c.access == "read"]
-
-    def write_constraints(self) -> List[KeyConstraint]:
-        return [c for c in self.constraints if c.access == "write"]
-
     def kind_counts(self) -> Dict[str, int]:
         counts = {kind: 0 for kind in CONSTRAINT_KINDS}
         for c in self.constraints:
@@ -319,14 +307,15 @@ class ConflictPredicate:
         env = dict(zip(self.params, args))
         return RequestFacts(
             function=self.function,
-            reads=tuple(c.instantiate(env) for c in self.read_constraints()),
-            writes=tuple(c.instantiate(env) for c in self.write_constraints()),
+            reads=tuple(c.instantiate(env) for c in self.constraints if c.access == "read"),
+            writes=tuple(c.instantiate(env) for c in self.constraints if c.access == "write"),
         )
 
 
 def _commutative_write_site(site: IRAccessSite) -> bool:
     """A write commutes when its value is the site's own read plus a
-    storage-independent delta (read-modify-write increment)."""
+    storage-independent delta (read-modify-write increment).  The key
+    must be input-only: two opaque keys may be different keys."""
     value = site.value
     while value is not None and value.kind == "incr":
         value = value.payload[0]
@@ -335,7 +324,8 @@ def _commutative_write_site(site: IRAccessSite) -> bool:
     table_sym, key_sym = value.payload
     if not table_sym.is_concrete() or site.table is None:
         return False
-    return str(table_sym.payload) == site.table and key_sym == site.key
+    same_key = key_sym == site.key and site.key.input_only()
+    return str(table_sym.payload) == site.table and same_key
 
 
 @dataclass
@@ -375,24 +365,13 @@ class FunctionSummary:
     def tables(self) -> List[str]:
         return sorted({p.table for p in self.patterns if p.table is not None})
 
-    def read_patterns(self) -> List[KeyPattern]:
-        return [p for p in self.patterns if p.kind == "read"]
-
     def write_patterns(self) -> List[KeyPattern]:
         return [p for p in self.patterns if p.kind == "write"]
 
     def may_conflict(self, other: "FunctionSummary") -> bool:
         """True when self's writes may overlap other's reads or writes (or
         vice versa) — the classic read-write / write-write conflict test."""
-        for mine in self.write_patterns():
-            for theirs in other.patterns:
-                if _patterns_overlap(mine, theirs):
-                    return True
-        for theirs in other.write_patterns():
-            for mine in self.patterns:
-                if _patterns_overlap(theirs, mine):
-                    return True
-        return False
+        return conflict_witness(self, other) is not None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -419,18 +398,16 @@ def summarize_function(
     if sites is None:
         sites = extract_access_sites(func)
     summary = FunctionSummary(name=func.name)
-    seen = set()
-    for site in sites:
-        pattern = KeyPattern(
+    summary.patterns = list(dict.fromkeys(
+        KeyPattern(
             table=site.table,
             pattern=site.key_pattern,
             const_prefix=site.key.const_prefix(),
             exact=site.key.is_concrete(),
             kind=site.kind,
         )
-        if pattern not in seen:
-            seen.add(pattern)
-            summary.patterns.append(pattern)
+        for site in sites
+    ))
 
     summary.read_only = not any(s.kind == "write" for s in sites)
     write_sites = [s for s in sites if s.kind == "write"]
@@ -438,21 +415,17 @@ def summarize_function(
         _commutative_write_site(s) for s in write_sites
     )
 
-    spans: Optional[Dict[int, Tuple[str, int, int]]] = None
-    constraints: List[KeyConstraint] = []
-    seen_constraints = set()
-    for site in sites:
-        span = None
-        if not site.key.input_only():
-            if spans is None:  # interval pass only when something is opaque
-                spans = access_key_intervals(func)
-            span = spans.get(site.pc)
-        constraint = KeyConstraint(
-            table=site.table, access=site.kind, key=site.key, span=span
+    # An input-only key instantiates exactly; a span would only split
+    # equal constraints apart.
+    constraints = dict.fromkeys(
+        KeyConstraint(
+            table=site.table,
+            access=site.kind,
+            key=site.key,
+            span=None if site.key.input_only() else site.span,
         )
-        if constraint not in seen_constraints:
-            seen_constraints.add(constraint)
-            constraints.append(constraint)
+        for site in sites
+    )
     summary.predicate = ConflictPredicate(
         function=func.name, params=tuple(func.params), constraints=tuple(constraints)
     )

@@ -124,8 +124,9 @@ def build_dependency_graph(records: Sequence[TxnRecord]) -> DependencyGraph:
             if nxt is not None:
                 add(r.txn_id, nxt, f"ww {key}@v{version}->v{version + 1}")
 
-    # Real-time edges.  O(n^2) worst case; fine at experiment sizes, and we
-    # sort to only add edges between temporally close pairs transitively.
+    # Real-time edges: every pair with ``earlier.responded_at <
+    # later.invoked_at`` gets one, so this is O(n^2) edges on a sequential
+    # history (ROADMAP item 1(b) replaces it with barrier nodes).
     ordered = sorted(records, key=lambda r: (r.responded_at, r.invoked_at))
     for i, earlier in enumerate(ordered):
         for later in ordered[i + 1:]:

@@ -385,11 +385,6 @@ class FaultPlan:
             )
         )
 
-    def pop_partition_windows(self) -> Tuple[PoPPartitionWindow, ...]:
-        return tuple(
-            a for a in self.actions if isinstance(a, PoPPartitionWindow)
-        )
-
     def slow_targets(self) -> Tuple[str, ...]:
         """Names every SlowServerWindow refers to — bound the same way
         CrashWindow targets are (the object needs ``set_proc_override``)."""

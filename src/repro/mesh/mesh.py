@@ -100,10 +100,6 @@ class MeshSpec:
     #: Ship at most this many updates per digest; the remainder waits for
     #: the next round (bounds message size under burst writes).
     max_updates_per_digest: int = 64
-    #: Also gossip validation repairs (fresh items installed after an LVI
-    #: failure), not just local speculative writes.
-    gossip_repairs: bool = True
-    enabled: bool = True
 
     @property
     def retransmit_after_ms(self) -> float:
@@ -290,11 +286,9 @@ class MeshPop(NearUserCache):
 
     def install(self, table: str, key: str, item: Optional[Item]) -> None:
         super().install(table, key, item)
-        if (
-            item is not None
-            and self._gossip_active()
-            and self.mesh.spec.gossip_repairs
-        ):
+        # Validation repairs (fresh items installed after an LVI failure)
+        # gossip like local writes.
+        if item is not None and self._gossip_active():
             self._log_own_update(table, key, item.value, item.version)
 
     def warm(self, snapshot: Dict[str, Dict[str, Item]]) -> None:
@@ -604,18 +598,15 @@ class CacheMesh:
     def fault_targets(self) -> Dict[str, MeshPop]:
         return {f"pop-{region}": pop for region, pop in sorted(self.pops.items())}
 
-    def live_regions(self) -> List[str]:
-        return [r for r in self.regions if self.pops[r].serving]
-
     def start(self) -> None:
         """Register gossip endpoints and arm the mesh's one gossip tick.
 
         Called by ``Deployment.build`` after every runtime exists, so the
         mesh perturbs no endpoint-name counters or RNG streams.  With
-        fewer than two PoPs (or ``spec.enabled`` False) this is a no-op:
-        no endpoints, no timers, no events — the seed path, byte for byte.
+        fewer than two PoPs this is a no-op: no endpoints, no timers, no
+        events — the seed path, byte for byte.
         """
-        if self.started or not self.spec.enabled or len(self.pops) < 2:
+        if self.started or len(self.pops) < 2:
             return
         self.started = True
         self._peers = {region: self.peers_of(region) for region in sorted(self.pops)}

@@ -275,6 +275,12 @@ def _run_scalability(p: Payload) -> Payload:
 
 def _run_chaos(p: Payload) -> Payload:
     plans = resolve_plans(_plans_spec(p["plans"])) + _extra_plans(p["extra_plans"])
+    for plan in plans:
+        if plan.replicated and p["shards"] > 1:
+            raise ScenarioError(
+                f"plan {plan.name!r} needs replicated (Raft-backed) servers, "
+                f"which are single-shard only (shards={p['shards']})"
+            )
     results = run_chaos_matrix(
         plans, p["seeds"],
         requests_per_client=p["requests"],

@@ -382,7 +382,7 @@ class Deployment:
                 self.router.register_read_endpoints(k, rotation)
 
         pop_regions = spec.resolved_pop_regions()
-        if spec.mesh is not None and spec.mesh.enabled:
+        if spec.mesh is not None:
             self.mesh = CacheMesh(
                 sim, self.net, spec.mesh, list(spec.regions), self.metrics
             )

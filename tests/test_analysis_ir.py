@@ -15,6 +15,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     analyze_source,
@@ -28,7 +30,7 @@ from repro.analysis import (
     summarize_function,
     symbolic_analyze,
 )
-from repro.analysis.ir import Liveness, solve
+from repro.analysis.ir import Liveness, ReachingDefinitions, solve
 from repro.analysis.ir import slice as ir_slice
 from repro.apps import all_apps
 from repro.bench.analysis import analysis_gate_failures, run_analysis_corpus
@@ -111,6 +113,24 @@ class TestDataflow:
         assert exits
         for b in exits:
             assert out[b] == frozenset()
+
+    def test_entry_block_meets_its_back_edge(self):
+        # A function that opens with `while` makes block 0 a loop header:
+        # the body's STORE must reach it, and f^rw must keep the loop.
+        src = (
+            "def f(n):\n"
+            "    while n > 0:\n"
+            "        n = n - 1\n"
+            "    return db_get(\"t\", f\"k:{n}\")\n"
+        )
+        f = compile_source(src)
+        cfg = build_cfg(f)
+        assert cfg.blocks[cfg.entry].preds
+        in_facts, _out = solve(cfg, ReachingDefinitions())
+        store_pc = next(pc for pc, i in enumerate(f.instructions) if i.op == Op.STORE)
+        assert ("n", store_pc) in in_facts[cfg.entry]
+        rw, _gas = derive_rwset(slice_frw(f).frw, [3], lambda t, k: None)
+        assert list(rw.reads) == [("t", "k:0")]
 
 
 class TestSlice:
@@ -233,6 +253,111 @@ class TestAccessAndSummary:
         assert not matrix.conflicts("r", "o")  # two readers never conflict
 
 
+class _RecordingEnv(_NullEnv):
+    def __init__(self):
+        self.keys = []
+
+    def db_get(self, t, k):
+        self.keys.append((t, k))
+        return None
+
+    def db_put(self, t, k, v):
+        self.keys.append((t, k))
+
+
+@st.composite
+def _bounded_int_exprs(draw):
+    """``int(x) % c`` under a chain of ``+ d``, ``- d``, ``* d``, ``// d``
+    and unary ``-``: always an integer in a finite range."""
+    expr = f"int(x) % {draw(st.integers(1, 16))}"
+    for op in draw(st.lists(st.sampled_from(["+", "-", "*", "//", "neg"]), max_size=4)):
+        expr = f"-({expr})" if op == "neg" else f"({expr}) {op} {draw(st.integers(1, 9))}"
+    return expr
+
+
+class TestKeyShapeAnalysis:
+    """What the one key-shape engine proves that the two interpreters it
+    replaced did not, and that it always terminates."""
+
+    def test_interval_carried_across_a_conditional_expression(self):
+        src = (
+            "def f(k, x):\n"
+            "    return db_get(\"t\", f\"k:{int(k) % 4 if x else 3}\")\n"
+        )
+        (site,) = extract_access_sites(compile_source(src))
+        assert site.span == ("k:", 0, 3)
+        (constraint,) = summarize_function(compile_source(src)).predicate.constraints
+        assert (constraint.kind, constraint.span) == ("interval", ("k:", 0, 3))
+
+    def test_read_of_a_loop_built_key_keeps_its_identity(self):
+        src = (
+            "def f(parts):\n"
+            "    s = \"\"\n"
+            "    for p in parts:\n"
+            "        s = f\"{s}{p}\"\n"
+            "    v = db_get(\"t\", s)\n"
+            "    if v is None:\n"
+            "        v = 0\n"
+            "    db_put(\"u\", \"last\", v + 1)\n"
+            "    return v\n"
+        )
+        read, write = extract_access_sites(compile_source(src))
+        assert read.key.kind == "unknown"
+        assert write.value.kind == "incr"
+        assert write.value.payload[0].kind == "dbread"
+        assert write.value.payload[0].payload[1].kind == "unknown"
+
+    @pytest.mark.parametrize("src", [
+        # Nested loops with a loop-carried f-string and increment.
+        "def f(n, m):\n"
+        "    s = \"\"\n"
+        "    total = db_get(\"t\", \"total\")\n"
+        "    i = 0\n"
+        "    while i < n:\n"
+        "        j = 0\n"
+        "        while j < m:\n"
+        "            s = f\"{s}:{j}\"\n"
+        "            total = total + 1\n"
+        "            j = j + 1\n"
+        "        db_put(\"t\", f\"k:{s}\", total)\n"
+        "        i = i + 1\n"
+        "    return s\n",
+        # A read whose key is the previous iteration's read nests one
+        # level deeper on every pass unless the loop head's fact ascends.
+        "def f(n):\n"
+        "    node = None\n"
+        "    i = 0\n"
+        "    while i < n:\n"
+        "        node = db_get(\"t\", f\"n:{node}\")\n"
+        "        i = i + 1\n"
+        "    return node\n",
+    ], ids=["nested", "pointer-chase"])
+    def test_loops_terminate(self, src):
+        sites = extract_access_sites(compile_source(src))
+        assert [s.in_loop for s in sites] == [False, True][-len(sites):]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_bounded_int_exprs(), _bounded_int_exprs(), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5))
+    def test_every_concrete_key_is_inside_its_span(self, read_expr, write_expr, xs):
+        src = (
+            "def f(x):\n"
+            f"    v = db_get(\"t\", f\"r:{{{read_expr}}}\")\n"
+            f"    db_put(\"t\", f\"w:{{{write_expr}}}\", v)\n"
+            "    return v\n"
+        )
+        func = compile_source(src)
+        assert all(s.span is not None for s in extract_access_sites(func))
+        predicate = summarize_function(func).predicate
+        assert predicate.precise
+        for x in xs:
+            env = _RecordingEnv()
+            VM(env).execute(func, [str(x)])
+            (read, write) = env.keys
+            facts = predicate.instantiate([str(x)])
+            assert facts.covers_reads([read]), (src, x, read)
+            assert facts.covers_writes([write]), (src, x, write)
+
+
 class TestCorpusDifferential:
     """f^rw checked against the other engines and its recorded cost, over
     every app function."""
@@ -266,12 +391,21 @@ class TestCorpusDifferential:
     def test_frw_independent_of_hash_seed(self):
         # f^rw gas feeds virtual time, so a slice that iterated a set of
         # names in hash order would silently reorder its output.
+        # The key-shape engine's sites, spans and summaries are printed
+        # too: its facts are sorted tuples, so the meet must not depend on
+        # set iteration order either.
         script = (
             "from repro.apps import all_apps\n"
-            "from repro.analysis import analyze_source\n"
+            "from repro.analysis import analyze_source, extract_access_sites, summarize_function\n"
             "for app in all_apps():\n"
             "    for fn in app.functions:\n"
-            "        print(analyze_source(fn.spec.source).frw.disassemble())\n"
+            "        a = analyze_source(fn.spec.source)\n"
+            "        print(a.frw.disassemble())\n"
+            "        for func in (a.f, a.frw):\n"
+            "            for s in extract_access_sites(func):\n"
+            "                print(s.to_dict(), s.key, s.value, s.span)\n"
+            "            summary = summarize_function(func)\n"
+            "            print(summary.to_dict(), summary.predicate.constraints)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         outs = []

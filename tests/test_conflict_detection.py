@@ -134,6 +134,19 @@ class TestClassifier:
         assert not summary.read_only
         assert not summary.lock_skippable
 
+    def test_increment_between_two_opaque_keys_is_not_commutative(self):
+        # Read a[0], write a[1]: both keys are opaque, so they may differ,
+        # and the write is not an increment of its own key.
+        summary = _summary(
+            "def bump2(a):\n"
+            "    v = db_get(\"t\", a[0])\n"
+            "    if v is None:\n"
+            "        v = 0\n"
+            "    db_put(\"t\", a[1], v + 1)\n"
+            "    return v\n"
+        )
+        assert not summary.commutative_writes
+
     def test_constant_key_reports_static_key(self):
         summary = _summary(BANNER_SRC)
         assert summary.static_key == ("site", "banner")

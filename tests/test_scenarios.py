@@ -18,7 +18,7 @@ from repro.scenarios import (
     parse_set_args,
     run_scenario,
 )
-from repro.scenarios.driver import select_scenarios
+from repro.scenarios.driver import run_matrix, select_scenarios
 from repro.scenarios.runners import KINDS
 
 
@@ -149,6 +149,15 @@ class TestFaultPlanParsing:
         }
         with pytest.raises(ScenarioError, match="unknown plan 'solar-flare'"):
             parse_scenario(raw)
+
+    def test_replicated_plan_on_two_shards_is_a_fail_line(self, capsys):
+        # Raft-backed servers are single-shard only: the sharded matrix
+        # names the plan on a FAIL line and exits 1, with no traceback.
+        code = run_matrix(["chaos_sharded"], smoke=True, sets=["plans=raft-follower-crash"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("FAIL chaos_sharded: plan 'raft-follower-crash' ")
+        assert "single-shard only" in err and "Traceback" not in err
 
 
 class TestResolvedParams:
