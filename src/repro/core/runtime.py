@@ -31,7 +31,6 @@ the LVI request validated.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -221,18 +220,14 @@ class NearUserRuntime:
             else None
         )
         # The completion floor (RIFL's piggybacked "every execution below N
-        # is finished"): each execution gets the next sequence number and
-        # stays *open* from the moment its id is minted until ``invoke``
-        # has returned and every detached sender it left behind (the
-        # ``xabort`` fan-out, see _detach) has finished.  ``_open`` counts those holders
-        # per open seq; ``_open_order`` lists minted seqs in minting order,
-        # closed ones dropped lazily from the front, so the floor — the
-        # smallest open seq, or the next to mint — is amortised O(1).
-        # Followups need not hold a seq: the server answers them from its
-        # intent table, never from the dedup tables the floor trims.
+        # is finished"): an execution's seq is *open* from the moment its
+        # id is minted until ``invoke`` has returned and every detached
+        # sender it left (the ``xabort`` fan-out, see _detach) has finished.
+        # ``_open`` maps open seqs, in minting order, to their holder
+        # counts, so its first key is the floor.  Followups hold no seq: the
+        # server answers them from its intent table, not its dedup state.
         self._next_seq = 0
         self._open: Dict[int, int] = {}
-        self._open_order: deque = deque()
         # The cache reports hit/miss events to the same collector as the
         # rest of the deployment (a no-op unless tracing is installed) and
         # timestamps entries / emits hit-age samples via the bound clock.
@@ -294,7 +289,6 @@ class NearUserRuntime:
         seq = self._next_seq
         self._next_seq = seq + 1
         self._open[seq] = 1
-        self._open_order.append(seq)
         execution_id = f"{self.name}:{seq}"
         cfg = self.config
         deadline_at = (
@@ -805,10 +799,7 @@ class NearUserRuntime:
     def _floor(self) -> int:
         """Every execution of this runtime below the returned seq is
         finished: the smallest open seq, or the next one to mint."""
-        order, open_ = self._open_order, self._open
-        while order and order[0] not in open_:
-            order.popleft()
-        return order[0] if order else self._next_seq
+        return next(iter(self._open), self._next_seq)
 
     def _close(self, seq: int) -> None:
         """One holder of ``seq`` is done; the last one closes it."""

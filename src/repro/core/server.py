@@ -34,6 +34,7 @@ across server failovers.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..analysis.sanitizer import constraint_checker
@@ -95,6 +96,38 @@ _DIRECT_BARRIER: Tuple[str, str] = ("", "#direct-barrier")
 #: :meth:`LVIServer._dedup`'s verdict for a request never seen before.
 _FRESH = object()
 
+#: The phases of an execution that owes a settlement (``None``: it owes none).
+_INTENT = "intent"        # LVI intent waiting for its followup; expeditable
+_EXPEDITED = "expedited"  # ... whose re-execution contention has started
+_PREPARED = "prepared"    # cross-shard slice waiting for its decision
+
+
+@dataclass(slots=True)
+class _Execution:
+    """What this server incarnation holds for one execution id, shaped
+    like RIFL's completion record: who answers a redelivery, and what is
+    left to settle (:meth:`LVIServer._settle` is its one exit).  It leaves
+    ``_executions`` once settled and keeping nothing for a retry (its
+    client's floor passed it, or it never kept a reply)."""
+
+    owned: bool = False    # a handler owns the id: a redelivery is a duplicate
+    reply: Any = None      # the answer a retry of the request gets
+    decision: Any = None   # ... and a retry of its ShardDecision
+    phase: Optional[str] = None
+    timer: Any = None      # the intent timer or prepare lease of ``phase``
+
+    def kept(self) -> bool:  # whether the record still answers a retry
+        return self.owned or self.reply is not None or self.decision is not None
+
+
+@dataclass(slots=True)
+class _Client:
+    """One sender's completion floor, and a heap of ``(seq, execution_id)``
+    of its records that keep something for a retry."""
+
+    floor: int = 0
+    filed: list = field(default_factory=list)
+
 
 class LVIServer:
     """Handles LVI requests and followups at the near-storage location."""
@@ -142,35 +175,18 @@ class LVIServer:
         self.detector = None
         if self.config.replicated and self.raft is None and not replica:
             raise ProtocolError("replicated config requires a raft cluster")
-        # execution_id -> (function_id, args) of every LVI intent this
-        # incarnation installed that is still waiting, undisturbed, for its
-        # followup.  The first request to queue behind its locks takes the
-        # entry out and re-executes (see _expedite); settlement and crash()
-        # drop it, so the table never outgrows the intents in flight.
-        self._pending_exec: Dict[str, Tuple[str, Tuple[Any, ...]]] = {}
-        # Delivered-request dedup: the network is at-least-once under
-        # failure injection, and replaying an LVI request would double-
-        # acquire locks and double-execute.
-        self._seen_requests: set = set()
-        # execution_id (or "<id>#decision") -> response, so a client retry
-        # whose original *response* was lost gets the same answer instead
-        # of silence.  An entry lives until its client's completion floor
-        # passes its execution (see _stale), so both tables hold
-        # the executions in flight, not the run.  In-memory on purpose: it
-        # dies with the process (see crash()).
-        self._reply_cache: Dict[str, Any] = {}
-        # client endpoint -> the highest completion floor it has sent, and
-        # -> a heap of (seq, key) for its entries in the two tables above.
-        self._floors: Dict[str, int] = {}
-        self._entries: Dict[str, list] = {}
+        # The network is at-least-once under failure injection: a
+        # redelivered request must not execute twice, and a retry whose
+        # response was lost must get the same answer.  A record lives until
+        # it is settled and its client's completion floor has passed it
+        # (see _stale), so the maps hold the executions in flight, not the
+        # run.  In-memory on purpose: they die with the process (crash()).
+        self._executions: Dict[str, _Execution] = {}
+        self._clients: Dict[str, _Client] = {}  # keyed by client endpoint
         self._crashed = False
         # Bumped by crash(): handlers resumed under a newer incarnation
         # stop instead of mutating state from beyond the grave.
         self._incarnation = 0
-        # Cross-shard prepares whose shard-local slice is read-only: no
-        # intent is written, but the read locks must survive until the
-        # transaction's decision (or the lease query settles it).
-        self._prepared_reads: set = set()
         # Serial processing model: the virtual time at which the server's
         # (single) CPU frees up.  Only advances when server_proc_ms > 0.
         self._proc_free_at = 0.0
@@ -340,25 +356,26 @@ class LVIServer:
         silence), or ``_FRESH`` for a request never seen before.
 
         First the sender's completion floor: a higher one trims the
-        client's entries below it, and a request below its client's floor
+        client's records below it, and a request below its client's floor
         is *stale* — every execution that could still wait for it has
         finished — so it gets silence and touches nothing.  ``client`` is
         None for a handler called directly, outside dispatch: no floor.
 
         ``durable`` also consults what survives a crash — the intent table
         and the idempotency claims — for requests that leave such records.
-        A ``_FRESH`` id is *not* marked seen here: the handler does that
+        A ``_FRESH`` id is *not* marked owned here: the handler does that
         once it owns the execution, so a bounced request leaves no trace.
         """
         if self._stale(req, client):
             return NO_REPLY
         eid = req.execution_id
-        if eid in self._reply_cache:
+        rec = self._executions.get(eid)
+        if rec is not None and rec.reply is not None:
             # Client retry after a lost *response*: replay the original
             # answer verbatim (idempotent execution-id semantics).
             self.metrics.incr("lvi.replayed_reply")
-            return self._reply_cache[eid]
-        if eid in self._seen_requests:
+            return rec.reply
+        if rec is not None and rec.owned:
             # Duplicate delivery: the original handler owns this execution
             # and will answer; a duplicate must stay completely silent (a
             # fast ok=False here would race ahead of the real response).
@@ -371,7 +388,7 @@ class LVIServer:
             # the answer — stay silent and let the intent timer, the
             # decision/lease machinery, or recovery settle the write
             # exactly once while the client exhausts its budget.
-            self._mark_seen(req, client)
+            self._file(req, client).owned = True
             self.metrics.incr("lvi.replay_after_crash")
             return NO_REPLY
         if durable and self.idem.claimed(eid, IdempotencyTable.NEAR_STORAGE):
@@ -379,57 +396,79 @@ class LVIServer:
             # incarnation already *settled* this execution's writes (via
             # followup, timer, or recovery).  Validating it afresh would
             # mint a second intent and double-apply — stay silent.
-            self._mark_seen(req, client)
+            self._file(req, client).owned = True
             self.metrics.incr("lvi.settled_replay")
             return NO_REPLY
         return _FRESH
 
     def _stale(self, req, client: Optional[str]) -> bool:
-        """Take in the completion floor ``req`` carries — a higher one
-        drops the client's dedup entries below it (floors only rise: a
-        retry resends the one it was built with) — and say, counting it,
-        whether ``req`` itself is below its client's floor."""
+        """Take in the completion floor ``req`` carries — a higher one ends
+        the dedup role of the client's records below it, dropping those
+        with nothing left to settle (floors only rise: a retry resends the
+        one it was built with) — and say, counting it, whether ``req``
+        itself is below its client's floor."""
         if client is None:
             return False
-        floor = self._floors.get(client, 0)
-        if req.floor > floor:
-            floor = self._floors[client] = req.floor
-            entries = self._entries.get(client)
-            seen, replies = self._seen_requests, self._reply_cache
-            while entries and entries[0][0] < floor:
-                key = heapq.heappop(entries)[1]
-                seen.discard(key)
-                replies.pop(key, None)
-        if req.seq >= floor:
+        sender = self._clients.get(client) or self._clients.setdefault(client, _Client())
+        if req.floor > sender.floor:
+            sender.floor = req.floor
+            filed, executions = sender.filed, self._executions
+            while filed and filed[0][0] < req.floor:
+                # A filed record keeps something, so _settle left it here.
+                eid = heapq.heappop(filed)[1]
+                rec = executions[eid]
+                rec.owned, rec.reply, rec.decision = False, None, None
+                if rec.phase is None:
+                    del executions[eid]
+        if req.seq >= sender.floor:
             return False
         self.metrics.incr("lvi.stale_request")
         return True
 
-    def _mark_seen(self, req, client: Optional[str]) -> None:
-        """This server now owns ``req``'s execution: a redelivery of it is
-        a duplicate, until its client's floor passes it."""
+    def _file(self, req, client: Optional[str]) -> _Execution:
+        """``req``'s record, filed under its client's floor once it keeps
+        something for a retry.  ``_file(...).owned = True``: this server
+        owns the execution, a redelivery is a duplicate."""
         eid = req.execution_id
-        self._seen_requests.add(eid)
-        if client is not None:
-            heapq.heappush(self._entries.setdefault(client, []), (req.seq, eid))
+        rec = self._executions.get(eid) or self._executions.setdefault(eid, _Execution())
+        if client is not None and not rec.kept():
+            heapq.heappush(self._clients[client].filed, (req.seq, eid))
+        return rec
 
     def _cache_reply(self, req, client: Optional[str], response: Any,
-                     key: Optional[str] = None) -> None:
-        """Keep ``response`` for a retry of ``req``, under ``key`` — a key
-        of its own, or by default the execution id ``_mark_seen`` filed,
-        which then leaves the seen set (``_dedup`` consults the reply
-        first), so an execution holds one entry.  A handler that finishes
-        after its client's floor has passed it keeps nothing: every later
-        copy of its request is stale."""
-        if client is not None:
-            if req.seq < self._floors.get(client, 0):
-                return
-            if key is not None:
-                heapq.heappush(self._entries.setdefault(client, []), (req.seq, key))
-        if key is None:
-            key = req.execution_id
-            self._seen_requests.discard(key)
-        self._reply_cache[key] = response
+                     decision: bool = False) -> None:
+        """Keep ``response`` on ``req``'s record for a retry of it (or,
+        ``decision``, of its ShardDecision), ending the handler's
+        ownership.  A handler that finishes after its client's floor has
+        passed it keeps nothing: every later copy of its request is stale."""
+        if client is not None and req.seq < self._clients[client].floor:
+            return
+        rec = self._file(req, client)
+        if decision:
+            rec.decision = response
+        else:
+            rec.owned, rec.reply = False, response
+
+    def _arm(self, eid: str, phase: str, delay: float, callback, *args) -> None:
+        """Put ``eid`` in ``phase``, its record holding the timer that runs
+        ``callback(eid, *args)`` after ``delay``."""
+        rec = self._executions.get(eid) or self._executions.setdefault(eid, _Execution())
+        rec.phase = phase
+        rec.timer = self.sim.schedule(delay, callback, eid, *args)
+
+    def _settle(self, eid: str) -> None:
+        """The one exit of ``eid``'s settlement role: cancel its timer,
+        release the locks it holds, and drop its record unless it keeps
+        something for a retry."""
+        rec = self._executions.get(eid)
+        if rec is not None:
+            if rec.timer is not None:
+                rec.timer.cancel()
+            rec.phase = rec.timer = None
+            if not rec.kept():
+                del self._executions[eid]
+        if self.locks.held_by(eid):
+            self._release(eid)
 
     def _lock_and_validate(self, req, bounded: bool, **span_tags) -> Generator:
         """(4)-(5): take the request's locks, then validate under them.
@@ -595,7 +634,7 @@ class LVIServer:
             # any state so the runtime's retry at the primary starts clean.
             self.metrics.incr("router.replica_bounce")
             return LVIResponse(execution_id=eid, ok=False, bounced=True)
-        self._mark_seen(req, client)
+        self._file(req, client).owned = True
         if req.skip_locks and not probe_hit:
             response = yield from self._serve_lock_free(req)
             self._cache_reply(req, client, response)
@@ -613,11 +652,10 @@ class LVIServer:
                 # ride along in the intent so re-execution works even from
                 # a recovered replacement server.
                 yield from self._write_intent(eid, req.function_id, {}, args=req.args)
-                self._pending_exec[eid] = (req.function_id, req.args)
                 # The timer callback inherits this handler's trace context
                 # (the kernel snapshots it at schedule time), so a timer-
                 # driven re-execution lands in the invocation's trace.
-                self.sim.schedule(self.config.followup_timeout_ms, self._on_intent_timer, eid)
+                self._arm(eid, _INTENT, self.config.followup_timeout_ms, self._on_intent_timer)
                 # Waiters that arrived while the intent was being written
                 # saw no intent to fire; do it for them.
                 if any(k != _DIRECT_BARRIER for k in self.locks.contended_keys(eid)):
@@ -741,7 +779,7 @@ class LVIServer:
         reply = self._dedup(req, client, durable=True)
         if reply is not _FRESH:
             return reply
-        self._mark_seen(req, client)
+        self._file(req, client).owned = True
 
         # Locks are still taken in lexicographic order *within* the shard,
         # but no order exists across shards, so the wait is bounded: a
@@ -768,14 +806,13 @@ class LVIServer:
                     eid, req.function_id, {"shard": req.shard}, kind=KIND_APPLY,
                     writes=tuple(req.writes), coordinator=req.coordinator,
                 )
-            else:
-                self._prepared_reads.add(eid)
-            # The lease: if no decision arrives — lost messages, dead
-            # coordinator-side runtime — the shard settles by consulting the
-            # coordinating shard's decision record instead of guessing.
-            self.sim.schedule(
-                self.config.followup_timeout_ms, self._on_prepare_lease,
-                eid, req.coordinator,
+            # Read-only or not, the slice keeps its locks until the
+            # decision.  The lease: if none arrives — lost messages, dead
+            # coordinator-side runtime — the shard settles by consulting
+            # the coordinating shard's decision record, not by guessing.
+            self._arm(
+                eid, _PREPARED, self.config.followup_timeout_ms,
+                self._on_prepare_lease, req.coordinator,
             )
             response = self._yes_vote(req, authoritative)
         self._cache_reply(req, client, response)
@@ -784,14 +821,13 @@ class LVIServer:
     def _handle_decision(self, req: ShardDecision, client: Optional[str] = None) -> Generator:
         if self._stale(req, client):
             return NO_REPLY
-        eid = req.execution_id
-        cache_key = f"{eid}#decision"
-        if cache_key in self._reply_cache:
-            return self._reply_cache[cache_key]
+        rec = self._executions.get(req.execution_id)
+        if rec is not None and rec.decision is not None:
+            return rec.decision
         status = yield from self._apply_decision(
-            eid, "commit" if req.commit else "abort", record=req.record_decision
+            req.execution_id, "commit" if req.commit else "abort", record=req.record_decision
         )
-        self._cache_reply(req, client, status, key=cache_key)
+        self._cache_reply(req, client, status, decision=True)
         return status
 
     def _handle_query(self, req: ShardDecisionQuery) -> Generator:
@@ -827,7 +863,7 @@ class LVIServer:
             applied = self._apply_intent_writes(eid, intent)
             return "applied" if applied else "discarded"
         # Read-only slice (or a duplicate decision): release and go.
-        self._release_prepared(eid)
+        self._settle(eid)
         if self.idem.claimed(eid, IdempotencyTable.NEAR_STORAGE):
             return "applied"
         return "released"
@@ -853,8 +889,7 @@ class LVIServer:
         self.store.apply_writes([WriteOp(t, k, v) for (t, k, v) in intent.writes])
         self.idem.claim(eid, IdempotencyTable.NEAR_STORAGE)
         self.intents.remove(eid)
-        if self.locks.held_by(eid):
-            self._release(eid)
+        self._settle(eid)
         self.metrics.incr("xshard.applied")
         return True
 
@@ -862,45 +897,29 @@ class LVIServer:
         """Drop a prepared slice: intent removed un-applied, locks freed."""
         # Claim the settlement right via the same CAS the apply path
         # uses, so a racing lease-apply and this abort cannot both win.
-        if self._pending_apply(eid) is not None and self.intents.try_complete(eid):
+        if self.intents.get(eid) is not None and self.intents.try_complete(eid):
             self.intents.remove(eid)
-        self._release_prepared(eid)
+        self._settle(eid)
         self.metrics.incr("xshard.aborted")
 
-    def _pending_apply(self, eid: str):
-        """A prepared slice's still-unsettled ``apply`` intent, or None."""
-        intent = self.intents.get(eid)
-        if (
-            intent is not None
-            and intent.kind == KIND_APPLY
-            and intent.status == IntentStatus.PENDING
-        ):
-            return intent
-        return None
-
-    def _release_prepared(self, eid: str) -> None:
-        """Let go of a prepared slice's locks (and its read-only marker)."""
-        self._prepared_reads.discard(eid)
-        if self.locks.held_by(eid):
-            self._release(eid)
+    def _live(self, eid: str, *phases: str) -> Optional[_Execution]:
+        """``eid``'s record if it is in one of ``phases``, else None."""
+        rec = self._executions.get(eid)
+        return rec if rec is not None and rec.phase in phases else None
 
     def _on_prepare_lease(self, eid: str, coordinator: str) -> None:
-        if self._crashed:
-            return  # recovery re-arms settlement for durable intents
-        if eid not in self._prepared_reads and self._pending_apply(eid) is None:
-            return  # the decision already settled this slice
-        self.sim.spawn(
-            self._guarded(self._settle_via_coordinator(eid, coordinator)),
-            name=f"xshard-settle({eid})",
-        )
+        if self._live(eid, _PREPARED) is not None:  # else settled: cancelled
+            self.sim.spawn(
+                self._guarded(self._settle_via_coordinator(eid, coordinator)),
+                name=f"xshard-settle({eid})",
+            )
 
     def _settle_via_coordinator(self, eid: str, coordinator: str) -> Generator:
         """Lease expiry / recovery: learn the transaction's outcome from
         the coordinating shard's decision record and settle accordingly.
         Unreachable coordinator → re-arm and try again next lease."""
-        intent = self._pending_apply(eid)
-        if eid not in self._prepared_reads and intent is None:
-            return
+        if self._live(eid, _PREPARED) is None:
+            return  # the decision settled the slice since the lease fired
         self.metrics.incr("xshard.lease_query")
         if coordinator == self.name:
             yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
@@ -912,19 +931,15 @@ class LVIServer:
                     timeout=self.config.rpc_timeout_ms,
                 )
             except RpcTimeout:
-                self.sim.schedule(
-                    self.config.followup_timeout_ms, self._on_prepare_lease,
-                    eid, coordinator,
-                )
+                if self._live(eid, _PREPARED) is not None:
+                    self._arm(
+                        eid, _PREPARED, self.config.followup_timeout_ms,
+                        self._on_prepare_lease, coordinator,
+                    )
                 return
-        if outcome == "commit":
-            if intent is not None:
-                yield self.sim.timeout(SERVER_STORAGE_RTT_MS)
-                self._apply_intent_writes(eid, intent)
-            self._release_prepared(eid)
-        else:
+        if outcome != "commit":
             self.metrics.incr("xshard.lease_abort")
-            self._abort_prepared(eid)
+        yield from self._apply_decision(eid, outcome, record=False)
 
     # -- the followup path ---------------------------------------------------------
 
@@ -954,8 +969,7 @@ class LVIServer:
         # what stops a second validation from double-applying the writes.
         self.idem.claim(followup.execution_id, IdempotencyTable.NEAR_STORAGE)
         self.intents.remove(followup.execution_id)
-        self._pending_exec.pop(followup.execution_id, None)
-        self._release(followup.execution_id)
+        self._settle(followup.execution_id)
         self.metrics.incr("followup.applied")
         obs = self.sim.obs
         if obs.enabled:
@@ -981,21 +995,20 @@ class LVIServer:
         write locks protect writes that already exist (in the followup, and
         in the intent's own arguments), so a request blocked on them waits
         for one execution instead of the followup's WAN round trip.  The
-        intent CAS arbitrates the race with the followup."""
-        if self._pending_exec.pop(execution_id, None) is not None:
+        intent CAS arbitrates the race with the followup; the timer stays
+        armed until the intent settles."""
+        rec = self._live(execution_id, _INTENT)
+        if rec is not None:
+            rec.phase = _EXPEDITED
             self.metrics.incr("intent.expedited")
             self._on_intent_timer(execution_id, trigger="contention")
 
     def _on_intent_timer(self, execution_id: str, trigger: str = "timer") -> None:
-        if self._crashed:
-            return  # the timer died with the process; recovery re-arms it
-        intent = self.intents.get(execution_id)
-        if intent is None or intent.status != IntentStatus.PENDING:
-            return  # followup handled it
-        self.sim.spawn(
-            self._guarded(self._reexecute(execution_id, trigger)),
-            name=f"reexec({execution_id})",
-        )
+        if self._live(execution_id, _INTENT, _EXPEDITED) is not None:  # else cancelled
+            self.sim.spawn(
+                self._guarded(self._reexecute(execution_id, trigger)),
+                name=f"reexec({execution_id})",
+            )
 
     def _reexecute(self, execution_id: str, trigger: str) -> Generator:
         """Deterministic re-execution (§3.4): the followup never arrived,
@@ -1042,8 +1055,8 @@ class LVIServer:
         if not self.idem.claim(execution_id, IdempotencyTable.NEAR_STORAGE):
             if span is not None:
                 span.finish(self.sim.now, status="already_claimed")
+            self._settle(execution_id)
             return
-        self._pending_exec.pop(execution_id, None)
         self.metrics.incr("reexecution.count")
         VM(
             env, gas_limit=self.config.gas_limit,
@@ -1052,10 +1065,7 @@ class LVIServer:
         if span is not None:
             span.finish(self.sim.now)
         self.intents.remove(execution_id)
-        # A recovered replacement server never held this execution's locks
-        # (the lock table died with the original server).
-        if self.locks.held_by(execution_id):
-            self._release(execution_id)
+        self._settle(execution_id)  # a recovering server holds no locks for it
 
     def recover_pending(self) -> Generator:
         """Crash recovery: settle every intent left PENDING in primary
@@ -1065,21 +1075,19 @@ class LVIServer:
         pending = self.intents.pending()
         for intent in pending:
             if intent.kind == KIND_APPLY:
-                # A cross-shard slice cannot be re-executed locally; its
-                # outcome lives at the coordinating shard.  First re-take
-                # the slice's write locks on the fresh lock table (instant:
-                # pre-crash holders were exclusive, so recovered slices are
-                # disjoint) — without them a reader could observe the
-                # pre-commit value after this server starts serving but
-                # before the lease settles the slice.  Then settle via the
-                # lease path, deferred slightly so the replacement's
-                # endpoint is registered before the query goes out.
+                # A cross-shard slice's outcome lives at the coordinating
+                # shard.  Re-take its write locks on the fresh table (instant:
+                # recovered slices are disjoint), or a reader could see the
+                # pre-commit value before the lease settles the slice; the
+                # lease is deferred so the endpoint is up before the query.
+                # Its record owns the lease but not the id: a redelivered
+                # prepare still answers through the durable intent.
                 keys = tuple(dict.fromkeys((t, k) for (t, k, _v) in intent.writes))
                 if keys and not self.locks.held_by(intent.execution_id):
                     yield from self.locks.acquire_all(intent.execution_id, (), keys)
-                self.sim.schedule(
-                    1.0, self._on_prepare_lease,
-                    intent.execution_id, intent.coordinator or self.name,
+                self._arm(
+                    intent.execution_id, _PREPARED, 1.0,
+                    self._on_prepare_lease, intent.coordinator or self.name,
                 )
                 continue
             yield from self._guarded(self._reexecute(intent.execution_id, "recovery"))
@@ -1090,24 +1098,24 @@ class LVIServer:
 
     def crash(self) -> None:
         """Kill the server process: the endpoint disappears (in-flight
-        messages to it are dropped), every in-memory table — locks, dedup
-        set, reply cache, the clients' completion floors — is lost, and
-        handlers still in flight are fenced off before their next step.
-        Durable state (the primary store, intents, idempotency claims)
-        survives, exactly as §3.4 assumes, and answers a redelivery after
-        the restart through ``_dedup``'s durable checks."""
+        messages to it are dropped), its in-memory state — the lock table,
+        every execution record with its timer, the clients' completion
+        floors — is lost, and handlers still in flight are fenced off
+        before their next step.  Durable state (the primary store, intents,
+        idempotency claims) survives, exactly as §3.4 assumes: recovery
+        settles the intents, and ``_dedup``'s durable checks answer a
+        redelivery after the restart."""
         if self._crashed:
             raise ProtocolError(f"server {self.name} is already crashed")
         self._crashed = True
         self._incarnation += 1
         self.net.unregister(self.name)
+        for rec in self._executions.values():
+            if rec.timer is not None:
+                rec.timer.cancel()
+        self._executions = {}
+        self._clients = {}
         self.locks = self._new_lock_table()
-        self._seen_requests.clear()
-        self._reply_cache.clear()
-        self._floors.clear()
-        self._entries.clear()
-        self._pending_exec.clear()
-        self._prepared_reads.clear()
         self._proc_free_at = 0.0
         self._admission_queue = 0
         self.metrics.incr("server.crashes")
@@ -1142,7 +1150,7 @@ class LVIServer:
         reply = self._dedup(req, client, durable=False)
         if reply is not _FRESH:
             return reply
-        self._mark_seen(req, client)
+        self._file(req, client).owned = True
         if not self.idem.claim(eid, IdempotencyTable.NEAR_STORAGE):
             # A previous incarnation already executed this id (and its
             # answer died with it).  Executing again would double-apply

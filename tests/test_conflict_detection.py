@@ -343,8 +343,7 @@ class TestSanitizerHardFail:
         assert response.bounced and not response.ok
         # The bounce happened before any preamble mutation, so the retry
         # at the primary with the same execution id starts clean.
-        assert "e1" not in w.server._seen_requests
-        assert "e1" not in w.server._reply_cache
+        assert "e1" not in w.server._executions
         assert w.metrics.counter("router.replica_bounce") == 1
 
 

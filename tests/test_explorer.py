@@ -340,8 +340,7 @@ class TestExplorer:
             self.idem.claim(followup.execution_id, IdempotencyTable.NEAR_STORAGE)
             if intent is not None:
                 self.intents.remove(followup.execution_id)
-                self._pending_exec.pop(followup.execution_id, None)
-                self._release(followup.execution_id)
+                self._settle(followup.execution_id)
             return "applied"
 
         monkeypatch.setattr(LVIServer, "_handle_followup", weakened)
@@ -379,8 +378,7 @@ class TestExplorer:
             self.idem.claim(followup.execution_id, IdempotencyTable.NEAR_STORAGE)
             if intent is not None:
                 self.intents.remove(followup.execution_id)
-                self._pending_exec.pop(followup.execution_id, None)
-                self._release(followup.execution_id)
+                self._settle(followup.execution_id)
             return "applied"
 
         monkeypatch.setattr(LVIServer, "_handle_followup", weakened)

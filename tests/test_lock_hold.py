@@ -208,7 +208,7 @@ class TestIntentTimerFiresOnDemand:
         assert dep.metrics.counter("followup.discarded") == 1
         assert dep.server.locks.held_owners() == []
         assert dep.pending_intents() == []
-        assert dep.server._pending_exec == {}
+        assert all(rec.phase is None for rec in dep.server._executions.values())
 
     def test_followup_landing_during_the_reexecution_applies_once(self):
         dep = build(trace=True)
@@ -282,7 +282,7 @@ class TestIntentTimerFiresOnDemand:
         dep.sim.run(until=110.0)
         assert dep.metrics.counter("intent.expedited") == 1
         server.crash()  # the re-execution dies mid service time
-        assert server._pending_exec == {}
+        assert server._executions == {}
         dep.sim.run(until=150.0)
         assert stored(dep) == (0, 1)
         server.restart()

@@ -392,8 +392,7 @@ def test_direct_redelivery_after_a_restart_hits_the_durable_claim():
 
 class TestDeclinedRequestsLeaveNoTrace:
     def _assert_untouched(self, server):
-        assert server._seen_requests == set()
-        assert server._reply_cache == {}
+        assert server._executions == {}
         assert not server.locks.held_owners()
 
     def _skipping(self, eid="e"):
@@ -495,7 +494,7 @@ class TestDedupTablesHoldTheInFlight:
         assert dep.store.get("counters", LOW).value == 500
         # Nothing is in flight; the last reply stays until a higher floor
         # arrives (it was 500 + 500 when nothing was ever dropped).
-        assert len(server._reply_cache) + len(server._seen_requests) <= 1
+        assert len(server._executions) <= 1
 
     def test_a_request_below_the_floor_is_inert(self):
         dep = build()
@@ -525,9 +524,9 @@ class TestDedupTablesHoldTheInFlight:
         assert invoke(dep, Region.JP, "t.bump", [LOW]).path == "speculative"
         assert invoke(dep, Region.JP, "t.bump", [LOW]).path == "speculative"
         quiesce(dep)
-        assert server._floors == {runtime.name: 1}
+        assert {name: c.floor for name, c in server._clients.items()} == {runtime.name: 1}
         server.crash()
-        assert server._floors == {} and server._entries == {}
+        assert server._clients == {} and server._executions == {}
         server.restart()
         quiesce(dep)
         # The first bump is below the floor the crash forgot; its settled

@@ -128,6 +128,34 @@ class TestServerFailover:
         assert outcome.result == 2
         assert store.get("counters", "c:x").value == 2
 
+    def test_restart_dispatches_no_timer_of_the_crashed_incarnation(self, monkeypatch):
+        fired = []
+        on_timer = LVIServer._on_intent_timer
+
+        def counting(self, execution_id, trigger="timer"):
+            fired.append((execution_id, trigger))
+            return on_timer(self, execution_id, trigger)
+
+        monkeypatch.setattr(LVIServer, "_on_intent_timer", counting)
+        sim, net, store, server, runtime, _registry, config, *_rest, metrics = build()
+        # The client is answered with the followup still on the wire; the
+        # crash eats it, and the intent timer armed for it dies too.
+        proc = sim.spawn(runtime.invoke("t.bump", ["x"]))
+        sim.run(until_event=proc.done_event)
+        assert proc.result.result == 1
+        server.crash()
+        assert server._executions == {}
+        server.restart()
+        sim.run(until=sim.now + 3 * config.followup_timeout_ms)
+        # Recovery settled the intent exactly once; no timer of the first
+        # incarnation was dispatched afterwards.
+        assert fired == []
+        assert metrics.counter("reexecution.count") == 1
+        assert metrics.counter("recovery.intents") == 1
+        item = store.get("counters", "c:x")
+        assert (item.value, item.version) == (1, 2)
+        assert server.intents.pending() == []
+
     def test_recovery_with_no_pending_intents_is_noop(self):
         sim, net, store, server, *_rest = build()
         assert sim.run_process(server.recover_pending()) == 0

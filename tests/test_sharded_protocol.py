@@ -5,7 +5,7 @@ processing model (docs/TOPOLOGY.md §cross-shard commit)."""
 import pytest
 
 from repro.consistency import HistoryRecorder, check_strict_serializability
-from repro.core import FunctionSpec, RadicalConfig, ShardDecision
+from repro.core import FunctionSpec, RadicalConfig, ShardDecision, ShardDecisionQuery
 from repro.errors import ProtocolError, UnavailableError
 from repro.sim import Region
 from repro.topology import Deployment, RangeShardMap, TopologySpec
@@ -231,6 +231,45 @@ class TestDecisionLoss:
         assert dep.stores[1].get("counters", HIGH).value == 1
         assert dep.metrics.counter("xshard.applied") == 2
         assert dep.pending_intents() == []
+
+    def test_lease_query_lost_re_arms_and_settles_once(self):
+        dep = build_xfer_deployment()
+        participant = dep.servers[1]
+        lease_ms = fast_config().followup_timeout_ms
+        first_query = []
+
+        def lose_queries_for_one_lease(src, dst, payload):
+            if not isinstance(payload, ShardDecisionQuery):
+                return False
+            first_query[:] = first_query or [dep.sim.now]
+            return dep.sim.now < first_query[0] + lease_ms
+
+        dep.net.add_drop_filter(
+            lambda src, dst, payload: (
+                isinstance(payload, ShardDecision) and dst == participant.name
+            )
+        )
+        dep.net.add_drop_filter(lose_queries_for_one_lease)
+        outcome = dep.sim.run_process(dep.runtimes[Region.JP].invoke("t.xfer", [LOW, HIGH]))
+        assert outcome.result == 0
+        # The first lease's query timed out: the slice is still prepared,
+        # and its record holds the re-armed lease.
+        assert dep.metrics.counter("xshard.lease_query") == 1
+        [rec] = participant._executions.values()
+        assert rec.phase == "prepared"
+        assert not (rec.timer.fired or rec.timer.cancelled)
+        assert dep.stores[1].get("counters", HIGH).value == 0
+        drain(dep, 5 * lease_ms)
+        # The re-armed lease's query got through: applied exactly once, and
+        # no lease is left to fire.
+        assert dep.metrics.counter("xshard.lease_query") == 2
+        assert dep.stores[0].get("counters", LOW).value == 1
+        assert dep.stores[1].get("counters", HIGH).value == 1
+        assert dep.metrics.counter("xshard.applied") == 2
+        assert dep.pending_intents() == []
+        assert rec.phase is None and rec.timer is None
+        drain(dep, 5 * lease_ms)
+        assert dep.metrics.counter("xshard.lease_query") == 2
 
 
 class TestGating:
