@@ -120,7 +120,7 @@ class PrimaryBaseline:
 #: built from a spec that sets one would silently measure a different
 #: system than the Radical run beside it, so the builders refuse.
 _RADICAL_ONLY = (
-    "shards", "shard_map", "mesh", "fault_plan", "trace", "pop_regions", "assignment",
+    "shards", "mesh", "fault_plan", "trace", "pop_regions", "assignment",
 )
 
 

@@ -79,7 +79,7 @@ def run_readscale_point(
         "replica_bounces": metrics.counter("router.replica_bounce"),
         "unsound": metrics.counter("analysis.unsound"),
     }
-    detector = dep.router.detector if dep.router is not None else None
+    detector = dep.router.detector
     if detector is not None:
         row["dirty"] = detector.dirty.stats()
         row["dirty_balanced"] = detector.dirty.balanced

@@ -100,7 +100,7 @@ def verdicts(dep, recorder: Recorder, counters: Sequence[str], bump: str) -> Dic
     out["no_held_locks"] = "" if not held else f"{len(held)} owners still hold locks"
     unsound = dep.metrics.counter("analysis.unsound")
     out["analysis_sound"] = "" if unsound == 0 else f"{unsound} unsound executions"
-    if dep.router is not None and dep.router.detector is not None:
+    if dep.router.detector is not None:
         dirty = dep.router.detector.dirty
         out["dirty_set_balanced"] = "" if dirty.balanced else f"unbalanced: {dirty.stats()}"
     if dep.mesh is not None:

@@ -13,6 +13,7 @@ from .messages import (
     WriteFollowup,
 )
 from .registry import FunctionRegistry, FunctionSpec, RegisteredFunction
+from .router import ShardRouter
 from .runtime import (
     InvocationOutcome,
     NearUserRuntime,
@@ -48,6 +49,7 @@ __all__ = [
     "ShardDecision",
     "ShardDecisionQuery",
     "ShardPrepare",
+    "ShardRouter",
     "SnapshotReader",
     "SpeculativeEnv",
     "WriteFollowup",

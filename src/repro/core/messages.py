@@ -65,7 +65,6 @@ class LVIRequest:
         "read_keys",
         "write_keys",
         "versions",
-        "origin_region",
         "skip_locks",
         "read_facts",
         "seq",
@@ -80,7 +79,6 @@ class LVIRequest:
         read_keys: Tuple[Key, ...],
         write_keys: Tuple[Key, ...],
         versions: Dict[Key, int],  # cached version per read key
-        origin_region: str,
         # Conflict-detection fast path: the router's dirty probe cleared
         # this read-only request, so the server may validate without
         # acquiring locks; ``read_facts`` are the instantiated KeyFacts
@@ -96,7 +94,6 @@ class LVIRequest:
         self.read_keys = read_keys
         self.write_keys = write_keys
         self.versions = versions
-        self.origin_region = origin_region
         self.skip_locks = skip_locks
         self.read_facts = read_facts
         self.seq = seq
@@ -195,10 +192,8 @@ class ShardPrepare:
         "write_keys",
         "versions",
         "writes",
-        "origin_region",
         "shard",
         "coordinator",
-        "nshards",
         "seq",
         "floor",
     )
@@ -211,10 +206,8 @@ class ShardPrepare:
         write_keys: Tuple[Key, ...],
         versions: Dict[Key, int],  # cached version per read key
         writes: Tuple[Tuple[str, str, Any], ...],  # this shard's buffered writes
-        origin_region: str,
         shard: int,  # this shard's index
         coordinator: str,  # coordinating shard's endpoint
-        nshards: int,  # shards touched by the txn
         seq: int = 0,
         floor: int = 0,
     ):
@@ -224,10 +217,8 @@ class ShardPrepare:
         self.write_keys = write_keys
         self.versions = versions
         self.writes = writes
-        self.origin_region = origin_region
         self.shard = shard
         self.coordinator = coordinator
-        self.nshards = nshards
         self.seq = seq
         self.floor = floor
 
@@ -276,20 +267,18 @@ class DirectExecRequest:
     """Fallback for unanalyzable functions: run near storage, no
     speculation (§3.3 'Failure case')."""
 
-    __slots__ = ("execution_id", "function_id", "args", "origin_region", "seq", "floor")
+    __slots__ = ("execution_id", "function_id", "args", "seq", "floor")
 
     def __init__(
         self,
         execution_id: str,
         function_id: str,
         args: Tuple[Any, ...],
-        origin_region: str,
         seq: int = 0,
         floor: int = 0,
     ):
         self.execution_id = execution_id
         self.function_id = function_id
         self.args = args
-        self.origin_region = origin_region
         self.seq = seq
         self.floor = floor

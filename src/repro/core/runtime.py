@@ -11,8 +11,12 @@ pipeline, each stage a plain call or a ``yield from`` sub-generator:
    speculation cannot run; the cross-shard restart loop;
 3. **speculate** (``_speculate``) — *predict*: ``f^rw`` on the cache
    snapshot gives the read/write set, ``f`` runs on the same snapshot;
-   *route*: shards, dirty-set enrollment; after dispatch, settle or leak
-   that entry by the attempt's ``fate`` (no other stage does);
+   *route*: the shards the runtime's :class:`~repro.core.ShardRouter`
+   places the keys on.  Both routes — speculative and direct — run their
+   dispatch under ``_routed``, which enrolls the attempt in the dirty set
+   before anything is sent and settles or leaks that entry by the
+   attempt's ``fate`` afterwards (``_settle_dirty`` is the one place that
+   does either, for the detached followup sender too);
 4. **dispatch** (``_dispatch_single`` / ``_dispatch_cross_shard``) — the
    single LVI request (or a prepare per shard, then the decision)
    *overlapped* with ``f``'s service time: the paper's core latency trick;
@@ -50,6 +54,7 @@ from .messages import (
     WriteFollowup,
 )
 from .registry import FunctionRegistry, RegisteredFunction
+from .router import ShardRouter
 from .storage_library import SnapshotReader, SpeculativeEnv
 
 Key = Tuple[str, str]
@@ -62,27 +67,6 @@ __all__ = [
     "PATH_MISS",
     "PATH_DIRECT",
 ]
-
-
-class _SingleShardRouter:
-    """Implicit router for the seed's one-server topology: every key maps
-    to shard 0 at the configured endpoint.  Keeps ``core`` independent of
-    ``repro.topology`` — a real :class:`~repro.topology.ShardRouter` is
-    injected by the Deployment builder when shards > 1."""
-
-    nshards = 1
-
-    def __init__(self, endpoint: str):
-        self._endpoint = endpoint
-
-    def shard_of(self, table: str, key: str) -> int:
-        return 0
-
-    def endpoint(self, shard: int) -> str:
-        return self._endpoint
-
-    def read_endpoint(self, shard: int) -> str:
-        return self._endpoint
 
 
 class _CrossShardStale(Exception):
@@ -105,6 +89,10 @@ PATH_DIRECT = "direct"            # unanalyzable function (§3.3)
 _FATE_KNOWN = "known"        # applied, or never will be: settle the entry
 _FATE_FOLLOWUP = "followup"  # the followup sender will learn it (ack / loss)
 _FATE_UNKNOWN = "unknown"    # unknowable (lost ack, exhausted RPC): leak it
+
+# What a direct execution enrolls: its access set is unknown until it runs,
+# so the universal fact makes every probe conservatively hit meanwhile.
+_ANY_KEY = (KeyFact(None, "any"),)
 
 
 @dataclass(slots=True)
@@ -163,9 +151,8 @@ class NearUserRuntime:
         config: Optional[RadicalConfig] = None,
         streams: Optional[RandomStreams] = None,
         metrics: Optional[Metrics] = None,
-        server_name: str = "lvi-server",
         external_hub=None,
-        router=None,
+        router: Optional[ShardRouter] = None,
         pop=None,
     ):
         self.sim = sim
@@ -175,10 +162,9 @@ class NearUserRuntime:
         self.registry = registry
         self.config = config or RadicalConfig()
         self.metrics = metrics or Metrics()
-        # Shard routing: absent an explicit router the runtime behaves
-        # exactly like the seed (every request goes to ``server_name``).
-        self.router = router if router is not None else _SingleShardRouter(server_name)
-        self.server_name = server_name if router is None else router.endpoint(0)
+        # Shard routing: a hand-built runtime sends everything to the
+        # seed's one ``lvi-server``.
+        self.router = router or ShardRouter(["lvi-server"])
         self.external_hub = external_hub  # §3.5 services, shared deployment-wide
         # The mesh PoP this location belongs to, when the deployment runs a
         # cache mesh (repro.mesh).  ``pop`` is the same object as ``cache``
@@ -463,25 +449,37 @@ class NearUserRuntime:
         # scatter-gather prepare/commit flow.
         shards = self._shards_touched(attempt)
         # In-network conflict detection: a writer enrolls its instantiated
-        # write constraints in the router's dirty set *before* the request
-        # is sent, so a reader's probe can never miss an in-flight write.
-        # A read-only request whose constraints provably miss every
-        # enrolled writer skips lock acquisition and may be served by any
-        # read replica of its shard.
-        detector = getattr(self.router, "detector", None)
-        skip_facts = None
+        # write constraints in the router's dirty set (see _routed), so a
+        # reader's probe can never miss an in-flight write.  A read-only
+        # request whose constraints provably miss every enrolled writer
+        # skips lock acquisition and may be served by any read replica of
+        # its shard.
+        detector = self.router.detector
+        enroll = skip_facts = None
         if detector is not None and rwset.writes:
-            detector.enroll(shards, execution_id, self._writer_facts(attempt))
+            enroll = self._writer_facts(attempt)
         elif detector is not None and len(shards) == 1:
             skip_facts = self._skip_facts(attempt)
             if skip_facts is not None and detector.probe(shards[0], skip_facts):
                 # Runtime-side probe hit: an in-flight writer may touch
                 # our keys, so take the ordinary locked path.
                 skip_facts = None
+        dispatch = (
+            self._dispatch_cross_shard(attempt, shards) if len(shards) > 1
+            else self._dispatch_single(attempt, shards[0], skip_facts)
+        )
+        return (yield from self._routed(attempt, shards, enroll, dispatch))
+
+    def _routed(self, attempt: _Attempt, shards: List[int], enroll, dispatch: Generator) -> Generator:
+        """Run one route's ``dispatch`` under the dirty set's lifecycle:
+        enroll the facts ``enroll`` on ``shards`` strictly before anything
+        is sent (``None``: a reader, nothing to enroll), then settle or
+        leak the entry by the attempt's ``fate`` however dispatch ends."""
+        detector = self.router.detector
+        if detector is not None and enroll is not None:
+            detector.enroll(shards, attempt.execution_id, enroll)
         try:
-            if len(shards) > 1:
-                return (yield from self._dispatch_cross_shard(attempt, shards))
-            return (yield from self._dispatch_single(attempt, shards[0], skip_facts))
+            return (yield from dispatch)
         except _CrossShardStale:
             # The attempt aborted globally (presumed abort: without a
             # commit record its staged writes can never apply) — its
@@ -490,17 +488,23 @@ class NearUserRuntime:
             raise
         except UnavailableError:
             # Outcome unknown (the server may yet validate and apply via
-            # its intent timer): keep the entry forever rather than risk
-            # an unsound probe miss.
+            # its intent timer, or the direct execution may have run):
+            # keep the entry forever rather than risk an unsound probe miss.
             attempt.fate = _FATE_UNKNOWN
             raise
         finally:
-            # The settle point (a no-op for a reader, which never enrolled).
-            # _FATE_FOLLOWUP, or any other failure, leaves the entry alone.
-            if detector is not None and attempt.fate == _FATE_KNOWN:
-                detector.settle(execution_id)
-            elif detector is not None and attempt.fate == _FATE_UNKNOWN:
-                detector.leak(execution_id)
+            self._settle_dirty(attempt.execution_id, attempt.fate)
+
+    def _settle_dirty(self, execution_id: str, fate: Optional[str]) -> None:
+        """The settle point: drop an execution's dirty-set entry once its
+        writes' fate is known, keep it forever once it is unknowable.  A
+        no-op for a reader, which never enrolled; _FATE_FOLLOWUP, or any
+        other failure, leaves the entry alone."""
+        detector = self.router.detector
+        if detector is not None and fate == _FATE_KNOWN:
+            detector.settle(execution_id)
+        elif detector is not None and fate == _FATE_UNKNOWN:
+            detector.leak(execution_id)
 
     def _dispatch_single(self, attempt: _Attempt, shard: int, skip_facts) -> Generator:
         """The seed's one-RPC fast path against a single LVI server."""
@@ -619,10 +623,8 @@ class NearUserRuntime:
                 write_keys=tuple(write_groups.get(shard, ())),
                 versions={k: versions[k] for k in read_groups.get(shard, ())},
                 writes=tuple(write_slices.get(shard, ())),
-                origin_region=self.region,
                 shard=shard,
                 coordinator=coord_ep,
-                nshards=len(shards),
                 seq=attempt.seq,
                 floor=self._floor(),
             )
@@ -707,39 +709,33 @@ class NearUserRuntime:
         Deployment builder rejects unanalyzable apps on sharded topologies;
         this one guard catches whatever slips through (``what`` asked)."""
         function_id = attempt.record.function_id
-        execution_id = attempt.execution_id
         if self.router.nshards > 1:
             raise ProtocolError(
                 f"{function_id}: {what} needs direct execution, which a "
                 f"sharded deployment does not have (it is single-shard only)"
             ) from None
         request = DirectExecRequest(
-            execution_id=execution_id,
+            execution_id=attempt.execution_id,
             function_id=function_id,
             args=tuple(attempt.args),
-            origin_region=self.region,
             seq=attempt.seq,
             floor=self._floor(),
         )
         self.metrics.incr("path.direct")
-        obs = self.sim.obs
-        # A direct execution's access set is unknown until it runs: enroll
-        # the universal fact so every probe conservatively hits while it
-        # is in flight.
-        detector = getattr(self.router, "detector", None)
-        if detector is not None:
-            detector.enroll([0], execution_id, (KeyFact(None, "any"),))
+        return (yield from self._routed(
+            attempt, [0], _ANY_KEY, self._dispatch_direct(attempt, request)
+        ))
+
+    def _dispatch_direct(self, attempt: _Attempt, request: DirectExecRequest) -> Generator:
+        """The direct route's one round trip: the server runs the whole
+        function and answers with its result."""
+        function_id = attempt.record.function_id
         rtt_started = self.sim.now
-        try:
-            response = yield from self._call_with_retry(request, attempt.deadline_at, "direct")
-        except UnavailableError:
-            if detector is not None:
-                detector.leak(execution_id)
-            raise
-        if detector is not None:
-            detector.settle(execution_id)
-        if obs.enabled:
-            obs.phase("phase.direct_rtt", start_ms=rtt_started, function=function_id)
+        response = yield from self._call_with_retry(
+            request, attempt.deadline_at, "direct", dst=self.router.endpoint(0)
+        )
+        if self.sim.obs.enabled:
+            self.sim.obs.phase("phase.direct_rtt", start_ms=rtt_started, function=function_id)
         return self._near_storage_outcome(attempt, response, PATH_DIRECT)
 
     def _commit(self, attempt: _Attempt, writes, validated, new_versions) -> InvocationOutcome:
@@ -789,7 +785,6 @@ class NearUserRuntime:
             read_keys=tuple(attempt.rwset.reads),
             write_keys=tuple(attempt.rwset.writes),
             versions=attempt.versions,
-            origin_region=self.region,
             skip_locks=skip_facts is not None,
             read_facts=tuple(skip_facts) if skip_facts is not None else (),
             seq=attempt.seq,
@@ -937,8 +932,7 @@ class NearUserRuntime:
         return [p.result for p in procs]
 
     def _call_with_retry(
-        self, request, deadline_at: float, label: str,
-        dst: Optional[str] = None, batch: bool = False,
+        self, request, deadline_at: float, label: str, dst: str, batch: bool = False,
     ) -> Generator:
         """One logical near-storage RPC under the retry policy.
 
@@ -951,8 +945,6 @@ class NearUserRuntime:
         cfg = self.config
         policy = self._policy
         obs = self.sim.obs
-        if dst is None:
-            dst = self.server_name
         # Hot-path LVI traffic goes through the batcher when one is
         # configured; control messages (followups, decisions) never batch.
         caller = (
@@ -1019,7 +1011,6 @@ class NearUserRuntime:
     def _send_followup(self, execution_id: str, writes, dst: str) -> Generator:
         followup = WriteFollowup(execution_id=execution_id, writes=tuple(writes))
         policy = self._policy
-        detector = getattr(self.router, "detector", None)
         attempt = 0
         while True:
             attempt += 1
@@ -1028,10 +1019,9 @@ class NearUserRuntime:
                     self.name, dst, followup,
                     timeout=self.config.rpc_timeout_ms,
                 )
-                if detector is not None:
-                    # The ack means the followup was applied (or the intent
-                    # already settled another way): fate known.
-                    detector.settle(execution_id)
+                # The ack means the followup was applied (or the intent
+                # already settled another way): fate known.
+                self._settle_dirty(execution_id, _FATE_KNOWN)
                 return
             except RpcTimeout:
                 # Followup losses never feed the breaker: the client is
@@ -1039,10 +1029,9 @@ class NearUserRuntime:
                 # writes land even if every retry dies (§3.4).
                 if attempt >= policy.max_attempts:
                     self.metrics.incr("followup.lost")
-                    if detector is not None:
-                        # The timer will apply the writes at an unknowable
-                        # future time: the dirty entry must outlive them.
-                        detector.leak(execution_id)
+                    # The timer will apply the writes at an unknowable
+                    # future time: the dirty entry must outlive them.
+                    self._settle_dirty(execution_id, _FATE_UNKNOWN)
                     return
                 self.metrics.incr("followup.retry")
                 yield self.sim.timeout(policy.backoff_ms(attempt, self._retry_rng))

@@ -411,6 +411,13 @@ def run_chaos_case(
             # to *and* the survivors must still form a gossiping pair.
             regions = (Region.JP, Region.CA, Region.IE)
     migrations = plan.migration_windows()
+    if migrations and not plan.mesh:
+        # Only a session-carrying (mesh) client migrates: without mesh=True
+        # the windows would be scheduled and counted but move nobody.
+        raise FaultConfigError(
+            f"plan {plan.name!r} has migration windows but not mesh=True "
+            f"(only mesh clients carry a session to migrate)"
+        )
     for w in migrations:
         if w.to_region not in regions:
             raise FaultConfigError(
@@ -561,7 +568,7 @@ def run_chaos_case(
         "mesh.attach", "mesh.migrate", "mesh.pop_down",
     )
     counters = {k: metrics.counter(k) for k in wanted if metrics.counter(k)}
-    detector = dep.router.detector if dep.router is not None else None
+    detector = dep.router.detector
     lat = sorted(r.took_ms for r in requests if r.probe and r.path is not None)
     acked = sum(1 for r in requests if r.path is not None)
     return ChaosCaseResult(

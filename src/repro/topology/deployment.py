@@ -4,11 +4,11 @@ Before this module, four call sites hand-rolled the same Radical stack —
 the experiment harness, the per-figure drivers, the chaos harness, and the
 test scaffolding — each with its own slightly different wiring.  A
 :class:`TopologySpec` now *describes* a deployment (regions, shard count,
-placement, cache persistence, fault plan, tracing) and
+cache persistence, fault plan, tracing) and
 :meth:`Deployment.build` constructs it in one canonical order:
 
     sim → trace collector → random streams → network → metrics → history
-    → registry → stores (+ seed data) → raft (+ prewarm) → LVI servers
+    → registry → stores + router (+ seed data) → raft (+ prewarm) → LVI servers
     → per-region caches + runtimes → fault scheduler
 
 That order matters: random streams are name-keyed, so components draw
@@ -18,12 +18,13 @@ canonical order reproduces the seed builders byte for byte.  A one-shard
 ``Deployment`` is the seed topology exactly: same endpoint names, same
 stream names, same virtual timeline.
 
-With ``shards > 1`` the near-storage tier is partitioned: each shard gets
-an independent :class:`~repro.core.LVIServer` (own lock table, intent
-table, primary store slice) and runtimes receive a
-:class:`~repro.topology.ShardRouter` that sends single-shard requests down
-the seed's one-RPC fast path and cross-shard requests through the
-scatter-gather prepare/commit flow (docs/TOPOLOGY.md).
+Every runtime sends through one :class:`~repro.core.ShardRouter`, built
+from the shard servers' endpoint names.  With ``shards > 1`` the
+near-storage tier is partitioned by the router's hash: each shard gets an
+independent :class:`~repro.core.LVIServer` (own lock table, intent table,
+primary store slice); single-shard requests take the seed's one-RPC fast
+path and cross-shard requests the scatter-gather prepare/commit flow
+(docs/TOPOLOGY.md).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..consistency import HistoryRecorder
-from ..core import FunctionRegistry, LVIServer, NearUserRuntime, RadicalConfig
+from ..core import FunctionRegistry, LVIServer, NearUserRuntime, RadicalConfig, ShardRouter
 from ..errors import FaultConfigError
 from ..mesh import CacheMesh, MeshSpec
 from ..sim import (
@@ -46,7 +47,7 @@ from ..sim import (
     resolve_rtt_dataset,
 )
 from ..storage import Item, KVStore, NearUserCache
-from .shardmap import ConflictDetector, HashShardMap, ShardMap, ShardRouter
+from .shardmap import ConflictDetector
 
 __all__ = [
     "ASSIGNMENT_POLICIES",
@@ -103,8 +104,6 @@ class TopologySpec:
     warm_caches: bool = True
     persistent_caches: bool = True
     record_history: bool = False
-    #: Placement policy; ``None`` means ``HashShardMap(shards)``.
-    shard_map: Optional[ShardMap] = None
     #: Armed through the fault scheduler right after construction.
     fault_plan: Optional[Any] = None
     #: Virtual time burned electing an initial Raft leader before traffic
@@ -143,16 +142,6 @@ class TopologySpec:
             or self.assignment != "home-region"
         )
 
-    def resolved_shard_map(self) -> ShardMap:
-        if self.shard_map is not None:
-            if self.shard_map.nshards != self.shards:
-                raise ValueError(
-                    f"shard_map covers {self.shard_map.nshards} shard(s) "
-                    f"but spec.shards is {self.shards}"
-                )
-            return self.shard_map
-        return HashShardMap(self.shards)
-
     def validate(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
@@ -190,7 +179,6 @@ class TopologySpec:
                     "a cache mesh requires pop_regions == regions "
                     "(every client region gossips through its own PoP)"
                 )
-        self.resolved_shard_map()
 
     def resolved_rtt_dataset(self) -> RttDataset:
         return resolve_rtt_dataset(self.rtt)
@@ -259,7 +247,7 @@ class Deployment:
         self.stores: List[KVStore] = []
         self.servers: List[LVIServer] = []
         self.replicas: List[LVIServer] = []
-        self.router: Optional[ShardRouter] = None
+        self.router: ShardRouter
         self.caches: Dict[str, NearUserCache] = {}
         self.runtimes: Dict[str, NearUserRuntime] = {}
         self.rtt_dataset: Optional[RttDataset] = None
@@ -326,8 +314,9 @@ class Deployment:
             KVStore() if k == 0 else KVStore(name=f"primary-shard{k}")
             for k in range(spec.shards)
         ]
-        shard_map = spec.resolved_shard_map()
-        self._shard_map = shard_map
+        self.router = ShardRouter(
+            ["lvi-server" if k == 0 else f"lvi-server-{k}" for k in range(spec.shards)]
+        )
         seed_view = self.stores[0] if spec.shards == 1 else _ShardedSeedWriter(self)
         if app is not None:
             app.seed(seed_view, self.streams, app.context)
@@ -342,8 +331,7 @@ class Deployment:
             if spec.raft_prewarm_ms > 0:
                 sim.run(until=spec.raft_prewarm_ms)  # elect a leader first
 
-        for k in range(spec.shards):
-            name = "lvi-server" if k == 0 else f"lvi-server-{k}"
+        for k, name in enumerate(self.router.endpoints):
             self.servers.append(
                 LVIServer(
                     sim, self.net, self.registry, self.stores[k], cfg,
@@ -352,8 +340,6 @@ class Deployment:
                     raft_cluster=self.raft if k == 0 else None, shard=k,
                 )
             )
-        if spec.shards > 1 or cfg.conflict_detection:
-            self.router = ShardRouter(shard_map, [s.name for s in self.servers])
         if cfg.conflict_detection:
             # In-network conflict detection: one shared detector sits on
             # the request path of every runtime and server (writers enroll
@@ -450,7 +436,7 @@ class Deployment:
         return self.spec.shards
 
     def shard_of(self, table: str, key: str) -> int:
-        return self._shard_map.shard_of(table, key)
+        return self.router.shard_of(table, key)
 
     def store_for(self, table: str, key: str) -> KVStore:
         return self.stores[self.shard_of(table, key)]

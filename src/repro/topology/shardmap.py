@@ -1,81 +1,17 @@
-"""Key-space partitioning for the sharded near-storage tier.
+"""In-network conflict detection for the sharded near-storage tier.
 
-A :class:`ShardMap` assigns every ``(table, key)`` pair to exactly one
-shard.  Two concrete strategies are provided:
-
-* :class:`HashShardMap` — a stable content hash of ``table/key`` modulo
-  the shard count.  The hash is derived from SHA-1 (not Python's
-  randomized ``hash``), so placement is identical across processes and
-  runs — a requirement for the simulator's determinism guarantees.
-* :class:`RangeShardMap` — explicit lexicographic split points over
-  ``(table, key)``, for workloads whose key space has meaningful locality
-  (a range map keeps co-accessed neighbours on one shard, trading balance
-  for fewer cross-shard transactions).
-
-The near-user runtime only needs ``shard_of`` plus the shard count; it
-never sees stores or servers directly — the :class:`ShardRouter` adds the
-shard → endpoint-name mapping on top.
+Placement itself is :class:`~repro.core.ShardRouter`'s SHA-1 hash; this
+module holds what the router carries on top when conflict detection is
+on: the :class:`DirtySet` of in-flight write facts per shard, and the
+:class:`ConflictDetector` that runtimes enroll in and probe before
+sending, and that servers re-probe at arrival.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-Key = Tuple[str, str]
-
-__all__ = ["ShardMap", "HashShardMap", "RangeShardMap", "ShardRouter", "DirtySet", "ConflictDetector"]
-
-
-class ShardMap:
-    """Abstract placement policy: ``(table, key) -> shard index``."""
-
-    def __init__(self, nshards: int):
-        if nshards < 1:
-            raise ValueError(f"shard count must be >= 1, got {nshards}")
-        self.nshards = nshards
-
-    def shard_of(self, table: str, key: str) -> int:
-        raise NotImplementedError
-
-    def split(self, keys: Iterable[Key]) -> Dict[int, List[Key]]:
-        """Group keys by owning shard, preserving input order per group."""
-        groups: Dict[int, List[Key]] = {}
-        for table, key in keys:
-            groups.setdefault(self.shard_of(table, key), []).append((table, key))
-        return groups
-
-
-class HashShardMap(ShardMap):
-    """Stable-hash placement: uniform balance, no locality."""
-
-    def shard_of(self, table: str, key: str) -> int:
-        if self.nshards == 1:
-            return 0
-        digest = hashlib.sha1(f"{table}/{key}".encode()).digest()
-        return int.from_bytes(digest[:8], "big") % self.nshards
-
-
-class RangeShardMap(ShardMap):
-    """Lexicographic range placement over ``(table, key)``.
-
-    ``boundaries`` are N-1 sorted split points for N shards: shard ``i``
-    owns every key strictly below ``boundaries[i]`` and at or above
-    ``boundaries[i-1]``.
-    """
-
-    def __init__(self, boundaries: Sequence[Key]):
-        super().__init__(len(boundaries) + 1)
-        bounds = [tuple(b) for b in boundaries]
-        if bounds != sorted(bounds):
-            raise ValueError(f"range boundaries must be sorted, got {bounds}")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError(f"range boundaries must be distinct, got {bounds}")
-        self.boundaries: List[Key] = bounds
-
-    def shard_of(self, table: str, key: str) -> int:
-        return bisect.bisect_right(self.boundaries, (table, key))
+__all__ = ["DirtySet", "ConflictDetector"]
 
 
 class DirtySet:
@@ -218,68 +154,3 @@ class ConflictDetector:
         if hit and self.metrics is not None and self.metrics.enabled:
             self.metrics.incr("router.conflict_hit")
         return hit
-
-
-class ShardRouter:
-    """A shard map plus the endpoint name of each shard's LVI server.
-
-    This is the only sharding interface the near-user runtime consumes:
-    it keeps ``core`` free of any dependency on ``topology`` construction
-    (the runtime accepts any object with this shape).
-
-    With conflict detection enabled the router additionally carries the
-    :class:`ConflictDetector` (``detector``) and, per shard, the rotation
-    of endpoints allowed to serve lock-skipped reads (the primary plus
-    any read replicas).
-    """
-
-    def __init__(self, shard_map: ShardMap, endpoints: Sequence[str]):
-        if len(endpoints) != shard_map.nshards:
-            raise ValueError(
-                f"{shard_map.nshards} shard(s) but {len(endpoints)} endpoint(s)"
-            )
-        self.shard_map = shard_map
-        self.endpoints = tuple(endpoints)
-        self.detector: Optional[ConflictDetector] = None
-        self._read_endpoints: Dict[int, Tuple[str, ...]] = {}
-        self._read_rr: Dict[int, int] = {}
-
-    @property
-    def nshards(self) -> int:
-        return self.shard_map.nshards
-
-    def shard_of(self, table: str, key: str) -> int:
-        return self.shard_map.shard_of(table, key)
-
-    def endpoint(self, shard: int) -> str:
-        return self.endpoints[shard]
-
-    def split(self, keys: Iterable[Key]) -> Dict[int, List[Key]]:
-        return self.shard_map.split(keys)
-
-    def register_read_endpoints(self, shard: int, names: Sequence[str]) -> None:
-        """Endpoints allowed to serve lock-skipped reads for ``shard`` —
-        the primary plus its read replicas, rotated round-robin."""
-        self._read_endpoints[shard] = tuple(names)
-        self._read_rr[shard] = 0
-
-    def read_endpoint(self, shard: int) -> str:
-        """Deterministic round-robin over the shard's read rotation;
-        falls back to the primary when no rotation was registered."""
-        rotation = self._read_endpoints.get(shard)
-        if not rotation:
-            return self.endpoints[shard]
-        idx = self._read_rr[shard]
-        self._read_rr[shard] = (idx + 1) % len(rotation)
-        return rotation[idx]
-
-    def static_shard(self, summary) -> Optional[int]:
-        """Shard of a function whose static summary proves one fully
-        constant key (:class:`~repro.analysis.ir.summary.FunctionSummary`
-        with ``static_key`` set) — known at registration time, before any
-        invocation runs f^rw.  ``None`` when the key depends on inputs."""
-        static_key = getattr(summary, "static_key", None)
-        if static_key is None:
-            return None
-        table, key = static_key
-        return self.shard_of(table, key)

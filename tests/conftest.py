@@ -37,7 +37,7 @@ def read(k):
 
 def build_counter_deployment(seed=1, followup_timeout=400.0,
                              regions=(Region.JP, Region.CA), config=None,
-                             shards=1, shard_map=None, mesh=None,
+                             shards=1, mesh=None,
                              fault_plan=None):
     """The counter stack as a :class:`Deployment` (full topology access)."""
     if config is None:
@@ -54,7 +54,6 @@ def build_counter_deployment(seed=1, followup_timeout=400.0,
             warm_caches=True,
             persistent_caches=False,
             raft_prewarm_ms=0.0,
-            shard_map=shard_map,
             mesh=mesh,
             fault_plan=fault_plan,
         ),

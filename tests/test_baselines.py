@@ -16,7 +16,7 @@ from repro.faults import FaultPlan
 from repro.mesh import MeshSpec
 from repro.sim import Network, RandomStreams, Region, Simulator, paper_latency_table
 from repro.storage import KVStore, ReplicatedStore
-from repro.topology import HashShardMap, TopologySpec
+from repro.topology import TopologySpec
 
 SRC = '''
 def echo(k):
@@ -164,7 +164,6 @@ class TestBuildersTakeTheSpec:
     BUILDERS = [PrimaryDeployment.build, LocalIdealDeployment.build, GeoReplicatedDeployment.build]
     RADICAL_ONLY = {
         "shards": 2,
-        "shard_map": HashShardMap(1),
         "mesh": MeshSpec(),
         "fault_plan": FaultPlan("empty", ()),
         "trace": True,

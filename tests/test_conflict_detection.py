@@ -7,7 +7,6 @@ shard router's dirty-set fast path — end to end:
 * KeyFact overlap semantics and predicate instantiation;
 * classifier verdicts on synthetic sources (interval keys via the
   ``int(x) % c`` idiom, commutative increments, static keys);
-* ``ShardRouter.static_shard`` edge cases;
 * DirtySet lifecycle: enroll/settle/leak balance, including across a
   server crash/restart chaos case;
 * zero-cost metrics convention on the detector;
@@ -26,13 +25,12 @@ from repro.sim import (
     Metrics,
     Network,
     RandomStreams,
-    Region,
     Simulator,
     paper_latency_table,
 )
 from repro.sim.core import SimulationError
 from repro.storage import KVStore
-from repro.topology import ConflictDetector, DirtySet, HashShardMap, ShardRouter
+from repro.topology import ConflictDetector, DirtySet
 
 
 INTERVAL_SRC = '''
@@ -160,31 +158,6 @@ class TestClassifier:
         assert not a.conflicts_with(c)
 
 
-# -- ShardRouter.static_shard edge cases --------------------------------------
-
-class TestStaticShard:
-    def _router(self, shards=4):
-        return ShardRouter(
-            HashShardMap(shards), [f"s{i}" for i in range(shards)]
-        )
-
-    def test_static_key_function_routes_at_registration(self):
-        router = self._router()
-        summary = _summary(BANNER_SRC)
-        shard = router.static_shard(summary)
-        assert shard == router.shard_of("site", "banner")
-
-    def test_input_dependent_function_is_none(self):
-        router = self._router()
-        assert router.static_shard(_summary(BUMP_SRC)) is None
-        assert router.static_shard(_summary(INTERVAL_SRC)) is None
-
-    def test_missing_summary_is_none(self):
-        router = self._router()
-        assert router.static_shard(None) is None
-        assert router.static_shard(object()) is None
-
-
 # -- DirtySet lifecycle -------------------------------------------------------
 
 class TestDirtySet:
@@ -287,7 +260,7 @@ class _ServerWorld:
         return LVIRequest(
             execution_id=execution_id, function_id="t.pair", args=("1",),
             read_keys=(("t", "a:1"),), write_keys=(),
-            versions=versions, origin_region=Region.JP,
+            versions=versions,
             skip_locks=skip,
             # The planted (unsound) claim: "pair only ever reads a:1".
             read_facts=(KeyFact("t", "exact", "a:1"),),

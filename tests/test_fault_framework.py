@@ -235,7 +235,7 @@ class TestRetryEdges:
             try:
                 yield from rt._call_with_retry(
                     SimpleNamespace(execution_id="edge"),
-                    deadline_at=300.0, label="test",
+                    deadline_at=300.0, label="test", dst="lvi-server",
                 )
             except UnavailableError as exc:
                 outcome["error"] = str(exc)
@@ -283,7 +283,7 @@ class TestRetryEdges:
         def driver():
             outcome["result"] = yield from rt._call_with_retry(
                 SimpleNamespace(execution_id="edge"),
-                deadline_at=1_000.0, label="test",
+                deadline_at=1_000.0, label="test", dst="lvi-server",
             )
 
         outcome = {}

@@ -358,7 +358,6 @@ class TestHandlerStartsAtDelivery:
         req = LVIRequest(
             execution_id="e-1", function_id="t.read", args=("x",),
             read_keys=(key,), write_keys=(), versions={key: 1},
-            origin_region=Region.JP,
         )
         arrives = net.latency.one_way(Region.JP, server.region)
 

@@ -69,7 +69,6 @@ def lvi(eid, function_id, reads, writes=(), versions=None, args=("x",)):
         execution_id=eid, function_id=function_id, args=args,
         read_keys=tuple(reads), write_keys=tuple(writes),
         versions=versions if versions is not None else {k: 1 for k in reads},
-        origin_region=Region.JP,
     )
 
 
@@ -262,7 +261,6 @@ class TestIntentTimerFiresOnDemand:
         arrive(dep, 0.0, bump("w"))
         direct = arrive(dep, 100.0, DirectExecRequest(
             execution_id="dir", function_id="t.bump", args=("x",),
-            origin_region=Region.JP,
         ))
         dep.sim.run(until=1_000.0)
         assert "reply" not in direct  # held behind the pending intent

@@ -567,3 +567,12 @@ class TestMeshChaosPlans:
         )
         with pytest.raises(FaultConfigError, match="no runtime"):
             run_chaos_case(plan, seed=0, requests_per_client=2)
+
+    def test_migration_without_mesh_rejected(self):
+        # Only a mesh client carries a session to migrate: without
+        # mesh=True the window would be counted as injected and move nobody.
+        from repro.faults import run_chaos_case
+
+        plan = FaultPlan("mesh-less", (MigrationWindow("jp-0", Region.CA, 600.0),))
+        with pytest.raises(FaultConfigError, match="'mesh-less'.*mesh=True"):
+            run_chaos_case(plan, seed=0, requests_per_client=10)

@@ -42,7 +42,6 @@ def lvi_read(eid: str) -> LVIRequest:
     return LVIRequest(
         execution_id=eid, function_id="t.read", args=("x",),
         read_keys=(KEY,), write_keys=(), versions={KEY: 1},
-        origin_region=Region.JP,
     )
 
 
@@ -241,7 +240,6 @@ class TestDirectBarrier:
             req = LVIRequest(
                 execution_id="spec-1", function_id="t.bump", args=("x",),
                 read_keys=(KEY,), write_keys=(KEY,), versions={KEY: 1},
-                origin_region=Region.JP,
             )
             resp = yield from net.call(rt.name, server.name, req, timeout=10_000.0)
             return resp
@@ -256,7 +254,6 @@ class TestDirectBarrier:
         def direct():
             req = DirectExecRequest(
                 execution_id="dir-1", function_id="t.bump", args=("x",),
-                origin_region=Region.JP,
             )
             resp = yield from net.call(rt.name, server.name, req, timeout=60_000.0)
             p2_done_at.append(sim.now)

@@ -22,6 +22,7 @@ from repro.core import (
     FunctionSpec,
     LVIRequest,
     LVIServer,
+    NearUserRuntime,
     RadicalConfig,
     ShardDecision,
     ShardPrepare,
@@ -40,7 +41,7 @@ from repro.sim import (
 )
 from repro.storage import IdempotencyTable, KVStore
 from repro.mesh import MeshSpec
-from repro.topology import ConflictDetector, Deployment, RangeShardMap, TopologySpec
+from repro.topology import ConflictDetector, Deployment, TopologySpec
 
 from conftest import build_counter_deployment
 
@@ -70,8 +71,8 @@ def xfer(a, b):
     return va + vb
 '''
 
-# Under RangeShardMap([("counters", "c:m")]): LOW -> shard 0, HIGH -> shard 1.
-LOW, HIGH = "c:a", "c:z"
+# At two shards the hash places LOW on shard 0 and HIGH on shard 1.
+LOW, HIGH = "c:a", "c:y"
 
 
 def detecting_config(**overrides) -> RadicalConfig:
@@ -100,7 +101,6 @@ def build(shards=1, **config):
             warm_caches=True,
             persistent_caches=False,
             raft_prewarm_ms=0.0,
-            shard_map=RangeShardMap([("counters", "c:m")]) if shards == 2 else None,
         ),
         functions=[
             FunctionSpec("t.bump", BUMP_SRC, 20.0),
@@ -143,11 +143,44 @@ def drop(dep, kind, dst=None):
     )
 
 
+@pytest.fixture
+def settle_point(monkeypatch):
+    """Every dirty-set settle or leak, as ``(what, execution id)``; one made
+    anywhere but the runtime's settle point fails the test."""
+    calls = []
+    inside = []
+    settle_dirty = NearUserRuntime._settle_dirty
+
+    def spying_settle_point(self, execution_id, fate):
+        inside.append(execution_id)
+        try:
+            return settle_dirty(self, execution_id, fate)
+        finally:
+            inside.pop()
+
+    def guarded(what):
+        original = getattr(ConflictDetector, what)
+
+        def spying(self, execution_id):
+            assert inside == [execution_id], f"{what}({execution_id}) outside the settle point"
+            calls.append((what, execution_id))
+            return original(self, execution_id)
+
+        monkeypatch.setattr(ConflictDetector, what, spying)
+
+    monkeypatch.setattr(NearUserRuntime, "_settle_dirty", spying_settle_point)
+    guarded("settle")
+    guarded("leak")
+    return calls
+
+
 # -- (a) the dirty-set fate table ---------------------------------------------
 
+@pytest.mark.usefixtures("settle_point")
 class TestDirtySetFateTable:
     """After each way an invocation can end, the dirty set holds exactly
-    what the outcome's fate dictates — and balances at quiescence."""
+    what the outcome's fate dictates — and balances at quiescence.  Every
+    settle and leak goes through the runtime's one settle point."""
 
     def test_cache_miss_settles_on_the_backup_response(self):
         dep = build()
@@ -208,12 +241,24 @@ class TestDirtySetFateTable:
         quiesce(dep)
         assert dirty(dep).balanced
 
-    def test_direct_execution_enrolls_and_settles_itself(self):
+    def test_direct_execution_enrolls_and_settles_itself(self, settle_point):
         dep = build()
         dep.registry.get("t.opaque").analyzed.analyzable = False
         outcome = invoke(dep, Region.JP, "t.opaque", [LOW])
         assert outcome.path == "direct" and outcome.result == 1
         assert dirty(dep).stats() == stats(enrolled=1, settled=1)
+        assert [what for what, _eid in settle_point] == ["settle"]
+        quiesce(dep)
+        assert dirty(dep).balanced
+
+    def test_unavailable_direct_execution_leaks_the_entry(self, settle_point):
+        dep = build()
+        dep.registry.get("t.opaque").analyzed.analyzable = False
+        drop(dep, DirectExecRequest)
+        assert invoke(dep, Region.JP, "t.opaque", [LOW]) == "unavailable"
+        assert dep.metrics.counter("path.direct") == 1
+        assert dirty(dep).stats() == stats(enrolled=1, leaked=1, depth=1)
+        assert [what for what, _eid in settle_point] == ["leak"]
         quiesce(dep)
         assert dirty(dep).balanced
 
@@ -288,7 +333,6 @@ def _lvi(eid):
     return LVIRequest(
         execution_id=eid, function_id="t.bump", args=("c:k",),
         read_keys=(KEY,), write_keys=(KEY,), versions={KEY: 1},
-        origin_region=Region.JP,
     )
 
 
@@ -296,14 +340,13 @@ def _prepare(eid):
     return ShardPrepare(
         execution_id=eid, function_id="t.bump", read_keys=(KEY,),
         write_keys=(KEY,), versions={KEY: 1}, writes=((*KEY, 1),),
-        origin_region=Region.JP, shard=0, coordinator="lvi-server", nshards=2,
+        shard=0, coordinator="lvi-server",
     )
 
 
 def _direct(eid):
     return DirectExecRequest(
         execution_id=eid, function_id="t.bump", args=("c:k",),
-        origin_region=Region.JP,
     )
 
 
@@ -400,7 +443,7 @@ class TestDeclinedRequestsLeaveNoTrace:
         return LVIRequest(
             execution_id=eid, function_id="t.bump", args=("c:k",),
             read_keys=(KEY,), write_keys=(), versions={KEY: 1},
-            origin_region=Region.JP, skip_locks=True, read_facts=(fact,),
+            skip_locks=True, read_facts=(fact,),
         )
 
     def test_replica_bounces_a_locked_request(self):

@@ -8,7 +8,7 @@ from repro.consistency import HistoryRecorder, check_strict_serializability
 from repro.core import FunctionSpec, RadicalConfig, ShardDecision, ShardDecisionQuery
 from repro.errors import ProtocolError, UnavailableError
 from repro.sim import Region
-from repro.topology import Deployment, RangeShardMap, TopologySpec
+from repro.topology import Deployment, TopologySpec
 
 BUMP_SRC = '''
 def bump(k):
@@ -42,8 +42,8 @@ def xfer(a, b):
     return va + vb
 '''
 
-# Under RangeShardMap([("counters", "c:m")]): LOW -> shard 0, HIGH -> shard 1.
-LOW, HIGH = "c:a", "c:z"
+# At two shards the hash places LOW on shard 0 and HIGH on shard 1.
+LOW, HIGH = "c:a", "c:y"
 
 
 def fast_config(**overrides) -> RadicalConfig:
@@ -74,7 +74,6 @@ def build_xfer_deployment(seed=1, config=None, shards=2,
             warm_caches=True,
             persistent_caches=False,
             raft_prewarm_ms=0.0,
-            shard_map=RangeShardMap([("counters", "c:m")]) if shards == 2 else None,
         ),
         functions=[
             FunctionSpec("t.xfer", XFER_SRC, 20.0),

@@ -1,92 +1,111 @@
-"""Topology layer: shard maps, the Deployment builder, and the guarantee
-that one shard *is* the seed topology — virtual-time identical."""
+"""Topology layer: hash placement, the Deployment builder, the one router
+on every route, and the guarantee that one shard *is* the seed topology —
+virtual-time identical."""
 
 import pytest
 
-from conftest import assert_warm_snapshot_shared, build_counter_deployment
+from conftest import COUNTER_SRC, assert_warm_snapshot_shared, build_counter_deployment
 from repro.apps import social_media_app
 from repro.bench import PAPER_JITTER_SIGMA, drive_closed_loop
-from repro.core import FunctionRegistry, LVIServer, NearUserRuntime, RadicalConfig
+from repro.core import (
+    FunctionRegistry,
+    FunctionSpec,
+    LVIServer,
+    NearUserRuntime,
+    RadicalConfig,
+    ShardRouter,
+)
 from repro.obs import TraceCollector
 from repro.sim import Metrics, Network, RandomStreams, Region, Simulator, paper_latency_table
 from repro.storage import KVStore, NearUserCache
-from repro.topology import (
-    Deployment,
-    HashShardMap,
-    RangeShardMap,
-    ShardRouter,
-    TopologySpec,
-)
+from repro.topology import Deployment, TopologySpec
 from repro.workloads import ClosedLoopClient, run_clients
+
+# At two shards the hash places LOW on shard 0 and HIGH on shard 1.
+LOW, HIGH = "c:a", "c:y"
+
+#: Placement is part of every artifact's bytes: these keys' shards, at 2, 4
+#: and 8 shards, must never move.
+GOLDEN_KEYS = (
+    ("counters", "c:a"), ("counters", "c:y"), ("counters", "c:x"),
+    ("users", "alice"), ("posts", "p:17"), ("timeline", "u:3"),
+    ("rooms", "avail:h7:d3"), ("t", ""),
+) + tuple(("counters", f"c:{i}") for i in range(8))
+GOLDEN_SHARDS = {
+    2: (0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1),
+    4: (2, 1, 2, 2, 1, 0, 2, 2, 2, 1, 0, 0, 2, 3, 0, 3),
+    8: (6, 1, 2, 2, 5, 4, 6, 2, 2, 5, 0, 4, 6, 7, 4, 3),
+}
+
+
+def router(nshards):
+    return ShardRouter([f"s{i}" for i in range(nshards)])
+
+
+def two_key_deployment():
+    """Two shards, seeded with LOW (shard 0) and HIGH (shard 1)."""
+    return Deployment.build(
+        TopologySpec(regions=(Region.JP, Region.CA), shards=2, seed=1,
+                     persistent_caches=False, raft_prewarm_ms=0.0),
+        functions=[FunctionSpec("t.bump", COUNTER_SRC, 20.0)],
+        seed_data=lambda store: (
+            store.put("counters", LOW, 0),
+            store.put("counters", HIGH, 0),
+        ),
+    )
 
 
 class TestHashShardMap:
+    """The router's placement: SHA-1 of ``table/key`` modulo the shards."""
+
+    @pytest.mark.parametrize("nshards", sorted(GOLDEN_SHARDS))
+    def test_placement_is_pinned(self, nshards):
+        r = router(nshards)
+        assert tuple(r.shard_of(*k) for k in GOLDEN_KEYS) == GOLDEN_SHARDS[nshards]
+
     def test_deterministic_and_in_range(self):
-        m = HashShardMap(8)
+        m = router(8)
         for i in range(200):
             s = m.shard_of("counters", f"c:{i}")
             assert 0 <= s < 8
             assert s == m.shard_of("counters", f"c:{i}")
 
     def test_single_shard_maps_everything_to_zero(self):
-        m = HashShardMap(1)
+        m = router(1)
         assert {m.shard_of("t", f"k{i}") for i in range(50)} == {0}
 
     def test_covers_every_shard(self):
-        m = HashShardMap(4)
+        m = router(4)
         hit = {m.shard_of("counters", f"c:{i}") for i in range(200)}
         assert hit == {0, 1, 2, 3}
 
     def test_table_is_part_of_the_key(self):
-        m = HashShardMap(16)
+        m = router(16)
         placements = {m.shard_of(t, "k") for t in ("a", "b", "c", "d", "e")}
         assert len(placements) > 1  # same key, different tables, spread out
 
     def test_split_groups_preserve_order(self):
-        m = HashShardMap(2)
+        # The runtime slices a cross-shard request's keys and writes by
+        # owning shard, each slice in the request's own order.
+        runtime = build_counter_deployment(shards=2).runtimes[Region.JP]
         keys = [("t", f"k{i}") for i in range(10)]
-        groups = m.split(keys)
+        groups = runtime._by_shard(keys)
+        assert set(groups) == {0, 1}
         assert sorted(k for g in groups.values() for k in g) == sorted(keys)
         for shard, group in groups.items():
-            assert group == [k for k in keys if m.shard_of(*k) == shard]
+            assert group == [k for k in keys if runtime.router.shard_of(*k) == shard]
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
-            HashShardMap(0)
-
-
-class TestRangeShardMap:
-    def test_boundary_placement(self):
-        m = RangeShardMap([("counters", "c:m")])
-        assert m.nshards == 2
-        assert m.shard_of("counters", "c:a") == 0
-        assert m.shard_of("counters", "c:m") == 1  # boundary goes right
-        assert m.shard_of("counters", "c:z") == 1
-        assert m.shard_of("a", "anything") == 0
-        assert m.shard_of("z", "anything") == 1
-
-    def test_multiple_boundaries(self):
-        m = RangeShardMap([("t", "h"), ("t", "p")])
-        assert m.nshards == 3
-        assert [m.shard_of("t", k) for k in ("a", "h", "o", "p", "z")] == [0, 1, 1, 2, 2]
-
-    def test_rejects_unsorted_or_duplicate_boundaries(self):
-        with pytest.raises(ValueError):
-            RangeShardMap([("t", "p"), ("t", "h")])
-        with pytest.raises(ValueError):
-            RangeShardMap([("t", "h"), ("t", "h")])
+            ShardRouter([])
 
 
 class TestShardRouter:
     def test_endpoint_mapping(self):
-        r = ShardRouter(RangeShardMap([("t", "m")]), ["lvi-server", "lvi-server-1"])
+        r = ShardRouter(["lvi-server", "lvi-server-1"])
         assert r.nshards == 2
-        assert r.endpoint(r.shard_of("t", "a")) == "lvi-server"
-        assert r.endpoint(r.shard_of("t", "z")) == "lvi-server-1"
-
-    def test_rejects_endpoint_count_mismatch(self):
-        with pytest.raises(ValueError):
-            ShardRouter(HashShardMap(2), ["only-one"])
+        assert r.endpoint(r.shard_of("counters", LOW)) == "lvi-server"
+        assert r.endpoint(r.shard_of("counters", HIGH)) == "lvi-server-1"
 
 
 class TestTopologySpec:
@@ -99,17 +118,64 @@ class TestTopologySpec:
         with pytest.raises(ValueError):
             spec.validate()
 
-    def test_shard_map_must_match_shard_count(self):
-        spec = TopologySpec(shards=3, shard_map=HashShardMap(2))
-        with pytest.raises(ValueError):
-            spec.validate()
+    def test_hash_placement_is_used(self):
+        dep = build_counter_deployment(shards=2)
+        assert dep.shard_of("counters", LOW) == 0
+        assert dep.shard_of("counters", HIGH) == 1
 
-    def test_explicit_shard_map_is_used(self):
+
+class TestOneRouter:
+    """Every topology, and a hand-built runtime, sends through one
+    :class:`ShardRouter`; a deployment's router is never absent."""
+
+    @staticmethod
+    def _consulted(monkeypatch):
+        """The routers asked for an endpoint while the test runs."""
+        seen = []
+        endpoint = ShardRouter.endpoint
+
+        def spying(self, shard):
+            seen.append(self)
+            return endpoint(self, shard)
+
+        monkeypatch.setattr(ShardRouter, "endpoint", spying)
+        return seen
+
+    @pytest.mark.parametrize(
+        "shards,detect", [(1, False), (1, True), (2, False)],
+        ids=["1-shard", "1-shard-detect", "2-shard"],
+    )
+    def test_deployment_routes_through_its_router(self, monkeypatch, shards, detect):
         dep = build_counter_deployment(
-            shards=2, shard_map=RangeShardMap([("counters", "c:m")])
+            shards=shards,
+            config=RadicalConfig(service_jitter_sigma=0.0, conflict_detection=detect),
         )
-        assert dep.shard_of("counters", "c:a") == 0
-        assert dep.shard_of("counters", "c:z") == 1
+        assert type(dep.router) is ShardRouter
+        assert dep.router.nshards == shards
+        assert (dep.router.detector is None) is not detect
+        assert all(rt.router is dep.router for rt in dep.runtimes.values())
+        seen = self._consulted(monkeypatch)
+        assert dep.sim.run_process(dep.runtimes[Region.JP].invoke("t.bump", ["x"])).result == 1
+        assert seen and all(r is dep.router for r in seen)
+
+    def test_hand_built_runtime_defaults_to_a_one_shard_router(self, monkeypatch):
+        sim = Simulator()
+        streams = RandomStreams(4)
+        net = Network(sim, paper_latency_table(), streams)
+        metrics = Metrics()
+        config = RadicalConfig(service_jitter_sigma=0.0)
+        registry = FunctionRegistry()
+        registry.register(FunctionSpec("t.bump", COUNTER_SRC, 20.0))
+        LVIServer(sim, net, registry, KVStore(), config, streams, metrics)
+        runtime = NearUserRuntime(
+            sim, net, Region.CA, NearUserCache(Region.CA), registry, config, streams, metrics
+        )
+        assert type(runtime.router) is ShardRouter
+        assert runtime.router.endpoints == ("lvi-server",)
+        assert runtime.router.detector is None
+        seen = self._consulted(monkeypatch)
+        assert sim.run_process(runtime.invoke("t.bump", ["x"])).result == 1
+        assert seen and all(r is runtime.router for r in seen)
 
 
 class TestDeployment:
@@ -124,7 +190,8 @@ class TestDeployment:
         assert dep.nshards == 1
         assert dep.server.name == "lvi-server"
         assert dep.store.name == "primary"
-        assert dep.router is None
+        assert dep.router.endpoints == ("lvi-server",)
+        assert dep.router.detector is None
         assert set(dep.runtimes) == {Region.JP, Region.CA}
         assert dep.fault_targets() == {"lvi-server": dep.server}
 
@@ -134,7 +201,6 @@ class TestDeployment:
             "lvi-server", "lvi-server-1", "lvi-server-2"
         ]
         assert [s.shard for s in dep.servers] == [0, 1, 2]
-        assert dep.router is not None
         assert dep.router.endpoints == ("lvi-server", "lvi-server-1", "lvi-server-2")
         # Each server owns a distinct store; every runtime shares the router.
         assert len({id(s.store) for s in dep.servers}) == 3
@@ -142,21 +208,18 @@ class TestDeployment:
             assert runtime.router is dep.router
 
     def test_seed_data_lands_on_the_owning_shard(self):
-        dep = build_counter_deployment(
-            shards=2, shard_map=RangeShardMap([("counters", "c:m")])
-        )
-        # conftest seeds c:x, which sorts above c:m -> shard 1.
-        assert dep.stores[1].get_or_none("counters", "c:x") is not None
-        assert dep.stores[0].get_or_none("counters", "c:x") is None
-        assert dep.get_or_none("counters", "c:x").value == 0
-        assert dep.store_for("counters", "c:x") is dep.stores[1]
+        dep = two_key_deployment()
+        for key, shard in ((LOW, 0), (HIGH, 1)):
+            assert dep.stores[shard].get_or_none("counters", key) is not None
+            assert dep.stores[1 - shard].get_or_none("counters", key) is None
+            assert dep.get_or_none("counters", key).value == 0
+            assert dep.store_for("counters", key) is dep.stores[shard]
 
     def test_warm_caches_cover_every_shard(self):
-        dep = build_counter_deployment(
-            shards=2, shard_map=RangeShardMap([("counters", "c:m")])
-        )
+        dep = two_key_deployment()
         for cache in dep.caches.values():
-            assert cache.contains("counters", "c:x")
+            assert cache.contains("counters", LOW)
+            assert cache.contains("counters", HIGH)
 
 
 class TestWarmEntriesShared:
