@@ -5,11 +5,11 @@ key space moves the near-storage tier's capacity ceiling.  This sweep asks
 the conflict-detection question on top of it: on a *read-heavy* workload,
 how much throughput does the router's dirty-set fast path buy?
 
-With ``conflict_detection`` on, every writer enrolls its instantiated
-write constraints in the shard router's dirty set before its LVI request
-leaves the runtime; a read-only request whose constraints provably miss
-every in-flight writer skips lock acquisition and may be served by any
-read replica of its shard.  Each sweep point therefore runs the same
+With ``conflict_detection`` on, a shard's primary enrolls each writer's
+instantiated write constraints in the router's dirty set while it holds
+the write; a read-only request whose constraints provably miss every
+in-flight writer skips lock acquisition and is served by a read replica
+of its shard.  Each sweep point therefore runs the same
 uniform counter workload (90% reads) twice — detection off and on — at
 the same shard count, the same serial-CPU cost model, and the *same*
 ``read_replicas`` setting.  Only the detection-on row can actually route
@@ -20,8 +20,8 @@ asymmetry is the measured effect, not an unfair configuration).
 The scenario's acceptance gate is :func:`readscale_gate_failures`:
 detection-on throughput must beat detection-off at every point with >= 4
 shards, lock-skipped reads must actually occur, and every point's dirty
-set must be balanced (every enrollment settled or deliberately leaked)
-once the deployment is quiescent.
+set must be balanced (every enrollment settled) once the deployment is
+quiescent.
 """
 
 from __future__ import annotations

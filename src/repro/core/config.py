@@ -118,12 +118,13 @@ class RadicalConfig:
     single_request: bool = True          # False = validate then commit (2 RTT)
 
     # In-network conflict detection (Harmonia-style, via the ShardRouter's
-    # dirty set of in-flight write constraints).  Off by default so every
+    # dirty set of the writes each shard holds).  Off by default so every
     # frozen experiment timeline is byte-identical.  With detection on,
     # read-only requests whose instantiated key constraints provably miss
-    # every in-flight writer skip lock acquisition and may be served by
-    # any read replica of their shard; ``read_replicas`` is the number of
-    # LVI server instances per shard sharing that shard's store (1 = just
-    # the primary; replicas only ever serve lock-skipped reads).
+    # every in-flight writer skip lock acquisition and are served by a
+    # read replica of their shard; ``read_replicas`` is the number of LVI
+    # server instances per shard sharing that shard's store: the primary
+    # plus ``read_replicas - 1`` replicas, which take every lock-free read
+    # and forward the rest to the primary (1 = the primary serves all).
     conflict_detection: bool = False
     read_replicas: int = 1

@@ -13,6 +13,10 @@ request-bearing messages (:class:`LVIRequest`, :class:`DirectExecRequest`,
 :class:`ShardPrepare`) are subject to admission control; followups,
 decisions, and queries always get through.
 
+A read replica hands a request it cannot serve to its shard's primary
+inside a :class:`Forwarded` envelope naming the original sender, so the
+primary files it under that client, not under the replica.
+
 Every request-bearing message and every :class:`ShardDecision` also
 carries two ints from its sender (RIFL's completion piggyback): ``seq``,
 the sender's sequence number for the execution, and ``floor``, "every
@@ -46,6 +50,7 @@ __all__ = [
     "ShardPrepare",
     "ShardDecision",
     "ShardDecisionQuery",
+    "Forwarded",
 ]
 
 
@@ -125,7 +130,6 @@ class LVIResponse:
         "fresh",
         "backup_read_versions",
         "backup_write_versions",
-        "bounced",
     )
 
     def __init__(
@@ -141,11 +145,6 @@ class LVIResponse:
         fresh: Dict[Key, FreshItem] = None,
         backup_read_versions: Dict[Key, int] = None,
         backup_write_versions: Dict[Key, int] = None,
-        # Conflict-detection path: the server declined a lock-skipped
-        # request (dirty probe hit, or a replica was asked for a locked
-        # flow) without mutating any state; the runtime must retry through
-        # the primary's full locked path.
-        bounced: bool = False,
     ):
         self.execution_id = execution_id
         self.ok = ok
@@ -157,7 +156,6 @@ class LVIResponse:
         self.backup_write_versions = (
             {} if backup_write_versions is None else backup_write_versions
         )
-        self.bounced = bounced
 
 
 class WriteFollowup:
@@ -282,3 +280,16 @@ class DirectExecRequest:
         self.args = args
         self.seq = seq
         self.floor = floor
+
+
+class Forwarded:
+    """A read replica's hand-off of ``request`` to its shard primary (a
+    probe hit, or a request that needs locks).  ``client`` is the endpoint
+    that sent ``request`` to the replica: the primary's dedup state and
+    completion floors are kept per client, so the forward files under it."""
+
+    __slots__ = ("request", "client")
+
+    def __init__(self, request: Any, client: str):
+        self.request = request
+        self.client = client

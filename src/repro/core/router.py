@@ -23,8 +23,8 @@ class ShardRouter:
 
     With conflict detection enabled the router additionally carries the
     :class:`~repro.topology.ConflictDetector` (``detector``) and, per
-    shard, the rotation of endpoints allowed to serve lock-skipped reads
-    (the primary plus any read replicas).
+    shard, the rotation of endpoints that serve its lock-skipped reads
+    (its read replicas, or the primary when it has none).
     """
 
     def __init__(self, endpoints: Sequence[str]):
@@ -46,8 +46,8 @@ class ShardRouter:
         return self.endpoints[shard]
 
     def register_read_endpoints(self, shard: int, names: Sequence[str]) -> None:
-        """Endpoints allowed to serve lock-skipped reads for ``shard`` —
-        the primary plus its read replicas, rotated round-robin."""
+        """Endpoints that serve lock-skipped reads for ``shard``, rotated
+        round-robin."""
         self._read_endpoints[shard] = tuple(names)
         self._read_rr[shard] = 0
 

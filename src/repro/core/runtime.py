@@ -12,11 +12,11 @@ pipeline, each stage a plain call or a ``yield from`` sub-generator:
 3. **speculate** (``_speculate``) — *predict*: ``f^rw`` on the cache
    snapshot gives the read/write set, ``f`` runs on the same snapshot;
    *route*: the shards the runtime's :class:`~repro.core.ShardRouter`
-   places the keys on.  Both routes — speculative and direct — run their
-   dispatch under ``_routed``, which enrolls the attempt in the dirty set
-   before anything is sent and settles or leaks that entry by the
-   attempt's ``fate`` afterwards (``_settle_dirty`` is the one place that
-   does either, for the detached followup sender too);
+   places the keys on.  With conflict detection on, a lock-skippable read
+   probes the shard's dirty set first — a routing hint only: a clean
+   probe sends it lock-free to the shard's read rotation, whose arrival
+   probe is the authoritative one.  The shard that executes a write owns
+   its dirty-set entry, start to end;
 4. **dispatch** (``_dispatch_single`` / ``_dispatch_cross_shard``) — the
    single LVI request (or a prepare per shard, then the decision)
    *overlapped* with ``f``'s service time: the paper's core latency trick;
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..analysis import KeyFact, check_coverage, derive_rwset
+from ..analysis import check_coverage, derive_rwset
 from ..errors import GasExhausted, OverloadedError, ProtocolError, UnavailableError, VMTrap
 from ..faults.retry import AdaptiveLimiter, CircuitBreaker, RetryPolicy
 from ..sim import Metrics, Network, RandomStreams, RequestBatcher, RpcTimeout, Simulator
@@ -84,16 +84,6 @@ PATH_BACKUP = "backup"            # validation failed; near-storage result
 PATH_MISS = "miss"                # cache miss; speculation skipped (§3.2)
 PATH_DIRECT = "direct"            # unanalyzable function (§3.3)
 
-# ``_Attempt.fate``: what dispatch learned about the writes it enrolled in
-# the router's dirty set (None until it has learned anything).
-_FATE_KNOWN = "known"        # applied, or never will be: settle the entry
-_FATE_FOLLOWUP = "followup"  # the followup sender will learn it (ack / loss)
-_FATE_UNKNOWN = "unknown"    # unknowable (lost ack, exhausted RPC): leak it
-
-# What a direct execution enrolls: its access set is unknown until it runs,
-# so the universal fact makes every probe conservatively hit meanwhile.
-_ANY_KEY = (KeyFact(None, "any"),)
-
 
 @dataclass(slots=True)
 class _Attempt:
@@ -115,8 +105,6 @@ class _Attempt:
     spec_trace: Any = None   # ... and its result and access trace
     exec_ms: float = 0.0     # f's (jittered) service time
     frw_ms: float = 0.0      # f^rw's share of it
-    # Learned by dispatch; read by the speculative stage's settle point.
-    fate: Optional[str] = None
 
 
 @dataclass
@@ -385,8 +373,7 @@ class NearUserRuntime:
 
     def _speculate(self, attempt: _Attempt) -> Generator:
         """One attempt at the analyzable path: predict (f^rw, then f, on
-        one snapshot), route by shard, dispatch — and settle the attempt's
-        dirty-set entry, whichever way dispatch ends."""
+        one snapshot), route by shard, dispatch."""
         cfg = self.config
         obs = self.sim.obs
         record, args, session = attempt.record, attempt.args, attempt.session
@@ -448,63 +435,17 @@ class NearUserRuntime:
         # fast path, byte for byte; touching several shards enters the
         # scatter-gather prepare/commit flow.
         shards = self._shards_touched(attempt)
-        # In-network conflict detection: a writer enrolls its instantiated
-        # write constraints in the router's dirty set (see _routed), so a
-        # reader's probe can never miss an in-flight write.  A read-only
-        # request whose constraints provably miss every enrolled writer
-        # skips lock acquisition and may be served by any read replica of
-        # its shard.
+        if len(shards) > 1:
+            return (yield from self._dispatch_cross_shard(attempt, shards))
+        # In-network conflict detection: a read-only request whose
+        # constraints miss every writer its shard holds skips lock
+        # acquisition and goes to the shard's read rotation.  The probe
+        # here only picks the route; a hit takes the primary's locked path.
         detector = self.router.detector
-        enroll = skip_facts = None
-        if detector is not None and rwset.writes:
-            enroll = self._writer_facts(attempt)
-        elif detector is not None and len(shards) == 1:
-            skip_facts = self._skip_facts(attempt)
-            if skip_facts is not None and detector.probe(shards[0], skip_facts):
-                # Runtime-side probe hit: an in-flight writer may touch
-                # our keys, so take the ordinary locked path.
-                skip_facts = None
-        dispatch = (
-            self._dispatch_cross_shard(attempt, shards) if len(shards) > 1
-            else self._dispatch_single(attempt, shards[0], skip_facts)
-        )
-        return (yield from self._routed(attempt, shards, enroll, dispatch))
-
-    def _routed(self, attempt: _Attempt, shards: List[int], enroll, dispatch: Generator) -> Generator:
-        """Run one route's ``dispatch`` under the dirty set's lifecycle:
-        enroll the facts ``enroll`` on ``shards`` strictly before anything
-        is sent (``None``: a reader, nothing to enroll), then settle or
-        leak the entry by the attempt's ``fate`` however dispatch ends."""
-        detector = self.router.detector
-        if detector is not None and enroll is not None:
-            detector.enroll(shards, attempt.execution_id, enroll)
-        try:
-            return (yield from dispatch)
-        except _CrossShardStale:
-            # The attempt aborted globally (presumed abort: without a
-            # commit record its staged writes can never apply) — its
-            # enrollment settles; the restart enrolls afresh.
-            attempt.fate = _FATE_KNOWN
-            raise
-        except UnavailableError:
-            # Outcome unknown (the server may yet validate and apply via
-            # its intent timer, or the direct execution may have run):
-            # keep the entry forever rather than risk an unsound probe miss.
-            attempt.fate = _FATE_UNKNOWN
-            raise
-        finally:
-            self._settle_dirty(attempt.execution_id, attempt.fate)
-
-    def _settle_dirty(self, execution_id: str, fate: Optional[str]) -> None:
-        """The settle point: drop an execution's dirty-set entry once its
-        writes' fate is known, keep it forever once it is unknowable.  A
-        no-op for a reader, which never enrolled; _FATE_FOLLOWUP, or any
-        other failure, leaves the entry alone."""
-        detector = self.router.detector
-        if detector is not None and fate == _FATE_KNOWN:
-            detector.settle(execution_id)
-        elif detector is not None and fate == _FATE_UNKNOWN:
-            detector.leak(execution_id)
+        skip_facts = self._skip_facts(attempt) if detector is not None else None
+        if skip_facts is not None and detector.probe(shards[0], skip_facts):
+            skip_facts = None
+        return (yield from self._dispatch_single(attempt, shards[0], skip_facts))
 
     def _dispatch_single(self, attempt: _Attempt, shard: int, skip_facts) -> Generator:
         """The seed's one-RPC fast path against a single LVI server."""
@@ -538,15 +479,6 @@ class NearUserRuntime:
             response = yield from self._lvi_round_trip(attempt, request, dst)
             yield from self._charge_exec(attempt)
 
-        if skip_facts is not None and response.bounced:
-            # A replica declined the lock-skipped request (arrival-time
-            # probe hit) without touching any state: retry the full locked
-            # path at the shard primary under the same execution id.
-            self.metrics.incr("router.skip_bounced")
-            response = yield from self._lvi_round_trip(
-                attempt, self._lvi_request(attempt), primary, bounced=True
-            )
-
         if not response.ok:
             self.metrics.incr("path.backup")
             return self._near_storage_outcome(attempt, response, PATH_BACKUP)
@@ -556,15 +488,12 @@ class NearUserRuntime:
             attempt, writes, response.validated_versions, response.new_versions
         )
         if not attempt.rwset.writes:
-            # Read-only validation success: nothing was ever in flight.
-            attempt.fate = _FATE_KNOWN
             return outcome
         # The server created an intent whenever the *predicted* write set
         # was non-empty; the followup must settle it even if the execution
         # took a branch that wrote nothing (otherwise the intent timer
         # would pointlessly re-execute the function).  A writer skips no
         # locks, so its request went to the primary.
-        attempt.fate = _FATE_FOLLOWUP
         if cfg.single_request:
             # (8a) Followup goes out *after* responding to the client.
             self.sim.spawn(self._send_followup(execution_id, writes, primary),
@@ -680,17 +609,13 @@ class NearUserRuntime:
         # (6') Commit is durable: fan the decision out to the remaining
         # shards.  A lost ack is not a failure — the participant's durable
         # intent plus its lease query guarantees it applies — so the client
-        # is answered on the recorded decision, not the fan-out.  But such
-        # a participant applies at an unknowable time, so the attempt's
-        # dirty-set entry must outlive it.
+        # is answered on the recorded decision, not the fan-out.
         others = [s for s in shards if s != coord]
-        lost = 0
         if others:
             acks = yield from self._scatter_decision(attempt, others, commit=True, coord_ep=coord_ep)
             lost = sum(1 for ack in acks if ack is None)
             if lost:
                 self.metrics.incr("xshard.decision_lost", lost)
-        attempt.fate = _FATE_UNKNOWN if lost else _FATE_KNOWN
         if obs.enabled:
             obs.phase("phase.xshard_commit", start_ms=commit_started,
                       shards=len(shards))
@@ -722,14 +647,6 @@ class NearUserRuntime:
             floor=self._floor(),
         )
         self.metrics.incr("path.direct")
-        return (yield from self._routed(
-            attempt, [0], _ANY_KEY, self._dispatch_direct(attempt, request)
-        ))
-
-    def _dispatch_direct(self, attempt: _Attempt, request: DirectExecRequest) -> Generator:
-        """The direct route's one round trip: the server runs the whole
-        function and answers with its result."""
-        function_id = attempt.record.function_id
         rtt_started = self.sim.now
         response = yield from self._call_with_retry(
             request, attempt.deadline_at, "direct", dst=self.router.endpoint(0)
@@ -760,8 +677,7 @@ class NearUserRuntime:
     def _near_storage_outcome(self, attempt: _Attempt, response, path: str) -> InvocationOutcome:
         """(8b)-(9b): answer with a near-storage execution's result (the
         backup copy, or a direct execution) and install the cache repairs
-        it shipped.  It applied its writes before replying: fate known."""
-        attempt.fate = _FATE_KNOWN
+        it shipped."""
         self._install_fresh(response.fresh)
         return InvocationOutcome(
             result=response.result,
@@ -819,8 +735,8 @@ class NearUserRuntime:
         self.sim.spawn(holding(), name=name)
 
     def _lvi_round_trip(self, attempt: _Attempt, request, dst: str, **phase_tags) -> Generator:
-        """An LVI request nothing overlaps (a cache miss, the ablation, the
-        retry after a replica's bounce): a critical-path phase of its own."""
+        """An LVI request nothing overlaps (a cache miss, the ablation): a
+        critical-path phase of its own."""
         rtt_started = self.sim.now
         response = yield from self._call_with_retry(
             request, attempt.deadline_at, "lvi", dst=dst, batch=True
@@ -1019,9 +935,6 @@ class NearUserRuntime:
                     self.name, dst, followup,
                     timeout=self.config.rpc_timeout_ms,
                 )
-                # The ack means the followup was applied (or the intent
-                # already settled another way): fate known.
-                self._settle_dirty(execution_id, _FATE_KNOWN)
                 return
             except RpcTimeout:
                 # Followup losses never feed the breaker: the client is
@@ -1029,9 +942,6 @@ class NearUserRuntime:
                 # writes land even if every retry dies (§3.4).
                 if attempt >= policy.max_attempts:
                     self.metrics.incr("followup.lost")
-                    # The timer will apply the writes at an unknowable
-                    # future time: the dirty entry must outlive them.
-                    self._settle_dirty(execution_id, _FATE_UNKNOWN)
                     return
                 self.metrics.incr("followup.retry")
                 yield self.sim.timeout(policy.backoff_ms(attempt, self._retry_rng))
@@ -1044,23 +954,6 @@ class NearUserRuntime:
                 self.cache.install(table, key, None)
             else:
                 self.cache.install(table, key, Item(item.value, item.version))
-
-    def _writer_facts(self, attempt: _Attempt) -> Tuple[KeyFact, ...]:
-        """Instantiated write constraints to enroll in the dirty set.
-
-        Prefers the static predicate's write facts (argument-sensitive,
-        possibly a prefix/interval wider than this invocation's concrete
-        writes — wider is sound, it only costs probe precision); falls
-        back to exact facts over the concrete predicted write set, which
-        f^rw's own sanitized soundness makes a correct bound.
-        """
-        summary = attempt.record.analyzed.summary
-        predicate = summary.predicate if summary is not None else None
-        if predicate is not None:
-            facts = predicate.instantiate(list(attempt.args))
-            if facts.writes and facts.covers_writes(attempt.rwset.writes):
-                return facts.writes
-        return tuple(KeyFact(t, "exact", k) for (t, k) in attempt.rwset.writes)
 
     def _skip_facts(self, attempt: _Attempt) -> Optional[Tuple[KeyFact, ...]]:
         """Instantiated read constraints iff this request may skip locks.

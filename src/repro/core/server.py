@@ -25,6 +25,11 @@ the intent's compare-and-set arbitrates the race with the followup as it
 always has, and ``followup_timeout_ms`` remains the backstop for a
 followup that is lost.
 
+With conflict detection on, a shard primary also owns the dirty-set entry
+of every write it executes (enrolled when its handler owns the execution,
+dropped by ``_settle``), and a read replica serves lock-free reads and
+forwards everything else to its primary (``_forward``).
+
 §5.6's replicated variant stores each lock through a real Raft cluster
 (serial commits, ~2.3 ms each) and claims an idempotency key (~3 ms) before
 any near-storage execution, making executions at-most-once per site even
@@ -37,6 +42,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from ..analysis import KeyFact
 from ..analysis.sanitizer import constraint_checker
 from ..errors import ConditionFailed, OverloadedError, ProtocolError
 from ..raft import RaftCluster
@@ -59,6 +65,7 @@ from .config import (
 )
 from .messages import (
     DirectExecRequest,
+    Forwarded,
     FreshItem,
     LVIRequest,
     LVIResponse,
@@ -92,6 +99,10 @@ DECISION_TABLE = "_radical_decisions"
 #: always the *first* lock acquired and the sorted-order deadlock-freedom
 #: argument still holds.
 _DIRECT_BARRIER: Tuple[str, str] = ("", "#direct-barrier")
+
+#: What a direct execution enrolls in the dirty set: its access set is
+#: unknown until it runs, so the universal fact makes every probe hit.
+_ANY_KEY = (KeyFact(None, "any"),)
 
 #: :meth:`LVIServer._dedup`'s verdict for a request never seen before.
 _FRESH = object()
@@ -146,7 +157,7 @@ class LVIServer:
         raft_cluster: Optional[RaftCluster] = None,
         external_hub=None,
         shard: int = 0,
-        replica: bool = False,
+        primary: Optional[str] = None,
     ):
         self.sim = sim
         self.net = net
@@ -163,17 +174,17 @@ class LVIServer:
         self._jitter = (streams or RandomStreams(0)).stream(f"server.{name}.exec")
         self.raft = raft_cluster
         self.external_hub = external_hub  # shared with the near-user runtimes
-        # Read replica (conflict detection): shares the shard primary's
-        # KVStore object but owns no locks, intents, or raft state — it
-        # only ever serves lock-skipped read-only requests and bounces
-        # everything else back to the primary.
-        self.replica = replica
+        # A read replica (conflict detection) names its shard primary's
+        # endpoint: it shares the primary's KVStore object but owns no
+        # locks, intents, or raft state — it serves lock-skipped reads
+        # and forwards everything else to the primary (_forward).
+        self.primary = primary
         # Injected by the deployment when conflict detection is on: the
-        # shared in-network ConflictDetector this server re-probes at
-        # request arrival (authoritative — writers enroll before sending,
-        # so an arrival-time probe can never miss an in-flight writer).
+        # shared in-network ConflictDetector.  A primary enrolls each
+        # writer it owns and settles it in _settle; every server probes
+        # it at the arrival of a lock-skipped read (see DirtySet).
         self.detector = None
-        if self.config.replicated and self.raft is None and not replica:
+        if self.config.replicated and self.raft is None and primary is None:
             raise ProtocolError("replicated config requires a raft cluster")
         # The network is at-least-once under failure injection: a
         # redelivered request must not execute twice, and a retry whose
@@ -222,6 +233,9 @@ class LVIServer:
         if isinstance(payload, Batched):
             batch_index = payload.index
             payload = payload.payload
+        if isinstance(payload, Forwarded):
+            # A replica's hand-off: the request is its original sender's.
+            payload, src = payload.request, payload.client
         kind = type(payload)
         if kind not in self._HANDLERS:
             raise ProtocolError(f"unknown message {kind.__name__}")
@@ -458,8 +472,11 @@ class LVIServer:
 
     def _settle(self, eid: str) -> None:
         """The one exit of ``eid``'s settlement role: cancel its timer,
-        release the locks it holds, and drop its record unless it keeps
-        something for a retry."""
+        release the locks it holds, drop its dirty-set entry on this
+        shard, and drop its record unless it keeps something for a
+        retry."""
+        if self.detector is not None:
+            self.detector.settle(eid, self.shard)
         rec = self._executions.get(eid)
         if rec is not None:
             if rec.timer is not None:
@@ -627,14 +644,14 @@ class LVIServer:
             and self.detector is not None
             and self.detector.probe(self.shard, req.read_facts)
         )
-        if self.replica and (probe_hit or not req.skip_locks):
+        if self.primary is not None and (probe_hit or not req.skip_locks):
             # A replica only ever serves lock-skipped reads, and on an
             # arrival-time probe hit it cannot fall back to the locked path
-            # (its lock table is not the shard's).  Decline before touching
-            # any state so the runtime's retry at the primary starts clean.
-            self.metrics.incr("router.replica_bounce")
-            return LVIResponse(execution_id=eid, ok=False, bounced=True)
+            # (its lock table is not the shard's): the primary serves it.
+            return (yield from self._forward(req, client))
         self._file(req, client).owned = True
+        if req.write_keys and self.detector is not None:
+            self.detector.enroll(self.shard, eid, self._writer_facts(req))
         if req.skip_locks and not probe_hit:
             response = yield from self._serve_lock_free(req)
             self._cache_reply(req, client, response)
@@ -674,7 +691,7 @@ class LVIServer:
             # survives server crashes — §5.6's at-most-once-per-site rule,
             # enforced unconditionally now that crash/restart is routine.
             self.metrics.incr("lvi.duplicate_claim")
-            self._release(eid)
+            self._settle(eid)
             return NO_REPLY
         # (7b) Release locks, then ship the result plus cache repairs.  A
         # request predicted to write nothing has taken its last lock, so its
@@ -689,9 +706,46 @@ class LVIServer:
             response = yield from self._run_near_storage(
                 req, "server.backup_exec", repair=stale
             )
-            self._release(eid)
+            self._settle(eid)
         self._cache_reply(req, client, response)
         return response
+
+    def _forward(self, req: LVIRequest, client: Optional[str]) -> Generator:
+        """A replica hands ``req`` to its shard primary over the intra-DC
+        hop: locks on, the same execution id, filed under ``client``.  The
+        primary's answer is the replica's; a primary that stays silent
+        (crashed, or the forward was lost) leaves the replica silent, and
+        a primary's shed raises here, reaching the client with its
+        retry-after — both just as if the replica had failed the call."""
+        self.metrics.incr("router.replica_bounce")
+        locked = LVIRequest(
+            req.execution_id, req.function_id, req.args, req.read_keys,
+            req.write_keys, req.versions, seq=req.seq, floor=req.floor,
+        )
+        try:
+            return (yield from self.net.call(
+                self.name, self.primary, Forwarded(locked, client),
+                timeout=self.config.rpc_timeout_ms,
+            ))
+        except RpcTimeout:
+            return NO_REPLY
+
+    def _writer_facts(self, req: LVIRequest) -> Tuple[KeyFact, ...]:
+        """Instantiated write constraints to enroll in the dirty set.
+
+        Prefers the static predicate's write facts (argument-sensitive,
+        possibly a prefix/interval wider than this invocation's concrete
+        writes — wider is sound, it only costs probe precision); falls
+        back to exact facts over the predicted write set, which f^rw's
+        own sanitized soundness makes a correct bound.
+        """
+        summary = self.registry.get(req.function_id).analyzed.summary
+        predicate = summary.predicate if summary is not None else None
+        if predicate is not None:
+            facts = predicate.instantiate(list(req.args))
+            if facts.writes and facts.covers_writes(req.write_keys):
+                return facts.writes
+        return tuple(KeyFact(t, "exact", k) for (t, k) in req.write_keys)
 
     def _snapshot_backup(self, req: LVIRequest, stale: List[Key]) -> Optional[LVIResponse]:
         """Run a backup execution predicted to be read-only at the
@@ -780,6 +834,11 @@ class LVIServer:
         if reply is not _FRESH:
             return reply
         self._file(req, client).owned = True
+        if (req.write_keys or req.writes) and self.detector is not None:
+            written = (*req.write_keys, *((t, k) for (t, k, _v) in req.writes))
+            self.detector.enroll(self.shard, eid, tuple(
+                KeyFact(t, "exact", k) for (t, k) in dict.fromkeys(written)
+            ))
 
         # Locks are still taken in lexicographic order *within* the shard,
         # but no order exists across shards, so the wait is bounded: a
@@ -791,10 +850,11 @@ class LVIServer:
         if authoritative is None:
             self.metrics.incr("prepare.lock_timeout")
             response = LVIResponse(execution_id=eid, ok=False)
+            self._settle(eid)
         elif stale:
             self.metrics.incr("prepare.stale")
             response = LVIResponse(execution_id=eid, ok=False, fresh=self._collect_fresh(stale))
-            self._release(eid)
+            self._settle(eid)
         else:
             if req.write_keys:
                 # Durable yes-vote: the intent carries this shard's resolved
@@ -1116,6 +1176,14 @@ class LVIServer:
         self._executions = {}
         self._clients = {}
         self.locks = self._new_lock_table()
+        if self.detector is not None:
+            # The executions that died with the process write nothing any
+            # more; one whose intent is durably pending still writes, via
+            # recovery, which settles its entry then.
+            for eid in self.detector.dirty.executions(self.shard):
+                intent = self.intents.get(eid)
+                if intent is None or intent.status != IntentStatus.PENDING:
+                    self.detector.settle(eid, self.shard)
         self._proc_free_at = 0.0
         self._admission_queue = 0
         self.metrics.incr("server.crashes")
@@ -1157,6 +1225,8 @@ class LVIServer:
             # the function's writes; stay silent instead.
             self.metrics.incr("lvi.duplicate_claim")
             return NO_REPLY
+        if self.detector is not None:
+            self.detector.enroll(self.shard, eid, _ANY_KEY)
         # Serialize against validated executions: the write-mode barrier
         # waits (FIFO) for every in-flight validation and pending
         # speculative intent to settle before the VM reads primary state.
@@ -1168,7 +1238,9 @@ class LVIServer:
                 "server.direct_barrier", barrier_started, self.sim.now, kind="server",
             )
         response = yield from self._run_near_storage(req, "server.direct_exec")
+        # Released here, not by _settle: the barrier has no Raft lock record.
         self.metrics.incr("locks.released", self.locks.release_all(eid))
+        self._settle(eid)
         self.metrics.incr("direct.count")
         self._cache_reply(req, client, response)
         return response

@@ -561,7 +561,7 @@ def run_chaos_case(
         "analysis.unsound", "analysis.overapprox", "analysis.wasted_locks",
         "affinity.fast_path",
         "router.lock_skipped", "router.conflict_hit", "router.skip_fallback",
-        "router.replica_bounce", "router.skip_bounced",
+        "router.replica_bounce",
         "mesh.gossip_sent", "mesh.gossip_timeout", "mesh.updates_shipped",
         "mesh.updates_applied", "mesh.updates_buffered", "mesh.session_stale",
         "mesh.cut_fetched", "mesh.cut_unsatisfied", "mesh.cut_timeout",

@@ -342,30 +342,33 @@ class Deployment:
             )
         if cfg.conflict_detection:
             # In-network conflict detection: one shared detector sits on
-            # the request path of every runtime and server (writers enroll
-            # before sending; servers re-probe at arrival).  Read replicas
-            # share the shard's store object but own no locks or intents —
-            # they only serve lock-skipped reads.  A replicated (Raft)
-            # deployment keeps a single serving instance per shard: its
-            # lock records live in the Raft log, which replicas bypass.
+            # the request path of every runtime and server (each shard's
+            # primary enrolls and settles the writers it owns; runtimes and
+            # replicas probe it).  Read replicas share the shard's store
+            # object but own no locks or intents: they serve the shard's
+            # lock-free reads — its read rotation is its replicas, or the
+            # primary when it has none — and forward the rest to the
+            # primary.  A replicated (Raft) deployment keeps a single
+            # serving instance per shard: its lock records live in the Raft
+            # log, which replicas bypass.
             detector = ConflictDetector(metrics=self.metrics)
             self.router.detector = detector
             n_replicas = 1 if cfg.replicated else max(1, cfg.read_replicas)
             for k in range(spec.shards):
                 primary = self.servers[k]
                 primary.detector = detector
-                rotation = [primary.name]
+                rotation = []
                 for i in range(1, n_replicas):
                     r = LVIServer(
                         sim, self.net, self.registry, self.stores[k], cfg,
                         self.streams, self.metrics,
                         name=f"{primary.name}-r{i}",
-                        region=spec.primary_region, shard=k, replica=True,
+                        region=spec.primary_region, shard=k, primary=primary.name,
                     )
                     r.detector = detector
                     self.replicas.append(r)
                     rotation.append(r.name)
-                self.router.register_read_endpoints(k, rotation)
+                self.router.register_read_endpoints(k, rotation or [primary.name])
 
         pop_regions = spec.resolved_pop_regions()
         if spec.mesh is not None:

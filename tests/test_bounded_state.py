@@ -7,7 +7,9 @@ requests per client.  At makespan (every client finished, before the
 drain) the intent timers and prepare leases still armed in the queue may
 number no more than the executions that still owe a settlement; after
 the drain, the server's execution records, its client table and each
-runtime's open seqs must not grow with the run.
+runtime's open seqs must not grow with the run.  With conflict detection
+on, no dirty-set entry outlives its execution, under any of the fault
+plans that kill, lose or delay one.
 """
 
 import pytest
@@ -100,3 +102,21 @@ def test_drained_state_does_not_grow_with_the_run(censuses):
     for name in ("executions", "clients", "open"):
         assert small[name] == large[name], f"{name}: census {censuses}"
     assert large["live_timers"] == 0, f"census: {censuses}"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "plan", ["baseline", "followup-burst", "server-crash", "partition-pulse", "lvi-blackout"]
+)
+def test_no_dirty_entry_outlives_its_execution(plan, seed, monkeypatch):
+    built = []
+    build = chaos.Deployment.build
+    monkeypatch.setattr(
+        chaos.Deployment, "build",
+        lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1],
+    )
+    result = chaos.run_chaos_case(chaos.builtin_plans()[plan], seed=seed, detect=True)
+    assert result.ok, result.violation
+    dirty = built[0].router.detector.dirty
+    assert dirty.total_depth == 0, f"{plan}: {dirty.stats()}"
+    assert dirty.balanced

@@ -7,8 +7,9 @@ shard router's dirty-set fast path — end to end:
 * KeyFact overlap semantics and predicate instantiation;
 * classifier verdicts on synthetic sources (interval keys via the
   ``int(x) % c`` idiom, commutative increments, static keys);
-* DirtySet lifecycle: enroll/settle/leak balance, including across a
-  server crash/restart chaos case;
+* DirtySet lifecycle: enroll/settle balance, including across a server
+  crash/restart chaos case, and two planted lifecycle mutants (settle too
+  early, never enroll) that a lock-free reader must expose;
 * zero-cost metrics convention on the detector;
 * the runtime sanitizer hard-failing a *planted unsound summary* — a
   lock-skipped request whose static constraints are narrower than what
@@ -25,12 +26,13 @@ from repro.sim import (
     Metrics,
     Network,
     RandomStreams,
+    Region,
     Simulator,
     paper_latency_table,
 )
 from repro.sim.core import SimulationError
 from repro.storage import KVStore
-from repro.topology import ConflictDetector, DirtySet
+from repro.topology import ConflictDetector, Deployment, DirtySet, TopologySpec
 
 
 INTERVAL_SRC = '''
@@ -179,18 +181,20 @@ class TestDirtySet:
         assert ds.settle("e1") == 2
         assert ds.balanced
 
-    def test_leaked_entry_blocks_probes_forever(self):
+    def test_shard_settle_drops_only_that_shards_entry(self):
+        # A cross-shard writer's shards each settle their own slice.
         ds = DirtySet()
-        ds.enroll(0, "e1", (KeyFact("t", "exact", "k:1"),))
-        ds.leak("e1")
-        # Still probe-visible, and a late settle must NOT remove it: the
-        # writes' fate is unknown, so the conservative answer is forever.
-        assert ds.probe(0, (KeyFact("t", "exact", "k:1"),))
-        assert ds.settle("e1") == 0
-        assert ds.probe(0, (KeyFact("t", "exact", "k:1"),))
-        assert ds.balanced          # depth == leaked: quiescent, accounted
-        assert ds.stats() == {
-            "enrolled": 1, "settled": 0, "leaked": 1, "depth": 1}
+        fact = (KeyFact("t", "exact", "k:1"),)
+        for shard in (0, 1):
+            ds.enroll(shard, "e1", fact)
+        assert ds.executions(0) == ("e1",) and ds.depth(1) == 1
+        assert ds.settle("e1", 0) == 1
+        assert not ds.probe(0, fact) and ds.probe(1, fact)
+        assert ds.settle("e1", 0) == 0          # already settled there
+        assert not ds.balanced
+        assert ds.settle("e1", 1) == 1
+        assert ds.balanced
+        assert ds.stats() == {"enrolled": 2, "settled": 2, "depth": 0}
 
     def test_unsettled_entry_is_unbalanced(self):
         ds = DirtySet()
@@ -201,15 +205,79 @@ class TestDirtySet:
         assert DirtySet().settle("nope") == 0
 
 
+# -- planted lifecycle mutants ------------------------------------------------
+
+READ_SRC = '''
+def read(k):
+    return db_get("counters", k)
+'''
+
+
+def _settle_when_the_intent_is_written(monkeypatch):
+    write_intent = LVIServer._write_intent
+
+    def early(self, eid, *args, **kwargs):
+        yield from write_intent(self, eid, *args, **kwargs)
+        self.detector.settle(eid, self.shard)
+
+    monkeypatch.setattr(LVIServer, "_write_intent", early)
+
+
+def _never_enroll(monkeypatch):
+    monkeypatch.setattr(ConflictDetector, "enroll", lambda self, shard, eid, facts: None)
+
+
+class TestPlantedLifecycleMutants:
+    """One shard with two read replicas.  A writer from JP is answered
+    while its followup still crosses the WAN; then a reader from CA,
+    eligible to skip locks, starts.  The shard still holds the write, so
+    the reader must see it.  A mutant of the shard's dirty-set lifecycle
+    lets the reader validate lock-free at a replica and return the
+    pre-write value: each mutant is killed by that answer."""
+
+    def _reader_result(self):
+        dep = Deployment.build(
+            TopologySpec(
+                regions=(Region.JP, Region.CA), seed=1,
+                config=RadicalConfig(
+                    conflict_detection=True, read_replicas=3,
+                    service_jitter_sigma=0.0,
+                ),
+                persistent_caches=False, raft_prewarm_ms=0.0,
+            ),
+            functions=[
+                FunctionSpec("t.bump", BUMP_SRC, 20.0),
+                FunctionSpec("t.read", READ_SRC, 20.0),
+            ],
+            seed_data=lambda store: store.put("counters", "c:k", 0),
+        )
+        assert dep.registry.get("t.read").analyzed.summary.lock_skippable
+        writer = dep.sim.run_process(dep.runtimes[Region.JP].invoke("t.bump", ["c:k"]))
+        assert writer.path == "speculative" and writer.result == 1
+        assert dep.metrics.counter("followup.applied") == 0
+        reader = dep.sim.run_process(dep.runtimes[Region.CA].invoke("t.read", ["c:k"]))
+        dep.sim.run(until=dep.sim.now + 5_000.0)
+        assert dep.get_or_none("counters", "c:k").value == 1
+        return reader.result, dep.metrics.counter("router.lock_skipped")
+
+    def test_the_shard_holds_the_write_until_it_applies(self):
+        assert self._reader_result() == (1, 0)
+
+    @pytest.mark.parametrize("plant", [_settle_when_the_intent_is_written, _never_enroll])
+    def test_mutant_is_killed(self, plant, monkeypatch):
+        plant(monkeypatch)
+        assert self._reader_result() == (0, 1)
+
+
 # -- zero-cost metrics convention ---------------------------------------------
 
 class TestDetectorMetrics:
     def _exercise(self, detector):
-        detector.enroll([0], "e1", (KeyFact("t", "exact", "k:1"),))
+        detector.enroll(0, "e1", (KeyFact("t", "exact", "k:1"),))
         assert detector.probe(0, (KeyFact("t", "exact", "k:1"),))
         detector.settle("e1")
-        detector.enroll([0], "e2", (KeyFact("t", "exact", "k:2"),))
-        detector.leak("e2")
+        detector.enroll(0, "e2", (KeyFact("t", "exact", "k:2"),))
+        detector.settle("e2", 1)    # another shard's settle: not this entry
 
     def test_disabled_metrics_record_nothing(self):
         metrics = Metrics(enabled=False)
@@ -218,15 +286,14 @@ class TestDetectorMetrics:
         assert metrics.counter("router.enrolled") == 0
         assert metrics.counter("router.conflict_hit") == 0
         assert metrics.counter("router.settled") == 0
-        assert metrics.counter("router.dirty_leaked") == 0
         assert not metrics._samples and not metrics._tagged
         # ...but the detector's answers are identical to the enabled case.
-        assert detector.dirty.balanced
+        assert detector.dirty.stats() == {"enrolled": 2, "settled": 1, "depth": 1}
 
     def test_none_metrics_is_fine(self):
         detector = ConflictDetector(metrics=None)
         self._exercise(detector)
-        assert detector.dirty.stats()["leaked"] == 1
+        assert detector.dirty.stats() == {"enrolled": 2, "settled": 1, "depth": 1}
 
     def test_enabled_metrics_count(self):
         metrics = Metrics()
@@ -235,12 +302,15 @@ class TestDetectorMetrics:
         assert metrics.counter("router.enrolled") == 2
         assert metrics.counter("router.conflict_hit") == 1
         assert metrics.counter("router.settled") == 1
-        assert metrics.counter("router.dirty_leaked") == 1
+        assert metrics.samples_tagged("router.dirty_depth") == [1, 1]
 
 
 # -- the server-side fast path and the sanitizer backstop ---------------------
 
 class _ServerWorld:
+    """A shard primary, and with ``replica`` a read replica in front of
+    it (``server``: the one the test drives)."""
+
     def __init__(self, replica=False):
         self.sim = Simulator()
         streams = RandomStreams(3)
@@ -250,11 +320,16 @@ class _ServerWorld:
         registry = FunctionRegistry()
         registry.register(FunctionSpec("t.pair", PAIR_SRC, 10.0))
         cfg = RadicalConfig(service_jitter_sigma=0.0, conflict_detection=True)
-        self.server = LVIServer(
-            self.sim, self.net, registry, self.store, cfg, streams,
-            self.metrics, replica=replica,
+        detector = ConflictDetector(metrics=self.metrics)
+        self.primary = self.server = LVIServer(
+            self.sim, self.net, registry, self.store, cfg, streams, self.metrics,
         )
-        self.server.detector = ConflictDetector(metrics=self.metrics)
+        if replica:
+            self.server = LVIServer(
+                self.sim, self.net, registry, self.store, cfg, streams,
+                self.metrics, name="lvi-server-r1", primary=self.primary.name,
+            )
+        self.primary.detector = self.server.detector = detector
 
     def request(self, versions, execution_id="e1", skip=True):
         return LVIRequest(
@@ -288,7 +363,7 @@ class TestSanitizerHardFail:
         response = w.sim.run_process(w.server._handle_lvi(
             w.request({("t", "a:1"): 1})
         ))
-        assert response.ok and not response.bounced
+        assert response.ok
         assert w.metrics.counter("router.lock_skipped") == 1
         assert w.metrics.counter("analysis.unsound") == 0
         # No lock state was created anywhere on the path.
@@ -299,7 +374,7 @@ class TestSanitizerHardFail:
         w.store.put("t", "a:1", 5)
         # A writer enrolled between the runtime's probe and arrival.
         w.server.detector.enroll(
-            [0], "writer", (KeyFact("t", "exact", "a:1"),))
+            0, "writer", (KeyFact("t", "exact", "a:1"),))
         response = w.sim.run_process(w.server._handle_lvi(
             w.request({("t", "a:1"): 1})
         ))
@@ -313,11 +388,15 @@ class TestSanitizerHardFail:
         response = w.sim.run_process(w.server._handle_lvi(
             w.request({("t", "a:1"): 1}, skip=False)
         ))
-        assert response.bounced and not response.ok
-        # The bounce happened before any preamble mutation, so the retry
-        # at the primary with the same execution id starts clean.
+        # The replica handed the request to its primary, which served it
+        # through the locked path under the same execution id; the replica
+        # itself kept nothing.
+        assert response.ok and response.execution_id == "e1"
         assert "e1" not in w.server._executions
+        assert "e1" in w.primary._executions
+        assert not w.primary.locks.held_owners()
         assert w.metrics.counter("router.replica_bounce") == 1
+        assert w.metrics.counter("router.lock_skipped") == 0
 
 
 # -- dirty-set balance across crash/restart (chaos) ---------------------------
@@ -333,18 +412,19 @@ class TestDirtyBalanceUnderFaults:
         result = self._run("baseline")
         assert result.ok
         assert result.verdicts["dirty_set_balanced"] == ""
-        assert result.dirty["leaked"] == 0
-        assert result.dirty["enrolled"] == result.dirty["settled"]
+        assert result.dirty["depth"] == 0
+        assert result.dirty["enrolled"] == result.dirty["settled"] > 0
 
-    def test_crash_restart_balances_with_conservative_leaks(self):
+    def test_crash_restart_settles_every_enrollment(self):
         result = self._run("server-crash")
         assert result.ok and result.verdicts["strict_serializability"] == ""
         assert result.verdicts["analysis_sound"] == ""
-        # Every enrollment is either settled or deliberately leaked
-        # (writes whose fate the crash made unknowable) — never dropped.
+        assert result.counters["server.crashes"] == 1
+        # The crash settled the entries of the executions it killed, and
+        # recovery those of the intents it found pending: none is left.
         assert result.verdicts["dirty_set_balanced"] == ""
-        assert result.dirty["enrolled"] == (
-            result.dirty["settled"] + result.dirty["leaked"])
+        assert result.dirty["depth"] == 0
+        assert result.dirty["enrolled"] == result.dirty["settled"]
 
     def test_detection_off_reports_no_dirty_fields(self):
         from repro.faults import builtin_plans, run_chaos_case

@@ -1,13 +1,14 @@
 """The request pipeline's contracts that no other tier-1 test names.
 
-* the *dirty-set fate table*: which path settles, leaks, or hands off the
-  entry a writer enrolled in the router's dirty set — one row per way an
-  invocation can end;
+* the *dirty-set settle table*: where the shard that owns a write settles
+  the entry it enrolled in the router's dirty set — one row per way an
+  invocation can end, a crash included;
 * the server's *dedup prologue*, identical for every request-bearing
   message: in-flight duplicate, replayed reply, and redelivery to a
   restarted server before and after the execution settled;
-* the two ways a server declines a request — a replica's bounce and an
-  admission shed — leave no dedup state behind;
+* the two ways a server declines a request — a replica's forward to its
+  primary and an admission shed — leave no dedup state behind, and a
+  forward is filed under its own client at the primary;
 * the *completion floor*: the server's dedup tables hold the executions in
   flight, not the run; a request below its runtime's floor is inert; and
   no runtime ever sends a floor past an execution that can still send.
@@ -21,8 +22,8 @@ from repro.core import (
     FunctionRegistry,
     FunctionSpec,
     LVIRequest,
+    LVIResponse,
     LVIServer,
-    NearUserRuntime,
     RadicalConfig,
     ShardDecision,
     ShardPrepare,
@@ -36,6 +37,7 @@ from repro.sim import (
     Network,
     RandomStreams,
     Region,
+    RpcTimeout,
     Simulator,
     paper_latency_table,
 )
@@ -133,8 +135,13 @@ def dirty(dep):
     return dep.router.detector.dirty
 
 
-def stats(enrolled=0, settled=0, leaked=0, depth=0):
-    return {"enrolled": enrolled, "settled": settled, "leaked": leaked, "depth": depth}
+def stats(enrolled=0, settled=0, depth=0):
+    return {"enrolled": enrolled, "settled": settled, "depth": depth}
+
+
+def first_eid(dep, region):
+    """The execution id of ``region``'s runtime's first invocation."""
+    return f"{dep.runtimes[region].name}:0"
 
 
 def drop(dep, kind, dst=None):
@@ -145,42 +152,46 @@ def drop(dep, kind, dst=None):
 
 @pytest.fixture
 def settle_point(monkeypatch):
-    """Every dirty-set settle or leak, as ``(what, execution id)``; one made
-    anywhere but the runtime's settle point fails the test."""
+    """Every dirty-set settle, as ``(server, execution id)``; one made
+    anywhere but a server's ``_settle`` or ``crash``, or for more than the
+    settling server's shard, fails the test."""
     calls = []
     inside = []
-    settle_dirty = NearUserRuntime._settle_dirty
 
-    def spying_settle_point(self, execution_id, fate):
-        inside.append(execution_id)
-        try:
-            return settle_dirty(self, execution_id, fate)
-        finally:
-            inside.pop()
+    def spying_exit(name):
+        original = getattr(LVIServer, name)
 
-    def guarded(what):
-        original = getattr(ConflictDetector, what)
+        def spying(self, *args):
+            inside.append(self)
+            try:
+                return original(self, *args)
+            finally:
+                inside.pop()
 
-        def spying(self, execution_id):
-            assert inside == [execution_id], f"{what}({execution_id}) outside the settle point"
-            calls.append((what, execution_id))
-            return original(self, execution_id)
+        monkeypatch.setattr(LVIServer, name, spying)
 
-        monkeypatch.setattr(ConflictDetector, what, spying)
+    settle = ConflictDetector.settle
 
-    monkeypatch.setattr(NearUserRuntime, "_settle_dirty", spying_settle_point)
-    guarded("settle")
-    guarded("leak")
+    def spying_settle(self, execution_id, shard=None):
+        assert inside, f"settle({execution_id}) outside a server's settle point"
+        assert shard == inside[-1].shard, f"settle({execution_id}) beyond its shard"
+        if execution_id in self.dirty.executions(shard):
+            calls.append((inside[-1].name, execution_id))
+        return settle(self, execution_id, shard)
+
+    spying_exit("_settle")
+    spying_exit("crash")
+    monkeypatch.setattr(ConflictDetector, "settle", spying_settle)
     return calls
 
 
-# -- (a) the dirty-set fate table ---------------------------------------------
+# -- (a) the dirty-set settle table ----------------------------------------------
 
 @pytest.mark.usefixtures("settle_point")
 class TestDirtySetFateTable:
     """After each way an invocation can end, the dirty set holds exactly
-    what the outcome's fate dictates — and balances at quiescence.  Every
-    settle and leak goes through the runtime's one settle point."""
+    the writes a shard still holds — and balances at quiescence.  Every
+    entry is enrolled and settled by the shard that executes the write."""
 
     def test_cache_miss_settles_on_the_backup_response(self):
         dep = build()
@@ -213,33 +224,35 @@ class TestDirtySetFateTable:
     def test_write_success_is_settled_by_the_followup_ack(self):
         dep = build()
         assert invoke(dep, Region.JP, "t.bump", [LOW]).path == "speculative"
-        # The client is answered; the followup is still in flight, and so
-        # is the entry — a reader probing now must still see the writer.
+        # The client is answered; the followup is still in flight, and the
+        # shard still holds the write — a reader probing now must see it.
         assert dirty(dep).stats() == stats(enrolled=1, depth=1)
         quiesce(dep)
         assert dep.metrics.counter("followup.applied") == 1
         assert dirty(dep).stats() == stats(enrolled=1, settled=1)
         assert dirty(dep).balanced
 
-    def test_lost_followup_leaks_the_entry(self):
+    def test_lost_followup_is_settled_by_the_intent_timer(self):
         dep = build()
         drop(dep, WriteFollowup)
         assert invoke(dep, Region.JP, "t.bump", [LOW]).path == "speculative"
+        assert dirty(dep).stats() == stats(enrolled=1, depth=1)
         quiesce(dep)
-        # Every followup attempt died; the intent timer applied the write at
-        # a time the runtime cannot know, so the entry stays forever.
+        # Every followup attempt died; the intent timer applied the write,
+        # and the shard settled the entry as it did.
         assert dep.metrics.counter("followup.lost") == 1
         assert dep.metrics.counter("reexecution.count") == 1
-        assert dirty(dep).stats() == stats(enrolled=1, leaked=1, depth=1)
-        assert dirty(dep).balanced
+        assert dirty(dep).stats() == stats(enrolled=1, settled=1)
 
-    def test_unavailable_lvi_call_leaks_the_entry(self):
+    def test_unavailable_lvi_call_is_settled_by_the_intent_timer(self):
         dep = build()
-        drop(dep, LVIRequest)
+        drop(dep, LVIResponse)
         assert invoke(dep, Region.JP, "t.bump", [LOW]) == "unavailable"
-        assert dirty(dep).stats() == stats(enrolled=1, leaked=1, depth=1)
-        quiesce(dep)
-        assert dirty(dep).balanced
+        # The shard validated and held the intent while the client, never
+        # hearing back, retried; the intent timer applied the write.
+        assert dep.metrics.counter("reexecution.count") == 1
+        assert dep.store.get("counters", LOW).value == 1
+        assert dirty(dep).stats() == stats(enrolled=1, settled=1)
 
     def test_direct_execution_enrolls_and_settles_itself(self, settle_point):
         dep = build()
@@ -247,20 +260,20 @@ class TestDirtySetFateTable:
         outcome = invoke(dep, Region.JP, "t.opaque", [LOW])
         assert outcome.path == "direct" and outcome.result == 1
         assert dirty(dep).stats() == stats(enrolled=1, settled=1)
-        assert [what for what, _eid in settle_point] == ["settle"]
+        assert settle_point == [("lvi-server", first_eid(dep, Region.JP))]
         quiesce(dep)
         assert dirty(dep).balanced
 
-    def test_unavailable_direct_execution_leaks_the_entry(self, settle_point):
+    def test_unavailable_direct_execution_settles_at_the_shard(self, settle_point):
         dep = build()
         dep.registry.get("t.opaque").analyzed.analyzable = False
-        drop(dep, DirectExecRequest)
+        drop(dep, LVIResponse)
         assert invoke(dep, Region.JP, "t.opaque", [LOW]) == "unavailable"
         assert dep.metrics.counter("path.direct") == 1
-        assert dirty(dep).stats() == stats(enrolled=1, leaked=1, depth=1)
-        assert [what for what, _eid in settle_point] == ["leak"]
-        quiesce(dep)
-        assert dirty(dep).balanced
+        # It ran (once: the retry got the cached reply) and settled.
+        assert dep.store.get("counters", LOW).value == 1
+        assert dirty(dep).stats() == stats(enrolled=1, settled=1)
+        assert settle_point == [("lvi-server", first_eid(dep, Region.JP))]
 
     def test_cross_shard_commit_settles_every_shard(self):
         dep = build(shards=2)
@@ -276,25 +289,50 @@ class TestDirtySetFateTable:
         quiesce(dep)
         assert dirty(dep).stats() == stats(enrolled=1, settled=1)
         # CA's cached HIGH is stale: shard 1 votes no, the attempt aborts
-        # (2 entries settle), and the restart (2 fresh entries) commits.
+        # (each shard settles its slice), and the restart (2 fresh
+        # entries) commits.
         outcome = invoke(dep, Region.CA, "t.xfer", [LOW, HIGH])
         assert outcome.path == "speculative" and outcome.result == 1
         assert dep.metrics.counter("xshard.prepare_abort") == 1
         assert dep.metrics.counter("xshard.restart") == 1
-        assert dirty(dep).stats() == stats(enrolled=5, settled=5)
         quiesce(dep)
-        assert dirty(dep).balanced
+        assert dirty(dep).stats() == stats(enrolled=5, settled=5)
 
-    def test_cross_shard_lost_decision_ack_leaks_every_shard(self):
+    def test_cross_shard_lost_decision_is_settled_by_the_lease(self):
         dep = build(shards=2)
         drop(dep, ShardDecision, dst="lvi-server-1")
         # The commit record landed at the coordinator, so the client is
-        # answered; the participant applies via its lease, unknowably later.
+        # answered; the participant held its slice until its lease learned
+        # the decision from the coordinator.
         assert invoke(dep, Region.JP, "t.xfer", [LOW, HIGH]).path == "speculative"
         assert dep.metrics.counter("xshard.decision_lost") == 1
-        assert dirty(dep).stats() == stats(enrolled=2, leaked=2, depth=2)
-        quiesce(dep)
+        assert dep.metrics.counter("xshard.lease_query") == 1
         assert dep.metrics.counter("xshard.applied") == 2
+        assert dirty(dep).stats() == stats(enrolled=2, settled=2)
+
+    def test_a_crash_keeps_only_a_pending_intents_entry(self, settle_point):
+        dep = build()
+        drop(dep, WriteFollowup)
+        assert invoke(dep, Region.JP, "t.bump", [LOW]).path == "speculative"
+        # A second writer dies mid-validation with the server.
+        def second():
+            try:
+                return (yield from dep.runtimes[Region.CA].invoke("t.bump", [HIGH]))
+            except UnavailableError:
+                return "unavailable"
+
+        dep.sim.spawn(second())
+        while dirty(dep).depth(0) < 2:
+            dep.sim.run(until=dep.sim.now + 0.5)
+        dep.server.crash()
+        # The dead validation's entry goes; the pending intent's stays ...
+        assert dirty(dep).executions(0) == (first_eid(dep, Region.JP),)
+        assert settle_point == [("lvi-server", first_eid(dep, Region.CA))]
+        dep.server.restart()
+        quiesce(dep)
+        # ... until recovery re-executes the intent and settles it.
+        assert dep.metrics.counter("recovery.intents") == 1
+        assert ("lvi-server", first_eid(dep, Region.JP)) in settle_point
         assert dirty(dep).balanced
 
 
@@ -307,7 +345,7 @@ class _Server:
     """One stand-alone LVI server with a seeded counter, driven by calling
     its handlers directly (no runtime, no network hop)."""
 
-    def __init__(self, config=None, replica=False, trace=False):
+    def __init__(self, config=None, trace=False):
         self.sim = Simulator()
         if trace:
             self.sim.obs = TraceCollector(self.sim)
@@ -322,11 +360,36 @@ class _Server:
             self.sim, self.net, registry, self.store,
             config or RadicalConfig(service_jitter_sigma=0.0,
                                     followup_timeout_ms=60_000.0),
-            streams, self.metrics, replica=replica,
+            streams, self.metrics,
         )
 
     def run(self, gen):
         return self.sim.run_process(gen)
+
+    def add_replica(self) -> LVIServer:
+        """A read replica in front of this server (sharing its store), and
+        the conflict detector both probe."""
+        replica = LVIServer(
+            self.sim, self.net, self.server.registry, self.store, self.server.config,
+            RandomStreams(5), self.metrics, name="lvi-server-r1",
+            primary=self.server.name,
+        )
+        self.server.detector = replica.detector = ConflictDetector(metrics=self.metrics)
+        return replica
+
+    def call(self, client, dst, request):
+        """``request`` sent from endpoint ``client`` through the network:
+        its reply, or the exception the call raised."""
+        if client not in self.net._endpoints:
+            self.net.register(client, Region.JP)
+
+        def caller():
+            try:
+                return (yield from self.net.call(client, dst, request, timeout=60_000.0))
+            except (RpcTimeout, OverloadedError) as exc:
+                return exc
+
+        return self.run(caller())
 
 
 def _lvi(eid):
@@ -447,19 +510,65 @@ class TestDeclinedRequestsLeaveNoTrace:
         )
 
     def test_replica_bounces_a_locked_request(self):
-        w = _Server(replica=True)
-        response = w.run(w.server._handle_lvi(_lvi("e")))
-        assert response.bounced and not response.ok
+        w = _Server()
+        replica = w.add_replica()
+        response = w.call("runtime-jp", replica.name, _lvi("e"))
+        # The primary validated it (and holds its intent); the replica only
+        # handed it over.
+        assert response.ok and w.server.intents.get("e") is not None
         assert w.metrics.counter("router.replica_bounce") == 1
-        self._assert_untouched(w.server)
+        self._assert_untouched(replica)
 
     def test_replica_bounces_a_lock_skipped_request_on_a_probe_hit(self):
-        w = _Server(replica=True)
-        w.server.detector = ConflictDetector(metrics=w.metrics)
-        w.server.detector.enroll([0], "writer", (KeyFact("counters", "exact", "c:k"),))
-        response = w.run(w.server._handle_lvi(self._skipping()))
-        assert response.bounced and not response.ok
+        w = _Server()
+        replica = w.add_replica()
+        replica.detector.enroll(0, "writer", (KeyFact("counters", "exact", "c:k"),))
+        response = w.call("runtime-jp", replica.name, self._skipping())
+        assert response.ok
         assert w.metrics.counter("router.replica_bounce") == 1
+        assert w.metrics.counter("router.lock_skipped") == 0
+        self._assert_untouched(replica)
+
+    def test_a_forward_is_filed_under_its_own_client(self):
+        # Two runtimes' seqs interleave through one replica.  Filed under
+        # the replica, the lower seqs would fall below the other runtime's
+        # floor and be dropped as stale.
+        w = _Server()
+        replica = w.add_replica()
+        for client, seq in (("rt-a", 5), ("rt-b", 1), ("rt-a", 6), ("rt-b", 2)):
+            request = LVIRequest(
+                execution_id=f"{client}:{seq}", function_id="t.bump", args=("c:k",),
+                read_keys=(KEY,), write_keys=(), versions={KEY: 1}, seq=seq, floor=seq,
+            )
+            assert w.call(client, replica.name, request).ok
+        assert w.metrics.counter("lvi.stale_request") == 0
+        assert w.metrics.counter("router.replica_bounce") == 4
+        assert {c: w.server._clients[c].floor for c in w.server._clients} == {
+            "rt-a": 6, "rt-b": 2}
+        assert sorted(w.server._executions) == ["rt-a:6", "rt-b:2"]
+
+    def test_a_forward_to_a_crashed_primary_is_a_timeout(self):
+        w = _Server()
+        replica = w.add_replica()
+        w.server.crash()
+        # The forward's own timeout ends the replica's handler in silence,
+        # not in a failure: its caller times out as on a dead replica.
+        assert w.run(replica._handle_lvi(_lvi("e"), "runtime-jp")) is NO_REPLY
+        assert isinstance(w.call("runtime-jp", replica.name, _lvi("e")), RpcTimeout)
+        assert w.metrics.counter("router.replica_bounce") == 2
+        self._assert_untouched(replica)
+
+    def test_a_forward_the_primary_sheds_is_shed(self):
+        w = _Server(config=RadicalConfig(
+            service_jitter_sigma=0.0, server_proc_ms=5.0, admission_queue_depth=4,
+            admission_sojourn_ms=50.0,
+        ))
+        replica = w.add_replica()
+        w.server._proc_free_at = w.sim.now + 500.0  # the primary's backlog
+        outcome = w.call("runtime-jp", replica.name, _lvi("e"))
+        assert isinstance(outcome, OverloadedError) and outcome.retry_after_ms > 400.0
+        assert w.metrics.counter("admission.shed") == 1
+        self._assert_untouched(replica)
         self._assert_untouched(w.server)
 
     @pytest.mark.parametrize("make", [_lvi, _prepare, _direct])
