@@ -23,7 +23,11 @@ pipeline, each stage a plain call or a ``yield from`` sub-generator:
 5. **settle** — success: ``_commit`` applies the speculative writes to the
    local cache and answers, the write followup going out afterwards;
    failure or cache miss: ``_near_storage_outcome`` answers with the
-   backup execution's result and repairs the cache with the fresh items.
+   backup execution's result and repairs the cache with the fresh items
+   (``_install_fresh``): those of the request's own stale and written keys,
+   and those of the keys the shard wrote since this location's last repair,
+   which only refresh entries the cache already holds.  No install moves a
+   key backwards.
 
 Simulation note: the VM executes ``f`` *logically* at snapshot time and the
 service time is charged to the virtual clock afterwards.  Because reads
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Container, Dict, Generator, List, Optional, Tuple
 
 from ..analysis import check_coverage, derive_rwset
 from ..errors import GasExhausted, OverloadedError, ProtocolError, UnavailableError, VMTrap
@@ -354,7 +358,7 @@ class NearUserRuntime:
             except _CrossShardStale as stale:
                 restart += 1
                 self.metrics.incr("xshard.restart")
-                self._install_fresh(stale.fresh)
+                self._install_fresh(stale.fresh, attempt.versions)
                 remaining = attempt.deadline_at - self.sim.now
                 if restart > cfg.cross_shard_max_restarts or remaining <= 0:
                     self.metrics.incr("xshard.exhausted")
@@ -678,7 +682,11 @@ class NearUserRuntime:
         """(8b)-(9b): answer with a near-storage execution's result (the
         backup copy, or a direct execution) and install the cache repairs
         it shipped."""
-        self._install_fresh(response.fresh)
+        if response.fresh:
+            self._install_fresh(
+                response.fresh,
+                attempt.versions.keys() | response.backup_write_versions.keys(),
+            )
         return InvocationOutcome(
             result=response.result,
             path=path,
@@ -946,14 +954,21 @@ class NearUserRuntime:
                 self.metrics.incr("followup.retry")
                 yield self.sim.timeout(policy.backoff_ms(attempt, self._retry_rng))
 
-    def _install_fresh(self, fresh: Dict[Key, Any]) -> None:
+    def _install_fresh(self, fresh: Dict[Key, Any], own: Container[Key]) -> None:
         """Install the authoritative items a server shipped back into the
-        local cache (validation-failure repairs, §3.2)."""
+        local cache (validation-failure repairs, §3.2).  An item installs
+        only when it is newer than the cached entry, absence markers
+        included: a reply is built at its validation instant and can land
+        after this location wrote the key speculatively at its promised
+        version.  An item of a key outside ``own`` — the request's reads
+        and the backup's writes, which bootstrap the cache — is another
+        location's write, and installs only over an entry already held."""
+        cache = self.cache
         for (table, key), item in fresh.items():
-            if item.absent:
-                self.cache.install(table, key, None)
-            else:
-                self.cache.install(table, key, Item(item.value, item.version))
+            cached = cache.version(table, key)
+            if item.version <= cached or (cached < 0 and (table, key) not in own):
+                continue
+            cache.install(table, key, None if item.absent else Item(item.value, item.version))
 
     def _skip_facts(self, attempt: _Attempt) -> Optional[Tuple[KeyFact, ...]]:
         """Instantiated read constraints iff this request may skip locks.

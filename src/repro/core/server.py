@@ -573,14 +573,16 @@ class LVIServer:
                 kind="server", **span_tags,
             )
 
-    def _run_near_storage(self, req, span_name: str, repair=None, constrain_to=None,
-                          **span_tags) -> Generator:
+    def _run_near_storage(self, req, span_name: str, repair=None, client=None,
+                          constrain_to=None, **span_tags) -> Generator:
         """A near-storage execution whose effects exist only once its
         computation ends: charge the service time, then run ``f`` on the
         primary (whatever locks protect it are the caller's to hold across
         both)."""
         yield from self._charge_service(req, span_name, **span_tags)
-        return self._execute_near_storage(req, PrimaryEnv(self.store), repair, constrain_to)
+        return self._execute_near_storage(
+            req, PrimaryEnv(self.store), repair, client, constrain_to
+        )
 
     def _charge_service(self, req, span_name: str, **span_tags) -> Generator:
         """Charge ``req``'s function its service time; the interval is the
@@ -595,16 +597,16 @@ class LVIServer:
                 kind="exec", function=req.function_id, **span_tags,
             )
 
-    def _execute_near_storage(self, req, env: PrimaryEnv, repair=None,
+    def _execute_near_storage(self, req, env: PrimaryEnv, repair=None, client=None,
                               constrain_to=None) -> LVIResponse:
         """Run ``req``'s function on ``env`` at this instant and build the
         one ``ok=False`` reply: result and versions, plus — given
-        ``repair``, the stale reads — the authoritative items of those keys
-        and of every key written, so the near-user cache can repair itself
-        (§3.2 step 8b).  An access outside ``constrain_to`` (instantiated
-        key constraints) — or any write at all — means the static summary
-        that let the request skip locks was unsound, which is a hard
-        protocol failure."""
+        ``repair``, the stale reads — the repair ``_collect_fresh`` builds
+        for ``client`` over those keys and every key written, so the
+        near-user cache can repair itself (§3.2 step 8b).  An access
+        outside ``constrain_to`` (instantiated key constraints) — or any
+        write at all — means the static summary that let the request skip
+        locks was unsound, which is a hard protocol failure."""
         violations: List[Tuple[str, str, str]] = []
         trace = VM(
             env, gas_limit=self.config.gas_limit,
@@ -625,7 +627,7 @@ class LVIServer:
             ok=False,
             result=trace.result,
             fresh=(
-                self._collect_fresh(repair + list(env.write_versions))
+                self._collect_fresh(repair + list(env.write_versions), client)
                 if repair is not None else None
             ),
             backup_read_versions=dict(env.read_versions),
@@ -653,7 +655,7 @@ class LVIServer:
         if req.write_keys and self.detector is not None:
             self.detector.enroll(self.shard, eid, self._writer_facts(req))
         if req.skip_locks and not probe_hit:
-            response = yield from self._serve_lock_free(req)
+            response = yield from self._serve_lock_free(req, client)
             self._cache_reply(req, client, response)
             return response
         if req.skip_locks:
@@ -698,13 +700,13 @@ class LVIServer:
         # reads may linearize right here: the validation fetch is the
         # snapshot, the locks go now, and only the reply waits out the
         # computation.
-        response = None if req.write_keys else self._snapshot_backup(req, stale)
+        response = None if req.write_keys else self._snapshot_backup(req, stale, client)
         if response is not None:
             self._release(eid)
             yield from self._charge_service(req, "server.backup_exec", snapshot=True)
         else:
             response = yield from self._run_near_storage(
-                req, "server.backup_exec", repair=stale
+                req, "server.backup_exec", repair=stale, client=client
             )
             self._settle(eid)
         self._cache_reply(req, client, response)
@@ -747,7 +749,8 @@ class LVIServer:
                 return facts.writes
         return tuple(KeyFact(t, "exact", k) for (t, k) in req.write_keys)
 
-    def _snapshot_backup(self, req: LVIRequest, stale: List[Key]) -> Optional[LVIResponse]:
+    def _snapshot_backup(self, req: LVIRequest, stale: List[Key],
+                         client: Optional[str]) -> Optional[LVIResponse]:
         """Run a backup execution predicted to be read-only at the
         validation instant, on a read-only view of the read keys it locked.
         ``None`` when ``f`` wrote, or read outside the locked set: the
@@ -755,7 +758,7 @@ class LVIServer:
         (it touched nothing; external calls dedup on the execution id)."""
         try:
             response = self._execute_near_storage(
-                req, SnapshotEnv(self.store, req.read_keys), repair=stale
+                req, SnapshotEnv(self.store, req.read_keys), repair=stale, client=client
             )
         except SnapshotEscape:
             self.metrics.incr("backup.escaped")
@@ -763,7 +766,7 @@ class LVIServer:
         self.metrics.incr("backup.snapshot")
         return response
 
-    def _serve_lock_free(self, req: LVIRequest) -> Generator:
+    def _serve_lock_free(self, req: LVIRequest, client: Optional[str]) -> Generator:
         """Validate a detector-cleared read-only request without locks.
 
         Sound because (a) the arrival-time dirty probe proved no in-flight
@@ -778,7 +781,7 @@ class LVIServer:
         if not stale:
             return self._yes_vote(req, authoritative)
         return (yield from self._run_near_storage(
-            req, "server.backup_exec", repair=stale,
+            req, "server.backup_exec", repair=stale, client=client,
             constrain_to=req.read_facts, lock_free=True,
         ))
 
@@ -853,7 +856,9 @@ class LVIServer:
             self._settle(eid)
         elif stale:
             self.metrics.incr("prepare.stale")
-            response = LVIResponse(execution_id=eid, ok=False, fresh=self._collect_fresh(stale))
+            response = LVIResponse(
+                execution_id=eid, ok=False, fresh=self._collect_fresh(stale, client)
+            )
             self._settle(eid)
         else:
             if req.write_keys:
@@ -1064,8 +1069,11 @@ class LVIServer:
             self._on_intent_timer(execution_id, trigger="contention")
 
     def _on_intent_timer(self, execution_id: str, trigger: str = "timer") -> None:
+        """Start the re-execution inside the caller's queue entry: the timer's
+        own entry, or the handler that just queued behind the intent — each
+        is the wake-up, and nobody joins the process."""
         if self._live(execution_id, _INTENT, _EXPEDITED) is not None:  # else cancelled
-            self.sim.spawn(
+            self.sim.spawn_in_dispatch(
                 self._guarded(self._reexecute(execution_id, trigger)),
                 name=f"reexec({execution_id})",
             )
@@ -1255,7 +1263,20 @@ class LVIServer:
             return None
         return self.external_hub.caller_for(execution_id)
 
-    def _collect_fresh(self, keys: List[Key]) -> Dict[Key, FreshItem]:
+    def _collect_fresh(self, keys: List[Key], client: Optional[str]) -> Dict[Key, FreshItem]:
+        """The repair an ``ok=False`` reply carries (§3.2 step 8b), built
+        here and nowhere else: the authoritative item — or an absence — of
+        every key in ``keys`` (the request's stale reads and the keys its
+        execution wrote), and, for a reply to a near-user location
+        (``client``: the endpoint its dedup state is filed under, a
+        replica's forward included), of every application key this shard's
+        store wrote since that location's last repair.  Without those extra
+        items a cache hears of another location's write only by failing on
+        that very key; its runtime installs them only over entries it
+        already holds, and only when newer.  A lost reply loses them:
+        validation still guards every read."""
+        if client is not None:
+            keys = [*keys, *self.store.changed_since_repair(client)]
         fresh: Dict[Key, FreshItem] = {}
         for table, key in dict.fromkeys(keys):
             item = self.store.get_or_none(table, key)

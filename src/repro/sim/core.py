@@ -45,9 +45,10 @@ counts executed queue entries, and a queue entry is what a wake-up costs.
   calendar bucket was promoted (purged, never dispatched).
 * Costs nothing at all, because nothing waits: a lock granted on the spot
   (``LockManager.acquire_all`` yields only for a lock it must queue for),
-  the start of an RPC handler, of an open-loop request or of a Raft
-  unlock record no one waits on (the delivery, arrival or releasing entry
-  runs the new process's first step —
+  the start of an RPC handler, of an open-loop request, of a Raft
+  unlock record or of an LVI server's re-execution no one waits on (the
+  delivery, arrival, releasing entry, intent timer or queued-behind
+  handler runs the new process's first step —
   :meth:`Simulator.spawn_in_dispatch`), and a sub-generator the caller
   would only join (``yield from gen`` runs it inside the calling process;
   ``yield sim.spawn(gen)`` pays the child's start and the joiner's resume

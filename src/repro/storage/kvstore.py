@@ -15,6 +15,10 @@ the component making the access (e.g. the LVI server charges one
 in-datacenter round trip per batch of storage operations), matching how the
 paper attributes latency to the network rather than to DynamoDB's innards.
 
+The store also keeps what a failed validation's repair needs to carry
+beyond the request's own keys (:meth:`KVStore.changed_since_repair`): the
+application keys it wrote since each near-user location's last repair.
+
 Values follow the ownership rule in :mod:`repro.storage.fastcopy`: ``put``
 copies the caller's value in, and every read hands out the stored
 :class:`Item` itself.  A stored item is never edited — a write replaces it —
@@ -83,6 +87,12 @@ class KVStore:
         self._tables: Dict[str, Dict[str, Item]] = {}
         self.reads = 0
         self.writes = 0
+        #: ``{(table, key): write count at its last write}`` in write order,
+        #: application tables only; None until the first location is
+        #: repaired (see :meth:`changed_since_repair`).
+        self._written: Optional[Dict[Tuple[str, str], int]] = None
+        #: Each repaired location's write count at its last repair.
+        self._repaired: Dict[str, int] = {}
 
     # -- single-item operations ------------------------------------------------
 
@@ -117,6 +127,12 @@ class KVStore:
         old = tbl.get(key)
         new_version = (old.version if old is not None else VERSION_ABSENT) + 1
         tbl[key] = Item(fast_deepcopy(value), new_version)
+        written = self._written
+        if written is not None and not table.startswith("_radical"):
+            # Move the key to the end: the log stays in write order.
+            k = (table, key)
+            written.pop(k, None)
+            written[k] = self.writes
         return new_version
 
     def conditional_put(self, table: str, key: str, value: Any, expected_version: int) -> int:
@@ -167,6 +183,36 @@ class KVStore:
         still holding that execution's write locks.
         """
         return {(w.table, w.key): self.put(w.table, w.key, w.value) for w in writes}
+
+    # -- what a location's next repair carries ----------------------------------
+
+    def changed_since_repair(self, location: str) -> List[Tuple[str, str]]:
+        """The application keys written here since ``location``'s previous
+        call, in write order; ``location`` counts as repaired as of now.
+
+        A location's first call returns nothing and starts the tracking, so
+        a warm cache is not flooded with what it was warmed from.  The
+        state is one write log shared by every location — each written key
+        once, at its last write, never a ``_radical*`` row — plus one write
+        count per location: bounded by the key space, and its walk costs
+        one step per key written since the location's last repair.  It is
+        soft state kept beside the data, so it survives an LVI server
+        crash; losing it would cost caches only freshness, never
+        correctness, because validation still checks every read."""
+        written = self._written
+        if written is None:
+            written = self._written = {}
+        last = self._repaired.get(location)
+        self._repaired[location] = self.writes
+        if last is None:
+            return []
+        keys = []
+        for key, stamp in reversed(written.items()):
+            if stamp <= last:
+                break
+            keys.append(key)
+        keys.reverse()
+        return keys
 
     # -- introspection ------------------------------------------------------------
 

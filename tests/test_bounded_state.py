@@ -7,9 +7,11 @@ requests per client.  At makespan (every client finished, before the
 drain) the intent timers and prepare leases still armed in the queue may
 number no more than the executions that still owe a settlement; after
 the drain, the server's execution records, its client table and each
-runtime's open seqs must not grow with the run.  With conflict detection
-on, no dirty-set entry outlives its execution, under any of the fault
-plans that kill, lose or delay one.
+runtime's open seqs must not grow with the run, and each location's
+change set — the keys its next repair carries — holds at most the shard's
+distinct written keys.  With conflict detection on, no dirty-set entry
+outlives its execution, under any of the fault plans that kill, lose or
+delay one.
 """
 
 import pytest
@@ -79,8 +81,24 @@ def census(requests_per_client, monkeypatch):
         "clients": sum(len(s._clients) for s in dep.servers),
         "open": sum(len(r._open) for r in dep.runtimes.values()),
         "live_timers": live_timers(dep.sim),
+        "repaired_locations": sum(len(store._repaired) for store in dep.stores),
+        "largest_change_set": max(
+            (len(change_set(store, location))
+             for store in dep.stores for location in store._repaired),
+            default=0,
+        ),
+        "written_keys": sum(len(store._written or ()) for store in dep.stores),
+        "app_keys": sum(
+            len(rows) for store in dep.stores for rows in store.snapshot().values()
+        ),
     }
     return built["makespan"], drained
+
+
+def change_set(store, location):
+    """The keys ``location``'s next repair at ``store`` would carry."""
+    since = store._repaired[location]
+    return [key for key, stamp in store._written.items() if stamp > since]
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +117,16 @@ def test_no_timer_outlives_its_settlement(censuses):
 
 def test_drained_state_does_not_grow_with_the_run(censuses):
     (_, small), (_, large) = censuses
-    for name in ("executions", "clients", "open"):
+    for name in ("executions", "clients", "open", "repaired_locations", "written_keys"):
         assert small[name] == large[name], f"{name}: census {censuses}"
     assert large["live_timers"] == 0, f"census: {censuses}"
+
+
+def test_a_change_set_is_bounded_by_the_written_keys(censuses):
+    for _makespan, drained in censuses:
+        assert drained["repaired_locations"] > 0, f"census: {censuses}"
+        assert drained["largest_change_set"] <= drained["written_keys"]
+        assert drained["written_keys"] <= drained["app_keys"], f"census: {censuses}"
 
 
 @pytest.mark.parametrize("seed", [0, 1])

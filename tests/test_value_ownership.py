@@ -58,8 +58,8 @@ class Ownership:
             self.register("_log_own_update", value)
             log_own_update(pop, table, key, value, version)
 
-        def patched_collect_fresh(server, keys):
-            fresh = collect_fresh(server, keys)
+        def patched_collect_fresh(server, keys, client):
+            fresh = collect_fresh(server, keys, client)
             for item in fresh.values():
                 self.register("fresh item", item.value)
             return fresh
