@@ -44,7 +44,7 @@ from typing import Any, Container, Dict, Generator, List, Optional, Tuple
 
 from ..analysis import check_coverage, derive_rwset
 from ..errors import GasExhausted, OverloadedError, ProtocolError, UnavailableError, VMTrap
-from ..faults.retry import AdaptiveLimiter, CircuitBreaker, RetryPolicy
+from ..faults.retry import AdaptiveLimiter, CircuitBreaker, RetryPolicy, RtoEstimator
 from ..sim import Metrics, Network, RandomStreams, RequestBatcher, RpcTimeout, Simulator
 from ..storage import Item, NearUserCache
 from ..wasm import VM
@@ -175,6 +175,8 @@ class NearUserRuntime:
         # nothing from it, so adding retries perturbs no existing stream.
         self._retry_rng = (streams or RandomStreams(0)).stream(f"runtime.{region}.retry")
         self._policy = RetryPolicy.from_config(self.config)
+        # One retransmission-timeout estimator per destination endpoint.
+        self._rto: Dict[str, RtoEstimator] = {}
         self._breaker = CircuitBreaker(
             sim,
             failure_threshold=self.config.breaker_failure_threshold,
@@ -857,29 +859,49 @@ class NearUserRuntime:
 
     def _call_with_retry(
         self, request, deadline_at: float, label: str, dst: str, batch: bool = False,
+        breaker: bool = True,
     ) -> Generator:
-        """One logical near-storage RPC under the retry policy.
+        """One logical near-storage RPC under the retry policy: one request
+        with one reply slot, which an answer to any of its copies completes
+        (the server's execution-id dedup makes copies safe).
 
         Every attempt is bounded by ``rpc_timeout_ms`` (clipped to the
-        invocation's remaining deadline), failed attempts back off with
-        deterministic jitter, and exhaustion — of attempts or of the
-        deadline — surfaces as a clean :class:`UnavailableError`.  Each
-        attempt's outcome feeds the circuit breaker.
+        invocation's remaining deadline) and sends one copy.  Inside it,
+        each time the destination's retransmission timeout runs out the
+        timeout doubles, and another copy goes out when the destination's
+        :class:`RtoEstimator` judges the last one lost.  Failed attempts
+        back off with deterministic jitter, and exhaustion — of attempts
+        or of the deadline — surfaces as a clean :class:`UnavailableError`.
+        An answer to an earlier attempt's copy that lands later still ends
+        the call.  With ``breaker``, each attempt's outcome feeds the
+        circuit breaker; followups pass False.
         """
         cfg = self.config
         policy = self._policy
         obs = self.sim.obs
         # Hot-path LVI traffic goes through the batcher when one is
         # configured; control messages (followups, decisions) never batch.
-        caller = (
-            self._batcher.call if (batch and self._batcher is not None)
-            else lambda d, req, timeout: self.net.call(self.name, d, req,
-                                                       timeout=timeout)
+        call = (
+            self._batcher.rpc(dst, request) if (batch and self._batcher is not None)
+            else self.net.rpc(self.name, dst, request)
         )
+        rto = self._rto.get(dst)
+        if rto is None:
+            rto = self._rto[dst] = RtoEstimator()
+
+        def resend(call) -> bool:
+            if not rto.may_resend(call.last_sent_at):
+                return False
+            self.metrics.incr("rpc.retransmit")
+            if obs.enabled:
+                obs.event("rpc.retransmit", label=label,
+                          execution_id=request.execution_id, send=call.sends + 1)
+            return True
+
         attempt = 0
         while True:
             remaining = deadline_at - self.sim.now
-            if remaining <= 0:
+            if remaining <= 0:  # never for a followup: it has no deadline
                 self._breaker.record_failure()
                 self.metrics.incr("rpc.deadline_exceeded")
                 raise UnavailableError(
@@ -888,8 +910,8 @@ class NearUserRuntime:
                 )
             attempt += 1
             try:
-                response = yield from caller(
-                    dst, request, timeout=min(cfg.rpc_timeout_ms, remaining)
+                response = yield from call.attempt(
+                    min(cfg.rpc_timeout_ms, remaining), rto.rto_ms, resend
                 )
             except (RpcTimeout, OverloadedError) as exc:
                 # A timeout says nothing about what the server did.  An
@@ -900,28 +922,33 @@ class NearUserRuntime:
                 # queue); on top of that it shrinks the AIMD window, and
                 # its backoff honors the server's retry-after hint.
                 shed = isinstance(exc, OverloadedError)
-                self._breaker.record_failure()
+                if breaker:
+                    self._breaker.record_failure()
+                    self.metrics.incr("rpc.overloaded" if shed else "rpc.timeout")
                 if shed and self._limiter is not None:
                     self._limiter.on_overload()
-                self.metrics.incr("rpc.overloaded" if shed else "rpc.timeout")
                 if attempt >= policy.max_attempts:
-                    self.metrics.incr("rpc.exhausted")
-                    if obs.enabled:
-                        obs.event(
-                            "rpc.exhausted", label=label,
-                            execution_id=request.execution_id, attempts=attempt,
-                        )
                     how = (
                         f"shed by overloaded server on all {attempt} attempt(s)"
                         if shed else f"all {attempt} attempts timed out"
                     )
+                    if breaker:
+                        self.metrics.incr("rpc.exhausted")
+                        if obs.enabled:
+                            obs.event(
+                                "rpc.exhausted", label=label,
+                                execution_id=request.execution_id, attempts=attempt,
+                            )
                     raise UnavailableError(f"{label} {request.execution_id}: {how}") from None
-                self.metrics.incr("rpc.retry")
-                if obs.enabled:
-                    obs.event(
-                        "rpc.retry", label=label, **({"overloaded": True} if shed else {}),
-                        execution_id=request.execution_id, attempt=attempt,
-                    )
+                if breaker:
+                    self.metrics.incr("rpc.retry")
+                    if obs.enabled:
+                        obs.event(
+                            "rpc.retry", label=label, **({"overloaded": True} if shed else {}),
+                            execution_id=request.execution_id, attempt=attempt,
+                        )
+                else:
+                    self.metrics.incr(f"{label}.retry")
                 backoff = policy.backoff_ms(attempt, self._retry_rng)
                 if shed:
                     backoff = max(backoff, exc.retry_after_ms)
@@ -929,30 +956,29 @@ class NearUserRuntime:
                 if backoff > 0:
                     yield self.sim.timeout(backoff)
             else:
-                self._breaker.record_success()
+                # Karn's rule: only an answer to the only copy is a
+                # round trip of known length.
+                rtt = call.rtt_ms()
+                if rtt is not None:
+                    rto.sample(rtt)
+                rto.answered(call.first_sent_at, call.answered_at)
+                if breaker:
+                    self._breaker.record_success()
                 return response
 
     def _send_followup(self, execution_id: str, writes, dst: str) -> Generator:
+        """(8a) Settle the intent: the followup rides the same retrying,
+        re-sending call as every runtime RPC, but never feeds the breaker —
+        the client is already answered — and a followup every attempt of
+        which dies is only counted: the intent timer guarantees the writes
+        land anyway (§3.4)."""
         followup = WriteFollowup(execution_id=execution_id, writes=tuple(writes))
-        policy = self._policy
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                yield from self.net.call(
-                    self.name, dst, followup,
-                    timeout=self.config.rpc_timeout_ms,
-                )
-                return
-            except RpcTimeout:
-                # Followup losses never feed the breaker: the client is
-                # already answered, and the intent timer guarantees the
-                # writes land even if every retry dies (§3.4).
-                if attempt >= policy.max_attempts:
-                    self.metrics.incr("followup.lost")
-                    return
-                self.metrics.incr("followup.retry")
-                yield self.sim.timeout(policy.backoff_ms(attempt, self._retry_rng))
+        try:
+            yield from self._call_with_retry(
+                followup, math.inf, "followup", dst=dst, breaker=False
+            )
+        except UnavailableError:
+            self.metrics.incr("followup.lost")
 
     def _install_fresh(self, fresh: Dict[Key, Any], own: Container[Key]) -> None:
         """Install the authoritative items a server shipped back into the

@@ -6,7 +6,8 @@
   against a live deployment at exact virtual times, emitting every
   injection through the observability spine.
 * :mod:`repro.faults.retry` — :class:`RetryPolicy` (deterministic
-  backoff + jitter) and :class:`CircuitBreaker` (the degradation ladder
+  backoff + jitter), :class:`RtoEstimator` (the re-send timeout inside an
+  attempt) and :class:`CircuitBreaker` (the degradation ladder
   speculative -> direct -> ``UnavailableError``).
 * :mod:`repro.faults.chaos` — the seeds x plans harness behind the
   ``chaos*`` scenarios (``radical-repro run chaos``); proves strict
@@ -31,7 +32,15 @@ from .plan import (
     SlowServerWindow,
     SurgeWindow,
 )
-from .retry import CLOSED, HALF_OPEN, OPEN, AdaptiveLimiter, CircuitBreaker, RetryPolicy
+from .retry import (
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    AdaptiveLimiter,
+    CircuitBreaker,
+    RetryPolicy,
+    RtoEstimator,
+)
 from .scheduler import FaultScheduler
 from .serde import (
     WINDOW_KINDS,
@@ -58,6 +67,7 @@ __all__ = [
     "SurgeWindow",
     "SlowServerWindow",
     "RetryPolicy",
+    "RtoEstimator",
     "CircuitBreaker",
     "AdaptiveLimiter",
     "CLOSED",

@@ -1,8 +1,11 @@
-"""Client-side robustness policies: deterministic retry and circuit breaking.
+"""Client-side robustness policies: deterministic retry, retransmission
+timeouts and circuit breaking.
 
 Retry schedules are pure functions of the policy knobs plus draws from a
 named :class:`~repro.sim.rand.RandomStreams` stream, so two same-seed runs
-back off at byte-identical virtual times.  The circuit breaker implements
+back off at byte-identical virtual times.  A :class:`RtoEstimator` times
+the re-send of a request inside one attempt from the round trips its
+destination has answered in.  The circuit breaker implements
 the degradation ladder the runtime follows when the near-storage path
 keeps failing: speculative -> direct probe -> clean ``UnavailableError``.
 """
@@ -19,6 +22,7 @@ from ..sim import AnyOf, Event, Metrics, Simulator, Timeout
 
 __all__ = [
     "RetryPolicy",
+    "RtoEstimator",
     "CircuitBreaker",
     "AdaptiveLimiter",
     "CLOSED",
@@ -76,6 +80,73 @@ class RetryPolicy:
         """The full backoff sequence an exhausted RPC would sleep through —
         what the determinism tests compare byte-for-byte."""
         return [self.backoff_ms(a, rng) for a in range(1, self.max_attempts)]
+
+
+#: RFC 6298's smoothing gains and variance multiplier:
+#: RTO = SRTT + K * RTTVAR.
+RTO_ALPHA = 1 / 8
+RTO_BETA = 1 / 4
+RTO_K = 4
+#: The floor under the variance term (Linux's ``TCP_RTO_MIN``, applied as
+#: Linux applies it): a timeout stays at least this far above the smoothed
+#: round trip, so the queueing delay of a busy server, which stretches
+#: round trips faster than the smoothing follows them, does not fire
+#: re-sends — each would cost that server a request's processing charge.
+RTO_MIN_MS = 200.0
+
+
+class RtoEstimator:
+    """When to re-send a call to one destination: RFC 6298's
+    retransmission timeout, and the evidence that a call past it was lost
+    rather than late.
+
+    :attr:`rto_ms` is None until the first sample — no early re-send to a
+    destination never heard from — then SRTT + max(:data:`RTO_MIN_MS`,
+    4·RTTVAR); the caller doubles it per expiry within one attempt
+    (:meth:`~repro.sim.RpcCall.attempt`).  Per Karn's rule the caller
+    samples only a call answered by its only copy: an answer to a re-sent
+    call cannot say which copy it belongs to.
+
+    A timeout alone cannot tell a lost message from a queue: when a
+    server falls behind, round trips grow faster than any smoothing
+    follows them, every call waiting in the queue outlives its timeout,
+    and a copy of each would only lengthen the queue.  So an expiry
+    re-sends (:meth:`may_resend`) only when the destination's answers say
+    the last copy was lost: a call sent after it has been answered (RACK's
+    rule, RFC 8985), or nothing at all has been answered since it went
+    out (a tail-loss probe; a dead path drops the copy for free).  A
+    destination answering only calls sent earlier is working through a
+    queue, and the call waits its turn.
+    """
+
+    __slots__ = ("srtt_ms", "rttvar_ms", "rto_ms", "answered_sent_at", "answered_at")
+
+    def __init__(self) -> None:
+        self.srtt_ms: Optional[float] = None
+        self.rttvar_ms = 0.0
+        self.rto_ms: Optional[float] = None
+        # The latest first send of an answered call, and the latest answer.
+        self.answered_sent_at = self.answered_at = -1.0
+
+    def sample(self, rtt_ms: float) -> None:
+        """Fold in one measured round trip (RFC 6298 (2.2)-(2.3))."""
+        if self.srtt_ms is None:
+            self.srtt_ms = rtt_ms
+            self.rttvar_ms = rtt_ms / 2
+        else:
+            self.rttvar_ms = ((1 - RTO_BETA) * self.rttvar_ms
+                              + RTO_BETA * abs(self.srtt_ms - rtt_ms))
+            self.srtt_ms = (1 - RTO_ALPHA) * self.srtt_ms + RTO_ALPHA * rtt_ms
+        self.rto_ms = self.srtt_ms + max(RTO_MIN_MS, RTO_K * self.rttvar_ms)
+
+    def answered(self, first_sent_at: float, at: float) -> None:
+        """A call first sent at ``first_sent_at`` was answered at ``at``."""
+        self.answered_sent_at = max(self.answered_sent_at, first_sent_at)
+        self.answered_at = max(self.answered_at, at)
+
+    def may_resend(self, last_sent_at: float) -> bool:
+        """Was the copy sent at ``last_sent_at`` lost, by the answers?"""
+        return self.answered_sent_at > last_sent_at or self.answered_at <= last_sent_at
 
 
 CLOSED = "closed"        # normal operation

@@ -26,6 +26,7 @@ from .network import (
     PAPER_RTT_TO_PRIMARY,
     Region,
     RequestBatcher,
+    RpcCall,
     RpcTimeout,
     UnknownRegionError,
     paper_latency_table,
@@ -61,6 +62,7 @@ __all__ = [
     "RandomStreams",
     "Region",
     "RequestBatcher",
+    "RpcCall",
     "RpcTimeout",
     "RttDataset",
     "RttDatasetError",

@@ -34,8 +34,8 @@ counts executed queue entries, and a queue entry is what a wake-up costs.
   may come from anywhere, so its waiters run from the queue, not from the
   triggerer's stack).
 * Costs nothing extra: the waiters of an :class:`Arrival` — a timeout,
-  the reply event of ``Network.call`` / ``RequestBatcher.call``, which only
-  the reply's delivery or the call's deadline completes, or a Raft commit
+  the wait of an RPC attempt (``RpcCall.attempt``), which only an answer's
+  delivery or the attempt's one timer completes, or a Raft commit
   (``RaftNode.submit``), which only an ack or append delivery, or a
   crash's fault entry, completes — because that queue entry resumes them
   itself, in waiting order (processing an event runs its callbacks, as in

@@ -21,6 +21,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Generator, Iterator, Optional, Set, Tuple
 
 from ..errors import FaultConfigError
@@ -38,6 +39,7 @@ __all__ = [
     "Endpoint",
     "RpcTimeout",
     "RpcDropped",
+    "RpcCall",
     "Message",
     "Batched",
     "RequestBatcher",
@@ -255,7 +257,7 @@ NO_REPLY = object()
 
 
 def _unwrapped(payload: Any) -> Any:
-    """The request inside an RPC envelope ``(request, reply_ref)``, or any
+    """The request inside an RPC envelope ``(request, call)``, or any
     other payload as it is: what tracers and drop filters see."""
     return payload[0] if isinstance(payload, tuple) and len(payload) == 2 else payload
 
@@ -610,7 +612,7 @@ class Network:
         payload: Any,
         timeout: Optional[float] = None,
     ) -> Generator:
-        """RPC from endpoint ``src`` to endpoint ``dst``.
+        """RPC from endpoint ``src`` to endpoint ``dst``: one send, one wait.
 
         Returns a generator to run inside a process: ``response = yield
         from net.call(...)``.
@@ -620,16 +622,12 @@ class Network:
         whose return value is sent back as the response.  Raises
         :class:`RpcTimeout` if no response arrives in ``timeout`` ms.
         """
-        obs = self.sim.obs
-        span = None
-        if obs.enabled:
-            span = obs.start(
-                "rpc", kind="net", src=src, dst=dst,
-                request=type(payload).__name__,
-            )
-        reply = Arrival(self.sim, name="rpc")
-        self._send_request(src, dst, payload, reply)
-        return (yield from _await_reply(self.sim, reply, timeout, src, dst, span))
+        return (yield from self.rpc(src, dst, payload).attempt(timeout))
+
+    def rpc(self, src: str, dst: str, payload: Any) -> "RpcCall":
+        """One logical RPC from ``src`` to ``dst`` whose caller decides
+        when to send and re-send it (:meth:`RpcCall.attempt`)."""
+        return RpcCall(self.sim, src, dst, payload, partial(self.send, src, dst))
 
     def serve(self, name: str, region: str, fn: Callable[[Any, str], Generator]) -> Endpoint:
         """Register an RPC server endpoint.
@@ -652,39 +650,35 @@ class Network:
             # reply could deadlock — releasing one item's locks may depend
             # on another item's answer reaching its caller first).
             batch = wrapped.envelopes if isinstance(wrapped, _RequestBatch) else (wrapped,)
-            for request, reply_ref in batch:
+            for request, call in batch:
                 self.sim.spawn_in_dispatch(
-                    self._run_server_handler(fn, request, src, name, reply_ref),
+                    self._run_server_handler(fn, request, src, name, call),
                     name=handler_name,
                 )
 
         return self.register_handler(name, region, on_delivery)
 
     def _run_server_handler(
-        self, fn: Callable, request: Any, src: str, server: str, reply_ref: "_ReplyRef"
+        self, fn: Callable, request: Any, src: str, server: str, call: "RpcCall"
     ) -> Generator:
         try:
             result = yield from fn(request, src)
         except Exception as exc:  # propagate server-side failure to caller
-            self._send_reply(server, reply_ref, exc, failed=True)
+            self._send_reply(server, call, exc, failed=True)
             return
         if result is NO_REPLY:
             return
-        self._send_reply(server, reply_ref, result, failed=False)
+        self._send_reply(server, call, result, failed=False)
 
-    def _send_request(self, src: str, dst: str, payload: Any, reply: Arrival) -> None:
-        reply_ref = _ReplyRef(src=src, reply=reply)
-        self.send(src, dst, (payload, reply_ref))
-
-    def _send_reply(self, server: str, reply_ref: "_ReplyRef", value: Any, failed: bool) -> None:
+    def _send_reply(self, server: str, call: "RpcCall", value: Any, failed: bool) -> None:
         src_ep = self._endpoints.get(server)
-        dst_ep = self._endpoints.get(reply_ref.src)
+        dst_ep = self._endpoints.get(call.src)
         self.messages_sent += 1
         self.bytes_proxy += 1
         if self.tracer is not None:
-            self.tracer(self.sim.now, server, reply_ref.src, value)
+            self.tracer(self.sim.now, server, call.src, value)
         span = self._hop_span(
-            server, reply_ref.src,
+            server, call.src,
             src_ep.region if src_ep is not None else "?",
             dst_ep.region if dst_ep is not None else "?",
         )
@@ -693,7 +687,7 @@ class Network:
         if (
             src_ep is None
             or dst_ep is None
-            or self._filtered(server, reply_ref.src, value)
+            or self._filtered(server, call.src, value)
             or self._lossy(src_ep.region, dst_ep.region)
         ):
             self.messages_dropped += 1
@@ -707,60 +701,159 @@ class Network:
         def complete() -> None:
             if span is not None:
                 span.finish(self.sim.now, status="delivered")
-            if reply_ref.reply.triggered:
-                return  # duplicate response (failure injection)
-            if failed:
-                reply_ref.reply.fail(value)
-            else:
-                reply_ref.reply.trigger(value)
+            call._answer(value, failed)
 
         self.sim.schedule(delay, complete)
 
 
-def _await_reply(
-    sim: Simulator, reply: Arrival, timeout: Optional[float], src: str, dst: str, span
-) -> Generator:
-    """The caller's half of an RPC, shared by :meth:`Network.call` and
-    :meth:`RequestBatcher.call`: wait on ``reply`` itself, with the deadline
-    as one timer that fails ``reply`` with :class:`RpcTimeout` — cancelled
-    (and so never dispatched) once the wait ends any other way.  ``reply``
-    is an :class:`Arrival`: the response's delivery entry or the deadline's
-    entry is the only thing that completes it, and resumes the caller in
-    place.  A response landing after the deadline finds ``reply`` completed
-    and is dropped by ``_send_reply``.  Finishes the ``rpc`` span (ok /
-    timeout / error)."""
-    status = "ok"
-    timer = None
-    if timeout is not None:
+class RpcCall:
+    """One logical RPC: a request with one reply slot, which every copy of
+    the request carries (the ``(request, call)`` envelope a server answers
+    through).  Whichever copy's answer lands first completes the call, so
+    a copy re-sent after a loss, or a late answer to an earlier copy, ends
+    it alike; later answers are duplicates and dropped.
 
-        def expire() -> None:
-            nonlocal status
-            if not reply.triggered:
-                status = "timeout"
-                reply.fail(RpcTimeout(f"rpc {src}->{dst} timed out after {timeout} ms"))
+    The caller waits in *attempts* (:meth:`attempt`, one at a time): each
+    sends a copy, may re-send within itself at a retransmission timeout,
+    and ends at its deadline with :class:`RpcTimeout`, leaving the slot
+    open for the next attempt.  A failed answer (a server-side exception)
+    ends only the attempt it finds; a successful one settles the call for
+    good, also between attempts.  :meth:`Network.call` is one attempt of a
+    fresh call.
+    """
 
-        timer = sim.schedule(timeout, expire)
-    try:
-        return (yield reply)
-    except BaseException:
-        if status == "ok":
-            status = "error"
-        raise
-    finally:
-        if timer is not None:
-            timer.cancel()
-        if span is not None:
-            span.finish(sim.now, status=status)
+    __slots__ = (
+        "sim", "src", "dst", "payload", "sends", "first_sent_at", "last_sent_at",
+        "answered", "answered_at", "_value", "_send", "_batched",
+        # The current attempt's state.
+        "_waiting", "_timer", "_timeout", "_deadline_at", "_rto_ms",
+        "_resend", "_resent", "_expired",
+    )
 
-
-class _ReplyRef:
-    """Correlates an RPC response with its waiting caller."""
-
-    __slots__ = ("src", "reply")
-
-    def __init__(self, src: str, reply: Arrival):
+    def __init__(self, sim: Simulator, src: str, dst: str, payload: Any,
+                 send: Callable[[Tuple[Any, "RpcCall"]], Any], batched: bool = False):
+        self.sim = sim
         self.src = src
-        self.reply = reply
+        self.dst = dst
+        self.payload = payload
+        self.sends = 0          # copies sent so far, every attempt's included
+        self.first_sent_at = self.last_sent_at = 0.0
+        self.answered = False
+        self.answered_at = 0.0
+        self._value: Any = None
+        self._send = send
+        self._batched = batched
+        self._waiting: Optional[Arrival] = None
+        self._timer = None
+
+    def rtt_ms(self) -> Optional[float]:
+        """The round trip of a call answered by its only copy, else None:
+        an answer to a re-sent call may belong to any copy (Karn's rule)."""
+        if self.answered and self.sends == 1:
+            return self.answered_at - self.first_sent_at
+        return None
+
+    def attempt(
+        self,
+        timeout: Optional[float] = None,
+        rto_ms: Optional[float] = None,
+        resend: Optional[Callable[["RpcCall"], bool]] = None,
+    ) -> Generator:
+        """Wait up to ``timeout`` ms for the call's answer, first sending a
+        copy (none if an answer already landed: it is returned at once).
+
+        ``rto_ms`` (None: never) is the retransmission timeout: if no
+        answer came that long after the last copy, another copy goes out
+        — unless ``resend(call)`` says not now — and the timeout doubles
+        for the next expiry either way.  One timer plays both parts — armed for the next
+        re-send while that falls before the deadline, then for the
+        deadline — and is cancelled (so never dispatched) when the attempt
+        ends any other way.  The attempt
+        waits on an :class:`Arrival` that only an answer's delivery or that
+        timer completes, so either resumes the caller in place.  Finishes
+        an ``rpc`` span (ok / timeout / error; ``retransmits`` when it
+        re-sent)."""
+        if self.answered:
+            return self._value
+        sim = self.sim
+        obs = sim.obs
+        span = None
+        if obs.enabled:
+            span = obs.start(
+                "rpc", kind="net", src=self.src, dst=self.dst,
+                request=type(self.payload).__name__,
+                **({"batched": True} if self._batched else {}),
+            )
+        reply = self._waiting = Arrival(sim, name="rpc")
+        self._send_copy()
+        self._timeout = timeout
+        self._deadline_at = None if timeout is None else sim.now + timeout
+        self._rto_ms = rto_ms
+        self._resend = resend
+        self._resent = 0
+        self._expired = False
+        self._arm(timeout)
+        status = "ok"
+        try:
+            return (yield reply)
+        except BaseException:
+            status = "timeout" if self._expired else "error"
+            raise
+        finally:
+            self._waiting = self._resend = None
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            if span is not None:
+                if self._resent:
+                    span.attrs["retransmits"] = self._resent
+                span.finish(sim.now, status=status)
+
+    def _arm(self, left: Optional[float]) -> None:
+        """The attempt's one timer: the next re-send if it falls before the
+        deadline (``left`` ms away; None for no deadline), else the deadline."""
+        rto = self._rto_ms
+        if rto is not None and (left is None or rto < left):
+            self._timer = self.sim.schedule(rto, self._retransmit)
+        else:
+            self._timer = None if left is None else self.sim.schedule(left, self._expire)
+
+    def _retransmit(self) -> None:
+        if self._resend is None or self._resend(self):
+            self._resent += 1
+            self._send_copy()
+        self._rto_ms *= 2
+        deadline_at = self._deadline_at
+        self._arm(None if deadline_at is None else deadline_at - self.sim.now)
+
+    def _expire(self) -> None:
+        self._timer = None
+        self._expired = True
+        self._waiting.fail(RpcTimeout(
+            f"rpc {self.src}->{self.dst} timed out after {self._timeout} ms"
+        ))
+
+    def _send_copy(self) -> None:
+        self.sends += 1
+        self.last_sent_at = self.sim.now
+        if self.sends == 1:
+            self.first_sent_at = self.last_sent_at
+        self._send((self.payload, self))
+
+    def _answer(self, value: Any, failed: bool) -> None:
+        """An answer to some copy landed (a delivery entry)."""
+        if self.answered:
+            return  # an answer to another copy won: a duplicate
+        if not failed:
+            self.answered = True
+            self.answered_at = self.sim.now
+            self._value = value
+        waiting = self._waiting
+        if waiting is not None and not waiting.triggered:
+            if failed:
+                waiting.fail(value)
+            else:
+                waiting.trigger(value)
 
 
 @dataclass(frozen=True)
@@ -781,9 +874,9 @@ class Batched:
 @dataclass(frozen=True)
 class _RequestBatch:
     """The single physical message a :class:`RequestBatcher` flush emits:
-    N (request, reply_ref) envelopes sharing one network hop."""
+    N (request, call) envelopes sharing one network hop."""
 
-    envelopes: Tuple[Tuple[Any, _ReplyRef], ...]
+    envelopes: Tuple[Tuple[Any, RpcCall], ...]
 
 
 class RequestBatcher:
@@ -792,9 +885,9 @@ class RequestBatcher:
     The first request to a destination opens a window of ``window_ms``
     virtual time; everything enqueued to that destination before the
     window closes ships as *one* physical message.  Only the request leg
-    is batched — every member keeps a private reply event, so responses,
-    timeouts, and retries are entirely per-request (a retry goes through
-    the batcher again and may land in a different batch).
+    is batched — every member keeps its own reply slot, so responses,
+    timeouts, and re-sends are entirely per-request (a re-sent copy goes
+    through the batcher again and may land in a different batch).
 
     A flush of exactly one request sends the plain RPC envelope, which is
     indistinguishable on the wire from an unbatched :meth:`Network.call`;
@@ -816,19 +909,15 @@ class RequestBatcher:
         self, dst: str, payload: Any, timeout: Optional[float] = None
     ) -> Generator:
         """Drop-in replacement for ``net.call(self.src, dst, ...)``."""
-        sim = self.net.sim
-        obs = sim.obs
-        span = None
-        if obs.enabled:
-            span = obs.start(
-                "rpc", kind="net", src=self.src, dst=dst,
-                request=type(payload).__name__, batched=True,
-            )
-        reply = Arrival(sim, name="rpc")
-        self._enqueue(dst, (payload, _ReplyRef(src=self.src, reply=reply)))
-        return (yield from _await_reply(sim, reply, timeout, self.src, dst, span))
+        return (yield from self.rpc(dst, payload).attempt(timeout))
 
-    def _enqueue(self, dst: str, envelope: Tuple[Any, _ReplyRef]) -> None:
+    def rpc(self, dst: str, payload: Any) -> RpcCall:
+        """Drop-in replacement for ``net.rpc(self.src, dst, ...)``: every
+        copy of the call goes through the batcher."""
+        return RpcCall(self.net.sim, self.src, dst, payload,
+                       partial(self._enqueue, dst), batched=True)
+
+    def _enqueue(self, dst: str, envelope: Tuple[Any, RpcCall]) -> None:
         queue = self._queues.get(dst)
         if queue is None:
             self._queues[dst] = [envelope]
@@ -849,7 +938,7 @@ class RequestBatcher:
             return
         size = len(queue)
         envelopes = tuple(
-            (Batched(payload, index, size), reply_ref)
-            for index, (payload, reply_ref) in enumerate(queue)
+            (Batched(payload, index, size), call)
+            for index, (payload, call) in enumerate(queue)
         )
         self.net.send(self.src, dst, _RequestBatch(envelopes))

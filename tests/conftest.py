@@ -38,7 +38,7 @@ def read(k):
 def build_counter_deployment(seed=1, followup_timeout=400.0,
                              regions=(Region.JP, Region.CA), config=None,
                              shards=1, mesh=None,
-                             fault_plan=None):
+                             fault_plan=None, trace=False):
     """The counter stack as a :class:`Deployment` (full topology access)."""
     if config is None:
         config = RadicalConfig(
@@ -56,6 +56,7 @@ def build_counter_deployment(seed=1, followup_timeout=400.0,
             raft_prewarm_ms=0.0,
             mesh=mesh,
             fault_plan=fault_plan,
+            trace=trace,
         ),
         functions=[
             FunctionSpec("t.bump", COUNTER_SRC, 20.0),

@@ -270,15 +270,18 @@ class TestRetryEdges:
         rt = runtimes[Region.JP]
         calls = []
 
-        def shed_once_call(src, dst, req, timeout=None):
+        def shed_once_attempt(timeout=None, rto_ms=None, resend=None):
             if False:
-                yield  # generator protocol, like Network.call
+                yield  # generator protocol, like RpcCall.attempt
             calls.append(sim.now)
             if len(calls) == 1:
                 raise OverloadedError("lvi-server", retry_after_ms=0.0)
             return "ok"
 
-        rt.net = SimpleNamespace(call=shed_once_call)
+        rt.net = SimpleNamespace(rpc=lambda src, dst, req: SimpleNamespace(
+            attempt=shed_once_attempt, rtt_ms=lambda: None,
+            first_sent_at=0.0, answered_at=0.0,
+        ))
 
         def driver():
             outcome["result"] = yield from rt._call_with_retry(

@@ -339,9 +339,10 @@ class TestHandlerStartsAtDelivery:
         net.register("client", Region.CA)
         sim.spawn(net.call("client", "server", "x"))
         sim.run()
-        refs[0].reply.trigger("once")
+        reply = refs[0]._waiting  # the pending attempt's wait
+        reply.trigger("once")
         with pytest.raises(SimulationError, match="'rpc' triggered twice"):
-            refs[0].reply.trigger("twice")
+            reply.trigger("twice")
 
     @pytest.mark.parametrize("crash_first, killed, dropped", [(False, 1, 0), (True, 0, 1)])
     def test_a_crash_in_the_delivery_instant(self, crash_first, killed, dropped):

@@ -518,7 +518,10 @@ class TestOverloadSweep:
     def test_goodput_plateaus_with_shedding_and_collapses_without(self):
         from repro.bench import sweep_overload
 
-        payload = sweep_overload(rates=(60.0, 160.0), duration_ms=1_200.0, seed=42)
+        # configs/overload.json's 3 s: the unprotected stack's backlog needs
+        # that long to collapse it now that a late answer to an earlier
+        # attempt still completes the call (at 1.2 s it delivered 74 rps).
+        payload = sweep_overload(rates=(60.0, 160.0), duration_ms=3_000.0, seed=42)
         goodput = {
             (p["series"], p["rate_rps"]): p["goodput_rps"]
             for p in payload["points"]

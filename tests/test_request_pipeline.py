@@ -604,16 +604,16 @@ FLOORED = (LVIRequest, ShardPrepare, ShardDecision, DirectExecRequest)
 
 
 def record_calls(dep):
-    """Wrap ``net.call`` to keep ``(src, payload)`` for every RPC, in send
-    order."""
+    """Wrap ``net.rpc`` to keep ``(src, payload)`` for every RPC, in send
+    order (every copy of a call carries the same payload)."""
     sent = []
-    call = dep.net.call
+    rpc = dep.net.rpc
 
-    def recording(src, dst, payload, timeout=None):
+    def recording(src, dst, payload):
         sent.append((src, payload))
-        return call(src, dst, payload, timeout=timeout)
+        return rpc(src, dst, payload)
 
-    dep.net.call = recording
+    dep.net.rpc = recording
     return sent
 
 
