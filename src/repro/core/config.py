@@ -68,7 +68,7 @@ class RadicalConfig:
     retry_max_backoff_ms: float = 1_000.0  # backoff cap
     retry_jitter_frac: float = 0.2         # +-20% deterministic jitter
     invocation_deadline_ms: float = 60_000.0  # end-to-end budget per invoke
-    breaker_failure_threshold: int = 5     # consecutive failures to open
+    breaker_failure_threshold: int = 5     # consecutive failed calls to open
     breaker_cooldown_ms: float = 5_000.0   # open -> half-open probe delay
 
     # Service-time variability (the p99 whiskers in Figs 4-6).

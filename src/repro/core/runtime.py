@@ -177,6 +177,13 @@ class NearUserRuntime:
         self._policy = RetryPolicy.from_config(self.config)
         # One retransmission-timeout estimator per destination endpoint.
         self._rto: Dict[str, RtoEstimator] = {}
+        # Destination endpoint -> the region its re-sent copies detour
+        # through (``Deployment.build`` fills it in; empty: re-sends go
+        # direct).  A destination whose relayed copy answered first is
+        # *suspect* — its direct path lost a copy the server answered —
+        # and maps here to the instant suspicion began.
+        self.relays: Dict[str, str] = {}
+        self._suspect: Dict[str, float] = {}
         self._breaker = CircuitBreaker(
             sim,
             failure_threshold=self.config.breaker_failure_threshold,
@@ -475,7 +482,8 @@ class NearUserRuntime:
             started = self.sim.now
             exec_done = self.sim.timeout(attempt.exec_ms)
             response: LVIResponse = yield from self._call_with_retry(
-                request, attempt.deadline_at, "lvi", dst=dst, batch=True
+                request, attempt.deadline_at, "lvi", dst=dst, batch=True,
+                backup_ms=attempt.record.service_time_ms,
             )
             if not exec_done.triggered:
                 yield exec_done
@@ -655,7 +663,8 @@ class NearUserRuntime:
         self.metrics.incr("path.direct")
         rtt_started = self.sim.now
         response = yield from self._call_with_retry(
-            request, attempt.deadline_at, "direct", dst=self.router.endpoint(0)
+            request, attempt.deadline_at, "direct", dst=self.router.endpoint(0),
+            backup_ms=attempt.record.service_time_ms,
         )
         if self.sim.obs.enabled:
             self.sim.obs.phase("phase.direct_rtt", start_ms=rtt_started, function=function_id)
@@ -749,7 +758,8 @@ class NearUserRuntime:
         critical-path phase of its own."""
         rtt_started = self.sim.now
         response = yield from self._call_with_retry(
-            request, attempt.deadline_at, "lvi", dst=dst, batch=True
+            request, attempt.deadline_at, "lvi", dst=dst, batch=True,
+            backup_ms=attempt.record.service_time_ms,
         )
         if self.sim.obs.enabled:
             self.sim.obs.phase("phase.lvi_rtt", start_ms=rtt_started, **phase_tags)
@@ -859,22 +869,26 @@ class NearUserRuntime:
 
     def _call_with_retry(
         self, request, deadline_at: float, label: str, dst: str, batch: bool = False,
-        breaker: bool = True,
+        breaker: bool = True, backup_ms: float = 0.0,
     ) -> Generator:
         """One logical near-storage RPC under the retry policy: one request
         with one reply slot, which an answer to any of its copies completes
         (the server's execution-id dedup makes copies safe).
 
         Every attempt is bounded by ``rpc_timeout_ms`` (clipped to the
-        invocation's remaining deadline) and sends one copy.  Inside it,
-        each time the destination's retransmission timeout runs out the
-        timeout doubles, and another copy goes out when the destination's
-        :class:`RtoEstimator` judges the last one lost.  Failed attempts
-        back off with deterministic jitter, and exhaustion — of attempts
-        or of the deadline — surfaces as a clean :class:`UnavailableError`.
-        An answer to an earlier attempt's copy that lands later still ends
-        the call.  With ``breaker``, each attempt's outcome feeds the
-        circuit breaker; followups pass False.
+        invocation's remaining deadline) and sends one copy — and a second
+        one through ``dst``'s relay when the direct path may be losing
+        copies: the last attempt timed out, or ``dst`` is suspect
+        (:meth:`_judge_path`).  Inside it, each time the destination's
+        retransmission timeout (plus ``backup_ms``, the near-storage
+        execution a call that may take the backup path waits for) runs
+        out the timeout doubles, and another copy goes out, through the
+        relay, when the destination's :class:`RtoEstimator` judges the
+        last one lost.  Failed attempts back off with deterministic
+        jitter, and exhaustion — of attempts or of the deadline — surfaces
+        as a clean :class:`UnavailableError`.  An answer to an earlier
+        attempt's copy that lands later still ends the call.  With ``breaker``, the call's outcome — answered, or
+        unavailable — feeds the circuit breaker once; followups pass False.
         """
         cfg = self.config
         policy = self._policy
@@ -885,20 +899,27 @@ class NearUserRuntime:
             self._batcher.rpc(dst, request) if (batch and self._batcher is not None)
             else self.net.rpc(self.name, dst, request)
         )
+        relay = call.relay = self.relays.get(dst)
         rto = self._rto.get(dst)
         if rto is None:
             rto = self._rto[dst] = RtoEstimator()
+        relayed = False  # whether a copy went through the relay
 
         def resend(call) -> bool:
+            nonlocal relayed
             if not rto.may_resend(call.last_sent_at):
                 return False
             self.metrics.incr("rpc.retransmit")
             if obs.enabled:
                 obs.event("rpc.retransmit", label=label,
                           execution_id=request.execution_id, send=call.sends + 1)
+            if relay is not None:
+                relayed = True
+                self._note_relayed(label, request, relay, hedge=False)
             return True
 
         attempt = 0
+        timed_out = False  # the last attempt ended at its deadline
         while True:
             remaining = deadline_at - self.sim.now
             if remaining <= 0:  # never for a followup: it has no deadline
@@ -909,21 +930,26 @@ class NearUserRuntime:
                     f"after {attempt} attempt(s)"
                 )
             attempt += 1
+            # The direct path may be losing copies: hedge it with the detour.
+            call.hedged = relay is not None and (timed_out or dst in self._suspect)
+            if call.hedged and not call.answered:
+                relayed = True
+                self._note_relayed(label, request, relay, hedge=True)
+            rto_ms = rto.rto_ms
             try:
                 response = yield from call.attempt(
-                    min(cfg.rpc_timeout_ms, remaining), rto.rto_ms, resend
+                    min(cfg.rpc_timeout_ms, remaining),
+                    None if rto_ms is None else rto_ms + backup_ms, resend,
                 )
             except (RpcTimeout, OverloadedError) as exc:
                 # A timeout says nothing about what the server did.  An
                 # OverloadedError says it shed the request at admission: a
                 # definite, retryable failure that did no work server-side.
-                # It still counts against the breaker (sustained shedding
-                # should degrade to the direct probe, not hammer the
-                # queue); on top of that it shrinks the AIMD window, and
-                # its backoff honors the server's retry-after hint.
+                # It shrinks the AIMD window, and its backoff honors the
+                # server's retry-after hint.
                 shed = isinstance(exc, OverloadedError)
+                timed_out = not shed
                 if breaker:
-                    self._breaker.record_failure()
                     self.metrics.incr("rpc.overloaded" if shed else "rpc.timeout")
                 if shed and self._limiter is not None:
                     self._limiter.on_overload()
@@ -933,6 +959,7 @@ class NearUserRuntime:
                         if shed else f"all {attempt} attempts timed out"
                     )
                     if breaker:
+                        self._breaker.record_failure()
                         self.metrics.incr("rpc.exhausted")
                         if obs.enabled:
                             obs.event(
@@ -962,9 +989,41 @@ class NearUserRuntime:
                 if rtt is not None:
                     rto.sample(rtt)
                 rto.answered(call.first_sent_at, call.answered_at)
+                if relayed:
+                    self._judge_path(dst, call, label, request)
                 if breaker:
                     self._breaker.record_success()
                 return response
+
+    def _note_relayed(self, label: str, request, relay: str, hedge: bool) -> None:
+        """A copy of ``request`` goes out through ``relay``: a re-send, or
+        (``hedge``) an attempt's second copy."""
+        self.metrics.incr("rpc.relayed")
+        obs = self.sim.obs
+        if obs.enabled:
+            obs.event("rpc.relayed", label=label, execution_id=request.execution_id,
+                      via=relay, hedge=hedge)
+
+    def _judge_path(self, dst: str, call, label: str, request) -> None:
+        """A call that sent a relayed copy was answered.  An answer through
+        the relay that beat the direct copy proves the server alive and the
+        direct path lossy (a queueing server answers the direct copy first:
+        the relayed one waits behind it), so ``dst`` turns suspect.  A
+        direct answer to a call sent after suspicion began ends it."""
+        since = self._suspect.get(dst)
+        obs = self.sim.obs
+        if call.answered_via is not None:
+            if since is None:
+                self._suspect[dst] = self.sim.now
+                self.metrics.incr("rpc.suspect")
+                if obs.enabled:
+                    obs.event("rpc.suspect", label=label, dst=dst, via=call.answered_via,
+                              execution_id=request.execution_id)
+        elif since is not None and call.first_sent_at >= since:
+            del self._suspect[dst]
+            if obs.enabled:
+                obs.event("rpc.unsuspect", label=label, dst=dst,
+                          execution_id=request.execution_id)
 
     def _send_followup(self, execution_id: str, writes, dst: str) -> Generator:
         """(8a) Settle the intent: the followup rides the same retrying,

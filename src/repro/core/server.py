@@ -240,6 +240,12 @@ class LVIServer:
         if kind not in self._HANDLERS:
             raise ProtocolError(f"unknown message {kind.__name__}")
         handler, gated, floored = self._HANDLERS[kind]
+        if gated and self._is_copy(payload.execution_id):
+            # A copy of an execution this server owns or has answered (a
+            # re-sent, relayed or hedged request) pays no processing and
+            # takes no admission slot: its handler stays silent or replays
+            # the reply, from the record alone.
+            return self._guarded(getattr(self, handler)(payload, src))
         # Admission control gates only *request* traffic.  Followups,
         # decisions, and lease queries always get through: shedding them
         # would strand held locks and pending intents, hurting liveness
@@ -253,6 +259,12 @@ class LVIServer:
         else:
             inner = getattr(self, handler)(payload)
         return self._guarded(self._charge_proc(inner, batch_index, admitted))
+
+    def _is_copy(self, eid: str) -> bool:
+        """Whether a request for ``eid`` is a copy ``_dedup`` answers from
+        the record: the execution is owned here, or its reply is kept."""
+        rec = self._executions.get(eid)
+        return rec is not None and (rec.owned or rec.reply is not None)
 
     def _effective_proc_ms(self) -> float:
         """Per-message CPU cost right now: the gray-failure override when a

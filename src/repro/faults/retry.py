@@ -155,7 +155,11 @@ HALF_OPEN = "half_open"  # cooldown elapsed; one probe in flight
 
 
 class CircuitBreaker:
-    """Consecutive-failure breaker over the runtime's near-storage RPCs.
+    """Consecutive-failure breaker over the runtime's near-storage calls.
+
+    A call feeds it once: a failure when it ends unavailable, a success
+    when it is answered — however many attempts either took, so a
+    half-open probe is judged by its call, not by its first attempt.
 
     * CLOSED: requests flow; ``failure_threshold`` consecutive failures
       trip the breaker.

@@ -162,8 +162,10 @@ def critical_path(trace_spans: List[Span]) -> List[Tuple[str, float]]:
     speculative execution and the LVI round trip), the dominant enclosed
     span is named — ``phase.spec_overlap/rpc`` means the network round trip,
     not the execution, set that phase's length (the paper's max(exec, RTT)
-    argument, §3.2), and ``.../rpc+retransmit`` that the round trip waited
-    out a retransmission timeout (a lost request or reply).
+    argument, §3.2), ``.../rpc+retransmit`` that the round trip waited
+    out a retransmission timeout (a lost request or reply), and
+    ``.../rpc+relay`` that its answer came back through a relay region
+    (a detour around a lossy direct path).
     """
     eps = 1e-9
     phases = sorted(
@@ -191,7 +193,9 @@ def critical_path(trace_spans: List[Span]) -> List[Tuple[str, float]]:
             # scheduling).
             if abs(dominant.end_ms - phase.end_ms) <= 1e-6:
                 label = f"{phase.name}/{dominant.name}"
-                if dominant.attrs.get("retransmits"):
+                if dominant.attrs.get("relayed"):
+                    label += "+relay"
+                elif dominant.attrs.get("retransmits"):
                     label += "+retransmit"
         segments.append((label, phase.duration_ms))
     return segments

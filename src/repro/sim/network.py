@@ -12,7 +12,9 @@ Ohio and Portland, Oregon).  This module reproduces that world:
   appropriate one-way delay plus lognormal jitter, with failure-injection
   hooks (partitions, drop probability, duplication).
 * RPC — request/response helper used by the LVI protocol, whose single
-  round trip is the quantity the whole paper is about.
+  round trip is the quantity the whole paper is about.  A copy of a
+  request can detour through a relay region, and is answered back the
+  same way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Generator, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Iterator, Optional, Set, Tuple
 
 from ..errors import FaultConfigError
 from .core import Arrival, Event, Simulator
@@ -127,6 +129,22 @@ class LatencyTable:
 
     def regions(self) -> Set[str]:
         return {r for pair in self._rtts for r in pair}
+
+    def relay(self, src: str, dst: str, candidates: Iterable[str]) -> Optional[str]:
+        """The region of ``candidates`` a copy from ``src`` to ``dst`` best
+        detours through: the one, other than both ends, minimising
+        ``rtt(src, x) + rtt(x, dst)`` (the first such in ``candidates`` on
+        a tie).  None for a path inside one region — there is no wide-area
+        path to route around — or with no other region to use."""
+        if src == dst:
+            return None
+        best, best_rtt = None, math.inf
+        for x in candidates:
+            if x != src and x != dst:
+                rtt = self.rtt(src, x) + self.rtt(x, dst)
+                if rtt < best_rtt:
+                    best, best_rtt = x, rtt
+        return best
 
 
 def paper_latency_table(intra_rtt: float = 7.0) -> LatencyTable:
@@ -256,9 +274,22 @@ class Endpoint:
 NO_REPLY = object()
 
 
+class _Relayed:
+    """An RPC envelope ``(request, call)`` carried through the relay region
+    ``via``: the server answers it back along the same detour."""
+
+    __slots__ = ("envelope", "via")
+
+    def __init__(self, envelope: Tuple[Any, "RpcCall"], via: str):
+        self.envelope = envelope
+        self.via = via
+
+
 def _unwrapped(payload: Any) -> Any:
-    """The request inside an RPC envelope ``(request, call)``, or any
-    other payload as it is: what tracers and drop filters see."""
+    """The request inside an RPC envelope ``(request, call)`` (relayed or
+    not), or any other payload as it is: what tracers and drop filters see."""
+    if isinstance(payload, _Relayed):
+        payload = payload.envelope
     return payload[0] if isinstance(payload, tuple) and len(payload) == 2 else payload
 
 
@@ -587,6 +618,66 @@ class Network:
         self.messages_sent -= len(taken)
         self.bytes_proxy -= len(taken)
 
+    def _send_relayed(self, src: str, dst: str, via: str,
+                      envelope: Tuple[Any, "RpcCall"]) -> None:
+        """Send an RPC envelope from endpoint ``src`` to endpoint ``dst``
+        through region ``via``, an overlay detour around a failed direct
+        path (:meth:`RpcCall.attempt`).  The server sees it arrive from
+        ``src`` and answers back through ``via`` (:meth:`serve`)."""
+        if self.tracer is not None:
+            self.tracer(self.sim.now, src, dst, _unwrapped(envelope))
+        payload = _Relayed(envelope, via)
+        self._detour(src, dst, via, payload,
+                     partial(self._arrive, src, dst, payload, self.sim.now))
+
+    def _arrive(self, src: str, dst: str, payload: Any, sent_at: float) -> None:
+        self._deliver(Message(next(self._msg_ids), src, dst, payload, sent_at, self.sim.now))
+
+    def _detour(self, src: str, dst: str, via: str, payload: Any,
+                arrive: Callable[[], None], reply: bool = False) -> None:
+        """Carry one copy from endpoint ``src`` to endpoint ``dst`` through
+        region ``via`` as two legs, each a physical message judged by its
+        own link's faults, delay and jitter (never duplicated); drop
+        filters judge the copy once.  ``arrive()`` runs when it lands."""
+        src_ep = self._endpoints.get(src)
+        dst_ep = self._endpoints.get(dst)
+        if src_ep is None or dst_ep is None or self._filtered(src, dst, payload):
+            self.messages_sent += 1
+            self.bytes_proxy += 1
+            self.messages_dropped += 1
+            return
+        self._leg(src, dst, (src_ep.region, via, dst_ep.region), arrive, reply)
+
+    def _leg(self, src: str, dst: str, path: Tuple[str, ...],
+             arrive: Callable[[], None], reply: bool) -> None:
+        """The leg from ``path[0]`` to ``path[1]`` (a ``net.hop`` span of
+        its own, closed at its send instant when the link loses it), then
+        the rest of ``path`` from where it lands."""
+        here, there = path[0], path[1]
+        self.messages_sent += 1
+        self.bytes_proxy += 1
+        span = self._hop_span(src, dst, here, there)
+        if span is not None and reply:
+            span.attrs["reply"] = True
+        if self._lossy(here, there):
+            self.messages_dropped += 1
+            if span is not None:
+                span.finish(self.sim.now, status="dropped")
+            return
+        delay = self._delay(here, there)
+        if span is not None:
+            span.attrs["one_way_ms"] = delay
+        self.sim.schedule(delay, self._landed, src, dst, path[1:], arrive, span, reply)
+
+    def _landed(self, src: str, dst: str, path: Tuple[str, ...],
+                arrive: Callable[[], None], span, reply: bool) -> None:
+        if span is not None:
+            span.finish(self.sim.now, status="delivered")
+        if len(path) > 1:
+            self._leg(src, dst, path, arrive, reply)
+        else:
+            arrive()
+
     def _deliver(self, msg: Message, span=None) -> None:
         ep = self._endpoints.get(msg.dst)
         if ep is None:
@@ -627,7 +718,7 @@ class Network:
     def rpc(self, src: str, dst: str, payload: Any) -> "RpcCall":
         """One logical RPC from ``src`` to ``dst`` whose caller decides
         when to send and re-send it (:meth:`RpcCall.attempt`)."""
-        return RpcCall(self.sim, src, dst, payload, partial(self.send, src, dst))
+        return RpcCall(self, src, dst, payload, partial(self.send, src, dst))
 
     def serve(self, name: str, region: str, fn: Callable[[Any, str], Generator]) -> Endpoint:
         """Register an RPC server endpoint.
@@ -648,29 +739,44 @@ class Network:
             # One physical message may carry N logical requests: each
             # gets its own handler process and its own reply (a combined
             # reply could deadlock — releasing one item's locks may depend
-            # on another item's answer reaching its caller first).
-            batch = wrapped.envelopes if isinstance(wrapped, _RequestBatch) else (wrapped,)
+            # on another item's answer reaching its caller first).  A
+            # relayed request is answered back through its relay.
+            via = None
+            if isinstance(wrapped, _RequestBatch):
+                batch = wrapped.envelopes
+            elif isinstance(wrapped, _Relayed):
+                batch, via = (wrapped.envelope,), wrapped.via
+            else:
+                batch = (wrapped,)
             for request, call in batch:
                 self.sim.spawn_in_dispatch(
-                    self._run_server_handler(fn, request, src, name, call),
+                    self._run_server_handler(fn, request, src, name, call, via),
                     name=handler_name,
                 )
 
         return self.register_handler(name, region, on_delivery)
 
     def _run_server_handler(
-        self, fn: Callable, request: Any, src: str, server: str, call: "RpcCall"
+        self, fn: Callable, request: Any, src: str, server: str, call: "RpcCall",
+        via: Optional[str],
     ) -> Generator:
         try:
             result = yield from fn(request, src)
         except Exception as exc:  # propagate server-side failure to caller
-            self._send_reply(server, call, exc, failed=True)
+            self._send_reply(server, call, exc, True, via)
             return
         if result is NO_REPLY:
             return
-        self._send_reply(server, call, result, failed=False)
+        self._send_reply(server, call, result, False, via)
 
-    def _send_reply(self, server: str, call: "RpcCall", value: Any, failed: bool) -> None:
+    def _send_reply(self, server: str, call: "RpcCall", value: Any, failed: bool,
+                    via: Optional[str] = None) -> None:
+        if via is not None:
+            if self.tracer is not None:
+                self.tracer(self.sim.now, server, call.src, value)
+            self._detour(server, call.src, via, value,
+                         partial(call._answer, value, failed, via), reply=True)
+            return
         src_ep = self._endpoints.get(server)
         dst_ep = self._endpoints.get(call.src)
         self.messages_sent += 1
@@ -713,6 +819,11 @@ class RpcCall:
     a copy re-sent after a loss, or a late answer to an earlier copy, ends
     it alike; later answers are duplicates and dropped.
 
+    A copy travels direct, or through the region :attr:`relay` when one is
+    set: every re-send does, and with :attr:`hedged` each attempt sends a
+    relayed copy beside its direct one.  :attr:`answered_via` is the relay
+    the winning answer came back through (None: the direct path).
+
     The caller waits in *attempts* (:meth:`attempt`, one at a time): each
     sends a copy, may re-send within itself at a retransmission timeout,
     and ends at its deadline with :class:`RpcTimeout`, leaving the slot
@@ -724,15 +835,16 @@ class RpcCall:
 
     __slots__ = (
         "sim", "src", "dst", "payload", "sends", "first_sent_at", "last_sent_at",
-        "answered", "answered_at", "_value", "_send", "_batched",
+        "answered", "answered_at", "answered_via", "relay", "hedged",
+        "_value", "_net", "_send", "_batched",
         # The current attempt's state.
         "_waiting", "_timer", "_timeout", "_deadline_at", "_rto_ms",
         "_resend", "_resent", "_expired",
     )
 
-    def __init__(self, sim: Simulator, src: str, dst: str, payload: Any,
+    def __init__(self, net: Network, src: str, dst: str, payload: Any,
                  send: Callable[[Tuple[Any, "RpcCall"]], Any], batched: bool = False):
-        self.sim = sim
+        self.sim = net.sim
         self.src = src
         self.dst = dst
         self.payload = payload
@@ -740,7 +852,11 @@ class RpcCall:
         self.first_sent_at = self.last_sent_at = 0.0
         self.answered = False
         self.answered_at = 0.0
+        self.answered_via: Optional[str] = None
+        self.relay: Optional[str] = None   # the region re-sends go through
+        self.hedged = False                # each attempt also sends a relayed copy
         self._value: Any = None
+        self._net = net
         self._send = send
         self._batched = batched
         self._waiting: Optional[Arrival] = None
@@ -760,19 +876,21 @@ class RpcCall:
         resend: Optional[Callable[["RpcCall"], bool]] = None,
     ) -> Generator:
         """Wait up to ``timeout`` ms for the call's answer, first sending a
-        copy (none if an answer already landed: it is returned at once).
+        copy, and a relayed one too when :attr:`hedged` (none if an answer
+        already landed: it is returned at once).
 
         ``rto_ms`` (None: never) is the retransmission timeout: if no
         answer came that long after the last copy, another copy goes out
-        — unless ``resend(call)`` says not now — and the timeout doubles
-        for the next expiry either way.  One timer plays both parts — armed for the next
-        re-send while that falls before the deadline, then for the
-        deadline — and is cancelled (so never dispatched) when the attempt
-        ends any other way.  The attempt
-        waits on an :class:`Arrival` that only an answer's delivery or that
-        timer completes, so either resumes the caller in place.  Finishes
-        an ``rpc`` span (ok / timeout / error; ``retransmits`` when it
-        re-sent)."""
+        — through :attr:`relay` when one is set, unless ``resend(call)``
+        says not now — and the timeout doubles for the next expiry either
+        way.  One timer plays both parts — armed for the next re-send
+        while that falls before the deadline, then for the deadline — and
+        is cancelled (so never dispatched) when the attempt ends any other
+        way.  The attempt waits on an :class:`Arrival` that only an
+        answer's delivery or that timer completes, so either resumes the
+        caller in place.  Finishes an ``rpc`` span (ok / timeout / error;
+        ``retransmits`` when it re-sent, ``relayed`` when the answer came
+        back through a relay)."""
         if self.answered:
             return self._value
         sim = self.sim
@@ -786,6 +904,8 @@ class RpcCall:
             )
         reply = self._waiting = Arrival(sim, name="rpc")
         self._send_copy()
+        if self.hedged:
+            self._send_copy(self.relay)
         self._timeout = timeout
         self._deadline_at = None if timeout is None else sim.now + timeout
         self._rto_ms = rto_ms
@@ -807,6 +927,8 @@ class RpcCall:
             if span is not None:
                 if self._resent:
                     span.attrs["retransmits"] = self._resent
+                if status == "ok" and self.answered_via is not None:
+                    span.attrs["relayed"] = True
                 span.finish(sim.now, status=status)
 
     def _arm(self, left: Optional[float]) -> None:
@@ -821,7 +943,7 @@ class RpcCall:
     def _retransmit(self) -> None:
         if self._resend is None or self._resend(self):
             self._resent += 1
-            self._send_copy()
+            self._send_copy(self.relay)
         self._rto_ms *= 2
         deadline_at = self._deadline_at
         self._arm(None if deadline_at is None else deadline_at - self.sim.now)
@@ -833,20 +955,27 @@ class RpcCall:
             f"rpc {self.src}->{self.dst} timed out after {self._timeout} ms"
         ))
 
-    def _send_copy(self) -> None:
+    def _send_copy(self, via: Optional[str] = None) -> None:
+        """A copy on the direct path, or — relayed copies bypass any
+        batcher — through the region ``via``."""
         self.sends += 1
         self.last_sent_at = self.sim.now
         if self.sends == 1:
             self.first_sent_at = self.last_sent_at
-        self._send((self.payload, self))
+        if via is None:
+            self._send((self.payload, self))
+        else:
+            self._net._send_relayed(self.src, self.dst, via, (self.payload, self))
 
-    def _answer(self, value: Any, failed: bool) -> None:
-        """An answer to some copy landed (a delivery entry)."""
+    def _answer(self, value: Any, failed: bool, via: Optional[str] = None) -> None:
+        """An answer to some copy landed (a delivery entry), back through
+        the relay ``via`` or (None) directly."""
         if self.answered:
             return  # an answer to another copy won: a duplicate
         if not failed:
             self.answered = True
             self.answered_at = self.sim.now
+            self.answered_via = via
             self._value = value
         waiting = self._waiting
         if waiting is not None and not waiting.triggered:
@@ -886,8 +1015,9 @@ class RequestBatcher:
     virtual time; everything enqueued to that destination before the
     window closes ships as *one* physical message.  Only the request leg
     is batched — every member keeps its own reply slot, so responses,
-    timeouts, and re-sends are entirely per-request (a re-sent copy goes
-    through the batcher again and may land in a different batch).
+    timeouts, and re-sends are entirely per-request (a direct re-sent copy
+    goes through the batcher again and may land in a different batch; a
+    relayed one bypasses it).
 
     A flush of exactly one request sends the plain RPC envelope, which is
     indistinguishable on the wire from an unbatched :meth:`Network.call`;
@@ -914,7 +1044,7 @@ class RequestBatcher:
     def rpc(self, dst: str, payload: Any) -> RpcCall:
         """Drop-in replacement for ``net.rpc(self.src, dst, ...)``: every
         copy of the call goes through the batcher."""
-        return RpcCall(self.net.sim, self.src, dst, payload,
+        return RpcCall(self.net, self.src, dst, payload,
                        partial(self._enqueue, dst), batched=True)
 
     def _enqueue(self, dst: str, envelope: Tuple[Any, RpcCall]) -> None:

@@ -376,6 +376,7 @@ class Deployment:
                 sim, self.net, spec.mesh, list(spec.regions), self.metrics
             )
         warm = _warm_snapshot(self.stores) if spec.warm_caches else None
+        server_names = [server.name for server in self.servers + self.replicas]
         for region in pop_regions:
             if self.mesh is not None:
                 cache = self.mesh.make_pop(region, persistent=spec.persistent_caches)
@@ -389,6 +390,10 @@ class Deployment:
                 self.streams, self.metrics, router=self.router,
                 pop=self.mesh.pop(region) if self.mesh is not None else None,
             )
+            # Every server lives in the primary region: one relay each.
+            relay = latency.relay(region, spec.primary_region, pop_regions)
+            if relay is not None:
+                self.runtimes[region].relays = dict.fromkeys(server_names, relay)
         if self.mesh is not None:
             # After every runtime: gossip endpoints must not perturb the
             # endpoint-name counters the runtimes draw from.

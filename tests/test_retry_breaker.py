@@ -1,6 +1,8 @@
 """Retry-policy determinism, circuit-breaker state machine, and the
 runtime's degradation ladder under a total near-storage blackout."""
 
+import math
+
 import pytest
 
 from repro.core import RadicalConfig
@@ -128,7 +130,17 @@ class TestCircuitBreaker:
 
 class TestDegradationLadder:
     """A total near-storage blackout: every invocation must still terminate
-    within its deadline, ending in a clean ``UnavailableError``."""
+    within its deadline, ending in a clean ``UnavailableError``.  Total
+    means JP's direct path to VA and its relay's (CA's) are both down: a
+    cut of the direct path alone is routed around."""
+
+    @staticmethod
+    def blackout(end_ms=math.inf):
+        return tuple(
+            DropWindow(region, Region.VA, start_ms=0.0, end_ms=end_ms,
+                       probability=1.0, bidirectional=True)
+            for region in (Region.JP, Region.CA)
+        )
 
     def blackout_config(self):
         return RadicalConfig(
@@ -146,11 +158,7 @@ class TestDegradationLadder:
         sim, net, store, server, runtimes, metrics = build_counter_stack(
             config=self.blackout_config()
         )
-        plan = FaultPlan(
-            name="blackout",
-            actions=(DropWindow(Region.JP, Region.VA, start_ms=0.0,
-                                probability=1.0, bidirectional=True),),
-        )
+        plan = FaultPlan(name="blackout", actions=self.blackout())
         FaultScheduler(sim, net, plan, metrics=metrics).start()
         rt = runtimes[Region.JP]
         outcomes = []
@@ -179,12 +187,7 @@ class TestDegradationLadder:
         sim, net, store, server, runtimes, metrics = build_counter_stack(
             config=self.blackout_config()
         )
-        plan = FaultPlan(
-            name="outage-then-heal",
-            actions=(DropWindow(Region.JP, Region.VA, start_ms=0.0,
-                                end_ms=4000.0, probability=1.0,
-                                bidirectional=True),),
-        )
+        plan = FaultPlan(name="outage-then-heal", actions=self.blackout(end_ms=4000.0))
         FaultScheduler(sim, net, plan, metrics=metrics).start()
         rt = runtimes[Region.JP]
         results = []
