@@ -16,10 +16,14 @@ report
   the mesh is supposed to bound;
 * the gossip cost counters (digests sent, updates shipped/applied).
 
-The chaos variant cuts the JP PoP's *gossip links only* (``wan=False`` —
-the LVI path stays up), isolating the mesh's degradation mode: while
-partitioned, JP decays to exactly the mesh-off staleness curve, and the
-surviving PoPs keep gossiping.
+The chaos variant islands the JP PoP for two seconds: its links to every
+other region are cut — the other PoPs' gossip and the LVI path to VA
+alike — so its calls stall until the heal while the surviving PoPs keep
+gossiping.  A cut of the gossip links only would measure nothing here:
+VA's PoP sits beside the primary, so with the JP–VA link up JP still
+hears every update through it, and every such row's abort rate, backup
+rate and median equal its fault-free row's (measured on this sweep at
+seed 42).
 
 ``radical-repro run mesh`` drives this and writes ``results/mesh.json``;
 ``--smoke`` runs a CI-sized slice (forum only, one interval).  Both are
@@ -57,15 +61,16 @@ MIN_APPLIED_PER_SHIPPED = 0.2
 def mesh_partition_plan(
     start_ms: float = 400.0, end_ms: float = 2_400.0
 ) -> FaultPlan:
-    """The sweep's chaos case: JP loses every gossip peer for the window
-    but keeps its WAN link to the primary — mesh freshness degrades while
-    the protocol keeps running, which is precisely the regime where the
-    abort-rate gap between mesh-on and mesh-off closes."""
-    peers = tuple(r for r in Region.NEAR_USER if r != Region.JP)
+    """The sweep's chaos case: JP is islanded for the window — its links
+    to the other PoPs (CA, IE, DE) and to the primary's region (VA, the
+    LVI path and VA's PoP's gossip alike) are cut, and its lost calls are
+    re-sent once the island heals.  (A gossip-only cut that leaves VA up
+    moves nothing: JP still hears every update through VA's PoP.)"""
+    peers = (Region.CA, Region.IE, Region.DE)
     return FaultPlan(
         "mesh-bench-pop-partition",
-        (PoPPartitionWindow(Region.JP, start_ms, end_ms, peers=peers, wan=False),),
-        "JP's gossip links are cut mid-run; the LVI path stays up",
+        (PoPPartitionWindow(Region.JP, start_ms, end_ms, peers=peers, wan=True),),
+        "JP is islanded mid-run: its gossip links and its LVI path are cut",
         mesh=True,
     )
 

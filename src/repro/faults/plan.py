@@ -202,7 +202,9 @@ class PoPPartitionWindow:
     """Isolate a mesh PoP for the window: cut the region's links to the
     named mesh ``peers``, and (``wan=True``) to the primary's region too —
     the full island scenario where neither gossip nor the LVI path works
-    and the PoP's clients must migrate to survive."""
+    and the PoP's clients must migrate to survive.  ``wan=False`` with the
+    primary's region among the ``peers`` is refused: that cut takes the
+    LVI path down while saying it stays up."""
 
     region: str
     start_ms: float
@@ -223,6 +225,12 @@ class PoPPartitionWindow:
         if self.region in self.peers:
             raise FaultConfigError(
                 f"pop_partition({self.region}): region cannot be its own peer"
+            )
+        if not self.wan and self.wan_region in self.peers:
+            raise FaultConfigError(
+                f"pop_partition({self.region}): wan=False but the peers include "
+                f"the primary's region {self.wan_region!r}, so the LVI path is "
+                f"cut too; say wan=True"
             )
 
     def cut_pairs(self) -> Tuple[Tuple[str, str], ...]:

@@ -20,7 +20,6 @@ from .network import (
     Batched,
     Endpoint,
     LatencyTable,
-    Message,
     NO_REPLY,
     Network,
     PAPER_RTT_TO_PRIMARY,
@@ -52,7 +51,6 @@ __all__ = [
     "Interrupted",
     "LatencyTable",
     "MatrixFileRttDataset",
-    "Message",
     "Metrics",
     "NO_REPLY",
     "Network",

@@ -19,7 +19,6 @@ Ohio and Portland, Oregon).  This module reproduces that world:
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -40,9 +39,7 @@ __all__ = [
     "Network",
     "Endpoint",
     "RpcTimeout",
-    "RpcDropped",
     "RpcCall",
-    "Message",
     "Batched",
     "RequestBatcher",
 ]
@@ -187,37 +184,6 @@ class RpcTimeout(Exception):
     """An RPC did not receive its response within the caller's deadline."""
 
 
-class RpcDropped(Exception):
-    """Internal marker: the request or response was lost (partition/drop)."""
-
-
-class Message:
-    """A payload in flight between two endpoints (for tracing and tests).
-
-    A ``__slots__`` class rather than a dataclass: one is allocated per
-    physical message, which makes it one of the hottest allocations in the
-    simulator.
-    """
-
-    __slots__ = ("msg_id", "src", "dst", "payload", "sent_at", "deliver_at")
-
-    def __init__(
-        self,
-        msg_id: int,
-        src: str,
-        dst: str,
-        payload: Any,
-        sent_at: float,
-        deliver_at: float,
-    ):
-        self.msg_id = msg_id
-        self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.sent_at = sent_at
-        self.deliver_at = deliver_at
-
-
 class HeldMessage:
     """A message queued now that leaves its sender at the later instant
     ``sent_at`` (:meth:`Network.send_at`).  Until then the sender may still
@@ -287,7 +253,8 @@ class _Relayed:
 
 def _unwrapped(payload: Any) -> Any:
     """The request inside an RPC envelope ``(request, call)`` (relayed or
-    not), or any other payload as it is: what tracers and drop filters see."""
+    not), or any other payload as it is: what tracers and drop filters see
+    of any copy but a reply."""
     if isinstance(payload, _Relayed):
         payload = payload.envelope
     return payload[0] if isinstance(payload, tuple) and len(payload) == 2 else payload
@@ -318,13 +285,11 @@ class Network:
         self._endpoints: Dict[str, Endpoint] = {}
         self._faults: Dict[Tuple[str, str], _LinkFaults] = {}
         self._drop_filters: list = []
-        self._msg_ids = itertools.count()
         # Messages queued by send_at, oldest first; the ones still ahead of
         # their send instant freeze their link's faults and the drop filters.
         self._held: deque = deque()
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.bytes_proxy = 0  # count of payloads, a proxy for bandwidth cost
         #: Optional hook called as tracer(time, src, dst, payload) on every
         #: send — protocol-conformance tests record message sequences here.
         #: A held message (:meth:`send_at`) is reported when its copy
@@ -418,12 +383,13 @@ class Network:
     def add_drop_filter(self, fn: Callable[[str, str, Any], bool]) -> None:
         """Install a payload-level drop predicate.
 
-        ``fn(src_name, dst_name, payload)`` is consulted for every message
-        copy (requests and replies; RPC envelopes are unwrapped first) and
-        a ``True`` verdict eats the copy.  Filters let a fault plan target
-        one message *type* — e.g. lose every :class:`WriteFollowup` during
-        a window — without disturbing the link's other traffic or its RNG
-        draws."""
+        ``fn(src_name, dst_name, payload)`` is consulted once for every
+        copy that is not held (:meth:`send_at`), requests and replies alike
+        (a request's RPC envelope is unwrapped first, a reply's value is
+        judged as it is), and a ``True`` verdict eats the copy.  Filters
+        let a fault plan target one message *type* — e.g. lose every
+        :class:`WriteFollowup` during a window — without disturbing the
+        link's other traffic or its RNG draws."""
         self._refuse_while_holding("a drop filter was added")
         self._drop_filters.append(fn)
 
@@ -438,12 +404,6 @@ class Network:
                 f"{what} while a held message was still ahead of its send "
                 "instant: its fate was decided when it was queued"
             )
-
-    def _filtered(self, src: str, dst: str, payload: Any) -> bool:
-        if not self._drop_filters:
-            return False
-        inner = _unwrapped(payload)
-        return any(fn(src, dst, inner) for fn in self._drop_filters)
 
     # -- transmission ----------------------------------------------------------
 
@@ -464,67 +424,118 @@ class Network:
             return True
         return fault.drop_probability > 0 and self._drop_rng.random() < fault.drop_probability
 
-    def _hop_span(self, src: str, dst: str, src_region: str, dst_region: str,
-                  start_ms: Optional[float] = None):
-        """Start one ``net.hop`` span per physical message copy (or None
-        with tracing disabled), at ``start_ms`` (default now).  Every hop
-        span is closed exactly once — at delivery, or at its send instant
-        when failure injection eats the copy — so span accounting balances
-        even under drops and partitions."""
-        obs = self.sim.obs
-        if not obs.enabled:
-            return None
-        return obs.start(
-            "net.hop", kind="net", start_ms=start_ms,
-            src=src, dst=dst, src_region=src_region, dst_region=dst_region,
-        )
-
-    def send(self, src: str, dst: str, payload: Any) -> Optional[Message]:
-        """Fire-and-forget delivery from endpoint ``src`` to endpoint ``dst``.
-
-        Returns the in-flight :class:`Message` (or ``None`` if it was
-        dropped at send time by failure injection).
-        """
-        src_ep = self._endpoints[src]
-        dst_ep = self._endpoints.get(dst)
-        self.messages_sent += 1
-        self.bytes_proxy += 1
-        if self.tracer is not None:
-            self.tracer(self.sim.now, src, dst, _unwrapped(payload))
-        dst_region = dst_ep.region if dst_ep is not None else "?"
-        span = self._hop_span(src, dst, src_ep.region, dst_region)
-        if (
-            dst_ep is None
-            or self._filtered(src, dst, payload)
-            or self._lossy(src_ep.region, dst_ep.region)
-        ):
-            self.messages_dropped += 1
-            if span is not None:
-                span.finish(self.sim.now, status="dropped")
-            return None
-        delay = self._delay(src_ep.region, dst_ep.region)
-        if span is not None:
-            span.attrs["one_way_ms"] = delay
-        msg = Message(
-            msg_id=next(self._msg_ids),
-            src=src,
-            dst=dst,
-            payload=payload,
-            sent_at=self.sim.now,
-            deliver_at=self.sim.now + delay,
-        )
-        self.sim.schedule(delay, self._deliver, msg, span)
-        fault = self._faults.get((src_ep.region, dst_ep.region))
-        if (
+    def _duplicated(self, src_region: str, dst_region: str) -> bool:
+        fault = self._faults.get((src_region, dst_region))
+        return (
             fault is not None
             and fault.duplicate_probability > 0
             and self._drop_rng.random() < fault.duplicate_probability
-        ):
-            dup_span = self._hop_span(src, dst, src_ep.region, dst_ep.region)
-            if dup_span is not None:
-                dup_span.attrs["duplicate"] = True
-            self.sim.schedule(delay + 0.1, self._deliver, msg, dup_span)
-        return msg
+        )
+
+    def _hop_span(self, src: str, dst: str, src_region: str, dst_region: str,
+                  start_ms: Optional[float] = None, reply: bool = False):
+        """Start one ``net.hop`` span per physical message copy (or None
+        with tracing disabled), at ``start_ms`` (default now).  Every hop
+        span is closed exactly once — where the copy lands, or at its send
+        instant when failure injection eats it — so span accounting
+        balances even under drops and partitions."""
+        obs = self.sim.obs
+        if not obs.enabled:
+            return None
+        span = obs.start(
+            "net.hop", kind="net", start_ms=start_ms,
+            src=src, dst=dst, src_region=src_region, dst_region=dst_region,
+        )
+        if reply:
+            span.attrs["reply"] = True
+        return span
+
+    def send(self, src: str, dst: str, payload: Any) -> None:
+        """Fire-and-forget delivery from endpoint ``src`` (which must be
+        registered: :class:`KeyError`) to endpoint ``dst``."""
+        if src not in self._endpoints:
+            raise KeyError(src)
+        self._transmit(src, dst, payload, duplicable=True)
+
+    def _transmit(self, src: str, dst: str, payload: Any, via: Optional[str] = None,
+                  land: Optional[Callable[[], None]] = None, reply: bool = False,
+                  duplicable: bool = False) -> None:
+        """Put one copy on the wire: the only way a copy travels, a held one
+        (:meth:`send_at`) aside.
+
+        The tracer sees the copy once and the drop filters judge it once —
+        a reply's value as it is, any other payload unwrapped from its RPC
+        envelope.  It then walks its region path, ``src``'s region to
+        ``dst``'s, through ``via`` when given, one leg at a time
+        (:meth:`_leg`).  A copy whose endpoint at either end is missing, or
+        that a filter eats, is lost on its first leg.  Where the last leg
+        lands, ``land()`` runs if given (a reply answering its call), else
+        the copy is delivered to ``dst``.  Only a ``duplicable`` copy (a
+        direct :meth:`send`) may land twice."""
+        src_ep = self._endpoints.get(src)
+        dst_ep = self._endpoints.get(dst)
+        inner = payload if reply else _unwrapped(payload)
+        if self.tracer is not None:
+            self.tracer(self.sim.now, src, dst, inner)
+        here = "?" if src_ep is None else src_ep.region
+        there = "?" if dst_ep is None else dst_ep.region
+        eaten = src_ep is None or dst_ep is None or (
+            bool(self._drop_filters) and any(fn(src, dst, inner) for fn in self._drop_filters)
+        )
+        path = (here, there) if via is None else (here, via, there)
+        self._leg(src, dst, payload, path, land, reply, duplicable, eaten)
+
+    def _leg(self, src: str, dst: str, payload: Any, path: Tuple[str, ...],
+             land: Optional[Callable[[], None]], reply: bool, duplicable: bool,
+             eaten: bool = False) -> None:
+        """The leg from region ``path[0]`` to ``path[1]``, one physical
+        message: counted, spanned, then lost, or delayed (and, for a
+        ``duplicable`` copy, maybe duplicated) to one queue entry where it
+        lands — the next leg's start while ``path`` goes on."""
+        here, there = path[0], path[1]
+        sim = self.sim
+        self.messages_sent += 1
+        span = self._hop_span(src, dst, here, there, reply=reply)
+        if eaten or self._lossy(here, there):
+            self.messages_dropped += 1
+            if span is not None:
+                span.finish(sim.now, status="dropped")
+            return
+        delay = self._delay(here, there)
+        if span is not None:
+            span.attrs["one_way_ms"] = delay
+        if len(path) > 2:
+            land = partial(self._leg, src, dst, payload, path[1:], land, reply, False)
+        if land is not None:
+            sim.schedule(delay, self._land, land, span)
+        else:
+            sim.schedule(delay, self._deliver, src, dst, payload, span)
+            if duplicable and self._duplicated(here, there):
+                dup_span = self._hop_span(src, dst, here, there)
+                if dup_span is not None:
+                    dup_span.attrs["duplicate"] = True
+                sim.schedule(delay + 0.1, self._deliver, src, dst, payload, dup_span)
+
+    def _land(self, land: Callable[[], None], span) -> None:
+        if span is not None:
+            span.finish(self.sim.now, status="delivered")
+        land()
+
+    def _deliver(self, src: str, dst: str, payload: Any, span) -> None:
+        ep = self._endpoints.get(dst)
+        if ep is None:
+            self.messages_dropped += 1
+            if span is not None:
+                span.finish(self.sim.now, status="dropped")
+            return
+        if span is not None:
+            span.finish(self.sim.now, status="delivered")
+        if ep.handler is not None:
+            result = ep.handler(payload, src)
+            if result is not None and hasattr(result, "send"):
+                self.sim.spawn(result, name=ep._proc_name)
+        else:
+            ep.inbox.put(payload)
 
     def send_at(self, sent_at: float, src: str, dst: str, payload: Any) -> None:
         """:meth:`send` from the later instant ``sent_at`` (a Raft follower's
@@ -559,19 +570,13 @@ class Network:
             queue.popleft()
         queue.append(held)
         self.messages_sent += 1
-        self.bytes_proxy += 1
         schedule_at = self.sim._schedule_at
         if self._lossy(src_region, dst_region):
             schedule_at(sent_at, self._emit_held, held, None, False)
             return
         delay = self._delay(src_region, dst_region)
         schedule_at(sent_at + delay, self._emit_held, held, delay, False)
-        fault = self._faults.get((src_region, dst_region))
-        if (
-            fault is not None
-            and fault.duplicate_probability > 0
-            and self._drop_rng.random() < fault.duplicate_probability
-        ):
+        if self._duplicated(src_region, dst_region):
             schedule_at(sent_at + (delay + 0.1), self._emit_held, held, delay, True)
 
     def _emit_held(self, held: HeldMessage, delay: Optional[float], duplicate: bool) -> None:
@@ -594,10 +599,7 @@ class Network:
                 span.attrs["duplicate"] = True
             else:
                 span.attrs["one_way_ms"] = delay
-        self._deliver(
-            Message(next(self._msg_ids), src, dst, held.payload, sent_at, sent_at + delay),
-            span,
-        )
+        self._deliver(src, dst, held.payload, span)
 
     def _pending_held(self) -> Iterator[HeldMessage]:
         """The held messages still ahead of their send instant, oldest first."""
@@ -616,83 +618,6 @@ class Network:
         for held in taken:
             held.withdrawn = True
         self.messages_sent -= len(taken)
-        self.bytes_proxy -= len(taken)
-
-    def _send_relayed(self, src: str, dst: str, via: str,
-                      envelope: Tuple[Any, "RpcCall"]) -> None:
-        """Send an RPC envelope from endpoint ``src`` to endpoint ``dst``
-        through region ``via``, an overlay detour around a failed direct
-        path (:meth:`RpcCall.attempt`).  The server sees it arrive from
-        ``src`` and answers back through ``via`` (:meth:`serve`)."""
-        if self.tracer is not None:
-            self.tracer(self.sim.now, src, dst, _unwrapped(envelope))
-        payload = _Relayed(envelope, via)
-        self._detour(src, dst, via, payload,
-                     partial(self._arrive, src, dst, payload, self.sim.now))
-
-    def _arrive(self, src: str, dst: str, payload: Any, sent_at: float) -> None:
-        self._deliver(Message(next(self._msg_ids), src, dst, payload, sent_at, self.sim.now))
-
-    def _detour(self, src: str, dst: str, via: str, payload: Any,
-                arrive: Callable[[], None], reply: bool = False) -> None:
-        """Carry one copy from endpoint ``src`` to endpoint ``dst`` through
-        region ``via`` as two legs, each a physical message judged by its
-        own link's faults, delay and jitter (never duplicated); drop
-        filters judge the copy once.  ``arrive()`` runs when it lands."""
-        src_ep = self._endpoints.get(src)
-        dst_ep = self._endpoints.get(dst)
-        if src_ep is None or dst_ep is None or self._filtered(src, dst, payload):
-            self.messages_sent += 1
-            self.bytes_proxy += 1
-            self.messages_dropped += 1
-            return
-        self._leg(src, dst, (src_ep.region, via, dst_ep.region), arrive, reply)
-
-    def _leg(self, src: str, dst: str, path: Tuple[str, ...],
-             arrive: Callable[[], None], reply: bool) -> None:
-        """The leg from ``path[0]`` to ``path[1]`` (a ``net.hop`` span of
-        its own, closed at its send instant when the link loses it), then
-        the rest of ``path`` from where it lands."""
-        here, there = path[0], path[1]
-        self.messages_sent += 1
-        self.bytes_proxy += 1
-        span = self._hop_span(src, dst, here, there)
-        if span is not None and reply:
-            span.attrs["reply"] = True
-        if self._lossy(here, there):
-            self.messages_dropped += 1
-            if span is not None:
-                span.finish(self.sim.now, status="dropped")
-            return
-        delay = self._delay(here, there)
-        if span is not None:
-            span.attrs["one_way_ms"] = delay
-        self.sim.schedule(delay, self._landed, src, dst, path[1:], arrive, span, reply)
-
-    def _landed(self, src: str, dst: str, path: Tuple[str, ...],
-                arrive: Callable[[], None], span, reply: bool) -> None:
-        if span is not None:
-            span.finish(self.sim.now, status="delivered")
-        if len(path) > 1:
-            self._leg(src, dst, path, arrive, reply)
-        else:
-            arrive()
-
-    def _deliver(self, msg: Message, span=None) -> None:
-        ep = self._endpoints.get(msg.dst)
-        if ep is None:
-            self.messages_dropped += 1
-            if span is not None:
-                span.finish(self.sim.now, status="dropped")
-            return
-        if span is not None:
-            span.finish(self.sim.now, status="delivered")
-        if ep.handler is not None:
-            result = ep.handler(msg.payload, msg.src)
-            if result is not None and hasattr(result, "send"):
-                self.sim.spawn(result, name=ep._proc_name)
-        else:
-            ep.inbox.put(msg.payload)
 
     # -- RPC ---------------------------------------------------------------------
 
@@ -771,45 +696,10 @@ class Network:
 
     def _send_reply(self, server: str, call: "RpcCall", value: Any, failed: bool,
                     via: Optional[str] = None) -> None:
-        if via is not None:
-            if self.tracer is not None:
-                self.tracer(self.sim.now, server, call.src, value)
-            self._detour(server, call.src, via, value,
-                         partial(call._answer, value, failed, via), reply=True)
-            return
-        src_ep = self._endpoints.get(server)
-        dst_ep = self._endpoints.get(call.src)
-        self.messages_sent += 1
-        self.bytes_proxy += 1
-        if self.tracer is not None:
-            self.tracer(self.sim.now, server, call.src, value)
-        span = self._hop_span(
-            server, call.src,
-            src_ep.region if src_ep is not None else "?",
-            dst_ep.region if dst_ep is not None else "?",
-        )
-        if span is not None:
-            span.attrs["reply"] = True
-        if (
-            src_ep is None
-            or dst_ep is None
-            or self._filtered(server, call.src, value)
-            or self._lossy(src_ep.region, dst_ep.region)
-        ):
-            self.messages_dropped += 1
-            if span is not None:
-                span.finish(self.sim.now, status="dropped")
-            return
-        delay = self._delay(src_ep.region, dst_ep.region)
-        if span is not None:
-            span.attrs["one_way_ms"] = delay
-
-        def complete() -> None:
-            if span is not None:
-                span.finish(self.sim.now, status="delivered")
-            call._answer(value, failed)
-
-        self.sim.schedule(delay, complete)
+        """Answer ``call`` from ``server``, back through ``via`` when the
+        request came that way; the answer lands as ``call._answer``."""
+        self._transmit(server, call.src, value, via,
+                       partial(call._answer, value, failed, via), reply=True)
 
 
 class RpcCall:
@@ -965,7 +855,7 @@ class RpcCall:
         if via is None:
             self._send((self.payload, self))
         else:
-            self._net._send_relayed(self.src, self.dst, via, (self.payload, self))
+            self._net._transmit(self.src, self.dst, _Relayed((self.payload, self), via), via)
 
     def _answer(self, value: Any, failed: bool, via: Optional[str] = None) -> None:
         """An answer to some copy landed (a delivery entry), back through
@@ -1034,12 +924,6 @@ class RequestBatcher:
         self.window_ms = window_ms
         self.metrics = metrics
         self._queues: Dict[str, list] = {}
-
-    def call(
-        self, dst: str, payload: Any, timeout: Optional[float] = None
-    ) -> Generator:
-        """Drop-in replacement for ``net.call(self.src, dst, ...)``."""
-        return (yield from self.rpc(dst, payload).attempt(timeout))
 
     def rpc(self, dst: str, payload: Any) -> RpcCall:
         """Drop-in replacement for ``net.rpc(self.src, dst, ...)``: every

@@ -229,8 +229,3 @@ class IdempotencyTable:
 
     def claimed(self, execution_id: str, site: str) -> bool:
         return self.store.exists(IDEM_TABLE, f"{execution_id}:{site}")
-
-    def remove(self, execution_id: str) -> None:
-        """Garbage-collect both slots once the execution is fully settled."""
-        self.store.delete(IDEM_TABLE, f"{execution_id}:{self.NEAR_USER}")
-        self.store.delete(IDEM_TABLE, f"{execution_id}:{self.NEAR_STORAGE}")

@@ -437,7 +437,7 @@ def _call_through_network(net):
 def _call_through_batcher(net):
     net.register("client", Region.CA)
     batcher = RequestBatcher(net, "client", window_ms=2.0)
-    return lambda payload, timeout: batcher.call("server", payload, timeout=timeout)
+    return lambda payload, timeout: batcher.rpc("server", payload).attempt(timeout)
 
 
 @pytest.mark.parametrize(

@@ -456,6 +456,26 @@ class TestPlanOverlapValidation:
         with pytest.raises(FaultConfigError, match="conflicting windows"):
             plan.validate()
 
+    def test_a_gossip_only_cut_may_not_cut_the_primary(self):
+        # wan=False says the LVI path stays up; a peer in the primary's
+        # region would cut it anyway.
+        with pytest.raises(FaultConfigError, match="wan=False"):
+            PoPPartitionWindow(
+                Region.JP, 500.0, 1_500.0, peers=(Region.VA, Region.CA), wan=False,
+            ).validate()
+        PoPPartitionWindow(Region.JP, 500.0, 1_500.0, peers=(Region.CA,), wan=False).validate()
+
+    def test_the_mesh_sweep_islands_jp(self):
+        from repro.bench.mesh import mesh_partition_plan
+
+        plan = mesh_partition_plan()
+        plan.validate()
+        (window,) = plan.actions
+        assert window.wan
+        assert sorted(window.cut_pairs()) == [
+            (Region.JP, r) for r in sorted((Region.CA, Region.DE, Region.IE, Region.VA))
+        ]
+
     def test_error_names_both_windows(self):
         plan = FaultPlan("p", (
             CrashWindow("lvi-server", 100.0, 900.0),

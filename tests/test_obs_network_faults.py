@@ -204,6 +204,58 @@ class TestPartitions:
         assert reply_spans[0].attrs["status"] == "dropped"
 
 
+class TestRelayedCopies:
+    """A relayed copy is one ``net.hop`` span per leg, like any other
+    physical message: also when it is lost before its first leg."""
+
+    @staticmethod
+    def _jp_client():
+        sim, net = build()
+
+        def echo(payload, src):
+            return payload
+            yield  # pragma: no cover
+
+        net.register("client", Region.JP)
+        net.serve("server", Region.VA, echo)
+        return sim, net
+
+    def test_a_copy_eaten_before_its_first_leg_gets_a_span(self):
+        sim, net = self._jp_client()
+        net.add_drop_filter(lambda src, dst, payload: payload == "eaten")
+        call = net.rpc("client", "server", "eaten")
+        call.relay, call.hedged = Region.CA, True
+
+        def attempt():
+            try:
+                return (yield from call.attempt(500.0))
+            except RpcTimeout:
+                return "timeout"
+
+        assert sim.run_process(attempt()) == "timeout"
+        sim.run()
+        assert net.messages_sent == 2  # the direct copy and the relayed one
+        assert len(hop_spans(sim.obs)) == 2
+        assert assert_balanced_hops(sim, net) == {"dropped": 2}
+
+    def test_a_relayed_round_trip_is_four_hops(self):
+        sim, net = self._jp_client()
+        net.partition(Region.JP, Region.VA)
+        call = net.rpc("client", "server", "hello")
+        call.relay, call.hedged = Region.CA, True
+        assert sim.run_process(call.attempt(1_000.0)) == "hello"
+        sim.run()
+        assert assert_balanced_hops(sim, net) == {"dropped": 1, "delivered": 4}
+        legs = [
+            (s.attrs["src_region"], s.attrs["dst_region"], bool(s.attrs.get("reply")))
+            for s in hop_spans(sim.obs) if s.attrs["status"] == "delivered"
+        ]
+        assert legs == [
+            (Region.JP, Region.CA, False), (Region.CA, Region.VA, False),
+            (Region.VA, Region.CA, True), (Region.CA, Region.JP, True),
+        ]
+
+
 class TestProtocolUnderFaults:
     """End-to-end: the LVI protocol keeps its span accounting balanced
     when the WAN misbehaves (requests retried after timeouts, duplicated

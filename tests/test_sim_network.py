@@ -7,6 +7,7 @@ from repro.sim import (
     PAPER_RTT_TO_PRIMARY,
     RandomStreams,
     Region,
+    RpcCall,
     RpcTimeout,
     Simulator,
     paper_latency_table,
@@ -263,3 +264,63 @@ class TestFaultInjection:
         net.send("a", "b", "x")
         sim.run()
         assert proc.result == 137.0
+
+
+class TestOnlyDirectCopiesDuplicate:
+    """Every link duplicates every message it can: a direct ``send`` (an
+    RPC request's direct copy included) and a held ``send_at`` copy land
+    twice; a reply and each leg of a relayed copy land once."""
+
+    @pytest.fixture
+    def dup_net(self, sim, net, monkeypatch):
+        for a in Region.NEAR_USER:
+            for b in Region.NEAR_USER:
+                net.set_duplicate_probability(a, b, 1.0)
+        answers = []
+        answer = RpcCall._answer
+
+        def counted(call, value, failed, via=None):
+            answers.append(via)
+            answer(call, value, failed, via)
+
+        monkeypatch.setattr(RpcCall, "_answer", counted)
+        handled = []
+
+        def handler(payload, src):
+            handled.append(payload)
+            return payload
+            yield  # pragma: no cover - makes this a generator handler
+
+        net.serve("server", Region.VA, handler)
+        net.register("client", Region.JP)
+        return net, handled, answers
+
+    def test_send_and_send_at_land_twice(self, sim, net):
+        net.register("a", Region.CA)
+        seen = []
+        net.register_handler("b", Region.VA, lambda payload, src: seen.append((payload, sim.now)))
+        net.set_duplicate_probability(Region.CA, Region.VA, 1.0)
+        net.send("a", "b", "direct")
+        net.send_at(5.0, "a", "b", "held")
+        sim.run()
+        assert seen == [("direct", 37.0), ("direct", 37.1), ("held", 42.0), ("held", 42.1)]
+
+    def test_a_reply_lands_once(self, sim, dup_net):
+        net, handled, answers = dup_net
+        assert sim.run_process(net.call("client", "server", "x", timeout=1_000.0)) == "x"
+        sim.run()
+        # The direct request copy landed twice, and each landing was
+        # answered by exactly one reply.
+        assert handled == ["x", "x"]
+        assert answers == [None, None]
+
+    def test_a_relayed_copy_lands_once(self, sim, dup_net):
+        net, handled, answers = dup_net
+        net.partition(Region.JP, Region.VA)
+        call = net.rpc("client", "server", "x")
+        call.relay, call.hedged = Region.CA, True
+        assert sim.run_process(call.attempt(1_000.0)) == "x"
+        sim.run()
+        assert handled == ["x"]
+        assert answers == [Region.CA]
+        assert net.messages_sent == 1 + 2 + 2  # the lost direct copy, two legs each way

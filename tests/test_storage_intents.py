@@ -104,12 +104,6 @@ class TestIdempotency:
         idem.claim("e1", IdempotencyTable.NEAR_USER)
         assert idem.claimed("e1", IdempotencyTable.NEAR_USER)
 
-    def test_remove_clears_both_slots(self, idem):
-        idem.claim("e1", IdempotencyTable.NEAR_USER)
-        idem.claim("e1", IdempotencyTable.NEAR_STORAGE)
-        idem.remove("e1")
-        assert idem.claim("e1", IdempotencyTable.NEAR_USER) is True
-
     def test_executions_independent(self, idem):
         idem.claim("e1", IdempotencyTable.NEAR_USER)
         assert idem.claim("e2", IdempotencyTable.NEAR_USER) is True
